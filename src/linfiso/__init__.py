@@ -4,9 +4,10 @@ Given an n-dimensional subspace V of Q^N with the sup norm, this package
 decides in exact rational arithmetic whether V is isometrically
 isomorphic to the sup-norm space of dimension n, produces certifying
 index sets, bounds the distance when it is not, and computes the
-projection constant of V by exact linear programming."""
+projection constant of V by exact linear programming.  Everything is
+pure Python; the two hot loops, the Bareiss determinant and the simplex
+pivot, live in linfiso._kernels."""
 
-from ._kernels import BACKEND as _backend
 from .bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from .canonical import (
     CanonicalFamily,
@@ -69,8 +70,3 @@ from .projection import (
 )
 
 __version__ = "0.1.0"
-
-
-def kernel_backend() -> str:
-    """Name of the active kernel backend: "cython" or "python"."""
-    return _backend

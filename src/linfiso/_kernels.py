@@ -1,14 +1,13 @@
-"""Pure Python kernels for the hot loops.
+"""Exact rational kernels for the two hot loops: the Bareiss determinant
+and the simplex pivot.
 
 Numbers travel as parallel flat lists of Python ints: nums[i] / dens[i]
-with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).  The
-compiled twin in fast.pyx implements the same contracts and must return
-bit-identical results.
+with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).
+Callers reach these functions through the module (_kernels.pivot(...)),
+not by importing the names, so a tracer can wrap them in one place.
 """
 
 from math import gcd, lcm
-
-BACKEND_NAME = "python"
 
 
 def normalize(num: int, den: int) -> tuple[int, int]:

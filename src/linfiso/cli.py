@@ -4,7 +4,11 @@ Subcommands: decide, bounds, projconst, crosscheck, gen.  All rational
 values print as exact tokens like 4/3; --json output carries them as
 strings, never as floating point.  decide exits 0 when the subspace is
 isometric to the smaller sup-norm space, 1 when it is not, 2 on errors;
-crosscheck exits 1 when any instance disagrees."""
+crosscheck exits 1 when any instance disagrees.
+
+Each subcommand returns its exit code and its whole output as one
+string; main writes it only after every value has been formatted, so a
+failure part-way (exit 2) leaves stdout empty."""
 
 from __future__ import annotations
 
@@ -53,34 +57,43 @@ def _witness_payload(report: DecisionReport):
     }
 
 
-def _cmd_decide(args) -> int:
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _cmd_decide(args) -> tuple[int, str]:
     instance = load_instance(args.path)
     report = decide_isometric(instance.to_spec(), mode=args.mode)
+    code = 0 if report.verdict else 1
+    verdict = "isometric" if report.verdict else "not isometric"
     if args.json:
         payload = {
-            "verdict": "isometric" if report.verdict else "not isometric",
+            "verdict": verdict,
             "method": report.method.value,
             "sets_examined": report.sets_examined,
             "witness": _witness_payload(report),
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("verdict:", "isometric" if report.verdict else "not isometric")
-        print("method:", report.method.value)
-        print("sets examined:", report.sets_examined)
-        if report.witness is not None:
-            witness = report.witness
-            print("witness:", witness.index_set)
-            for k in witness.index_set:
-                vec = " ".join(
-                    format_rational(x) for x in witness.family.vectors[k]
-                )
-                norm = format_rational(witness.norms[k])
-                print(f"vector {k}: [{vec}]  1-norm {norm}")
-    return 0 if report.verdict else 1
+        return code, _json(payload)
+    lines = [
+        f"verdict: {verdict}",
+        f"method: {report.method.value}",
+        f"sets examined: {report.sets_examined}",
+    ]
+    if report.witness is not None:
+        witness = report.witness
+        lines.append(f"witness: {witness.index_set}")
+        for k in witness.index_set:
+            vec = " ".join(format_rational(x) for x in witness.family.vectors[k])
+            norm = format_rational(witness.norms[k])
+            lines.append(f"vector {k}: [{vec}]  1-norm {norm}")
+    return code, _text(lines)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, str]:
     instance = load_instance(args.path)
     spec = instance.to_spec()
     report = best_upper_bound(spec, materialize=args.per_set)
@@ -96,44 +109,46 @@ def _cmd_bounds(args) -> int:
                 str(list(s.members)): format_rational(v)
                 for s, v in report.per_set.items()
             }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("lower (projection constant):", format_rational(proj.constant))
-        print("upper (best per-set bound):", format_rational(report.best_upper))
-        print("best set:", report.best_set)
-        if report.per_set is not None:
-            for s, v in report.per_set.items():
-                print(f"  {s}: {format_rational(v)}")
-    return 0
+        return 0, _json(payload)
+    lines = [
+        f"lower (projection constant): {format_rational(proj.constant)}",
+        f"upper (best per-set bound): {format_rational(report.best_upper)}",
+        f"best set: {report.best_set}",
+    ]
+    if report.per_set is not None:
+        for s, v in report.per_set.items():
+            lines.append(f"  {s}: {format_rational(v)}")
+    return 0, _text(lines)
 
 
-def _cmd_projconst(args) -> int:
+def _cmd_projconst(args) -> tuple[int, str]:
     instance = load_instance(args.path)
     proj = projection_constant(instance.to_spec())
     certified = verify_certificate(proj.program, proj.certificate)
+    code = 0 if certified else 2
+    certificate = "valid" if certified else "INVALID"
     if args.json:
         payload = {
             "lambda": format_rational(proj.constant),
-            "certificate": "valid" if certified else "INVALID",
+            "certificate": certificate,
         }
         if args.emit_projection:
             payload["right_inverse"] = _matrix_rows(proj.right_inverse)
             payload["projection"] = _matrix_rows(proj.projection)
-        print(json.dumps(payload, indent=2))
-    else:
-        print("projection constant:", format_rational(proj.constant))
-        print("certificate:", "valid" if certified else "INVALID")
-        if args.emit_projection:
-            print("right inverse:")
-            for row in _matrix_rows(proj.right_inverse):
-                print("  " + " ".join(row))
-            print("projection:")
-            for row in _matrix_rows(proj.projection):
-                print("  " + " ".join(row))
-    return 0 if certified else 2
+        return code, _json(payload)
+    lines = [
+        f"projection constant: {format_rational(proj.constant)}",
+        f"certificate: {certificate}",
+    ]
+    if args.emit_projection:
+        lines.append("right inverse:")
+        lines.extend("  " + " ".join(row) for row in _matrix_rows(proj.right_inverse))
+        lines.append("projection:")
+        lines.extend("  " + " ".join(row) for row in _matrix_rows(proj.projection))
+    return code, _text(lines)
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args) -> tuple[int, str]:
     if args.count < 1:
         raise LinfisoError("--count must be at least 1")
     if not 1 <= args.max_m < args.max_n:
@@ -147,6 +162,7 @@ def _cmd_crosscheck(args) -> int:
         max_codim=args.max_m,
         entry_bound=args.entry_range,
     )
+    code = 0 if summary.ok else 1
     if args.json:
         payload = {
             "seed": summary.seed,
@@ -163,19 +179,18 @@ def _cmd_crosscheck(args) -> int:
                 for f in summary.disagreements
             ],
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"instances: {summary.instances}  agreements: {summary.agreements}"
-            f"  disagreements: {len(summary.disagreements)}"
-        )
-        for f in summary.disagreements:
-            print(f"instance {f.instance_index} failed {f.check}: {f.detail}")
-            print(f.instance_text.rstrip())
-    return 0 if summary.ok else 1
+        return code, _json(payload)
+    lines = [
+        f"instances: {summary.instances}  agreements: {summary.agreements}"
+        f"  disagreements: {len(summary.disagreements)}"
+    ]
+    for f in summary.disagreements:
+        lines.append(f"instance {f.instance_index} failed {f.check}: {f.detail}")
+        lines.append(f.instance_text.rstrip())
+    return code, _text(lines)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, str]:
     if args.n < 1 or args.m < 1:
         raise LinfisoError("--n and --m must be at least 1")
     if args.entry_range < 1:
@@ -189,8 +204,7 @@ def _cmd_gen(args) -> int:
         kind=args.kind,
         rational=args.rational,
     )
-    sys.stdout.write(format_instance(instance))
-    return 0
+    return 0, format_instance(instance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,10 +286,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        sys.stdout.write(text)
     except (LinfisoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def run() -> None:

@@ -10,6 +10,7 @@ format this package emits.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -22,12 +23,17 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# An optional sign, digits, then optionally /digits or .digits.  Fraction
+# alone would also take exponents ("1e300000") and underscores.
+_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
 
 def as_rational(value) -> Fraction:
     """Coerce int, Fraction, or numeric string to Fraction; reject floats.
 
     Strings may be integers ("7"), ratios ("-3/4"), or decimals ("0.25");
-    decimals parse exactly over a power-of-ten denominator.
+    decimals parse exactly over a power-of-ten denominator.  Nothing else
+    is accepted: no exponents, underscores, spaces or bare points.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,6 +42,8 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _TOKEN.fullmatch(value) is None:
+            raise ValueError(f"not a rational token: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -253,14 +261,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def row_submatrix(matrix: Matrix, index_set: IndexSet) -> Matrix:
-    return matrix.take_rows(index_set)
-
-
-def replace_row(matrix: Matrix, i: int, row: Sequence) -> Matrix:
-    return matrix.replace_row(i, row)
-
-
 def _flat_pairs(matrix: Matrix) -> tuple[list[int], list[int]]:
     nums: list[int] = []
     dens: list[int] = []
@@ -271,13 +271,12 @@ def _flat_pairs(matrix: Matrix) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
-def det(matrix: Matrix, kernels=None) -> Fraction:
+def det(matrix: Matrix) -> Fraction:
     """Determinant by fraction-free elimination.  Square input only."""
     if matrix.rows != matrix.cols:
         raise DimensionError("determinant of a non-square matrix")
-    impl = kernels if kernels is not None else _kernels
     nums, dens = _flat_pairs(matrix)
-    num, den = impl.det_bareiss(matrix.rows, nums, dens)
+    num, den = _kernels.det_bareiss(matrix.rows, nums, dens)
     return Fraction(num, den)
 
 

@@ -134,9 +134,8 @@ class _RowRecord:
 
 
 class _Simplex:
-    def __init__(self, problem: LpProblem, kernels=None):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.kernels = kernels if kernels is not None else _kernels
         self._standardize()
         self._assemble()
 
@@ -322,7 +321,7 @@ class _Simplex:
         return best
 
     def _pivot(self, row: int, col: int) -> None:
-        self.kernels.pivot(self.nums, self.dens, self.ncols, row, col)
+        _kernels.pivot(self.nums, self.dens, self.ncols, row, col)
         self.basis[row] = col
 
     def _run_phase(self, cost_idx: int) -> Optional[int]:
@@ -456,9 +455,9 @@ class _Simplex:
         return LpSolution(LpStatus.OPTIMAL, x, value, duals)
 
 
-def solve(problem: LpProblem, kernels=None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve to a terminal status with an exact certificate."""
-    return _Simplex(problem, kernels).run()
+    return _Simplex(problem).run()
 
 
 # -- certificate checks ------------------------------------------------

@@ -117,10 +117,10 @@ def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
     return LpProblem.build(objective, rows, senses, rhs, lower=lower)
 
 
-def projection_constant(spec: SubspaceSpec, kernels=None) -> ProjectionResult:
+def projection_constant(spec: SubspaceSpec) -> ProjectionResult:
     """Solve the minimal projection LP exactly."""
     program = minimal_projection_program(spec)
-    solution = solve(program, kernels=kernels)
+    solution = solve(program)
     if solution.status is not LpStatus.OPTIMAL or solution.x is None:
         raise InternalConsistencyError(
             f"the projection program must have an optimum, got {solution.status}"

@@ -75,6 +75,31 @@ class TestDecide:
         assert "line 3" in err
 
 
+class TestHostileInput:
+    """Exit 2 leaves stdout empty and says why in one stderr line."""
+
+    def run(self, tmp_path, capsys, text, *argv):
+        path = tmp_path / "hostile.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_result_too_wide_to_print(self, tmp_path, capsys, json_flag):
+        # The witness 1-norm's denominator has about 5000 digits, past the
+        # interpreter's limit for int-to-str conversion.
+        text = (
+            f"3 1 annihilator\n1\n1/{10**2500 + 1}\n1/{10**2500 + 3}\n"
+        )
+        self.run(tmp_path, capsys, text, "decide", *json_flag)
+
+    def test_exponent_token_rejected(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "2 1 annihilator\n1e300000\n1\n", "decide")
+
+
 class TestBounds:
     def test_text_output(self, rejecting, capsys):
         assert main(["bounds", rejecting]) == 0

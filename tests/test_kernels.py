@@ -1,16 +1,12 @@
-"""Backend parity: the compiled kernels must be observably identical to pure Python."""
+"""The exact kernels, checked against plain Fraction arithmetic and the
+cofactor-expansion oracle."""
 
-import os
 import random
 from fractions import Fraction as F
 from math import gcd
 
-import pytest
-
-from linfiso._kernels import available
-from linfiso._kernels import pure
-
-BACKENDS = available()
+from linfiso import _kernels
+from oracles import laplace_det
 
 
 def flat_pairs(rng, count, bound=9):
@@ -22,86 +18,91 @@ def flat_pairs(rng, count, bound=9):
     return nums, dens
 
 
+def to_grid(nums, dens, ncols):
+    return [
+        [F(nums[i + j], dens[i + j]) for j in range(ncols)]
+        for i in range(0, len(nums), ncols)
+    ]
+
+
 class TestNormalize:
     def test_sign_and_reduction(self):
-        assert pure.normalize(2, -4) == (-1, 2)
-        assert pure.normalize(-6, -3) == (2, 1)
-        assert pure.normalize(0, 7) == (0, 1)
+        assert _kernels.normalize(2, -4) == (-1, 2)
+        assert _kernels.normalize(-6, -3) == (2, 1)
+        assert _kernels.normalize(0, 7) == (0, 1)
 
-    def test_all_backends_agree(self):
+    def test_matches_fraction(self):
         rng = random.Random(31)
-        cases = [(rng.randint(-50, 50), rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])) for _ in range(200)]
-        expected = [pure.normalize(n, d) for n, d in cases]
-        for name, mod in BACKENDS.items():
-            assert [mod.normalize(n, d) for n, d in cases] == expected, name
+        for _ in range(200):
+            n = rng.randint(-50, 50)
+            d = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+            q = F(n, d)
+            assert _kernels.normalize(n, d) == (q.numerator, q.denominator)
 
 
 class TestDetBareiss:
     def test_identity(self):
         nums = [1, 0, 0, 1]
         dens = [1, 1, 1, 1]
-        assert pure.det_bareiss(2, nums, dens) == (1, 1)
+        assert _kernels.det_bareiss(2, nums, dens) == (1, 1)
 
     def test_fractional_entries(self):
         # det [[1/2, 1/3], [1/4, 1/5]] = 1/10 - 1/12 = 1/60
         nums = [1, 1, 1, 1]
         dens = [2, 3, 4, 5]
-        assert pure.det_bareiss(2, nums, dens) == (1, 60)
+        assert _kernels.det_bareiss(2, nums, dens) == (1, 60)
 
     def test_row_swap_sign(self):
         nums = [0, 1, 1, 0]
         dens = [1, 1, 1, 1]
-        assert pure.det_bareiss(2, nums, dens) == (-1, 1)
+        assert _kernels.det_bareiss(2, nums, dens) == (-1, 1)
 
     def test_singular(self):
         nums = [1, 2, 2, 4]
         dens = [1, 1, 1, 1]
-        assert pure.det_bareiss(2, nums, dens) == (0, 1)
+        assert _kernels.det_bareiss(2, nums, dens) == (0, 1)
 
     def test_result_is_normalized(self):
         rng = random.Random(88)
         for _ in range(60):
             size = rng.randint(1, 4)
             nums, dens = flat_pairs(rng, size * size)
-            n, d = pure.det_bareiss(size, nums, dens)
+            n, d = _kernels.det_bareiss(size, nums, dens)
             assert d > 0
             assert gcd(n, d) == 1
 
-    def test_backends_agree(self):
+    def test_matches_laplace(self):
         rng = random.Random(1234)
-        cases = []
         for _ in range(40):
             size = rng.randint(1, 5)
-            cases.append((size, *flat_pairs(rng, size * size)))
-        expected = [pure.det_bareiss(s, list(n), list(d)) for s, n, d in cases]
-        for name, mod in BACKENDS.items():
-            got = [mod.det_bareiss(s, list(n), list(d)) for s, n, d in cases]
-            assert got == expected, name
+            nums, dens = flat_pairs(rng, size * size)
+            expected = laplace_det(to_grid(nums, dens, size))
+            got = _kernels.det_bareiss(size, nums, dens)
+            assert got == (expected.numerator, expected.denominator)
 
     def test_inputs_not_mutated(self):
         nums = [1, 2, 3, 4]
         dens = [1, 1, 1, 1]
-        for mod in BACKENDS.values():
-            mod.det_bareiss(2, nums, dens)
-            assert nums == [1, 2, 3, 4] and dens == [1, 1, 1, 1]
+        _kernels.det_bareiss(2, nums, dens)
+        assert nums == [1, 2, 3, 4] and dens == [1, 1, 1, 1]
+
+
+def gauss_jordan_pivot(grid, prow, pcol):
+    """One pivot in plain Fraction arithmetic, returning a new grid."""
+    piv_row = [v / grid[prow][pcol] for v in grid[prow]]
+    return [
+        piv_row if i == prow else [a - row[pcol] * b for a, b in zip(row, piv_row)]
+        for i, row in enumerate(grid)
+    ]
 
 
 class TestPivot:
-    def run_backend(self, mod, rng_seed, nrows, ncols, steps):
-        rng = random.Random(rng_seed)
-        nums, dens = flat_pairs(rng, nrows * ncols)
-        for prow, pcol in steps:
-            if nums[prow * ncols + pcol] == 0:
-                continue
-            mod.pivot(nums, dens, ncols, prow, pcol)
-        return nums, dens
-
     def test_pivot_column_becomes_unit(self):
         rng = random.Random(7)
         nums, dens = flat_pairs(rng, 12)
         while nums[0] == 0:
             nums, dens = flat_pairs(rng, 12)
-        pure.pivot(nums, dens, 4, 0, 0)
+        _kernels.pivot(nums, dens, 4, 0, 0)
         assert (nums[0], dens[0]) == (1, 1)
         for i in (1, 2):
             assert nums[i * 4] == 0 and dens[i * 4] == 1
@@ -112,7 +113,7 @@ class TestPivot:
             nums, dens = flat_pairs(rng, 12)
             if nums[5] == 0:
                 continue
-            pure.pivot(nums, dens, 4, 1, 1)
+            _kernels.pivot(nums, dens, 4, 1, 1)
             for n, d in zip(nums, dens):
                 assert d > 0
                 assert gcd(n, d) == 1
@@ -124,7 +125,7 @@ class TestPivot:
             if nums[0] == 0:
                 continue
             grid = [[F(nums[i * 4 + j], dens[i * 4 + j]) for j in range(4)] for i in range(3)]
-            pure.pivot(nums, dens, 4, 0, 0)
+            _kernels.pivot(nums, dens, 4, 0, 0)
             piv = grid[0][0]
             ref_row0 = [v / piv for v in grid[0]]
             for j in range(4):
@@ -135,22 +136,16 @@ class TestPivot:
                     expect = grid[i][j] - factor * ref_row0[j]
                     assert F(nums[i * 4 + j], dens[i * 4 + j]) == expect
 
-    def test_backends_agree_on_pivot_chains(self):
-        results = {}
-        for name, mod in BACKENDS.items():
-            results[name] = self.run_backend(
-                mod, 4242, 4, 6, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 4), (1, 5)]
-            )
-        expected = results["python"]
-        for name, got in results.items():
-            assert got == expected, name
-
-
-@pytest.mark.skipif(
-    "cython" not in BACKENDS or os.environ.get("LINFISO_PURE"),
-    reason="compiled kernels not built or explicitly disabled",
-)
-def test_compiled_backend_selected_by_default():
-    import linfiso
-
-    assert linfiso.kernel_backend() == "cython"
+    def test_pivot_chain_matches_gauss_jordan(self):
+        rng = random.Random(4242)
+        nums, dens = flat_pairs(rng, 4 * 6)
+        grid = to_grid(nums, dens, 6)
+        pivots_done = 0
+        for prow, pcol in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 4), (1, 5)]:
+            if grid[prow][pcol] == 0:
+                continue
+            _kernels.pivot(nums, dens, 6, prow, pcol)
+            grid = gauss_jordan_pivot(grid, prow, pcol)
+            assert to_grid(nums, dens, 6) == grid
+            pivots_done += 1
+        assert pivots_done >= 4

@@ -61,6 +61,19 @@ class TestScalars:
         with pytest.raises(ValueError):
             as_rational("1/0")
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1e3", "1E3", "1_000", "1.5e-2", "1e300000", ".5", "3.", " 7", "1/2/3",
+         "0.5/2", "+", "", "\u0661"],
+    )
+    def test_only_documented_grammar(self, token):
+        with pytest.raises(ValueError):
+            as_rational(token)
+
+    def test_signed_tokens(self):
+        assert as_rational("+3/6") == F(1, 2)
+        assert as_rational("-0.5") == F(-1, 2)
+
     def test_format_round_trip(self):
         for q in (F(0), F(5), F(-5), F(2, 3), F(-7, 11)):
             assert as_rational(format_rational(q)) == q
