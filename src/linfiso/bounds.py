@@ -22,14 +22,11 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class BoundReport:
     """best_upper is the minimum per-set bound, attained at best_set
-    (lexicographically first minimizer).  per_set is filled on request.
-    lower, when present, is the projection constant supplied by the
-    caller; it never exceeds best_upper."""
+    (lexicographically first minimizer).  per_set is filled on request."""
 
     best_upper: Fraction
     best_set: IndexSet
     per_set: Optional[dict[IndexSet, Fraction]]
-    lower: Optional[Fraction] = None
 
 
 def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:

@@ -100,7 +100,6 @@ def decide_hyperplane(functional: Iterable) -> DecisionReport:
             norms = {k: norm1 / abs(value)}
             witness = Witness(index_set, family, norms)
             return DecisionReport(True, witness, examined, DecisionMethod.HYPERPLANE)
-    examined = sum(1 for x in vec if x != 0)
     return DecisionReport(False, None, examined, DecisionMethod.HYPERPLANE)
 
 

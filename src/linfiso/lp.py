@@ -2,20 +2,28 @@
 
 Minimization problems with row senses <=, ==, >= and optional per-variable
 bounds are solved by a two-phase primal simplex on a dense rational
-tableau.  Conversion to standard form splits free variables into
-differences of nonnegative ones, negates >= rows, and gives equalities
-artificial variables.  Bland's smallest-index rule governs both the
-entering column and ratio-test ties, so the method terminates on every
-input and the answer is reproducible.
+tableau.  Conversion to standard form shifts variables by a finite
+bound, splits free variables into differences of nonnegative ones,
+negates >= rows, and gives equalities artificial variables.  Both the
+standard-form rows and the tableau are built from nonzero entries only;
+every other tableau entry starts as 0.  Bland's smallest-index rule
+governs both the entering column and ratio-test ties, so the method
+terminates on every input and the answer is reproducible.
 
-Every terminal status carries an exact certificate:
+Every terminal status carries an exact certificate, checked from scratch
+by two shared passes over the problem: _within (a point meets every row
+and bound, or a direction meets their homogeneous versions) and
+_dual_bound (the lower bound that row multipliers prove on a cost over
+the variable box, skipping zero multipliers and coefficients).
 
-* optimal: primal values plus row duals; verify_certificate recomputes
-  feasibility, dual sign conditions, and strong duality (reduced costs
-  priced against finite bounds) from scratch.
-* infeasible: row multipliers whose aggregated constraint cannot be met
-  inside the variable box (verify_infeasibility).
-* unbounded: a feasible point and an improving ray (verify_unboundedness).
+* optimal: primal values plus row duals; verify_certificate checks that
+  x is feasible and that its value equals the stated optimum and the
+  dual bound (strong duality).
+* infeasible: row multipliers whose dual bound on the zero cost is
+  positive, so no point meets the rows inside the box (Farkas;
+  verify_infeasibility).
+* unbounded: a feasible point and an improving ray that meets the
+  homogeneous rows and bounds (verify_unboundedness).
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ GREATER = ">="
 _SENSES = (LESS, EQUAL, GREATER)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class LpStatus(enum.Enum):
@@ -142,60 +151,50 @@ class _Simplex:
     # -- standard form -------------------------------------------------
 
     def _standardize(self) -> None:
+        """Write each x_j as its shift plus signed nonnegative columns x':
+        a finite lower bound shifts, an upper bound alone reflects, and a
+        free variable splits into a difference of two columns."""
         problem = self.problem
-        self.col_meta: list[tuple] = []
+        # per variable: ((x' column, sign), ...) and the shift (or None)
+        self.columns: list[tuple[tuple, Optional[Fraction]]] = []
         costs: list[Fraction] = []
-        for j in range(problem.nvars):
-            lo, hi = problem.lower[j], problem.upper[j]
-            cj = problem.objective[j]
+        for cj, lo, hi in zip(problem.objective, problem.lower, problem.upper):
+            col = len(costs)
             if lo is not None:
-                self.col_meta.append(("shift", j, lo))
-                costs.append(cj)
+                pairs, shift = ((col, 1),), lo
             elif hi is not None:
-                self.col_meta.append(("neg", j, hi))
-                costs.append(-cj)
+                pairs, shift = ((col, -1),), hi
             else:
-                self.col_meta.append(("plus", j))
-                costs.append(cj)
-                self.col_meta.append(("minus", j))
-                costs.append(-cj)
+                pairs, shift = ((col, 1), (col + 1, -1)), None
+            self.columns.append((pairs, shift))
+            costs.extend(cj if sign > 0 else -cj for _, sign in pairs)
         self.struct_costs = costs
         self.nstruct = len(costs)
 
-        # rows in x' space: (coeffs, rhs, sense, origin, tau)
-        staged: list[tuple[list[Fraction], Fraction, str, tuple, int]] = []
+        # rows in x' space, nonzeros only: (coeffs, rhs, sense, origin, tau)
+        staged: list[tuple[dict[int, Fraction], Fraction, str, tuple, int]] = []
         for i, (row, sense, b) in enumerate(
             zip(problem.rows, problem.senses, problem.rhs)
         ):
-            coeffs: list[Fraction] = []
-            shifted = b
-            for meta in self.col_meta:
-                kind, j = meta[0], meta[1]
-                a = row[j]
-                if kind == "shift":
-                    coeffs.append(a)
-                    shifted -= a * meta[2]
-                elif kind == "neg":
-                    coeffs.append(-a)
-                    shifted -= a * meta[2]
-                elif kind == "plus":
-                    coeffs.append(a)
-                else:
-                    coeffs.append(-a)
+            coeffs: dict[int, Fraction] = {}
+            for j, a in enumerate(row):
+                if not a:
+                    continue
+                pairs, shift = self.columns[j]
+                for col, sign in pairs:
+                    coeffs[col] = a if sign > 0 else -a
+                if shift is not None:
+                    b -= a * shift
             if sense == GREATER:
-                coeffs = [-a for a in coeffs]
-                shifted = -shifted
-                staged.append((coeffs, shifted, LESS, ("row", i), -1))
+                coeffs = {col: -a for col, a in coeffs.items()}
+                staged.append((coeffs, -b, LESS, ("row", i), -1))
             else:
-                staged.append((coeffs, shifted, sense, ("row", i), 1))
-        for col, meta in enumerate(self.col_meta):
-            if meta[0] == "shift":
-                j = meta[1]
-                hi = self.problem.upper[j]
-                if hi is not None:
-                    coeffs = [_ZERO] * self.nstruct
-                    coeffs[col] = Fraction(1)
-                    staged.append((coeffs, hi - meta[2], LESS, ("bound", j), 1))
+                staged.append((coeffs, b, sense, ("row", i), 1))
+        for j, ((pairs, _), lo, hi) in enumerate(
+            zip(self.columns, problem.lower, problem.upper)
+        ):
+            if lo is not None and hi is not None:
+                staged.append(({pairs[0][0]: _ONE}, hi - lo, LESS, ("bound", j), 1))
         self.staged = staged
 
     # -- tableau -------------------------------------------------------
@@ -209,7 +208,7 @@ class _Simplex:
         art_base = slack_base + nslack
         slack_seen = 0
         art_cols: list[int] = []
-        prepared: list[tuple[list[Fraction], Fraction, _RowRecord]] = []
+        prepared: list[tuple[dict[int, Fraction], Fraction, _RowRecord]] = []
         for coeffs, b, sense, origin, tau in staged:
             sigma = 1
             slack_col = None
@@ -220,7 +219,7 @@ class _Simplex:
             if b < 0:
                 sigma = -1
                 b = -b
-                coeffs = [-a for a in coeffs]
+                coeffs = {col: -a for col, a in coeffs.items()}
                 slack_sign = -1
             art_col = None
             if sense == EQUAL or slack_sign < 0:
@@ -233,58 +232,42 @@ class _Simplex:
         self.records = records
         self.art_cols = art_cols
         self.enter_limit = art_base  # artificial columns never enter
-        self.ncols = art_base + len(art_cols) + 1
+        self.ncols = ncols = art_base + len(art_cols) + 1
         self.nrows = nrows
-        ncols = self.ncols
-
-        nums: list[int] = []
-        dens: list[int] = []
-
-        def push(value: Fraction) -> None:
-            nums.append(value.numerator)
-            dens.append(value.denominator)
-
-        for coeffs, b, rec in prepared:
-            full = list(coeffs) + [_ZERO] * (ncols - self.nstruct)
-            if rec.slack_col is not None:
-                full[rec.slack_col] = Fraction(rec.slack_sign)
-            if rec.art_col is not None:
-                full[rec.art_col] = Fraction(1)
-            full[-1] = b
-            for v in full:
-                push(v)
-        # phase-2 cost row: structural costs, zeros elsewhere
-        for col in range(ncols):
-            push(self.struct_costs[col] if col < self.nstruct else _ZERO)
-        # phase-1 cost row: 1 on artificials, priced out below
-        art_set = set(art_cols)
-        for col in range(ncols):
-            push(Fraction(1) if col in art_set else _ZERO)
-        self.nums = nums
-        self.dens = dens
         self.basis = [
             rec.art_col if rec.art_col is not None else rec.slack_col
             for rec in records
         ]
         if any(col is None for col in self.basis):
             raise InternalConsistencyError("row without a starting basic column")
-        # price the basic artificials out of the phase-1 cost row
-        for i, rec in enumerate(records):
-            if self.basis[i] == rec.art_col and rec.art_col is not None:
-                self._subtract_row_from_cost(self.nrows + 1, i)
 
-    def _subtract_row_from_cost(self, cost_idx: int, row_idx: int) -> None:
-        ncols = self.ncols
-        cbase = cost_idx * ncols
-        rbase = row_idx * ncols
-        for j in range(ncols):
-            an, ad = self.nums[cbase + j], self.dens[cbase + j]
-            bn, bd = self.nums[rbase + j], self.dens[rbase + j]
-            if bn == 0:
-                continue
-            value = Fraction(an, ad) - Fraction(bn, bd)
-            self.nums[cbase + j] = value.numerator
-            self.dens[cbase + j] = value.denominator
+        # rows 0..nrows-1 constraints, then the phase-2 and phase-1 costs;
+        # every entry not written below is 0
+        nums = [0] * ((nrows + 2) * ncols)
+        dens = [1] * len(nums)
+
+        def put(row: int, entries) -> None:
+            base = row * ncols
+            for col, value in entries:
+                nums[base + col] = value.numerator
+                dens[base + col] = value.denominator
+
+        # phase-1 costs: 1 on each artificial less its row, which prices
+        # the starting basic artificials out
+        phase1: dict[int, Fraction] = {}
+        for i, (coeffs, b, rec) in enumerate(prepared):
+            coeffs[ncols - 1] = b
+            if rec.slack_col is not None:
+                coeffs[rec.slack_col] = Fraction(rec.slack_sign)
+            if rec.art_col is not None:
+                for col, a in coeffs.items():
+                    phase1[col] = phase1.get(col, _ZERO) - a
+                coeffs[rec.art_col] = _ONE
+            put(i, coeffs.items())
+        put(nrows, enumerate(self.struct_costs))
+        put(nrows + 1, phase1.items())
+        self.nums = nums
+        self.dens = dens
 
     def _frac(self, row: int, col: int) -> Fraction:
         idx = row * self.ncols + col
@@ -386,18 +369,12 @@ class _Simplex:
         return values
 
     def _to_original(self, values: list[Fraction], affine: bool) -> tuple:
-        x = [_ZERO] * self.problem.nvars
-        for col, meta in enumerate(self.col_meta):
-            kind, j = meta[0], meta[1]
-            v = values[col]
-            if kind == "shift":
-                x[j] = (meta[2] + v) if affine else v
-            elif kind == "neg":
-                x[j] = (meta[2] - v) if affine else -v
-            elif kind == "plus":
-                x[j] = x[j] + v
-            else:
-                x[j] = x[j] - v
+        x = []
+        for pairs, shift in self.columns:
+            xj = shift if affine and shift is not None else _ZERO
+            for col, sign in pairs:
+                xj = xj + values[col] if sign > 0 else xj - values[col]
+            x.append(xj)
         return tuple(x)
 
     def _row_duals(self, cost_idx: int, phase1: bool) -> tuple:
@@ -418,7 +395,7 @@ class _Simplex:
     def _ray(self, entering_col: int) -> tuple:
         direction = [_ZERO] * self.nstruct
         if entering_col < self.nstruct:
-            direction[entering_col] = Fraction(1)
+            direction[entering_col] = _ONE
         for i, col in enumerate(self.basis):
             if col < self.nstruct:
                 direction[col] = -self._frac(i, entering_col)
@@ -463,34 +440,56 @@ def solve(problem: LpProblem) -> LpSolution:
 # -- certificate checks ------------------------------------------------
 
 
-def _is_feasible(problem: LpProblem, x: Sequence[Fraction]) -> bool:
-    if len(x) != problem.nvars:
+def _within(
+    problem: LpProblem, v: Sequence[Fraction], homogeneous: bool = False
+) -> bool:
+    """v meets every bound and row.  homogeneous=True counts right-hand
+    sides and finite bounds as 0: v is then a recession direction."""
+    if len(v) != problem.nvars:
         return False
-    for xj, lo, hi in zip(x, problem.lower, problem.upper):
-        if lo is not None and xj < lo:
+    for vj, lo, hi in zip(v, problem.lower, problem.upper):
+        if lo is not None and vj < (_ZERO if homogeneous else lo):
             return False
-        if hi is not None and xj > hi:
+        if hi is not None and vj > (_ZERO if homogeneous else hi):
             return False
     for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
-        lhs = sum((a * xj for a, xj in zip(row, x)), _ZERO)
-        if sense == LESS and lhs > b:
-            return False
-        if sense == GREATER and lhs < b:
-            return False
-        if sense == EQUAL and lhs != b:
+        lhs = sum((a * v[j] for j, a in enumerate(row) if a), _ZERO)
+        gap = lhs - (_ZERO if homogeneous else b)
+        if (gap > 0 and sense != GREATER) or (gap < 0 and sense != LESS):
             return False
     return True
 
 
-def _dual_signs_ok(problem: LpProblem, y: Sequence[Fraction]) -> bool:
+def _dual_bound(
+    problem: LpProblem, y: Sequence[Fraction], cost: Sequence[Fraction]
+) -> Optional[Fraction]:
+    """y.b plus the minimum of (cost - A^T y).x over the variable box,
+    a lower bound on cost.x over the feasible set.  None when y has the
+    wrong length or a multiplier the wrong sign, or when that minimum
+    is unbounded."""
     if len(y) != problem.nrows:
-        return False
-    for yi, sense in zip(y, problem.senses):
-        if sense == LESS and yi > 0:
-            return False
-        if sense == GREATER and yi < 0:
-            return False
-    return True
+        return None
+    reduced = list(cost)
+    bound = _ZERO
+    for yi, row, sense, b in zip(y, problem.rows, problem.senses, problem.rhs):
+        if not yi:
+            continue
+        if (sense == LESS and yi > 0) or (sense == GREATER and yi < 0):
+            return None
+        bound += yi * b
+        for j, a in enumerate(row):
+            if a:
+                reduced[j] -= a * yi
+    for r, lo, hi in zip(reduced, problem.lower, problem.upper):
+        if r > 0:
+            if lo is None:
+                return None
+            bound += r * lo
+        elif r < 0:
+            if hi is None:
+                return None
+            bound += r * hi
+    return bound
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution) -> bool:
@@ -498,61 +497,22 @@ def verify_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     bound pricing, and equality of the primal and dual objectives."""
     if solution.status is not LpStatus.OPTIMAL:
         return False
-    if solution.x is None or solution.duals is None:
+    x, y, value = solution.x, solution.duals, solution.objective_value
+    if x is None or y is None or value is None:
         return False
-    if solution.objective_value is None:
+    if not _within(problem, x):
         return False
-    x, y = solution.x, solution.duals
-    if not _is_feasible(problem, x):
-        return False
-    if not _dual_signs_ok(problem, y):
-        return False
-    primal = sum((c * xj for c, xj in zip(problem.objective, x)), _ZERO)
-    if primal != solution.objective_value:
-        return False
-    dual = sum((yi * b for yi, b in zip(y, problem.rhs)), _ZERO)
-    for j in range(problem.nvars):
-        reduced = problem.objective[j] - sum(
-            (problem.rows[i][j] * y[i] for i in range(problem.nrows)), _ZERO
-        )
-        if reduced > 0:
-            lo = problem.lower[j]
-            if lo is None:
-                return False
-            dual += reduced * lo
-        elif reduced < 0:
-            hi = problem.upper[j]
-            if hi is None:
-                return False
-            dual += reduced * hi
-    return primal == dual
+    primal = sum((c * xj for c, xj in zip(problem.objective, x) if c), _ZERO)
+    return primal == value and _dual_bound(problem, y, problem.objective) == value
 
 
 def verify_infeasibility(problem: LpProblem, solution: LpSolution) -> bool:
     """The multipliers aggregate the rows into a constraint the variable
-    box cannot satisfy: sup over the box falls short of the aggregated rhs."""
+    box cannot satisfy: the Farkas bound over the box is positive."""
     if solution.status is not LpStatus.INFEASIBLE or solution.duals is None:
         return False
-    y = solution.duals
-    if not _dual_signs_ok(problem, y):
-        return False
-    needed = sum((yi * b for yi, b in zip(y, problem.rhs)), _ZERO)
-    supremum = _ZERO
-    for j in range(problem.nvars):
-        g = sum(
-            (problem.rows[i][j] * y[i] for i in range(problem.nrows)), _ZERO
-        )
-        if g > 0:
-            hi = problem.upper[j]
-            if hi is None:
-                return False
-            supremum += g * hi
-        elif g < 0:
-            lo = problem.lower[j]
-            if lo is None:
-                return False
-            supremum += g * lo
-    return supremum < needed
+    bound = _dual_bound(problem, solution.duals, (_ZERO,) * problem.nvars)
+    return bound is not None and bound > 0
 
 
 def verify_unboundedness(problem: LpProblem, solution: LpSolution) -> bool:
@@ -560,25 +520,10 @@ def verify_unboundedness(problem: LpProblem, solution: LpSolution) -> bool:
     strictly decreasing the objective."""
     if solution.status is not LpStatus.UNBOUNDED:
         return False
-    if solution.x is None or solution.ray is None:
+    x, d = solution.x, solution.ray
+    if x is None or d is None:
         return False
-    if not _is_feasible(problem, solution.x):
+    if not (_within(problem, x) and _within(problem, d, homogeneous=True)):
         return False
-    d = solution.ray
-    if len(d) != problem.nvars:
-        return False
-    for row, sense in zip(problem.rows, problem.senses):
-        along = sum((a * dj for a, dj in zip(row, d)), _ZERO)
-        if sense == LESS and along > 0:
-            return False
-        if sense == GREATER and along < 0:
-            return False
-        if sense == EQUAL and along != 0:
-            return False
-    for dj, lo, hi in zip(d, problem.lower, problem.upper):
-        if lo is not None and dj < 0:
-            return False
-        if hi is not None and dj > 0:
-            return False
     slope = sum((c * dj for c, dj in zip(problem.objective, d)), _ZERO)
     return slope < 0

@@ -159,6 +159,19 @@ class TestUnbounded:
 
 
 class TestAgainstEnumeration:
+    def check(self, c, rows, senses, rhs, lower, upper):
+        prob = build(c, rows, senses, rhs, lower=lower, upper=upper)
+        sol = solve(prob)
+        oracle = enumerate_lp(c, rows, senses, rhs, lower=lower, upper=upper)
+        if oracle is None:
+            assert sol.status is LpStatus.INFEASIBLE
+            assert verify_infeasibility(prob, sol)
+        else:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == oracle[0]
+            assert verify_certificate(prob, sol)
+        return sol.status
+
     def run_case(self, rng, nvars, nrows):
         c = [F(rng.randint(-5, 5)) for _ in range(nvars)]
         rows = [
@@ -167,18 +180,7 @@ class TestAgainstEnumeration:
         senses = [rng.choice(["<=", ">="]) for _ in range(nrows)]
         rhs = [F(rng.randint(-6, 6)) for _ in range(nrows)]
         upper = [F(rng.randint(1, 6)) for _ in range(nvars)]
-        prob = build(c, rows, senses, rhs, upper=upper)
-        sol = solve(prob)
-        oracle = enumerate_lp(
-            c, rows, senses, rhs, lower=[F(0)] * nvars, upper=upper
-        )
-        if oracle is None:
-            assert sol.status is LpStatus.INFEASIBLE
-            assert verify_infeasibility(prob, sol)
-        else:
-            assert sol.status is LpStatus.OPTIMAL
-            assert sol.objective_value == oracle[0]
-            assert verify_certificate(prob, sol)
+        self.check(c, rows, senses, rhs, [F(0)] * nvars, upper)
 
     def test_random_boxes(self):
         rng = random.Random(31337)
@@ -193,26 +195,48 @@ class TestAgainstEnumeration:
             row_eq = [F(rng.randint(-3, 3)) for _ in range(nvars)]
             row_le = [F(rng.randint(-3, 3)) for _ in range(nvars)]
             rhs = [F(rng.randint(-4, 4)), F(rng.randint(0, 6))]
-            upper = [F(4)] * nvars
-            prob = build(
-                c, [row_eq, row_le], ["==", "<="], rhs, upper=upper
-            )
-            sol = solve(prob)
-            oracle = enumerate_lp(
+            self.check(
                 c,
                 [row_eq, row_le],
                 ["==", "<="],
                 rhs,
-                lower=[F(0)] * nvars,
-                upper=upper,
+                [F(0)] * nvars,
+                [F(4)] * nvars,
             )
-            if oracle is None:
-                assert sol.status is LpStatus.INFEASIBLE
-                assert verify_infeasibility(prob, sol)
-            else:
-                assert sol.status is LpStatus.OPTIMAL
-                assert sol.objective_value == oracle[0]
-                assert verify_certificate(prob, sol)
+
+    def test_random_mixed_bounds(self):
+        # each box is [lo, hi], (-inf, hi] with cost <= 0, or [lo, inf)
+        # with cost >= 0, so every draw is bounded below; lo != 0 shifts
+        # the variable and (-inf, hi] reflects it
+        rng = random.Random(2025)
+        seen = set()
+        for _ in range(150):
+            nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
+            c, lower, upper = [], [], []
+            for _ in range(nvars):
+                lo = F(rng.randint(-3, 2))
+                hi = lo + rng.randint(0, 4)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    c.append(F(rng.randint(-5, 5)))
+                    lower.append(lo)
+                    upper.append(hi)
+                elif kind == 1:
+                    c.append(F(rng.randint(-5, 0)))
+                    lower.append(None)
+                    upper.append(hi)
+                else:
+                    c.append(F(rng.randint(0, 5)))
+                    lower.append(lo)
+                    upper.append(None)
+            rows = [
+                [F(rng.randint(-4, 4)) for _ in range(nvars)]
+                for _ in range(nrows)
+            ]
+            senses = [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)]
+            rhs = [F(rng.randint(-6, 6)) for _ in range(nrows)]
+            seen.add(self.check(c, rows, senses, rhs, lower, upper))
+        assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
 
 
 class TestCertificateRejection:
@@ -260,3 +284,79 @@ class TestCertificateRejection:
             ray=(F(-1),),
         )
         assert not verify_unboundedness(prob, bad)
+
+    def test_reduced_cost_on_free_variable_rejected(self):
+        # min x1 with x1 >= 2 and x2 >= 0, x2 free: y = (1, 1) keeps the
+        # signs and y.b equals the optimum, but prices x2 at -1
+        prob = build([1, 0], [[1, 0], [0, 1]], [">=", ">="], [2, 0],
+                     lower=[0, None])
+        sol = solve(prob)
+        assert verify_certificate(prob, sol)
+        bad = LpSolution(
+            status=sol.status,
+            x=sol.x,
+            objective_value=sol.objective_value,
+            duals=(F(1), F(1)),
+        )
+        assert not verify_certificate(prob, bad)
+
+    def test_ray_breaking_equality_rejected(self):
+        # x1 - x2 == 1: the ray (1, 0) meets the row's rhs but not 0
+        prob = build([-1, 0], [[1, -1]], ["=="], [1])
+        sol = solve(prob)
+        assert verify_unboundedness(prob, sol)
+        bad = LpSolution(
+            status=sol.status,
+            x=sol.x,
+            objective_value=None,
+            duals=None,
+            ray=(F(1), F(0)),
+        )
+        assert not verify_unboundedness(prob, bad)
+
+    def test_ray_leaving_finite_lower_bound_rejected(self):
+        # x >= -3: a ray with d < 0 stays above -3 but leaves the box
+        prob = build([1], [[0]], ["<="], [0], lower=[-3])
+        bad = LpSolution(
+            status=LpStatus.UNBOUNDED,
+            x=(F(0),),
+            objective_value=None,
+            duals=None,
+            ray=(F(-1),),
+        )
+        assert not verify_unboundedness(prob, bad)
+
+    def test_zero_farkas_bound_rejected(self):
+        # x <= 0 with x >= 0 is feasible; y = -1 aggregates to exactly 0
+        prob = build([1], [[1]], ["<="], [0])
+        bad = LpSolution(
+            status=LpStatus.INFEASIBLE,
+            x=None,
+            objective_value=None,
+            duals=(F(-1),),
+        )
+        assert not verify_infeasibility(prob, bad)
+
+    def test_wrong_lengths_rejected(self):
+        prob = build([-1, -1], [[1, 1], [1, 0]], ["<=", "<="], [2, 1])
+        sol = solve(prob)
+        assert sol.duals[-1] == 0
+        for x, duals in (
+            (sol.x + (F(0),), sol.duals),
+            (sol.x[:1], sol.duals),
+            (sol.x, sol.duals + (F(0),)),
+            (sol.x, sol.duals[:-1]),
+        ):
+            bad = LpSolution(sol.status, x, sol.objective_value, duals)
+            assert not verify_certificate(prob, bad)
+
+        prob = build([1], [[1]], ["<="], [-1])
+        sol = solve(prob)
+        bad = LpSolution(sol.status, None, None, sol.duals + (F(0),))
+        assert not verify_infeasibility(prob, bad)
+
+        prob = build([-1], [[0]], ["<="], [0])
+        sol = solve(prob)
+        for x, ray in ((sol.x + (F(0),), sol.ray), (sol.x, sol.ray + (F(0),))):
+            bad = LpSolution(sol.status, x, None, None, ray)
+            assert not verify_unboundedness(prob, bad)
