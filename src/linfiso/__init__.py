@@ -53,6 +53,7 @@ from .linalg import (
 from .lp import (
     LpProblem,
     LpSolution,
+    LpStats,
     LpStatus,
     solve,
     verify_certificate,

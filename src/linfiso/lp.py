@@ -6,9 +6,27 @@ tableau.  Conversion to standard form shifts variables by a finite
 bound, splits free variables into differences of nonnegative ones,
 negates >= rows, and gives equalities artificial variables.  Both the
 standard-form rows and the tableau are built from nonzero entries only;
-every other tableau entry starts as 0.  Bland's smallest-index rule
-governs both the entering column and ratio-test ties, so the method
-terminates on every input and the answer is reproducible.
+every other tableau entry starts as 0.
+
+The entering column follows Dantzig's rule: the most negative reduced
+cost, compared by integer cross-multiplication, ties to the smallest
+column.  The ratio test breaks ties to the smallest basic column.  A
+pivot is degenerate when its leaving row has rhs 0, so the objective
+does not move.  Dantzig's rule can cycle through degenerate pivots, so
+after more than _DEGENERATE_STREAK of them in a row the entering column
+follows Bland's smallest-index rule, for at most as many pivots again;
+if the stretch goes on, the two rules alternate with the allowance
+doubled each round.  A non-degenerate pivot returns to Dantzig's rule
+and the first allowance.  The Bland turn is bounded because Bland's rule,
+though it cannot cycle, can creep through thousands of degenerate
+pivots at a vertex that Dantzig's rule leaves in a few hundred.
+
+The method terminates on every input.  Bland's rule never repeats a
+basis, so a Bland turn longer than the number of bases ends its
+degenerate stretch, and the doubling allowance reaches that length.
+Each non-degenerate pivot strictly lowers the objective, so no basis
+repeats across stretches.  Every choice is a fixed function of the
+tableau, so the answer is reproducible.
 
 Every terminal status carries an exact certificate, checked from scratch
 by two shared passes over the problem: _within (a point meets every row
@@ -29,8 +47,10 @@ the variable box, skipping zero multipliers and coefficients).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -44,6 +64,9 @@ _SENSES = (LESS, EQUAL, GREATER)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# degenerate pivots in a row after which Bland's rule takes its first turn
+_DEGENERATE_STREAK = 50
 
 
 class LpStatus(enum.Enum):
@@ -107,6 +130,14 @@ class LpProblem:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's (column, coefficient) pairs with a nonzero
+        coefficient, in column order, derived from rows on first use."""
+        return tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows
+        )
+
 
 def _bound_tuple(values, n: int, default) -> tuple:
     if values is None:
@@ -118,12 +149,39 @@ def _bound_tuple(values, n: int, default) -> tuple:
 
 
 @dataclass(frozen=True)
+class LpStats:
+    """Counters of one solve.
+
+    rows and cols are the tableau's constraint rows and columns (the rhs
+    column included) as assembled.  Phase-1 pivots include those that
+    drive zero-valued artificials out of the basis.  Degenerate pivots
+    are pricing pivots whose leaving row had rhs 0; bland_fallbacks
+    counts the turns in which Bland's rule priced them.
+    The perf_counter readings mark the start of the solve and the end of
+    the build and of each phase (an infeasible solve ends after phase
+    1); they are left out of equality, so two solves of one program
+    compare equal.
+    """
+
+    rows: int
+    cols: int
+    phase1_pivots: int
+    phase2_pivots: int
+    degenerate_pivots: int
+    bland_fallbacks: int
+    started: float = field(compare=False)
+    built: float = field(compare=False)
+    phase1_done: float = field(compare=False)
+    finished: float = field(compare=False)
+
+
+@dataclass(frozen=True)
 class LpSolution:
     """Terminal state of a solve.
 
     duals holds row duals when optimal and the infeasibility multipliers
     when infeasible.  ray is the improving direction when unbounded (x is
-    then a feasible starting point).
+    then a feasible starting point).  stats is set by solve().
     """
 
     status: LpStatus
@@ -131,6 +189,7 @@ class LpSolution:
     objective_value: Optional[Fraction]
     duals: Optional[tuple[Fraction, ...]]
     ray: Optional[tuple[Fraction, ...]] = None
+    stats: Optional[LpStats] = None
 
 
 @dataclass
@@ -144,9 +203,15 @@ class _RowRecord:
 
 class _Simplex:
     def __init__(self, problem: LpProblem):
+        self.started = time.perf_counter()
         self.problem = problem
         self._standardize()
         self._assemble()
+        self.shape = (self.nrows, self.ncols)
+        self.pivots = 0
+        self.degenerate_pivots = 0
+        self.bland_fallbacks = 0
+        self.built = time.perf_counter()
 
     # -- standard form -------------------------------------------------
 
@@ -173,13 +238,11 @@ class _Simplex:
 
         # rows in x' space, nonzeros only: (coeffs, rhs, sense, origin, tau)
         staged: list[tuple[dict[int, Fraction], Fraction, str, tuple, int]] = []
-        for i, (row, sense, b) in enumerate(
-            zip(problem.rows, problem.senses, problem.rhs)
+        for i, (nonzeros, sense, b) in enumerate(
+            zip(problem.nonzeros, problem.senses, problem.rhs)
         ):
             coeffs: dict[int, Fraction] = {}
-            for j, a in enumerate(row):
-                if not a:
-                    continue
+            for j, a in nonzeros:
                 pairs, shift = self.columns[j]
                 for col, sign in pairs:
                     coeffs[col] = a if sign > 0 else -a
@@ -275,12 +338,23 @@ class _Simplex:
 
     # -- pivoting ------------------------------------------------------
 
-    def _entering(self, cost_idx: int) -> Optional[int]:
+    def _entering(self, cost_idx: int, bland: bool) -> Optional[int]:
+        """The column with the most negative reduced cost, ties to the
+        smallest index (Dantzig); with bland, the first negative one."""
+        nums, dens = self.nums, self.dens
         base = cost_idx * self.ncols
+        best = None
+        best_n, best_d = 0, 1
         for j in range(self.enter_limit):
-            if self.nums[base + j] < 0:
-                return j
-        return None
+            n = nums[base + j]
+            if n < 0:
+                if bland:
+                    return j
+                # n/d < best_n/best_d, denominators positive
+                d = dens[base + j]
+                if n * best_d < best_n * d:
+                    best, best_n, best_d = j, n, d
+        return best
 
     def _leaving(self, col: int) -> Optional[int]:
         ncols = self.ncols
@@ -306,18 +380,38 @@ class _Simplex:
     def _pivot(self, row: int, col: int) -> None:
         _kernels.pivot(self.nums, self.dens, self.ncols, row, col)
         self.basis[row] = col
+        self.pivots += 1
 
     def _run_phase(self, cost_idx: int) -> Optional[int]:
         """Pivot until the cost row has no negative entry.  Returns the
-        entering column when the objective is unbounded below, else None."""
+        entering column when the objective is unbounded below, else None.
+        Prices by Dantzig's rule until more than span pivots in a row are
+        degenerate, then by Bland's rule for more than span pivots, and
+        so on with span doubled each time; a non-degenerate pivot returns
+        to Dantzig's rule and span to _DEGENERATE_STREAK."""
         guard = 20000 + 200 * (self.nrows + self.ncols)
+        rhs = self.ncols - 1
+        bland = False
+        span = _DEGENERATE_STREAK
+        run = 0  # degenerate pivots under the current rule
         for _ in range(guard):
-            col = self._entering(cost_idx)
+            col = self._entering(cost_idx, bland)
             if col is None:
                 return None
             row = self._leaving(col)
             if row is None:
                 return col
+            if self.nums[row * self.ncols + rhs]:
+                bland, span, run = False, _DEGENERATE_STREAK, 0
+            else:
+                self.degenerate_pivots += 1
+                run += 1
+                if run > span:
+                    if bland:
+                        span *= 2
+                    else:
+                        self.bland_fallbacks += 1
+                    bland, run = not bland, 0
             self._pivot(row, col)
         raise InternalConsistencyError("simplex did not terminate inside its guard")
 
@@ -403,6 +497,24 @@ class _Simplex:
 
     # -- driver --------------------------------------------------------
 
+    def _end_phase1(self) -> None:
+        self.phase1_pivots = self.pivots
+        self.phase1_done = time.perf_counter()
+
+    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
+        stats = LpStats(
+            *self.shape,
+            self.phase1_pivots,
+            self.pivots - self.phase1_pivots,
+            self.degenerate_pivots,
+            self.bland_fallbacks,
+            self.started,
+            self.built,
+            self.phase1_done,
+            time.perf_counter(),
+        )
+        return LpSolution(status, x, value, duals, ray, stats)
+
     def run(self) -> LpSolution:
         if self.art_cols:
             unbounded_col = self._run_phase(self.nrows + 1)
@@ -411,25 +523,27 @@ class _Simplex:
                     "phase-1 objective is bounded below by zero"
                 )
             if self._phase1_value() > 0:
+                self._end_phase1()
                 farkas = self._row_duals(self.nrows + 1, phase1=True)
-                return LpSolution(LpStatus.INFEASIBLE, None, None, farkas)
+                return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
             self._purge_artificials()
         else:
             # no artificials were needed; remove the unused phase-1 row
             ncols = self.ncols
             self.nums = self.nums[: (self.nrows + 1) * ncols]
             self.dens = self.dens[: (self.nrows + 1) * ncols]
+        self._end_phase1()
         unbounded_col = self._run_phase(self.nrows)
         if unbounded_col is not None:
             x = self._to_original(self._structural_values(), affine=True)
             ray = self._ray(unbounded_col)
-            return LpSolution(LpStatus.UNBOUNDED, x, None, None, ray)
+            return self._solution(LpStatus.UNBOUNDED, x, None, None, ray)
         x = self._to_original(self._structural_values(), affine=True)
         value = sum(
             (c * v for c, v in zip(self.problem.objective, x)), _ZERO
         )
         duals = self._row_duals(self.nrows, phase1=False)
-        return LpSolution(LpStatus.OPTIMAL, x, value, duals)
+        return self._solution(LpStatus.OPTIMAL, x, value, duals)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -452,8 +566,10 @@ def _within(
             return False
         if hi is not None and vj > (_ZERO if homogeneous else hi):
             return False
-    for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
-        lhs = sum((a * v[j] for j, a in enumerate(row) if a), _ZERO)
+    for nonzeros, sense, b in zip(
+        problem.nonzeros, problem.senses, problem.rhs
+    ):
+        lhs = sum((a * v[j] for j, a in nonzeros), _ZERO)
         gap = lhs - (_ZERO if homogeneous else b)
         if (gap > 0 and sense != GREATER) or (gap < 0 and sense != LESS):
             return False
@@ -471,15 +587,16 @@ def _dual_bound(
         return None
     reduced = list(cost)
     bound = _ZERO
-    for yi, row, sense, b in zip(y, problem.rows, problem.senses, problem.rhs):
+    for yi, nonzeros, sense, b in zip(
+        y, problem.nonzeros, problem.senses, problem.rhs
+    ):
         if not yi:
             continue
         if (sense == LESS and yi > 0) or (sense == GREATER and yi < 0):
             return None
         bound += yi * b
-        for j, a in enumerate(row):
-            if a:
-                reduced[j] -= a * yi
+        for j, a in nonzeros:
+            reduced[j] -= a * yi
     for r, lo, hi in zip(reduced, problem.lower, problem.upper):
         if r > 0:
             if lo is None:

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from linfiso import _kernels
+from linfiso.canonical import subspace_from_annihilator
 from linfiso.errors import LpModelError
+from linfiso.instances import random_instance
 from linfiso.lp import (
     LpProblem,
     LpSolution,
@@ -13,7 +16,8 @@ from linfiso.lp import (
     verify_infeasibility,
     verify_unboundedness,
 )
-from oracles import enumerate_lp
+from linfiso.projection import minimal_projection_program
+from oracles import enumerate_lp, laplace_det
 
 
 def build(*args, **kwargs):
@@ -100,6 +104,23 @@ class TestSolveBasics:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == F(-1, 20)
         assert verify_certificate(prob, sol)
+        # Dantzig's rule alone cycles here; Bland's rule breaks the stretch
+        # once more than 50 pivots in a row are degenerate
+        assert sol.stats.degenerate_pivots > 50
+        assert sol.stats.bland_fallbacks >= 1
+
+    def test_bland_turn_is_bounded(self):
+        # Bland's rule kept until the next non-degenerate pivot creeps
+        # through about 2,000 pivots here; giving the stretch back to
+        # Dantzig's rule after the allowance solves it in about 300
+        prob = minimal_projection_program(
+            random_instance(random.Random(5), 6, 4).to_spec()
+        )
+        sol = solve(prob)
+        assert sol.status is LpStatus.OPTIMAL
+        assert verify_certificate(prob, sol)
+        assert sol.stats.bland_fallbacks >= 1
+        assert sol.stats.phase1_pivots + sol.stats.phase2_pivots < 600
 
     def test_redundant_equalities_survive(self):
         prob = build(
@@ -170,7 +191,7 @@ class TestAgainstEnumeration:
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective_value == oracle[0]
             assert verify_certificate(prob, sol)
-        return sol.status
+        return sol
 
     def run_case(self, rng, nvars, nrows):
         c = [F(rng.randint(-5, 5)) for _ in range(nvars)]
@@ -235,8 +256,77 @@ class TestAgainstEnumeration:
             ]
             senses = [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)]
             rhs = [F(rng.randint(-6, 6)) for _ in range(nrows)]
-            seen.add(self.check(c, rows, senses, rhs, lower, upper))
+            seen.add(self.check(c, rows, senses, rhs, lower, upper).status)
         assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_random_degenerate(self):
+        # mostly homogeneous rows in a box with corner 0: many rows are
+        # tight at the same vertex, so degenerate pivots are common
+        rng = random.Random(1955)
+        seen = set()
+        cases = degenerate = 0
+        while cases < 120:
+            nvars, nrows = rng.randint(2, 4), rng.randint(2, 5)
+            c = [F(rng.randint(-5, 5)) for _ in range(nvars)]
+            rows = [
+                [F(rng.randint(-3, 3)) for _ in range(nvars)]
+                for _ in range(nrows)
+            ]
+            senses = [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)]
+            # the oracle keeps every equality active, so it needs them
+            # linearly independent: a nonzero Gram determinant
+            eqs = [row for row, s in zip(rows, senses) if s == "=="]
+            gram = [
+                [sum(a * b for a, b in zip(p, q)) for q in eqs] for p in eqs
+            ]
+            if eqs and laplace_det(gram) == 0:
+                continue
+            cases += 1
+            rhs = [
+                F(rng.randint(-4, 4)) if rng.random() < 0.2 else F(0)
+                for _ in range(nrows)
+            ]
+            upper = [F(rng.randint(1, 4)) for _ in range(nvars)]
+            sol = self.check(c, rows, senses, rhs, [F(0)] * nvars, upper)
+            seen.add(sol.status)
+            degenerate += sol.stats.degenerate_pivots > 0
+        assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert degenerate >= 60
+
+
+class TestDeterminism:
+    def test_same_program_same_answer_and_stats(self, monkeypatch):
+        spec = subspace_from_annihilator(
+            [[1, 2], [-3, 1], [2, -2], [1, 4], [-1, -1], [5, 3]]
+        )
+        prob = minimal_projection_program(spec)
+        calls = []
+        pivot = _kernels.pivot
+
+        def counted(*args):
+            calls.append(args[3:])
+            return pivot(*args)
+
+        monkeypatch.setattr(_kernels, "pivot", counted)
+        first, second = solve(prob), solve(prob)
+        assert first.status is second.status is LpStatus.OPTIMAL
+        assert verify_certificate(prob, first)
+        assert first.x == second.x
+        assert first.duals == second.duals
+        assert first.stats == second.stats
+        assert calls[: len(calls) // 2] == calls[len(calls) // 2 :]
+
+        stats = first.stats
+        assert stats.phase1_pivots + stats.phase2_pivots == len(calls) // 2
+        assert stats.phase1_pivots > 0 and stats.phase2_pivots > 0
+        assert stats.degenerate_pivots <= len(calls) // 2
+        # 49 variables, 12 of them free and split; 78 <= rows with a
+        # slack; 4 == rows and the 6 <= rows with rhs -1 get artificials
+        assert (prob.nvars, prob.nrows) == (49, 82)
+        assert (stats.rows, stats.cols) == (82, 61 + 78 + 10 + 1)
+        assert (
+            stats.started <= stats.built <= stats.phase1_done <= stats.finished
+        )
 
 
 class TestCertificateRejection:
