@@ -4,9 +4,9 @@ Given an n-dimensional subspace V of Q^N with the sup norm, this package
 decides in exact rational arithmetic whether V is isometrically
 isomorphic to the sup-norm space of dimension n, produces certifying
 index sets, bounds the distance when it is not, and computes the
-projection constant of V by exact linear programming.  Everything is
-pure Python; the two hot loops, the Bareiss determinant and the simplex
-pivot, live in linfiso._kernels."""
+projection constant of V by exact linear programming (in closed form
+for a hyperplane).  Everything is pure Python; the two hot loops, the
+Bareiss determinant and the simplex pivot, live in linfiso._kernels."""
 
 from .bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from .canonical import (

@@ -130,6 +130,7 @@ def _cmd_projconst(args) -> tuple[int, str]:
     if args.json:
         payload = {
             "lambda": format_rational(proj.constant),
+            "method": proj.method,
             "certificate": certificate,
         }
         if args.emit_projection:
@@ -138,6 +139,7 @@ def _cmd_projconst(args) -> tuple[int, str]:
         return code, _json(payload)
     lines = [
         f"projection constant: {format_rational(proj.constant)}",
+        f"method: {proj.method}",
         f"certificate: {certificate}",
     ]
     if args.emit_projection:
@@ -241,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(func=_cmd_bounds)
 
     projconst = sub.add_parser(
-        "projconst", help="exact projection constant by rational LP"
+        "projconst",
+        help="exact projection constant, by closed form for a hyperplane "
+        "and rational LP otherwise",
     )
     projconst.add_argument("path", help="instance file")
     projconst.add_argument(

@@ -2,7 +2,8 @@
 
 Every instance runs through independent routes that must agree in exact
 arithmetic: the determinant-ratio scan, the closed forms for codimension
-1 and 2, the LP projection constant with its duality certificate, the
+1 and 2, the projection constant with its duality certificate (for a
+hyperplane, the closed form against the simplex optimum), the
 per-set distance bounds, and the structural identities tying the pieces
 together.  Any mismatch is recorded with the serialized instance so it
 can be replayed."""
@@ -22,7 +23,7 @@ from .canonical import (
 from .decide import decide_by_minors, decide_hyperplane, decide_isometric
 from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check
-from .lp import verify_certificate
+from .lp import LpStatus, solve, verify_certificate
 from .projection import projection_constant, verify_norm_gap
 
 _ONE = Fraction(1)
@@ -132,6 +133,15 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         "lp_certificate_valid",
         verify_certificate(proj.program, proj.certificate),
     )
+    if spec.codim == 1:
+        # the closed form skipped the simplex; the simplex must agree
+        lp = solve(proj.program)
+        record(
+            "hyperplane_matches_lp",
+            lp.status is LpStatus.OPTIMAL
+            and lp.objective_value == proj.constant,
+            f"lp={lp.objective_value} closed form={proj.constant}",
+        )
     record("constant_at_least_one", proj.constant >= 1, str(proj.constant))
     record(
         "verdict_iff_constant_one",

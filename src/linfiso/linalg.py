@@ -52,10 +52,30 @@ def as_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical token: "p/q" in lowest terms, or just "p" for integers."""
+    """Canonical token: "p/q" in lowest terms, or just "p" for integers.
+    Integers of any width print in full."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+# str() refuses integers wider than the interpreter's digit limit (4300
+# by default, 640 at the least); below 2**2000 an integer has at most 603
+# digits.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n, split by a power of ten until each piece is
+    narrow enough for str(), so the interpreter-wide limit is untouched."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    bits = n.bit_length()
+    if bits <= _STR_BITS:
+        return str(n)
+    k = bits * 3 // 20  # about half of the bits * log10(2) digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 @dataclass(frozen=True)

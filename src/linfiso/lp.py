@@ -181,7 +181,9 @@ class LpSolution:
 
     duals holds row duals when optimal and the infeasibility multipliers
     when infeasible.  ray is the improving direction when unbounded (x is
-    then a feasible starting point).  stats is set by solve().
+    then a feasible starting point).  stats is set by solve(); a
+    solution written down without it, such as the closed form for
+    hyperplanes in projection, has stats None.
     """
 
     status: LpStatus

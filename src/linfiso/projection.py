@@ -1,11 +1,33 @@
-"""Projection constants by exact linear programming.
+"""Projection constants, by closed form for hyperplanes and by exact
+linear programming otherwise.
 
 Every projection of Q^N onto the subspace V annihilated by the columns
 of F has the form P = I - Y F^T with F^T Y = I.  Minimizing the largest
 absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
-is fixed so results are reproducible."""
+is fixed so results are reproducible.
+
+For codimension m >= 2 the program is solved by the simplex in lp.  For
+a hyperplane (m = 1, F a single column f) the optimal point and an
+optimal dual of the same program are written down directly (Blatter and
+Cheney 1974) and the simplex does not run.  Let g_i = |f_i| / |f|_1 and
+s_i the sign of f_i (+1 when f_i = 0).
+
+* Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1.
+  The dual certificate is Z = e_k (e_k - (f_k / f_p) e_p)^T with nu = 0,
+  k the first index other than p.
+* Otherwise, with c = 1 / sum_i g_i / (1 - 2 g_i), the constant is
+  1 + c, attained by y_i = s_i c / ((1 - 2 g_i) |f|_1).  The dual is
+  nu = c and Z with a_i = c g_i / (1 - 2 g_i) on the diagonal and
+  -a_i s_i s_j off it.
+
+Here nu is the multiplier of the row f^T y = 1 and Z an N x N matrix
+with Z f = -nu f, trace 1 and sum_i max_j |Z_ij| = 1, so its dual bound
+is nu + trace Z.  Z_ij is split over the rows P_ij <= T_ij and
+-P_ij <= T_ij as -max(Z_ij, 0) and -max(-Z_ij, 0), and row i of the
+row-sum block gets -max_j |Z_ij|.  The pair is an ordinary LpSolution, so
+lp.verify_certificate checks it exactly like a simplex answer."""
 
 from __future__ import annotations
 
@@ -36,16 +58,19 @@ _ONE = Fraction(1)
 class ProjectionResult:
     """A minimal-norm projection onto the subspace.
 
-    constant is the projection constant (the LP optimum, always >= 1),
-    projection is P = I - Y F^T for the optimal right inverse Y, and
-    certificate carries the LP solution whose duals prove optimality
-    for program."""
+    constant is the projection constant (the optimum of program, always
+    >= 1), projection is P = I - Y F^T for the optimal right inverse Y,
+    and certificate is an optimal LpSolution of program whose duals
+    prove optimality.  method names the route: "hyperplane" when m = 1
+    and the primal and dual were built in closed form (certificate.stats
+    is then None), "lp" when the simplex solved program."""
 
     constant: Fraction
     projection: Matrix
     right_inverse: Matrix
     certificate: LpSolution
     program: LpProblem
+    method: str
 
 
 def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
@@ -117,10 +142,59 @@ def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
     return LpProblem.build(objective, rows, senses, rhs, lower=lower)
 
 
+def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
+    """The optimal point and dual of minimal_projection_program for the
+    single annihilator column f, in closed form (see the module
+    docstring)."""
+    n = len(f)
+    sizes = [abs(v) for v in f]
+    norm = sum(sizes, _ZERO)
+    signs = [-1 if v < 0 else 1 for v in f]
+    p = next((i for i, a in enumerate(sizes) if 2 * a >= norm), None)
+    z = [[_ZERO] * n for _ in range(n)]
+    if p is not None:
+        constant, nu = _ONE, _ZERO
+        y = [_ZERO] * n
+        y[p] = 1 / f[p]
+        k = 1 if p == 0 else 0
+        z[k][k] = _ONE
+        z[k][p] = -f[k] / f[p]
+    else:
+        weights = [a / (norm - 2 * a) for a in sizes]  # g / (1 - 2g)
+        nu = 1 / sum(weights, _ZERO)
+        constant = 1 + nu
+        y = [s * nu / (norm - 2 * a) for s, a in zip(signs, sizes)]
+        for i, row in enumerate(z):
+            # a_i on the diagonal, -a_i s_i s_j off it
+            a = nu * weights[i]
+            row[:] = (a if s != signs[i] else -a for s in signs)
+            row[i] = a
+    # T = |P| with P = I - y f^T
+    t = [[b * a for a in sizes] for b in map(abs, y)]
+    for i in range(n):
+        t[i][i] = abs(1 - y[i] * f[i])
+    x = (*y, *(e for row in t for e in row), constant)
+    flat = [e for row in z for e in row]
+    duals = (
+        nu,
+        *(-e if e > 0 else _ZERO for e in flat),
+        *(e if e < 0 else _ZERO for e in flat),
+        *(-max(abs(e) for e in row) for row in z),
+    )
+    return LpSolution(LpStatus.OPTIMAL, x, constant, duals)
+
+
 def projection_constant(spec: SubspaceSpec) -> ProjectionResult:
-    """Solve the minimal projection LP exactly."""
+    """The projection constant with an exact optimality certificate for
+    minimal_projection_program(spec): in closed form for a hyperplane,
+    by the simplex otherwise."""
     program = minimal_projection_program(spec)
-    solution = solve(program)
+    if spec.codim == 1:
+        solution = _hyperplane_solution(spec.annihilator.column(0))
+        method = "hyperplane"
+    else:
+        solution = solve(program)
+        method = "lp"
     if solution.status is not LpStatus.OPTIMAL or solution.x is None:
         raise InternalConsistencyError(
             f"the projection program must have an optimum, got {solution.status}"
@@ -138,7 +212,9 @@ def projection_constant(spec: SubspaceSpec) -> ProjectionResult:
         )
     if constant < 1:
         raise InternalConsistencyError("projection constant below 1")
-    return ProjectionResult(constant, projection, right_inverse, solution, program)
+    return ProjectionResult(
+        constant, projection, right_inverse, solution, program, method
+    )
 
 
 def projection_norm(spec: SubspaceSpec, candidate: Matrix) -> Fraction:

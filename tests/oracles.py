@@ -47,14 +47,35 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
     return [work[i][n] for i in range(n)]
 
 
+def independent_rows(rows: list[list[Fraction]]) -> list[int]:
+    """Indices of a maximal linearly independent subset of rows, each
+    row kept when it is independent of the rows kept before it."""
+    kept: list[int] = []
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+    for index, row in enumerate(rows):
+        work = list(row)
+        for col, basis in echelon:
+            if work[col] != 0:
+                f = work[col] / basis[col]
+                work = [a - f * b for a, b in zip(work, basis)]
+        col = next((j for j, a in enumerate(work) if a != 0), None)
+        if col is not None:
+            echelon.append((col, work))
+            kept.append(index)
+    return kept
+
+
 def enumerate_lp(c, rows, senses, rhs, lower=None, upper=None):
     """Brute-force LP minimum over vertices of the feasible region.
 
-    Every combination of n active constraints (equalities always active,
-    finite bounds counted as rows) is solved exactly and filtered by
-    feasibility.  Returns (value, x) or None when no feasible vertex
-    exists.  Only valid for problems whose optimum is attained at a
-    vertex, e.g. when the region contains no line."""
+    A vertex meets n linearly independent constraints with equality, and
+    those can always be chosen to contain any maximal independent subset
+    of the equality rows.  So every combination of such a subset with
+    enough inequalities (finite bounds counted as rows) is solved exactly
+    and filtered by feasibility, which enforces every equality, the
+    dependent ones included.  Returns (value, x) or None when no feasible
+    vertex exists.  Only valid for problems whose optimum is attained at
+    a vertex, e.g. when the region contains no line."""
     n = len(c)
     lower = [ZERO] * n if lower is None else lower
     upper = [None] * n if upper is None else upper
@@ -78,11 +99,10 @@ def enumerate_lp(c, rows, senses, rhs, lower=None, upper=None):
             all_rhs.append(upper[j])
             all_senses.append("<=")
 
-    eq_idx = [i for i, s in enumerate(all_senses) if s == "=="]
+    eq_all = [i for i, s in enumerate(all_senses) if s == "=="]
+    eq_idx = [eq_all[k] for k in independent_rows([all_rows[i] for i in eq_all])]
     ineq_idx = [i for i, s in enumerate(all_senses) if s != "=="]
     need = n - len(eq_idx)
-    if need < 0:
-        return None
 
     def feasible(x) -> bool:
         for row, sense, b in zip(all_rows, all_senses, all_rhs):

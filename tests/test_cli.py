@@ -87,17 +87,63 @@ class TestHostileInput:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    def test_result_too_wide_to_print(self, tmp_path, capsys, json_flag):
-        # The witness 1-norm's denominator has about 5000 digits, past the
-        # interpreter's limit for int-to-str conversion.
-        text = (
-            f"3 1 annihilator\n1\n1/{10**2500 + 1}\n1/{10**2500 + 3}\n"
-        )
-        self.run(tmp_path, capsys, text, "decide", *json_flag)
-
     def test_exponent_token_rejected(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "2 1 annihilator\n1e300000\n1\n", "decide")
+
+
+class TestWideResults:
+    """Results past the interpreter's 4300-digit limit for int-to-str
+    conversion print in full."""
+
+    # f = (1, 1/(10**2500 + 1), 1/(10**2500 + 3)).  The witness 1-norm is
+    # 1 + 1/a + 1/b with a = 10**2500 + 1, b = 10**2500 + 3: numerator
+    # 10**5000 + 6 * 10**2500 + 7 over ab = 10**5000 + 4 * 10**2500 + 3,
+    # in lowest terms.  Every expected token is spelled out by hand.
+    A = "1" + "0" * 2499 + "1"
+    B = "1" + "0" * 2499 + "3"
+    NORM = (
+        "1" + "0" * 2499 + "6" + "0" * 2499 + "7"
+        + "/1" + "0" * 2499 + "4" + "0" * 2499 + "3"
+    )
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text(
+            f"3 1 annihilator\n1\n1/{self.A}\n1/{self.B}\n", encoding="utf-8"
+        )
+        return str(path)
+
+    def test_decide_text(self, wide, capsys):
+        assert main(["decide", wide]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "verdict: isometric",
+            "method: hyperplane",
+            "sets examined: 1",
+            "witness: {1}",
+            f"vector 1: [1 1/{self.A} 1/{self.B}]  1-norm {self.NORM}",
+        ]
+
+    def test_decide_json(self, wide, capsys):
+        assert main(["decide", wide, "--json"]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness["norms"] == {"1": self.NORM}
+        assert witness["vectors"]["1"] == ["1", f"1/{self.A}", f"1/{self.B}"]
+
+    def test_projconst(self, wide, capsys):
+        argv = ["projconst", wide, "--json", "--emit-projection"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda"] == "1"
+        assert payload["certificate"] == "valid"
+        assert payload["right_inverse"] == [["1"], ["0"], ["0"]]
+        assert payload["projection"] == [
+            ["0", f"-1/{self.A}", f"-1/{self.B}"],
+            ["0", "1", "0"],
+            ["0", "0", "1"],
+        ]
 
 
 class TestBounds:
@@ -129,6 +175,19 @@ class TestProjconst:
         out = capsys.readouterr().out
         assert "projection constant: 4/3" in out
         assert "certificate: valid" in out
+
+    def test_method(self, rejecting, tmp_path, capsys):
+        assert main(["projconst", rejecting]) == 0
+        assert "method: hyperplane" in capsys.readouterr().out
+        path = tmp_path / "pair.txt"
+        path.write_text("4 2 annihilator\n1 0\n0 1\n1 1\n1 -1\n", "utf-8")
+        assert main(["projconst", str(path)]) == 0
+        assert "method: lp" in capsys.readouterr().out
+        for instance, method in ((rejecting, "hyperplane"), (str(path), "lp")):
+            assert main(["projconst", instance, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["method"] == method
+            assert payload["certificate"] == "valid"
 
     def test_emit_projection(self, rejecting, capsys):
         assert main(["projconst", rejecting, "--emit-projection"]) == 0

@@ -78,6 +78,32 @@ class TestScalars:
         for q in (F(0), F(5), F(-5), F(2, 3), F(-7, 11)):
             assert as_rational(format_rational(q)) == q
 
+    def test_format_wider_than_str_limit(self):
+        # str() of an int over 4300 digits raises by default; the digits
+        # are built chunk by chunk so the test never calls it on one
+        def value(digits):
+            n = 0
+            for i in range(0, len(digits), 500):
+                chunk = digits[i : i + 500]
+                n = n * 10 ** len(chunk) + int(chunk)
+            return n
+
+        rng = random.Random(4300)
+        cases = ["1" + "0" * 9000 + "7", "9" * 4301, "5" + "0" * 602]
+        for width in (603, 604, 4300, 4301, 12000):
+            body = [rng.choice("0123456789") for _ in range(width - 2)]
+            # zero runs make the split's padding matter
+            start = rng.randrange(width // 3)
+            body[start : start + width // 4] = "0" * (width // 4)
+            cases.append(rng.choice("123456789") + "".join(body) + "3")
+        for digits in cases:
+            n = value(digits)
+            assert format_rational(F(n)) == digits
+            assert format_rational(F(-n)) == "-" + digits
+            if digits[-1] == "3":
+                den = 10**5000
+                assert format_rational(F(n, den)) == f"{digits}/1{'0' * 5000}"
+
 
 class TestIndexSet:
     def test_membership_and_complement(self):

@@ -17,7 +17,7 @@ from linfiso.lp import (
     verify_unboundedness,
 )
 from linfiso.projection import minimal_projection_program
-from oracles import enumerate_lp, laplace_det
+from oracles import enumerate_lp
 
 
 def build(*args, **kwargs):
@@ -273,14 +273,6 @@ class TestAgainstEnumeration:
                 for _ in range(nrows)
             ]
             senses = [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)]
-            # the oracle keeps every equality active, so it needs them
-            # linearly independent: a nonzero Gram determinant
-            eqs = [row for row, s in zip(rows, senses) if s == "=="]
-            gram = [
-                [sum(a * b for a, b in zip(p, q)) for q in eqs] for p in eqs
-            ]
-            if eqs and laplace_det(gram) == 0:
-                continue
             cases += 1
             rhs = [
                 F(rng.randint(-4, 4)) if rng.random() < 0.2 else F(0)
@@ -292,6 +284,25 @@ class TestAgainstEnumeration:
             degenerate += sol.stats.degenerate_pivots > 0
         assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
         assert degenerate >= 60
+
+    def test_dependent_equalities(self):
+        # seed 1955, 9th draw of test_random_degenerate: an all-zero
+        # equality row, which the oracle once reported as infeasible
+        rows = [[F(0), F(0)], [F(2), F(1)], [F(0), F(0)], [F(3), F(-1)],
+                [F(-3), F(-3)]]
+        senses = ["==", ">=", ">=", "<=", "<="]
+        box = ([F(0)] * 2, [F(4), F(2)])
+        sol = self.check([F(-4), F(-3)], rows, senses, [F(0)] * 5, *box)
+        assert sol.objective_value == F(-26, 3)
+        assert sol.x == (F(2, 3), F(2))
+        # more equalities than variables, consistent and then not
+        rows = [[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]]
+        sol = self.check([F(1), F(2)], rows, ["=="] * 3, [F(2), F(0), F(2)],
+                         *box)
+        assert sol.x == (F(1), F(1))
+        sol = self.check([F(1), F(2)], rows, ["=="] * 3, [F(2), F(0), F(3)],
+                         *box)
+        assert sol.status is LpStatus.INFEASIBLE
 
 
 class TestDeterminism:

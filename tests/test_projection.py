@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from linfiso.canonical import canonical_family, subspace_from_annihilator
 from linfiso.decide import decide_isometric
 from linfiso.errors import ContractError
 from linfiso.linalg import IndexSet, Matrix, op_norm_inf
-from linfiso.lp import verify_certificate
+from linfiso.lp import solve, verify_certificate
 from linfiso.projection import (
     good_index_set,
     minimal_projection_program,
@@ -99,6 +100,79 @@ class TestProjectionConstant:
         assert len(prog.objective) == n * m + n * n + 1
         # one equality block, two entrywise blocks, one row-sum block
         assert len(prog.rows) == m * m + 2 * n * n + n
+
+
+def hyperplane_functionals():
+    """Fixed functionals for the edge cases, then seeded random ones."""
+    cases = [
+        [F(1), F(1)],  # g = 1/2 twice
+        [F(2), F(-1), F(1)],  # g_1 exactly 1/2
+        [F(1), F(1), F(2)],  # g_3 exactly 1/2, after two smaller ones
+        [F(-5), F(1), F(1)],  # g_1 above 1/2, negative
+        [F(0), F(3), F(1), F(1)],  # a zero before the dominant entry
+        [F(-1), F(-2), F(-3), F(-1)],  # all negative
+        [F(1, 2), F(-1, 3), F(1, 5), F(0)],  # rational with a zero
+        [F(1), F(1), F(1), F(1), F(1)],
+    ]
+    rng = random.Random(1974)
+    while len(cases) < 40:
+        n = rng.randint(2, 6)
+        rational = rng.random() < 0.5
+        f = [
+            F(rng.randint(-6, 6), rng.randint(1, 5) if rational else 1)
+            for _ in range(n)
+        ]
+        if rng.random() < 0.3:
+            f[rng.randrange(n)] = 0
+        if rng.random() < 0.2:
+            f[rng.randrange(n)] = sum(abs(v) for v in f) * rng.choice([1, -2])
+        if any(f):
+            cases.append(f)
+    return cases
+
+
+class TestHyperplaneClosedForm:
+    def test_certificate_and_value_match_the_lp(self):
+        kinds = set()
+        for f in hyperplane_functionals():
+            spec = subspace_from_annihilator(f)
+            result = projection_constant(spec)
+            assert result.method == "hyperplane"
+            assert result.certificate.stats is None
+            assert result.program == minimal_projection_program(spec)
+            assert verify_certificate(result.program, result.certificate)
+            lp = solve(result.program)
+            assert lp.objective_value == result.constant
+            if len(f) <= 3:
+                assert result.constant == hyperplane_projection_constant(f)
+            kinds.add(result.constant == 1)
+        assert kinds == {True, False}
+
+    def test_codimension_two_uses_the_lp(self):
+        spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1], [1, -1]])
+        result = projection_constant(spec)
+        assert result.method == "lp"
+        assert result.certificate.stats is not None
+
+    def test_perturbed_certificates_rejected(self):
+        eps = F(1, 1000)
+        for f in hyperplane_functionals()[:16]:
+            result = projection_constant(subspace_from_annihilator(f))
+            cert, program = result.certificate, result.program
+            # nu prices every free y_i with f_i != 0
+            duals = (cert.duals[0] + eps,) + cert.duals[1:]
+            # y_k with f_k != 0 moves f^T y off 1
+            k = next(i for i, v in enumerate(f) if v)
+            x = list(cert.x)
+            x[k] += eps
+            value = cert.objective_value
+            for bad in (
+                replace(cert, duals=duals),
+                replace(cert, x=tuple(x)),
+                replace(cert, objective_value=value + eps),
+                replace(cert, objective_value=value - eps),
+            ):
+                assert not verify_certificate(program, bad)
 
 
 class TestProjectionNorm:
