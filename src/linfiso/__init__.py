@@ -6,7 +6,8 @@ isomorphic to the sup-norm space of dimension n, produces certifying
 index sets, bounds the distance when it is not, and computes the
 projection constant of V by exact linear programming (in closed form
 for a hyperplane).  Everything is pure Python; the two hot loops, the
-Bareiss determinant and the simplex pivot, live in linfiso._kernels."""
+Bareiss determinant and the Gauss-Jordan pivot (of the simplex and of
+the canonical-family scan), live in linfiso._kernels."""
 
 from .bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from .canonical import (
@@ -14,6 +15,8 @@ from .canonical import (
     SubspaceSpec,
     admissible_sets,
     canonical_family,
+    canonical_scan,
+    exchange_families,
     family_from_minors,
     minor_vectors,
     subspace_from_annihilator,

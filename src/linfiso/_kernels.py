@@ -1,5 +1,6 @@
 """Exact rational kernels for the two hot loops: the Bareiss determinant
-and the simplex pivot.
+and the Gauss-Jordan pivot, which serves both the simplex tableau and
+the basis-exchange scan of canonical families.
 
 Numbers travel as parallel flat lists of Python ints: nums[i] / dens[i]
 with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).

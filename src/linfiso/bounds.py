@@ -3,7 +3,9 @@
 Each admissible index set yields the bound max(1, largest canonical
 1-norm minus 1); minimizing over sets gives the best upper bound this
 family of coordinate sections can offer.  The report never claims the
-minimum equals the actual distance.
+minimum equals the actual distance.  best_upper_bound reads the norms
+off the basis-exchange scan and builds no family; distance_bound_for_set
+computes one set's bound from its determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .canonical import SubspaceSpec, admissible_sets, canonical_family
+from .canonical import SubspaceSpec, canonical_family, canonical_scan
 from .errors import InternalConsistencyError
 from .linalg import IndexSet
 
@@ -44,8 +46,8 @@ def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundRepo
     per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
     best: Optional[Fraction] = None
     best_set: Optional[IndexSet] = None
-    for index_set, _ in admissible_sets(spec):
-        bound = distance_bound_for_set(spec, index_set)
+    for index_set, _, norms in canonical_scan(spec):
+        bound = max(_ONE, max(norms) - 1)
         if per_set is not None:
             per_set[index_set] = bound
         if best is None or bound < best:

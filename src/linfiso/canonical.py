@@ -5,14 +5,27 @@ N x m matrix whose columns annihilate V.  For an index set S of size m
 whose row block is invertible, the canonical family rescales the
 annihilator data into m vectors that carry the identity pattern on S;
 their 1-norms drive both the isometry test and the distance bounds.
+
+Two routes compute the families.  canonical_family is the paper's own
+formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 2
+determinants.  canonical_scan walks every admissible set in the order of
+admissible_sets and moves from one family to the next by basis exchange:
+the family is kept as the m x N matrix C_S^T, whose row r is the vector
+of basis member r, and a Gauss-Jordan pivot on that matrix is the column
+exchange C_S' = C_S E, so one pivot replaces a whole family of
+determinants.  The scan serves the isometry test and the bounds; the
+ratio route stays as the definition and the independent check of it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
+from . import _kernels
 from .errors import (
     DimensionError,
     InadmissibleSetError,
@@ -166,6 +179,97 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
                 entries.append(det(swapped) / d)
         vectors[k] = tuple(entries)
     return CanonicalFamily(index_set, vectors, d)
+
+
+def canonical_scan(
+    spec: SubspaceSpec,
+) -> Iterator[tuple[IndexSet, Fraction, tuple[Fraction, ...]]]:
+    """The admissible sets of admissible_sets, in the same order, each
+    with its block determinant and the 1-norms of its canonical vectors
+    in member order; computed by basis exchange, with no family built per
+    set."""
+    n = spec.ambient
+    for index_set, block_det, rows, nums, dens in _exchange_walk(spec):
+        yield index_set, block_det, tuple(_norm1(nums, dens, r * n, n) for r in rows)
+
+
+def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
+    """The families of canonical_scan, one CanonicalFamily per set; equal,
+    entry for entry, to canonical_family at each admissible set."""
+    n = spec.ambient
+    for index_set, block_det, rows, nums, dens in _exchange_walk(spec):
+        vectors = {
+            k: tuple(Fraction(nums[i], dens[i]) for i in range(r * n, r * n + n))
+            for k, r in zip(index_set, rows)
+        }
+        yield CanonicalFamily(index_set, vectors, block_det)
+
+
+def _exchange_walk(spec: SubspaceSpec):
+    """Walk the admissible sets in lexicographic order by basis exchange.
+
+    The tableau is a flat m x N list pair (nums/dens, as in _kernels):
+    row r is the canonical vector of basis[r], a 0-based coordinate, in
+    whatever order the exchanges left the rows.  To reach the next set
+    T, each entering member q pivots on the first leaving row with a
+    nonzero entry at column q.  det F_T / det F_B is, up to sign, the
+    determinant of the block C_B[T - B, B - T], and these pivots are a
+    greedy elimination of that block; so a leaving row with a nonzero
+    entry exists at every step exactly when T is admissible.  When none
+    does, T is skipped and the basis stays where the pivots left it,
+    which is an admissible set, so the walk never refactors.  Each
+    pivot multiplies the determinant of the block, rows in basis order,
+    by the pivot entry.
+
+    Yields (index_set, block_det, rows, nums, dens) where rows[j] is the
+    tableau row of the j-th member; the tableau is live and changes at
+    the next step."""
+    n, m = spec.ambient, spec.codim
+    first, _ = next(admissible_sets(spec))
+    start = canonical_family(spec, first)
+    basis = [k - 1 for k in first]
+    row_of = {q: r for r, q in enumerate(basis)}
+    nums = [x.numerator for k in first for x in start.vectors[k]]
+    dens = [x.denominator for k in first for x in start.vectors[k]]
+    det_rows = start.block_det
+    lower = tuple(basis)
+    for combo in itertools.combinations(range(n), m):
+        if combo < lower:  # before the first admissible set: all singular
+            continue
+        leaving = [r for r, q in enumerate(basis) if q not in combo]
+        for q in combo:
+            if q in row_of:
+                continue
+            r = next((r for r in leaving if nums[r * n + q] != 0), None)
+            if r is None:
+                break
+            det_rows *= Fraction(nums[r * n + q], dens[r * n + q])
+            _kernels.pivot(nums, dens, n, r, q)
+            del row_of[basis[r]]
+            basis[r] = q
+            row_of[q] = r
+            leaving.remove(r)
+        else:
+            rows = tuple(row_of[q] for q in combo)
+            block_det = -det_rows if _odd(rows) else det_rows
+            index_set = IndexSet(tuple(q + 1 for q in combo), n)
+            yield index_set, block_det, rows, nums, dens
+
+
+def _odd(perm: tuple[int, ...]) -> bool:
+    """Whether the permutation has an odd number of inversions."""
+    inversions = sum(
+        1 for i, a in enumerate(perm) for b in perm[i + 1 :] if a > b
+    )
+    return inversions % 2 == 1
+
+
+def _norm1(nums: list, dens: list, base: int, size: int) -> Fraction:
+    """1-norm of one flat tableau row, summed over a common denominator."""
+    row_dens = dens[base : base + size]
+    den = lcm(*row_dens)
+    total = sum(abs(a) * (den // b) for a, b in zip(nums[base : base + size], row_dens))
+    return Fraction(total, den)
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:

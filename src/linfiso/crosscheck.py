@@ -1,12 +1,12 @@
 """Cross-validation of the decision test against the projection constant.
 
 Every instance runs through independent routes that must agree in exact
-arithmetic: the determinant-ratio scan, the closed forms for codimension
-1 and 2, the projection constant with its duality certificate (for a
-hyperplane, the closed form against the simplex optimum), the
-per-set distance bounds, and the structural identities tying the pieces
-together.  Any mismatch is recorded with the serialized instance so it
-can be replayed."""
+arithmetic: the basis-exchange scan against the determinant-ratio
+families set by set, the closed forms for codimension 1 and 2, the
+projection constant with its duality certificate (for a hyperplane, the
+closed form against the simplex optimum), the per-set distance bounds,
+and the structural identities tying the pieces together.  Any mismatch
+is recorded with the serialized instance so it can be replayed."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .bounds import best_upper_bound
 from .canonical import (
     admissible_sets,
     canonical_family,
+    exchange_families,
     family_from_minors,
 )
 from .decide import decide_by_minors, decide_hyperplane, decide_isometric
@@ -106,6 +107,13 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         (index_set, canonical_family(spec, index_set))
         for index_set, _ in admissible_sets(spec)
     ]
+
+    exchanged = list(exchange_families(spec))
+    record(
+        "exchange_scan_matches_ratios",
+        exchanged == [family for _, family in families],
+        f"{len(exchanged)} exchange sets, {len(families)} ratio sets",
+    )
 
     identity_ok = True
     reconstruction_ok = True

@@ -2,7 +2,10 @@
 
 Verdict true means some admissible index set S has every canonical
 vector with 1-norm at most 2; the scan runs in lexicographic set order
-and stops at the first witness.  Codimension 1 and 2 admit closed-form
+and stops at the first witness.  The general scan moves between
+families by basis exchange (canonical_scan) and builds a
+CanonicalFamily, by determinant ratios, only for the witness it
+returns.  Codimension 1 and 2 admit closed-form
 shortcuts that provably visit the same sets in the same order, so
 verdict, witness, and the number of sets examined all coincide with the
 general scan.
@@ -18,8 +21,8 @@ from typing import Iterable, Optional
 from .canonical import (
     CanonicalFamily,
     SubspaceSpec,
-    admissible_sets,
     canonical_family,
+    canonical_scan,
     family_from_minors,
     minor_vectors,
 )
@@ -55,7 +58,8 @@ class DecisionReport:
 
 def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
     """Run the isometry test; mode "auto" picks the fastest equivalent
-    route, mode "general" forces the determinant-ratio scan."""
+    route, mode "general" forces the scan over every admissible set (by
+    basis exchange) even for codimension 1 and 2."""
     if mode not in ("auto", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
@@ -68,12 +72,11 @@ def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
 
 def _decide_general(spec: SubspaceSpec) -> DecisionReport:
     examined = 0
-    for index_set, _ in admissible_sets(spec):
+    for index_set, _, norms in canonical_scan(spec):
         examined += 1
-        family = canonical_family(spec, index_set)
-        norms = family.norms()
-        if all(value <= _TWO for value in norms.values()):
-            witness = Witness(index_set, family, norms)
+        if all(value <= _TWO for value in norms):
+            family = canonical_family(spec, index_set)
+            witness = Witness(index_set, family, dict(zip(index_set, norms)))
             return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
     return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
 

@@ -22,7 +22,7 @@ from .canonical import (
     subspace_from_spanning_set,
 )
 from .errors import InstanceFormatError
-from .linalg import Matrix, as_rational, format_rational, rank
+from .linalg import Matrix, as_rational, format_rational, rank, token_excerpt
 
 KIND_ANNIHILATOR = "annihilator"
 KIND_SPANNING = "spanning"
@@ -67,7 +67,8 @@ def parse_instance(text: str) -> Instance:
     kind = header[2]
     if kind not in _KINDS:
         raise InstanceFormatError(
-            f"kind must be one of {_KINDS}, got {kind!r}", header_idx + 1
+            f"kind must be one of {_KINDS}, got {token_excerpt(kind)}",
+            header_idx + 1,
         )
     if not 1 <= codim < ambient:
         raise InstanceFormatError(
@@ -94,10 +95,8 @@ def parse_instance(text: str) -> Instance:
         for pos, token in enumerate(tokens, 1):
             try:
                 row.append(as_rational(token))
-            except (ValueError, TypeError):
-                raise InstanceFormatError(
-                    f"token {pos} is not rational: {token!r}", lineno
-                ) from None
+            except ValueError as exc:
+                raise InstanceFormatError(f"token {pos}: {exc}", lineno) from None
         rows.append(row)
     return Instance(ambient, codim, kind, Matrix(rows))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -33,7 +34,10 @@ def as_rational(value) -> Fraction:
 
     Strings may be integers ("7"), ratios ("-3/4"), or decimals ("0.25");
     decimals parse exactly over a power-of-ten denominator.  Nothing else
-    is accepted: no exponents, underscores, spaces or bare points.
+    is accepted: no exponents, underscores, spaces or bare points.  A
+    digit run wider than the interpreter's str-to-int limit (4300 digits
+    by default) is refused with its own message.  Error messages quote
+    at most a short prefix of the token.
     """
     if isinstance(value, Fraction):
         return value
@@ -43,12 +47,31 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if _TOKEN.fullmatch(value) is None:
-            raise ValueError(f"not a rational token: {value!r}")
+            raise ValueError(f"not rational: {token_excerpt(value)}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational token: {value!r}") from exc
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {token_excerpt(value)}") from None
+        except ValueError:
+            # the grammar matched, so only the str-to-int limit is left
+            widest = max(len(run) for run in re.findall("[0-9]+", value))
+            raise ValueError(
+                f"a {widest}-digit number is wider than the interpreter's "
+                f"limit of {sys.get_int_max_str_digits()} digits: "
+                f"{token_excerpt(value)}"
+            ) from None
     raise TypeError(f"refusing inexact scalar of type {type(value).__name__}")
+
+
+_EXCERPT = 24
+
+
+def token_excerpt(token: str) -> str:
+    """The token quoted for an error message; a long one is cut to a
+    prefix and its length, so one error stays one short line."""
+    if len(token) <= 2 * _EXCERPT:
+        return repr(token)
+    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+from linfiso import bounds, canonical, decide
 from linfiso.canonical import (
     SubspaceSpec,
     admissible_sets,
     canonical_family,
+    canonical_scan,
+    exchange_families,
     family_from_minors,
     minor_vectors,
     subspace_from_annihilator,
@@ -190,6 +194,123 @@ class TestCanonicalFamily:
         assert fam == same
         assert fam != other
         assert fam != "not a family"
+
+
+def degenerate_spec(rng, ambient, codim):
+    """Random annihilator prone to singular blocks: zero rows, repeated
+    and proportional rows, and rational entries."""
+    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]
+    while True:
+        rows = [[rng.choice(values) for _ in range(codim)] for _ in range(ambient)]
+        for i in range(ambient):
+            pick = rng.random()
+            if pick < 0.15:
+                rows[i] = [F(0)] * codim
+            elif pick < 0.45:
+                factor = rng.choice([F(1), F(-2), F(1, 3)])
+                rows[i] = [factor * x for x in rows[rng.randrange(ambient)]]
+        try:
+            return subspace_from_annihilator(rows)
+        except InvalidBasisError:
+            continue
+
+
+class TestExchangeScan:
+    """The basis-exchange scan against the determinant-ratio families."""
+
+    def assert_matches_ratios(self, spec):
+        ratio_sets = list(admissible_sets(spec))
+        expected = [canonical_family(spec, s) for s, _ in ratio_sets]
+        assert list(exchange_families(spec)) == expected
+        scanned = list(canonical_scan(spec))
+        assert [(s, d) for s, d, _ in scanned] == ratio_sets
+        for (index_set, block_det, norms), family in zip(scanned, expected):
+            assert block_det == family.block_det
+            assert norms == tuple(family.norms()[k] for k in index_set)
+        return ratio_sets
+
+    def test_example(self):
+        families = list(exchange_families(EXAMPLE))
+        assert [f.index_set.members for f in families] == [(1, 2), (1, 3), (2, 3)]
+        assert families[2].vectors == {2: (F(-1), F(1), F(0)), 3: (F(1), F(0), F(1))}
+        assert families[2].block_det == -1
+
+    def test_seeded_random(self):
+        rng = random.Random(3101)
+        for _ in range(60):
+            ambient = rng.randint(2, 7)
+            self.assert_matches_ratios(
+                random_spec(rng, ambient, rng.randint(1, ambient - 1))
+            )
+
+    def test_seeded_singular_prone(self):
+        rng = random.Random(3102)
+        skipped = 0
+        for _ in range(80):
+            ambient = rng.randint(2, 7)
+            spec = degenerate_spec(rng, ambient, rng.randint(1, ambient - 1))
+            sets = self.assert_matches_ratios(spec)
+            skipped += comb(ambient, spec.codim) - len(sets)
+        assert skipped > 100  # the singular runs were really exercised
+
+    def test_codimension_one_and_ambient_minus_one(self):
+        rng = random.Random(3103)
+        for ambient in range(2, 8):
+            for codim in {1, ambient - 1}:
+                for make in (random_spec, degenerate_spec):
+                    self.assert_matches_ratios(make(rng, ambient, codim))
+
+    def test_zero_rows_and_late_first_set(self):
+        # rows 1 and 2 vanish and row 4 repeats row 3: the first
+        # admissible set is {3, 5}, far from {1, 2}
+        spec = subspace_from_annihilator(
+            [[0, 0], [0, 0], [1, 2], [1, 2], [F(1, 2), -1], [0, 3]]
+        )
+        sets = self.assert_matches_ratios(spec)
+        assert [s.members for s, _ in sets] == [
+            (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)
+        ]
+
+    def test_zero_first_pairing_and_reordered_basis(self):
+        # Rows 2 and 4 are equal.  From {1, 4} to {2, 3} both members
+        # change, and member 1's vector is zero at coordinate 2, so the
+        # first pairing tried (2 for 1) has a zero pivot: 2 replaces 4
+        # and 3 replaces 1, leaving the basis rows in the order (3, 2).
+        spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1], [0, 1]])
+        assert canonical_family(spec, IndexSet((1, 4), 4)).vectors[1][1] == 0
+        sets = self.assert_matches_ratios(spec)
+        assert [s.members for s, _ in sets] == [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+        assert dict((s.members, d) for s, d in sets)[(2, 3)] == -1
+
+    def test_proportional_rows_skip_runs(self):
+        # rows 2, 3, 4 and 6 are multiples of one row and row 5 is zero,
+        # so every set holding two multiples or row 5 is singular, in
+        # long runs between the admissible sets
+        spec = subspace_from_annihilator(
+            [[1, 0, 0], [1, 1, 1], [2, 2, 2], [F(-1, 3), F(-1, 3), F(-1, 3)],
+             [0, 0, 0], [5, 5, 5], [0, 1, 0], [0, 0, 1]]
+        )
+        sets = self.assert_matches_ratios(spec)
+        assert len(sets) == 1 + 3 * 4  # {1, 7, 8}, or a multiple with two of them
+
+    def test_decide_and_bounds_build_no_family_per_set(self, monkeypatch):
+        calls = []
+        real = canonical.canonical_family
+
+        def counted(spec, index_set):
+            calls.append(index_set)
+            return real(spec, index_set)
+
+        for module in (canonical, decide, bounds):
+            monkeypatch.setattr(module, "canonical_family", counted)
+        spec = random_spec(random.Random(3104), 8, 3)
+        report = bounds.best_upper_bound(spec, materialize=True)
+        assert len(report.per_set) > 40
+        assert len(calls) == 1  # the first set the scan starts from
+        calls.clear()
+        verdict = decide.decide_isometric(spec, mode="general")
+        assert verdict.sets_examined > 1
+        assert len(calls) <= 2  # the start, and the witness if any
 
 
 class TestMinorVectors:

@@ -86,9 +86,33 @@ class TestHostileInput:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+        return captured.err
 
     def test_exponent_token_rejected(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "2 1 annihilator\n1e300000\n1\n", "decide")
+
+    @pytest.mark.parametrize("command", ["decide", "bounds", "projconst"])
+    @pytest.mark.parametrize(
+        "token, needle",
+        [("1" * 5000, "wider than the interpreter's limit"),
+         ("x" * 5000, "not rational"),
+         ("1/" + "3" * 4400, "wider than the interpreter's limit")],
+        ids=["wide_integer", "long_garbage", "wide_denominator"],
+    )
+    def test_long_token_error_is_short(self, tmp_path, capsys, command, token, needle):
+        path = tmp_path / "long.txt"
+        path.write_text(f"2 1 annihilator\n1\n{token}\n", encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: token 1: ")
+        assert captured.err.count("\n") == 1
+        assert needle in captured.err
+        assert len(captured.err) < 200
+
+    def test_long_kind_error_is_short(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "2 1 " + "k" * 5000 + "\n1\n1\n", "decide")
+        assert len(err) < 200
 
 
 class TestWideResults:

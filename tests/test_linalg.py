@@ -70,6 +70,32 @@ class TestScalars:
         with pytest.raises(ValueError):
             as_rational(token)
 
+    def test_rejected_token_echo_is_short(self):
+        for token in ("1" * 5000, "x" * 5000, "1e" + "9" * 6000):
+            with pytest.raises(ValueError) as exc:
+                as_rational(token)
+            message = str(exc.value)
+            assert len(message) < 200
+            assert f"({len(token)} characters)" in message
+        with pytest.raises(ValueError, match=r"^not rational: 'x'$"):
+            as_rational("x")
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1" * 4301, "-" + "7" * 5000, "1/" + "3" * 4301, "0." + "5" * 4400],
+        ids=["integer", "negative", "denominator", "decimal"],
+    )
+    def test_wider_than_str_limit_has_its_own_message(self, token):
+        with pytest.raises(ValueError) as exc:
+            as_rational(token)
+        message = str(exc.value)
+        assert "not rational" not in message
+        assert "digit number is wider than the interpreter's limit" in message
+        assert len(message) < 200
+
+    def test_str_limit_itself_parses(self):
+        assert as_rational("9" * 4300) == F(10**4300 - 1)
+
     def test_signed_tokens(self):
         assert as_rational("+3/6") == F(1, 2)
         assert as_rational("-0.5") == F(-1, 2)
