@@ -5,9 +5,9 @@ decides in exact rational arithmetic whether V is isometrically
 isomorphic to the sup-norm space of dimension n, produces certifying
 index sets, bounds the distance when it is not, and computes the
 projection constant of V by exact linear programming (in closed form
-for a hyperplane).  Everything is pure Python; the two hot loops, the
-Bareiss determinant and the Gauss-Jordan pivot (of the simplex and of
-the canonical-family scan), live in linfiso._kernels."""
+for a hyperplane).  Everything is pure Python; the hot loops (the
+Bareiss determinant, the simplex pivot and the fraction-free exchange of
+the canonical-family scan) live in linfiso._kernels."""
 
 from .bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from .canonical import (
@@ -16,7 +16,6 @@ from .canonical import (
     admissible_sets,
     canonical_family,
     canonical_scan,
-    exchange_families,
     family_from_minors,
     minor_vectors,
     subspace_from_annihilator,

@@ -1,11 +1,13 @@
-"""Exact rational kernels for the two hot loops: the Bareiss determinant
-and the Gauss-Jordan pivot, which serves both the simplex tableau and
-the basis-exchange scan of canonical families.
+"""Exact kernels for the three hot loops: the Bareiss determinant, the
+Gauss-Jordan pivot of the simplex tableau, and the fraction-free
+exchange of the basis-exchange scan of canonical families.
 
-Numbers travel as parallel flat lists of Python ints: nums[i] / dens[i]
-with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).
-Callers reach these functions through the module (_kernels.pivot(...)),
-not by importing the names, so a tracer can wrap them in one place.
+The determinant and the pivot take numbers as parallel flat lists of
+Python ints: nums[i] / dens[i] with dens[i] > 0 and
+gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).  The exchange keeps integer
+rows over one common denominator instead.  Callers reach these
+functions through the module (_kernels.pivot(...)), not by importing
+the names, so a tracer can wrap them in one place.
 """
 
 from math import gcd, lcm
@@ -114,3 +116,30 @@ def pivot(nums: list, dens: list, ncols: int, prow: int, pcol: int) -> None:
                 dens[rbase + j] = sub_den // g
         nums[rbase + pcol] = 0
         dens[rbase + pcol] = 1
+
+
+def exchange(rows: list, det: int, prow: int, pcol: int) -> int:
+    """One fraction-free Gauss-Jordan pivot (integer pivoting), in place.
+
+    rows holds integer rows that stand for rows[i][j] / det, where det
+    is the determinant of the current basis.  The pivot row keeps its
+    entries; every other row has column pcol eliminated by the Bareiss
+    update (a * p - h * b) / det, whose division is exact.  Returns the
+    pivot entry p, the determinant of the new basis and so the new
+    common denominator.  Every entry stays a minor of the rows the
+    exchanges started from, so nothing grows beyond those minors and no
+    gcd is taken.
+    """
+    pivot_row = rows[prow]
+    p = pivot_row[pcol]
+    if p == 0:
+        raise ZeroDivisionError("pivot on a zero entry")
+    for i, row in enumerate(rows):
+        if i == prow:
+            continue
+        h = row[pcol]
+        if h:
+            rows[i] = [(a * p - h * b) // det for a, b in zip(row, pivot_row)]
+        elif p != det:
+            rows[i] = [a * p // det for a in row]
+    return p

@@ -33,9 +33,7 @@ class BoundReport:
 
 def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:
     """Upper bound contributed by one admissible index set."""
-    family = canonical_family(spec, index_set)
-    worst = max(family.norms().values())
-    return max(_ONE, worst - 1)
+    return _bound(canonical_family(spec, index_set).norms().values())
 
 
 def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundReport:
@@ -47,7 +45,7 @@ def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundRepo
     best: Optional[Fraction] = None
     best_set: Optional[IndexSet] = None
     for index_set, _, norms in canonical_scan(spec):
-        bound = max(_ONE, max(norms) - 1)
+        bound = _bound(norms)
         if per_set is not None:
             per_set[index_set] = bound
         if best is None or bound < best:
@@ -58,3 +56,8 @@ def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundRepo
             "a full-rank annihilator must admit at least one invertible block"
         )
     return BoundReport(best, best_set, per_set)
+
+
+def _bound(norms) -> Fraction:
+    """One set's bound from the 1-norms of its canonical vectors."""
+    return max(_ONE, max(norms) - 1)

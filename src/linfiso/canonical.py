@@ -13,8 +13,11 @@ admissible_sets and moves from one family to the next by basis exchange:
 the family is kept as the m x N matrix C_S^T, whose row r is the vector
 of basis member r, and a Gauss-Jordan pivot on that matrix is the column
 exchange C_S' = C_S E, so one pivot replaces a whole family of
-determinants.  The scan serves the isometry test and the bounds; the
-ratio route stays as the definition and the independent check of it.
+determinants.  The pivots are fraction-free (_kernels.exchange): the
+rows are integers over one common denominator, the determinant of the
+current basis, so the block determinant comes with every family and no
+entry needs a gcd.  The scan serves the isometry test and the bounds;
+the ratio route stays as the definition and the independent check of it.
 """
 
 from __future__ import annotations
@@ -188,19 +191,20 @@ def canonical_scan(
     with its block determinant and the 1-norms of its canonical vectors
     in member order; computed by basis exchange, with no family built per
     set."""
-    n = spec.ambient
-    for index_set, block_det, rows, nums, dens in _exchange_walk(spec):
-        yield index_set, block_det, tuple(_norm1(nums, dens, r * n, n) for r in rows)
+    for index_set, block_det, order, rows, common in _exchange_walk(spec):
+        den = abs(common)
+        yield index_set, block_det, tuple(
+            Fraction(sum(map(abs, rows[r])), den) for r in order
+        )
 
 
 def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The families of canonical_scan, one CanonicalFamily per set; equal,
     entry for entry, to canonical_family at each admissible set."""
-    n = spec.ambient
-    for index_set, block_det, rows, nums, dens in _exchange_walk(spec):
+    for index_set, block_det, order, rows, common in _exchange_walk(spec):
         vectors = {
-            k: tuple(Fraction(nums[i], dens[i]) for i in range(r * n, r * n + n))
-            for k, r in zip(index_set, rows)
+            k: tuple(Fraction(x, common) for x in rows[r])
+            for k, r in zip(index_set, order)
         }
         yield CanonicalFamily(index_set, vectors, block_det)
 
@@ -208,52 +212,57 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
 def _exchange_walk(spec: SubspaceSpec):
     """Walk the admissible sets in lexicographic order by basis exchange.
 
-    The tableau is a flat m x N list pair (nums/dens, as in _kernels):
-    row r is the canonical vector of basis[r], a 0-based coordinate, in
-    whatever order the exchanges left the rows.  To reach the next set
-    T, each entering member q pivots on the first leaving row with a
-    nonzero entry at column q.  det F_T / det F_B is, up to sign, the
-    determinant of the block C_B[T - B, B - T], and these pivots are a
-    greedy elimination of that block; so a leaving row with a nonzero
-    entry exists at every step exactly when T is admissible.  When none
-    does, T is skipped and the basis stays where the pivots left it,
-    which is an admissible set, so the walk never refactors.  Each
-    pivot multiplies the determinant of the block, rows in basis order,
-    by the pivot entry.
+    The tableau is m integer rows of length N over the common
+    denominator `common`: column j of the annihilator, scaled by the lcm
+    c_j of its denominators, starts as row j with `common` = 1, which is
+    the tableau of [I | F^T] on the basis of its m unit columns.  Once
+    every basis member is a coordinate, row r divided by `common` is the
+    canonical vector of basis[r], a 0-based coordinate, in whatever
+    order the exchanges left the rows, and `common` is the determinant
+    of those coordinates' block, rows in basis order, times the product
+    of the c_j.
 
-    Yields (index_set, block_det, rows, nums, dens) where rows[j] is the
-    tableau row of the j-th member; the tableau is live and changes at
-    the next step."""
+    To reach the next set T, each entering member q pivots on the first
+    leaving row with a nonzero entry at column q.  det F_T / det F_B is,
+    up to sign, the determinant of the block C_B[T - B, B - T], and these
+    pivots are a greedy elimination of that block; so a leaving row with
+    a nonzero entry exists at every step exactly when T is admissible.
+    When none does, T is skipped and the basis stays where the pivots
+    left it, which is still a basis, so the walk never refactors.  The
+    same rule reaches the first admissible set from the unit columns.
+
+    Yields (index_set, block_det, order, rows, common) where order[j]
+    is the tableau row of the j-th member; the tableau is live and
+    changes at the next step."""
     n, m = spec.ambient, spec.codim
-    first, _ = next(admissible_sets(spec))
-    start = canonical_family(spec, first)
-    basis = [k - 1 for k in first]
-    row_of = {q: r for r, q in enumerate(basis)}
-    nums = [x.numerator for k in first for x in start.vectors[k]]
-    dens = [x.denominator for k in first for x in start.vectors[k]]
-    det_rows = start.block_det
-    lower = tuple(basis)
+    rows = []
+    scale = 1
+    for j in range(m):
+        column = spec.annihilator.column(j)
+        c = lcm(*(x.denominator for x in column))
+        scale *= c
+        rows.append([x.numerator * (c // x.denominator) for x in column])
+    common = 1
+    basis = [-1] * m  # -1: the row's basis member is still its unit column
+    row_of: dict[int, int] = {}
     for combo in itertools.combinations(range(n), m):
-        if combo < lower:  # before the first admissible set: all singular
-            continue
         leaving = [r for r, q in enumerate(basis) if q not in combo]
         for q in combo:
             if q in row_of:
                 continue
-            r = next((r for r in leaving if nums[r * n + q] != 0), None)
+            r = next((r for r in leaving if rows[r][q]), None)
             if r is None:
                 break
-            det_rows *= Fraction(nums[r * n + q], dens[r * n + q])
-            _kernels.pivot(nums, dens, n, r, q)
-            del row_of[basis[r]]
+            common = _kernels.exchange(rows, common, r, q)
+            row_of.pop(basis[r], None)
             basis[r] = q
             row_of[q] = r
             leaving.remove(r)
         else:
-            rows = tuple(row_of[q] for q in combo)
-            block_det = -det_rows if _odd(rows) else det_rows
+            order = tuple(row_of[q] for q in combo)
+            block_det = Fraction(-common if _odd(order) else common, scale)
             index_set = IndexSet(tuple(q + 1 for q in combo), n)
-            yield index_set, block_det, rows, nums, dens
+            yield index_set, block_det, order, rows, common
 
 
 def _odd(perm: tuple[int, ...]) -> bool:
@@ -262,14 +271,6 @@ def _odd(perm: tuple[int, ...]) -> bool:
         1 for i, a in enumerate(perm) for b in perm[i + 1 :] if a > b
     )
     return inversions % 2 == 1
-
-
-def _norm1(nums: list, dens: list, base: int, size: int) -> Fraction:
-    """1-norm of one flat tableau row, summed over a common denominator."""
-    row_dens = dens[base : base + size]
-    den = lcm(*row_dens)
-    total = sum(abs(a) * (den // b) for a, b in zip(nums[base : base + size], row_dens))
-    return Fraction(total, den)
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:

@@ -18,6 +18,7 @@ from .bounds import best_upper_bound
 from .canonical import (
     admissible_sets,
     canonical_family,
+    canonical_scan,
     exchange_families,
     family_from_minors,
 )
@@ -109,10 +110,17 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     ]
 
     exchanged = list(exchange_families(spec))
+    scanned = list(canonical_scan(spec))
     record(
         "exchange_scan_matches_ratios",
-        exchanged == [family for _, family in families],
-        f"{len(exchanged)} exchange sets, {len(families)} ratio sets",
+        exchanged == [family for _, family in families]
+        and scanned
+        == [
+            (index_set, family.block_det, tuple(family.norms()[k] for k in index_set))
+            for index_set, family in families
+        ],
+        f"{len(exchanged)} exchange families, {len(scanned)} scanned sets, "
+        f"{len(families)} ratio sets",
     )
 
     identity_ok = True

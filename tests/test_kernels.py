@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
 from linfiso import _kernels
 from oracles import laplace_det
 
@@ -149,3 +151,39 @@ class TestPivot:
             assert to_grid(nums, dens, 6) == grid
             pivots_done += 1
         assert pivots_done >= 4
+
+
+class TestExchange:
+    def test_chain_matches_gauss_jordan_and_tracks_the_determinant(self):
+        # Integer rows over a common denominator, started as [I | A] with
+        # denominator 1: after each exchange rows / det is the Fraction
+        # Gauss-Jordan tableau and det the determinant of the basis.
+        rng = random.Random(5150)
+        for _ in range(20):
+            size, extra = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [
+                [int(i == j) for j in range(size)]
+                + [rng.randint(-6, 6) for _ in range(extra)]
+                for i in range(size)
+            ]
+            start = [list(row) for row in rows]
+            grid = [[F(x) for x in row] for row in rows]
+            basis = list(range(size))
+            det = 1
+            for _ in range(6):
+                prow = rng.randrange(size)
+                pcol = rng.randrange(size + extra)
+                if rows[prow][pcol] == 0:
+                    continue
+                det = _kernels.exchange(rows, det, prow, pcol)
+                grid = gauss_jordan_pivot(grid, prow, pcol)
+                basis[prow] = pcol
+                assert [[F(x, det) for x in row] for row in rows] == grid
+                block = [[start[i][q] for q in basis] for i in range(size)]
+                assert det == laplace_det(block)
+
+    def test_zero_pivot_is_refused(self):
+        rows = [[1, 0, 2], [0, 1, 3]]
+        with pytest.raises(ZeroDivisionError):
+            _kernels.exchange(rows, 1, 0, 1)
+        assert rows == [[1, 0, 2], [0, 1, 3]]
