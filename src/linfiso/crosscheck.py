@@ -4,9 +4,11 @@ Every instance runs through independent routes that must agree in exact
 arithmetic: the basis-exchange scan against the determinant-ratio
 families set by set, the closed forms for codimension 1 and 2, the
 projection constant with its duality certificate (for a hyperplane, the
-closed form against the simplex optimum), the per-set distance bounds,
-and the structural identities tying the pieces together.  Any mismatch
-is recorded with the serialized instance so it can be replayed."""
+closed form against the simplex optimum), the per-set distance bounds
+(the best one against the norm of its coordinate projection, where the
+simplex starts for m >= 2), and the structural identities tying the
+pieces together.  Any mismatch is recorded with the serialized instance
+so it can be replayed."""
 
 from __future__ import annotations
 
@@ -24,9 +26,13 @@ from .canonical import (
 )
 from .decide import decide_by_minors, decide_hyperplane, decide_isometric
 from .instances import Instance, format_instance, random_instance
-from .linalg import Matrix, cauchy_binet_check
+from .linalg import Matrix, cauchy_binet_check, op_norm_inf
 from .lp import LpStatus, solve, verify_certificate
-from .projection import projection_constant, verify_norm_gap
+from .projection import (
+    coordinate_projection,
+    projection_constant,
+    verify_norm_gap,
+)
 
 _ONE = Fraction(1)
 
@@ -175,6 +181,13 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         "best_upper_one_iff_verdict",
         (report.best_upper == 1) == general.verdict,
         f"upper={report.best_upper}",
+    )
+    # the coordinate projection the m >= 2 simplex starts from
+    start_norm = op_norm_inf(coordinate_projection(spec, report.best_set)[1])
+    record(
+        "best_set_projection_norm",
+        start_norm == report.best_upper,
+        f"norm={start_norm} upper={report.best_upper}",
     )
 
     try:

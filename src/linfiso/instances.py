@@ -2,7 +2,8 @@
 
 Text format, whitespace separated:
 
-    line 1:  N m annihilator        (or: N m spanning)
+    line 1:  N m annihilator        (or: N m spanning), with N and m
+             written in ASCII digits only
     then N lines of rational tokens, m per line for annihilator kind
     and N - m per line for spanning kind.
 
@@ -58,6 +59,14 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(
             "header must be: N m annihilator|spanning", header_idx + 1
         )
+    for token in header[:2]:
+        # int() would also take "0_3", "+1" and non-ASCII digits
+        if not (token.isascii() and token.isdigit()):
+            raise InstanceFormatError(
+                "N and m must be integers of ASCII digits, got "
+                f"{token_excerpt(token)}",
+                header_idx + 1,
+            )
     try:
         ambient, codim = int(header[0]), int(header[1])
     except ValueError:

@@ -42,6 +42,19 @@ the variable box, skipping zero multipliers and coefficients).
   verify_infeasibility).
 * unbounded: a feasible point and an improving ray that meets the
   homogeneous rows and bounds (verify_unboundedness).
+
+solve takes an optional start: an ordered list of crash pivots (Bixby
+1992) that builds a primal feasible basis the caller knows, in place of
+phase 1.  Each Crash names a variable, the side of its split column for
+a free variable, and the problem rows it may enter on; it pivots on the
+first of those rows not taken by an earlier crash pivot whose tableau
+entry in its column is nonzero, whatever the ratio test would say.  The
+basis the list reaches must hold no artificial and have a nonnegative
+right-hand side; otherwise solve raises InternalConsistencyError, as it
+does when an entry finds no row.  Phase 1 then has nothing to price and
+phase 2 starts at once.  The start changes the route, not the program:
+the optimum value and the certificate checks are the same, and only the
+optimal vertex may differ.
 """
 
 from __future__ import annotations
@@ -149,22 +162,41 @@ def _bound_tuple(values, n: int, default) -> tuple:
 
 
 @dataclass(frozen=True)
+class Crash:
+    """One pivot of a crash start: variable var enters the basis on the
+    first of rows (problem row indices) not taken by an earlier crash
+    pivot whose entry in its column is nonzero.  side picks the split
+    column of a free variable: +1 its positive part, -1 its negative
+    part; a variable with a finite bound has one column, of side +1 for a
+    lower bound and -1 for an upper bound alone."""
+
+    var: int
+    rows: tuple[int, ...]
+    side: int = 1
+
+
+@dataclass(frozen=True)
 class LpStats:
     """Counters of one solve.
 
     rows and cols are the tableau's constraint rows and columns (the rhs
-    column included) as assembled.  Phase-1 pivots include those that
-    drive zero-valued artificials out of the basis.  Degenerate pivots
-    are pricing pivots whose leaving row had rhs 0; bland_fallbacks
-    counts the turns in which Bland's rule priced them.
-    The perf_counter readings mark the start of the solve and the end of
-    the build and of each phase (an infeasible solve ends after phase
-    1); they are left out of equality, so two solves of one program
+    column included) as assembled.  start_pivots counts the crash pivots
+    of a start and start_value is the objective at the basis they reach
+    (0 and None on a cold start).  Phase-1 pivots include those that
+    drive zero-valued artificials out of the basis; a crashed solve has
+    none.  Degenerate pivots are pricing pivots whose leaving row had
+    rhs 0; bland_fallbacks counts the turns in which Bland's rule priced
+    them.  The perf_counter readings mark the start of the solve and the
+    end of the build and of each phase (an infeasible solve ends after
+    phase 1, and a crashed one's phase 1 ends with its last crash
+    pivot); they are left out of equality, so two solves of one program
     compare equal.
     """
 
     rows: int
     cols: int
+    start_pivots: int
+    start_value: Optional[Fraction]
     phase1_pivots: int
     phase2_pivots: int
     degenerate_pivots: int
@@ -211,6 +243,8 @@ class _Simplex:
         self._assemble()
         self.shape = (self.nrows, self.ncols)
         self.pivots = 0
+        self.start_pivots = 0
+        self.start_value: Optional[Fraction] = None
         self.degenerate_pivots = 0
         self.bland_fallbacks = 0
         self.built = time.perf_counter()
@@ -488,6 +522,12 @@ class _Simplex:
                 y[rec.origin[1]] = rec.phi * local
         return tuple(y)
 
+    def _basic_point(self) -> tuple[tuple, Fraction]:
+        """The basic solution in the problem's variables and its cost."""
+        x = self._to_original(self._structural_values(), affine=True)
+        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
+        return x, value
+
     def _ray(self, entering_col: int) -> tuple:
         direction = [_ZERO] * self.nstruct
         if entering_col < self.nstruct:
@@ -497,17 +537,62 @@ class _Simplex:
                 direction[col] = -self._frac(i, entering_col)
         return self._to_original(direction, affine=False)
 
+    # -- crash start ---------------------------------------------------
+
+    def _crash(self, start: Sequence[Crash]) -> None:
+        """Pivot each entry of start into the basis on its first free row
+        with a nonzero entry, then check that the basis reached is
+        primal feasible and free of artificials."""
+        ncols = self.ncols
+        nums = self.nums
+        taken: set[int] = set()
+        for entry in start:
+            if not 0 <= entry.var < self.problem.nvars:
+                raise LpModelError(f"crash variable {entry.var} out of range")
+            col = next(
+                (c for c, sign in self.columns[entry.var][0] if sign == entry.side),
+                None,
+            )
+            if col is None:
+                raise LpModelError(
+                    f"crash variable {entry.var} has no column of side {entry.side}"
+                )
+            for i in entry.rows:
+                if not 0 <= i < self.problem.nrows:
+                    raise LpModelError(f"crash row {i} out of range")
+            row = next(
+                (i for i in entry.rows if i not in taken and nums[i * ncols + col]),
+                None,
+            )
+            if row is None:
+                raise InternalConsistencyError(
+                    f"crash variable {entry.var} has no free row with a "
+                    "nonzero entry"
+                )
+            self._pivot(row, col)
+            taken.add(row)
+        self.start_pivots = self.pivots
+        art_set = set(self.art_cols)
+        if any(col in art_set for col in self.basis):
+            raise InternalConsistencyError("the crash basis holds an artificial")
+        rhs = ncols - 1
+        if any(nums[i * ncols + rhs] < 0 for i in range(self.nrows)):
+            raise InternalConsistencyError("the crash basis is not primal feasible")
+        self.start_value = self._basic_point()[1]
+
     # -- driver --------------------------------------------------------
 
     def _end_phase1(self) -> None:
-        self.phase1_pivots = self.pivots
+        self.phase1_pivots = self.pivots - self.start_pivots
         self.phase1_done = time.perf_counter()
 
     def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
         stats = LpStats(
             *self.shape,
+            self.start_pivots,
+            self.start_value,
             self.phase1_pivots,
-            self.pivots - self.phase1_pivots,
+            self.pivots - self.start_pivots - self.phase1_pivots,
             self.degenerate_pivots,
             self.bland_fallbacks,
             self.started,
@@ -517,8 +602,10 @@ class _Simplex:
         )
         return LpSolution(status, x, value, duals, ray, stats)
 
-    def run(self) -> LpSolution:
-        if self.art_cols:
+    def run(self, start: Optional[Sequence[Crash]] = None) -> LpSolution:
+        if start is not None:
+            self._crash(start)
+        if self.art_cols and start is None:
             unbounded_col = self._run_phase(self.nrows + 1)
             if unbounded_col is not None:
                 raise InternalConsistencyError(
@@ -530,7 +617,7 @@ class _Simplex:
                 return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
             self._purge_artificials()
         else:
-            # no artificials were needed; remove the unused phase-1 row
+            # no artificial is basic; remove the phase-1 row unpriced
             ncols = self.ncols
             self.nums = self.nums[: (self.nrows + 1) * ncols]
             self.dens = self.dens[: (self.nrows + 1) * ncols]
@@ -540,17 +627,17 @@ class _Simplex:
             x = self._to_original(self._structural_values(), affine=True)
             ray = self._ray(unbounded_col)
             return self._solution(LpStatus.UNBOUNDED, x, None, None, ray)
-        x = self._to_original(self._structural_values(), affine=True)
-        value = sum(
-            (c * v for c, v in zip(self.problem.objective, x)), _ZERO
-        )
+        x, value = self._basic_point()
         duals = self._row_duals(self.nrows, phase1=False)
         return self._solution(LpStatus.OPTIMAL, x, value, duals)
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve to a terminal status with an exact certificate."""
-    return _Simplex(problem).run()
+def solve(
+    problem: LpProblem, start: Optional[Sequence[Crash]] = None
+) -> LpSolution:
+    """Solve to a terminal status with an exact certificate, from the
+    crash basis of start when given (see the module docstring)."""
+    return _Simplex(problem).run(start)
 
 
 # -- certificate checks ------------------------------------------------

@@ -8,8 +8,28 @@ majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible.
 
-For codimension m >= 2 the program is solved by the simplex in lp.  For
-a hyperplane (m = 1, F a single column f) the optimal point and an
+For codimension m >= 2 the program is solved by the simplex in lp,
+started from a coordinate projection instead of from phase 1.  Each
+index set S whose block F_S is invertible gives the right inverse Y_S,
+equal to F_S^{-T} on the rows of S and zero elsewhere, and the
+projection P_S = I - Y_S F^T, whose norm is the per-set distance bound
+of bounds (rows outside S are unit rows; row i in S is zero on S and
+minus the canonical vector of i off it).  The point Y = Y_S,
+T = |P_S| entrywise, t = the norm of P_S is feasible, and the crash
+pivots of _crash_start make it a basis: each Y_ik with i in S on a
+free row of the F^T Y = I block of column k, with the split column of
+its sign; T_ij on its P <= T row when P_ij >= 0 and on its -P <= T row
+otherwise, for every nonzero P_ij and every diagonal entry, so that
+every artificial leaves the basis; t on the row-sum row of the first
+largest row.  S is best_set of
+bounds.best_upper_bound, the set with the smallest norm, so phase 2
+starts at the best bound the coordinate sections offer; starting at the
+first admissible set instead cost a third more phase-2 pivots on seeded
+instances.  The start changes only the route: the program, its optimum
+and the certificate check are the same, though the optimal vertex
+reached may differ from a cold start's.
+
+For a hyperplane (m = 1, F a single column f) the optimal point and an
 optimal dual of the same program are written down directly (Blatter and
 Cheney 1974) and the simplex does not run.  Let g_i = |f_i| / |f|_1 and
 s_i the sign of f_i (+1 when f_i = 0).
@@ -35,11 +55,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .bounds import best_upper_bound
 from .canonical import SubspaceSpec, admissible_sets, canonical_family
 from .errors import (
     ContractError,
     InadmissibleSetError,
     InternalConsistencyError,
+    SingularMatrixError,
 )
 from .linalg import (
     IndexSet,
@@ -47,8 +69,9 @@ from .linalg import (
     det,
     inverse,
     op_norm_inf,
+    vec_norm1,
 )
-from .lp import LpProblem, LpSolution, LpStatus, solve
+from .lp import Crash, LpProblem, LpSolution, LpStatus, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -142,6 +165,60 @@ def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
     return LpProblem.build(objective, rows, senses, rhs, lower=lower)
 
 
+def coordinate_projection(
+    spec: SubspaceSpec, index_set: IndexSet
+) -> tuple[Matrix, Matrix]:
+    """The right inverse Y_S (F_S^{-T} on the rows of index_set, zero
+    elsewhere) and the projection P_S = I - Y_S F^T of one index set.
+
+    The norm of P_S is bounds.distance_bound_for_set(spec, index_set).
+    Raises InadmissibleSetError when the block F_S is singular."""
+    mat = spec.annihilator
+    n = spec.ambient
+    try:
+        block_inverse = inverse(mat.take_rows(index_set).transpose())
+    except SingularMatrixError:
+        raise InadmissibleSetError(f"block at {index_set} is singular") from None
+    f_rows = [mat.row(j) for j in range(n)]
+    y_rows = [(_ZERO,) * spec.codim] * n
+    p_rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    # only the rows of S differ from the identity and from zero
+    for r, member in enumerate(index_set):
+        i = member - 1
+        y_rows[i] = y = block_inverse.row(r)
+        p_rows[i] = [
+            (_ONE if i == j else _ZERO) - sum(a * b for a, b in zip(y, f))
+            for j, f in enumerate(f_rows)
+        ]
+    return Matrix(y_rows), Matrix(p_rows)
+
+
+def _crash_start(
+    index_set: IndexSet, right_inverse: Matrix, projection: Matrix
+) -> list[Crash]:
+    """Crash pivots that make the point Y = Y_S, T = |P_S| entrywise,
+    t = the norm of P_S a basis of minimal_projection_program (see the
+    module docstring)."""
+    n, m = right_inverse.rows, right_inverse.cols
+    start = []
+    for i in (member - 1 for member in index_set):
+        for k in range(m):
+            side = 1 if right_inverse[i, k] >= 0 else -1
+            rows = tuple(j * m + k for j in range(m))  # (F^T Y)_jk = delta_jk
+            start.append(Crash(i * m + k, rows, side))
+    for i in range(n):
+        for j in range(n):
+            value = projection[i, j]
+            if value or i == j:
+                # P <= T rows follow the m*m equalities, -P <= T rows those
+                row = m * m + (0 if value >= 0 else n * n) + i * n + j
+                start.append(Crash(n * m + i * n + j, (row,)))
+    sums = [vec_norm1(projection.row(i)) for i in range(n)]
+    widest = sums.index(max(sums))
+    start.append(Crash(n * m + n * n, (m * m + 2 * n * n + widest,)))
+    return start
+
+
 def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
     """The optimal point and dual of minimal_projection_program for the
     single annihilator column f, in closed form (see the module
@@ -187,13 +264,16 @@ def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
 def projection_constant(spec: SubspaceSpec) -> ProjectionResult:
     """The projection constant with an exact optimality certificate for
     minimal_projection_program(spec): in closed form for a hyperplane,
-    by the simplex otherwise."""
+    otherwise by the simplex started at the coordinate projection of
+    the best index set of bounds.best_upper_bound."""
     program = minimal_projection_program(spec)
     if spec.codim == 1:
         solution = _hyperplane_solution(spec.annihilator.column(0))
         method = "hyperplane"
     else:
-        solution = solve(program)
+        best_set = best_upper_bound(spec).best_set
+        start = _crash_start(best_set, *coordinate_projection(spec, best_set))
+        solution = solve(program, start)
         method = "lp"
     if solution.status is not LpStatus.OPTIMAL or solution.x is None:
         raise InternalConsistencyError(

@@ -110,6 +110,16 @@ class TestHostileInput:
         assert needle in captured.err
         assert len(captured.err) < 200
 
+    @pytest.mark.parametrize("command", ["decide", "bounds", "projconst"])
+    @pytest.mark.parametrize(
+        "header",
+        ["0_3 1 annihilator", "3 +1 annihilator", "\u0663 1 annihilator"],
+        ids=["underscore", "plus_sign", "arabic_indic_digit"],
+    )
+    def test_header_takes_ascii_digits_only(self, tmp_path, capsys, command, header):
+        err = self.run(tmp_path, capsys, header + "\n1\n1\n2\n", command)
+        assert err.startswith("error: line 1: N and m must be integers")
+
     def test_long_kind_error_is_short(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "2 1 " + "k" * 5000 + "\n1\n1\n", "decide")
         assert len(err) < 200

@@ -24,6 +24,12 @@ class TestCheckInstance:
         assert "minor_vectors_match_ratio" in names
         assert "hyperplane_matches_general" not in names
 
+    def test_best_set_projection_norm_checked(self):
+        for text in ("3 1 annihilator\n1\n1\n1\n",
+                     "4 2 annihilator\n1 0\n0 1\n1 1\n2 -1\n"):
+            results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(text))}
+            assert results["best_set_projection_norm"][0]
+
 
 class TestRunCrosscheck:
     def test_small_run_is_clean(self):

@@ -64,6 +64,13 @@ class TestParseErrors:
     def test_header_integers(self):
         self.check("three 2 annihilator\n", 1, "integers")
 
+    @pytest.mark.parametrize(
+        "header", ["0_3 1", "3 +1", "\u0663 1", "3 1\u0660", "-3 1", "3 \uff11"]
+    )
+    def test_header_ascii_digits_only(self, header):
+        # int() takes all of these as N = 3 or m = 1
+        self.check(f"{header} annihilator\n1\n1\n2\n", 1, "ASCII digits")
+
     def test_header_kind(self):
         self.check("3 2 rows\n", 1, "kind")
 

@@ -5,9 +5,10 @@ import pytest
 
 from linfiso import _kernels
 from linfiso.canonical import subspace_from_annihilator
-from linfiso.errors import LpModelError
+from linfiso.errors import InternalConsistencyError, LpModelError
 from linfiso.instances import random_instance
 from linfiso.lp import (
+    Crash,
     LpProblem,
     LpSolution,
     LpStatus,
@@ -140,6 +141,64 @@ class TestSolveBasics:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x == (F(2), F(3))
         assert verify_certificate(prob, sol)
+
+
+class TestCrashStart:
+    """A start of crash pivots replaces phase 1 when it reaches a
+    feasible basis without artificials, and is refused otherwise."""
+
+    # x0 - x1 = -2 with both in [0, 3]: the equality needs an artificial
+    PROB = build([1, 1], [[1, -1]], ["=="], [-2], upper=[3, 3])
+
+    def test_crash_replaces_phase_one(self):
+        sol = solve(self.PROB, [Crash(1, (0,))])
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x == (F(0), F(2))
+        assert verify_certificate(self.PROB, sol)
+        stats = sol.stats
+        assert (stats.start_pivots, stats.phase1_pivots) == (1, 0)
+        assert stats.start_value == F(2)
+        cold = solve(self.PROB).stats
+        assert (cold.start_pivots, cold.start_value) == (0, None)
+        assert cold.phase1_pivots > 0
+
+    def test_start_above_the_optimum(self):
+        # x0 + 2 x1 = 2: the crash vertex (2, 0) costs 2, phase 2 moves
+        # to (0, 1)
+        prob = build([1, 1], [[1, 2]], ["=="], [2])
+        sol = solve(prob, [Crash(0, (0,))])
+        assert sol.stats.start_value == 2
+        assert sol.stats.phase2_pivots == 1
+        assert sol.x == (F(0), F(1))
+        assert verify_certificate(prob, sol)
+
+    def test_free_variable_sides(self):
+        prob = build([0], [[1]], ["=="], [-5], lower=[None])
+        sol = solve(prob, [Crash(0, (0,), -1)])
+        assert sol.x == (F(-5),)
+        with pytest.raises(InternalConsistencyError, match="feasible"):
+            solve(prob, [Crash(0, (0,), 1)])
+
+    def test_infeasible_basis_raises(self):
+        # x0 basic on the equality gives x0 = -2
+        with pytest.raises(InternalConsistencyError, match="feasible"):
+            solve(self.PROB, [Crash(0, (0,))])
+
+    def test_artificial_left_basic_raises(self):
+        with pytest.raises(InternalConsistencyError, match="artificial"):
+            solve(self.PROB, [])
+
+    def test_entry_without_a_pivot_row_raises(self):
+        prob = build([1, 1], [[1, -1], [0, 1]], ["==", "<="], [-2, 3])
+        with pytest.raises(InternalConsistencyError, match="no free row"):
+            solve(prob, [Crash(0, (1,))])
+        with pytest.raises(InternalConsistencyError, match="no free row"):
+            solve(prob, [Crash(1, (0,)), Crash(0, (0,))])
+
+    def test_malformed_entries_refused(self):
+        for bad in (Crash(2, (0,)), Crash(0, (1,)), Crash(0, (0,), -1)):
+            with pytest.raises(LpModelError):
+                solve(self.PROB, [bad])
 
 
 class TestInfeasible:

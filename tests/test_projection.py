@@ -4,12 +4,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfiso.canonical import canonical_family, subspace_from_annihilator
+from linfiso.bounds import best_upper_bound, distance_bound_for_set
+from linfiso.canonical import (
+    admissible_sets,
+    canonical_family,
+    subspace_from_annihilator,
+)
 from linfiso.decide import decide_isometric
-from linfiso.errors import ContractError
+from linfiso.errors import (
+    ContractError,
+    InadmissibleSetError,
+    InternalConsistencyError,
+)
+from linfiso.instances import random_instance
 from linfiso.linalg import IndexSet, Matrix, op_norm_inf
-from linfiso.lp import solve, verify_certificate
+from linfiso.lp import Crash, solve, verify_certificate
 from linfiso.projection import (
+    _crash_start,
+    coordinate_projection,
     good_index_set,
     minimal_projection_program,
     projection_constant,
@@ -272,3 +284,153 @@ class TestNormGap:
             result = projection_constant(spec)
             verdict = decide_isometric(spec).verdict
             assert (result.constant == 1) == verdict
+
+
+# an isometric (lambda = 1) instance: on S = {1, 2} the canonical vectors
+# are the two columns, of 1-norm 7/4
+PLANTED = subspace_from_annihilator(
+    [[1, 0], [0, 1], [F(1, 2), 0], [0, F(-1, 2)], [F(1, 4), F(-1, 4)]]
+)
+
+
+def crash_specs():
+    """Seeded instances with N <= 7 and m = 2..4, integer and rational
+    entries, then the planted isometric one."""
+    shapes = [
+        (4, 2, False), (5, 2, True), (5, 3, False), (6, 2, False),
+        (6, 3, True), (6, 4, False), (7, 2, True), (7, 3, False),
+    ]
+    rng = random.Random(1992)
+    specs = [
+        random_instance(rng, n, m, rational=rational).to_spec()
+        for n, m, rational in shapes
+    ]
+    return specs + [PLANTED]
+
+
+class TestCrashStart:
+    """projection_constant starts the m >= 2 simplex at the coordinate
+    projection of bounds' best set instead of running phase 1."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return [(spec, projection_constant(spec)) for spec in crash_specs()]
+
+    def test_lambda_matches_a_cold_start(self, solved):
+        for spec, result in solved:
+            cold = solve(minimal_projection_program(spec))
+            assert result.constant == cold.objective_value
+            assert cold.stats.start_pivots == 0
+            assert cold.stats.start_value is None
+        assert solved[-1][1].constant == 1
+
+    def test_certificate_verifies_on_the_unchanged_program(self, solved):
+        for spec, result in solved:
+            assert result.method == "lp"
+            assert verify_certificate(
+                minimal_projection_program(spec), result.certificate
+            )
+
+    def test_start_is_the_best_per_set_bound(self, solved):
+        for spec, result in solved:
+            stats = result.certificate.stats
+            assert stats.start_value == best_upper_bound(spec).best_upper
+            assert stats.start_pivots > 0
+            assert stats.phase1_pivots == 0
+            assert stats.start_value >= result.constant
+
+    @staticmethod
+    def starts(spec):
+        """The crash list of projection_constant, with Y_S and P_S."""
+        best = best_upper_bound(spec).best_set
+        y, p = coordinate_projection(spec, best)
+        return _crash_start(best, y, p), y, p
+
+    def test_start_pivot_count(self):
+        # m^2 Y entries, a T entry per nonzero or diagonal entry of P_S,
+        # and t: P_S has N unit or zero diagonal entries and m(N - m)
+        # off-diagonal entries at most
+        for spec in crash_specs():
+            n, m = spec.ambient, spec.codim
+            start, _, p = self.starts(spec)
+            nonzero = sum(
+                1 for i in range(n) for j in range(n) if i != j and p[i, j]
+            )
+            assert len(start) == m * m + n + nonzero + 1
+            assert nonzero <= m * (n - m)
+
+    def test_wrong_y_sign_raises(self):
+        for spec in crash_specs()[:4]:
+            start, y, _ = self.starts(spec)
+            program = minimal_projection_program(spec)
+            m = spec.codim
+            k = next(
+                i for i, c in enumerate(start[: m * m]) if y[c.var // m, c.var % m]
+            )
+            side = -start[k].side
+            flipped = start[:k] + [Crash(start[k].var, start[k].rows, side)]
+            with pytest.raises(InternalConsistencyError):
+                solve(program, flipped + start[k + 1 :])
+
+    def test_wrong_t_row_raises(self):
+        for spec in crash_specs()[:4]:
+            start, _, p = self.starts(spec)
+            program = minimal_projection_program(spec)
+            n, m = spec.ambient, spec.codim
+            # an off-diagonal entry on the other row of its pair takes
+            # T_ij = -|P_ij|; a diagonal one leaves its artificial basic
+            for off in (True, False):
+                k = next(
+                    i for i, c in enumerate(start)
+                    if n * m <= c.var < n * m + n * n
+                    and ((c.var - n * m) // n != (c.var - n * m) % n) == off
+                )
+                row = start[k].rows[0]
+                other = row + n * n if row < m * m + n * n else row - n * n
+                moved = start[:k] + [Crash(start[k].var, (other,))]
+                with pytest.raises(InternalConsistencyError):
+                    solve(program, moved + start[k + 1 :])
+
+    def test_entry_without_a_pivot_row_raises(self):
+        spec = crash_specs()[0]
+        start, _, _ = self.starts(spec)
+        program = minimal_projection_program(spec)
+        m = spec.codim
+        # once basic, a variable is zero on every row it did not take
+        first = start[0]
+        with pytest.raises(InternalConsistencyError):
+            solve(program, start[:m] + [Crash(first.var, first.rows)])
+
+
+class TestCoordinateProjection:
+    """P_S = I - Y_S F^T is the feasible projection behind each per-set
+    bound and the crash start."""
+
+    def specs(self):
+        rng = random.Random(621)
+        out = [PLANTED, subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])]
+        for n, m, rational in [(4, 2, False), (5, 3, True), (6, 2, False),
+                               (6, 3, False), (5, 4, True)]:
+            out.append(random_instance(rng, n, m, rational=rational).to_spec())
+        return out
+
+    def test_norm_is_the_per_set_bound(self):
+        sets = 0
+        for spec in self.specs():
+            f = spec.annihilator
+            for index_set, _ in admissible_sets(spec):
+                y, p = coordinate_projection(spec, index_set)
+                assert op_norm_inf(p) == distance_bound_for_set(spec, index_set)
+                assert p @ p == p
+                assert f.transpose() @ p == Matrix.zeros(spec.codim, spec.ambient)
+                assert f.transpose() @ y == Matrix.identity(spec.codim)
+                for i in range(spec.ambient):
+                    if i + 1 not in index_set:
+                        assert not any(y.row(i))
+                sets += 1
+        assert sets > 50
+
+    def test_singular_block_refused(self):
+        spec = subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])
+        with pytest.raises(InadmissibleSetError):
+            coordinate_projection(spec, IndexSet((1, 2), 4))
