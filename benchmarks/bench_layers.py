@@ -2,10 +2,10 @@
 
 Run from the root of a source checkout:
 
-    python3 benchmarks/bench_layers.py [--repeats 3] [--out benchmarks/BENCH_layers.json]
+    python3 benchmarks/bench_layers.py [--out benchmarks/BENCH_layers.json]
 
 For each shape (N, m) the instance is random_instance(random.Random(1), N, m)
-and projection_constant runs --repeats times.  Each time is the median over
+and projection_constant runs REPEATS times.  Each time is the median over
 the repeats, in seconds: the whole projection_constant call, the tableau
 build, phase 1 (the crash pivots of a started solve, else the phase-1
 pricing), phase 2, the whole solve, and verify_certificate.  The pivot
@@ -40,8 +40,9 @@ from linfiso import (  # noqa: E402
     verify_certificate,
 )
 
-SHAPES = ((8, 4), (10, 4), (12, 3))
+SHAPES = ((8, 4), (10, 4), (12, 3), (12, 4), (14, 3))
 SEED = 1
+REPEATS = 3
 
 
 def digest(value) -> str:
@@ -90,16 +91,13 @@ def commit() -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--out", type=Path, default=ROOT / "benchmarks" / "BENCH_layers.json"
     )
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     rows = []
     for n, m in SHAPES:
-        runs = [measure(n, m) for _ in range(args.repeats)]
+        runs = [measure(n, m) for _ in range(REPEATS)]
         answer = runs[0]["answer"]
         if any(run["answer"] != answer for run in runs):
             print(f"({n}, {m}): repeats disagree", file=sys.stderr)
@@ -119,7 +117,7 @@ def main() -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "shapes": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -53,7 +53,6 @@ from .linalg import (
     vec_norm_inf,
 )
 from .lp import (
-    Crash,
     LpProblem,
     LpSolution,
     LpStats,
@@ -66,7 +65,6 @@ from .lp import (
 from .projection import (
     GapReport,
     ProjectionResult,
-    coordinate_projection,
     good_index_set,
     minimal_projection_program,
     projection_constant,

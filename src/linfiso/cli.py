@@ -97,7 +97,7 @@ def _cmd_bounds(args) -> tuple[int, str]:
     instance = load_instance(args.path)
     spec = instance.to_spec()
     report = best_upper_bound(spec, materialize=args.per_set)
-    proj = projection_constant(spec)
+    proj = projection_constant(spec, report.best_set)
     if args.json:
         payload = {
             "lower": format_rational(proj.constant),

@@ -150,7 +150,8 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         )
         record("minor_vectors_match_ratio", minor_ok)
 
-    proj = projection_constant(spec)
+    report = best_upper_bound(spec)
+    proj = projection_constant(spec, report.best_set)
     record(
         "lp_certificate_valid",
         verify_certificate(proj.program, proj.certificate),
@@ -171,7 +172,6 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         f"verdict={general.verdict} constant={proj.constant}",
     )
 
-    report = best_upper_bound(spec)
     record(
         "constant_le_best_upper",
         proj.constant <= report.best_upper,

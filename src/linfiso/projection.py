@@ -25,7 +25,8 @@ largest row.  S is best_set of
 bounds.best_upper_bound, the set with the smallest norm, so phase 2
 starts at the best bound the coordinate sections offer; starting at the
 first admissible set instead cost a third more phase-2 pivots on seeded
-instances.  The start changes only the route: the program, its optimum
+instances.  A caller that already holds that report passes its best_set
+to projection_constant, so the scan runs once.  The start changes only the route: the program, its optimum
 and the certificate check are the same, though the optimal vertex
 reached may differ from a cold start's.
 
@@ -261,17 +262,25 @@ def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, x, constant, duals)
 
 
-def projection_constant(spec: SubspaceSpec) -> ProjectionResult:
+def projection_constant(
+    spec: SubspaceSpec, best_set: Optional[IndexSet] = None
+) -> ProjectionResult:
     """The projection constant with an exact optimality certificate for
     minimal_projection_program(spec): in closed form for a hyperplane,
     otherwise by the simplex started at the coordinate projection of
-    the best index set of bounds.best_upper_bound."""
+    best_set.
+
+    best_set defaults to the best set of bounds.best_upper_bound(spec);
+    a caller that already holds that report passes its best_set so the
+    scan runs once.  Any admissible set gives a valid start; a singular
+    block raises InadmissibleSetError.  A hyperplane ignores it."""
     program = minimal_projection_program(spec)
     if spec.codim == 1:
         solution = _hyperplane_solution(spec.annihilator.column(0))
         method = "hyperplane"
     else:
-        best_set = best_upper_bound(spec).best_set
+        if best_set is None:
+            best_set = best_upper_bound(spec).best_set
         start = _crash_start(best_set, *coordinate_projection(spec, best_set))
         solution = solve(program, start)
         method = "lp"

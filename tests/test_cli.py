@@ -202,6 +202,25 @@ class TestBounds:
         for token in (payload["lower"], payload["upper"]):
             assert RATIONAL.match(token)
 
+    def test_codim_two_scans_once(self, tmp_path, capsys, monkeypatch):
+        # the report's best set starts the projection simplex
+        from linfiso import bounds, cli, projection
+
+        calls = []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec)
+            return bounds.best_upper_bound(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "best_upper_bound", counted)
+        monkeypatch.setattr(projection, "best_upper_bound", counted)
+        path = tmp_path / "pair.txt"
+        path.write_text("4 2 annihilator\n1 0\n0 1\n1 1\n2 -1\n", encoding="utf-8")
+        assert main(["bounds", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["lower"] == payload["upper"] == "1"
+
 
 class TestProjconst:
     def test_certified_output(self, rejecting, capsys):

@@ -30,6 +30,22 @@ class TestCheckInstance:
             results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(text))}
             assert results["best_set_projection_norm"][0]
 
+    def test_best_upper_bound_scans_once(self, monkeypatch):
+        # the report's best set is handed to projection_constant
+        from linfiso import bounds, crosscheck, projection
+
+        calls = []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec)
+            return bounds.best_upper_bound(spec, *args, **kwargs)
+
+        monkeypatch.setattr(crosscheck, "best_upper_bound", counted)
+        monkeypatch.setattr(projection, "best_upper_bound", counted)
+        results = check_instance(parse_instance("4 2 annihilator\n1 0\n0 1\n1 1\n2 -1\n"))
+        assert all(ok for _, ok, _ in results)
+        assert len(calls) == 1
+
 
 class TestRunCrosscheck:
     def test_small_run_is_clean(self):

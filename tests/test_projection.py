@@ -391,6 +391,25 @@ class TestCrashStart:
                 with pytest.raises(InternalConsistencyError):
                     solve(program, moved + start[k + 1 :])
 
+    def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
+        # a passed set replaces the best_upper_bound scan; each admissible
+        # set starts at its own per-set bound and reaches the same lambda
+        for spec, result in solved[:4] + solved[-1:]:
+            for index_set in (next(admissible_sets(spec))[0],
+                              best_upper_bound(spec).best_set):
+                started = projection_constant(spec, index_set)
+                assert started.constant == result.constant
+                stats = started.certificate.stats
+                assert stats.start_value == distance_bound_for_set(spec, index_set)
+                assert stats.phase1_pivots == 0
+                assert verify_certificate(started.program, started.certificate)
+
+    def test_singular_start_set_refused(self):
+        spec = subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])
+        with pytest.raises(InadmissibleSetError):
+            projection_constant(spec, IndexSet((1, 2), 4))
+        assert projection_constant(spec, IndexSet((3, 4), 4)).constant >= 1
+
     def test_entry_without_a_pivot_row_raises(self):
         spec = crash_specs()[0]
         start, _, _ = self.starts(spec)
