@@ -68,11 +68,10 @@ def parse_instance(text: str) -> Instance:
                 header_idx + 1,
             )
     try:
-        ambient, codim = int(header[0]), int(header[1])
-    except ValueError:
-        raise InstanceFormatError(
-            "N and m must be integers", header_idx + 1
-        ) from None
+        ambient, codim = (int(as_rational(token)) for token in header[:2])
+    except ValueError as exc:
+        # only the str-to-int limit is left, and as_rational names it
+        raise InstanceFormatError(f"N and m: {exc}", header_idx + 1) from None
     kind = header[2]
     if kind not in _KINDS:
         raise InstanceFormatError(

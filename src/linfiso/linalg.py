@@ -122,22 +122,10 @@ class IndexSet:
             raise BoundsError(f"member {prev} exceeds ambient {self.ambient}")
 
     @classmethod
-    def of(cls, indices: Iterable[int], ambient: int) -> "IndexSet":
-        members = tuple(sorted(indices))
-        if len(set(members)) != len(members):
-            raise BoundsError("duplicate members in index set")
-        return cls(members, ambient)
-
-    @classmethod
     def all_of_size(cls, ambient: int, size: int) -> Iterator["IndexSet"]:
         """All size-element subsets of {1..ambient} in lexicographic order."""
         for combo in itertools.combinations(range(1, ambient + 1), size):
             yield cls(combo, ambient)
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.members)
-        rest = tuple(k for k in range(1, self.ambient + 1) if k not in inside)
-        return IndexSet(rest, self.ambient)
 
     def position(self, member: int) -> int:
         """0-based position of a member within the set."""
@@ -237,14 +225,6 @@ class Matrix:
         data[i] = new_row
         return Matrix(data)
 
-    def with_column(self, column: Sequence) -> "Matrix":
-        col = tuple(as_rational(x) for x in column)
-        if len(col) != self.rows:
-            raise DimensionError("appended column has the wrong length")
-        return Matrix(
-            row + (col[i],) for i, row in enumerate(self._data)
-        )
-
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self._data))
 
@@ -324,28 +304,19 @@ def det(matrix: Matrix) -> Fraction:
 
 
 def inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse, read from the right half of rref([A | I])."""
     n = matrix.rows
     if n != matrix.cols:
         raise DimensionError("inverse of a non-square matrix")
-    work = [list(matrix.row(i)) + [_ONE if i == j else _ZERO for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if work[r][col] != 0), None
+    reduced, pivots = rref(
+        Matrix(
+            matrix.row(i) + tuple(_ONE if i == j else _ZERO for j in range(n))
+            for i in range(n)
         )
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [inv * x for x in work[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return Matrix(row[n:] for row in work)
+    )
+    if pivots != tuple(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(reduced.row(i)[n:] for i in range(n))
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:

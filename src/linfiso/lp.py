@@ -4,9 +4,11 @@ Minimization problems with row senses <=, ==, >= and optional per-variable
 bounds are solved by a two-phase primal simplex on a dense rational
 tableau.  Conversion to standard form shifts variables by a finite
 bound, splits free variables into differences of nonnegative ones,
-negates >= rows, and gives equalities artificial variables.  Both the
-standard-form rows and the tableau are built from nonzero entries only;
-every other tableau entry starts as 0.
+negates >= rows, and gives equalities artificial variables.  A problem
+stores each row as its nonzeros only, (column, coefficient) pairs in
+increasing column order, and build() takes rows in that form; the
+standard form, the tableau and the certificate checks read only those
+pairs, and every other tableau entry starts as 0.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
@@ -63,7 +65,6 @@ import enum
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -92,12 +93,15 @@ class LpStatus(enum.Enum):
 class LpProblem:
     """minimize objective . x subject to rows (sense) rhs, lower <= x <= upper.
 
-    A bound entry of None means unbounded on that side.  Construct
-    through build(), which validates shapes and normalizes senses.
+    Each row is a tuple of (column, coefficient) pairs in increasing
+    column order, nonzero coefficients only.  A bound entry of None means
+    unbounded on that side.  Construct through build(), which takes rows
+    in that form, refuses a column out of range, repeated or out of
+    order, drops zero coefficients, and validates shapes and senses.
     """
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     lower: tuple[Optional[Fraction], ...]
@@ -107,7 +111,7 @@ class LpProblem:
     def build(
         cls,
         objective: Sequence,
-        rows: Sequence[Sequence],
+        rows: Sequence[Sequence[tuple[int, object]]],
         senses: Sequence[str],
         rhs: Sequence,
         lower: Optional[Sequence] = None,
@@ -117,10 +121,7 @@ class LpProblem:
         n = len(c)
         if n == 0:
             raise LpModelError("objective has no variables")
-        mat = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        for row in mat:
-            if len(row) != n:
-                raise LpModelError("row length does not match variable count")
+        mat = tuple(_sparse_row(row, n) for row in rows)
         sn = tuple(EQUAL if s == "=" else s for s in senses)
         for s in sn:
             if s not in _SENSES:
@@ -143,13 +144,20 @@ class LpProblem:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row's (column, coefficient) pairs with a nonzero
-        coefficient, in column order, derived from rows on first use."""
-        return tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows
-        )
+
+def _sparse_row(pairs, n: int) -> tuple[tuple[int, Fraction], ...]:
+    row = []
+    prev = -1
+    for j, a in pairs:
+        if not (isinstance(j, int) and 0 <= j < n):
+            raise LpModelError(f"column {j!r} outside 0..{n - 1}")
+        if j <= prev:
+            raise LpModelError(f"column {j} repeated or out of order in a row")
+        prev = j
+        a = as_rational(a)
+        if a:
+            row.append((j, a))
+    return tuple(row)
 
 
 def _bound_tuple(values, n: int, default) -> tuple:
@@ -274,11 +282,11 @@ class _Simplex:
 
         # rows in x' space, nonzeros only: (coeffs, rhs, sense, origin, tau)
         staged: list[tuple[dict[int, Fraction], Fraction, str, tuple, int]] = []
-        for i, (nonzeros, sense, b) in enumerate(
-            zip(problem.nonzeros, problem.senses, problem.rhs)
+        for i, (row, sense, b) in enumerate(
+            zip(problem.rows, problem.senses, problem.rhs)
         ):
             coeffs: dict[int, Fraction] = {}
-            for j, a in nonzeros:
+            for j, a in row:
                 pairs, shift = self.columns[j]
                 for col, sign in pairs:
                     coeffs[col] = a if sign > 0 else -a
@@ -655,10 +663,8 @@ def _within(
             return False
         if hi is not None and vj > (_ZERO if homogeneous else hi):
             return False
-    for nonzeros, sense, b in zip(
-        problem.nonzeros, problem.senses, problem.rhs
-    ):
-        lhs = sum((a * v[j] for j, a in nonzeros), _ZERO)
+    for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
+        lhs = sum((a * v[j] for j, a in row), _ZERO)
         gap = lhs - (_ZERO if homogeneous else b)
         if (gap > 0 and sense != GREATER) or (gap < 0 and sense != LESS):
             return False
@@ -676,15 +682,13 @@ def _dual_bound(
         return None
     reduced = list(cost)
     bound = _ZERO
-    for yi, nonzeros, sense, b in zip(
-        y, problem.nonzeros, problem.senses, problem.rhs
-    ):
+    for yi, row, sense, b in zip(y, problem.rows, problem.senses, problem.rhs):
         if not yi:
             continue
         if (sense == LESS and yi > 0) or (sense == GREATER and yi < 0):
             return None
         bound += yi * b
-        for j, a in nonzeros:
+        for j, a in row:
             reduced[j] -= a * yi
     for r, lo, hi in zip(reduced, problem.lower, problem.upper):
         if r > 0:

@@ -6,7 +6,9 @@ of F has the form P = I - Y F^T with F^T Y = I.  Minimizing the largest
 absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
-is fixed so results are reproducible.
+is fixed so results are reproducible, and written once, in _Layout:
+minimal_projection_program, the crash start, the hyperplane closed form
+and the reading of Y from a solution all index through it.
 
 For codimension m >= 2 the program is solved by the simplex in lp,
 started from a coordinate projection instead of from phase 1.  Each
@@ -97,72 +99,94 @@ class ProjectionResult:
     method: str
 
 
-def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
-    """The LP whose optimum is the projection constant.
+@dataclass(frozen=True)
+class _Layout:
+    """Where each variable and each row of minimal_projection_program
+    sits for an N x m annihilator (N = n); every index into the
+    program's variables, rows and duals goes through here.
 
     Variables, in order: Y entries row-major (N*m of them, free), then
     the slack matrix T row-major (N*N, nonnegative), then the objective
     scalar t (nonnegative; both sign restrictions are implied by the
-    constraints and cost nothing).  Constraints, in order: F^T Y = I
-    entrywise, P <= T entrywise, -P <= T entrywise, then row sums of T
-    at most t."""
+    constraints and cost nothing).  Rows, in order: F^T Y = I entrywise
+    (m*m, row-major), P <= T entrywise, -P <= T entrywise (N*N each,
+    row-major), then the row sums of T at most t (N)."""
+
+    n: int
+    m: int
+
+    def y(self, i: int, k: int) -> int:
+        return i * self.m + k
+
+    def t(self, i: int, j: int) -> int:
+        return self.n * self.m + i * self.n + j
+
+    @property
+    def scalar(self) -> int:
+        return self.n * self.m + self.n * self.n
+
+    @property
+    def nvars(self) -> int:
+        return self.scalar + 1
+
+    def identity_row(self, j: int, k: int) -> int:
+        """The row (F^T Y)_jk = delta_jk."""
+        return j * self.m + k
+
+    def upper_row(self, i: int, j: int) -> int:
+        """The row P_ij <= T_ij."""
+        return self.m * self.m + i * self.n + j
+
+    def lower_row(self, i: int, j: int) -> int:
+        """The row -P_ij <= T_ij."""
+        return self.upper_row(i, j) + self.n * self.n
+
+    def sum_row(self, i: int) -> int:
+        """The row sum_j T_ij <= t."""
+        return self.m * self.m + 2 * self.n * self.n + i
+
+    @property
+    def nrows(self) -> int:
+        return self.sum_row(self.n)
+
+
+def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
+    """The LP whose optimum is the projection constant: minimize t over
+    Y, T and t with F^T Y = I, P <= T and -P <= T entrywise for
+    P = I - Y F^T, and every row sum of T at most t, laid out as _Layout
+    says."""
     mat = spec.annihilator
     n, m = spec.ambient, spec.codim
-
-    def y_col(i: int, k: int) -> int:
-        return i * m + k
-
-    def t_col(i: int, j: int) -> int:
-        return n * m + i * n + j
-
-    t_scalar = n * m + n * n
-    nvars = t_scalar + 1
-    objective = [_ZERO] * nvars
-    objective[t_scalar] = _ONE
-
-    rows = []
-    senses = []
-    rhs = []
-    # F^T Y = I
+    lay = _Layout(n, m)
+    f_rows = [mat.row(i) for i in range(n)]
+    objective = [_ZERO] * lay.nvars
+    objective[lay.scalar] = _ONE
+    lower: list[Optional[Fraction]] = [_ZERO] * lay.nvars
+    rows: list[tuple] = [()] * lay.nrows
+    senses = ["<="] * lay.nrows
+    rhs = [_ZERO] * lay.nrows
     for j in range(m):
         for k in range(m):
-            row = [_ZERO] * nvars
-            for i in range(n):
-                row[y_col(i, k)] = mat[i, j]
-            rows.append(row)
-            senses.append("==")
-            rhs.append(_ONE if j == k else _ZERO)
-    # P_ij <= T_ij with P = I - Y F^T
+            r = lay.identity_row(j, k)
+            rows[r] = tuple((lay.y(i, k), f_rows[i][j]) for i in range(n))
+            senses[r] = "=="
+            if j == k:
+                rhs[r] = _ONE
     for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * nvars
-            for k in range(m):
-                row[y_col(i, k)] = -mat[j, k]
-            row[t_col(i, j)] = -_ONE
-            rows.append(row)
-            senses.append("<=")
-            rhs.append(-_ONE if i == j else _ZERO)
-    # -P_ij <= T_ij
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * nvars
-            for k in range(m):
-                row[y_col(i, k)] = mat[j, k]
-            row[t_col(i, j)] = -_ONE
-            rows.append(row)
-            senses.append("<=")
-            rhs.append(_ONE if i == j else _ZERO)
-    # row sums of T bounded by t
-    for i in range(n):
-        row = [_ZERO] * nvars
-        for j in range(n):
-            row[t_col(i, j)] = _ONE
-        row[t_scalar] = -_ONE
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(_ZERO)
-
-    lower: list[Optional[Fraction]] = [None] * (n * m) + [_ZERO] * (n * n + 1)
+        for k in range(m):
+            lower[lay.y(i, k)] = None
+        for j, f in enumerate(f_rows):
+            # P_ij = delta_ij - sum_k Y_ik F_jk
+            ys = tuple((lay.y(i, k), a) for k, a in enumerate(f))
+            slack = (lay.t(i, j), -_ONE)
+            rows[lay.upper_row(i, j)] = (*((c, -a) for c, a in ys), slack)
+            rows[lay.lower_row(i, j)] = (*ys, slack)
+            if i == j:
+                rhs[lay.upper_row(i, j)] = -_ONE
+                rhs[lay.lower_row(i, j)] = _ONE
+        rows[lay.sum_row(i)] = (
+            *((lay.t(i, j), _ONE) for j in range(n)), (lay.scalar, -_ONE)
+        )
     return LpProblem.build(objective, rows, senses, rhs, lower=lower)
 
 
@@ -201,22 +225,22 @@ def _crash_start(
     t = the norm of P_S a basis of minimal_projection_program (see the
     module docstring)."""
     n, m = right_inverse.rows, right_inverse.cols
+    lay = _Layout(n, m)
     start = []
     for i in (member - 1 for member in index_set):
         for k in range(m):
             side = 1 if right_inverse[i, k] >= 0 else -1
-            rows = tuple(j * m + k for j in range(m))  # (F^T Y)_jk = delta_jk
-            start.append(Crash(i * m + k, rows, side))
+            rows = tuple(lay.identity_row(j, k) for j in range(m))
+            start.append(Crash(lay.y(i, k), rows, side))
     for i in range(n):
         for j in range(n):
             value = projection[i, j]
             if value or i == j:
-                # P <= T rows follow the m*m equalities, -P <= T rows those
-                row = m * m + (0 if value >= 0 else n * n) + i * n + j
-                start.append(Crash(n * m + i * n + j, (row,)))
+                row = lay.upper_row(i, j) if value >= 0 else lay.lower_row(i, j)
+                start.append(Crash(lay.t(i, j), (row,)))
     sums = [vec_norm1(projection.row(i)) for i in range(n)]
     widest = sums.index(max(sums))
-    start.append(Crash(n * m + n * n, (m * m + 2 * n * n + widest,)))
+    start.append(Crash(lay.scalar, (lay.sum_row(widest),)))
     return start
 
 
@@ -247,19 +271,22 @@ def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
             a = nu * weights[i]
             row[:] = (a if s != signs[i] else -a for s in signs)
             row[i] = a
-    # T = |P| with P = I - y f^T
-    t = [[b * a for a in sizes] for b in map(abs, y)]
-    for i in range(n):
-        t[i][i] = abs(1 - y[i] * f[i])
-    x = (*y, *(e for row in t for e in row), constant)
-    flat = [e for row in z for e in row]
-    duals = (
-        nu,
-        *(-e if e > 0 else _ZERO for e in flat),
-        *(e if e < 0 else _ZERO for e in flat),
-        *(-max(abs(e) for e in row) for row in z),
-    )
-    return LpSolution(LpStatus.OPTIMAL, x, constant, duals)
+    lay = _Layout(n, 1)
+    x = [_ZERO] * lay.nvars
+    duals = [_ZERO] * lay.nrows
+    x[lay.scalar] = constant
+    duals[lay.identity_row(0, 0)] = nu
+    for i, row in enumerate(z):
+        x[lay.y(i, 0)] = y[i]
+        for j, e in enumerate(row):
+            # T = |P| with P = I - y f^T
+            x[lay.t(i, j)] = abs((_ONE if i == j else _ZERO) - y[i] * f[j])
+            if e > 0:
+                duals[lay.upper_row(i, j)] = -e
+            elif e < 0:
+                duals[lay.lower_row(i, j)] = e
+        duals[lay.sum_row(i)] = -max(abs(e) for e in row)
+    return LpSolution(LpStatus.OPTIMAL, tuple(x), constant, tuple(duals))
 
 
 def projection_constant(
@@ -289,9 +316,10 @@ def projection_constant(
             f"the projection program must have an optimum, got {solution.status}"
         )
     n, m = spec.ambient, spec.codim
+    lay = _Layout(n, m)
     x = solution.x
     right_inverse = Matrix(
-        [x[i * m : (i + 1) * m] for i in range(n)]
+        [[x[lay.y(i, k)] for k in range(m)] for i in range(n)]
     )
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
     constant = op_norm_inf(projection)

@@ -155,3 +155,55 @@ def hyperplane_projection_constant(f: list[Fraction]) -> Fraction:
     )
     assert best is not None
     return best[0]
+
+
+def dense_projection_program(f: list[list[Fraction]]):
+    """minimal_projection_program written out with dense rows, as the
+    reference for its sparse rows: f is the annihilator as N lists of m
+    Fractions.  Returns (objective, rows, senses, rhs, lower), every row
+    of length N*m + N*N + 1.
+
+    Variables: Y row-major (free), T row-major, then t.  Rows: F^T Y = I
+    entrywise, P <= T entrywise, -P <= T entrywise with P = I - Y F^T,
+    then the row sums of T at most t."""
+    n, m = len(f), len(f[0])
+
+    def y_col(i, k):
+        return i * m + k
+
+    def t_col(i, j):
+        return n * m + i * n + j
+
+    t_scalar = n * m + n * n
+    nvars = t_scalar + 1
+    objective = [ZERO] * nvars
+    objective[t_scalar] = ONE
+    rows, senses, rhs = [], [], []
+    for j in range(m):
+        for k in range(m):
+            row = [ZERO] * nvars
+            for i in range(n):
+                row[y_col(i, k)] = f[i][j]
+            rows.append(row)
+            senses.append("==")
+            rhs.append(ONE if j == k else ZERO)
+    for sign in (ONE, -ONE):  # P <= T, then -P <= T
+        for i in range(n):
+            for j in range(n):
+                row = [ZERO] * nvars
+                for k in range(m):
+                    row[y_col(i, k)] = -sign * f[j][k]
+                row[t_col(i, j)] = -ONE
+                rows.append(row)
+                senses.append("<=")
+                rhs.append(-sign if i == j else ZERO)
+    for i in range(n):
+        row = [ZERO] * nvars
+        for j in range(n):
+            row[t_col(i, j)] = ONE
+        row[t_scalar] = -ONE
+        rows.append(row)
+        senses.append("<=")
+        rhs.append(ZERO)
+    lower = [None] * (n * m) + [ZERO] * (n * n + 1)
+    return objective, rows, senses, rhs, lower

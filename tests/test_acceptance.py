@@ -364,7 +364,7 @@ def test_lp_against_enumeration():
         upper = [F(rng.randint(1, 5)) for _ in range(nvars)]
         problem = LpProblem.build(
             [F(rng.randint(-5, 5)) for _ in range(nvars)],
-            rows,
+            [list(enumerate(row)) for row in rows],
             senses,
             rhs,
             upper=upper,

@@ -138,10 +138,11 @@ class TestCanonicalFamily:
         rng = random.Random(2026)
         for _ in range(8):
             spec = random_spec(rng, 5, 2)
+            columns = [spec.annihilator.column(j) for j in range(spec.codim)]
             for index_set, _ in admissible_sets(spec):
                 fam = canonical_family(spec, index_set)
                 for vec in fam.vectors.values():
-                    widened = spec.annihilator.with_column(vec)
+                    widened = Matrix.from_columns([*columns, vec])
                     assert rank(widened) == spec.codim
 
     def test_matches_determinant_ratio_oracle(self):

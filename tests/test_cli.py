@@ -120,6 +120,14 @@ class TestHostileInput:
         err = self.run(tmp_path, capsys, header + "\n1\n1\n2\n", command)
         assert err.startswith("error: line 1: N and m must be integers")
 
+    @pytest.mark.parametrize("command", ["decide", "bounds", "projconst"])
+    def test_header_wider_than_the_int_limit(self, tmp_path, capsys, command):
+        text = "1" * 5000 + " 1 annihilator\n1\n1\n"
+        err = self.run(tmp_path, capsys, text, command)
+        assert err.startswith("error: line 1: N and m: a 5000-digit number")
+        assert "wider than the interpreter's limit" in err
+        assert len(err) < 200
+
     def test_long_kind_error_is_short(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "2 1 " + "k" * 5000 + "\n1\n1\n", "decide")
         assert len(err) < 200

@@ -71,6 +71,13 @@ class TestParseErrors:
         # int() takes all of these as N = 3 or m = 1
         self.check(f"{header} annihilator\n1\n1\n2\n", 1, "ASCII digits")
 
+    def test_header_wider_than_the_int_limit(self):
+        # int() refuses the token, which is still an integer
+        self.check(
+            "1" * 5000 + " 1 annihilator\n1\n1\n", 1,
+            "wider than the interpreter's limit",
+        )
+
     def test_header_kind(self):
         self.check("3 2 rows\n", 1, "kind")
 

@@ -21,8 +21,10 @@ from linfiso.projection import minimal_projection_program
 from oracles import enumerate_lp
 
 
-def build(*args, **kwargs):
-    return LpProblem.build(*args, **kwargs)
+def build(objective, rows, *args, **kwargs):
+    """LpProblem.build with each row written densely."""
+    pairs = [list(enumerate(row)) for row in rows]
+    return LpProblem.build(objective, pairs, *args, **kwargs)
 
 
 class TestModelValidation:
@@ -52,6 +54,20 @@ class TestModelValidation:
         prob = build([1, 1], [[1, 1]], ["<="], [1])
         assert prob.lower == (F(0), F(0))
         assert prob.upper == (None, None)
+
+    def test_out_of_range_column(self):
+        for column in (2, -1):
+            with pytest.raises(LpModelError, match="outside"):
+                LpProblem.build([1, 1], [[(column, 1)]], ["<="], [0])
+
+    def test_repeated_column(self):
+        for row in ([(0, 1), (0, 2)], [(1, 1), (0, 1)]):
+            with pytest.raises(LpModelError, match="repeated or out of order"):
+                LpProblem.build([1, 1], [row], ["<="], [0])
+
+    def test_zero_coefficient_dropped(self):
+        prob = build([1, 1], [[0, 3], [F(0), 0]], ["<=", "<="], [1, 0])
+        assert prob.rows == (((1, F(3)),), ())
 
 
 class TestSolveBasics:

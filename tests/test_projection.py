@@ -28,7 +28,7 @@ from linfiso.projection import (
     projection_norm,
     verify_norm_gap,
 )
-from oracles import hyperplane_projection_constant
+from oracles import dense_projection_program, hyperplane_projection_constant
 
 ANCHOR = subspace_from_annihilator([1, 1, 1])
 
@@ -112,6 +112,60 @@ class TestProjectionConstant:
         assert len(prog.objective) == n * m + n * n + 1
         # one equality block, two entrywise blocks, one row-sum block
         assert len(prog.rows) == m * m + 2 * n * n + n
+
+
+class TestSparseProgram:
+    """minimal_projection_program writes each row's nonzeros, equal pair
+    for pair to the nonzeros of the dense reference program."""
+
+    @staticmethod
+    def specs():
+        """Seeded m = 1..4 with integer and rational entries; entry bounds
+        1 and 2 draw many zeros."""
+        rng = random.Random(744)
+        out = []
+        for m in (1, 2, 3, 4):
+            for rational in (False, True):
+                for bound in (1, 2, 5):
+                    n = m + rng.randint(1, 3)
+                    out.append(
+                        random_instance(
+                            rng, n, m, entry_bound=bound, rational=rational
+                        ).to_spec()
+                    )
+        return out
+
+    def test_matches_the_dense_reference(self):
+        zeros = 0
+        for spec in self.specs():
+            f = spec.annihilator.to_lists()
+            objective, rows, senses, rhs, lower = dense_projection_program(f)
+            program = minimal_projection_program(spec)
+            assert program.rows == tuple(
+                tuple((j, a) for j, a in enumerate(row) if a) for row in rows
+            )
+            assert program.objective == tuple(objective)
+            assert program.senses == tuple(senses)
+            assert program.rhs == tuple(rhs)
+            assert program.lower == tuple(lower)
+            assert program.upper == (None,) * len(objective)
+            zeros += sum(1 for row in f for a in row if not a)
+        assert zeros > 20
+
+    @staticmethod
+    def entries(spec):
+        return sum(len(row) for row in minimal_projection_program(spec).rows)
+
+    def test_entry_count(self):
+        # m nnz(F) for F^T Y = I, N nnz(F) + N^2 for each entrywise block,
+        # N^2 + N for the row sums
+        for spec in self.specs():
+            n, m = spec.ambient, spec.codim
+            f = spec.annihilator
+            nnz = sum(1 for i in range(n) for a in f.row(i) if a)
+            assert self.entries(spec) == m * nnz + 2 * n * nnz + 3 * n * n + n
+        dense = subspace_from_annihilator(list(range(1, 13)))
+        assert self.entries(dense) == 744
 
 
 def hyperplane_functionals():
