@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["auto", "general"],
         default="auto",
-        help="auto uses closed forms for codimension 1 and 2",
+        help="auto uses the closed form for codimension 1",
     )
     decide.add_argument("--json", action="store_true")
     decide.set_defaults(func=_cmd_decide)

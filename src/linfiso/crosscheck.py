@@ -69,45 +69,30 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     mat = spec.annihilator
 
     general = decide_isometric(spec, mode="general")
+
+    def matches_general(name: str, report, detail: str) -> None:
+        """Record whether report agrees with the general scan on the
+        verdict, the sets examined and the witness: its set, family and
+        norms."""
+        key = (report.verdict, report.sets_examined, report.witness)
+        want = (general.verdict, general.sets_examined, general.witness)
+        record(name, key == want, detail)
+
     auto = decide_isometric(spec, mode="auto")
-    same = (
-        general.verdict == auto.verdict
-        and general.sets_examined == auto.sets_examined
-        and (general.witness is None) == (auto.witness is None)
-        and (
-            general.witness is None
-            or general.witness.index_set == auto.witness.index_set
-        )
-    )
-    record(
+    matches_general(
         "auto_matches_general",
-        same,
+        auto,
         f"general={general.verdict} auto={auto.verdict}",
     )
-
     if spec.codim == 1:
         direct = decide_hyperplane(mat.column(0))
-        record(
-            "hyperplane_matches_general",
-            direct.verdict == general.verdict
-            and (direct.witness is None) == (general.witness is None)
-            and (
-                direct.witness is None
-                or direct.witness.index_set == general.witness.index_set
-            ),
-            f"direct={direct.verdict}",
+        matches_general(
+            "hyperplane_matches_general", direct, f"direct={direct.verdict}"
         )
     if spec.codim == 2:
         direct = decide_by_minors(spec)
-        record(
-            "minor_test_matches_general",
-            direct.verdict == general.verdict
-            and (direct.witness is None) == (general.witness is None)
-            and (
-                direct.witness is None
-                or direct.witness.index_set == general.witness.index_set
-            ),
-            f"direct={direct.verdict}",
+        matches_general(
+            "minor_test_matches_general", direct, f"direct={direct.verdict}"
         )
 
     families = [

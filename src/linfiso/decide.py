@@ -5,10 +5,12 @@ vector with 1-norm at most 2; the scan runs in lexicographic set order
 and stops at the first witness.  The general scan moves between
 families by basis exchange (canonical_scan) and builds a
 CanonicalFamily, by determinant ratios, only for the witness it
-returns.  Codimension 1 and 2 admit closed-form
-shortcuts that provably visit the same sets in the same order, so
-verdict, witness, and the number of sets examined all coincide with the
-general scan.
+returns.  Codimension 1 and 2 admit closed forms that provably visit
+the same sets in the same order, so verdict, witness, and the number of
+sets examined all coincide with the general scan.  The auto mode uses
+the codimension-1 form, which beats the scan; the codimension-2 pair
+test (decide_by_minors) runs slower than the scan and stays as the
+reference that crosscheck and the tests compare it against.
 """
 
 from __future__ import annotations
@@ -58,15 +60,13 @@ class DecisionReport:
 
 def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
     """Run the isometry test; mode "auto" picks the fastest equivalent
-    route, mode "general" forces the scan over every admissible set (by
-    basis exchange) even for codimension 1 and 2."""
+    route (the closed form for codimension 1, the general scan
+    otherwise), mode "general" forces the scan over every admissible set
+    (by basis exchange) even for codimension 1."""
     if mode not in ("auto", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        if spec.codim == 1:
-            return decide_hyperplane(spec.annihilator.column(0))
-        if spec.codim == 2:
-            return decide_by_minors(spec)
+    if mode == "auto" and spec.codim == 1:
+        return decide_hyperplane(spec.annihilator.column(0))
     return _decide_general(spec)
 
 

@@ -267,10 +267,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix([-x for x in row] for row in self._data)
 
-    def scaled(self, factor) -> "Matrix":
-        q = as_rational(factor)
-        return Matrix([q * x for x in row] for row in self._data)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._data == other._data
 

@@ -3,12 +3,14 @@
 Minimization problems with row senses <=, ==, >= and optional per-variable
 bounds are solved by a two-phase primal simplex on a dense rational
 tableau.  Conversion to standard form shifts variables by a finite
-bound, splits free variables into differences of nonnegative ones,
-negates >= rows, and gives equalities artificial variables.  A problem
-stores each row as its nonzeros only, (column, coefficient) pairs in
-increasing column order, and build() takes rows in that form; the
-standard form, the tableau and the certificate checks read only those
-pairs, and every other tableau entry starts as 0.
+bound, splits free variables into differences of nonnegative ones, and
+writes each row once, times the sign that makes its right-hand side
+nonnegative; equalities, and inequalities whose slack that sign turns
+negative, get artificial variables.  A problem stores each row as its
+nonzeros only, (column, coefficient) pairs in increasing column order,
+and build() takes rows in that form; the tableau and the certificate
+checks read only those pairs, and every other tableau entry starts as
+0.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
@@ -47,13 +49,16 @@ the variable box, skipping zero multipliers and coefficients).
 
 solve takes an optional start: an ordered list of crash pivots (Bixby
 1992) that builds a primal feasible basis the caller knows, in place of
-phase 1.  Each Crash names a variable, the side of its split column for
-a free variable, and the problem rows it may enter on; it pivots on the
-first of those rows not taken by an earlier crash pivot whose tableau
-entry in its column is nonzero, whatever the ratio test would say.  The
-basis the list reaches must hold no artificial and have a nonnegative
-right-hand side; otherwise solve raises InternalConsistencyError, as it
-does when an entry finds no row.  Phase 1 then has nothing to price and
+phase 1.  Each Crash names a variable and the problem rows it may enter
+on; the variable's first standard-form column pivots on the first of
+those rows not taken by an earlier crash pivot whose tableau entry in
+that column is nonzero, whatever the ratio test would say.  After the
+last entry, each free variable whose positive column is basic at a
+negative value pivots onto its negative column, which is minus the
+positive one, so the pivot only negates the row.  The basis reached
+must hold no artificial and have a nonnegative right-hand side;
+otherwise solve raises InternalConsistencyError, as it does when an
+entry finds no row.  A crashed solve writes no phase-1 cost row, and
 phase 2 starts at once.  The start changes the route, not the program:
 the optimum value and the certificate checks are the same, and only the
 optimal vertex may differ.
@@ -173,14 +178,12 @@ def _bound_tuple(values, n: int, default) -> tuple:
 class Crash:
     """One pivot of a crash start: variable var enters the basis on the
     first of rows (problem row indices) not taken by an earlier crash
-    pivot whose entry in its column is nonzero.  side picks the split
-    column of a free variable: +1 its positive part, -1 its negative
-    part; a variable with a finite bound has one column, of side +1 for a
-    lower bound and -1 for an upper bound alone."""
+    pivot whose entry in its column is nonzero.  A free variable enters
+    on its positive column and moves to its negative one when its value
+    comes out negative (see the module docstring)."""
 
     var: int
     rows: tuple[int, ...]
-    side: int = 1
 
 
 @dataclass(frozen=True)
@@ -189,10 +192,11 @@ class LpStats:
 
     rows and cols are the tableau's constraint rows and columns (the rhs
     column included) as assembled.  start_pivots counts the crash pivots
-    of a start and start_value is the objective at the basis they reach
-    (0 and None on a cold start).  Phase-1 pivots include those that
-    drive zero-valued artificials out of the basis; a crashed solve has
-    none.  Degenerate pivots are pricing pivots whose leaving row had
+    of a start, the row negations that move free variables onto their
+    negative columns included, and start_value is the objective at the
+    basis they reach (0 and None on a cold start).  Phase-1 pivots
+    include those that drive zero-valued artificials out of the basis; a
+    crashed solve has none.  Degenerate pivots are pricing pivots whose leaving row had
     rhs 0; bland_fallbacks counts the turns in which Bland's rule priced
     them.  The perf_counter readings mark the start of the solve and the
     end of the build and of each phase (an infeasible solve ends after
@@ -236,7 +240,7 @@ class LpSolution:
 
 @dataclass
 class _RowRecord:
-    origin: tuple  # ("row", problem_row_index) or ("bound", variable_index)
+    origin: Optional[int]  # problem row index, or None for a bound row
     phi: int  # +-1 factor mapping the tableau row back to the problem row
     slack_col: Optional[int]
     slack_sign: int
@@ -244,11 +248,11 @@ class _RowRecord:
 
 
 class _Simplex:
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, start: Optional[Sequence[Crash]]):
         self.started = time.perf_counter()
         self.problem = problem
-        self._standardize()
-        self._assemble()
+        self.start = start
+        self._build()
         self.shape = (self.nrows, self.ncols)
         self.pivots = 0
         self.start_pivots = 0
@@ -257,12 +261,22 @@ class _Simplex:
         self.bland_fallbacks = 0
         self.built = time.perf_counter()
 
-    # -- standard form -------------------------------------------------
+    # -- tableau -------------------------------------------------------
 
-    def _standardize(self) -> None:
-        """Write each x_j as its shift plus signed nonnegative columns x':
-        a finite lower bound shifts, an upper bound alone reflects, and a
-        free variable splits into a difference of two columns."""
+    def _build(self) -> None:
+        """Write the standard-form tableau, each row once.
+
+        Each x_j is its shift plus signed nonnegative columns x': a finite
+        lower bound shifts, an upper bound alone reflects, and a free
+        variable splits into a difference of two columns.  Each problem
+        row, then the row x_j <= hi of each boxed variable, is written
+        once in x', times the sign phi that makes its shifted rhs
+        nonnegative (-1 when the rhs is negative, or 0 on a >= row).  An
+        inequality gets a slack of coefficient phi on <= and -phi on >=,
+        and a row gets an artificial when it is an equality or that
+        coefficient is -1.  Columns: structural, slacks, artificials, rhs.
+        Rows: constraints, the phase-2 costs, and for a cold start with
+        artificials the phase-1 costs; every entry not written is 0."""
         problem = self.problem
         # per variable: ((x' column, sign), ...) and the shift (or None)
         self.columns: list[tuple[tuple, Optional[Fraction]]] = []
@@ -277,80 +291,44 @@ class _Simplex:
                 pairs, shift = ((col, 1), (col + 1, -1)), None
             self.columns.append((pairs, shift))
             costs.extend(cj if sign > 0 else -cj for _, sign in pairs)
-        self.struct_costs = costs
         self.nstruct = len(costs)
 
-        # rows in x' space, nonzeros only: (coeffs, rhs, sense, origin, tau)
-        staged: list[tuple[dict[int, Fraction], Fraction, str, tuple, int]] = []
-        for i, (row, sense, b) in enumerate(
-            zip(problem.rows, problem.senses, problem.rhs)
-        ):
-            coeffs: dict[int, Fraction] = {}
-            for j, a in row:
-                pairs, shift = self.columns[j]
-                for col, sign in pairs:
-                    coeffs[col] = a if sign > 0 else -a
-                if shift is not None:
-                    b -= a * shift
-            if sense == GREATER:
-                coeffs = {col: -a for col, a in coeffs.items()}
-                staged.append((coeffs, -b, LESS, ("row", i), -1))
-            else:
-                staged.append((coeffs, b, sense, ("row", i), 1))
-        for j, ((pairs, _), lo, hi) in enumerate(
-            zip(self.columns, problem.lower, problem.upper)
-        ):
-            if lo is not None and hi is not None:
-                staged.append(({pairs[0][0]: _ONE}, hi - lo, LESS, ("bound", j), 1))
-        self.staged = staged
-
-    # -- tableau -------------------------------------------------------
-
-    def _assemble(self) -> None:
-        staged = self.staged
-        nrows = len(staged)
+        # the problem rows, then the row x_j <= hi of each boxed variable
+        rows = [*zip(problem.rows, problem.senses, problem.rhs)]
+        rows += [
+            (((j, _ONE),), LESS, hi)
+            for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper))
+            if lo is not None and hi is not None
+        ]
+        shifts = [shift for _, shift in self.columns]
+        slack = self.nstruct
+        art = slack + sum(sense != EQUAL for _, sense, _ in rows)
+        self.enter_limit = art  # artificial columns never enter
         records: list[_RowRecord] = []
-        nslack = sum(1 for r in staged if r[2] == LESS)
-        slack_base = self.nstruct
-        art_base = slack_base + nslack
-        slack_seen = 0
-        art_cols: list[int] = []
-        prepared: list[tuple[dict[int, Fraction], Fraction, _RowRecord]] = []
-        for coeffs, b, sense, origin, tau in staged:
-            sigma = 1
-            slack_col = None
-            slack_sign = 1
-            if sense == LESS:
-                slack_col = slack_base + slack_seen
-                slack_seen += 1
-            if b < 0:
-                sigma = -1
-                b = -b
-                coeffs = {col: -a for col, a in coeffs.items()}
-                slack_sign = -1
-            art_col = None
-            if sense == EQUAL or slack_sign < 0:
-                art_col = art_base + len(art_cols)
-                art_cols.append(art_col)
-            rec = _RowRecord(origin, tau * sigma, slack_col, slack_sign, art_col)
+        rhs: list[Fraction] = []  # phi times the shifted rhs
+        for i, (row, sense, b) in enumerate(rows):
+            b -= sum((a * shifts[j] for j, a in row if shifts[j]), _ZERO)
+            phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
+            rec = _RowRecord(i if i < problem.nrows else None, phi, None, 1, None)
+            if sense != EQUAL:
+                rec.slack_col = slack
+                rec.slack_sign = phi if sense == LESS else -phi
+                slack += 1
+            if sense == EQUAL or rec.slack_sign < 0:
+                rec.art_col = art
+                art += 1
             records.append(rec)
-            prepared.append((coeffs, b, rec))
-
+            rhs.append(phi * b)
         self.records = records
-        self.art_cols = art_cols
-        self.enter_limit = art_base  # artificial columns never enter
-        self.ncols = ncols = art_base + len(art_cols) + 1
-        self.nrows = nrows
+        self.art_cols = [rec.art_col for rec in records if rec.art_col is not None]
+        self.nrows = nrows = len(records)
+        self.ncols = ncols = art + 1
         self.basis = [
             rec.art_col if rec.art_col is not None else rec.slack_col
             for rec in records
         ]
-        if any(col is None for col in self.basis):
-            raise InternalConsistencyError("row without a starting basic column")
-
-        # rows 0..nrows-1 constraints, then the phase-2 and phase-1 costs;
-        # every entry not written below is 0
-        nums = [0] * ((nrows + 2) * ncols)
+        phase1 = self.start is None and bool(self.art_cols)
+        nums = [0] * ((nrows + 1 + phase1) * ncols)
         dens = [1] * len(nums)
 
         def put(row: int, entries) -> None:
@@ -361,18 +339,25 @@ class _Simplex:
 
         # phase-1 costs: 1 on each artificial less its row, which prices
         # the starting basic artificials out
-        phase1: dict[int, Fraction] = {}
-        for i, (coeffs, b, rec) in enumerate(prepared):
-            coeffs[ncols - 1] = b
+        phase1_costs: dict[int, Fraction] = {}
+        for i, ((row, _, _), rec, b) in enumerate(zip(rows, records, rhs)):
+            entries = [
+                (col, a if sign == rec.phi else -a)
+                for j, a in row
+                for col, sign in self.columns[j][0]
+            ]
+            entries.append((ncols - 1, b))
             if rec.slack_col is not None:
-                coeffs[rec.slack_col] = Fraction(rec.slack_sign)
+                entries.append((rec.slack_col, Fraction(rec.slack_sign)))
             if rec.art_col is not None:
-                for col, a in coeffs.items():
-                    phase1[col] = phase1.get(col, _ZERO) - a
-                coeffs[rec.art_col] = _ONE
-            put(i, coeffs.items())
-        put(nrows, enumerate(self.struct_costs))
-        put(nrows + 1, phase1.items())
+                if phase1:
+                    for col, a in entries:
+                        phase1_costs[col] = phase1_costs.get(col, _ZERO) - a
+                entries.append((rec.art_col, _ONE))
+            put(i, entries)
+        put(nrows, enumerate(costs))
+        if phase1:
+            put(nrows + 1, phase1_costs.items())
         self.nums = nums
         self.dens = dens
 
@@ -526,8 +511,8 @@ class _Simplex:
                 local = -cbar * rec.slack_sign
             else:  # unreachable: every row starts with a unit column
                 raise InternalConsistencyError("row without a unit column")
-            if rec.origin[0] == "row":
-                y[rec.origin[1]] = rec.phi * local
+            if rec.origin is not None:
+                y[rec.origin] = rec.phi * local
         return tuple(y)
 
     def _basic_point(self) -> tuple[tuple, Fraction]:
@@ -548,23 +533,18 @@ class _Simplex:
     # -- crash start ---------------------------------------------------
 
     def _crash(self, start: Sequence[Crash]) -> None:
-        """Pivot each entry of start into the basis on its first free row
-        with a nonzero entry, then check that the basis reached is
-        primal feasible and free of artificials."""
+        """Pivot the first column of each entry's variable into the basis
+        on its first free row with a nonzero entry, move each free
+        variable basic at a negative value onto its negative column, then
+        check that the basis reached is primal feasible and free of
+        artificials."""
         ncols = self.ncols
         nums = self.nums
         taken: set[int] = set()
         for entry in start:
             if not 0 <= entry.var < self.problem.nvars:
                 raise LpModelError(f"crash variable {entry.var} out of range")
-            col = next(
-                (c for c, sign in self.columns[entry.var][0] if sign == entry.side),
-                None,
-            )
-            if col is None:
-                raise LpModelError(
-                    f"crash variable {entry.var} has no column of side {entry.side}"
-                )
+            col = self.columns[entry.var][0][0][0]
             for i in entry.rows:
                 if not 0 <= i < self.problem.nrows:
                     raise LpModelError(f"crash row {i} out of range")
@@ -579,11 +559,18 @@ class _Simplex:
                 )
             self._pivot(row, col)
             taken.add(row)
+        # the negative column of a free variable is minus its positive
+        # one, so this pivot only negates the row
+        rhs = ncols - 1
+        row_of = {col: i for i, col in enumerate(self.basis)}
+        for pairs, shift in self.columns:
+            i = row_of.get(pairs[0][0])
+            if shift is None and i is not None and nums[i * ncols + rhs] < 0:
+                self._pivot(i, pairs[1][0])
         self.start_pivots = self.pivots
         art_set = set(self.art_cols)
         if any(col in art_set for col in self.basis):
             raise InternalConsistencyError("the crash basis holds an artificial")
-        rhs = ncols - 1
         if any(nums[i * ncols + rhs] < 0 for i in range(self.nrows)):
             raise InternalConsistencyError("the crash basis is not primal feasible")
         self.start_value = self._basic_point()[1]
@@ -610,10 +597,10 @@ class _Simplex:
         )
         return LpSolution(status, x, value, duals, ray, stats)
 
-    def run(self, start: Optional[Sequence[Crash]] = None) -> LpSolution:
-        if start is not None:
-            self._crash(start)
-        if self.art_cols and start is None:
+    def run(self) -> LpSolution:
+        if self.start is not None:
+            self._crash(self.start)
+        elif self.art_cols:
             unbounded_col = self._run_phase(self.nrows + 1)
             if unbounded_col is not None:
                 raise InternalConsistencyError(
@@ -624,11 +611,6 @@ class _Simplex:
                 farkas = self._row_duals(self.nrows + 1, phase1=True)
                 return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
             self._purge_artificials()
-        else:
-            # no artificial is basic; remove the phase-1 row unpriced
-            ncols = self.ncols
-            self.nums = self.nums[: (self.nrows + 1) * ncols]
-            self.dens = self.dens[: (self.nrows + 1) * ncols]
         self._end_phase1()
         unbounded_col = self._run_phase(self.nrows)
         if unbounded_col is not None:
@@ -645,7 +627,7 @@ def solve(
 ) -> LpSolution:
     """Solve to a terminal status with an exact certificate, from the
     crash basis of start when given (see the module docstring)."""
-    return _Simplex(problem).run(start)
+    return _Simplex(problem, start).run()
 
 
 # -- certificate checks ------------------------------------------------

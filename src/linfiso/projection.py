@@ -19,11 +19,10 @@ of bounds (rows outside S are unit rows; row i in S is zero on S and
 minus the canonical vector of i off it).  The point Y = Y_S,
 T = |P_S| entrywise, t = the norm of P_S is feasible, and the crash
 pivots of _crash_start make it a basis: each Y_ik with i in S on a
-free row of the F^T Y = I block of column k, with the split column of
-its sign; T_ij on its P <= T row when P_ij >= 0 and on its -P <= T row
-otherwise, for every nonzero P_ij and every diagonal entry, so that
-every artificial leaves the basis; t on the row-sum row of the first
-largest row.  S is best_set of
+free row of the F^T Y = I block of column k; T_ij on its P <= T row
+when P_ij >= 0 and on its -P <= T row otherwise, for every nonzero P_ij
+and every diagonal entry, so that every artificial leaves the basis; t
+on the row-sum row of the first largest row.  S is best_set of
 bounds.best_upper_bound, the set with the smallest norm, so phase 2
 starts at the best bound the coordinate sections offer; starting at the
 first admissible set instead cost a third more phase-2 pivots on seeded
@@ -218,20 +217,17 @@ def coordinate_projection(
     return Matrix(y_rows), Matrix(p_rows)
 
 
-def _crash_start(
-    index_set: IndexSet, right_inverse: Matrix, projection: Matrix
-) -> list[Crash]:
+def _crash_start(index_set: IndexSet, projection: Matrix) -> list[Crash]:
     """Crash pivots that make the point Y = Y_S, T = |P_S| entrywise,
-    t = the norm of P_S a basis of minimal_projection_program (see the
-    module docstring)."""
-    n, m = right_inverse.rows, right_inverse.cols
+    t = the norm of P_S a basis of minimal_projection_program, for
+    P_S = projection (see the module docstring)."""
+    n, m = projection.rows, len(index_set)
     lay = _Layout(n, m)
     start = []
     for i in (member - 1 for member in index_set):
         for k in range(m):
-            side = 1 if right_inverse[i, k] >= 0 else -1
             rows = tuple(lay.identity_row(j, k) for j in range(m))
-            start.append(Crash(lay.y(i, k), rows, side))
+            start.append(Crash(lay.y(i, k), rows))
     for i in range(n):
         for j in range(n):
             value = projection[i, j]
@@ -308,7 +304,8 @@ def projection_constant(
     else:
         if best_set is None:
             best_set = best_upper_bound(spec).best_set
-        start = _crash_start(best_set, *coordinate_projection(spec, best_set))
+        _, p_s = coordinate_projection(spec, best_set)
+        start = _crash_start(best_set, p_s)
         solution = solve(program, start)
         method = "lp"
     if solution.status is not LpStatus.OPTIMAL or solution.x is None:

@@ -91,7 +91,7 @@ class TestPairMinors:
     def test_method_tag(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
         report = decide_isometric(spec)
-        assert report.method is DecisionMethod.PAIR_MINORS
+        assert report.method is DecisionMethod.GENERAL
 
     def test_example_witness(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])

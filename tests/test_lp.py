@@ -189,11 +189,25 @@ class TestCrashStart:
         assert verify_certificate(prob, sol)
 
     def test_free_variable_sides(self):
+        # x enters on its positive column at -5, then moves onto its
+        # negative column, which negates the row
         prob = build([0], [[1]], ["=="], [-5], lower=[None])
-        sol = solve(prob, [Crash(0, (0,), -1)])
+        sol = solve(prob, [Crash(0, (0,))])
         assert sol.x == (F(-5),)
-        with pytest.raises(InternalConsistencyError, match="feasible"):
-            solve(prob, [Crash(0, (0,), 1)])
+        assert verify_certificate(prob, sol)
+        assert sol.stats.start_pivots == 2
+
+    def test_single_column_variables(self):
+        # x0 in [0, 3] is shifted and x1 <= 4 reflected: each has one
+        # column, and x0 + x1 == 3, x0 - x1 == 1 crash to (2, 1)
+        prob = build(
+            [1, 1], [[1, 1], [1, -1]], ["==", "=="], [3, 1],
+            lower=[0, None], upper=[3, 4],
+        )
+        sol = solve(prob, [Crash(0, (0,)), Crash(1, (1,))])
+        assert sol.x == (F(2), F(1))
+        assert (sol.stats.start_pivots, sol.stats.phase1_pivots) == (2, 0)
+        assert verify_certificate(prob, sol)
 
     def test_infeasible_basis_raises(self):
         # x0 basic on the equality gives x0 = -2
@@ -212,7 +226,7 @@ class TestCrashStart:
             solve(prob, [Crash(1, (0,)), Crash(0, (0,))])
 
     def test_malformed_entries_refused(self):
-        for bad in (Crash(2, (0,)), Crash(0, (1,)), Crash(0, (0,), -1)):
+        for bad in (Crash(2, (0,)), Crash(0, (1,))):
             with pytest.raises(LpModelError):
                 solve(self.PROB, [bad])
 

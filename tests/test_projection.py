@@ -257,7 +257,7 @@ class TestProjectionNorm:
 
     def test_idempotence_contract(self):
         with pytest.raises(ContractError):
-            projection_norm(ANCHOR, Matrix.identity(3).scaled(F(1, 2)))
+            projection_norm(ANCHOR, Matrix([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]]))
 
     def test_range_contract(self):
         # idempotent, but its range is not the subspace
@@ -273,7 +273,7 @@ class TestGoodIndexSet:
 
     def test_right_inverse_contract(self):
         with pytest.raises(ContractError):
-            good_index_set(ANCHOR, Matrix([[1], [0], [0]]).scaled(F(2)))
+            good_index_set(ANCHOR, Matrix([[2], [0], [0]]))
 
     def test_block_is_invertible(self):
         rng = random.Random(606)
@@ -395,10 +395,10 @@ class TestCrashStart:
 
     @staticmethod
     def starts(spec):
-        """The crash list of projection_constant, with Y_S and P_S."""
+        """The crash list of projection_constant, with P_S."""
         best = best_upper_bound(spec).best_set
-        y, p = coordinate_projection(spec, best)
-        return _crash_start(best, y, p), y, p
+        _, p = coordinate_projection(spec, best)
+        return _crash_start(best, p), p
 
     def test_start_pivot_count(self):
         # m^2 Y entries, a T entry per nonzero or diagonal entry of P_S,
@@ -406,29 +406,16 @@ class TestCrashStart:
         # off-diagonal entries at most
         for spec in crash_specs():
             n, m = spec.ambient, spec.codim
-            start, _, p = self.starts(spec)
+            start, p = self.starts(spec)
             nonzero = sum(
                 1 for i in range(n) for j in range(n) if i != j and p[i, j]
             )
             assert len(start) == m * m + n + nonzero + 1
             assert nonzero <= m * (n - m)
 
-    def test_wrong_y_sign_raises(self):
-        for spec in crash_specs()[:4]:
-            start, y, _ = self.starts(spec)
-            program = minimal_projection_program(spec)
-            m = spec.codim
-            k = next(
-                i for i, c in enumerate(start[: m * m]) if y[c.var // m, c.var % m]
-            )
-            side = -start[k].side
-            flipped = start[:k] + [Crash(start[k].var, start[k].rows, side)]
-            with pytest.raises(InternalConsistencyError):
-                solve(program, flipped + start[k + 1 :])
-
     def test_wrong_t_row_raises(self):
         for spec in crash_specs()[:4]:
-            start, _, p = self.starts(spec)
+            start, p = self.starts(spec)
             program = minimal_projection_program(spec)
             n, m = spec.ambient, spec.codim
             # an off-diagonal entry on the other row of its pair takes
@@ -466,7 +453,7 @@ class TestCrashStart:
 
     def test_entry_without_a_pivot_row_raises(self):
         spec = crash_specs()[0]
-        start, _, _ = self.starts(spec)
+        start, _ = self.starts(spec)
         program = minimal_projection_program(spec)
         m = spec.codim
         # once basic, a variable is zero on every row it did not take
