@@ -6,13 +6,20 @@ Run from the root of a source checkout:
 
 For each shape (N, m) the instance is random_instance(random.Random(1), N, m)
 and projection_constant runs REPEATS times.  Each time is the median over
-the repeats, in seconds: the whole projection_constant call, the tableau
-build, phase 1 (the crash pivots of a started solve, else the phase-1
-pricing), phase 2, the whole solve, and verify_certificate.  The pivot
-counts and the digest of lambda come from the first repeat; every repeat
-must give the same ones, or the script exits 1.  The file also records the
-Python version, the CPU count and the commit, so two files written by two
-checkouts of the program on one machine compare layer by layer.
+the repeats, in seconds: the whole projection_constant call; setup_s, from
+the call to the start of the LP (the program build, the best-set scan and
+P_S); master_s, from the start of the LP to its last solve (every round of
+the cut loop, its separation included); mapping_s, from there to the end
+of the call (the certificate on the full program and the reading of Y and
+P); and verify_certificate.  The answer fields come from the first repeat,
+and every repeat must give the same ones, or the script exits 1: the
+digest of lambda, whether the certificate verifies, the cut rounds and
+cuts, the master's pivots, degenerate pivots and Bland turns, and the
+largest bit length of a tableau entry at the end.  The file also records
+the Python version, the CPU count, the commit, and source_sha256, a digest
+of src/linfiso/*.py that tells apart checkouts without git metadata, so two
+files written by two checkouts of the program on one machine compare layer
+by layer.  A checkout that predates a field reports it as null.
 
 The program is imported from ./src of the checkout the script runs from.
 """
@@ -62,20 +69,29 @@ def measure(n: int, m: int) -> dict:
         "answer": {
             "lambda_digest": digest(result.constant),
             "certificate_verifies": ok,
-            "start_pivots": getattr(stats, "start_pivots", 0),
-            "phase1_pivots": stats.phase1_pivots,
-            "phase2_pivots": stats.phase2_pivots,
+            "rounds": getattr(result, "rounds", None),
+            "cuts": getattr(result, "cuts", None),
+            "pivots": stats.phase1_pivots + stats.phase2_pivots,
             "degenerate_pivots": stats.degenerate_pivots,
+            "bland_fallbacks": stats.bland_fallbacks,
+            "tableau_bits": getattr(stats, "phase2_bits", None),
         },
         "seconds": {
             "projconst_s": ended - began,
-            "build_s": stats.built - stats.started,
-            "phase1_s": stats.phase1_done - stats.built,
-            "phase2_s": stats.finished - stats.phase1_done,
-            "solve_s": stats.finished - stats.started,
+            "setup_s": stats.started - began,
+            "master_s": stats.finished - stats.started,
+            "mapping_s": ended - stats.finished,
             "verify_s": verified - ended,
         },
     }
+
+
+def source_sha256() -> str:
+    """A digest of the names and bytes of src/linfiso/*.py."""
+    h = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "linfiso").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def commit() -> str:
@@ -108,12 +124,13 @@ def main() -> int:
         }
         rows.append({"n": n, "m": m, "seed": SEED, **answer, **seconds})
         print(
-            f"({n}, {m}): lambda {answer['lambda_digest']}  pivots start "
-            f"{answer['start_pivots']} phase 1 {answer['phase1_pivots']} "
-            f"phase 2 {answer['phase2_pivots']}  solve {seconds['solve_s']} s"
+            f"({n}, {m}): lambda {answer['lambda_digest']}  rounds "
+            f"{answer['rounds']} cuts {answer['cuts']} pivots "
+            f"{answer['pivots']}  projconst {seconds['projconst_s']} s"
         )
     report = {
         "commit": commit(),
+        "source_sha256": source_sha256(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),

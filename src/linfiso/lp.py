@@ -47,27 +47,30 @@ the variable box, skipping zero multipliers and coefficients).
 * unbounded: a feasible point and an improving ray that meets the
   homogeneous rows and bounds (verify_unboundedness).
 
-solve takes an optional start: an ordered list of crash pivots (Bixby
-1992) that builds a primal feasible basis the caller knows, in place of
-phase 1.  Each Crash names a variable and the problem rows it may enter
-on; the variable's first standard-form column pivots on the first of
-those rows not taken by an earlier crash pivot whose tableau entry in
-that column is nonzero, whatever the ratio test would say.  After the
-last entry, each free variable whose positive column is basic at a
-negative value pivots onto its negative column, which is minus the
-positive one, so the pivot only negates the row.  The basis reached
-must hold no artificial and have a nonnegative right-hand side;
-otherwise solve raises InternalConsistencyError, as it does when an
-entry finds no row.  A crashed solve writes no phase-1 cost row, and
-phase 2 starts at once.  The start changes the route, not the program:
-the optimum value and the certificate checks are the same, and only the
-optimal vertex may differ.
+Master holds a problem whose columns arrive over rounds, as in column
+generation: every variable is nonnegative, and every row that needs an
+artificial has right-hand side 0, so the starting basis of slacks and
+artificials is feasible and phase 1 never runs.  Such an artificial
+stays basic at 0 until a column with a nonzero entry in its row enters:
+in phase 2 the ratio test lets it leave first, at ratio 0, whatever the
+sign of that entry, and an artificial never enters, so phase 2 holds
+every basic artificial at 0 and the point stays feasible.  The row of
+an artificial is never dropped, because a later column may load it.
+Each artificial leaves at most once, so these pivots leave the
+termination argument above intact.  append() writes new columns into
+the tableau priced through the starting unit columns, which hold B^-1:
+the tableau column of a is B^-1 a, and its reduced cost is its cost
+plus the cost row on those unit columns times a.  B^-1 is read once per
+call, for all the columns of the call.  solve(master) then resumes
+phase 2 from the basis the last solve ended at, with the same pricing,
+ratio test and pivot as a cold solve.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from math import lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -149,15 +152,42 @@ class LpProblem:
     def nrows(self) -> int:
         return len(self.rows)
 
+    def with_columns(
+        self, objective: Sequence, columns: Sequence[Sequence[tuple[int, object]]]
+    ) -> "LpProblem":
+        """This problem with one more nonnegative variable per column,
+        numbered after the existing ones.  Each column is (row,
+        coefficient) pairs in increasing row order, checked like a row of
+        build()."""
+        costs = tuple(as_rational(c) for c in objective)
+        if len(costs) != len(columns):
+            raise LpModelError("objective and columns lengths differ")
+        rows = [list(row) for row in self.rows]
+        for j, column in enumerate(columns, start=self.nvars):
+            for i, a in _sparse_row(column, self.nrows, "row"):
+                rows[i].append((j, a))
+        return LpProblem(
+            self.objective + costs,
+            tuple(map(tuple, rows)),
+            self.senses,
+            self.rhs,
+            self.lower + (_ZERO,) * len(costs),
+            self.upper + (None,) * len(costs),
+        )
 
-def _sparse_row(pairs, n: int) -> tuple[tuple[int, Fraction], ...]:
+
+def _sparse_row(
+    pairs, n: int, index: str = "column"
+) -> tuple[tuple[int, Fraction], ...]:
+    """The pairs of one row (or, with index="row", of one column) with
+    indices checked against n and zero coefficients dropped."""
     row = []
     prev = -1
     for j, a in pairs:
         if not (isinstance(j, int) and 0 <= j < n):
-            raise LpModelError(f"column {j!r} outside 0..{n - 1}")
+            raise LpModelError(f"{index} {j!r} outside 0..{n - 1}")
         if j <= prev:
-            raise LpModelError(f"column {j} repeated or out of order in a row")
+            raise LpModelError(f"{index} {j} repeated or out of order")
         prev = j
         a = as_rational(a)
         if a:
@@ -175,44 +205,35 @@ def _bound_tuple(values, n: int, default) -> tuple:
 
 
 @dataclass(frozen=True)
-class Crash:
-    """One pivot of a crash start: variable var enters the basis on the
-    first of rows (problem row indices) not taken by an earlier crash
-    pivot whose entry in its column is nonzero.  A free variable enters
-    on its positive column and moves to its negative one when its value
-    comes out negative (see the module docstring)."""
-
-    var: int
-    rows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LpStats:
     """Counters of one solve.
 
     rows and cols are the tableau's constraint rows and columns (the rhs
-    column included) as assembled.  start_pivots counts the crash pivots
-    of a start, the row negations that move free variables onto their
-    negative columns included, and start_value is the objective at the
-    basis they reach (0 and None on a cold start).  Phase-1 pivots
-    include those that drive zero-valued artificials out of the basis; a
-    crashed solve has none.  Degenerate pivots are pricing pivots whose leaving row had
-    rhs 0; bland_fallbacks counts the turns in which Bland's rule priced
-    them.  The perf_counter readings mark the start of the solve and the
-    end of the build and of each phase (an infeasible solve ends after
-    phase 1, and a crashed one's phase 1 ends with its last crash
-    pivot); they are left out of equality, so two solves of one program
-    compare equal.
+    column included) as assembled.  Phase-1 pivots include those that
+    drive zero-valued artificials out of the basis.  Degenerate pivots
+    are pricing pivots whose leaving row had rhs 0; bland_fallbacks
+    counts the turns in which Bland's rule priced them.  phase1_bits and
+    phase2_bits are the largest bit length of a numerator or denominator
+    in the tableau at the end of each phase, read by one scan each
+    (phase1_bits is read after the build when phase 1 does not run, and
+    phase2_bits is None when phase 2 does not run).  The perf_counter
+    readings mark the start of the solve and the end of the build and of
+    each phase (an infeasible solve ends after phase 1); they are left
+    out of equality, so two solves of one program compare equal.
+
+    For a Master the counts run over all its solves so far, cols is the
+    width after the last append, phase1_done equals built, and phase2_bits
+    and finished are those of the last solve.
     """
 
     rows: int
     cols: int
-    start_pivots: int
-    start_value: Optional[Fraction]
     phase1_pivots: int
     phase2_pivots: int
     degenerate_pivots: int
     bland_fallbacks: int
+    phase1_bits: int
+    phase2_bits: Optional[int]
     started: float = field(compare=False)
     built: float = field(compare=False)
     phase1_done: float = field(compare=False)
@@ -248,22 +269,23 @@ class _RowRecord:
 
 
 class _Simplex:
-    def __init__(self, problem: LpProblem, start: Optional[Sequence[Crash]]):
+    """The tableau of one problem.  phase1=False writes no phase-1 cost
+    row, for a Master, whose starting basis is feasible."""
+
+    def __init__(self, problem: LpProblem, phase1: bool = True):
         self.started = time.perf_counter()
         self.problem = problem
-        self.start = start
-        self._build()
+        self._build(phase1)
         self.shape = (self.nrows, self.ncols)
         self.pivots = 0
-        self.start_pivots = 0
-        self.start_value: Optional[Fraction] = None
         self.degenerate_pivots = 0
         self.bland_fallbacks = 0
+        self.phase2_bits: Optional[int] = None
         self.built = time.perf_counter()
 
     # -- tableau -------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, phase1: bool) -> None:
         """Write the standard-form tableau, each row once.
 
         Each x_j is its shift plus signed nonnegative columns x': a finite
@@ -275,7 +297,7 @@ class _Simplex:
         inequality gets a slack of coefficient phi on <= and -phi on >=,
         and a row gets an artificial when it is an equality or that
         coefficient is -1.  Columns: structural, slacks, artificials, rhs.
-        Rows: constraints, the phase-2 costs, and for a cold start with
+        Rows: constraints, the phase-2 costs, and with phase1 and
         artificials the phase-1 costs; every entry not written is 0."""
         problem = self.problem
         # per variable: ((x' column, sign), ...) and the shift (or None)
@@ -327,7 +349,7 @@ class _Simplex:
             rec.art_col if rec.art_col is not None else rec.slack_col
             for rec in records
         ]
-        phase1 = self.start is None and bool(self.art_cols)
+        phase1 = phase1 and bool(self.art_cols)
         nums = [0] * ((nrows + 1 + phase1) * ncols)
         dens = [1] * len(nums)
 
@@ -385,13 +407,18 @@ class _Simplex:
                     best, best_n, best_d = j, n, d
         return best
 
-    def _leaving(self, col: int) -> Optional[int]:
+    def _leaving(self, col: int, hold: bool) -> Optional[int]:
+        """The ratio test, ties to the smallest basic column.  With hold
+        (phase 2), the first basic artificial with a nonzero entry leaves
+        first: it is at 0, and leaving keeps it there."""
         ncols = self.ncols
         rhs = ncols - 1
         best = None
         best_rn = best_rd = 0
         for i in range(self.nrows):
             an = self.nums[i * ncols + col]
+            if hold and an and self.basis[i] >= self.enter_limit:
+                return i
             if an <= 0:
                 continue
             ad = self.dens[i * ncols + col]
@@ -420,6 +447,7 @@ class _Simplex:
         to Dantzig's rule and span to _DEGENERATE_STREAK."""
         guard = 20000 + 200 * (self.nrows + self.ncols)
         rhs = self.ncols - 1
+        hold = cost_idx == self.nrows
         bland = False
         span = _DEGENERATE_STREAK
         run = 0  # degenerate pivots under the current rule
@@ -427,7 +455,7 @@ class _Simplex:
             col = self._entering(cost_idx, bland)
             if col is None:
                 return None
-            row = self._leaving(col)
+            row = self._leaving(col, hold)
             if row is None:
                 return col
             if self.nums[row * self.ncols + rhs]:
@@ -530,66 +558,21 @@ class _Simplex:
                 direction[col] = -self._frac(i, entering_col)
         return self._to_original(direction, affine=False)
 
-    # -- crash start ---------------------------------------------------
-
-    def _crash(self, start: Sequence[Crash]) -> None:
-        """Pivot the first column of each entry's variable into the basis
-        on its first free row with a nonzero entry, move each free
-        variable basic at a negative value onto its negative column, then
-        check that the basis reached is primal feasible and free of
-        artificials."""
-        ncols = self.ncols
-        nums = self.nums
-        taken: set[int] = set()
-        for entry in start:
-            if not 0 <= entry.var < self.problem.nvars:
-                raise LpModelError(f"crash variable {entry.var} out of range")
-            col = self.columns[entry.var][0][0][0]
-            for i in entry.rows:
-                if not 0 <= i < self.problem.nrows:
-                    raise LpModelError(f"crash row {i} out of range")
-            row = next(
-                (i for i in entry.rows if i not in taken and nums[i * ncols + col]),
-                None,
-            )
-            if row is None:
-                raise InternalConsistencyError(
-                    f"crash variable {entry.var} has no free row with a "
-                    "nonzero entry"
-                )
-            self._pivot(row, col)
-            taken.add(row)
-        # the negative column of a free variable is minus its positive
-        # one, so this pivot only negates the row
-        rhs = ncols - 1
-        row_of = {col: i for i, col in enumerate(self.basis)}
-        for pairs, shift in self.columns:
-            i = row_of.get(pairs[0][0])
-            if shift is None and i is not None and nums[i * ncols + rhs] < 0:
-                self._pivot(i, pairs[1][0])
-        self.start_pivots = self.pivots
-        art_set = set(self.art_cols)
-        if any(col in art_set for col in self.basis):
-            raise InternalConsistencyError("the crash basis holds an artificial")
-        if any(nums[i * ncols + rhs] < 0 for i in range(self.nrows)):
-            raise InternalConsistencyError("the crash basis is not primal feasible")
-        self.start_value = self._basic_point()[1]
-
     # -- driver --------------------------------------------------------
 
-    def _end_phase1(self) -> None:
-        self.phase1_pivots = self.pivots - self.start_pivots
-        self.phase1_done = time.perf_counter()
+    def _bits(self) -> int:
+        """The largest bit length of a numerator or denominator."""
+        return max(map(int.bit_length, self.nums + self.dens))
 
     def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
         stats = LpStats(
             *self.shape,
-            self.start_pivots,
-            self.start_value,
             self.phase1_pivots,
-            self.pivots - self.start_pivots - self.phase1_pivots,
+            self.pivots - self.phase1_pivots,
             self.degenerate_pivots,
             self.bland_fallbacks,
+            self.phase1_bits,
+            self.phase2_bits,
             self.started,
             self.built,
             self.phase1_done,
@@ -597,10 +580,13 @@ class _Simplex:
         )
         return LpSolution(status, x, value, duals, ray, stats)
 
+    def _end_phase1(self) -> None:
+        self.phase1_pivots = self.pivots
+        self.phase1_bits = self._bits()
+        self.phase1_done = time.perf_counter()
+
     def run(self) -> LpSolution:
-        if self.start is not None:
-            self._crash(self.start)
-        elif self.art_cols:
+        if self.art_cols:
             unbounded_col = self._run_phase(self.nrows + 1)
             if unbounded_col is not None:
                 raise InternalConsistencyError(
@@ -612,7 +598,12 @@ class _Simplex:
                 return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
             self._purge_artificials()
         self._end_phase1()
+        return self.phase2()
+
+    def phase2(self) -> LpSolution:
+        """Run phase 2 from the current basis to a terminal status."""
         unbounded_col = self._run_phase(self.nrows)
+        self.phase2_bits = self._bits()
         if unbounded_col is not None:
             x = self._to_original(self._structural_values(), affine=True)
             ray = self._ray(unbounded_col)
@@ -621,13 +612,126 @@ class _Simplex:
         duals = self._row_duals(self.nrows, phase1=False)
         return self._solution(LpStatus.OPTIMAL, x, value, duals)
 
+    # -- appended columns ----------------------------------------------
 
-def solve(
-    problem: LpProblem, start: Optional[Sequence[Crash]] = None
-) -> LpSolution:
-    """Solve to a terminal status with an exact certificate, from the
-    crash basis of start when given (see the module docstring)."""
-    return _Simplex(problem, start).run()
+    def append(self, problem: LpProblem) -> None:
+        """Write the variables problem has beyond self.problem, which it
+        extends by with_columns, as tableau columns after the structural
+        ones: B^-1 a and the reduced cost, read through the unit column
+        each row started with (see the module docstring)."""
+        old = self.problem
+        width = problem.nvars - old.nvars
+        # each new column a in tableau rows (phi times its entries)
+        entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
+        for r, rec in enumerate(self.records):
+            if rec.origin is not None:
+                for j, a in problem.rows[rec.origin]:
+                    if j >= old.nvars:
+                        entries[j - old.nvars][r] = a if rec.phi > 0 else -a
+        loaded = sorted({r for column in entries for r in column})
+        units = [
+            rec.art_col if rec.art_col is not None else rec.slack_col
+            for rec in self.records
+        ]
+        # integer columns over one denominator each, indexed like loaded
+        at = {r: p for p, r in enumerate(loaded)}
+        columns = []
+        for column in entries:
+            den = lcm(*(a.denominator for a in column.values()))
+            ints = [
+                (at[r], a.numerator * (den // a.denominator))
+                for r, a in column.items()
+            ]
+            columns.append((ints, den))
+        costs = problem.objective[old.nvars :]
+        ncols = self.ncols
+        nums, dens = self.nums, self.dens
+        new_nums: list[int] = []
+        new_dens: list[int] = []
+        for i in range(self.nrows + 1):  # constraint rows and the cost row
+            base = i * ncols
+            # row i of B^-1 on the loaded rows, over one denominator
+            row_dens = [dens[base + units[r]] for r in loaded]
+            row_den = lcm(*row_dens)
+            inverse = [
+                nums[base + units[r]] * (row_den // d) for r, d in zip(loaded, row_dens)
+            ]
+            values = []
+            for (ints, den), cost in zip(columns, costs):
+                num = sum(a * inverse[p] for p, a in ints)
+                den *= row_den
+                if i == self.nrows:  # the reduced cost adds the cost
+                    num = num * cost.denominator + cost.numerator * den
+                    den *= cost.denominator
+                values.append(_kernels.normalize(num, den))
+            cut = base + self.nstruct
+            new_nums += nums[base:cut]
+            new_nums += (v[0] for v in values)
+            new_nums += nums[cut : base + ncols]
+            new_dens += dens[base:cut]
+            new_dens += (v[1] for v in values)
+            new_dens += dens[cut : base + ncols]
+        self.nums, self.dens = new_nums, new_dens
+        first = self.nstruct
+        self.columns += [(((first + k, 1),), _ZERO) for k in range(width)]
+        self.basis = [col + width if col >= first else col for col in self.basis]
+        for rec in self.records:
+            if rec.slack_col is not None:
+                rec.slack_col += width
+            if rec.art_col is not None:
+                rec.art_col += width
+        self.art_cols = [col + width for col in self.art_cols]
+        self.nstruct += width
+        self.enter_limit += width
+        self.ncols += width
+        self.shape = (self.nrows, self.ncols)
+        self.problem = problem
+
+
+class Master:
+    """A problem solved, then extended by columns and solved again from
+    the basis the last solve ended at, without phase 1 (see the module
+    docstring).  Every variable must be nonnegative and unbounded above,
+    and every row that needs an artificial must have right-hand side 0;
+    otherwise the constructor raises LpModelError.  problem is the
+    problem with every column appended so far, on which the solutions of
+    solve(master) verify."""
+
+    def __init__(self, problem: LpProblem):
+        bounds = zip(problem.lower, problem.upper)
+        if any(lo != 0 or hi is not None for lo, hi in bounds):
+            raise LpModelError(
+                "a master's variables must be nonnegative and unbounded above"
+            )
+        self._tableau = tableau = _Simplex(problem, phase1=False)
+        rhs = tableau.ncols - 1
+        if any(
+            rec.art_col is not None and tableau.nums[i * tableau.ncols + rhs]
+            for i, rec in enumerate(tableau.records)
+        ):
+            raise LpModelError("a master's rows with artificials must have rhs 0")
+        tableau._end_phase1()
+
+    @property
+    def problem(self) -> LpProblem:
+        return self._tableau.problem
+
+    def append(
+        self, objective: Sequence, columns: Sequence[Sequence[tuple[int, object]]]
+    ) -> None:
+        """Add one nonnegative variable per column, with the given costs;
+        columns are (row, coefficient) pairs in increasing row order."""
+        self._tableau.append(self.problem.with_columns(objective, columns))
+
+
+
+def solve(problem: LpProblem | Master) -> LpSolution:
+    """Solve to a terminal status with an exact certificate: an LpProblem
+    from scratch, or a Master's problem from the basis its last solve
+    ended at (phase 2 alone)."""
+    if isinstance(problem, Master):
+        return problem._tableau.phase2()
+    return _Simplex(problem).run()
 
 
 # -- certificate checks ------------------------------------------------

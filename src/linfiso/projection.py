@@ -7,29 +7,48 @@ absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible, and written once, in _Layout:
-minimal_projection_program, the crash start, the hyperplane closed form
+minimal_projection_program, the cut loop, the hyperplane closed form
 and the reading of Y from a solution all index through it.
 
-For codimension m >= 2 the program is solved by the simplex in lp,
-started from a coordinate projection instead of from phase 1.  Each
-index set S whose block F_S is invertible gives the right inverse Y_S,
-equal to F_S^{-T} on the rows of S and zero elsewhere, and the
+Each index set S whose block F_S is invertible gives the right inverse
+Y_S, equal to F_S^{-T} on the rows of S and zero elsewhere, and the
 projection P_S = I - Y_S F^T, whose norm is the per-set distance bound
 of bounds (rows outside S are unit rows; row i in S is zero on S and
-minus the canonical vector of i off it).  The point Y = Y_S,
-T = |P_S| entrywise, t = the norm of P_S is feasible, and the crash
-pivots of _crash_start make it a basis: each Y_ik with i in S on a
-free row of the F^T Y = I block of column k; T_ij on its P <= T row
-when P_ij >= 0 and on its -P <= T row otherwise, for every nonzero P_ij
-and every diagonal entry, so that every artificial leaves the basis; t
-on the row-sum row of the first largest row.  S is best_set of
-bounds.best_upper_bound, the set with the smallest norm, so phase 2
-starts at the best bound the coordinate sections offer; starting at the
-first admissible set instead cost a third more phase-2 pivots on seeded
-instances.  A caller that already holds that report passes its best_set
-to projection_constant, so the scan runs once.  The start changes only the route: the program, its optimum
-and the certificate check are the same, though the optimal vertex
-reached may differ from a cold start's.
+minus the canonical vector of i off it).
+
+For codimension m >= 2 the program is solved by delayed sign-vector
+cuts (Kelley 1960) from P_S, S the best set of bounds.best_upper_bound;
+a caller that already holds that report passes its best_set to
+projection_constant, so the scan runs once.  Every right inverse is
+Y = Y_S + K W, where K, the columns of P_S off S, spans V and is the
+identity off S, and W is a free (N - m) x m matrix; then
+P = P_S - K W F^T.  The master is min t over W and t >= 1 subject to
+cuts sigma . P_i <= t, one per row i and sign vector sigma (+1 on
+zeros); it starts with +-sign(row i of P_S) for every i, and after each
+solve gets sign(P_i) for every row with |P_i|_1 > t, until there is
+none.  There are finitely many sign vectors, so the loop ends, and then
+t is the norm of P and the optimum, since the master relaxes the
+program.  lp.Master solves the master's dual, one column per cut:
+minimize sum_c mu_c (1 - sigma . P_S,i) subject to sum_c mu_c a_c = 0 on
+the (N - m) m rows of W, a_c[a, k] = K_ia (F^T sigma)_k, and
+sum_c mu_c <= 1, mu >= 0, whose slack is the multiplier of t >= 1.  Its
+rows start with artificials at 0 and that slack at 1, so no phase 1
+runs, and each round's cuts are appended to the last optimal tableau.
+W is minus the duals of the W rows and t is 1 minus the dual of the
+last row.
+
+The certificate is mapped back to minimal_projection_program.  The
+point is Y, T = |P| entrywise and t.  When t > 1 the t >= 1 row is
+slack, so sum mu = 1, and the dual puts -mu of cut (i, sigma) on the
+P_ij <= T_ij row of each j with sigma_j = +1, on the -P_ij <= T_ij row
+otherwise, and on the row-sum row of i; the F^T Y = I rows get nu with
+F nu = -G, G_i = sum mu F^T sigma over the cuts on row i, solved on the
+rows of S.  The master's dual constraints give K^T G = 0, so this nu
+solves every row and prices each Y_ik to 0.  When t = 1 that dual can
+fall short of 1, so the rank-one dual is used instead: Z = e_k v^T / v_k
+for the column v of K at the first coordinate off S and k the first
+index of its largest entry, nu = 0, split over the rows as below.  The
+certificate carries the master's LpStats.
 
 For a hyperplane (m = 1, F a single column f) the optimal point and an
 optimal dual of the same program are written down directly (Blatter and
@@ -55,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .bounds import best_upper_bound
@@ -73,7 +93,7 @@ from .linalg import (
     op_norm_inf,
     vec_norm1,
 )
-from .lp import Crash, LpProblem, LpSolution, LpStatus, solve
+from .lp import LpProblem, LpSolution, LpStatus, Master, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,7 +108,10 @@ class ProjectionResult:
     and certificate is an optimal LpSolution of program whose duals
     prove optimality.  method names the route: "hyperplane" when m = 1
     and the primal and dual were built in closed form (certificate.stats
-    is then None), "lp" when the simplex solved program."""
+    is then None), "cuts" when the cut loop solved program
+    (certificate.stats is then the master's).  rounds counts the master
+    solves and cuts the sign-vector cuts of the cut loop (0 for a
+    hyperplane)."""
 
     constant: Fraction
     projection: Matrix
@@ -96,6 +119,8 @@ class ProjectionResult:
     certificate: LpSolution
     program: LpProblem
     method: str
+    rounds: int
+    cuts: int
 
 
 @dataclass(frozen=True)
@@ -217,27 +242,161 @@ def coordinate_projection(
     return Matrix(y_rows), Matrix(p_rows)
 
 
-def _crash_start(index_set: IndexSet, projection: Matrix) -> list[Crash]:
-    """Crash pivots that make the point Y = Y_S, T = |P_S| entrywise,
-    t = the norm of P_S a basis of minimal_projection_program, for
-    P_S = projection (see the module docstring)."""
-    n, m = projection.rows, len(index_set)
+def _signs(row) -> tuple[int, ...]:
+    """The sign vector of row, +1 on zeros."""
+    return tuple(-1 if v < 0 else 1 for v in row)
+
+
+def _signed_sum(values, sign) -> Fraction:
+    return sum((v if s > 0 else -v for v, s in zip(values, sign)), _ZERO)
+
+
+def _cut_loop(
+    spec: SubspaceSpec, index_set: IndexSet
+) -> tuple[LpSolution, int, int]:
+    """An optimal point and dual of minimal_projection_program(spec) by
+    delayed sign-vector cuts from the coordinate projection of index_set,
+    with the number of master solves and of cuts (see the module
+    docstring)."""
+    n, m = spec.ambient, spec.codim
+    f_rows = [spec.annihilator.row(j) for j in range(n)]
+    f_cols = [spec.annihilator.column(k) for k in range(m)]
+    y_s, p_s = coordinate_projection(spec, index_set)
+    p_rows = [p_s.row(i) for i in range(n)]
+    # K, the columns of P_S off index_set, spans V and is the identity
+    # off index_set; k_rows[i] holds the nonzero (a, K_ia)
+    off = [b for b in range(n) if b + 1 not in index_set]
+    k_rows = [[(a, row[b]) for a, b in enumerate(off) if row[b]] for row in p_rows]
+    convexity = len(off) * m  # the master row sum(mu) <= 1, after the W rows
+    cuts: list[tuple[int, tuple[int, ...]]] = []  # (row i, sigma) per column
+
+    def add(new) -> tuple[list[Fraction], list[list]]:
+        """The costs 1 - sigma . P_S,i and the columns (K_ia (F^T sigma)_k
+        on W row (a, k), then 1 on the last row) of the cuts new."""
+        costs, columns = [], []
+        for i, sign in new:
+            ft_sign = [_signed_sum(col, sign) for col in f_cols]
+            costs.append(_ONE - _signed_sum(p_rows[i], sign))
+            column = [
+                (a * m + k, ka * g)
+                for a, ka in k_rows[i]
+                for k, g in enumerate(ft_sign)
+                if g
+            ]
+            column.append((convexity, _ONE))
+            columns.append(column)
+        cuts.extend(new)
+        return costs, columns
+
+    costs, columns = add(
+        [
+            (i, sign)
+            for i, row in enumerate(p_rows)
+            for sign in (_signs(row), tuple(-s for s in _signs(row)))
+        ]
+    )
+    rows: list[list] = [[] for _ in range(convexity + 1)]
+    for j, column in enumerate(columns):
+        for r, a in column:
+            rows[r].append((j, a))
+    senses = ["=="] * convexity + ["<="]
+    master = Master(LpProblem.build(costs, rows, senses, [0] * convexity + [1]))
+    seen = set(cuts)
+    rounds = 0
+    while True:
+        rounds += 1
+        solution = solve(master)
+        if solution.status is not LpStatus.OPTIMAL or solution.duals is None:
+            raise InternalConsistencyError(
+                f"the cut master must have an optimum, got {solution.status}"
+            )
+        # W is minus the duals of the W rows, t is 1 minus the dual of
+        # the last row, and P = P_S - K W F^T
+        w = [[-solution.duals[a * m + k] for k in range(m)] for a in range(len(off))]
+        t = _ONE - solution.duals[convexity]
+        wf = [[sum(map(mul, wa, f), _ZERO) for f in f_rows] for wa in w]
+        p_rows_now = []
+        for row, k_row in zip(p_rows, k_rows):
+            row = list(row)
+            for a, ka in k_row:
+                for j, v in enumerate(wf[a]):
+                    row[j] -= ka * v
+            p_rows_now.append(row)
+        new = [
+            (i, _signs(row))
+            for i, row in enumerate(p_rows_now)
+            if vec_norm1(row) > t
+        ]
+        if not new:
+            break
+        if seen.intersection(new):
+            # the master's own cuts hold at its optimum; this is the
+            # reading of W and t gone wrong, and the loop would not end
+            raise InternalConsistencyError("a cut of the master is violated")
+        seen.update(new)
+        master.append(*add(new))
+
     lay = _Layout(n, m)
-    start = []
-    for i in (member - 1 for member in index_set):
+    x = [_ZERO] * lay.nvars
+    for i, (y, p) in enumerate(zip(y_s.to_lists(), p_rows_now)):
+        for a, ka in k_rows[i]:  # Y = Y_S + K W
+            for k, v in enumerate(w[a]):
+                y[k] += ka * v
+        for k, v in enumerate(y):
+            x[lay.y(i, k)] = v
+        for j, v in enumerate(p):
+            x[lay.t(i, j)] = abs(v)
+    x[lay.scalar] = t
+    if t == 1:
+        duals = _rank_one_duals(lay, [row[off[0]] for row in p_rows])
+    else:
+        members = [member - 1 for member in index_set]
+        duals = _cut_duals(lay, f_cols, y_s, members, zip(cuts, solution.x))
+    certificate = LpSolution(
+        LpStatus.OPTIMAL, tuple(x), t, tuple(duals), None, solution.stats
+    )
+    return certificate, rounds, len(cuts)
+
+
+def _rank_one_duals(lay: _Layout, v: list[Fraction]) -> list[Fraction]:
+    """The duals of Z = e_k v^T / v_k and nu = 0 for v in V and k the
+    first index of its largest entry: they prove the bound 1."""
+    duals = [_ZERO] * lay.nrows
+    k = max(range(len(v)), key=lambda j: (abs(v[j]), -j))
+    for j, e in enumerate(v):
+        if e:
+            z = e / v[k]
+            duals[lay.upper_row(k, j) if z > 0 else lay.lower_row(k, j)] = -abs(z)
+    duals[lay.sum_row(k)] = -_ONE
+    return duals
+
+
+def _cut_duals(
+    lay: _Layout, f_cols: list, y_s: Matrix, members: list[int], weighted_cuts
+) -> list[Fraction]:
+    """The duals of the program from the multipliers mu of the cuts (i,
+    sigma), given as ((i, sigma), mu) pairs that sum to 1: -mu on the
+    P <= T or -P <= T row of each entry by its sign and on the row-sum
+    row, and nu with F nu = -G, solved on the rows members of S, where
+    F_S^-1 is Y_S on S transposed."""
+    m = len(f_cols)
+    duals = [_ZERO] * lay.nrows
+    g = {i: [_ZERO] * m for i in members}
+    for (i, sign), mu in weighted_cuts:
+        if not mu:
+            continue
+        for j, s in enumerate(sign):
+            duals[lay.upper_row(i, j) if s > 0 else lay.lower_row(i, j)] -= mu
+        duals[lay.sum_row(i)] -= mu
+        if i in g:
+            for k, col in enumerate(f_cols):
+                g[i][k] += mu * _signed_sum(col, sign)
+    for j in range(m):
         for k in range(m):
-            rows = tuple(lay.identity_row(j, k) for j in range(m))
-            start.append(Crash(lay.y(i, k), rows))
-    for i in range(n):
-        for j in range(n):
-            value = projection[i, j]
-            if value or i == j:
-                row = lay.upper_row(i, j) if value >= 0 else lay.lower_row(i, j)
-                start.append(Crash(lay.t(i, j), (row,)))
-    sums = [vec_norm1(projection.row(i)) for i in range(n)]
-    widest = sums.index(max(sums))
-    start.append(Crash(lay.scalar, (lay.sum_row(widest),)))
-    return start
+            duals[lay.identity_row(j, k)] = -sum(
+                (y_s[i, j] * g[i][k] for i in members), _ZERO
+            )
+    return duals
 
 
 def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
@@ -290,7 +449,7 @@ def projection_constant(
 ) -> ProjectionResult:
     """The projection constant with an exact optimality certificate for
     minimal_projection_program(spec): in closed form for a hyperplane,
-    otherwise by the simplex started at the coordinate projection of
+    otherwise by the cut loop started at the coordinate projection of
     best_set.
 
     best_set defaults to the best set of bounds.best_upper_bound(spec);
@@ -298,16 +457,15 @@ def projection_constant(
     scan runs once.  Any admissible set gives a valid start; a singular
     block raises InadmissibleSetError.  A hyperplane ignores it."""
     program = minimal_projection_program(spec)
+    rounds = cuts = 0
     if spec.codim == 1:
         solution = _hyperplane_solution(spec.annihilator.column(0))
         method = "hyperplane"
     else:
         if best_set is None:
             best_set = best_upper_bound(spec).best_set
-        _, p_s = coordinate_projection(spec, best_set)
-        start = _crash_start(best_set, p_s)
-        solution = solve(program, start)
-        method = "lp"
+        solution, rounds, cuts = _cut_loop(spec, best_set)
+        method = "cuts"
     if solution.status is not LpStatus.OPTIMAL or solution.x is None:
         raise InternalConsistencyError(
             f"the projection program must have an optimum, got {solution.status}"
@@ -327,7 +485,7 @@ def projection_constant(
     if constant < 1:
         raise InternalConsistencyError("projection constant below 1")
     return ProjectionResult(
-        constant, projection, right_inverse, solution, program, method
+        constant, projection, right_inverse, solution, program, method, rounds, cuts
     )
 
 

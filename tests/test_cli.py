@@ -243,8 +243,8 @@ class TestProjconst:
         path = tmp_path / "pair.txt"
         path.write_text("4 2 annihilator\n1 0\n0 1\n1 1\n1 -1\n", "utf-8")
         assert main(["projconst", str(path)]) == 0
-        assert "method: lp" in capsys.readouterr().out
-        for instance, method in ((rejecting, "hyperplane"), (str(path), "lp")):
+        assert "method: cuts" in capsys.readouterr().out
+        for instance, method in ((rejecting, "hyperplane"), (str(path), "cuts")):
             assert main(["projconst", instance, "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["method"] == method
@@ -297,7 +297,9 @@ class TestCrosscheck:
         assert payload["instances"] == 5
         assert payload["agreements"] == 5
         assert payload["disagreements"] == []
-        assert payload["checks_run"]["auto_matches_general"] == 5
+        runs = payload["checks_run"]
+        assert runs["lp_certificate_valid"] == 5
+        assert runs["auto_matches_general"] == runs["hyperplane_matches_general"] > 0
 
     def test_argument_validation(self, capsys):
         assert main(["crosscheck", "--count", "0"]) == 2

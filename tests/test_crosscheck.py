@@ -54,9 +54,14 @@ class TestRunCrosscheck:
         assert summary.instances == 25
         assert summary.agreements == 25
         assert summary.disagreements == []
-        # every instance runs the shared checks
-        assert summary.checks_run["auto_matches_general"] == 25
+        # every instance runs the shared checks; auto is another route
+        # only for a hyperplane
         assert summary.checks_run["lp_certificate_valid"] == 25
+        assert (
+            summary.checks_run["auto_matches_general"]
+            == summary.checks_run["hyperplane_matches_general"]
+            > 0
+        )
         per_route = summary.checks_run.get(
             "hyperplane_matches_general", 0
         ) + summary.checks_run.get("minor_test_matches_general", 0)

@@ -5,13 +5,13 @@ import pytest
 
 from linfiso import _kernels
 from linfiso.canonical import subspace_from_annihilator
-from linfiso.errors import InternalConsistencyError, LpModelError
+from linfiso.errors import LpModelError
 from linfiso.instances import random_instance
 from linfiso.lp import (
-    Crash,
     LpProblem,
     LpSolution,
     LpStatus,
+    Master,
     solve,
     verify_certificate,
     verify_infeasibility,
@@ -151,6 +151,21 @@ class TestSolveBasics:
         assert sol.objective_value == F(2)
         assert verify_certificate(prob, sol)
 
+    def test_tableau_bit_lengths(self):
+        # no artificial, so phase1_bits is read after the build, whose
+        # widest entry is 1000; x and the duals sit in the final
+        # tableau's rhs column and cost row
+        prob = build([-1, -1], [[1000, 3], [1, 7]], ["<=", "<="], [999, 5])
+        sol = solve(prob)
+        assert sol.stats.phase1_bits == 10
+        assert sol.stats.phase2_bits >= max(
+            max(v.numerator.bit_length(), v.denominator.bit_length())
+            for v in sol.x + sol.duals
+        )
+        infeasible = solve(build([0], [[1]], [">="], [2], upper=[1]))
+        assert infeasible.status is LpStatus.INFEASIBLE
+        assert infeasible.stats.phase2_bits is None
+
     def test_upper_bounds_respected(self):
         prob = build([-1, -1], [[1, 1]], ["<="], [10], upper=[2, 3])
         sol = solve(prob)
@@ -159,76 +174,104 @@ class TestSolveBasics:
         assert verify_certificate(prob, sol)
 
 
-class TestCrashStart:
-    """A start of crash pivots replaces phase 1 when it reaches a
-    feasible basis without artificials, and is refused otherwise."""
+def by_columns(columns):
+    """Dense columns as the sparse (row, coefficient) pairs of append."""
+    return [[(i, a) for i, a in enumerate(col) if a] for col in columns]
 
-    # x0 - x1 = -2 with both in [0, 3]: the equality needs an artificial
-    PROB = build([1, 1], [[1, -1]], ["=="], [-2], upper=[3, 3])
 
-    def test_crash_replaces_phase_one(self):
-        sol = solve(self.PROB, [Crash(1, (0,))])
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.x == (F(0), F(2))
-        assert verify_certificate(self.PROB, sol)
-        stats = sol.stats
-        assert (stats.start_pivots, stats.phase1_pivots) == (1, 0)
-        assert stats.start_value == F(2)
-        cold = solve(self.PROB).stats
-        assert (cold.start_pivots, cold.start_value) == (0, None)
-        assert cold.phase1_pivots > 0
+class TestMaster:
+    """Columns appended over rounds to a Master reach the optimum of one
+    solve over all of them, from the basis of the last solve and without
+    phase 1."""
 
-    def test_start_above_the_optimum(self):
-        # x0 + 2 x1 = 2: the crash vertex (2, 0) costs 2, phase 2 moves
-        # to (0, 1)
-        prob = build([1, 1], [[1, 2]], ["=="], [2])
-        sol = solve(prob, [Crash(0, (0,))])
-        assert sol.stats.start_value == 2
-        assert sol.stats.phase2_pivots == 1
-        assert sol.x == (F(0), F(1))
-        assert verify_certificate(prob, sol)
+    @staticmethod
+    def rounds(rng):
+        """Two == rows with rhs 0 and a <= row with rhs 1 that bounds
+        every column, in three rounds of columns.  No first-round column
+        loads row 0, so its artificial must stay until a later one does."""
+        nrows = 3
+        rounds = []
+        for r in range(3):
+            cols = []
+            for _ in range(rng.randint(1, 3)):
+                col = [F(rng.randint(-3, 3)) for _ in range(nrows - 1)]
+                col.append(F(rng.randint(1, 3)))
+                if r == 0:
+                    col[0] = F(0)
+                cols.append(col)
+            costs = [F(rng.randint(-4, 4)) for _ in cols]
+            rounds.append((costs, cols))
+        rounds[1][1][0][0] = F(rng.choice([-2, -1, 1, 2]))
+        return rounds
 
-    def test_free_variable_sides(self):
-        # x enters on its positive column at -5, then moves onto its
-        # negative column, which negates the row
-        prob = build([0], [[1]], ["=="], [-5], lower=[None])
-        sol = solve(prob, [Crash(0, (0,))])
-        assert sol.x == (F(-5),)
-        assert verify_certificate(prob, sol)
-        assert sol.stats.start_pivots == 2
+    def test_appended_rounds_reach_the_one_shot_optimum(self):
+        rng = random.Random(1960)
+        degenerate = 0
+        for _ in range(40):
+            rounds = self.rounds(rng)
+            costs, cols = rounds[0]
+            rows = [[col[i] for col in cols] for i in range(3)]
+            master = Master(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
+            all_costs, all_cols = [], []
+            for r, (costs, cols) in enumerate(rounds):
+                if r:
+                    master.append(costs, by_columns(cols))
+                all_costs += costs
+                all_cols += cols
+                sol = solve(master)
+                rows = [[col[i] for col in all_cols] for i in range(3)]
+                oracle = enumerate_lp(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
+                assert sol.status is LpStatus.OPTIMAL
+                assert sol.objective_value == oracle[0]
+                assert master.problem == build(
+                    all_costs, rows, ["==", "==", "<="], [0, 0, 1]
+                )
+                assert verify_certificate(master.problem, sol)
+                assert sol.stats.phase1_pivots == 0
+                assert (sol.stats.rows, sol.stats.cols) == (3, len(all_cols) + 4)
+            degenerate += sol.stats.degenerate_pivots
+        assert degenerate > 0
 
-    def test_single_column_variables(self):
-        # x0 in [0, 3] is shifted and x1 <= 4 reflected: each has one
-        # column, and x0 + x1 == 3, x0 - x1 == 1 crash to (2, 1)
-        prob = build(
-            [1, 1], [[1, 1], [1, -1]], ["==", "=="], [3, 1],
-            lower=[0, None], upper=[3, 4],
+    def test_row_loaded_only_by_a_later_column(self):
+        # min -x2 s.t. x2 - x3 == 0, x0 - x1 == 0, x0 + x1 + x2 + x3 <= 1:
+        # row 0 is empty until x2 and x3 arrive, and holds x2 to 1/2
+        master = Master(build([0, 0], [[0, 0], [1, -1], [1, 1]],
+                              ["==", "==", "<="], [0, 0, 1]))
+        sol = solve(master)
+        assert (sol.objective_value, sol.stats.phase2_pivots) == (0, 0)
+        master.append([-1, 0], [[(0, 1), (2, 1)], [(0, -1), (2, 1)]])
+        sol = solve(master)
+        assert sol.x == (0, 0, F(1, 2), F(1, 2))
+        assert sol.objective_value == F(-1, 2)
+        assert verify_certificate(master.problem, sol)
+
+    def test_bland_turns_end_a_cycling_master(self):
+        # the cycling instance of TestSolveBasics, its columns in two rounds
+        rows = [[F(1, 4), -60], [F(1, 2), -90], [0, 0]]
+        master = Master(build([F(-3, 4), 150], rows, ["<="] * 3, [0, 0, 1]))
+        solve(master)
+        master.append(
+            [F(-1, 50), 6], by_columns([[F(-1, 25), F(-1, 50), 1], [9, 3, 0]])
         )
-        sol = solve(prob, [Crash(0, (0,)), Crash(1, (1,))])
-        assert sol.x == (F(2), F(1))
-        assert (sol.stats.start_pivots, sol.stats.phase1_pivots) == (2, 0)
-        assert verify_certificate(prob, sol)
+        sol = solve(master)
+        assert sol.objective_value == F(-1, 20)
+        assert verify_certificate(master.problem, sol)
+        assert sol.stats.bland_fallbacks >= 1
 
-    def test_infeasible_basis_raises(self):
-        # x0 basic on the equality gives x0 = -2
-        with pytest.raises(InternalConsistencyError, match="feasible"):
-            solve(self.PROB, [Crash(0, (0,))])
-
-    def test_artificial_left_basic_raises(self):
-        with pytest.raises(InternalConsistencyError, match="artificial"):
-            solve(self.PROB, [])
-
-    def test_entry_without_a_pivot_row_raises(self):
-        prob = build([1, 1], [[1, -1], [0, 1]], ["==", "<="], [-2, 3])
-        with pytest.raises(InternalConsistencyError, match="no free row"):
-            solve(prob, [Crash(0, (1,))])
-        with pytest.raises(InternalConsistencyError, match="no free row"):
-            solve(prob, [Crash(1, (0,)), Crash(0, (0,))])
-
-    def test_malformed_entries_refused(self):
-        for bad in (Crash(2, (0,)), Crash(0, (1,))):
+    def test_problems_that_need_phase_one_refused(self):
+        with pytest.raises(LpModelError, match="rhs 0"):
+            Master(build([1], [[1]], ["=="], [1]))
+        with pytest.raises(LpModelError, match="rhs 0"):
+            Master(build([1], [[1]], [">="], [1]))
+        with pytest.raises(LpModelError, match="nonnegative"):
+            Master(build([1], [[1]], ["<="], [1], upper=[2]))
+        with pytest.raises(LpModelError, match="nonnegative"):
+            Master(build([1], [[1]], ["<="], [1], lower=[None]))
+        master = Master(build([1], [[1]], ["<="], [1]))
+        for costs, cols in (([1], [[(1, 1)]]), ([1, 2], [[(0, 1)]]),
+                            ([1], [[(0, 1), (0, 2)]])):
             with pytest.raises(LpModelError):
-                solve(self.PROB, [bad])
+                master.append(costs, cols)
 
 
 class TestInfeasible:

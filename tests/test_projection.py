@@ -4,23 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfiso.bounds import best_upper_bound, distance_bound_for_set
+from linfiso.bounds import distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
     canonical_family,
     subspace_from_annihilator,
 )
 from linfiso.decide import decide_isometric
-from linfiso.errors import (
-    ContractError,
-    InadmissibleSetError,
-    InternalConsistencyError,
-)
+from linfiso.errors import ContractError, InadmissibleSetError
 from linfiso.instances import random_instance
 from linfiso.linalg import IndexSet, Matrix, op_norm_inf
-from linfiso.lp import Crash, solve, verify_certificate
+from linfiso.lp import solve, verify_certificate
 from linfiso.projection import (
-    _crash_start,
+    _Layout,
     coordinate_projection,
     good_index_set,
     minimal_projection_program,
@@ -217,7 +213,7 @@ class TestHyperplaneClosedForm:
     def test_codimension_two_uses_the_lp(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1], [1, -1]])
         result = projection_constant(spec)
-        assert result.method == "lp"
+        assert result.method == "cuts"
         assert result.certificate.stats is not None
 
     def test_perturbed_certificates_rejected(self):
@@ -347,12 +343,13 @@ PLANTED = subspace_from_annihilator(
 )
 
 
-def crash_specs():
+def cut_specs():
     """Seeded instances with N <= 7 and m = 2..4, integer and rational
-    entries, then the planted isometric one."""
+    entries, N = m + 1 among them, then the planted isometric one."""
     shapes = [
         (4, 2, False), (5, 2, True), (5, 3, False), (6, 2, False),
         (6, 3, True), (6, 4, False), (7, 2, True), (7, 3, False),
+        (3, 2, False), (4, 3, True), (5, 4, False),
     ]
     rng = random.Random(1992)
     specs = [
@@ -362,88 +359,62 @@ def crash_specs():
     return specs + [PLANTED]
 
 
-class TestCrashStart:
-    """projection_constant starts the m >= 2 simplex at the coordinate
-    projection of bounds' best set instead of running phase 1."""
+class TestCutLoop:
+    """projection_constant solves m >= 2 by delayed sign-vector cuts from
+    the coordinate projection of bounds' best set, and maps the master's
+    answer back to the unchanged program."""
 
     @pytest.fixture(scope="class")
     def solved(self):
-        return [(spec, projection_constant(spec)) for spec in crash_specs()]
+        return [(spec, projection_constant(spec)) for spec in cut_specs()]
 
     def test_lambda_matches_a_cold_start(self, solved):
         for spec, result in solved:
             cold = solve(minimal_projection_program(spec))
             assert result.constant == cold.objective_value
-            assert cold.stats.start_pivots == 0
-            assert cold.stats.start_value is None
         assert solved[-1][1].constant == 1
+        assert any(result.constant > 1 for _, result in solved)
 
     def test_certificate_verifies_on_the_unchanged_program(self, solved):
         for spec, result in solved:
-            assert result.method == "lp"
+            assert result.method == "cuts"
             assert verify_certificate(
                 minimal_projection_program(spec), result.certificate
             )
 
-    def test_start_is_the_best_per_set_bound(self, solved):
+    def test_rounds_and_cuts(self, solved):
+        # the first master holds +-sign(row i of P_S) for every row i;
+        # each later round adds at least one cut, and phase 1 never runs
         for spec, result in solved:
             stats = result.certificate.stats
-            assert stats.start_value == best_upper_bound(spec).best_upper
-            assert stats.start_pivots > 0
+            assert result.rounds >= 1
+            assert result.cuts >= 2 * spec.ambient + result.rounds - 1
             assert stats.phase1_pivots == 0
-            assert stats.start_value >= result.constant
-
-    @staticmethod
-    def starts(spec):
-        """The crash list of projection_constant, with P_S."""
-        best = best_upper_bound(spec).best_set
-        _, p = coordinate_projection(spec, best)
-        return _crash_start(best, p), p
-
-    def test_start_pivot_count(self):
-        # m^2 Y entries, a T entry per nonzero or diagonal entry of P_S,
-        # and t: P_S has N unit or zero diagonal entries and m(N - m)
-        # off-diagonal entries at most
-        for spec in crash_specs():
             n, m = spec.ambient, spec.codim
-            start, p = self.starts(spec)
-            nonzero = sum(
-                1 for i in range(n) for j in range(n) if i != j and p[i, j]
-            )
-            assert len(start) == m * m + n + nonzero + 1
-            assert nonzero <= m * (n - m)
+            assert stats.rows == (n - m) * m + 1
 
-    def test_wrong_t_row_raises(self):
-        for spec in crash_specs()[:4]:
-            start, p = self.starts(spec)
-            program = minimal_projection_program(spec)
-            n, m = spec.ambient, spec.codim
-            # an off-diagonal entry on the other row of its pair takes
-            # T_ij = -|P_ij|; a diagonal one leaves its artificial basic
-            for off in (True, False):
-                k = next(
-                    i for i, c in enumerate(start)
-                    if n * m <= c.var < n * m + n * n
-                    and ((c.var - n * m) // n != (c.var - n * m) % n) == off
-                )
-                row = start[k].rows[0]
-                other = row + n * n if row < m * m + n * n else row - n * n
-                moved = start[:k] + [Crash(start[k].var, (other,))]
-                with pytest.raises(InternalConsistencyError):
-                    solve(program, moved + start[k + 1 :])
+    def test_isometric_certificate_is_rank_one(self, solved):
+        # lambda = 1: nu = 0 and a single row-sum row carries the dual
+        isometric = [(spec, r) for spec, r in solved if r.constant == 1]
+        assert isometric
+        for spec, result in isometric:
+            lay = _Layout(spec.ambient, spec.codim)
+            duals = result.certificate.duals
+            assert not any(duals[: lay.upper_row(0, 0)])
+            sums = duals[lay.sum_row(0) :]
+            assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
 
     def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
         # a passed set replaces the best_upper_bound scan; each admissible
-        # set starts at its own per-set bound and reaches the same lambda
+        # set starts at its own coordinate projection and reaches the
+        # same lambda
         for spec, result in solved[:4] + solved[-1:]:
-            for index_set in (next(admissible_sets(spec))[0],
-                              best_upper_bound(spec).best_set):
+            for index_set, _ in admissible_sets(spec):
                 started = projection_constant(spec, index_set)
                 assert started.constant == result.constant
-                stats = started.certificate.stats
-                assert stats.start_value == distance_bound_for_set(spec, index_set)
-                assert stats.phase1_pivots == 0
-                assert verify_certificate(started.program, started.certificate)
+                assert verify_certificate(
+                    minimal_projection_program(spec), started.certificate
+                )
 
     def test_singular_start_set_refused(self):
         spec = subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])
@@ -451,20 +422,10 @@ class TestCrashStart:
             projection_constant(spec, IndexSet((1, 2), 4))
         assert projection_constant(spec, IndexSet((3, 4), 4)).constant >= 1
 
-    def test_entry_without_a_pivot_row_raises(self):
-        spec = crash_specs()[0]
-        start, _ = self.starts(spec)
-        program = minimal_projection_program(spec)
-        m = spec.codim
-        # once basic, a variable is zero on every row it did not take
-        first = start[0]
-        with pytest.raises(InternalConsistencyError):
-            solve(program, start[:m] + [Crash(first.var, first.rows)])
-
 
 class TestCoordinateProjection:
     """P_S = I - Y_S F^T is the feasible projection behind each per-set
-    bound and the crash start."""
+    bound and the start of the cut loop."""
 
     def specs(self):
         rng = random.Random(621)
