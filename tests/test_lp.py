@@ -258,20 +258,60 @@ class TestMaster:
         assert verify_certificate(master.problem, sol)
         assert sol.stats.bland_fallbacks >= 1
 
-    def test_problems_that_need_phase_one_refused(self):
-        with pytest.raises(LpModelError, match="rhs 0"):
-            Master(build([1], [[1]], ["=="], [1]))
-        with pytest.raises(LpModelError, match="rhs 0"):
-            Master(build([1], [[1]], [">="], [1]))
+    def test_bounded_or_free_variables_refused(self):
         with pytest.raises(LpModelError, match="nonnegative"):
             Master(build([1], [[1]], ["<="], [1], upper=[2]))
         with pytest.raises(LpModelError, match="nonnegative"):
             Master(build([1], [[1]], ["<="], [1], lower=[None]))
+
+
+class TestCrashStart:
+    """A Master starts from the basis of slacks and artificials in place
+    of phase 1: feasible when every row with an artificial has rhs 0,
+    and refused otherwise."""
+
+    # x0 - x1 == 0 needs an artificial, x0 + x1 <= 2 has a slack
+    PROB = build([-1, -2], [[1, -1], [1, 1]], ["==", "<="], [0, 2])
+
+    def test_crash_replaces_phase_one(self):
+        sol = solve(Master(self.PROB))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x == (F(1), F(1))
+        assert verify_certificate(self.PROB, sol)
+        assert sol.stats.phase1_pivots == 0
+        # a cold solve spends a phase-1 pivot on the artificial
+        cold = solve(self.PROB)
+        assert (cold.x, cold.objective_value) == (sol.x, sol.objective_value)
+        assert cold.stats.phase1_pivots == 1
+
+    def test_start_above_the_optimum(self):
+        # the start vertex x = 0 costs 0: x0 replaces the artificial at
+        # ratio 0, then phase 2 moves to (1, 1) at cost -3
+        sol = solve(Master(self.PROB))
+        assert sol.objective_value == -3
+        assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (2, 1)
+        # with costs >= 0 the start is optimal and nothing pivots
+        rows = [[1, -1], [1, 1]]
+        cheap = solve(Master(build([1, 2], rows, ["==", "<="], [0, 2])))
+        assert (cheap.x, cheap.objective_value) == ((0, 0), 0)
+        assert cheap.stats.phase2_pivots == 0
+
+    def test_infeasible_basis_raises(self):
+        # an artificial on a row with rhs 1 would start at 1; a <= row
+        # with rhs -1 needs one too
+        for sense, rhs in (("==", 1), (">=", 1), ("<=", -1)):
+            with pytest.raises(LpModelError, match="rhs 0"):
+                Master(build([1], [[1]], [sense], [rhs]))
+        Master(build([1], [[1]], [">="], [0]))
+
+    def test_malformed_entries_refused(self):
+        # a row past the end, one cost too many, a repeated row
         master = Master(build([1], [[1]], ["<="], [1]))
         for costs, cols in (([1], [[(1, 1)]]), ([1, 2], [[(0, 1)]]),
                             ([1], [[(0, 1), (0, 2)]])):
             with pytest.raises(LpModelError):
                 master.append(costs, cols)
+        assert master.problem == build([1], [[1]], ["<="], [1])
 
 
 class TestInfeasible:

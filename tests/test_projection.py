@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfiso.bounds import distance_bound_for_set
+from linfiso.bounds import best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
     canonical_family,
@@ -359,14 +359,15 @@ def cut_specs():
     return specs + [PLANTED]
 
 
-class TestCutLoop:
-    """projection_constant solves m >= 2 by delayed sign-vector cuts from
-    the coordinate projection of bounds' best set, and maps the master's
-    answer back to the unchanged program."""
+@pytest.fixture(scope="module")
+def solved():
+    return [(spec, projection_constant(spec)) for spec in cut_specs()]
 
-    @pytest.fixture(scope="class")
-    def solved(self):
-        return [(spec, projection_constant(spec)) for spec in cut_specs()]
+
+class TestCrashStart:
+    """projection_constant starts the m >= 2 cut loop at the coordinate
+    projection of bounds' best set (W = 0), from a master basis that
+    needs no phase 1, and reaches the optimum of the unchanged program."""
 
     def test_lambda_matches_a_cold_start(self, solved):
         for spec, result in solved:
@@ -381,6 +382,42 @@ class TestCutLoop:
             assert verify_certificate(
                 minimal_projection_program(spec), result.certificate
             )
+
+    def test_start_is_the_best_per_set_bound(self, solved):
+        # with no set passed the loop starts at P_S for the best set of
+        # best_upper_bound, whose norm bounds lambda; passing that set
+        # gives the same run
+        for spec, result in solved:
+            report = best_upper_bound(spec)
+            _, p = coordinate_projection(spec, report.best_set)
+            assert op_norm_inf(p) == report.best_upper >= result.constant
+            started = projection_constant(spec, report.best_set)
+            assert (started.rounds, started.cuts) == (result.rounds, result.cuts)
+            assert started.certificate == result.certificate
+            assert started.certificate.stats.phase1_pivots == 0
+
+    def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
+        # a passed set replaces the best_upper_bound scan; each admissible
+        # set starts at its own coordinate projection and reaches the
+        # same lambda
+        for spec, result in solved[:4] + solved[-1:]:
+            for index_set, _ in admissible_sets(spec):
+                started = projection_constant(spec, index_set)
+                assert started.constant == result.constant
+                assert verify_certificate(
+                    minimal_projection_program(spec), started.certificate
+                )
+
+    def test_singular_start_set_refused(self):
+        spec = subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])
+        with pytest.raises(InadmissibleSetError):
+            projection_constant(spec, IndexSet((1, 2), 4))
+        assert projection_constant(spec, IndexSet((3, 4), 4)).constant >= 1
+
+
+class TestCutLoop:
+    """projection_constant solves m >= 2 by delayed sign-vector cuts and
+    maps the master's answer back to the unchanged program."""
 
     def test_rounds_and_cuts(self, solved):
         # the first master holds +-sign(row i of P_S) for every row i;
@@ -403,24 +440,6 @@ class TestCutLoop:
             assert not any(duals[: lay.upper_row(0, 0)])
             sums = duals[lay.sum_row(0) :]
             assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
-
-    def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
-        # a passed set replaces the best_upper_bound scan; each admissible
-        # set starts at its own coordinate projection and reaches the
-        # same lambda
-        for spec, result in solved[:4] + solved[-1:]:
-            for index_set, _ in admissible_sets(spec):
-                started = projection_constant(spec, index_set)
-                assert started.constant == result.constant
-                assert verify_certificate(
-                    minimal_projection_program(spec), started.certificate
-                )
-
-    def test_singular_start_set_refused(self):
-        spec = subspace_from_annihilator([[1, 2], [2, 4], [0, 1], [1, 0]])
-        with pytest.raises(InadmissibleSetError):
-            projection_constant(spec, IndexSet((1, 2), 4))
-        assert projection_constant(spec, IndexSet((3, 4), 4)).constant >= 1
 
 
 class TestCoordinateProjection:
