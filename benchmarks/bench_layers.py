@@ -1,4 +1,4 @@
-"""Layer timings of the m >= 2 projection constant on a fixed, seeded ladder.
+"""Layer timings of the projection constant on a fixed, seeded ladder.
 
 Run from the root of a source checkout:
 
@@ -13,13 +13,17 @@ the cut loop, its separation included); mapping_s, from there to the end
 of the call (the certificate on the full program and the reading of Y and
 P); and verify_certificate.  The answer fields come from the first repeat,
 and every repeat must give the same ones, or the script exits 1: the
-digest of lambda, whether the certificate verifies, the cut rounds and
-cuts, the master's pivots, degenerate pivots and Bland turns, and the
-largest bit length of a tableau entry at the end.  The file also records
-the Python version, the CPU count, the commit, and source_sha256, a digest
-of src/linfiso/*.py that tells apart checkouts without git metadata, so two
-files written by two checkouts of the program on one machine compare layer
-by layer.  A checkout that predates a field reports it as null.
+route (method), the digest of lambda, whether the certificate verifies,
+the cut rounds and cuts, the master's pivots, degenerate pivots and Bland
+turns, and the largest bit length of a tableau entry at the end.  A
+hyperplane (m = 1) runs no LP: its closed form has no solver stats, so
+the LP fields and setup_s, master_s and mapping_s are null, and
+projconst_s is the closed form, the product P = I - Y F^T and the
+program build.  The file also records the Python version, the CPU count,
+the commit, and source_sha256, a digest of src/linfiso/*.py that tells
+apart checkouts without git metadata, so two files written by two
+checkouts of the program on one machine compare layer by layer.  A
+checkout that predates a field reports it as null.
 
 The program is imported from ./src of the checkout the script runs from.
 """
@@ -47,7 +51,7 @@ from linfiso import (  # noqa: E402
     verify_certificate,
 )
 
-SHAPES = ((8, 4), (10, 4), (12, 3), (12, 4), (14, 3))
+SHAPES = ((16, 1), (24, 1), (8, 4), (10, 4), (12, 3), (12, 4), (14, 3))
 SEED = 1
 REPEATS = 3
 
@@ -65,22 +69,24 @@ def measure(n: int, m: int) -> dict:
     ok = verify_certificate(result.program, result.certificate)
     verified = time.perf_counter()
     stats = result.certificate.stats
+    lp = stats is not None
     return {
         "answer": {
+            "method": getattr(result, "method", None),
             "lambda_digest": digest(result.constant),
             "certificate_verifies": ok,
             "rounds": getattr(result, "rounds", None),
             "cuts": getattr(result, "cuts", None),
-            "pivots": stats.phase1_pivots + stats.phase2_pivots,
-            "degenerate_pivots": stats.degenerate_pivots,
-            "bland_fallbacks": stats.bland_fallbacks,
+            "pivots": stats.phase1_pivots + stats.phase2_pivots if lp else None,
+            "degenerate_pivots": stats.degenerate_pivots if lp else None,
+            "bland_fallbacks": stats.bland_fallbacks if lp else None,
             "tableau_bits": getattr(stats, "phase2_bits", None),
         },
         "seconds": {
             "projconst_s": ended - began,
-            "setup_s": stats.started - began,
-            "master_s": stats.finished - stats.started,
-            "mapping_s": ended - stats.finished,
+            "setup_s": stats.started - began if lp else None,
+            "master_s": stats.finished - stats.started if lp else None,
+            "mapping_s": ended - stats.finished if lp else None,
             "verify_s": verified - ended,
         },
     }
@@ -119,7 +125,8 @@ def main() -> int:
             print(f"({n}, {m}): repeats disagree", file=sys.stderr)
             return 1
         seconds = {
-            key: round(statistics.median(run["seconds"][key] for run in runs), 4)
+            key: None if runs[0]["seconds"][key] is None
+            else round(statistics.median(run["seconds"][key] for run in runs), 4)
             for key in runs[0]["seconds"]
         }
         rows.append({"n": n, "m": m, "seed": SEED, **answer, **seconds})

@@ -1,16 +1,17 @@
 """Exact kernels for the three hot loops: the Bareiss determinant, the
 Gauss-Jordan pivot of the simplex tableau, and the fraction-free
-exchange of the basis-exchange scan of canonical families.
+exchange of the basis-exchange scan of canonical families and of
+linalg's elimination.
 
-The determinant and the pivot take numbers as parallel flat lists of
-Python ints: nums[i] / dens[i] with dens[i] > 0 and
-gcd(|nums[i]|, dens[i]) == 1 (zero is 0/1).  The exchange keeps integer
-rows over one common denominator instead.  Callers reach these
-functions through the module (_kernels.pivot(...)), not by importing
-the names, so a tracer can wrap them in one place.
+The pivot takes numbers as parallel flat lists of Python ints:
+nums[i] / dens[i] with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1
+(zero is 0/1).  The determinant and the exchange take integer rows
+over one common denominator instead, the form linalg.Matrix holds.
+Callers reach these functions through the module (_kernels.pivot(...)),
+not by importing the names, so a tracer can wrap them in one place.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 def normalize(num: int, den: int) -> tuple[int, int]:
@@ -25,23 +26,18 @@ def normalize(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def det_bareiss(size: int, nums: list, dens: list) -> tuple[int, int]:
-    """Determinant of a size x size rational matrix, flat row-major input.
+def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
+    """Determinant of the square matrix rows / den, for integer rows over
+    one positive denominator, as num, den in lowest terms.
 
-    Denominators are cleared row by row, then the Bareiss fraction-free
-    elimination runs on integers; every interior division is exact.
+    The Bareiss fraction-free elimination runs on a copy of the integer
+    rows, every interior division is exact, and the result is divided
+    by den to the size once.
     """
+    size = len(rows)
     if size == 0:
         return 1, 1
-    work = []
-    scale = 1
-    for i in range(size):
-        base = i * size
-        row_lcm = lcm(*dens[base : base + size]) if size > 1 else dens[base]
-        scale *= row_lcm
-        work.append(
-            [nums[base + j] * (row_lcm // dens[base + j]) for j in range(size)]
-        )
+    work = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -62,7 +58,7 @@ def det_bareiss(size: int, nums: list, dens: list) -> tuple[int, int]:
                 row_i[j] = (row_i[j] * pivot_entry - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot_entry
-    return normalize(sign * work[size - 1][size - 1], scale)
+    return normalize(sign * work[size - 1][size - 1], den**size)
 
 
 def pivot(nums: list, dens: list, ncols: int, prow: int, pcol: int) -> None:

@@ -1,10 +1,15 @@
 """Exact rational vectors, matrices, and index sets.
 
-Everything is a Fraction; floats are rejected at the door so no rounding
-can sneak in.  Matrix and IndexSet are immutable.  Matrix indices are
-0-based Python indices; IndexSet members are 1-based coordinates of the
-ambient space, which is the convention used in every report and file
-format this package emits.
+Every value is rational and floats are rejected at the door, so no
+rounding can sneak in.  A Matrix holds integer rows over one positive
+denominator in lowest terms: products, sums, norms and determinants
+run on Python ints and reduce each result once, and rref, inverse, rank
+and nullspace_columns eliminate fraction-free with _kernels.exchange
+(Bareiss 1968; Edmonds 1967).  Entries cross the API as Fractions.
+Matrix and IndexSet are immutable.  Matrix indices are 0-based Python
+indices; IndexSet members are 1-based coordinates of the ambient space,
+which is the convention used in every report and file format this
+package emits.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -148,33 +155,67 @@ class IndexSet:
 
 
 class Matrix:
-    """Immutable rational matrix with at least one row and one column."""
+    """Immutable rational matrix with at least one row and one column.
 
-    __slots__ = ("_data",)
+    It is held as integer rows over one positive denominator, in lowest
+    terms: no prime divides the denominator and every numerator.  That
+    form is unique, so == and hash compare it directly.  Arithmetic runs
+    on the integers and reduces each result once; the entries come out
+    as Fractions, built once and kept, at [], row, column, to_lists and
+    repr.  The constructor keeps the Fractions it was given."""
+
+    __slots__ = ("_rows", "_den", "_entries")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        if not data or not data[0]:
+        entries = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        if not entries or not entries[0]:
             raise DimensionError("matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise DimensionError("ragged rows")
-        object.__setattr__(self, "_data", data)
+        den = lcm(*(x.denominator for row in entries for x in row))
+        ints = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row)
+            for row in entries
+        )
+        self._fill(ints, den, entries)
+
+    def _fill(self, rows: tuple, den: int, entries=None) -> "Matrix":
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _of(cls, rows, den: int) -> "Matrix":
+        """The matrix rows / den for integer rows and a nonzero den,
+        reduced to lowest terms with a positive denominator."""
+        g = gcd(den, *(x for row in rows for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+        return object.__new__(cls)._fill(tuple(map(tuple, rows)), den)
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise DimensionError("matrix needs at least one row and one column")
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise DimensionError("matrix needs at least one row and one column")
+        return cls._of([[0] * cols] * rows, 1)
 
     @classmethod
     def from_columns(cls, columns: Iterable[Iterable]) -> "Matrix":
-        cols = [tuple(as_rational(x) for x in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if not cols:
             raise DimensionError("need at least one column")
         return cls(zip(*cols))
@@ -185,27 +226,39 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return len(self._data)
+        return len(self._rows)
 
     @property
     def cols(self) -> int:
-        return len(self._data[0])
+        return len(self._rows[0])
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        entries = self._entries
+        if entries is None:
+            den = self._den
+            entries = tuple(
+                tuple(Fraction(x, den) for x in row) for row in self._rows
+            )
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise BoundsError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._data[i][j]
+        if self._entries is None:
+            return Fraction(self._rows[i][j], self._den)
+        return self._entries[i][j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self.rows:
             raise BoundsError(f"row {i} outside 0..{self.rows - 1}")
-        return self._data[i]
+        return self._fractions()[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         if not 0 <= j < self.cols:
             raise BoundsError(f"column {j} outside 0..{self.cols - 1}")
-        return tuple(row[j] for row in self._data)
+        return tuple(row[j] for row in self._fractions())
 
     def take_rows(self, index_set: IndexSet) -> "Matrix":
         """Rows named by the 1-based members of index_set, in their order."""
@@ -213,7 +266,7 @@ class Matrix:
             raise DimensionError("index set ambient does not match row count")
         if len(index_set) == 0:
             raise DimensionError("cannot take zero rows")
-        return Matrix(self._data[k - 1] for k in index_set)
+        return Matrix._of([self._rows[k - 1] for k in index_set], self._den)
 
     def replace_row(self, i: int, row: Sequence) -> "Matrix":
         new_row = tuple(as_rational(x) for x in row)
@@ -221,15 +274,17 @@ class Matrix:
             raise DimensionError("replacement row has the wrong length")
         if not 0 <= i < self.rows:
             raise BoundsError(f"row {i} outside 0..{self.rows - 1}")
-        data = list(self._data)
-        data[i] = new_row
-        return Matrix(data)
+        den = lcm(self._den, *(x.denominator for x in new_row))
+        scale = den // self._den
+        rows = [[x * scale for x in r] for r in self._rows]
+        rows[i] = [x.numerator * (den // x.denominator) for x in new_row]
+        return Matrix._of(rows, den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._data))
+        return Matrix._of(list(zip(*self._rows)), self._den)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._data]
+        return [list(row) for row in self._fractions()]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -238,64 +293,58 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        other_t = list(zip(*other._data))
-        return Matrix(
-            [
-                [
-                    sum((a * b for a, b in zip(row, col)), _ZERO)
-                    for col in other_t
-                ]
-                for row in self._data
-            ]
+        cols = tuple(zip(*other._rows))
+        return Matrix._of(
+            [[sum(map(mul, row, col)) for col in cols] for row in self._rows],
+            self._den * other._den,
+        )
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError("shape mismatch in addition")
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return Matrix._of(
+            [[a * s + b * t for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self._rows, other._rows)],
+            den,
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return Matrix(
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self._data, other._data)
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([-x for x in row] for row in self._data)
+        return Matrix._of([[-x for x in row] for row in self._rows], self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._data == other._data
+        return (
+            isinstance(other, Matrix)
+            and self._den == other._den
+            and self._rows == other._rows
+        )
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash((self._den, self._rows))
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(format_rational(x) for x in row) for row in self._data
+            " ".join(format_rational(x) for x in row) for row in self._fractions()
         )
         return f"Matrix[{body}]"
-
-
-def _flat_pairs(matrix: Matrix) -> tuple[list[int], list[int]]:
-    nums: list[int] = []
-    dens: list[int] = []
-    for i in range(matrix.rows):
-        for x in matrix.row(i):
-            nums.append(x.numerator)
-            dens.append(x.denominator)
-    return nums, dens
 
 
 def det(matrix: Matrix) -> Fraction:
     """Determinant by fraction-free elimination.  Square input only."""
     if matrix.rows != matrix.cols:
         raise DimensionError("determinant of a non-square matrix")
-    nums, dens = _flat_pairs(matrix)
-    num, den = _kernels.det_bareiss(matrix.rows, nums, dens)
+    num, den = _kernels.det_bareiss(matrix._rows, matrix._den)
     return Fraction(num, den)
 
 
@@ -304,42 +353,40 @@ def inverse(matrix: Matrix) -> Matrix:
     n = matrix.rows
     if n != matrix.cols:
         raise DimensionError("inverse of a non-square matrix")
+    den = matrix._den
     reduced, pivots = rref(
-        Matrix(
-            matrix.row(i) + tuple(_ONE if i == j else _ZERO for j in range(n))
-            for i in range(n)
+        Matrix._of(
+            [row + tuple(den * (i == j) for j in range(n))
+             for i, row in enumerate(matrix._rows)],
+            den,
         )
     )
     if pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(reduced.row(i)[n:] for i in range(n))
+    return Matrix._of([row[n:] for row in reduced._rows], reduced._den)
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the 0-based pivot column indices."""
-    work = matrix.to_lists()
-    nrows, ncols = matrix.rows, matrix.cols
+    """Reduced row echelon form and the 0-based pivot column indices.
+
+    The elimination is fraction-free: the first nonzero entry at or
+    below the next pivot row is swapped up and _kernels.exchange pivots
+    on it, so the rows stay integers over one common denominator, the
+    last pivot, and every entry stays a minor of the input."""
+    rows = [list(row) for row in matrix._rows]
+    common = 1
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, nrows) if work[i][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(nrows):
-            if i == r or work[i][col] == 0:
-                continue
-            factor = work[i][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
+    for col in range(matrix.cols):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return Matrix(work), tuple(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        common = _kernels.exchange(rows, common, r, col)
+        pivots.append(col)
+    return Matrix._of(rows, common), tuple(pivots)
 
 
 def rank(matrix: Matrix) -> int:
@@ -375,7 +422,20 @@ def vec_norm_inf(vector: Iterable) -> Fraction:
 
 def op_norm_inf(matrix: Matrix) -> Fraction:
     """Operator norm on sup-norm spaces: the largest absolute row sum."""
-    return max(vec_norm1(matrix.row(i)) for i in range(matrix.rows))
+    return max(row_norms(matrix))
+
+
+def row_norms(matrix: Matrix) -> list[Fraction]:
+    """The 1-norm of each row."""
+    return [Fraction(sum(map(abs, row)), matrix._den) for row in matrix._rows]
+
+
+def common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Fractions (or ints) as integer numerators over their least common
+    denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def cauchy_binet_check(a: Matrix, b: Matrix) -> tuple[Fraction, Fraction]:

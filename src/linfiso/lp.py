@@ -36,7 +36,13 @@ Every terminal status carries an exact certificate, checked from scratch
 by two shared passes over the problem: _within (a point meets every row
 and bound, or a direction meets their homogeneous versions) and
 _dual_bound (the lower bound that row multipliers prove on a cost over
-the variable box, skipping zero multipliers and coefficients).
+the variable box, skipping zero multipliers and coefficients).  Both run
+on integers, with the point or the multipliers put over their least
+common denominator once per call.  _within puts each row's coefficients
+over their own lcm and compares the row with its right-hand side by
+integer cross-multiplication; _dual_bound gathers y.b and each column's
+A^T y over a running lcm of the denominators it meets.  No lcm is taken
+over the whole program, whose rows may have many coprime denominators.
 
 * optimal: primal values plus row duals; verify_certificate checks that
   x is feasible and that its value equals the stated optimum and the
@@ -77,7 +83,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from .errors import InternalConsistencyError, LpModelError
-from .linalg import as_rational
+from .linalg import as_rational, common_denominator
 
 LESS = "<="
 EQUAL = "=="
@@ -741,20 +747,39 @@ def _within(
     problem: LpProblem, v: Sequence[Fraction], homogeneous: bool = False
 ) -> bool:
     """v meets every bound and row.  homogeneous=True counts right-hand
-    sides and finite bounds as 0: v is then a recession direction."""
+    sides and finite bounds as 0: v is then a recession direction.
+
+    v is scaled to integers once, v = V / d, and each row's coefficients
+    over their own lcm s, so row . v - b has the sign of
+    (sum of the integer products) * b.den - b.num * s * d."""
     if len(v) != problem.nvars:
         return False
-    for vj, lo, hi in zip(v, problem.lower, problem.upper):
-        if lo is not None and vj < (_ZERO if homogeneous else lo):
+    ints, d = common_denominator(v)
+    for vj, lo, hi in zip(ints, problem.lower, problem.upper):
+        if homogeneous:
+            if (lo is not None and vj < 0) or (hi is not None and vj > 0):
+                return False
+            continue
+        if lo is not None and vj * lo.denominator < lo.numerator * d:
             return False
-        if hi is not None and vj > (_ZERO if homogeneous else hi):
+        if hi is not None and vj * hi.denominator > hi.numerator * d:
             return False
     for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
-        lhs = sum((a * v[j] for j, a in row), _ZERO)
-        gap = lhs - (_ZERO if homogeneous else b)
+        s = lcm(*(a.denominator for _, a in row))
+        gap = sum(a.numerator * (s // a.denominator) * ints[j] for j, a in row)
+        if not homogeneous:
+            gap = gap * b.denominator - b.numerator * s * d
         if (gap > 0 and sense != GREATER) or (gap < 0 and sense != LESS):
             return False
     return True
+
+
+def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num / den + n / d as an integer over the lcm of den and d."""
+    if den == d:
+        return num + n, den
+    m = lcm(den, d)
+    return num * (m // den) + n * (m // d), m
 
 
 def _dual_bound(
@@ -763,28 +788,38 @@ def _dual_bound(
     """y.b plus the minimum of (cost - A^T y).x over the variable box,
     a lower bound on cost.x over the feasible set.  None when y has the
     wrong length or a multiplier the wrong sign, or when that minimum
-    is unbounded."""
+    is unbounded.
+
+    y is scaled to integers once, y = Y / d.  Y . b and each (A^T Y)_j
+    are gathered as an integer over a running lcm of the denominators
+    they meet, so no lcm spans the whole program."""
     if len(y) != problem.nrows:
         return None
-    reduced = list(cost)
-    bound = _ZERO
-    for yi, row, sense, b in zip(y, problem.rows, problem.senses, problem.rhs):
+    ints, d = common_denominator(y)
+    nums = [0] * problem.nvars  # (A^T Y)_j = nums[j] / dens[j]
+    dens = [1] * problem.nvars
+    bound_num, bound_den = 0, 1  # Y . b
+    for yi, row, sense, b in zip(ints, problem.rows, problem.senses, problem.rhs):
         if not yi:
             continue
         if (sense == LESS and yi > 0) or (sense == GREATER and yi < 0):
             return None
-        bound += yi * b
+        bound_num, bound_den = _add(
+            bound_num, bound_den, yi * b.numerator, b.denominator
+        )
         for j, a in row:
-            reduced[j] -= a * yi
-    for r, lo, hi in zip(reduced, problem.lower, problem.upper):
-        if r > 0:
-            if lo is None:
-                return None
-            bound += r * lo
-        elif r < 0:
-            if hi is None:
-                return None
-            bound += r * hi
+            nums[j], dens[j] = _add(nums[j], dens[j], yi * a.numerator, a.denominator)
+    bound = Fraction(bound_num, bound_den * d)
+    for c, num, den, lo, hi in zip(cost, nums, dens, problem.lower, problem.upper):
+        # the reduced cost c - num / (den d), over c.den den d
+        r = c.numerator * den * d - num * c.denominator
+        if not r:
+            continue
+        side = lo if r > 0 else hi
+        if side is None:
+            return None
+        if side:
+            bound += Fraction(r, c.denominator * den * d) * side
     return bound
 
 

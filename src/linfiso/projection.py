@@ -88,10 +88,11 @@ from .errors import (
 from .linalg import (
     IndexSet,
     Matrix,
+    common_denominator,
     det,
     inverse,
     op_norm_inf,
-    vec_norm1,
+    row_norms,
 )
 from .lp import LpProblem, LpSolution, LpStatus, Master, solve
 
@@ -228,18 +229,11 @@ def coordinate_projection(
         block_inverse = inverse(mat.take_rows(index_set).transpose())
     except SingularMatrixError:
         raise InadmissibleSetError(f"block at {index_set} is singular") from None
-    f_rows = [mat.row(j) for j in range(n)]
     y_rows = [(_ZERO,) * spec.codim] * n
-    p_rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    # only the rows of S differ from the identity and from zero
     for r, member in enumerate(index_set):
-        i = member - 1
-        y_rows[i] = y = block_inverse.row(r)
-        p_rows[i] = [
-            (_ONE if i == j else _ZERO) - sum(a * b for a, b in zip(y, f))
-            for j, f in enumerate(f_rows)
-        ]
-    return Matrix(y_rows), Matrix(p_rows)
+        y_rows[member - 1] = block_inverse.row(r)
+    y_s = Matrix(y_rows)
+    return y_s, Matrix.identity(n) - y_s @ mat.transpose()
 
 
 def _signs(row) -> tuple[int, ...]:
@@ -247,8 +241,10 @@ def _signs(row) -> tuple[int, ...]:
     return tuple(-1 if v < 0 else 1 for v in row)
 
 
-def _signed_sum(values, sign) -> Fraction:
-    return sum((v if s > 0 else -v for v, s in zip(values, sign)), _ZERO)
+def _signed_sum(scaled: tuple[list[int], int], sign) -> Fraction:
+    """sigma . v for v given as integer numerators over one denominator."""
+    nums, den = scaled
+    return Fraction(sum(map(mul, sign, nums)), den)
 
 
 def _cut_loop(
@@ -259,14 +255,16 @@ def _cut_loop(
     with the number of master solves and of cuts (see the module
     docstring)."""
     n, m = spec.ambient, spec.codim
-    f_rows = [spec.annihilator.row(j) for j in range(n)]
-    f_cols = [spec.annihilator.column(k) for k in range(m)]
+    ft = spec.annihilator.transpose()
+    f_cols = [common_denominator(ft.row(k)) for k in range(m)]
     y_s, p_s = coordinate_projection(spec, index_set)
     p_rows = [p_s.row(i) for i in range(n)]
+    p_scaled = [common_denominator(row) for row in p_rows]
     # K, the columns of P_S off index_set, spans V and is the identity
     # off index_set; k_rows[i] holds the nonzero (a, K_ia)
     off = [b for b in range(n) if b + 1 not in index_set]
-    k_rows = [[(a, row[b]) for a, b in enumerate(off) if row[b]] for row in p_rows]
+    k_mat = Matrix([[row[b] for b in off] for row in p_rows])
+    k_rows = [[(a, ka) for a, ka in enumerate(k_mat.row(i)) if ka] for i in range(n)]
     convexity = len(off) * m  # the master row sum(mu) <= 1, after the W rows
     cuts: list[tuple[int, tuple[int, ...]]] = []  # (row i, sigma) per column
 
@@ -276,7 +274,7 @@ def _cut_loop(
         costs, columns = [], []
         for i, sign in new:
             ft_sign = [_signed_sum(col, sign) for col in f_cols]
-            costs.append(_ONE - _signed_sum(p_rows[i], sign))
+            costs.append(_ONE - _signed_sum(p_scaled[i], sign))
             column = [
                 (a * m + k, ka * g)
                 for a, ka in k_rows[i]
@@ -312,20 +310,15 @@ def _cut_loop(
             )
         # W is minus the duals of the W rows, t is 1 minus the dual of
         # the last row, and P = P_S - K W F^T
-        w = [[-solution.duals[a * m + k] for k in range(m)] for a in range(len(off))]
+        w = Matrix(
+            [[-solution.duals[a * m + c] for c in range(m)] for a in range(len(off))]
+        )
         t = _ONE - solution.duals[convexity]
-        wf = [[sum(map(mul, wa, f), _ZERO) for f in f_rows] for wa in w]
-        p_rows_now = []
-        for row, k_row in zip(p_rows, k_rows):
-            row = list(row)
-            for a, ka in k_row:
-                for j, v in enumerate(wf[a]):
-                    row[j] -= ka * v
-            p_rows_now.append(row)
+        p = p_s - k_mat @ (w @ ft)
         new = [
-            (i, _signs(row))
-            for i, row in enumerate(p_rows_now)
-            if vec_norm1(row) > t
+            (i, _signs(p.row(i)))
+            for i, norm in enumerate(row_norms(p))
+            if norm > t
         ]
         if not new:
             break
@@ -338,13 +331,11 @@ def _cut_loop(
 
     lay = _Layout(n, m)
     x = [_ZERO] * lay.nvars
-    for i, (y, p) in enumerate(zip(y_s.to_lists(), p_rows_now)):
-        for a, ka in k_rows[i]:  # Y = Y_S + K W
-            for k, v in enumerate(w[a]):
-                y[k] += ka * v
-        for k, v in enumerate(y):
-            x[lay.y(i, k)] = v
-        for j, v in enumerate(p):
+    y = y_s + k_mat @ w
+    for i in range(n):
+        for c, v in enumerate(y.row(i)):
+            x[lay.y(i, c)] = v
+        for j, v in enumerate(p.row(i)):
             x[lay.t(i, j)] = abs(v)
     x[lay.scalar] = t
     if t == 1:
@@ -378,7 +369,8 @@ def _cut_duals(
     sigma), given as ((i, sigma), mu) pairs that sum to 1: -mu on the
     P <= T or -P <= T row of each entry by its sign and on the row-sum
     row, and nu with F nu = -G, solved on the rows members of S, where
-    F_S^-1 is Y_S on S transposed."""
+    F_S^-1 is Y_S on S transposed.  f_cols holds the columns of F as
+    integer numerators over one denominator each."""
     m = len(f_cols)
     duals = [_ZERO] * lay.nrows
     g = {i: [_ZERO] * m for i in members}
@@ -399,48 +391,53 @@ def _cut_duals(
     return duals
 
 
-def _hyperplane_solution(f: tuple[Fraction, ...]) -> LpSolution:
+def _hyperplane_solution(annihilator: Matrix) -> LpSolution:
     """The optimal point and dual of minimal_projection_program for the
-    single annihilator column f, in closed form (see the module
+    single annihilator column, in closed form (see the module
     docstring)."""
+    f = annihilator.column(0)
     n = len(f)
     sizes = [abs(v) for v in f]
     norm = sum(sizes, _ZERO)
     signs = [-1 if v < 0 else 1 for v in f]
     p = next((i for i, a in enumerate(sizes) if 2 * a >= norm), None)
-    z = [[_ZERO] * n for _ in range(n)]
+    lay = _Layout(n, 1)
+    y = [_ZERO] * n
+    duals = [_ZERO] * lay.nrows
     if p is not None:
-        constant, nu = _ONE, _ZERO
-        y = [_ZERO] * n
+        constant = _ONE
         y[p] = 1 / f[p]
+        # Z = e_k (e_k - (f_k / f_p) e_p)^T; its largest entry is the 1
+        # on the diagonal, since |f_k| <= |f_p|
         k = 1 if p == 0 else 0
-        z[k][k] = _ONE
-        z[k][p] = -f[k] / f[p]
+        z = f[k] / f[p]
+        duals[lay.upper_row(k, k)] = -_ONE
+        if z:
+            duals[lay.lower_row(k, p) if z > 0 else lay.upper_row(k, p)] = -abs(z)
+        duals[lay.sum_row(k)] = -_ONE
     else:
         weights = [a / (norm - 2 * a) for a in sizes]  # g / (1 - 2g)
         nu = 1 / sum(weights, _ZERO)
         constant = 1 + nu
-        y = [s * nu / (norm - 2 * a) for s, a in zip(signs, sizes)]
-        for i, row in enumerate(z):
-            # a_i on the diagonal, -a_i s_i s_j off it
-            a = nu * weights[i]
-            row[:] = (a if s != signs[i] else -a for s in signs)
-            row[i] = a
-    lay = _Layout(n, 1)
+        duals[lay.identity_row(0, 0)] = nu
+        for i, (w, s, a) in enumerate(zip(weights, signs, sizes)):
+            y[i] = s * nu / (norm - 2 * a)
+            if not w:
+                continue
+            # row i of Z: a_i = nu w_i on the diagonal, -a_i s_i s_j off it
+            e = -nu * w
+            for j, t in enumerate(signs):
+                row = lay.upper_row(i, j) if j == i or t != s else lay.lower_row(i, j)
+                duals[row] = e
+            duals[lay.sum_row(i)] = e
     x = [_ZERO] * lay.nvars
-    duals = [_ZERO] * lay.nrows
     x[lay.scalar] = constant
-    duals[lay.identity_row(0, 0)] = nu
-    for i, row in enumerate(z):
+    # T = |P| with P = I - y f^T
+    projection = Matrix.identity(n) - Matrix.column_vector(y) @ annihilator.transpose()
+    for i in range(n):
         x[lay.y(i, 0)] = y[i]
-        for j, e in enumerate(row):
-            # T = |P| with P = I - y f^T
-            x[lay.t(i, j)] = abs((_ONE if i == j else _ZERO) - y[i] * f[j])
-            if e > 0:
-                duals[lay.upper_row(i, j)] = -e
-            elif e < 0:
-                duals[lay.lower_row(i, j)] = e
-        duals[lay.sum_row(i)] = -max(abs(e) for e in row)
+        for j, v in enumerate(projection.row(i)):
+            x[lay.t(i, j)] = abs(v)
     return LpSolution(LpStatus.OPTIMAL, tuple(x), constant, tuple(duals))
 
 
@@ -459,7 +456,7 @@ def projection_constant(
     program = minimal_projection_program(spec)
     rounds = cuts = 0
     if spec.codim == 1:
-        solution = _hyperplane_solution(spec.annihilator.column(0))
+        solution = _hyperplane_solution(spec.annihilator)
         method = "hyperplane"
     else:
         if best_set is None:

@@ -207,3 +207,117 @@ def dense_projection_program(f: list[list[Fraction]]):
         rhs.append(ZERO)
     lower = [None] * (n * m) + [ZERO] * (n * n + 1)
     return objective, rows, senses, rhs, lower
+
+
+def reduced_row_echelon(rows: list[list[Fraction]]):
+    """Gauss-Jordan elimination in plain Fractions: the reduced row
+    echelon form and the pivot columns."""
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(work[0])):
+        r = len(pivots)
+        if r == len(work):
+            break
+        found = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [inv * v for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+# -- LP certificate checks ----------------------------------------------
+#
+# The three checks of an LP answer, one Fraction at a time: an optimal
+# point with row duals, Farkas multipliers of an infeasible program, and
+# a feasible point with an improving ray.  They read the fields of a
+# problem (objective, sparse rows of (column, coefficient) pairs,
+# senses, rhs, lower, upper) and call nothing in the package.
+
+
+def meets_rows_and_bounds(problem, v, homogeneous=False) -> bool:
+    """v satisfies every bound and row; homogeneous=True reads every
+    right-hand side and finite bound as 0."""
+    if len(v) != len(problem.objective):
+        return False
+    for vj, lo, hi in zip(v, problem.lower, problem.upper):
+        if lo is not None and vj < (ZERO if homogeneous else lo):
+            return False
+        if hi is not None and vj > (ZERO if homogeneous else hi):
+            return False
+    for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
+        lhs = ZERO
+        for j, a in row:
+            lhs += a * v[j]
+        target = ZERO if homogeneous else b
+        if sense == "<=" and lhs > target:
+            return False
+        if sense == ">=" and lhs < target:
+            return False
+        if sense == "==" and lhs != target:
+            return False
+    return True
+
+
+def multiplier_bound(problem, y, cost):
+    """y . rhs plus the least value of (cost - A^T y) . x over the box;
+    None for a wrong length, a multiplier of the wrong sign or an
+    unbounded least value."""
+    if len(y) != len(problem.rows):
+        return None
+    reduced = list(cost)
+    bound = ZERO
+    for yi, row, sense, b in zip(y, problem.rows, problem.senses, problem.rhs):
+        if sense == "<=" and yi > 0:
+            return None
+        if sense == ">=" and yi < 0:
+            return None
+        bound += yi * b
+        for j, a in row:
+            reduced[j] -= a * yi
+    for r, lo, hi in zip(reduced, problem.lower, problem.upper):
+        if r > 0:
+            if lo is None:
+                return None
+            bound += r * lo
+        elif r < 0:
+            if hi is None:
+                return None
+            bound += r * hi
+    return bound
+
+
+def certificate_verdicts(problem, solution) -> tuple[bool, bool, bool]:
+    """Whether solution proves optimality, infeasibility and
+    unboundedness of problem, in that order; status names the claim."""
+    status = solution.status.value
+    x, y, ray = solution.x, solution.duals, solution.ray
+    value = solution.objective_value
+    optimal = (
+        status == "optimal"
+        and x is not None
+        and y is not None
+        and value is not None
+        and meets_rows_and_bounds(problem, x)
+        and sum((c * v for c, v in zip(problem.objective, x)), ZERO) == value
+        and multiplier_bound(problem, y, problem.objective) == value
+    )
+    bound = None
+    if status == "infeasible" and y is not None:
+        bound = multiplier_bound(problem, y, [ZERO] * len(problem.objective))
+    infeasible = bound is not None and bound > 0
+    unbounded = (
+        status == "unbounded"
+        and x is not None
+        and ray is not None
+        and meets_rows_and_bounds(problem, x)
+        and meets_rows_and_bounds(problem, ray, homogeneous=True)
+        and sum((c * d for c, d in zip(problem.objective, ray)), ZERO) < 0
+    )
+    return optimal, infeasible, unbounded

@@ -3,7 +3,7 @@ cofactor-expansion oracle."""
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -42,34 +42,34 @@ class TestNormalize:
             assert _kernels.normalize(n, d) == (q.numerator, q.denominator)
 
 
+def int_rows(grid):
+    """A grid of Fractions as integer rows over one positive denominator."""
+    den = lcm(*(x.denominator for row in grid for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in grid], den
+
+
 class TestDetBareiss:
     def test_identity(self):
-        nums = [1, 0, 0, 1]
-        dens = [1, 1, 1, 1]
-        assert _kernels.det_bareiss(2, nums, dens) == (1, 1)
+        assert _kernels.det_bareiss([[1, 0], [0, 1]], 1) == (1, 1)
 
     def test_fractional_entries(self):
         # det [[1/2, 1/3], [1/4, 1/5]] = 1/10 - 1/12 = 1/60
-        nums = [1, 1, 1, 1]
-        dens = [2, 3, 4, 5]
-        assert _kernels.det_bareiss(2, nums, dens) == (1, 60)
+        rows, den = int_rows([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])
+        assert _kernels.det_bareiss(rows, den) == (1, 60)
 
     def test_row_swap_sign(self):
-        nums = [0, 1, 1, 0]
-        dens = [1, 1, 1, 1]
-        assert _kernels.det_bareiss(2, nums, dens) == (-1, 1)
+        assert _kernels.det_bareiss([[0, 1], [1, 0]], 1) == (-1, 1)
 
     def test_singular(self):
-        nums = [1, 2, 2, 4]
-        dens = [1, 1, 1, 1]
-        assert _kernels.det_bareiss(2, nums, dens) == (0, 1)
+        assert _kernels.det_bareiss([[1, 2], [2, 4]], 1) == (0, 1)
 
     def test_result_is_normalized(self):
         rng = random.Random(88)
         for _ in range(60):
             size = rng.randint(1, 4)
             nums, dens = flat_pairs(rng, size * size)
-            n, d = _kernels.det_bareiss(size, nums, dens)
+            rows, den = int_rows(to_grid(nums, dens, size))
+            n, d = _kernels.det_bareiss(rows, den)
             assert d > 0
             assert gcd(n, d) == 1
 
@@ -78,15 +78,15 @@ class TestDetBareiss:
         for _ in range(40):
             size = rng.randint(1, 5)
             nums, dens = flat_pairs(rng, size * size)
-            expected = laplace_det(to_grid(nums, dens, size))
-            got = _kernels.det_bareiss(size, nums, dens)
+            grid = to_grid(nums, dens, size)
+            expected = laplace_det(grid)
+            got = _kernels.det_bareiss(*int_rows(grid))
             assert got == (expected.numerator, expected.denominator)
 
     def test_inputs_not_mutated(self):
-        nums = [1, 2, 3, 4]
-        dens = [1, 1, 1, 1]
-        _kernels.det_bareiss(2, nums, dens)
-        assert nums == [1, 2, 3, 4] and dens == [1, 1, 1, 1]
+        rows = [[1, 2], [3, 4]]
+        _kernels.det_bareiss(rows, 1)
+        assert rows == [[1, 2], [3, 4]]
 
 
 def gauss_jordan_pivot(grid, prow, pcol):

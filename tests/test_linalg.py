@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,15 @@ from linfiso.linalg import (
     format_rational,
     inverse,
     nullspace_columns,
+    common_denominator,
     op_norm_inf,
     rank,
+    row_norms,
     rref,
     vec_norm1,
     vec_norm_inf,
 )
-from oracles import laplace_det
+from oracles import laplace_det, reduced_row_echelon, solve_square
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 
@@ -328,3 +331,108 @@ class TestCauchyBinet:
             cauchy_binet_check(Matrix([[1]]), Matrix([[1], [2]]))
         with pytest.raises(DimensionError):
             cauchy_binet_check(Matrix([[1, 2]]), Matrix([[1, 2]]))
+
+
+def coprime_grid(rng, rows, cols, zero_rows=0.0):
+    """Rational entries over coprime denominators; each row is all zero
+    with probability zero_rows."""
+    return [
+        [F(0)] * cols if rng.random() < zero_rows else
+        [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7, 11))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def plain_product(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a
+    ]
+
+
+class TestIntegerPaths:
+    """Matrix arithmetic on integer rows over one denominator agrees
+    with plain Fraction arithmetic, and every internally built result is
+    the matrix the public constructor builds from the same entries."""
+
+    SHAPES = ((1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5))
+
+    def same(self, got: Matrix, grid):
+        expected = Matrix(grid)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert repr(got) == repr(expected)
+        assert got.to_lists() == grid
+        # lowest terms: a positive denominator sharing no prime with
+        # every numerator, so the form, == and hash are unique
+        assert got._den > 0
+        assert gcd(got._den, *(x for row in got._rows for x in row)) == 1
+
+    def test_arithmetic(self):
+        rng = random.Random(1968)
+        for rows, cols in self.SHAPES:
+            for _ in range(8):
+                a = coprime_grid(rng, rows, cols, zero_rows=0.2)
+                b = coprime_grid(rng, rows, cols, zero_rows=0.2)
+                c = coprime_grid(rng, cols, rng.randint(1, 4), zero_rows=0.2)
+                ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+                self.same(ma @ mc, plain_product(a, c))
+                pairs = [list(zip(r, s)) for r, s in zip(a, b)]
+                self.same(ma + mb, [[x + y for x, y in row] for row in pairs])
+                self.same(ma - mb, [[x - y for x, y in row] for row in pairs])
+                self.same(-ma, [[-x for x in r] for r in a])
+                self.same(ma - ma, [[F(0)] * cols for _ in range(rows)])
+                self.same(ma.transpose(), [list(col) for col in zip(*a)])
+                sums = [sum((abs(x) for x in r), F(0)) for r in a]
+                assert row_norms(ma) == sums
+                assert op_norm_inf(ma) == max(sums)
+
+    def test_eliminations(self):
+        rng = random.Random(1967)
+        singular = 0
+        for rows, cols in self.SHAPES:
+            for _ in range(8):
+                a = coprime_grid(rng, rows, cols, zero_rows=0.15)
+                if rows > 1 and rng.random() < 0.3:
+                    a[-1] = [2 * x - y for x, y in zip(a[0], a[1 % rows])]
+                m = Matrix(a)
+                reduced, pivots = reduced_row_echelon(a)
+                got, got_pivots = rref(m)
+                assert got_pivots == tuple(pivots)
+                self.same(got, reduced)
+                assert rank(m) == len(pivots)
+                kernel = nullspace_columns(m)
+                assert len(kernel) == cols - len(pivots)
+                for vec in kernel:
+                    assert all(sum(x * v for x, v in zip(r, vec)) == 0 for r in a)
+                if rows != cols:
+                    continue
+                assert det(m) == laplace_det(a)
+                if det(m) == 0:
+                    singular += 1
+                    with pytest.raises(SingularMatrixError):
+                        inverse(m)
+                    continue
+                unit = [[F(int(i == j)) for j in range(rows)] for i in range(rows)]
+                columns = [solve_square(a, e) for e in unit]
+                self.same(inverse(m), [list(r) for r in zip(*columns)])
+        assert singular >= 5
+
+    def test_take_and_replace_rows(self):
+        rng = random.Random(1966)
+        a = coprime_grid(rng, 5, 3)
+        m = Matrix(a)
+        self.same(m.take_rows(IndexSet((2, 4), 5)), [a[1], a[3]])
+        row = [F(1, 13), F(0), F(-5, 4)]
+        self.same(m.replace_row(2, row), a[:2] + [row] + a[3:])
+        self.same(Matrix.identity(3) @ Matrix.zeros(3, 2), [[F(0)] * 2] * 3)
+
+    def test_common_denominator(self):
+        ints, den = common_denominator([F(1, 6), F(-3, 4), F(2)])
+        assert (ints, den) == ([2, -9, 24], 12)
+        assert common_denominator([]) == ([], 1)
+
+    def test_floats_still_refused(self):
+        with pytest.raises(TypeError):
+            Matrix([[0.5]])
+        with pytest.raises(TypeError):
+            Matrix.identity(2).replace_row(0, [1, 0.5])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from linfiso.lp import (
     verify_unboundedness,
 )
 from linfiso.projection import minimal_projection_program
-from oracles import enumerate_lp
+from oracles import certificate_verdicts, enumerate_lp
 
 
 def build(objective, rows, *args, **kwargs):
@@ -633,3 +634,135 @@ class TestCertificateRejection:
         for x, ray in ((sol.x + (F(0),), sol.ray), (sol.x, sol.ray + (F(0),))):
             bad = LpSolution(sol.status, x, None, None, ray)
             assert not verify_unboundedness(prob, bad)
+
+
+_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+_TINY = F(1, 10**12)
+
+
+def coprime_rational(rng, bound=6):
+    return F(rng.randint(-bound, bound), rng.choice(_DENOMINATORS))
+
+
+def random_program(rng):
+    """A small program with rational coefficients over coprime
+    denominators, zero, positive and negative right-hand sides, all
+    three senses, and free, boxed, upper-only and lower-only variables."""
+    nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
+    objective = [coprime_rational(rng) for _ in range(nvars)]
+    rows = [
+        [(j, coprime_rational(rng)) for j in range(nvars) if rng.random() < 0.8]
+        for _ in range(nrows)
+    ]
+    senses = [rng.choice(("<=", "==", ">=")) for _ in range(nrows)]
+    rhs = [rng.choice((F(0), coprime_rational(rng), -abs(coprime_rational(rng))))
+           for _ in range(nrows)]
+    lower, upper = [], []
+    for _ in range(nvars):
+        kind = rng.choice(("free", "boxed", "upper", "lower"))
+        lo = coprime_rational(rng) if kind in ("boxed", "lower") else None
+        hi = coprime_rational(rng) if kind in ("boxed", "upper") else None
+        if lo is not None and hi is not None:
+            lo, hi = min(lo, hi), max(lo, hi)
+        lower.append(lo)
+        upper.append(hi)
+    return LpProblem.build(objective, rows, senses, rhs, lower=lower, upper=upper)
+
+
+def verdicts(problem, solution):
+    return (
+        verify_certificate(problem, solution),
+        verify_infeasibility(problem, solution),
+        verify_unboundedness(problem, solution),
+    )
+
+
+def moved(values, i, delta):
+    return values[:i] + (values[i] + delta,) + values[i + 1 :]
+
+
+def variants(solution, rng):
+    """The solution and its perturbations: each x, dual and ray entry
+    moved by +-1/10**12, each nonzero multiplier with its sign flipped,
+    the stated optimum moved, and, from a feasible point, rays along
+    +-e_j and a random direction, which mostly break the homogeneous
+    rows, and random multipliers claiming infeasibility."""
+    yield solution
+    x, y, ray = solution.x, solution.duals, solution.ray
+    for delta in (_TINY, -_TINY):
+        for i in range(len(x or ())):
+            yield replace(solution, x=moved(x, i, delta))
+        for i in range(len(y or ())):
+            yield replace(solution, duals=moved(y, i, delta))
+        for i in range(len(ray or ())):
+            yield replace(solution, ray=moved(ray, i, delta))
+        if solution.objective_value is not None:
+            yield replace(solution, objective_value=solution.objective_value + delta)
+    for i, yi in enumerate(y or ()):
+        if yi:
+            yield replace(solution, duals=moved(y, i, -2 * yi))
+    for i, di in enumerate(ray or ()):
+        if di:
+            yield replace(solution, ray=moved(ray, i, -2 * di))
+    if x is not None:
+        n = len(x)
+        rays = [tuple(F(s) if k == j else F(0) for k in range(n))
+                for j in range(n) for s in (1, -1)]
+        rays.append(tuple(coprime_rational(rng) for _ in range(n)))
+        for d in rays:
+            yield LpSolution(LpStatus.UNBOUNDED, x, None, None, ray=d)
+    nrows = len(y) if y is not None else 0
+    if nrows:
+        for _ in range(3):
+            guess = tuple(coprime_rational(rng) for _ in range(nrows))
+            yield LpSolution(LpStatus.INFEASIBLE, None, None, guess)
+
+
+class TestCertificateOracle:
+    """verify_certificate, verify_infeasibility and verify_unboundedness
+    give the verdicts of the plain-Fraction checks in oracles on every
+    answer of the simplex and on each perturbation of it."""
+
+    def check(self, problem, solution, rng, tally):
+        for candidate in variants(solution, rng):
+            got = verdicts(problem, candidate)
+            assert got == certificate_verdicts(problem, candidate), candidate
+            tally[any(got)] += 1
+
+    def test_random_programs(self):
+        rng = random.Random(1947)
+        statuses = {status: 0 for status in LpStatus}
+        tally = {True: 0, False: 0}
+        for _ in range(240):
+            problem = random_program(rng)
+            solution = solve(problem)
+            statuses[solution.status] += 1
+            assert any(verdicts(problem, solution))
+            self.check(problem, solution, rng, tally)
+        assert min(statuses.values()) >= 20, statuses
+        assert tally[True] >= 240 and tally[False] >= 2000, tally
+
+    def test_master_problem_after_appended_rounds(self):
+        rng = random.Random(1967)
+        tally = {True: 0, False: 0}
+        for _ in range(20):
+            master = None
+            for r in range(3):
+                cols = []
+                for _ in range(rng.randint(1, 3)):
+                    col = [coprime_rational(rng, 3) for _ in range(2)]
+                    col.append(F(rng.randint(1, 3), rng.choice(_DENOMINATORS)))
+                    cols.append(list(enumerate(col)))
+                costs = [coprime_rational(rng, 4) for _ in cols]
+                if master is None:
+                    rows = [
+                        [(j, col[r][1]) for j, col in enumerate(cols)] for r in range(3)
+                    ]
+                    problem = LpProblem.build(costs, rows, ["==", "==", "<="], [0, 0, 1])
+                    master = Master(problem)
+                else:
+                    master.append(costs, cols)
+                solution = solve(master)
+                assert verify_certificate(master.problem, solution)
+                self.check(master.problem, solution, rng, tally)
+        assert tally[True] >= 60 and tally[False] >= 600, tally
