@@ -4,26 +4,31 @@ Run from the root of a source checkout:
 
     python3 benchmarks/bench_layers.py [--out benchmarks/BENCH_layers.json]
 
-For each shape (N, m) the instance is random_instance(random.Random(1), N, m)
-and projection_constant runs REPEATS times.  Each time is the median over
-the repeats, in seconds: the whole projection_constant call; setup_s, from
-the call to the start of the LP (the program build, the best-set scan and
-P_S); master_s, from the start of the LP to its last solve (every round of
-the cut loop, its separation included); mapping_s, from there to the end
-of the call (the certificate on the full program and the reading of Y and
-P); and verify_certificate.  The answer fields come from the first repeat,
-and every repeat must give the same ones, or the script exits 1: the
-route (method), the digest of lambda, whether the certificate verifies,
-the cut rounds and cuts, the master's pivots, degenerate pivots and Bland
-turns, and the largest bit length of a tableau entry at the end.  A
-hyperplane (m = 1) runs no LP: its closed form has no solver stats, so
-the LP fields and setup_s, master_s and mapping_s are null, and
-projconst_s is the closed form, the product P = I - Y F^T and the
-program build.  The file also records the Python version, the CPU count,
-the commit, and source_sha256, a digest of src/linfiso/*.py that tells
-apart checkouts without git metadata, so two files written by two
-checkouts of the program on one machine compare layer by layer.  A
-checkout that predates a field reports it as null.
+Each rung is a shape (N, m) and a seed, and its instance is
+random_instance(random.Random(seed), N, m); (12, 4) runs at two seeds, so
+one lucky draw does not carry a figure.  projection_constant runs REPEATS
+times on each.  Each time is the median over the repeats, in seconds: the
+whole projection_constant call; setup_s, from the call to the start of the
+LP (the program build, the best-set scan and P_S); master_s, from the
+start of the LP to its last solve (every round of the cut loop, its
+separation included); mapping_s, from there to the end of the call (the
+certificate on the full program and the reading of Y and P); and
+verify_certificate.  The answer fields come from the first repeat, and
+every repeat must give the same ones, or the script exits 1: the route
+(method), the digest of lambda, whether the certificate verifies, the cut
+rounds and cuts, the master's pivots, degenerate pivots and Bland turns,
+and tableau_bits, LpStats.phase2_bits of the last solve: the largest bit
+length of det and of an entry of the master's integer block [det B^-1,
+rhs; cost row].  Those integers run longer than the reduced fractions of
+the rational tableau that the master kept before, so tableau_bits does not
+compare with files written by such a checkout.  A hyperplane (m = 1) runs
+no LP: its closed form has no solver stats, so the LP fields and setup_s,
+master_s and mapping_s are null, and projconst_s is the closed form, the
+product P = I - Y F^T and the program build.  The file also records the
+Python version, the CPU count, the commit, and source_sha256, a digest of
+src/linfiso/*.py that tells apart checkouts without git metadata, so two
+files written by two checkouts of the program on one machine compare layer
+by layer.  A checkout that predates a field reports it as null.
 
 The program is imported from ./src of the checkout the script runs from.
 """
@@ -51,8 +56,11 @@ from linfiso import (  # noqa: E402
     verify_certificate,
 )
 
-SHAPES = ((16, 1), (24, 1), (8, 4), (10, 4), (12, 3), (12, 4), (14, 3))
-SEED = 1
+# (N, m, seed)
+RUNGS = (
+    (16, 1, 1), (24, 1, 1), (8, 4, 1), (10, 4, 1), (12, 3, 1), (12, 4, 1),
+    (12, 4, 2), (14, 3, 1),
+)
 REPEATS = 3
 
 
@@ -60,9 +68,9 @@ def digest(value) -> str:
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
 
-def measure(n: int, m: int) -> dict:
+def measure(n: int, m: int, seed: int) -> dict:
     """One repeat: the answer's fingerprint and the time of each layer."""
-    spec = random_instance(random.Random(SEED), n, m).to_spec()
+    spec = random_instance(random.Random(seed), n, m).to_spec()
     began = time.perf_counter()
     result = projection_constant(spec)
     ended = time.perf_counter()
@@ -118,20 +126,20 @@ def main() -> int:
     )
     args = parser.parse_args()
     rows = []
-    for n, m in SHAPES:
-        runs = [measure(n, m) for _ in range(REPEATS)]
+    for n, m, seed in RUNGS:
+        runs = [measure(n, m, seed) for _ in range(REPEATS)]
         answer = runs[0]["answer"]
         if any(run["answer"] != answer for run in runs):
-            print(f"({n}, {m}): repeats disagree", file=sys.stderr)
+            print(f"({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
             return 1
         seconds = {
             key: None if runs[0]["seconds"][key] is None
             else round(statistics.median(run["seconds"][key] for run in runs), 4)
             for key in runs[0]["seconds"]
         }
-        rows.append({"n": n, "m": m, "seed": SEED, **answer, **seconds})
+        rows.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
         print(
-            f"({n}, {m}): lambda {answer['lambda_digest']}  rounds "
+            f"({n}, {m}) seed {seed}: lambda {answer['lambda_digest']}  rounds "
             f"{answer['rounds']} cuts {answer['cuts']} pivots "
             f"{answer['pivots']}  projconst {seconds['projconst_s']} s"
         )

@@ -1,17 +1,20 @@
 """Exact kernels for the three hot loops: the Bareiss determinant, the
-Gauss-Jordan pivot of the simplex tableau, and the fraction-free
-exchange of the basis-exchange scan of canonical families and of
-linalg's elimination.
+simplex pivot of lp's two tableau forms, and the fraction-free exchange
+of the basis-exchange scan of canonical families and of linalg's
+elimination.
 
-The pivot takes numbers as parallel flat lists of Python ints:
+The cold tableau holds numbers as parallel flat lists of Python ints:
 nums[i] / dens[i] with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1
-(zero is 0/1).  The determinant and the exchange take integer rows
-over one common denominator instead, the form linalg.Matrix holds.
-Callers reach these functions through the module (_kernels.pivot(...)),
-not by importing the names, so a tracer can wrap them in one place.
+(zero is 0/1).  The determinant, the exchange and lp's revised master
+take integer rows over one common denominator instead, the form
+linalg.Matrix holds.  Every simplex pivot, in either form, goes through
+pivot.  Callers reach these functions through the module
+(_kernels.pivot(...)), not by importing the names, so a tracer can wrap
+them in one place.
 """
 
 from math import gcd
+from typing import Optional
 
 
 def normalize(num: int, den: int) -> tuple[int, int]:
@@ -61,12 +64,18 @@ def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
     return normalize(sign * work[size - 1][size - 1], den**size)
 
 
-def pivot(nums: list, dens: list, ncols: int, prow: int, pcol: int) -> None:
-    """One Gauss-Jordan pivot on a flat tableau, in place.
+def pivot(nums: list, dens, ncols: int, prow: int, pcol: int) -> Optional[int]:
+    """One simplex pivot on a tableau of ncols columns, in place.
 
-    Scales row prow so the pivot becomes 1, then eliminates column pcol
+    With dens a list, nums and dens are the flat rational tableau: row
+    prow is scaled so the pivot becomes 1, then column pcol is eliminated
     from every other row (objective rows included, they are just rows).
+    With dens an int, nums holds integer rows over that one denominator:
+    the pivot is exchange(nums, dens, prow, pcol), and its pivot entry,
+    the new denominator, is returned.
     """
+    if not isinstance(dens, list):
+        return exchange(nums, dens, prow, pcol)
     nrows = len(nums) // ncols
     base = prow * ncols
     pnum = nums[base + pcol]

@@ -13,6 +13,7 @@ failure part-way (exit 2) leaves stdout empty."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -286,9 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call and kept: building one takes
+# about a millisecond, a large share of a small job
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, text = args.func(args)
         sys.stdout.write(text)

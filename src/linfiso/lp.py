@@ -54,29 +54,30 @@ over the whole program, whose rows may have many coprime denominators.
   homogeneous rows and bounds (verify_unboundedness).
 
 Master holds a problem whose columns arrive over rounds, as in column
-generation: every variable is nonnegative, and every row that needs an
-artificial has right-hand side 0, so the starting basis of slacks and
-artificials is feasible and phase 1 never runs.  Such an artificial
-stays basic at 0 until a column with a nonzero entry in its row enters:
-in phase 2 the ratio test lets it leave first, at ratio 0, whatever the
-sign of that entry, and an artificial never enters, so phase 2 holds
-every basic artificial at 0 and the point stays feasible.  The row of
-an artificial is never dropped, because a later column may load it.
-Each artificial leaves at most once, so these pivots leave the
-termination argument above intact.  append() writes new columns into
-the tableau priced through the starting unit columns, which hold B^-1:
-the tableau column of a is B^-1 a, and its reduced cost is its cost
-plus the cost row on those unit columns times a.  B^-1 is read once per
-call, for all the columns of the call.  solve(master) then resumes
-phase 2 from the basis the last solve ended at, with the same pricing,
-ratio test and pivot as a cold solve.
+generation, and starts from its basis of slacks and artificials, so
+phase 1 never runs.  A basic artificial stays at 0 until a column with
+a nonzero entry in its row enters; it then leaves first, whatever the
+sign, and never enters again, so the point stays feasible and the
+argument above holds.  Its row is kept: a later column may load it.  A
+Master runs the revised simplex in integers (Dantzig and Orchard-Hays
+1954; Bareiss 1968).  Each column and its cost are scaled to integers
+by the lcm s of their denominators, and the rhs by its own.  Only the
+block [R, R b; r, -z] is kept, over the determinant det of the basis:
+R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of cost
+c by d = c det + r . a, s det times its reduced cost, computes R a, and
+pivots the block with _kernels.pivot, which runs the fraction-free
+exchange on integer rows: its division by det is exact, and det, the
+pivot entry, can be negative, so comparisons take its sign.  A scale divides a price and a row's ratios alike, so the pivots
+are the rational tableau's.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from itertools import chain
 from math import lcm
+from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -220,16 +221,17 @@ class LpStats:
     are pricing pivots whose leaving row had rhs 0; bland_fallbacks
     counts the turns in which Bland's rule priced them.  phase1_bits and
     phase2_bits are the largest bit length of a numerator or denominator
-    in the tableau at the end of each phase, read by one scan each
-    (phase1_bits is read after the build when phase 1 does not run, and
-    phase2_bits is None when phase 2 does not run).  The perf_counter
-    readings mark the start of the solve and the end of the build and of
-    each phase (an infeasible solve ends after phase 1); they are left
-    out of equality, so two solves of one program compare equal.
+    in the tableau at the end of each phase (phase1_bits after the build
+    when phase 1 does not run; phase2_bits is None when phase 2 does not
+    run).  The perf_counter readings mark the start of the solve and the
+    end of the build and of each phase (an infeasible solve ends after
+    phase 1); they are left out of equality, so two solves of one
+    program compare equal.
 
-    For a Master the counts run over all its solves so far, cols is the
-    width after the last append, phase1_done equals built, and phase2_bits
-    and finished are those of the last solve.
+    For a Master the counts run over all its solves so far, rows and
+    cols are those of the tableau it stands for after the last append,
+    phase1_bits and phase2_bits read its integer block and det (at the
+    start and after the last solve), and phase1_done equals built.
     """
 
     rows: int
@@ -274,36 +276,107 @@ class _RowRecord:
     art_col: Optional[int]
 
 
-class _Simplex:
-    """The tableau of one problem.  phase1=False writes no phase-1 cost
-    row, for a Master, whose starting basis is feasible."""
+def _standard_row(sense: str, b: Fraction) -> tuple[int, int, bool]:
+    """A row of (shifted) rhs b in standard form: phi (-1 when b < 0 or b =
+    0 on a >= row, else 1), the slack's coefficient times phi (0 on ==),
+    and whether it needs an artificial (on == or when that is -1)."""
+    phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
+    slack = 0 if sense == EQUAL else phi if sense == LESS else -phi
+    return phi, slack, slack <= 0
 
-    def __init__(self, problem: LpProblem, phase1: bool = True):
+
+class _Pivoting:
+    """The pricing loop of the cold tableau and the master.  Each supplies
+    _entering(bland), _leaving(col), _degenerate(row) and _pivot(row, col)."""
+
+    def __init__(self) -> None:
         self.started = time.perf_counter()
-        self.problem = problem
-        self._build(phase1)
-        self.shape = (self.nrows, self.ncols)
-        self.pivots = 0
-        self.degenerate_pivots = 0
-        self.bland_fallbacks = 0
+        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
         self.phase2_bits: Optional[int] = None
+
+    def _run_phase(self) -> Optional[int]:
+        """Pivot until no column prices negative, with the Bland turns of
+        the module docstring.  Returns the entering column when the
+        objective is unbounded below, else None."""
+        guard = 20000 + 200 * (self.nrows + self.ncols)
+        bland, span, run = False, _DEGENERATE_STREAK, 0  # run counts degenerate pivots
+        for _ in range(guard):
+            col = self._entering(bland)
+            if col is None:
+                return None
+            row = self._leaving(col)
+            if row is None:
+                return col
+            if not self._degenerate(row):
+                bland, span, run = False, _DEGENERATE_STREAK, 0
+            else:
+                self.degenerate_pivots += 1
+                run += 1
+                if run > span:
+                    if bland:
+                        span *= 2
+                    else:
+                        self.bland_fallbacks += 1
+                    bland, run = not bland, 0
+            self._pivot(row, col)
+        raise InternalConsistencyError("simplex did not terminate inside its guard")
+
+    def _most_negative(self, prices, bland: bool) -> Optional[int]:
+        """Of (column, num, den) with den > 0, the column of the most
+        negative num / den, ties to the first (Dantzig's rule); with
+        bland, the first negative one (Bland's rule)."""
+        best, best_n, best_d = None, 0, 1
+        for j, n, d in prices:
+            if n < 0:
+                if bland:
+                    return j
+                if n * best_d < best_n * d:
+                    best, best_n, best_d = j, n, d
+        return best
+
+    def _least_ratio(self, ratios) -> Optional[int]:
+        """Of (row, num, den) with den > 0, the row of the least num /
+        den, ties to the smallest basic column (the ratio test)."""
+        best = best_n = best_d = None
+        for i, n, d in ratios:
+            if best is not None:
+                diff = n * best_d - best_n * d
+                if diff > 0 or (diff == 0 and self.basis[i] > self.basis[best]):
+                    continue
+            best, best_n, best_d = i, n, d
+        return best
+
+    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
+        stats = LpStats(
+            *self.shape, self.phase1_pivots, self.pivots - self.phase1_pivots,
+            self.degenerate_pivots, self.bland_fallbacks, self.phase1_bits,
+            self.phase2_bits, self.started, self.built, self.phase1_done,
+            time.perf_counter(),
+        )
+        return LpSolution(status, x, value, duals, ray, stats)
+
+
+class _Simplex(_Pivoting):
+    """The tableau of one problem, solved from scratch."""
+
+    def __init__(self, problem: LpProblem):
+        super().__init__()
+        self.problem = problem
+        self._build()
+        self.shape = (self.nrows, self.ncols)
         self.built = time.perf_counter()
 
     # -- tableau -------------------------------------------------------
 
-    def _build(self, phase1: bool) -> None:
+    def _build(self) -> None:
         """Write the standard-form tableau, each row once.
 
         Each x_j is its shift plus signed nonnegative columns x': a finite
         lower bound shifts, an upper bound alone reflects, and a free
         variable splits into a difference of two columns.  Each problem
         row, then the row x_j <= hi of each boxed variable, is written
-        once in x', times the sign phi that makes its shifted rhs
-        nonnegative (-1 when the rhs is negative, or 0 on a >= row).  An
-        inequality gets a slack of coefficient phi on <= and -phi on >=,
-        and a row gets an artificial when it is an equality or that
-        coefficient is -1.  Columns: structural, slacks, artificials, rhs.
-        Rows: constraints, the phase-2 costs, and with phase1 and
+        once in x' by _standard_row.  Columns: structural, slacks,
+        artificials, rhs.  Rows: constraints, the phase-2 costs, and with
         artificials the phase-1 costs; every entry not written is 0."""
         problem = self.problem
         # per variable: ((x' column, sign), ...) and the shift (or None)
@@ -336,13 +409,12 @@ class _Simplex:
         rhs: list[Fraction] = []  # phi times the shifted rhs
         for i, (row, sense, b) in enumerate(rows):
             b -= sum((a * shifts[j] for j, a in row if shifts[j]), _ZERO)
-            phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
+            phi, slack_sign, needs_art = _standard_row(sense, b)
             rec = _RowRecord(i if i < problem.nrows else None, phi, None, 1, None)
-            if sense != EQUAL:
-                rec.slack_col = slack
-                rec.slack_sign = phi if sense == LESS else -phi
+            if slack_sign:
+                rec.slack_col, rec.slack_sign = slack, slack_sign
                 slack += 1
-            if sense == EQUAL or rec.slack_sign < 0:
+            if needs_art:
                 rec.art_col = art
                 art += 1
             records.append(rec)
@@ -355,7 +427,7 @@ class _Simplex:
             rec.art_col if rec.art_col is not None else rec.slack_col
             for rec in records
         ]
-        phase1 = phase1 and bool(self.art_cols)
+        phase1 = bool(self.art_cols)
         nums = [0] * ((nrows + 1 + phase1) * ncols)
         dens = [1] * len(nums)
 
@@ -378,9 +450,8 @@ class _Simplex:
             if rec.slack_col is not None:
                 entries.append((rec.slack_col, Fraction(rec.slack_sign)))
             if rec.art_col is not None:
-                if phase1:
-                    for col, a in entries:
-                        phase1_costs[col] = phase1_costs.get(col, _ZERO) - a
+                for col, a in entries:
+                    phase1_costs[col] = phase1_costs.get(col, _ZERO) - a
                 entries.append((rec.art_col, _ONE))
             put(i, entries)
         put(nrows, enumerate(costs))
@@ -395,93 +466,29 @@ class _Simplex:
 
     # -- pivoting ------------------------------------------------------
 
-    def _entering(self, cost_idx: int, bland: bool) -> Optional[int]:
-        """The column with the most negative reduced cost, ties to the
-        smallest index (Dantzig); with bland, the first negative one."""
-        nums, dens = self.nums, self.dens
-        base = cost_idx * self.ncols
-        best = None
-        best_n, best_d = 0, 1
-        for j in range(self.enter_limit):
-            n = nums[base + j]
-            if n < 0:
-                if bland:
-                    return j
-                # n/d < best_n/best_d, denominators positive
-                d = dens[base + j]
-                if n * best_d < best_n * d:
-                    best, best_n, best_d = j, n, d
-        return best
+    def _entering(self, bland: bool) -> Optional[int]:
+        """Price by the cost row in use."""
+        base = self.cost_idx * self.ncols
+        costs = enumerate(self.nums[base : base + self.enter_limit])
+        prices = ((j, n, self.dens[base + j]) for j, n in costs if n < 0)
+        return self._most_negative(prices, bland)
 
-    def _leaving(self, col: int, hold: bool) -> Optional[int]:
-        """The ratio test, ties to the smallest basic column.  With hold
-        (phase 2), the first basic artificial with a nonzero entry leaves
-        first: it is at 0, and leaving keeps it there."""
+    def _leaving(self, col: int) -> Optional[int]:
+        """The ratio test over the rows with a positive entry."""
         ncols = self.ncols
-        rhs = ncols - 1
-        best = None
-        best_rn = best_rd = 0
-        for i in range(self.nrows):
-            an = self.nums[i * ncols + col]
-            if hold and an and self.basis[i] >= self.enter_limit:
-                return i
-            if an <= 0:
-                continue
-            ad = self.dens[i * ncols + col]
-            bn = self.nums[i * ncols + rhs]
-            bd = self.dens[i * ncols + rhs]
-            rn, rd = bn * ad, bd * an  # ratio rn/rd with rd > 0
-            if best is None:
-                best, best_rn, best_rd = i, rn, rd
-                continue
-            diff = rn * best_rd - best_rn * rd
-            if diff < 0 or (diff == 0 and self.basis[i] < self.basis[best]):
-                best, best_rn, best_rd = i, rn, rd
-        return best
+        an, ad = self.nums[col::ncols], self.dens[col::ncols]
+        bn, bd = self.nums[ncols - 1 :: ncols], self.dens[ncols - 1 :: ncols]
+        return self._least_ratio(
+            (i, bn[i] * ad[i], bd[i] * an[i]) for i in range(self.nrows) if an[i] > 0
+        )
+
+    def _degenerate(self, row: int) -> bool:
+        return not self.nums[row * self.ncols + self.ncols - 1]
 
     def _pivot(self, row: int, col: int) -> None:
         _kernels.pivot(self.nums, self.dens, self.ncols, row, col)
         self.basis[row] = col
         self.pivots += 1
-
-    def _run_phase(self, cost_idx: int) -> Optional[int]:
-        """Pivot until the cost row has no negative entry.  Returns the
-        entering column when the objective is unbounded below, else None.
-        Prices by Dantzig's rule until more than span pivots in a row are
-        degenerate, then by Bland's rule for more than span pivots, and
-        so on with span doubled each time; a non-degenerate pivot returns
-        to Dantzig's rule and span to _DEGENERATE_STREAK."""
-        guard = 20000 + 200 * (self.nrows + self.ncols)
-        rhs = self.ncols - 1
-        hold = cost_idx == self.nrows
-        bland = False
-        span = _DEGENERATE_STREAK
-        run = 0  # degenerate pivots under the current rule
-        for _ in range(guard):
-            col = self._entering(cost_idx, bland)
-            if col is None:
-                return None
-            row = self._leaving(col, hold)
-            if row is None:
-                return col
-            if self.nums[row * self.ncols + rhs]:
-                bland, span, run = False, _DEGENERATE_STREAK, 0
-            else:
-                self.degenerate_pivots += 1
-                run += 1
-                if run > span:
-                    if bland:
-                        span *= 2
-                    else:
-                        self.bland_fallbacks += 1
-                    bland, run = not bland, 0
-            self._pivot(row, col)
-        raise InternalConsistencyError("simplex did not terminate inside its guard")
-
-    # -- phase transitions --------------------------------------------
-
-    def _phase1_value(self) -> Fraction:
-        return -self._frac(self.nrows + 1, self.ncols - 1)
 
     def _purge_artificials(self) -> None:
         """Pivot basic artificials out (their value is 0) or mark their
@@ -491,38 +498,30 @@ class _Simplex:
         for i in range(self.nrows):
             if self.basis[i] not in art_set:
                 continue
-            pivot_col = None
             base = i * self.ncols
-            for j in range(self.enter_limit):
-                if self.nums[base + j] != 0:
-                    pivot_col = j
-                    break
+            row = self.nums[base : base + self.enter_limit]
+            pivot_col = next((j for j, a in enumerate(row) if a), None)
             if pivot_col is None:
                 drop.add(i)
             else:
                 self._pivot(i, pivot_col)
         keep = [i for i in range(self.nrows) if i not in drop]
-        ncols = self.ncols
-        new_nums: list[int] = []
-        new_dens: list[int] = []
-        for i in keep + [self.nrows]:  # constraint rows plus phase-2 cost row
-            base = i * ncols
-            new_nums.extend(self.nums[base : base + ncols])
-            new_dens.extend(self.dens[base : base + ncols])
-        self.nums = new_nums
-        self.dens = new_dens
+        ncols = self.ncols  # constraint rows plus the phase-2 cost row
+        spans = [slice(i * ncols, (i + 1) * ncols) for i in keep + [self.nrows]]
+        self.nums = [v for span in spans for v in self.nums[span]]
+        self.dens = [v for span in spans for v in self.dens[span]]
         self.records = [self.records[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
         self.nrows = len(keep)
 
     # -- extraction ----------------------------------------------------
 
-    def _structural_values(self) -> list[Fraction]:
+    def _basic(self, col: int) -> list[Fraction]:
+        """Tableau column col on the basic structural columns, else 0."""
         values = [_ZERO] * self.nstruct
-        rhs = self.ncols - 1
-        for i, col in enumerate(self.basis):
-            if col < self.nstruct:
-                values[col] = self._frac(i, rhs)
+        for i, j in enumerate(self.basis):
+            if j < self.nstruct:
+                values[j] = self._frac(i, col)
         return values
 
     def _to_original(self, values: list[Fraction], affine: bool) -> tuple:
@@ -536,55 +535,20 @@ class _Simplex:
 
     def _row_duals(self, cost_idx: int, phase1: bool) -> tuple:
         y = [_ZERO] * self.problem.nrows
-        for i, rec in enumerate(self.records):
-            if rec.art_col is not None:
-                cbar = self._frac(cost_idx, rec.art_col)
-                local = (1 - cbar) if phase1 else -cbar
-            elif rec.slack_col is not None:
-                cbar = self._frac(cost_idx, rec.slack_col)
-                local = -cbar * rec.slack_sign
-            else:  # unreachable: every row starts with a unit column
-                raise InternalConsistencyError("row without a unit column")
+        for rec in self.records:  # every row starts with a unit column
+            if rec.art_col is not None:  # of phase-1 cost 1
+                local = (1 if phase1 else 0) - self._frac(cost_idx, rec.art_col)
+            else:
+                local = -self._frac(cost_idx, rec.slack_col) * rec.slack_sign
             if rec.origin is not None:
                 y[rec.origin] = rec.phi * local
         return tuple(y)
-
-    def _basic_point(self) -> tuple[tuple, Fraction]:
-        """The basic solution in the problem's variables and its cost."""
-        x = self._to_original(self._structural_values(), affine=True)
-        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
-        return x, value
-
-    def _ray(self, entering_col: int) -> tuple:
-        direction = [_ZERO] * self.nstruct
-        if entering_col < self.nstruct:
-            direction[entering_col] = _ONE
-        for i, col in enumerate(self.basis):
-            if col < self.nstruct:
-                direction[col] = -self._frac(i, entering_col)
-        return self._to_original(direction, affine=False)
 
     # -- driver --------------------------------------------------------
 
     def _bits(self) -> int:
         """The largest bit length of a numerator or denominator."""
         return max(map(int.bit_length, self.nums + self.dens))
-
-    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
-        stats = LpStats(
-            *self.shape,
-            self.phase1_pivots,
-            self.pivots - self.phase1_pivots,
-            self.degenerate_pivots,
-            self.bland_fallbacks,
-            self.phase1_bits,
-            self.phase2_bits,
-            self.started,
-            self.built,
-            self.phase1_done,
-            time.perf_counter(),
-        )
-        return LpSolution(status, x, value, duals, ray, stats)
 
     def _end_phase1(self) -> None:
         self.phase1_pivots = self.pivots
@@ -593,142 +557,178 @@ class _Simplex:
 
     def run(self) -> LpSolution:
         if self.art_cols:
-            unbounded_col = self._run_phase(self.nrows + 1)
-            if unbounded_col is not None:
+            self.cost_idx = self.nrows + 1
+            if self._run_phase() is not None:
                 raise InternalConsistencyError(
                     "phase-1 objective is bounded below by zero"
                 )
-            if self._phase1_value() > 0:
+            if self._frac(self.nrows + 1, self.ncols - 1) < 0:  # phase-1 value > 0
                 self._end_phase1()
                 farkas = self._row_duals(self.nrows + 1, phase1=True)
                 return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
             self._purge_artificials()
         self._end_phase1()
-        return self.phase2()
-
-    def phase2(self) -> LpSolution:
-        """Run phase 2 from the current basis to a terminal status."""
-        unbounded_col = self._run_phase(self.nrows)
+        self.cost_idx = self.nrows
+        unbounded_col = self._run_phase()
         self.phase2_bits = self._bits()
+        x = self._to_original(self._basic(self.ncols - 1), affine=True)
         if unbounded_col is not None:
-            x = self._to_original(self._structural_values(), affine=True)
-            ray = self._ray(unbounded_col)
+            direction = [-v for v in self._basic(unbounded_col)]
+            if unbounded_col < self.nstruct:
+                direction[unbounded_col] = _ONE
+            ray = self._to_original(direction, affine=False)
             return self._solution(LpStatus.UNBOUNDED, x, None, None, ray)
-        x, value = self._basic_point()
+        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
         duals = self._row_duals(self.nrows, phase1=False)
         return self._solution(LpStatus.OPTIMAL, x, value, duals)
 
-    # -- appended columns ----------------------------------------------
 
-    def append(self, problem: LpProblem) -> None:
-        """Write the variables problem has beyond self.problem, which it
-        extends by with_columns, as tableau columns after the structural
-        ones: B^-1 a and the reduced cost, read through the unit column
-        each row started with (see the module docstring)."""
-        old = self.problem
-        width = problem.nvars - old.nvars
-        # each new column a in tableau rows (phi times its entries)
-        entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
-        for r, rec in enumerate(self.records):
-            if rec.origin is not None:
-                for j, a in problem.rows[rec.origin]:
-                    if j >= old.nvars:
-                        entries[j - old.nvars][r] = a if rec.phi > 0 else -a
-        loaded = sorted({r for column in entries for r in column})
-        units = [
-            rec.art_col if rec.art_col is not None else rec.slack_col
-            for rec in self.records
-        ]
-        # integer columns over one denominator each, indexed like loaded
-        at = {r: p for p, r in enumerate(loaded)}
-        columns = []
-        for column in entries:
-            den = lcm(*(a.denominator for a in column.values()))
-            ints = [
-                (at[r], a.numerator * (den // a.denominator))
-                for r, a in column.items()
-            ]
-            columns.append((ints, den))
-        costs = problem.objective[old.nvars :]
-        ncols = self.ncols
-        nums, dens = self.nums, self.dens
-        new_nums: list[int] = []
-        new_dens: list[int] = []
-        for i in range(self.nrows + 1):  # constraint rows and the cost row
-            base = i * ncols
-            # row i of B^-1 on the loaded rows, over one denominator
-            row_dens = [dens[base + units[r]] for r in loaded]
-            row_den = lcm(*row_dens)
-            inverse = [
-                nums[base + units[r]] * (row_den // d) for r, d in zip(loaded, row_dens)
-            ]
-            values = []
-            for (ints, den), cost in zip(columns, costs):
-                num = sum(a * inverse[p] for p, a in ints)
-                den *= row_den
-                if i == self.nrows:  # the reduced cost adds the cost
-                    num = num * cost.denominator + cost.numerator * den
-                    den *= cost.denominator
-                values.append(_kernels.normalize(num, den))
-            cut = base + self.nstruct
-            new_nums += nums[base:cut]
-            new_nums += (v[0] for v in values)
-            new_nums += nums[cut : base + ncols]
-            new_dens += dens[base:cut]
-            new_dens += (v[1] for v in values)
-            new_dens += dens[cut : base + ncols]
-        self.nums, self.dens = new_nums, new_dens
-        first = self.nstruct
-        self.columns += [(((first + k, 1),), _ZERO) for k in range(width)]
-        self.basis = [col + width if col >= first else col for col in self.basis]
-        for rec in self.records:
-            if rec.slack_col is not None:
-                rec.slack_col += width
-            if rec.art_col is not None:
-                rec.art_col += width
-        self.art_cols = [col + width for col in self.art_cols]
-        self.nstruct += width
-        self.enter_limit += width
-        self.ncols += width
-        self.shape = (self.nrows, self.ncols)
-        self.problem = problem
-
-
-class Master:
+class Master(_Pivoting):
     """A problem solved, then extended by columns and solved again from
     the basis the last solve ended at, without phase 1 (see the module
     docstring).  Every variable must be nonnegative and unbounded above,
-    and every row that needs an artificial must have right-hand side 0;
-    otherwise the constructor raises LpModelError.  problem is the
-    problem with every column appended so far, on which the solutions of
-    solve(master) verify."""
+    and every row that needs an artificial must have rhs 0, or the
+    constructor raises LpModelError.  problem has every column appended
+    so far; the solutions of solve(master) verify on it.  Columns are
+    numbered structural (in order of arrival), slacks, then artificials,
+    which never enter.  columns holds the structural ones times each
+    row's phi, then the slacks, as (rows, integers, cost, scale)."""
 
     def __init__(self, problem: LpProblem):
-        bounds = zip(problem.lower, problem.upper)
-        if any(lo != 0 or hi is not None for lo, hi in bounds):
+        super().__init__()
+        if any(lo != 0 or hi is not None for lo, hi in zip(problem.lower, problem.upper)):
             raise LpModelError(
                 "a master's variables must be nonnegative and unbounded above"
             )
-        self._tableau = tableau = _Simplex(problem, phase1=False)
-        rhs = tableau.ncols - 1
-        if any(
-            rec.art_col is not None and tableau.nums[i * tableau.ncols + rhs]
-            for i, rec in enumerate(tableau.records)
-        ):
-            raise LpModelError("a master's rows with artificials must have rhs 0")
-        tableau._end_phase1()
+        self.nrows = nrows = problem.nrows
+        self.rhs_scale = lcm(*(b.denominator for b in problem.rhs))
+        self.block = [
+            [int(k == i) for k in range(nrows)] + [0] for i in range(nrows + 1)
+        ]
+        self.det = 1
+        self.columns: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
+        self.phi, self.basis = [], []  # per row: phi, the basic column
+        self.ncols = sum(sense != EQUAL for sense in problem.senses) + 1
+        for i, (sense, b) in enumerate(zip(problem.senses, problem.rhs)):
+            phi, slack, needs_art = _standard_row(sense, b)
+            if needs_art and b:
+                raise LpModelError("a master's rows with artificials must have rhs 0")
+            self.phi.append(phi)
+            if slack:
+                self.columns.append(((i,), (slack,), 0, 1))
+            # the row's artificial is column ncols - 1, its slack the last one
+            self.basis.append(self.ncols - 1 if needs_art else len(self.columns) - 1)
+            self.ncols += needs_art
+            self.block[i][nrows] = phi * b.numerator * self.rhs_scale // b.denominator
+        self.nstruct = self.phase1_pivots = 0
+        self._extend(problem)
+        self.phase1_bits = self._bits()
+        self.built = self.phase1_done = time.perf_counter()
 
-    @property
-    def problem(self) -> LpProblem:
-        return self._tableau.problem
+    def _extend(self, problem: LpProblem) -> None:
+        """Take the columns of problem past those held, before the slacks."""
+        first = self.nstruct
+        width = problem.nvars - first
+        entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]
+        for i, (row, phi) in enumerate(zip(problem.rows, self.phi)):
+            for j, a in row:
+                if j >= first:
+                    entries[j - first].append((i, a if phi > 0 else -a))
+        new = []
+        for column, c in zip(entries, problem.objective[first:]):
+            s = lcm(c.denominator, *(a.denominator for _, a in column))
+            ints = tuple(a.numerator * s // a.denominator for _, a in column)
+            rows = tuple(i for i, _ in column)
+            new.append((rows, ints, c.numerator * s // c.denominator, s))
+        self.columns[first:first] = new
+        self.basis = [j + width if j >= first else j for j in self.basis]
+        self.problem = problem
+        self.nstruct += width
+        self.ncols += width
+        self.shape = (self.nrows, self.ncols)
 
-    def append(
-        self, objective: Sequence, columns: Sequence[Sequence[tuple[int, object]]]
-    ) -> None:
+    def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
         """Add one nonnegative variable per column, with the given costs;
-        columns are (row, coefficient) pairs in increasing row order."""
-        self._tableau.append(self.problem.with_columns(objective, columns))
+        columns are (row, coefficient) pairs in increasing row order.  Only
+        the new integer columns are stored."""
+        self._extend(self.problem.with_columns(objective, columns))
 
+    def _price(self, j: int) -> int:
+        """d = c det + r . a for column j."""
+        rows, ints, c, _ = self.columns[j]
+        cost = self.block[self.nrows]
+        return c * self.det + sum(map(mul, map(cost.__getitem__, rows), ints))
+
+    def _entering(self, bland: bool) -> Optional[int]:
+        """Price each nonbasic column by d / s times the sign of det."""
+        sign = -1 if self.det < 0 else 1
+        basic = set(self.basis)
+        prices = (
+            (j, sign * self._price(j), self.columns[j][3])
+            for j in range(len(self.columns))
+            if j not in basic
+        )
+        return self._most_negative(prices, bland)
+
+    def _leaving(self, col: int) -> Optional[int]:
+        """The ratio test on the entering column R a, kept for the pivot; a
+        basic artificial with a nonzero entry leaves first, and stays 0."""
+        rows, ints, _, _ = self.columns[col]
+        nrows = self.nrows
+        self.entering = alpha = [
+            sum(map(mul, map(row.__getitem__, rows), ints))
+            for row in self.block[:nrows]
+        ]
+        for i, a in enumerate(alpha):
+            if a and self.basis[i] >= len(self.columns):
+                return i
+        sign = -1 if self.det < 0 else 1
+        return self._least_ratio(
+            (i, sign * self.block[i][nrows], sign * a)
+            for i, a in enumerate(alpha)
+            if sign * a > 0
+        )
+
+    def _degenerate(self, row: int) -> bool:
+        return not self.block[row][self.nrows]
+
+    def _pivot(self, row: int, col: int) -> None:
+        """Exchange the block with the entering column and its price beside it."""
+        for entries, a in zip(self.block, self.entering + [self._price(col)]):
+            entries.append(a)
+        nrows = self.nrows
+        self.det = _kernels.pivot(self.block, self.det, nrows + 2, row, nrows + 1)
+        for entries in self.block:
+            entries.pop()
+        self.basis[row] = col
+        self.pivots += 1
+
+    def _bits(self) -> int:
+        """The largest bit length in the block and det."""
+        return max(map(int.bit_length, [self.det, *chain(*self.block)]))
+
+    def _solve(self) -> LpSolution:
+        """Run phase 2 from the current basis to a terminal status."""
+        unbounded_col = self._run_phase()
+        self.phase2_bits = self._bits()
+        n, det = self.nstruct, self.det
+        basic = [(i, j, self.columns[j][3]) for i, j in enumerate(self.basis) if j < n]
+        x = [_ZERO] * n
+        for i, j, s in basic:
+            x[j] = Fraction(s * self.block[i][self.nrows], det * self.rhs_scale)
+        if unbounded_col is not None:
+            ray = [_ZERO] * n
+            if unbounded_col < n:
+                ray[unbounded_col] = _ONE
+            den = det * self.columns[unbounded_col][3]
+            for i, j, s in basic:
+                ray[j] = Fraction(-s * self.entering[i], den)
+            return self._solution(LpStatus.UNBOUNDED, (*x,), None, None, (*ray,))
+        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
+        # phi times minus the reduced cost of each row's unit column
+        cost = self.block[self.nrows]
+        duals = tuple(Fraction(-phi * r, det) for phi, r in zip(self.phi, cost))
+        return self._solution(LpStatus.OPTIMAL, (*x,), value, duals)
 
 
 def solve(problem: LpProblem | Master) -> LpSolution:
@@ -736,7 +736,7 @@ def solve(problem: LpProblem | Master) -> LpSolution:
     from scratch, or a Master's problem from the basis its last solve
     ended at (phase 2 alone)."""
     if isinstance(problem, Master):
-        return problem._tableau.phase2()
+        return problem._solve()
     return _Simplex(problem).run()
 
 

@@ -33,9 +33,9 @@ minimize sum_c mu_c (1 - sigma . P_S,i) subject to sum_c mu_c a_c = 0 on
 the (N - m) m rows of W, a_c[a, k] = K_ia (F^T sigma)_k, and
 sum_c mu_c <= 1, mu >= 0, whose slack is the multiplier of t >= 1.  Its
 rows start with artificials at 0 and that slack at 1, so no phase 1
-runs, and each round's cuts are appended to the last optimal tableau.
-W is minus the duals of the W rows and t is 1 minus the dual of the
-last row.
+runs.  Each round's cuts are stored as new integer columns, and the next
+solve resumes from the basis the last one ended at.  W is minus the
+duals of the W rows and t is 1 minus the dual of the last row.
 
 The certificate is mapped back to minimal_projection_program.  The
 point is Y, T = |P| entrywise and t.  When t > 1 the t >= 1 row is

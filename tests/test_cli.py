@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linfiso
 from linfiso.cli import main
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -353,3 +358,37 @@ class TestGen:
     def test_validation(self, capsys):
         assert main(["gen", "--seed", "1", "--n", "0", "--m", "1"]) == 2
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; calls in a row, an
+    argparse error among them, print what fresh processes print."""
+
+    def test_calls_in_one_process_match_fresh_processes(
+        self, accepting, rejecting, capsys
+    ):
+        runs = [
+            ["decide", accepting],
+            ["projconst", rejecting, "--json"],
+            ["decide", accepting, "--mode", "closed"],  # argparse refuses it
+            ["bounds", rejecting, "--per-set"],
+            ["gen", "--seed", "3", "--n", "4", "--m", "2"],
+            ["crosscheck", "--seed", "2", "--count", "3"],
+            ["decide", rejecting, "--json"],
+        ]
+        in_process = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 1]
+        env = dict(os.environ, PYTHONPATH=str(Path(linfiso.__file__).parents[1]))
+        for argv, expected in zip(runs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-c", "from linfiso.cli import run; run()", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected, argv

@@ -182,6 +182,22 @@ class TestExchange:
                 block = [[start[i][q] for q in basis] for i in range(size)]
                 assert det == laplace_det(block)
 
+    def test_pivot_on_integer_rows_is_the_exchange(self):
+        # pivot takes integer rows over one int denominator (lp's revised
+        # master) to exchange, and returns the new denominator
+        rng = random.Random(1968)
+        for _ in range(20):
+            rows = [[rng.randint(-6, 6) for _ in range(5)] for _ in range(3)]
+            twin = [list(row) for row in rows]
+            det = twin_det = 1
+            for _ in range(4):
+                prow, pcol = rng.randrange(3), rng.randrange(5)
+                if rows[prow][pcol] == 0:
+                    continue
+                det = _kernels.pivot(rows, det, 5, prow, pcol)
+                twin_det = _kernels.exchange(twin, twin_det, prow, pcol)
+                assert (rows, det) == (twin, twin_det)
+
     def test_zero_pivot_is_refused(self):
         rows = [[1, 0, 2], [0, 1, 3]]
         with pytest.raises(ZeroDivisionError):

@@ -259,6 +259,134 @@ class TestMaster:
         assert verify_certificate(master.problem, sol)
         assert sol.stats.bland_fallbacks >= 1
 
+    @staticmethod
+    def exchange_pivots(monkeypatch):
+        """The pivot entries _kernels.pivot returns on a master's integer
+        block, each the new det."""
+        pivots = []
+        pivot = _kernels.pivot
+
+        def recorded(*args):
+            pivots.append(pivot(*args))
+            return pivots[-1]
+
+        monkeypatch.setattr(_kernels, "pivot", recorded)
+        return pivots
+
+    def test_negative_pivot_entry(self, monkeypatch):
+        # x1 enters first and the artificial of row 0 leaves on its entry
+        # -2, so the next pivot prices and tests ratios over det = -2.
+        # The values are those of the rational tableau, which takes the
+        # same pivots.
+        pivots = self.exchange_pivots(monkeypatch)
+        rows = [[1, -2, 0], [-3, 1, 2], [1, 1, 1]]
+        master = Master(build([-1, -2, -1], rows, ["==", "==", "<="], [0, 0, 1]))
+        sol = solve(master)
+        assert pivots == [-2, 5, 11]
+        assert sol.x == (F(4, 11), F(2, 11), F(5, 11))
+        assert sol.objective_value == F(-13, 11)
+        assert sol.duals == (F(5, 11), F(1, 11), F(-13, 11))
+        assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (3, 2)
+        assert verify_certificate(master.problem, sol)
+        master.append([-3, 1], [[(0, -2), (1, 1), (2, 1)], [(0, 1), (1, -3), (2, 2)]])
+        sol = solve(master)
+        assert sol.x == (F(4, 11), 0, F(5, 11), F(2, 11), 0)
+        assert sol.objective_value == F(-15, 11)
+        assert sol.duals == (F(10, 11), F(2, 11), F(-15, 11))
+        assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (4, 2)
+        assert verify_certificate(master.problem, sol)
+
+    def test_negative_determinants_against_the_oracle(self, monkeypatch):
+        # random masters of self.rounds whose artificials leave on
+        # negative entries reach the oracle's optimum all the same
+        pivots = self.exchange_pivots(monkeypatch)
+        rng = random.Random(1968)
+        negative = 0
+        for _ in range(40):
+            rounds = self.rounds(rng)
+            costs, cols = rounds[0]
+            rows = [[col[i] for col in cols] for i in range(3)]
+            master = Master(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
+            all_costs, all_cols = [], []
+            for r, (costs, cols) in enumerate(rounds):
+                if r:
+                    master.append(costs, by_columns(cols))
+                all_costs += costs
+                all_cols += cols
+                pivots.clear()
+                sol = solve(master)
+                negative += any(p < 0 for p in pivots)
+                rows = [[col[i] for col in all_cols] for i in range(3)]
+                oracle = enumerate_lp(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
+                assert sol.objective_value == oracle[0]
+                assert verify_certificate(master.problem, sol)
+        assert negative >= 10
+
+    def test_coprime_denominators_in_a_column(self):
+        # each column and cost mixes denominators 2, 3, 5, 7, 11, 13, so
+        # every column has its own scale (30, 42, 1155, 910, 36) and the
+        # rhs 1/3 its own; the values are those of the rational tableau,
+        # which takes the same pivots
+        rows = [[F(-1, 2), F(1, 3), F(1, 5)], [F(1, 3), F(-1, 2), F(1, 7)],
+                [1, 1, F(2, 3)]]
+        costs = [F(-1, 5), F(-1, 7), F(1, 11)]
+        master = Master(build(costs, rows, ["==", ">=", "<="], [0, 0, F(1, 3)]))
+        sol = solve(master)
+        assert sol.x == (F(93, 715), F(87, 715), F(35, 286))
+        assert sol.objective_value == F(-17767, 550550)
+        assert sol.duals == (F(5307, 11011), F(16257, 39325), F(-53301, 550550))
+        assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (3, 2)
+        assert verify_certificate(master.problem, sol)
+        master.append(
+            [F(-3, 13), F(-1, 6)],
+            [[(0, F(-2, 7)), (1, F(-1, 5)), (2, F(1, 2))],
+             [(0, F(3, 4)), (1, F(-5, 9)), (2, 1)]],
+        )
+        sol = solve(master)
+        assert sol.x == (F(275, 1417), 0, F(35, 1417), 0, F(174, 1417))
+        assert sol.objective_value == F(-889, 15587)
+        assert sol.duals == (F(8178, 15587), F(54579, 77935), F(-2667, 15587))
+        assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (4, 2)
+        assert verify_certificate(master.problem, sol)
+
+    def test_unbounded_after_an_append(self):
+        # x0 = 4 is optimal until x2 arrives with a negative reduced cost
+        # and no positive entry; the ray moves the basic x0 along with it
+        rows = [[F(1, 2), 1], [1, -1]]
+        master = Master(build([F(-1, 3), 0], rows, ["<=", ">="], [2, 0]))
+        sol = solve(master)
+        assert (sol.x, sol.objective_value) == ((4, 0), F(-4, 3))
+        master.append([F(-2, 7)], [[(0, F(-1, 5)), (1, F(3, 4))]])
+        sol = solve(master)
+        assert sol.status is LpStatus.UNBOUNDED
+        assert (sol.x, sol.ray) == ((4, 0, 0), (F(2, 5), 0, 1))
+        assert verify_unboundedness(master.problem, sol)
+
+    def test_columns_appended_to_an_empty_master(self):
+        # column generation from no columns at all: the start is optimal
+        # at 0, and appending every column gives the answer and the pivots
+        # of a master built with them
+        rng = random.Random(1954)
+        senses, rhs = ("==", "==", "<="), (F(0), F(0), F(1))
+        for _ in range(10):
+            costs, cols = map(list, zip(*self.rounds(rng)))
+            costs, cols = sum(costs, []), sum(cols, [])
+            master = Master(LpProblem((), ((),) * 3, senses, rhs, (), ()))
+            sol = solve(master)
+            assert (sol.status, sol.x, sol.objective_value) == (LpStatus.OPTIMAL, (), 0)
+            assert verify_certificate(master.problem, sol)
+            master.append(costs, by_columns(cols))
+            sol = solve(master)
+            rows = [[col[i] for col in cols] for i in range(3)]
+            whole = Master(build(costs, rows, senses, rhs))
+            expected = solve(whole)
+            assert master.problem == whole.problem
+            assert (sol.x, sol.objective_value, sol.duals) == (
+                expected.x, expected.objective_value, expected.duals
+            )
+            assert sol.stats == expected.stats
+            assert verify_certificate(master.problem, sol)
+
     def test_bounded_or_free_variables_refused(self):
         with pytest.raises(LpModelError, match="nonnegative"):
             Master(build([1], [[1]], ["<="], [1], upper=[2]))

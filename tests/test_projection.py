@@ -430,6 +430,39 @@ class TestCutLoop:
             n, m = spec.ambient, spec.codim
             assert stats.rows == (n - m) * m + 1
 
+    # (seed, N, m, rational): lambda, rounds, cuts, master pivots,
+    # degenerate pivots and Bland turns, as a rational tableau pivoting by
+    # the same rules gives them
+    PINNED = {
+        (1, 8, 4, False): (F(71292739, 46730461), 12, 81, 198, 139, 1),
+        (3, 10, 3, False): (
+            F(7465659138011674267, 4296545603081496817), 13, 105, 209, 127, 1
+        ),
+        (9, 7, 4, True): (
+            F(15044187730467996446680, 11951900177493942340463), 10, 59, 94, 64, 0
+        ),
+        (6, 8, 2, True): (
+            F(1798989858396784667955056, 1389842703523678596817991),
+            9, 61, 82, 41, 0,
+        ),
+        (5, 7, 3, True): (
+            F(16266257241405291, 11260385972733563), 8, 50, 56, 22, 0
+        ),
+        (20, 5, 3, False): (F(32, 27), 7, 32, 24, 21, 0),
+        (28, 4, 2, False): (F(9396, 7211), 6, 18, 17, 13, 0),
+    }
+
+    def test_pinned_master_pivots(self):
+        for (seed, n, m, rational), pinned in self.PINNED.items():
+            instance = random_instance(random.Random(seed), n, m, rational=rational)
+            result = projection_constant(instance.to_spec())
+            stats = result.certificate.stats
+            assert (
+                result.constant, result.rounds, result.cuts, stats.phase2_pivots,
+                stats.degenerate_pivots, stats.bland_fallbacks,
+            ) == pinned, (seed, n, m, rational)
+            assert verify_certificate(result.program, result.certificate)
+
     def test_isometric_certificate_is_rank_one(self, solved):
         # lambda = 1: nu = 0 and a single row-sum row carries the dual
         isometric = [(spec, r) for spec, r in solved if r.constant == 1]
