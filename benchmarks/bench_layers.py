@@ -1,4 +1,5 @@
-"""Layer timings of the projection constant on a fixed, seeded ladder.
+"""Layer timings of the projection constant and of the admissible-set
+scan on a fixed, seeded ladder.
 
 Run from the root of a source checkout:
 
@@ -30,6 +31,16 @@ src/linfiso/*.py that tells apart checkouts without git metadata, so two
 files written by two checkouts of the program on one machine compare layer
 by layer.  A checkout that predates a field reports it as null.
 
+The scan rungs, under "scans", are the three scan_wide shapes of the
+benchmark, (12, 5), (13, 3) and (14, 3), and (16, 4) and (18, 3), on
+random_instance(random.Random(seed), N, m).  They run no LP.  decide_s is
+decide_isometric(spec) (the general scan, as m >= 2) and bounds_s is
+best_upper_bound(spec, materialize=True), each the median over the
+repeats.  The answer fields are the verdict's digest (verdict, witness set
+and witness norms), sets_examined, admissible_sets (the size of per_set)
+and the digest of best_upper and best_set; every repeat must give the same
+ones, or the script exits 1.
+
 The program is imported from ./src of the checkout the script runs from.
 """
 
@@ -51,6 +62,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from linfiso import (  # noqa: E402
+    best_upper_bound,
+    decide_isometric,
     projection_constant,
     random_instance,
     verify_certificate,
@@ -61,6 +74,8 @@ RUNGS = (
     (16, 1, 1), (24, 1, 1), (8, 4, 1), (10, 4, 1), (12, 3, 1), (12, 4, 1),
     (12, 4, 2), (14, 3, 1),
 )
+# (N, m, seed) of the scan rungs
+SCAN_RUNGS = ((12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1))
 REPEATS = 3
 
 
@@ -100,6 +115,38 @@ def measure(n: int, m: int, seed: int) -> dict:
     }
 
 
+def measure_scan(n: int, m: int, seed: int) -> dict:
+    """One repeat of a scan rung: decide and bounds, timed apart."""
+    spec = random_instance(random.Random(seed), n, m).to_spec()
+    began = time.perf_counter()
+    decision = decide_isometric(spec)
+    decided = time.perf_counter()
+    bound = best_upper_bound(spec, materialize=True)
+    ended = time.perf_counter()
+    witness = decision.witness
+    return {
+        "answer": {
+            "verdict_digest": digest((
+                decision.verdict,
+                witness and witness.index_set.members,
+                witness and sorted(witness.norms.items()),
+            )),
+            "sets_examined": decision.sets_examined,
+            "admissible_sets": len(bound.per_set),
+            "bound_digest": digest((bound.best_upper, bound.best_set.members)),
+        },
+        "seconds": {"decide_s": decided - began, "bounds_s": ended - decided},
+    }
+
+
+def median_seconds(runs: list) -> dict:
+    return {
+        key: None if runs[0]["seconds"][key] is None
+        else round(statistics.median(run["seconds"][key] for run in runs), 4)
+        for key in runs[0]["seconds"]
+    }
+
+
 def source_sha256() -> str:
     """A digest of the names and bytes of src/linfiso/*.py."""
     h = hashlib.sha256()
@@ -132,16 +179,26 @@ def main() -> int:
         if any(run["answer"] != answer for run in runs):
             print(f"({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
             return 1
-        seconds = {
-            key: None if runs[0]["seconds"][key] is None
-            else round(statistics.median(run["seconds"][key] for run in runs), 4)
-            for key in runs[0]["seconds"]
-        }
+        seconds = median_seconds(runs)
         rows.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
         print(
             f"({n}, {m}) seed {seed}: lambda {answer['lambda_digest']}  rounds "
             f"{answer['rounds']} cuts {answer['cuts']} pivots "
             f"{answer['pivots']}  projconst {seconds['projconst_s']} s"
+        )
+    scans = []
+    for n, m, seed in SCAN_RUNGS:
+        runs = [measure_scan(n, m, seed) for _ in range(REPEATS)]
+        answer = runs[0]["answer"]
+        if any(run["answer"] != answer for run in runs):
+            print(f"scan ({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
+            return 1
+        seconds = median_seconds(runs)
+        scans.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
+        print(
+            f"scan ({n}, {m}) seed {seed}: examined {answer['sets_examined']} of "
+            f"{answer['admissible_sets']}  decide {seconds['decide_s']} s  "
+            f"bounds {seconds['bounds_s']} s"
         )
     report = {
         "commit": commit(),
@@ -151,6 +208,7 @@ def main() -> int:
         "machine": platform.machine(),
         "repeats": REPEATS,
         "shapes": rows,
+        "scans": scans,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0

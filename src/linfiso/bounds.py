@@ -3,9 +3,11 @@
 Each admissible index set yields the bound max(1, largest canonical
 1-norm minus 1); minimizing over sets gives the best upper bound this
 family of coordinate sections can offer.  The report never claims the
-minimum equals the actual distance.  best_upper_bound reads the norms
-off the basis-exchange scan and builds no family; distance_bound_for_set
-computes one set's bound from its determinant-ratio family.
+minimum equals the actual distance.  best_upper_bound reads each bound
+off the integer rows of the basis-exchange walk (canonical._exchange_walk)
+and compares bounds by integer cross-multiplication, building Fractions
+and IndexSets only for what it reports; distance_bound_for_set computes
+one set's bound from its determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .canonical import SubspaceSpec, canonical_family, canonical_scan
+from .canonical import SubspaceSpec, _exchange_walk, canonical_family
 from .errors import InternalConsistencyError
 from .linalg import IndexSet
 
@@ -39,23 +41,34 @@ def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:
 def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundReport:
     """Minimize the per-set bound over every admissible index set.
 
+    Each set's bound is read off the exchange walk's integer rows: with
+    top the largest sum of |rows[r]| and d = |common|, the largest
+    canonical 1-norm is top / d, so the bound is (top - d) / d when top
+    exceeds 2d and 1 otherwise.  Bounds are compared by integer
+    cross-multiplication, and only the reported sets and bounds become
+    IndexSets and Fractions.
+
     materialize=True additionally returns the full set-to-bound map.
     """
+    n = spec.ambient
     per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
-    best: Optional[Fraction] = None
-    best_set: Optional[IndexSet] = None
-    for index_set, _, norms in canonical_scan(spec):
-        bound = _bound(norms)
+    best: Optional[tuple[int, int]] = None
+    best_combo: tuple[int, ...] = ()
+    for combo, _, rows, common in _exchange_walk(spec):
+        d = abs(common)
+        top = max(sum(map(abs, row)) for row in rows)
+        num = top - d if top > 2 * d else d
         if per_set is not None:
-            per_set[index_set] = bound
-        if best is None or bound < best:
-            best = bound
-            best_set = index_set
-    if best is None or best_set is None:
+            per_set[IndexSet(tuple(q + 1 for q in combo), n)] = Fraction(num, d)
+        if best is None or num * best[1] < best[0] * d:
+            best = num, d
+            best_combo = combo
+    if best is None:
         raise InternalConsistencyError(
             "a full-rank annihilator must admit at least one invertible block"
         )
-    return BoundReport(best, best_set, per_set)
+    best_set = IndexSet(tuple(q + 1 for q in best_combo), n)
+    return BoundReport(Fraction(*best), best_set, per_set)
 
 
 def _bound(norms) -> Fraction:

@@ -16,8 +16,11 @@ exchange C_S' = C_S E, so one pivot replaces a whole family of
 determinants.  The pivots are fraction-free (_kernels.exchange): the
 rows are integers over one common denominator, the determinant of the
 current basis, so the block determinant comes with every family and no
-entry needs a gcd.  The scan serves the isometry test and the bounds;
-the ratio route stays as the definition and the independent check of it.
+entry needs a gcd.  The isometry test and the bounds read those integer
+rows in place (_exchange_walk), so the paper's inequalities are integer
+comparisons; canonical_scan and exchange_families are the Fraction views
+of the same walk, and the ratio route stays as the definition and the
+independent check of it.
 """
 
 from __future__ import annotations
@@ -189,9 +192,8 @@ def canonical_scan(
 ) -> Iterator[tuple[IndexSet, Fraction, tuple[Fraction, ...]]]:
     """The admissible sets of admissible_sets, in the same order, each
     with its block determinant and the 1-norms of its canonical vectors
-    in member order; computed by basis exchange, with no family built per
-    set."""
-    for index_set, block_det, order, rows, common in _exchange_walk(spec):
+    in member order; the Fraction view of _exchange_walk."""
+    for index_set, block_det, order, rows, common in _walk_with_dets(spec):
         den = abs(common)
         yield index_set, block_det, tuple(
             Fraction(sum(map(abs, rows[r])), den) for r in order
@@ -201,7 +203,7 @@ def canonical_scan(
 def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The families of canonical_scan, one CanonicalFamily per set; equal,
     entry for entry, to canonical_family at each admissible set."""
-    for index_set, block_det, order, rows, common in _exchange_walk(spec):
+    for index_set, block_det, order, rows, common in _walk_with_dets(spec):
         vectors = {
             k: tuple(Fraction(x, common) for x in rows[r])
             for k, r in zip(index_set, order)
@@ -209,18 +211,42 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
         yield CanonicalFamily(index_set, vectors, block_det)
 
 
+def _walk_with_dets(spec: SubspaceSpec):
+    """_exchange_walk with each set as an IndexSet and its block
+    determinant: common, signed by the parity of order, over the product
+    of the column scales."""
+    n = spec.ambient
+    _, scale = _integer_columns(spec)
+    for combo, order, rows, common in _exchange_walk(spec):
+        block_det = Fraction(-common if _odd(order) else common, scale)
+        yield IndexSet(tuple(q + 1 for q in combo), n), block_det, order, rows, common
+
+
+def _integer_columns(spec: SubspaceSpec) -> tuple[list[list[int]], int]:
+    """The annihilator's columns, column j scaled to integers by the lcm
+    c_j of its denominators, and the product of the c_j."""
+    columns = []
+    scale = 1
+    for j in range(spec.codim):
+        column = spec.annihilator.column(j)
+        c = lcm(*(x.denominator for x in column))
+        scale *= c
+        columns.append([x.numerator * (c // x.denominator) for x in column])
+    return columns, scale
+
+
 def _exchange_walk(spec: SubspaceSpec):
     """Walk the admissible sets in lexicographic order by basis exchange.
 
     The tableau is m integer rows of length N over the common
-    denominator `common`: column j of the annihilator, scaled by the lcm
-    c_j of its denominators, starts as row j with `common` = 1, which is
-    the tableau of [I | F^T] on the basis of its m unit columns.  Once
-    every basis member is a coordinate, row r divided by `common` is the
-    canonical vector of basis[r], a 0-based coordinate, in whatever
-    order the exchanges left the rows, and `common` is the determinant
-    of those coordinates' block, rows in basis order, times the product
-    of the c_j.
+    denominator `common`: column j of the annihilator, scaled to
+    integers (_integer_columns), starts as row j with `common` = 1,
+    which is the tableau of [I | F^T] on the basis of its m unit
+    columns.  Once every basis member is a coordinate, row r divided by
+    `common` is the canonical vector of basis[r], a 0-based coordinate,
+    in whatever order the exchanges left the rows, and `common` is the
+    determinant of those coordinates' block, rows in basis order, times
+    the product of the column scales.  `common` can be negative.
 
     To reach the next set T, each entering member q pivots on the first
     leaving row with a nonzero entry at column q.  det F_T / det F_B is,
@@ -231,17 +257,12 @@ def _exchange_walk(spec: SubspaceSpec):
     left it, which is still a basis, so the walk never refactors.  The
     same rule reaches the first admissible set from the unit columns.
 
-    Yields (index_set, block_det, order, rows, common) where order[j]
-    is the tableau row of the j-th member; the tableau is live and
-    changes at the next step."""
+    Yields (combo, order, rows, common): combo is the set as a tuple of
+    0-based coordinates, and order[j] is the tableau row of combo[j].
+    The tableau is live and changes at the next step; the isometry test
+    and the bounds read its integers in place."""
     n, m = spec.ambient, spec.codim
-    rows = []
-    scale = 1
-    for j in range(m):
-        column = spec.annihilator.column(j)
-        c = lcm(*(x.denominator for x in column))
-        scale *= c
-        rows.append([x.numerator * (c // x.denominator) for x in column])
+    rows, _ = _integer_columns(spec)
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
@@ -259,10 +280,7 @@ def _exchange_walk(spec: SubspaceSpec):
             row_of[q] = r
             leaving.remove(r)
         else:
-            order = tuple(row_of[q] for q in combo)
-            block_det = Fraction(-common if _odd(order) else common, scale)
-            index_set = IndexSet(tuple(q + 1 for q in combo), n)
-            yield index_set, block_det, order, rows, common
+            yield combo, tuple(row_of[q] for q in combo), rows, common
 
 
 def _odd(perm: tuple[int, ...]) -> bool:

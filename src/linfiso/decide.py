@@ -2,8 +2,11 @@
 
 Verdict true means some admissible index set S has every canonical
 vector with 1-norm at most 2; the scan runs in lexicographic set order
-and stops at the first witness.  The general scan moves between
-families by basis exchange (canonical_scan) and builds a
+and stops at the first witness.  The general scan tests these
+inequalities on the integer rows of the basis-exchange walk
+(canonical._exchange_walk): row r over the walk's common denominator is
+a canonical vector, so the test is sum |row r| <= 2 |common|, with no
+Fraction per set.  It builds the witness's norms and its
 CanonicalFamily, by determinant ratios, only for the witness it
 returns.  Codimension 1 and 2 admit closed forms that provably visit
 the same sets in the same order, so verdict, witness, and the number of
@@ -23,8 +26,8 @@ from typing import Iterable, Optional
 from .canonical import (
     CanonicalFamily,
     SubspaceSpec,
+    _exchange_walk,
     canonical_family,
-    canonical_scan,
     family_from_minors,
     minor_vectors,
 )
@@ -71,12 +74,22 @@ def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
 
 
 def _decide_general(spec: SubspaceSpec) -> DecisionReport:
+    """The paper's inequalities on the exchange walk's integer rows: row
+    r over `common` is a canonical vector, so its 1-norm is at most 2
+    exactly when the sum of |rows[r]| is at most 2 |common|."""
     examined = 0
-    for index_set, _, norms in canonical_scan(spec):
+    for combo, order, rows, common in _exchange_walk(spec):
         examined += 1
-        if all(value <= _TWO for value in norms):
+        den = abs(common)
+        limit = 2 * den
+        if all(sum(map(abs, row)) <= limit for row in rows):
+            index_set = IndexSet(tuple(q + 1 for q in combo), spec.ambient)
+            norms = {
+                k: Fraction(sum(map(abs, rows[r])), den)
+                for k, r in zip(index_set, order)
+            }
             family = canonical_family(spec, index_set)
-            witness = Witness(index_set, family, dict(zip(index_set, norms)))
+            witness = Witness(index_set, family, norms)
             return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
     return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
 

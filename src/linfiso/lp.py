@@ -547,8 +547,11 @@ class _Simplex(_Pivoting):
     # -- driver --------------------------------------------------------
 
     def _bits(self) -> int:
-        """The largest bit length of a numerator or denominator."""
-        return max(map(int.bit_length, self.nums + self.dens))
+        """The largest bit length of a numerator or denominator; the
+        bit length grows with the absolute value, so three extremes
+        decide it."""
+        nums = self.nums
+        return max(max(nums), -min(nums), max(self.dens)).bit_length()
 
     def _end_phase1(self) -> None:
         self.phase1_pivots = self.pivots

@@ -184,6 +184,7 @@ def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
     n, m = spec.ambient, spec.codim
     lay = _Layout(n, m)
     f_rows = [mat.row(i) for i in range(n)]
+    neg_rows = [tuple(-a for a in f) for f in f_rows]
     objective = [_ZERO] * lay.nvars
     objective[lay.scalar] = _ONE
     lower: list[Optional[Fraction]] = [_ZERO] * lay.nvars
@@ -200,12 +201,12 @@ def minimal_projection_program(spec: SubspaceSpec) -> LpProblem:
     for i in range(n):
         for k in range(m):
             lower[lay.y(i, k)] = None
-        for j, f in enumerate(f_rows):
+        y_cols = [lay.y(i, k) for k in range(m)]
+        for j in range(n):
             # P_ij = delta_ij - sum_k Y_ik F_jk
-            ys = tuple((lay.y(i, k), a) for k, a in enumerate(f))
             slack = (lay.t(i, j), -_ONE)
-            rows[lay.upper_row(i, j)] = (*((c, -a) for c, a in ys), slack)
-            rows[lay.lower_row(i, j)] = (*ys, slack)
+            rows[lay.upper_row(i, j)] = (*zip(y_cols, neg_rows[j]), slack)
+            rows[lay.lower_row(i, j)] = (*zip(y_cols, f_rows[j]), slack)
             if i == j:
                 rhs[lay.upper_row(i, j)] = -_ONE
                 rhs[lay.lower_row(i, j)] = _ONE

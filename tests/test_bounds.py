@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction as F
 
-from linfiso.bounds import best_upper_bound, distance_bound_for_set
-from linfiso.canonical import admissible_sets, subspace_from_annihilator
+from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
+from linfiso.canonical import (
+    _exchange_walk,
+    admissible_sets,
+    canonical_family,
+    subspace_from_annihilator,
+)
 from linfiso.decide import decide_isometric
 from linfiso.errors import InvalidBasisError
 from linfiso.linalg import IndexSet
+from test_canonical import degenerate_spec, random_spec
+from test_decide import NEGATIVE_COMMON
 
 
 def random_annihilator(rng, ambient, codim, bound=5):
@@ -80,3 +87,94 @@ class TestBestUpperBound:
         report = best_upper_bound(spec, materialize=True)
         expected = [s for s, _ in admissible_sets(spec)]
         assert list(report.per_set) == expected
+
+
+def bounds_from_ratios(spec):
+    """best_upper_bound(spec, materialize=True), rebuilt from
+    canonical_family at each admissible set; min keeps the first
+    minimizer in the scan order."""
+    per_set = {
+        index_set: max(F(1), max(canonical_family(spec, index_set).norms().values()) - 1)
+        for index_set, _ in admissible_sets(spec)
+    }
+    best_set = min(per_set, key=per_set.get)
+    return BoundReport(per_set[best_set], best_set, per_set)
+
+
+class TestIntegerBounds:
+    """The per-set bound read off the walk's integer rows, compared by
+    cross-multiplication."""
+
+    def test_floor_exactly_one(self):
+        # {3}: top / d = 2 exactly, so the bound is d / d = 1
+        report = best_upper_bound(subspace_from_annihilator([1, 1, 2]), materialize=True)
+        assert report == BoundReport(
+            F(1),
+            IndexSet((3,), 3),
+            {IndexSet((1,), 3): F(3), IndexSet((2,), 3): F(3), IndexSet((3,), 3): F(1)},
+        )
+        # below the floor: {3} has 1-norm 5/3, still bound 1
+        report = best_upper_bound(subspace_from_annihilator([1, 1, 3]))
+        assert (report.best_upper, report.best_set) == (F(1), IndexSet((3,), 3))
+
+    def test_tie_keeps_the_first_set(self):
+        # 1-norm 10: {1} and {3} tie at 10/3 - 1, {2} and {4} at 10/2 - 1
+        report = best_upper_bound(subspace_from_annihilator([3, 2, 3, 2]), materialize=True)
+        assert list(report.per_set.values()) == [F(7, 3), F(4), F(7, 3), F(4)]
+        assert (report.best_upper, report.best_set) == (F(7, 3), IndexSet((1,), 4))
+        report = best_upper_bound(subspace_from_annihilator([2, 3, 2, 3]))
+        assert (report.best_upper, report.best_set) == (F(7, 3), IndexSet((2,), 4))
+        # m = 2, a three-way tie at the floor
+        spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
+        report = best_upper_bound(spec, materialize=True)
+        assert list(report.per_set.values()) == [F(1), F(1), F(1)]
+        assert report.best_set == IndexSet((1, 2), 3)
+
+    def test_negative_common(self):
+        spec = subspace_from_annihilator(NEGATIVE_COMMON)
+        commons = [common for _, _, _, common in _exchange_walk(spec)]
+        assert commons == [1, -27, -4]
+        report = best_upper_bound(spec, materialize=True)
+        assert report == BoundReport(
+            F(1),
+            IndexSet((1, 3), 3),
+            {
+                IndexSet((1, 2), 3): F(27),
+                IndexSet((1, 3), 3): F(1),
+                IndexSet((2, 3), 3): F(27, 4),
+            },
+        )
+        assert report == bounds_from_ratios(spec)
+        # above the floor: the best set {1,4} has common -42
+        spec = subspace_from_annihilator(
+            [[F(1, 3), F(2)], [F(-1), F(1, 3)], [F(1), F(1, 2)], [F(1), F(-1)]]
+        )
+        commons = [common for _, _, _, common in _exchange_walk(spec)]
+        assert commons == [38, -33, -42, -15, 12, -27]
+        report = best_upper_bound(spec, materialize=True)
+        assert list(report.per_set.values()) == [
+            F(75, 38), F(80, 33), F(71, 42), F(4), F(23, 4), F(2)
+        ]
+        assert (report.best_upper, report.best_set) == (F(71, 42), IndexSet((1, 4), 4))
+        assert report == bounds_from_ratios(spec)
+
+    def test_seeded_sweep_matches_ratio_families(self):
+        rng = random.Random(1302)
+        negative = 0
+        for _ in range(60):
+            ambient = rng.randint(2, 7)
+            codim = rng.randint(1, ambient - 1)
+            for spec in (
+                random_spec(rng, ambient, codim),
+                degenerate_spec(rng, ambient, codim),
+            ):
+                expected = bounds_from_ratios(spec)
+                assert best_upper_bound(spec, materialize=True) == expected
+                report = best_upper_bound(spec)
+                assert (report.best_upper, report.best_set) == (
+                    expected.best_upper,
+                    expected.best_set,
+                )
+                assert report.per_set is None
+                negative += any(c < 0 for _, _, _, c in _exchange_walk(spec))
+        assert negative > 20  # the negative-common branch was exercised

@@ -4,17 +4,26 @@ from fractions import Fraction as F
 import pytest
 
 from linfiso.canonical import (
+    _exchange_walk,
     admissible_sets,
     canonical_family,
     subspace_from_annihilator,
 )
 from linfiso.decide import (
     DecisionMethod,
+    DecisionReport,
+    Witness,
     decide_by_minors,
     decide_hyperplane,
     decide_isometric,
 )
 from linfiso.errors import InvalidBasisError, WrongCodimensionError
+from linfiso.linalg import IndexSet
+from test_canonical import degenerate_spec, random_spec
+
+# A rational annihilator whose exchange walk reaches a negative common
+# denominator: {1,2} (common 1) fails the test, {1,3} (common -27) passes.
+NEGATIVE_COMMON = [[F(1, 2), F(2)], [F(0), F(1, 3)], [F(2), F(-1)]]
 
 
 def random_annihilator(rng, ambient, codim, bound=5):
@@ -165,3 +174,83 @@ class TestGeneralScan:
         spec = subspace_from_annihilator([1, 1, 2])
         with pytest.raises(ValueError):
             decide_isometric(spec, mode="fastest")
+
+
+def decision_from_ratios(spec):
+    """The general scan's report, rebuilt from canonical_family at each
+    admissible set in order."""
+    examined = 0
+    for index_set, _ in admissible_sets(spec):
+        examined += 1
+        family = canonical_family(spec, index_set)
+        norms = family.norms()
+        if all(v <= 2 for v in norms.values()):
+            witness = Witness(index_set, family, norms)
+            return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
+    return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
+
+
+class TestIntegerInequalities:
+    """The general scan tests sum |row| <= 2 |common| on the walk's rows."""
+
+    def test_norm_exactly_two_accepts(self):
+        # m = 1: {3} has the vector (1/2, 1/2, 1), 1-norm 2
+        report = decide_isometric(subspace_from_annihilator([1, 1, 2]), mode="general")
+        assert report.verdict is True
+        assert report.witness.index_set == IndexSet((3,), 3)
+        assert report.witness.norms == {3: F(2)}
+        assert report.sets_examined == 3
+        # m = 2: both vectors of {1,2} are columns of F, 1-norm 2 each
+        report = decide_isometric(
+            subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]), mode="general"
+        )
+        assert report.verdict is True
+        assert report.witness.index_set == IndexSet((1, 2), 3)
+        assert report.witness.norms == {1: F(2), 2: F(2)}
+        assert report.sets_examined == 1
+
+    def test_norm_just_above_two_rejects(self):
+        # {3} has the vector (100/199, 100/199, 1), 1-norm 2 + 1/199
+        spec = subspace_from_annihilator([100, 100, 199])
+        assert canonical_family(spec, IndexSet((3,), 3)).norms() == {3: F(399, 199)}
+        report = decide_isometric(spec, mode="general")
+        assert report == DecisionReport(False, None, 3, DecisionMethod.GENERAL)
+        # m = 2: the vector of member 1 at {1,2} is (1, 0, 201/200), 1-norm
+        # 2 + 1/200, so {1,2} and {1,3} fail and {2,3} is the witness
+        spec = subspace_from_annihilator([[1, 0], [0, 1], [F(201, 200), 1]])
+        assert canonical_family(spec, IndexSet((1, 2), 3)).norms() == {
+            1: F(401, 200),
+            2: F(2),
+        }
+        report = decide_isometric(spec, mode="general")
+        assert report.witness.index_set == IndexSet((2, 3), 3)
+        assert report.witness.norms == {2: F(401, 201), 3: F(401, 201)}
+        assert report.sets_examined == 3
+        assert report == decision_from_ratios(spec)
+
+    def test_negative_common_witness(self):
+        spec = subspace_from_annihilator(NEGATIVE_COMMON)
+        commons = [common for _, _, _, common in _exchange_walk(spec)]
+        assert commons == [1, -27, -4]
+        report = decide_isometric(spec, mode="general")
+        assert report.verdict is True
+        assert report.witness.index_set == IndexSet((1, 3), 3)
+        assert report.witness.norms == {1: F(31, 27), 3: F(28, 27)}
+        assert report.sets_examined == 2
+        assert report == decision_from_ratios(spec)
+
+    def test_seeded_sweep_matches_ratio_families(self):
+        rng = random.Random(1301)
+        accepted = negative = 0
+        for _ in range(60):
+            ambient = rng.randint(2, 7)
+            codim = rng.randint(1, ambient - 1)
+            for spec in (
+                random_spec(rng, ambient, codim),
+                degenerate_spec(rng, ambient, codim),
+            ):
+                report = decide_isometric(spec, mode="general")
+                assert report == decision_from_ratios(spec)
+                accepted += report.verdict
+                negative += any(c < 0 for _, _, _, c in _exchange_walk(spec))
+        assert accepted > 20 and negative > 20  # both branches were exercised
