@@ -15,7 +15,6 @@ from .canonical import (
     SubspaceSpec,
     admissible_sets,
     canonical_family,
-    canonical_scan,
     family_from_minors,
     minor_vectors,
     subspace_from_annihilator,

@@ -8,7 +8,7 @@ their 1-norms drive both the isometry test and the distance bounds.
 
 Two routes compute the families.  canonical_family is the paper's own
 formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 2
-determinants.  canonical_scan walks every admissible set in the order of
+determinants.  _exchange_walk walks every admissible set in the order of
 admissible_sets and moves from one family to the next by basis exchange:
 the family is kept as the m x N matrix C_S^T, whose row r is the vector
 of basis member r, and a Gauss-Jordan pivot on that matrix is the column
@@ -17,10 +17,9 @@ determinants.  The pivots are fraction-free (_kernels.exchange): the
 rows are integers over one common denominator, the determinant of the
 current basis, so the block determinant comes with every family and no
 entry needs a gcd.  The isometry test and the bounds read those integer
-rows in place (_exchange_walk), so the paper's inequalities are integer
-comparisons; canonical_scan and exchange_families are the Fraction views
-of the same walk, and the ratio route stays as the definition and the
-independent check of it.
+rows in place, so the paper's inequalities are integer comparisons;
+exchange_families is the Fraction view of the same walk, and the ratio
+route stays as the definition and the independent check of it.
 """
 
 from __future__ import annotations
@@ -187,39 +186,22 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
     return CanonicalFamily(index_set, vectors, d)
 
 
-def canonical_scan(
-    spec: SubspaceSpec,
-) -> Iterator[tuple[IndexSet, Fraction, tuple[Fraction, ...]]]:
-    """The admissible sets of admissible_sets, in the same order, each
-    with its block determinant and the 1-norms of its canonical vectors
-    in member order; the Fraction view of _exchange_walk."""
-    for index_set, block_det, order, rows, common in _walk_with_dets(spec):
-        den = abs(common)
-        yield index_set, block_det, tuple(
-            Fraction(sum(map(abs, rows[r])), den) for r in order
-        )
-
-
 def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
-    """The families of canonical_scan, one CanonicalFamily per set; equal,
-    entry for entry, to canonical_family at each admissible set."""
-    for index_set, block_det, order, rows, common in _walk_with_dets(spec):
-        vectors = {
-            k: tuple(Fraction(x, common) for x in rows[r])
-            for k, r in zip(index_set, order)
-        }
-        yield CanonicalFamily(index_set, vectors, block_det)
-
-
-def _walk_with_dets(spec: SubspaceSpec):
-    """_exchange_walk with each set as an IndexSet and its block
-    determinant: common, signed by the parity of order, over the product
+    """The admissible sets of admissible_sets, in the same order, one
+    CanonicalFamily per set; the Fraction view of _exchange_walk, equal,
+    entry for entry, to canonical_family at each set.  The block
+    determinant is common, signed by the parity of order, over the product
     of the column scales."""
     n = spec.ambient
     _, scale = _integer_columns(spec)
     for combo, order, rows, common in _exchange_walk(spec):
+        vectors = {
+            q + 1: tuple(Fraction(x, common) for x in rows[r])
+            for q, r in zip(combo, order)
+        }
         block_det = Fraction(-common if _odd(order) else common, scale)
-        yield IndexSet(tuple(q + 1 for q in combo), n), block_det, order, rows, common
+        index_set = IndexSet(tuple(q + 1 for q in combo), n)
+        yield CanonicalFamily(index_set, vectors, block_det)
 
 
 def _integer_columns(spec: SubspaceSpec) -> tuple[list[list[int]], int]:
@@ -303,24 +285,29 @@ def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:
         raise WrongCodimensionError("minor vectors need codimension 2")
     f = spec.annihilator.column(0)
     g = spec.annihilator.column(1)
-    return [
-        tuple(f[k] * g[i] - g[k] * f[i] for i in range(spec.ambient))
-        for k in range(spec.ambient)
-    ]
+    return [_minor_vector(f, g, k) for k in range(spec.ambient)]
+
+
+def _minor_vector(f, g, k: int) -> tuple[Fraction, ...]:
+    """f_k * g - g_k * f, vector k of minor_vectors (0-based k)."""
+    return tuple(f[k] * y - g[k] * x for x, y in zip(f, g))
 
 
 def family_from_minors(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily:
-    """Canonical vectors for codimension 2, rebuilt from minor vectors
-    instead of determinant ratios; used to cross-validate the two routes."""
+    """Canonical vectors for codimension 2, rebuilt from the two minor
+    vectors of the set's members instead of determinant ratios; used to
+    cross-validate the two routes."""
     if spec.codim != 2:
         raise WrongCodimensionError("minor route needs codimension 2")
     if len(index_set) != 2 or index_set.ambient != spec.ambient:
         raise DimensionError("index set must have exactly two members")
     k, l = index_set.members
-    minors = minor_vectors(spec)
-    pivot_kl = minors[k - 1][l - 1]
+    f = spec.annihilator.column(0)
+    g = spec.annihilator.column(1)
+    minor_k, minor_l = _minor_vector(f, g, k - 1), _minor_vector(f, g, l - 1)
+    pivot_kl = minor_k[l - 1]
     if pivot_kl == 0:
         raise InadmissibleSetError(f"row block {index_set} is singular")
-    vec_k = tuple(x / minors[l - 1][k - 1] for x in minors[l - 1])
-    vec_l = tuple(x / pivot_kl for x in minors[k - 1])
+    vec_k = tuple(x / minor_l[k - 1] for x in minor_l)
+    vec_l = tuple(x / pivot_kl for x in minor_k)
     return CanonicalFamily(index_set, {k: vec_k, l: vec_l}, pivot_kl)

@@ -53,22 +53,27 @@ over the whole program, whose rows may have many coprime denominators.
 * unbounded: a feasible point and an improving ray that meets the
   homogeneous rows and bounds (verify_unboundedness).
 
-Master holds a problem whose columns arrive over rounds, as in column
+Master solves a problem whose columns arrive over rounds, as in column
 generation, and starts from its basis of slacks and artificials, so
 phase 1 never runs.  A basic artificial stays at 0 until a column with
 a nonzero entry in its row enters; it then leaves first, whatever the
 sign, and never enters again, so the point stays feasible and the
 argument above holds.  Its row is kept: a later column may load it.  A
 Master runs the revised simplex in integers (Dantzig and Orchard-Hays
-1954; Bareiss 1968).  Each column and its cost are scaled to integers
-by the lcm s of their denominators, and the rhs by its own.  Only the
-block [R, R b; r, -z] is kept, over the determinant det of the basis:
+1954; Bareiss 1968).  It keeps no LpProblem: the first problem's rows
+are turned into columns once, and each column and its cost, the first
+ones and every appended one, are scaled to integers by the lcm s of
+their denominators, and the rhs by its own.  Only the block
+[R, R b; r, -z] is kept, over the determinant det of the basis:
 R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of cost
 c by d = c det + r . a, s det times its reduced cost, computes R a, and
 pivots the block with _kernels.pivot, which runs the fraction-free
 exchange on integer rows: its division by det is exact, and det, the
-pivot entry, can be negative, so comparisons take its sign.  A scale divides a price and a row's ratios alike, so the pivots
-are the rational tableau's.
+pivot entry, can be negative, so comparisons take its sign.  A scale
+divides a price and a row's ratios alike, so the pivots are the
+rational tableau's.  The optimum is read from the integer costs and the
+block: the sum of c_j s_j (R b)_i over the structural columns j basic
+in row i, over det times the rhs scale.
 """
 
 from __future__ import annotations
@@ -158,29 +163,6 @@ class LpProblem:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def with_columns(
-        self, objective: Sequence, columns: Sequence[Sequence[tuple[int, object]]]
-    ) -> "LpProblem":
-        """This problem with one more nonnegative variable per column,
-        numbered after the existing ones.  Each column is (row,
-        coefficient) pairs in increasing row order, checked like a row of
-        build()."""
-        costs = tuple(as_rational(c) for c in objective)
-        if len(costs) != len(columns):
-            raise LpModelError("objective and columns lengths differ")
-        rows = [list(row) for row in self.rows]
-        for j, column in enumerate(columns, start=self.nvars):
-            for i, a in _sparse_row(column, self.nrows, "row"):
-                rows[i].append((j, a))
-        return LpProblem(
-            self.objective + costs,
-            tuple(map(tuple, rows)),
-            self.senses,
-            self.rhs,
-            self.lower + (_ZERO,) * len(costs),
-            self.upper + (None,) * len(costs),
-        )
 
 
 def _sparse_row(
@@ -591,11 +573,13 @@ class Master(_Pivoting):
     the basis the last solve ended at, without phase 1 (see the module
     docstring).  Every variable must be nonnegative and unbounded above,
     and every row that needs an artificial must have rhs 0, or the
-    constructor raises LpModelError.  problem has every column appended
-    so far; the solutions of solve(master) verify on it.  Columns are
-    numbered structural (in order of arrival), slacks, then artificials,
-    which never enter.  columns holds the structural ones times each
-    row's phi, then the slacks, as (rows, integers, cost, scale)."""
+    constructor raises LpModelError.  The problem's rows are turned into
+    columns once and no LpProblem is kept: the solutions of solve(master)
+    verify on the problem with the appended columns as its last
+    variables.  Columns are numbered structural (in order of arrival),
+    slacks, then artificials, which never enter.  columns holds the
+    structural ones times each row's phi, then the slacks, as (rows,
+    integers, cost, scale)."""
 
     def __init__(self, problem: LpProblem):
         super().__init__()
@@ -623,38 +607,43 @@ class Master(_Pivoting):
             self.basis.append(self.ncols - 1 if needs_art else len(self.columns) - 1)
             self.ncols += needs_art
             self.block[i][nrows] = phi * b.numerator * self.rhs_scale // b.denominator
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in problem.objective]
+        for i, row in enumerate(problem.rows):
+            for j, a in row:
+                columns[j].append((i, a))
         self.nstruct = self.phase1_pivots = 0
-        self._extend(problem)
+        self._insert(problem.objective, columns)
         self.phase1_bits = self._bits()
         self.built = self.phase1_done = time.perf_counter()
 
-    def _extend(self, problem: LpProblem) -> None:
-        """Take the columns of problem past those held, before the slacks."""
-        first = self.nstruct
-        width = problem.nvars - first
-        entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]
-        for i, (row, phi) in enumerate(zip(problem.rows, self.phi)):
-            for j, a in row:
-                if j >= first:
-                    entries[j - first].append((i, a if phi > 0 else -a))
+    def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
+        """Add one nonnegative variable per column, with the given costs;
+        columns are (row, coefficient) pairs in increasing row order,
+        checked like a row of LpProblem.build().  A refused append leaves
+        the master as it was."""
+        costs = [as_rational(c) for c in objective]
+        if len(costs) != len(columns):
+            raise LpModelError("objective and columns lengths differ")
+        self._insert(costs, [_sparse_row(col, self.nrows, "row") for col in columns])
+
+    def _insert(self, costs, columns) -> None:
+        """Scale each column, (row, nonzero coefficient) pairs, and its
+        cost to integers, times each row's phi, and number the columns
+        after the structural ones held, before the slacks."""
+        first, width = self.nstruct, len(columns)
         new = []
-        for column, c in zip(entries, problem.objective[first:]):
+        for column, c in zip(columns, costs):
             s = lcm(c.denominator, *(a.denominator for _, a in column))
-            ints = tuple(a.numerator * s // a.denominator for _, a in column)
+            ints = tuple(
+                self.phi[i] * a.numerator * (s // a.denominator) for i, a in column
+            )
             rows = tuple(i for i, _ in column)
             new.append((rows, ints, c.numerator * s // c.denominator, s))
         self.columns[first:first] = new
         self.basis = [j + width if j >= first else j for j in self.basis]
-        self.problem = problem
         self.nstruct += width
         self.ncols += width
         self.shape = (self.nrows, self.ncols)
-
-    def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
-        """Add one nonnegative variable per column, with the given costs;
-        columns are (row, coefficient) pairs in increasing row order.  Only
-        the new integer columns are stored."""
-        self._extend(self.problem.with_columns(objective, columns))
 
     def _price(self, j: int) -> int:
         """d = c det + r . a for column j."""
@@ -727,7 +716,10 @@ class Master(_Pivoting):
             for i, j, s in basic:
                 ray[j] = Fraction(-s * self.entering[i], den)
             return self._solution(LpStatus.UNBOUNDED, (*x,), None, None, (*ray,))
-        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
+        value = Fraction(
+            sum(self.columns[j][2] * self.block[i][self.nrows] for i, j, _ in basic),
+            det * self.rhs_scale,
+        )
         # phi times minus the reduced cost of each row's unit column
         cost = self.block[self.nrows]
         duals = tuple(Fraction(-phi * r, det) for phi, r in zip(self.phi, cost))

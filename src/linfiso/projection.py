@@ -7,8 +7,9 @@ absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible, and written once, in _Layout:
-minimal_projection_program, the cut loop, the hyperplane closed form
-and the reading of Y from a solution all index through it.
+minimal_projection_program, the duals of the cut loop and of the
+hyperplane closed form, and the certificate's point all index through
+it.
 
 Each index set S whose block F_S is invertible gives the right inverse
 Y_S, equal to F_S^{-T} on the rows of S and zero elsewhere, and the
@@ -50,7 +51,7 @@ for the column v of K at the first coordinate off S and k the first
 index of its largest entry, nu = 0, split over the rows as below.  The
 certificate carries the master's LpStats.
 
-For a hyperplane (m = 1, F a single column f) the optimal point and an
+For a hyperplane (m = 1, F a single column f) the optimal y and an
 optimal dual of the same program are written down directly (Blatter and
 Cheney 1974) and the simplex does not run.  Let g_i = |f_i| / |f|_1 and
 s_i the sign of f_i (+1 when f_i = 0).
@@ -67,8 +68,14 @@ Here nu is the multiplier of the row f^T y = 1 and Z an N x N matrix
 with Z f = -nu f, trace 1 and sum_i max_j |Z_ij| = 1, so its dual bound
 is nu + trace Z.  Z_ij is split over the rows P_ij <= T_ij and
 -P_ij <= T_ij as -max(Z_ij, 0) and -max(-Z_ij, 0), and row i of the
-row-sum block gets -max_j |Z_ij|.  The pair is an ordinary LpSolution, so
-lp.verify_certificate checks it exactly like a simplex answer."""
+row-sum block gets -max_j |Z_ij|.
+
+Both routes return the right inverse Y, the optimum they claim and the
+duals.  projection_constant forms P = I - Y F^T once, checks that its
+norm is the claim and at least 1, and writes the point (Y, T = |P|
+entrywise, t) of the program.  The certificate is an ordinary
+LpSolution, so lp.verify_certificate checks it exactly like a simplex
+answer."""
 
 from __future__ import annotations
 
@@ -94,7 +101,7 @@ from .linalg import (
     op_norm_inf,
     row_norms,
 )
-from .lp import LpProblem, LpSolution, LpStatus, Master, solve
+from .lp import LpProblem, LpSolution, LpStats, LpStatus, Master, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -250,11 +257,11 @@ def _signed_sum(scaled: tuple[list[int], int], sign) -> Fraction:
 
 def _cut_loop(
     spec: SubspaceSpec, index_set: IndexSet
-) -> tuple[LpSolution, int, int]:
-    """An optimal point and dual of minimal_projection_program(spec) by
-    delayed sign-vector cuts from the coordinate projection of index_set,
-    with the number of master solves and of cuts (see the module
-    docstring)."""
+) -> tuple[Matrix, Fraction, tuple, LpStats, int, int]:
+    """The optimal right inverse Y, the optimum t and an optimal dual of
+    minimal_projection_program(spec) by delayed sign-vector cuts from the
+    coordinate projection of index_set, with the master's LpStats and the
+    number of master solves and of cuts (see the module docstring)."""
     n, m = spec.ambient, spec.codim
     ft = spec.annihilator.transpose()
     f_cols = [common_denominator(ft.row(k)) for k in range(m)]
@@ -331,23 +338,12 @@ def _cut_loop(
         master.append(*add(new))
 
     lay = _Layout(n, m)
-    x = [_ZERO] * lay.nvars
-    y = y_s + k_mat @ w
-    for i in range(n):
-        for c, v in enumerate(y.row(i)):
-            x[lay.y(i, c)] = v
-        for j, v in enumerate(p.row(i)):
-            x[lay.t(i, j)] = abs(v)
-    x[lay.scalar] = t
     if t == 1:
         duals = _rank_one_duals(lay, [row[off[0]] for row in p_rows])
     else:
         members = [member - 1 for member in index_set]
         duals = _cut_duals(lay, f_cols, y_s, members, zip(cuts, solution.x))
-    certificate = LpSolution(
-        LpStatus.OPTIMAL, tuple(x), t, tuple(duals), None, solution.stats
-    )
-    return certificate, rounds, len(cuts)
+    return y_s + k_mat @ w, t, tuple(duals), solution.stats, rounds, len(cuts)
 
 
 def _rank_one_duals(lay: _Layout, v: list[Fraction]) -> list[Fraction]:
@@ -392,10 +388,10 @@ def _cut_duals(
     return duals
 
 
-def _hyperplane_solution(annihilator: Matrix) -> LpSolution:
-    """The optimal point and dual of minimal_projection_program for the
-    single annihilator column, in closed form (see the module
-    docstring)."""
+def _hyperplane_solution(annihilator: Matrix) -> tuple[Matrix, Fraction, tuple]:
+    """The optimal right inverse y, the constant and an optimal dual of
+    minimal_projection_program for the single annihilator column, in
+    closed form (see the module docstring)."""
     f = annihilator.column(0)
     n = len(f)
     sizes = [abs(v) for v in f]
@@ -431,15 +427,7 @@ def _hyperplane_solution(annihilator: Matrix) -> LpSolution:
                 row = lay.upper_row(i, j) if j == i or t != s else lay.lower_row(i, j)
                 duals[row] = e
             duals[lay.sum_row(i)] = e
-    x = [_ZERO] * lay.nvars
-    x[lay.scalar] = constant
-    # T = |P| with P = I - y f^T
-    projection = Matrix.identity(n) - Matrix.column_vector(y) @ annihilator.transpose()
-    for i in range(n):
-        x[lay.y(i, 0)] = y[i]
-        for j, v in enumerate(projection.row(i)):
-            x[lay.t(i, j)] = abs(v)
-    return LpSolution(LpStatus.OPTIMAL, tuple(x), constant, tuple(duals))
+    return Matrix.column_vector(y), constant, tuple(duals)
 
 
 def projection_constant(
@@ -455,35 +443,34 @@ def projection_constant(
     scan runs once.  Any admissible set gives a valid start; a singular
     block raises InadmissibleSetError.  A hyperplane ignores it."""
     program = minimal_projection_program(spec)
-    rounds = cuts = 0
     if spec.codim == 1:
-        solution = _hyperplane_solution(spec.annihilator)
-        method = "hyperplane"
+        right_inverse, claimed, duals = _hyperplane_solution(spec.annihilator)
+        stats, method, rounds, cuts = None, "hyperplane", 0, 0
     else:
         if best_set is None:
             best_set = best_upper_bound(spec).best_set
-        solution, rounds, cuts = _cut_loop(spec, best_set)
+        right_inverse, claimed, duals, stats, rounds, cuts = _cut_loop(spec, best_set)
         method = "cuts"
-    if solution.status is not LpStatus.OPTIMAL or solution.x is None:
-        raise InternalConsistencyError(
-            f"the projection program must have an optimum, got {solution.status}"
-        )
     n, m = spec.ambient, spec.codim
-    lay = _Layout(n, m)
-    x = solution.x
-    right_inverse = Matrix(
-        [[x[lay.y(i, k)] for k in range(m)] for i in range(n)]
-    )
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
     constant = op_norm_inf(projection)
-    if constant != solution.objective_value:
+    if constant != claimed:
         raise InternalConsistencyError(
             "LP optimum differs from the norm of the projection it returned"
         )
     if constant < 1:
         raise InternalConsistencyError("projection constant below 1")
+    lay = _Layout(n, m)
+    x = [_ZERO] * lay.nvars
+    for i in range(n):
+        for k, v in enumerate(right_inverse.row(i)):
+            x[lay.y(i, k)] = v
+        for j, v in enumerate(projection.row(i)):
+            x[lay.t(i, j)] = abs(v)
+    x[lay.scalar] = constant
+    certificate = LpSolution(LpStatus.OPTIMAL, tuple(x), constant, duals, None, stats)
     return ProjectionResult(
-        constant, projection, right_inverse, solution, program, method, rounds, cuts
+        constant, projection, right_inverse, certificate, program, method, rounds, cuts
     )
 
 

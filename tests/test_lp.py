@@ -224,10 +224,8 @@ class TestMaster:
                 oracle = enumerate_lp(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
                 assert sol.status is LpStatus.OPTIMAL
                 assert sol.objective_value == oracle[0]
-                assert master.problem == build(
-                    all_costs, rows, ["==", "==", "<="], [0, 0, 1]
-                )
-                assert verify_certificate(master.problem, sol)
+                problem = build(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
+                assert verify_certificate(problem, sol)
                 assert sol.stats.phase1_pivots == 0
                 assert (sol.stats.rows, sol.stats.cols) == (3, len(all_cols) + 4)
             degenerate += sol.stats.degenerate_pivots
@@ -244,7 +242,9 @@ class TestMaster:
         sol = solve(master)
         assert sol.x == (0, 0, F(1, 2), F(1, 2))
         assert sol.objective_value == F(-1, 2)
-        assert verify_certificate(master.problem, sol)
+        whole = build([0, 0, -1, 0], [[0, 0, 1, -1], [1, -1, 0, 0], [1, 1, 1, 1]],
+                      ["==", "==", "<="], [0, 0, 1])
+        assert verify_certificate(whole, sol)
 
     def test_bland_turns_end_a_cycling_master(self):
         # the cycling instance of TestSolveBasics, its columns in two rounds
@@ -256,7 +256,13 @@ class TestMaster:
         )
         sol = solve(master)
         assert sol.objective_value == F(-1, 20)
-        assert verify_certificate(master.problem, sol)
+        whole = build(
+            [F(-3, 4), 150, F(-1, 50), 6],
+            [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]],
+            ["<="] * 3,
+            [0, 0, 1],
+        )
+        assert verify_certificate(whole, sol)
         assert sol.stats.bland_fallbacks >= 1
 
     @staticmethod
@@ -280,21 +286,24 @@ class TestMaster:
         # same pivots.
         pivots = self.exchange_pivots(monkeypatch)
         rows = [[1, -2, 0], [-3, 1, 2], [1, 1, 1]]
-        master = Master(build([-1, -2, -1], rows, ["==", "==", "<="], [0, 0, 1]))
+        problem = build([-1, -2, -1], rows, ["==", "==", "<="], [0, 0, 1])
+        master = Master(problem)
         sol = solve(master)
         assert pivots == [-2, 5, 11]
         assert sol.x == (F(4, 11), F(2, 11), F(5, 11))
         assert sol.objective_value == F(-13, 11)
         assert sol.duals == (F(5, 11), F(1, 11), F(-13, 11))
         assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (3, 2)
-        assert verify_certificate(master.problem, sol)
+        assert verify_certificate(problem, sol)
         master.append([-3, 1], [[(0, -2), (1, 1), (2, 1)], [(0, 1), (1, -3), (2, 2)]])
         sol = solve(master)
         assert sol.x == (F(4, 11), 0, F(5, 11), F(2, 11), 0)
         assert sol.objective_value == F(-15, 11)
         assert sol.duals == (F(10, 11), F(2, 11), F(-15, 11))
         assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (4, 2)
-        assert verify_certificate(master.problem, sol)
+        rows = [[1, -2, 0, -2, 1], [-3, 1, 2, 1, -3], [1, 1, 1, 1, 2]]
+        whole = build([-1, -2, -1, -3, 1], rows, ["==", "==", "<="], [0, 0, 1])
+        assert verify_certificate(whole, sol)
 
     def test_negative_determinants_against_the_oracle(self, monkeypatch):
         # random masters of self.rounds whose artificials leave on
@@ -319,7 +328,8 @@ class TestMaster:
                 rows = [[col[i] for col in all_cols] for i in range(3)]
                 oracle = enumerate_lp(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
                 assert sol.objective_value == oracle[0]
-                assert verify_certificate(master.problem, sol)
+                problem = build(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
+                assert verify_certificate(problem, sol)
         assert negative >= 10
 
     def test_coprime_denominators_in_a_column(self):
@@ -330,24 +340,24 @@ class TestMaster:
         rows = [[F(-1, 2), F(1, 3), F(1, 5)], [F(1, 3), F(-1, 2), F(1, 7)],
                 [1, 1, F(2, 3)]]
         costs = [F(-1, 5), F(-1, 7), F(1, 11)]
-        master = Master(build(costs, rows, ["==", ">=", "<="], [0, 0, F(1, 3)]))
+        senses, rhs = ["==", ">=", "<="], [0, 0, F(1, 3)]
+        master = Master(build(costs, rows, senses, rhs))
         sol = solve(master)
         assert sol.x == (F(93, 715), F(87, 715), F(35, 286))
         assert sol.objective_value == F(-17767, 550550)
         assert sol.duals == (F(5307, 11011), F(16257, 39325), F(-53301, 550550))
         assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (3, 2)
-        assert verify_certificate(master.problem, sol)
-        master.append(
-            [F(-3, 13), F(-1, 6)],
-            [[(0, F(-2, 7)), (1, F(-1, 5)), (2, F(1, 2))],
-             [(0, F(3, 4)), (1, F(-5, 9)), (2, 1)]],
-        )
+        assert verify_certificate(build(costs, rows, senses, rhs), sol)
+        new_costs = [F(-3, 13), F(-1, 6)]
+        new_cols = [[F(-2, 7), F(-1, 5), F(1, 2)], [F(3, 4), F(-5, 9), 1]]
+        master.append(new_costs, by_columns(new_cols))
         sol = solve(master)
         assert sol.x == (F(275, 1417), 0, F(35, 1417), 0, F(174, 1417))
         assert sol.objective_value == F(-889, 15587)
         assert sol.duals == (F(8178, 15587), F(54579, 77935), F(-2667, 15587))
         assert (sol.stats.phase2_pivots, sol.stats.degenerate_pivots) == (4, 2)
-        assert verify_certificate(master.problem, sol)
+        rows = [row + [col[i] for col in new_cols] for i, row in enumerate(rows)]
+        assert verify_certificate(build(costs + new_costs, rows, senses, rhs), sol)
 
     def test_unbounded_after_an_append(self):
         # x0 = 4 is optimal until x2 arrives with a negative reduced cost
@@ -360,7 +370,9 @@ class TestMaster:
         sol = solve(master)
         assert sol.status is LpStatus.UNBOUNDED
         assert (sol.x, sol.ray) == ((4, 0, 0), (F(2, 5), 0, 1))
-        assert verify_unboundedness(master.problem, sol)
+        rows = [[F(1, 2), 1, F(-1, 5)], [1, -1, F(3, 4)]]
+        whole = build([F(-1, 3), 0, F(-2, 7)], rows, ["<=", ">="], [2, 0])
+        assert verify_unboundedness(whole, sol)
 
     def test_columns_appended_to_an_empty_master(self):
         # column generation from no columns at all: the start is optimal
@@ -371,21 +383,21 @@ class TestMaster:
         for _ in range(10):
             costs, cols = map(list, zip(*self.rounds(rng)))
             costs, cols = sum(costs, []), sum(cols, [])
-            master = Master(LpProblem((), ((),) * 3, senses, rhs, (), ()))
+            empty = LpProblem((), ((),) * 3, senses, rhs, (), ())
+            master = Master(empty)
             sol = solve(master)
             assert (sol.status, sol.x, sol.objective_value) == (LpStatus.OPTIMAL, (), 0)
-            assert verify_certificate(master.problem, sol)
+            assert verify_certificate(empty, sol)
             master.append(costs, by_columns(cols))
             sol = solve(master)
             rows = [[col[i] for col in cols] for i in range(3)]
-            whole = Master(build(costs, rows, senses, rhs))
-            expected = solve(whole)
-            assert master.problem == whole.problem
+            problem = build(costs, rows, senses, rhs)
+            expected = solve(Master(problem))
             assert (sol.x, sol.objective_value, sol.duals) == (
                 expected.x, expected.objective_value, expected.duals
             )
             assert sol.stats == expected.stats
-            assert verify_certificate(master.problem, sol)
+            assert verify_certificate(problem, sol)
 
     def test_bounded_or_free_variables_refused(self):
         with pytest.raises(LpModelError, match="nonnegative"):
@@ -434,13 +446,20 @@ class TestCrashStart:
         Master(build([1], [[1]], [">="], [0]))
 
     def test_malformed_entries_refused(self):
-        # a row past the end, one cost too many, a repeated row
-        master = Master(build([1], [[1]], ["<="], [1]))
-        for costs, cols in (([1], [[(1, 1)]]), ([1, 2], [[(0, 1)]]),
-                            ([1], [[(0, 1), (0, 2)]])):
+        # a row past the end, one cost too many, a repeated row, and a
+        # good column before a bad one; none of them changes the next solve
+        master = Master(self.PROB)
+        for costs, cols in (([1], [[(2, 1)]]), ([1, 2], [[(0, 1)]]),
+                            ([1], [[(0, 1), (0, 2)]]),
+                            ([-5, 1], [[(0, 1), (1, 1)], [(1, 1), (0, 1)]])):
             with pytest.raises(LpModelError):
                 master.append(costs, cols)
-        assert master.problem == build([1], [[1]], ["<="], [1])
+        sol, expected = solve(master), solve(Master(self.PROB))
+        assert (sol.x, sol.objective_value, sol.duals) == (
+            expected.x, expected.objective_value, expected.duals
+        )
+        assert sol.stats == expected.stats
+        assert verify_certificate(self.PROB, sol)
 
 
 class TestInfeasible:
@@ -875,6 +894,7 @@ class TestCertificateOracle:
         tally = {True: 0, False: 0}
         for _ in range(20):
             master = None
+            all_costs, all_cols = [], []
             for r in range(3):
                 cols = []
                 for _ in range(rng.randint(1, 3)):
@@ -882,15 +902,19 @@ class TestCertificateOracle:
                     col.append(F(rng.randint(1, 3), rng.choice(_DENOMINATORS)))
                     cols.append(list(enumerate(col)))
                 costs = [coprime_rational(rng, 4) for _ in cols]
+                all_costs += costs
+                all_cols += cols
+                rows = [
+                    [(j, col[r][1]) for j, col in enumerate(all_cols)] for r in range(3)
+                ]
+                problem = LpProblem.build(
+                    all_costs, rows, ["==", "==", "<="], [0, 0, 1]
+                )
                 if master is None:
-                    rows = [
-                        [(j, col[r][1]) for j, col in enumerate(cols)] for r in range(3)
-                    ]
-                    problem = LpProblem.build(costs, rows, ["==", "==", "<="], [0, 0, 1])
                     master = Master(problem)
                 else:
                     master.append(costs, cols)
                 solution = solve(master)
-                assert verify_certificate(master.problem, solution)
-                self.check(master.problem, solution, rng, tally)
+                assert verify_certificate(problem, solution)
+                self.check(problem, solution, rng, tally)
         assert tally[True] >= 60 and tally[False] >= 600, tally

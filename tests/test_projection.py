@@ -475,6 +475,38 @@ class TestCutLoop:
             assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
 
 
+class TestCertificatePoint:
+    """projection_constant writes the certificate's point from its result:
+    the Y block is right_inverse, the T block is |projection| entrywise
+    and t is constant, on both routes."""
+
+    @staticmethod
+    def assert_point(spec, result):
+        n, m = spec.ambient, spec.codim
+        lay = _Layout(n, m)
+        x = result.certificate.x
+        assert len(x) == lay.nvars
+        for i in range(n):
+            y_row = [x[lay.y(i, k)] for k in range(m)]
+            assert y_row == list(result.right_inverse.row(i))
+            t_row = [x[lay.t(i, j)] for j in range(n)]
+            assert t_row == [abs(v) for v in result.projection.row(i)]
+        assert x[lay.scalar] == result.constant == result.certificate.objective_value
+
+    def test_hyperplane_closed_forms(self):
+        branches = set()
+        for f in hyperplane_functionals():
+            spec = subspace_from_annihilator(f)
+            result = projection_constant(spec)
+            self.assert_point(spec, result)
+            branches.add(result.constant == 1)
+        assert branches == {True, False}  # some g_p >= 1/2, and none
+
+    def test_cut_loop(self, solved):
+        for spec, result in solved:
+            self.assert_point(spec, result)
+
+
 class TestCoordinateProjection:
     """P_S = I - Y_S F^T is the feasible projection behind each per-set
     bound and the start of the cut loop."""
