@@ -34,12 +34,15 @@ by layer.  A checkout that predates a field reports it as null.
 The scan rungs, under "scans", are the three scan_wide shapes of the
 benchmark, (12, 5), (13, 3) and (14, 3), and (16, 4) and (18, 3), on
 random_instance(random.Random(seed), N, m).  They run no LP.  decide_s is
-decide_isometric(spec) (the general scan, as m >= 2) and bounds_s is
-best_upper_bound(spec, materialize=True), each the median over the
-repeats.  The answer fields are the verdict's digest (verdict, witness set
-and witness norms), sets_examined, admissible_sets (the size of per_set)
-and the digest of best_upper and best_set; every repeat must give the same
-ones, or the script exits 1.
+decide_isometric(spec) (the general scan, as m >= 2), bounds_s is
+best_upper_bound(spec, materialize=True) and bounds_best_s is
+best_upper_bound(spec), the start scan of projection_constant, each the
+median over the repeats.  The answer fields are the verdict's digest
+(verdict, witness set and witness norms), sets_examined, admissible_sets
+(the size of per_set), bound_digest, the digest of best_upper and
+best_set, and best_bound_digest, the same digest from
+best_upper_bound(spec), which must equal bound_digest; every repeat must
+give the same ones, or the script exits 1.
 
 The program is imported from ./src of the checkout the script runs from.
 """
@@ -122,6 +125,8 @@ def measure_scan(n: int, m: int, seed: int) -> dict:
     decision = decide_isometric(spec)
     decided = time.perf_counter()
     bound = best_upper_bound(spec, materialize=True)
+    bounded = time.perf_counter()
+    best = best_upper_bound(spec)
     ended = time.perf_counter()
     witness = decision.witness
     return {
@@ -134,8 +139,13 @@ def measure_scan(n: int, m: int, seed: int) -> dict:
             "sets_examined": decision.sets_examined,
             "admissible_sets": len(bound.per_set),
             "bound_digest": digest((bound.best_upper, bound.best_set.members)),
+            "best_bound_digest": digest((best.best_upper, best.best_set.members)),
         },
-        "seconds": {"decide_s": decided - began, "bounds_s": ended - decided},
+        "seconds": {
+            "decide_s": decided - began,
+            "bounds_s": bounded - decided,
+            "bounds_best_s": ended - bounded,
+        },
     }
 
 
@@ -193,12 +203,15 @@ def main() -> int:
         if any(run["answer"] != answer for run in runs):
             print(f"scan ({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
             return 1
+        if answer["best_bound_digest"] != answer["bound_digest"]:
+            print(f"scan ({n}, {m}) seed {seed}: best bounds disagree", file=sys.stderr)
+            return 1
         seconds = median_seconds(runs)
         scans.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
         print(
             f"scan ({n}, {m}) seed {seed}: examined {answer['sets_examined']} of "
             f"{answer['admissible_sets']}  decide {seconds['decide_s']} s  "
-            f"bounds {seconds['bounds_s']} s"
+            f"bounds {seconds['bounds_s']} s  best {seconds['bounds_best_s']} s"
         )
     report = {
         "commit": commit(),

@@ -3,11 +3,15 @@
 Each admissible index set yields the bound max(1, largest canonical
 1-norm minus 1); minimizing over sets gives the best upper bound this
 family of coordinate sections can offer.  The report never claims the
-minimum equals the actual distance.  best_upper_bound reads each bound
-off the integer rows of the basis-exchange walk (canonical._exchange_walk)
-and compares bounds by integer cross-multiplication, building Fractions
-and IndexSets only for what it reports; distance_bound_for_set computes
-one set's bound from its determinant-ratio family.
+minimum equals the actual distance.  best_upper_bound reads each set
+Q + x off the prefix walk (canonical._prefix_walk): the residual row rho
+of Q gives x's canonical 1-norm ||rho||_1 / |rho[x]| without completing
+the set, so max(1, ||rho||_1 / |rho[x]| - 1) is a floor under the set's
+bound, and a set whose floor cannot strictly beat the best bound so far
+is not completed.  Bounds are compared by integer cross-multiplication,
+building Fractions and IndexSets only for what it reports;
+distance_bound_for_set computes one set's bound from its
+determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .canonical import SubspaceSpec, _exchange_walk, canonical_family
+from .canonical import SubspaceSpec, _complete, _prefix_walk, canonical_family
 from .errors import InternalConsistencyError
 from .linalg import IndexSet
 
@@ -41,34 +45,56 @@ def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:
 def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundReport:
     """Minimize the per-set bound over every admissible index set.
 
-    Each set's bound is read off the exchange walk's integer rows: with
-    top the largest sum of |rows[r]| and d = |common|, the largest
-    canonical 1-norm is top / d, so the bound is (top - d) / d when top
-    exceeds 2d and 1 otherwise.  Bounds are compared by integer
-    cross-multiplication, and only the reported sets and bounds become
-    IndexSets and Fractions.
+    Each set Q + x is read off the prefix walk's integer rows: with
+    d = |rho[x]| and top the largest of ||rho||_1 and the sums of
+    |row r| over the completed rows, the largest canonical 1-norm is
+    top / d, so the bound is (top - d) / d when top exceeds 2d and 1
+    otherwise.  Since top >= ||rho||_1, the set's bound is at least
+    max(1, ||rho||_1 / d - 1); a set whose floor cannot strictly beat the
+    best bound so far is not completed, so ties keep the first set.
+    Bounds are compared by integer cross-multiplication, and only the
+    reported sets and bounds become IndexSets and Fractions.
 
-    materialize=True additionally returns the full set-to-bound map.
+    materialize=True completes every set and additionally returns the
+    full set-to-bound map.
     """
     n = spec.ambient
     per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
     best: Optional[tuple[int, int]] = None
     best_combo: tuple[int, ...] = ()
-    for combo, _, rows, common in _exchange_walk(spec):
-        d = abs(common)
-        top = max(sum(map(abs, row)) for row in rows)
-        num = top - d if top > 2 * d else d
-        if per_set is not None:
-            per_set[IndexSet(tuple(q + 1 for q in combo), n)] = Fraction(num, d)
-        if best is None or num * best[1] < best[0] * d:
-            best = num, d
-            best_combo = combo
+    for prefix, order, rows, common, free in _prefix_walk(spec):
+        rho = rows[free]
+        norm = sum(map(abs, rho))
+        for x in range(prefix[-1] + 1 if prefix else 0, n):
+            if not rho[x]:
+                continue
+            d = abs(rho[x])
+            if (
+                per_set is None
+                and best is not None
+                and _excess(norm, d) * best[1] >= best[0] * d
+            ):
+                continue
+            done, _ = _complete(rows, common, free, x)
+            top = max([norm, *(sum(map(abs, done[r])) for r in order)])
+            num = _excess(top, d)
+            if per_set is not None:
+                index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
+                per_set[index_set] = Fraction(num, d)
+            if best is None or num * best[1] < best[0] * d:
+                best = num, d
+                best_combo = prefix + (x,)
     if best is None:
         raise InternalConsistencyError(
             "a full-rank annihilator must admit at least one invertible block"
         )
     best_set = IndexSet(tuple(q + 1 for q in best_combo), n)
     return BoundReport(Fraction(*best), best_set, per_set)
+
+
+def _excess(top: int, d: int) -> int:
+    """The numerator over d of max(1, top / d - 1)."""
+    return top - d if top > 2 * d else d
 
 
 def _bound(norms) -> Fraction:

@@ -7,19 +7,27 @@ annihilator data into m vectors that carry the identity pattern on S;
 their 1-norms drive both the isometry test and the distance bounds.
 
 Two routes compute the families.  canonical_family is the paper's own
-formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 2
-determinants.  _exchange_walk walks every admissible set in the order of
-admissible_sets and moves from one family to the next by basis exchange:
-the family is kept as the m x N matrix C_S^T, whose row r is the vector
-of basis member r, and a Gauss-Jordan pivot on that matrix is the column
-exchange C_S' = C_S E, so one pivot replaces a whole family of
-determinants.  The pivots are fraction-free (_kernels.exchange): the
-rows are integers over one common denominator, the determinant of the
-current basis, so the block determinant comes with every family and no
-entry needs a gcd.  The isometry test and the bounds read those integer
-rows in place, so the paper's inequalities are integer comparisons;
-exchange_families is the Fraction view of the same walk, and the ratio
-route stays as the definition and the independent check of it.
+formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 1
+determinants, each by Bareiss elimination on the annihilator's integer
+rows.  _prefix_walk walks the (m - 1)-prefixes Q of the admissible sets
+in lexicographic order and moves from one prefix to the next by basis
+exchange: the tableau is the m x N matrix C^T, whose row r is the
+canonical vector of basis member r, and a Gauss-Jordan pivot on it is a
+column exchange, so one pivot replaces a whole family of determinants.
+The pivots are fraction-free (_kernels.exchange): the rows are integers
+over one common denominator, the determinant of the current basis, so no
+entry needs a gcd.  With Q in the basis, one row is left over: the
+residual row rho of Q, which vanishes on Q and whose entry rho[x] is,
+up to a factor fixed for the prefix, det F_{Q + x}.  So Q + x is
+admissible exactly when rho[x] != 0, its last member's canonical vector
+is rho / rho[x], and that member's determinantal inequality reads
+||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
+per prefix pass it.  A set is completed, by one exchange on a copy of
+the rows (_complete), only when a consumer needs its other members.  The
+isometry test and the bounds read those integer rows in place, so the
+paper's inequalities are integer comparisons; exchange_families is the
+Fraction view of the same walk, and the ratio route stays as the
+definition and the independent check of it.
 """
 
 from __future__ import annotations
@@ -162,46 +170,56 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
 
     Entry i of the vector for member k is the determinant of the row
     block with row k swapped for row i, divided by the block determinant.
-    On the set itself that ratio collapses to the identity pattern.
+    On the set itself that ratio collapses to the identity pattern.  The
+    determinants are taken on the annihilator's rows with each column
+    scaled to integers (_integer_columns); the scales cancel in every
+    ratio and are divided out of block_det.
     """
     if len(index_set) != spec.codim or index_set.ambient != spec.ambient:
         raise DimensionError("index set size must equal the codimension")
-    mat = spec.annihilator
-    block = mat.take_rows(index_set)
-    d = det(block)
+    columns, scale = _integer_columns(spec)
+    rows = list(zip(*columns))
+    block = [rows[k - 1] for k in index_set]
+    d, _ = _kernels.det_bareiss(block)
     if d == 0:
         raise InadmissibleSetError(f"row block {index_set} is singular")
     inside = set(index_set)
     vectors: dict[int, tuple[Fraction, ...]] = {}
-    for k in index_set:
-        pos = index_set.position(k)
+    for pos, k in enumerate(index_set):
         entries = []
         for i in range(1, spec.ambient + 1):
             if i in inside:
                 entries.append(_ONE if i == k else _ZERO)
             else:
-                swapped = block.replace_row(pos, mat.row(i - 1))
-                entries.append(det(swapped) / d)
+                swapped = block[:pos] + [rows[i - 1]] + block[pos + 1 :]
+                entries.append(Fraction(_kernels.det_bareiss(swapped)[0], d))
         vectors[k] = tuple(entries)
-    return CanonicalFamily(index_set, vectors, d)
+    return CanonicalFamily(index_set, vectors, Fraction(d, scale))
 
 
 def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The admissible sets of admissible_sets, in the same order, one
-    CanonicalFamily per set; the Fraction view of _exchange_walk, equal,
-    entry for entry, to canonical_family at each set.  The block
-    determinant is common, signed by the parity of order, over the product
-    of the column scales."""
+    CanonicalFamily per set; the Fraction view of _prefix_walk, equal,
+    entry for entry, to canonical_family at each set.  Every admissible
+    completion of every prefix is completed (_complete); the block
+    determinant is the completed common denominator, signed by the
+    parity of the rows' order, over the product of the column scales."""
     n = spec.ambient
     _, scale = _integer_columns(spec)
-    for combo, order, rows, common in _exchange_walk(spec):
-        vectors = {
-            q + 1: tuple(Fraction(x, common) for x in rows[r])
-            for q, r in zip(combo, order)
-        }
-        block_det = Fraction(-common if _odd(order) else common, scale)
-        index_set = IndexSet(tuple(q + 1 for q in combo), n)
-        yield CanonicalFamily(index_set, vectors, block_det)
+    for prefix, order, rows, common, free in _prefix_walk(spec):
+        rho = rows[free]
+        perm = order + (free,)
+        for x in range(prefix[-1] + 1 if prefix else 0, n):
+            if not rho[x]:
+                continue
+            done, den = _complete(rows, common, free, x)
+            vectors = {
+                q + 1: tuple(Fraction(v, den) for v in done[r])
+                for q, r in zip(prefix + (x,), perm)
+            }
+            block_det = Fraction(-den if _odd(perm) else den, scale)
+            index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
+            yield CanonicalFamily(index_set, vectors, block_det)
 
 
 def _integer_columns(spec: SubspaceSpec) -> tuple[list[list[int]], int]:
@@ -217,40 +235,56 @@ def _integer_columns(spec: SubspaceSpec) -> tuple[list[list[int]], int]:
     return columns, scale
 
 
-def _exchange_walk(spec: SubspaceSpec):
-    """Walk the admissible sets in lexicographic order by basis exchange.
+def _prefix_walk(spec: SubspaceSpec):
+    """Walk the prefixes of the admissible sets in lexicographic order
+    by basis exchange.
 
-    The tableau is m integer rows of length N over the common
-    denominator `common`: column j of the annihilator, scaled to
+    A prefix is an (m - 1)-subset Q of range(N - 1); the sets Q + (x,)
+    with x > max Q, prefix by prefix, are the m-subsets in the order of
+    admissible_sets.  The tableau is m integer rows of length N over the
+    common denominator `common`: column j of the annihilator, scaled to
     integers (_integer_columns), starts as row j with `common` = 1,
     which is the tableau of [I | F^T] on the basis of its m unit
-    columns.  Once every basis member is a coordinate, row r divided by
-    `common` is the canonical vector of basis[r], a 0-based coordinate,
-    in whatever order the exchanges left the rows, and `common` is the
-    determinant of those coordinates' block, rows in basis order, times
-    the product of the column scales.  `common` can be negative.
+    columns, and `common` stays the determinant of the basis columns
+    after each exchange.  Once every basis member is a coordinate, row r
+    over `common` is the canonical vector of basis[r], and `common` is
+    the determinant of their block of F, rows in basis order, times the
+    product of the column scales; `common` can be negative.
 
-    To reach the next set T, each entering member q pivots on the first
-    leaving row with a nonzero entry at column q.  det F_T / det F_B is,
-    up to sign, the determinant of the block C_B[T - B, B - T], and these
-    pivots are a greedy elimination of that block; so a leaving row with
-    a nonzero entry exists at every step exactly when T is admissible.
-    When none does, T is skipped and the basis stays where the pivots
-    left it, which is still a basis, so the walk never refactors.  The
-    same rule reaches the first admissible set from the unit columns.
+    To reach the next prefix, each entering member q pivots on the
+    first leaving row with a nonzero entry at column q.  The pivots are
+    a greedy elimination of the tableau's columns Q, which have rank
+    m - 1 exactly when the rows of F at Q are independent; so a leaving
+    row with a nonzero entry exists at every step exactly when they are.
+    When none does, every set Q + (x,) has a singular block, so the
+    prefix is skipped and the basis stays where the pivots left it,
+    which is still a basis, so the walk never refactors.
 
-    Yields (combo, order, rows, common): combo is the set as a tuple of
-    0-based coordinates, and order[j] is the tableau row of combo[j].
-    The tableau is live and changes at the next step; the isometry test
-    and the bounds read its integers in place."""
+    Once Q is in the basis, exactly one row, `free`, belongs to a member
+    outside Q.  That row rho is the residual row of Q: it vanishes on Q
+    and, by Cramer's rule, rho[y] is det F_{Q+y} (y in the free row's
+    place) times a factor that does not depend on y.  So Q + (x,) is
+    admissible exactly when rho[x] != 0, and completing it is one more
+    exchange on (free, x) (_complete), after which row free still holds
+    rho and rho / rho[x] is the canonical vector of x.  Its 1-norm
+    ||rho||_1 / |rho[x]| is x's determinantal inequality, with
+    ||rho||_1 fixed for the prefix: at most two x can have
+    ||rho||_1 <= 2 |rho[x]|, as three such entries would sum to more
+    than ||rho||_1.  At m = 1 the only prefix is empty and rho is the
+    scaled column of F.
+
+    Yields (prefix, order, rows, common, free): prefix is Q as a tuple
+    of 0-based coordinates, and order[j] is the tableau row of
+    prefix[j].  The tableau is live and changes at the next step;
+    consumers read it in place and complete sets on copies."""
     n, m = spec.ambient, spec.codim
     rows, _ = _integer_columns(spec)
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
-    for combo in itertools.combinations(range(n), m):
-        leaving = [r for r, q in enumerate(basis) if q not in combo]
-        for q in combo:
+    for prefix in itertools.combinations(range(n - 1), m - 1):
+        leaving = [r for r, q in enumerate(basis) if q not in prefix]
+        for q in prefix:
             if q in row_of:
                 continue
             r = next((r for r in leaving if rows[r][q]), None)
@@ -262,7 +296,16 @@ def _exchange_walk(spec: SubspaceSpec):
             row_of[q] = r
             leaving.remove(r)
         else:
-            yield combo, tuple(row_of[q] for q in combo), rows, common
+            yield prefix, tuple(row_of[q] for q in prefix), rows, common, leaving[0]
+
+
+def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
+    """The tableau of the set prefix + (x,), for a prefix's live rows
+    with rows[free][x] != 0: one exchange on (free, x), applied to a copy,
+    row -> (row * rho[x] - row[x] * rho) / common.  Returns the rows and
+    their common denominator rho[x]; row free is rho itself."""
+    done = list(rows)
+    return done, _kernels.exchange(done, common, free, x)
 
 
 def _odd(perm: tuple[int, ...]) -> bool:

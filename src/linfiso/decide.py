@@ -2,17 +2,23 @@
 
 Verdict true means some admissible index set S has every canonical
 vector with 1-norm at most 2; the scan runs in lexicographic set order
-and stops at the first witness.  The general scan tests these
-inequalities on the integer rows of the basis-exchange walk
-(canonical._exchange_walk): row r over the walk's common denominator is
-a canonical vector, so the test is sum |row r| <= 2 |common|, with no
-Fraction per set.  It builds the witness's norms and its
-CanonicalFamily, by determinant ratios, only for the witness it
-returns.  Codimension 1 and 2 admit closed forms that provably visit
-the same sets in the same order, so verdict, witness, and the number of
-sets examined all coincide with the general scan.  The auto mode uses
-the codimension-1 form, which beats the scan; the codimension-2 pair
-test (decide_by_minors) runs slower than the scan and stays as the
+and stops at the first witness.  The general scan reads the prefix walk
+(canonical._prefix_walk): for a set Q + x, the canonical vector of its
+last member x is rho / rho[x], rho the residual row of the prefix Q, so
+x's inequality is ||rho||_1 <= 2 |rho[x]|, one integer comparison per
+set with ||rho||_1 summed once per prefix.  At most two x per prefix
+pass it; only those sets are completed by one exchange, and the
+completed rows r, canonical vectors over rho[x], are tested as
+sum |row r| <= 2 |rho[x]|, with no Fraction per set.  Every admissible
+set up to the witness counts as examined, completed or not.  The scan
+builds the witness's norms and its CanonicalFamily, by determinant
+ratios, only for the witness it returns.  Codimension 1 and 2 admit
+closed forms that provably visit the same sets in the same order, so
+verdict, witness, and the number of sets examined all coincide with the
+general scan.  The auto mode uses the codimension-1 form, which skips
+the walk (at m = 1 the scan's only prefix is empty and rho is the
+functional itself, so the two are the same test); the codimension-2
+pair test (decide_by_minors) runs slower than the scan and stays as the
 reference that crosscheck and the tests compare it against.
 """
 
@@ -26,7 +32,8 @@ from typing import Iterable, Optional
 from .canonical import (
     CanonicalFamily,
     SubspaceSpec,
-    _exchange_walk,
+    _complete,
+    _prefix_walk,
     canonical_family,
     family_from_minors,
     minor_vectors,
@@ -74,23 +81,35 @@ def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
 
 
 def _decide_general(spec: SubspaceSpec) -> DecisionReport:
-    """The paper's inequalities on the exchange walk's integer rows: row
-    r over `common` is a canonical vector, so its 1-norm is at most 2
-    exactly when the sum of |rows[r]| is at most 2 |common|."""
+    """The paper's inequalities on the prefix walk's integer rows.
+
+    Every set Q + x with rho[x] != 0 counts as examined.  Its last
+    member passes exactly when ||rho||_1 <= 2 |rho[x]|; only then is the
+    set completed, and it is a witness when every completed row r, a
+    canonical vector over rho[x], has sum |row r| <= 2 |rho[x]|."""
+    n = spec.ambient
     examined = 0
-    for combo, order, rows, common in _exchange_walk(spec):
-        examined += 1
-        den = abs(common)
-        limit = 2 * den
-        if all(sum(map(abs, row)) <= limit for row in rows):
-            index_set = IndexSet(tuple(q + 1 for q in combo), spec.ambient)
-            norms = {
-                k: Fraction(sum(map(abs, rows[r])), den)
-                for k, r in zip(index_set, order)
-            }
-            family = canonical_family(spec, index_set)
-            witness = Witness(index_set, family, norms)
-            return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
+    for prefix, order, rows, common, free in _prefix_walk(spec):
+        rho = rows[free]
+        norm = sum(map(abs, rho))
+        for x in range(prefix[-1] + 1 if prefix else 0, n):
+            if not rho[x]:
+                continue
+            examined += 1
+            den = abs(rho[x])
+            if 2 * den < norm:
+                continue
+            done, _ = _complete(rows, common, free, x)
+            sums = [sum(map(abs, done[r])) for r in order]
+            if all(total <= 2 * den for total in sums):
+                index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
+                norms = {
+                    k: Fraction(total, den)
+                    for k, total in zip(index_set, sums + [norm])
+                }
+                family = canonical_family(spec, index_set)
+                witness = Witness(index_set, family, norms)
+                return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
     return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
 
 

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction as F
 
+from linfiso import bounds
 from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
-    _exchange_walk,
     admissible_sets,
     canonical_family,
     subspace_from_annihilator,
@@ -11,7 +11,13 @@ from linfiso.canonical import (
 from linfiso.decide import decide_isometric
 from linfiso.errors import InvalidBasisError
 from linfiso.linalg import IndexSet
-from test_canonical import degenerate_spec, random_spec
+from test_canonical import (
+    degenerate_spec,
+    random_spec,
+    rational_spec,
+    residual_rows,
+    set_denominators,
+)
 from test_decide import NEGATIVE_COMMON
 
 
@@ -132,8 +138,7 @@ class TestIntegerBounds:
 
     def test_negative_common(self):
         spec = subspace_from_annihilator(NEGATIVE_COMMON)
-        commons = [common for _, _, _, common in _exchange_walk(spec)]
-        assert commons == [1, -27, -4]
+        assert set_denominators(spec) == [1, -27, 4]
         report = best_upper_bound(spec, materialize=True)
         assert report == BoundReport(
             F(1),
@@ -145,12 +150,11 @@ class TestIntegerBounds:
             },
         )
         assert report == bounds_from_ratios(spec)
-        # above the floor: the best set {1,4} has common -42
+        # above the floor: the best set {1,4} is over -42
         spec = subspace_from_annihilator(
             [[F(1, 3), F(2)], [F(-1), F(1, 3)], [F(1), F(1, 2)], [F(1), F(-1)]]
         )
-        commons = [common for _, _, _, common in _exchange_walk(spec)]
-        assert commons == [38, -33, -42, -15, 12, -27]
+        assert set_denominators(spec) == [38, -33, -42, -15, 12, -27]
         report = best_upper_bound(spec, materialize=True)
         assert list(report.per_set.values()) == [
             F(75, 38), F(80, 33), F(71, 42), F(4), F(23, 4), F(2)
@@ -176,5 +180,80 @@ class TestIntegerBounds:
                     expected.best_set,
                 )
                 assert report.per_set is None
-                negative += any(c < 0 for _, _, _, c in _exchange_walk(spec))
-        assert negative > 20  # the negative-common branch was exercised
+                negative += any(d < 0 for d in set_denominators(spec))
+        assert negative > 20  # the negative-denominator branch was exercised
+
+
+
+def completed_sets(monkeypatch):
+    """Patch bounds to record, 1-based, each set that best_upper_bound
+    completes; returns the record."""
+    done = []
+    prefix = []
+    walk, complete = bounds._prefix_walk, bounds._complete
+
+    def walked(spec):
+        for item in walk(spec):
+            prefix[:] = item[0]
+            yield item
+
+    def completing(rows, common, free, x):
+        done.append(tuple(q + 1 for q in prefix) + (x + 1,))
+        return complete(rows, common, free, x)
+
+    monkeypatch.setattr(bounds, "_prefix_walk", walked)
+    monkeypatch.setattr(bounds, "_complete", completing)
+    return done
+
+
+class TestPrunedBounds:
+    """Without materialize, a set whose floor max(1, ||rho||_1 / |rho[x]| - 1)
+    cannot strictly beat the best bound so far is not completed."""
+
+    def test_later_tie_above_the_floor_is_skipped(self, monkeypatch):
+        done = completed_sets(monkeypatch)
+        # m = 1, ||rho||_1 = 10: {3} ties {1} at 10/3 - 1
+        spec = subspace_from_annihilator([3, 2, 3, 2])
+        report = best_upper_bound(spec)
+        assert (report.best_upper, report.best_set) == (F(7, 3), IndexSet((1,), 4))
+        assert done == [(1,)]
+        # m = 2: row 4 repeats row 3, so {1,4} ties {1,3} at 3/2
+        done.clear()
+        spec = subspace_from_annihilator([[1, -3], [1, 0], [-3, 1], [-3, 1], [0, 1]])
+        report = best_upper_bound(spec)
+        assert (report.best_upper, report.best_set) == (F(3, 2), IndexSet((1, 3), 5))
+        assert done == [(1, 2), (1, 3)]
+        expected = bounds_from_ratios(spec)
+        assert (report.best_upper, report.best_set) == (expected.best_upper, expected.best_set)
+        assert list(expected.per_set.values()) == [
+            F(17, 3), F(3, 2), F(3, 2), F(19), F(11), F(11), F(7), F(3), F(3)
+        ]
+        # materialized, every set is completed
+        done.clear()
+        assert best_upper_bound(spec, materialize=True) == expected
+        assert done == list(s.members for s in expected.per_set)
+
+    def test_later_set_at_the_floor_is_skipped(self, monkeypatch):
+        done = completed_sets(monkeypatch)
+        # {1,3} reaches the floor 1.  Prefix {2} has rho = (0, 0, 2, 1), so
+        # the floor of {2,3} is max(1, 3/2 - 1) = 1, which cannot beat 1;
+        # its bound is 2.
+        spec = subspace_from_annihilator([[-2, 0], [1, 0], [0, 2], [0, 1]])
+        walked = residual_rows(spec)
+        assert walked[(1,)] == [0, 0, 2, 1]
+        report = best_upper_bound(spec)
+        assert (report.best_upper, report.best_set) == (F(1), IndexSet((1, 3), 4))
+        assert done == [(1, 3)]
+        assert list(bounds_from_ratios(spec).per_set.values()) == [F(1), F(2), F(2), F(2)]
+
+    def test_seeded_sweep_to_nine(self):
+        rng = random.Random(1502)
+        for _ in range(30):
+            ambient = rng.randint(2, 9)
+            codim = rng.randint(1, min(5, ambient - 1))
+            for make in (rational_spec, degenerate_spec):
+                spec = make(rng, ambient, codim)
+                expected = bounds_from_ratios(spec)
+                assert best_upper_bound(spec, materialize=True) == expected
+                report = best_upper_bound(spec)
+                assert report == BoundReport(expected.best_upper, expected.best_set, None)

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
-from linfiso import bounds, canonical, decide
+from linfiso import _kernels, bounds, canonical, decide
 from linfiso.canonical import (
     SubspaceSpec,
+    _prefix_walk,
     admissible_sets,
     canonical_family,
     exchange_families,
@@ -21,7 +23,7 @@ from linfiso.errors import (
     InvalidBasisError,
     WrongCodimensionError,
 )
-from linfiso.linalg import IndexSet, Matrix, rank, vec_norm1
+from linfiso.linalg import IndexSet, Matrix, det, rank, vec_norm1
 from oracles import laplace_det
 
 EXAMPLE = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
@@ -38,6 +40,36 @@ def random_spec(rng, ambient, codim, bound=5):
             return subspace_from_annihilator(rows)
         except InvalidBasisError:
             continue
+
+
+def rational_spec(rng, ambient, codim, bound=6):
+    """Random annihilator with small rational entries."""
+    while True:
+        rows = [
+            [F(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(codim)]
+            for _ in range(ambient)
+        ]
+        try:
+            return subspace_from_annihilator(rows)
+        except InvalidBasisError:
+            continue
+
+
+def residual_rows(spec):
+    """The residual row rho of each prefix the walk yields, keyed by the
+    0-based prefix, in the walk's order."""
+    return {prefix: list(rows[free]) for prefix, _, rows, _, free in _prefix_walk(spec)}
+
+
+def set_denominators(spec):
+    """The denominator rho[x] over which the prefix walk completes each
+    admissible set Q + x, in the walk's order."""
+    return [
+        rho[x]
+        for prefix, rho in residual_rows(spec).items()
+        for x in range(prefix[-1] + 1 if prefix else 0, spec.ambient)
+        if rho[x]
+    ]
 
 
 class TestSubspaceSpec:
@@ -178,6 +210,24 @@ class TestCanonicalFamily:
                 fam_b = canonical_family(other, index_set)
                 assert fam_a.vectors == fam_b.vectors
 
+    def test_one_determinant_per_entry_through_the_kernel(self, monkeypatch):
+        # m(N - m) + 1 Bareiss determinants, called through the module
+        calls = []
+        real = _kernels.det_bareiss
+
+        def counted(rows, den=1):
+            calls.append(len(rows))
+            return real(rows, den)
+
+        monkeypatch.setattr(_kernels, "det_bareiss", counted)
+        spec = subspace_from_annihilator(
+            [[F(1, 2), 0, 1], [0, F(2, 3), 1], [1, 1, 0], [2, F(-1, 4), 1], [1, 0, 5]]
+        )
+        fam = canonical_family(spec, IndexSet((1, 2, 4), 5))
+        assert calls == [3] * (3 * 2 + 1)
+        assert fam.block_det == F(-7, 8)
+        assert fam.vectors[1] == (F(1), F(0), F(-10, 3), F(0), F(46, 7))
+
     def test_inadmissible_set_raises(self):
         spec = subspace_from_annihilator([[1, 0], [2, 0], [0, 1]])
         with pytest.raises(InadmissibleSetError):
@@ -287,6 +337,73 @@ class TestExchangeScan:
         )
         sets = self.assert_matches_ratios(spec)
         assert len(sets) == 1 + 3 * 4  # {1, 7, 8}, or a multiple with two of them
+
+    def assert_residual_rows(self, spec):
+        """Each prefix Q the walk yields has independent rows of F, and
+        every independent Q is yielded; its free row vanishes on Q and,
+        past max Q, is a nonzero multiple of x -> det F_{Q + x}.
+        Returns the yielded prefixes, 1-based."""
+        n, m = spec.ambient, spec.codim
+        mat = spec.annihilator
+        yielded = []
+        for prefix, order, rows, _, free in _prefix_walk(spec):
+            members = tuple(q + 1 for q in prefix)
+            yielded.append(members)
+            assert sorted(order + (free,)) == list(range(m))
+            rho = rows[free]
+            assert all(rho[q] == 0 for q in prefix)
+            xs = range(prefix[-1] + 1 if prefix else 0, n)
+            dets = [det(mat.take_rows(IndexSet(members + (x + 1,), n))) for x in xs]
+            tail = [rho[x] for x in xs]
+            assert [v == 0 for v in tail] == [d == 0 for d in dets]
+            assert all(a * e == b * d for a, d in zip(tail, dets) for b, e in zip(tail, dets))
+        independent = [
+            tuple(q + 1 for q in prefix)
+            for prefix in itertools.combinations(range(n - 1), m - 1)
+            if not prefix
+            or rank(mat.take_rows(IndexSet(tuple(q + 1 for q in prefix), n))) == m - 1
+        ]
+        assert yielded == independent
+        return yielded
+
+    def test_dependent_prefixes_are_skipped(self):
+        # row 2 repeats row 1 and row 3 is zero, so every prefix holding
+        # {1, 2} or 3 is dependent, and so is each of its m-sets
+        spec = subspace_from_annihilator(
+            [[1, 2, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [2, 1, -1]]
+        )
+        assert self.assert_residual_rows(spec) == [(1, 4), (1, 5), (2, 4), (2, 5), (4, 5)]
+        sets = self.assert_matches_ratios(spec)
+        assert [s.members for s, _ in sets] == [
+            (1, 4, 5), (1, 4, 6), (1, 5, 6), (2, 4, 5), (2, 4, 6), (2, 5, 6), (4, 5, 6)
+        ]
+        # m = 2: the zero row is the one dependent prefix
+        spec = subspace_from_annihilator([[1, 2], [0, 0], [1, 2], [F(1, 2), -1]])
+        assert self.assert_residual_rows(spec) == [(1,), (3,)]
+        sets = self.assert_matches_ratios(spec)
+        assert [s.members for s, _ in sets] == [(1, 4), (3, 4)]
+
+    def test_codimension_one_is_the_column(self):
+        # the only prefix is empty and its residual row is F's column
+        spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
+        walked = [(p, o, list(r), c, f) for p, o, r, c, f in _prefix_walk(spec)]
+        assert walked == [((), (), [[3, 0, -4, 6]], 1, 0)]
+
+    def test_residual_rows_seeded(self):
+        rng = random.Random(3105)
+        for _ in range(40):
+            ambient = rng.randint(2, 7)
+            codim = rng.randint(1, ambient - 1)
+            for make in (random_spec, rational_spec, degenerate_spec):
+                self.assert_residual_rows(make(rng, ambient, codim))
+
+    def test_seeded_sweep_to_nine(self):
+        rng = random.Random(3106)
+        for _ in range(12):
+            ambient = rng.randint(2, 9)
+            codim = rng.randint(1, min(5, ambient - 1))
+            for make in (rational_spec, degenerate_spec):
+                self.assert_matches_ratios(make(rng, ambient, codim))
 
     def test_decide_and_bounds_build_no_family_per_set(self, monkeypatch):
         calls = []

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from linfiso.canonical import (
-    _exchange_walk,
     admissible_sets,
     canonical_family,
     subspace_from_annihilator,
@@ -19,10 +18,16 @@ from linfiso.decide import (
 )
 from linfiso.errors import InvalidBasisError, WrongCodimensionError
 from linfiso.linalg import IndexSet
-from test_canonical import degenerate_spec, random_spec
+from test_canonical import (
+    degenerate_spec,
+    random_spec,
+    rational_spec,
+    residual_rows,
+    set_denominators,
+)
 
-# A rational annihilator whose exchange walk reaches a negative common
-# denominator: {1,2} (common 1) fails the test, {1,3} (common -27) passes.
+# A rational annihilator whose prefix walk completes a set over a negative
+# denominator rho[x]: {1,2} (over 1) fails the test, {1,3} (over -27) passes.
 NEGATIVE_COMMON = [[F(1, 2), F(2)], [F(0), F(1, 3)], [F(2), F(-1)]]
 
 
@@ -230,8 +235,7 @@ class TestIntegerInequalities:
 
     def test_negative_common_witness(self):
         spec = subspace_from_annihilator(NEGATIVE_COMMON)
-        commons = [common for _, _, _, common in _exchange_walk(spec)]
-        assert commons == [1, -27, -4]
+        assert set_denominators(spec) == [1, -27, 4]
         report = decide_isometric(spec, mode="general")
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 3), 3)
@@ -252,5 +256,80 @@ class TestIntegerInequalities:
                 report = decide_isometric(spec, mode="general")
                 assert report == decision_from_ratios(spec)
                 accepted += report.verdict
-                negative += any(c < 0 for _, _, _, c in _exchange_walk(spec))
+                negative += any(d < 0 for d in set_denominators(spec))
         assert accepted > 20 and negative > 20  # both branches were exercised
+
+
+class TestPrefixCandidates:
+    """Only a set whose last member passes ||rho||_1 <= 2 |rho[x]| on its
+    prefix's residual row is completed and fully tested."""
+
+    def test_tied_candidates_first_wins(self):
+        # m = 2: the residual row of prefix {2} is (0, 0, -4, 4), so {2,3}
+        # and {2,4} both pass the last member's test, and both are witnesses
+        spec = subspace_from_annihilator([[1, 0], [-2, 0], [1, 2], [0, -2]])
+        walked = residual_rows(spec)
+        assert walked[(1,)] == [0, 0, -4, 4]
+        assert canonical_family(spec, IndexSet((2, 4), 4)).norms() == {2: F(2), 4: F(2)}
+        report = decide_isometric(spec, mode="general")
+        assert report.witness.index_set == IndexSet((2, 3), 4)
+        assert report.witness.norms == {2: F(2), 3: F(2)}
+        assert report.sets_examined == 3  # {1,3}, {1,4}, {2,3}; {1,2} is singular
+        assert report == decision_from_ratios(spec)
+        # m = 3: prefix {1,3} has the residual row (0, 0, 0, 4, 4)
+        spec = subspace_from_annihilator(
+            [[1, 0, 1], [0, -1, -1], [0, 2, 2], [-2, 2, 2], [-2, 1, 1]]
+        )
+        walked = residual_rows(spec)
+        assert walked[(0, 2)] == [0, 0, 0, 4, 4]
+        assert all(
+            v <= 2 for v in canonical_family(spec, IndexSet((1, 3, 5), 5)).norms().values()
+        )
+        report = decide_isometric(spec, mode="general")
+        assert report.witness.index_set == IndexSet((1, 3, 4), 5)
+        assert report.witness.norms == {1: F(1), 3: F(2), 4: F(2)}
+        assert report.sets_examined == 3
+        assert report == decision_from_ratios(spec)
+
+    def test_rational_residual_at_the_boundary(self):
+        # prefix {1}: rho = (0, 6, 2, 4), ||rho||_1 = 12 = 2 |rho[2]|
+        spec = subspace_from_annihilator([[1, 0], [0, 1], [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]])
+        walked = residual_rows(spec)
+        assert walked[(0,)] == [0, 6, 2, 4]
+        report = decide_isometric(spec, mode="general")
+        assert report.witness.index_set == IndexSet((1, 2), 4)
+        assert report.witness.norms == {1: F(2), 2: F(2)}
+        assert report.sets_examined == 1
+        assert report == decision_from_ratios(spec)
+        # 1/300 more: rho = (0, 600, 200, 402), ||rho||_1 = 1202 > 2 * 600
+        spec = subspace_from_annihilator(
+            [[1, 0], [0, 1], [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3) + F(1, 300)]]
+        )
+        walked = residual_rows(spec)
+        assert walked[(0,)] == [0, 600, 200, 402]
+        assert canonical_family(spec, IndexSet((1, 2), 4)).norms() == {1: F(2), 2: F(601, 300)}
+        report = decide_isometric(spec, mode="general")
+        assert report == DecisionReport(False, None, 6, DecisionMethod.GENERAL)
+        assert report == decision_from_ratios(spec)
+
+    def test_dependent_prefixes_are_skipped(self):
+        # row 2 repeats row 1 and row 3 is zero: 7 of the 20 sets are admissible
+        spec = subspace_from_annihilator(
+            [[1, 2, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [2, 1, -1]]
+        )
+        report = decide_isometric(spec, mode="general")
+        assert report == DecisionReport(False, None, 7, DecisionMethod.GENERAL)
+        assert report == decision_from_ratios(spec)
+
+    def test_seeded_sweep_to_nine(self):
+        rng = random.Random(1501)
+        accepted = 0
+        for _ in range(30):
+            ambient = rng.randint(2, 9)
+            codim = rng.randint(1, min(5, ambient - 1))
+            for make in (rational_spec, degenerate_spec):
+                spec = make(rng, ambient, codim)
+                report = decide_isometric(spec, mode="general")
+                assert report == decision_from_ratios(spec)
+                accepted += report.verdict
+        assert 10 < accepted < 50  # both verdicts were exercised
