@@ -6,8 +6,9 @@ isomorphic to the sup-norm space of dimension n, produces certifying
 index sets, bounds the distance when it is not, and computes the
 projection constant of V by exact linear programming (in closed form
 for a hyperplane).  Everything is pure Python; the hot loops (the
-Bareiss determinant, the simplex pivot and the fraction-free exchange of
-the canonical-family scan) live in linfiso._kernels."""
+Bareiss determinant, the pivot of the revised simplex master and the
+fraction-free exchange of the canonical-family scan) live in
+linfiso._kernels."""
 
 from .bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from .canonical import (
@@ -58,7 +59,6 @@ from .lp import (
     LpStatus,
     solve,
     verify_certificate,
-    verify_infeasibility,
     verify_unboundedness,
 )
 from .projection import (

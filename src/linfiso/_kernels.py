@@ -1,20 +1,15 @@
 """Exact kernels for the three hot loops: the Bareiss determinant, the
-simplex pivot of lp's two tableau forms, and the fraction-free exchange
-of the basis-exchange scan of canonical families and of linalg's
+simplex pivot of lp's revised master, and the fraction-free exchange of
+the basis-exchange scan of canonical families and of linalg's
 elimination.
 
-The cold tableau holds numbers as parallel flat lists of Python ints:
-nums[i] / dens[i] with dens[i] > 0 and gcd(|nums[i]|, dens[i]) == 1
-(zero is 0/1).  The determinant, the exchange and lp's revised master
-take integer rows over one common denominator instead, the form
-linalg.Matrix holds.  Every simplex pivot, in either form, goes through
-pivot.  Callers reach these functions through the module
-(_kernels.pivot(...)), not by importing the names, so a tracer can wrap
-them in one place.
+All three take integer rows over one common denominator, the form
+linalg.Matrix holds.  Every simplex pivot goes through pivot.  Callers
+reach these functions through the module (_kernels.pivot(...)), not by
+importing the names, so a tracer can wrap them in one place.
 """
 
 from math import gcd
-from typing import Optional
 
 
 def normalize(num: int, den: int) -> tuple[int, int]:
@@ -64,63 +59,12 @@ def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
     return normalize(sign * work[size - 1][size - 1], den**size)
 
 
-def pivot(nums: list, dens, ncols: int, prow: int, pcol: int) -> Optional[int]:
-    """One simplex pivot on a tableau of ncols columns, in place.
-
-    With dens a list, nums and dens are the flat rational tableau: row
-    prow is scaled so the pivot becomes 1, then column pcol is eliminated
-    from every other row (objective rows included, they are just rows).
-    With dens an int, nums holds integer rows over that one denominator:
-    the pivot is exchange(nums, dens, prow, pcol), and its pivot entry,
-    the new denominator, is returned.
-    """
-    if not isinstance(dens, list):
-        return exchange(nums, dens, prow, pcol)
-    nrows = len(nums) // ncols
-    base = prow * ncols
-    pnum = nums[base + pcol]
-    pden = dens[base + pcol]
-    if pnum == 0:
-        raise ZeroDivisionError("pivot on a zero entry")
-    inv_num, inv_den = (pden, pnum) if pnum > 0 else (-pden, -pnum)
-    for j in range(ncols):
-        a = nums[base + j]
-        if a == 0:
-            continue
-        b = dens[base + j]
-        g1 = gcd(a if a > 0 else -a, inv_den)
-        g2 = gcd(inv_num, b)
-        nums[base + j] = (a // g1) * (inv_num // g2)
-        dens[base + j] = (b // g2) * (inv_den // g1)
-    nums[base + pcol] = 1
-    dens[base + pcol] = 1
-    hot = [
-        (j, nums[base + j], dens[base + j])
-        for j in range(ncols)
-        if nums[base + j] != 0
-    ]
-    for i in range(nrows):
-        if i == prow:
-            continue
-        rbase = i * ncols
-        fnum = nums[rbase + pcol]
-        if fnum == 0:
-            continue
-        fden = dens[rbase + pcol]
-        for j, pn, pd in hot:
-            an = nums[rbase + j]
-            ad = dens[rbase + j]
-            sub_num = an * (fden * pd) - fnum * pn * ad
-            if sub_num == 0:
-                nums[rbase + j] = 0
-                dens[rbase + j] = 1
-            else:
-                sub_den = ad * fden * pd
-                g = gcd(sub_num if sub_num > 0 else -sub_num, sub_den)
-                nums[rbase + j] = sub_num // g
-                dens[rbase + j] = sub_den // g
-        nums[rbase + pcol] = 0
-        dens[rbase + pcol] = 1
+def pivot(rows: list, det: int, prow: int, pcol: int) -> int:
+    """One simplex pivot of lp.Master's integer block: the exchange of
+    rows over the denominator det on (prow, pcol), in place, returning
+    the new denominator.  It has its own name so that a tracer can count
+    simplex pivots apart from the exchanges of the scans."""
+    return exchange(rows, det, prow, pcol)
 
 
 def exchange(rows: list, det: int, prow: int, pcol: int) -> int:

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .canonical import SubspaceSpec, _complete, _prefix_walk, canonical_family
+from .canonical import (
+    MAX_SETS,
+    SubspaceSpec,
+    _check_set_budget,
+    _complete,
+    _prefix_walk,
+    canonical_family,
+)
 from .errors import InternalConsistencyError
 from .linalg import IndexSet
 
@@ -42,7 +49,9 @@ def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:
     return _bound(canonical_family(spec, index_set).norms().values())
 
 
-def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundReport:
+def best_upper_bound(
+    spec: SubspaceSpec, materialize: bool = False, max_sets: int = MAX_SETS
+) -> BoundReport:
     """Minimize the per-set bound over every admissible index set.
 
     Each set Q + x is read off the prefix walk's integer rows: with
@@ -56,8 +65,10 @@ def best_upper_bound(spec: SubspaceSpec, materialize: bool = False) -> BoundRepo
     reported sets and bounds become IndexSets and Fractions.
 
     materialize=True completes every set and additionally returns the
-    full set-to-bound map.
+    full set-to-bound map.  Raises SetBudgetError before the scan when
+    the spec has more than max_sets index sets.
     """
+    _check_set_budget(spec, max_sets)
     n = spec.ambient
     per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
     best: Optional[tuple[int, int]] = None

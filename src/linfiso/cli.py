@@ -4,7 +4,9 @@ Subcommands: decide, bounds, projconst, crosscheck, gen.  All rational
 values print as exact tokens like 4/3; --json output carries them as
 strings, never as floating point.  decide exits 0 when the subspace is
 isometric to the smaller sup-norm space, 1 when it is not, 2 on errors;
-crosscheck exits 1 when any instance disagrees.
+crosscheck exits 1 when any instance disagrees.  decide, bounds and
+projconst refuse, with exit 2, an instance with more index sets than
+--max-sets before their scan starts.
 
 Each subcommand returns its exit code and its whole output as one
 string; main writes it only after every value has been formatted, so a
@@ -20,9 +22,10 @@ import sys
 from typing import Optional, Sequence
 
 from .bounds import best_upper_bound
+from .canonical import MAX_SETS, SubspaceSpec
 from .crosscheck import run_crosscheck
 from .decide import DecisionReport, decide_isometric
-from .errors import LinfisoError
+from .errors import LinfisoError, SetBudgetError
 from .instances import (
     KIND_ANNIHILATOR,
     KIND_SPANNING,
@@ -66,9 +69,14 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _load_spec(args) -> SubspaceSpec:
+    if args.max_sets < 1:
+        raise LinfisoError("--max-sets must be at least 1")
+    return load_instance(args.path).to_spec()
+
+
 def _cmd_decide(args) -> tuple[int, str]:
-    instance = load_instance(args.path)
-    report = decide_isometric(instance.to_spec(), mode=args.mode)
+    report = decide_isometric(_load_spec(args), mode=args.mode, max_sets=args.max_sets)
     code = 0 if report.verdict else 1
     verdict = "isometric" if report.verdict else "not isometric"
     if args.json:
@@ -95,9 +103,8 @@ def _cmd_decide(args) -> tuple[int, str]:
 
 
 def _cmd_bounds(args) -> tuple[int, str]:
-    instance = load_instance(args.path)
-    spec = instance.to_spec()
-    report = best_upper_bound(spec, materialize=args.per_set)
+    spec = _load_spec(args)
+    report = best_upper_bound(spec, materialize=args.per_set, max_sets=args.max_sets)
     proj = projection_constant(spec, report.best_set)
     if args.json:
         payload = {
@@ -123,8 +130,13 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 
 def _cmd_projconst(args) -> tuple[int, str]:
-    instance = load_instance(args.path)
-    proj = projection_constant(instance.to_spec())
+    spec = _load_spec(args)
+    # the cut loop starts at the best set of the scan; a hyperplane has
+    # a closed form and needs no scan
+    best_set = None
+    if spec.codim > 1:
+        best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
+    proj = projection_constant(spec, best_set)
     certified = verify_certificate(proj.program, proj.certificate)
     code = 0 if certified else 2
     certificate = "valid" if certified else "INVALID"
@@ -210,6 +222,15 @@ def _cmd_gen(args) -> tuple[int, str]:
     return 0, format_instance(instance)
 
 
+def _add_max_sets(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-sets",
+        type=int,
+        default=MAX_SETS,
+        help=f"refuse an instance with more index sets (default {MAX_SETS})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linfiso",
@@ -231,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto uses the closed form for codimension 1",
     )
     decide.add_argument("--json", action="store_true")
+    _add_max_sets(decide)
     decide.set_defaults(func=_cmd_decide)
 
     bounds = sub.add_parser(
@@ -241,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--per-set", action="store_true", help="also list every set's bound"
     )
     bounds.add_argument("--json", action="store_true")
+    _add_max_sets(bounds)
     bounds.set_defaults(func=_cmd_bounds)
 
     projconst = sub.add_parser(
@@ -255,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the optimal right inverse and projection",
     )
     projconst.add_argument("--json", action="store_true")
+    _add_max_sets(projconst)
     projconst.set_defaults(func=_cmd_projconst)
 
     crosscheck = sub.add_parser(
@@ -297,6 +321,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, text = args.func(args)
         sys.stdout.write(text)
+    except SetBudgetError as exc:
+        print(f"error: {exc}; raise it with --max-sets", file=sys.stderr)
+        return 2
     except (LinfisoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,8 +28,10 @@ from .canonical import (
 from .decide import decide_by_minors, decide_hyperplane, decide_isometric
 from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check, op_norm_inf
-from .lp import LpStatus, solve, verify_certificate
+from .lp import verify_certificate
 from .projection import (
+    _certificate,
+    _cut_loop,
     coordinate_projection,
     projection_constant,
     verify_norm_gap,
@@ -138,13 +140,15 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         verify_certificate(proj.program, proj.certificate),
     )
     if spec.codim == 1:
-        # the closed form skipped the simplex; the simplex must agree
-        lp = solve(proj.program)
+        # the closed form skipped the cut loop; the cut loop must reach
+        # the same optimum and prove it on the same program
+        y, t, duals, stats, _, _ = _cut_loop(spec, report.best_set)
+        _, certificate = _certificate(spec, y, t, duals, stats)
+        certified = verify_certificate(proj.program, certificate)
         record(
-            "hyperplane_matches_lp",
-            lp.status is LpStatus.OPTIMAL
-            and lp.objective_value == proj.constant,
-            f"lp={lp.objective_value} closed form={proj.constant}",
+            "hyperplane_matches_cut_loop",
+            t == proj.constant and certified,
+            f"cut loop={t} closed form={proj.constant} certified={certified}",
         )
     record("constant_at_least_one", proj.constant >= 1, str(proj.constant))
     record(

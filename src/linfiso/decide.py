@@ -30,8 +30,10 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .canonical import (
+    MAX_SETS,
     CanonicalFamily,
     SubspaceSpec,
+    _check_set_budget,
     _complete,
     _prefix_walk,
     canonical_family,
@@ -68,15 +70,20 @@ class DecisionReport:
     method: DecisionMethod
 
 
-def decide_isometric(spec: SubspaceSpec, mode: str = "auto") -> DecisionReport:
+def decide_isometric(
+    spec: SubspaceSpec, mode: str = "auto", max_sets: int = MAX_SETS
+) -> DecisionReport:
     """Run the isometry test; mode "auto" picks the fastest equivalent
     route (the closed form for codimension 1, the general scan
     otherwise), mode "general" forces the scan over every admissible set
-    (by basis exchange) even for codimension 1."""
+    (by basis exchange) even for codimension 1.  The scan raises
+    SetBudgetError before it starts when the spec has more than max_sets
+    index sets."""
     if mode not in ("auto", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto" and spec.codim == 1:
         return decide_hyperplane(spec.annihilator.column(0))
+    _check_set_budget(spec, max_sets)
     return _decide_general(spec)
 
 

@@ -37,6 +37,11 @@ class LpModelError(LinfisoError, ValueError):
     """A linear program is malformed (shape mismatch, bad sense, bad bound)."""
 
 
+class SetBudgetError(LinfisoError):
+    """A scan would visit more index sets than its budget allows; raised
+    before the scan starts."""
+
+
 class InstanceFormatError(LinfisoError, ValueError):
     """An instance file cannot be parsed; carries a 1-based line number."""
 

@@ -1,16 +1,40 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, by a revised simplex
+whose columns can arrive over rounds.
 
-Minimization problems with row senses <=, ==, >= and optional per-variable
-bounds are solved by a two-phase primal simplex on a dense rational
-tableau.  Conversion to standard form shifts variables by a finite
-bound, splits free variables into differences of nonnegative ones, and
-writes each row once, times the sign that makes its right-hand side
-nonnegative; equalities, and inequalities whose slack that sign turns
-negative, get artificial variables.  A problem stores each row as its
-nonzeros only, (column, coefficient) pairs in increasing column order,
-and build() takes rows in that form; the tableau and the certificate
-checks read only those pairs, and every other tableau entry starts as
-0.
+A problem is minimize objective . x subject to rows of sense <=, == or
+>= and optional per-variable bounds.  It stores each row as its nonzeros
+only, (column, coefficient) pairs in increasing column order, and
+build() takes rows in that form; the certificate checks read only those
+pairs.
+
+Master solves a problem whose variables are nonnegative and unbounded
+above, then takes more columns, as in column generation, and solves
+again from the basis the last solve ended at.  Each row is written once,
+times the sign phi that makes its right-hand side nonnegative (-1 when
+b < 0 or b = 0 on a >= row, else 1); equalities, and inequalities whose
+slack that sign turns negative, get artificial variables.  The start
+basis holds each row's slack or artificial.  It is feasible because
+Master refuses a problem with an artificial on a row of rhs other than
+0, so phase 1 never runs.  A basic artificial stays at 0 until a column
+with a nonzero entry in its row enters; it then leaves first, whatever
+the sign, and never enters again, so the point stays feasible and the
+argument below holds.  Its row is kept: a later column may load it.
+
+A Master runs the revised simplex in integers (Dantzig and Orchard-Hays
+1954; Bareiss 1968).  It keeps no LpProblem: the first problem's rows
+are turned into columns once, and each column and its cost, the first
+ones and every appended one, are scaled to integers by the lcm s of
+their denominators, and the rhs by its own.  Only the block
+[R, R b; r, -z] is kept, over the determinant det of the basis:
+R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of cost
+c by d = c det + r . a, s det times its reduced cost, computes R a, and
+pivots the block with _kernels.pivot, the fraction-free exchange on
+integer rows: its division by det is exact, and det, the pivot entry,
+can be negative, so comparisons take its sign.  A scale divides a price
+and a row's ratios alike, so the pivots are those of the rational
+tableau.  The optimum is read from the integer costs and the block: the
+sum of c_j s_j (R b)_i over the structural columns j basic in row i,
+over det times the rhs scale.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
@@ -30,7 +54,7 @@ basis, so a Bland turn longer than the number of bases ends its
 degenerate stretch, and the doubling allowance reaches that length.
 Each non-degenerate pivot strictly lowers the objective, so no basis
 repeats across stretches.  Every choice is a fixed function of the
-tableau, so the answer is reproducible.
+block, so the answer is reproducible.
 
 Every terminal status carries an exact certificate, checked from scratch
 by two shared passes over the problem: _within (a point meets every row
@@ -43,37 +67,14 @@ over their own lcm and compares the row with its right-hand side by
 integer cross-multiplication; _dual_bound gathers y.b and each column's
 A^T y over a running lcm of the denominators it meets.  No lcm is taken
 over the whole program, whose rows may have many coprime denominators.
+The checks take any problem, whatever its bounds, and any claimed
+answer, whoever wrote it.
 
 * optimal: primal values plus row duals; verify_certificate checks that
   x is feasible and that its value equals the stated optimum and the
   dual bound (strong duality).
-* infeasible: row multipliers whose dual bound on the zero cost is
-  positive, so no point meets the rows inside the box (Farkas;
-  verify_infeasibility).
 * unbounded: a feasible point and an improving ray that meets the
   homogeneous rows and bounds (verify_unboundedness).
-
-Master solves a problem whose columns arrive over rounds, as in column
-generation, and starts from its basis of slacks and artificials, so
-phase 1 never runs.  A basic artificial stays at 0 until a column with
-a nonzero entry in its row enters; it then leaves first, whatever the
-sign, and never enters again, so the point stays feasible and the
-argument above holds.  Its row is kept: a later column may load it.  A
-Master runs the revised simplex in integers (Dantzig and Orchard-Hays
-1954; Bareiss 1968).  It keeps no LpProblem: the first problem's rows
-are turned into columns once, and each column and its cost, the first
-ones and every appended one, are scaled to integers by the lcm s of
-their denominators, and the rhs by its own.  Only the block
-[R, R b; r, -z] is kept, over the determinant det of the basis:
-R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of cost
-c by d = c det + r . a, s det times its reduced cost, computes R a, and
-pivots the block with _kernels.pivot, which runs the fraction-free
-exchange on integer rows: its division by det is exact, and det, the
-pivot entry, can be negative, so comparisons take its sign.  A scale
-divides a price and a row's ratios alike, so the pivots are the
-rational tableau's.  The optimum is read from the integer costs and the
-block: the sum of c_j s_j (R b)_i over the structural columns j basic
-in row i, over det times the rhs scale.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ _DEGENERATE_STREAK = 50
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
@@ -195,25 +195,19 @@ def _bound_tuple(values, n: int, default) -> tuple:
 
 @dataclass(frozen=True)
 class LpStats:
-    """Counters of one solve.
+    """Counters of a Master's solves so far.
 
-    rows and cols are the tableau's constraint rows and columns (the rhs
-    column included) as assembled.  Phase-1 pivots include those that
-    drive zero-valued artificials out of the basis.  Degenerate pivots
-    are pricing pivots whose leaving row had rhs 0; bland_fallbacks
-    counts the turns in which Bland's rule priced them.  phase1_bits and
-    phase2_bits are the largest bit length of a numerator or denominator
-    in the tableau at the end of each phase (phase1_bits after the build
-    when phase 1 does not run; phase2_bits is None when phase 2 does not
-    run).  The perf_counter readings mark the start of the solve and the
-    end of the build and of each phase (an infeasible solve ends after
-    phase 1); they are left out of equality, so two solves of one
-    program compare equal.
-
-    For a Master the counts run over all its solves so far, rows and
-    cols are those of the tableau it stands for after the last append,
-    phase1_bits and phase2_bits read its integer block and det (at the
-    start and after the last solve), and phase1_done equals built.
+    rows and cols are those of the tableau the master stands for after
+    the last append: its constraint rows, and its structural, slack and
+    artificial columns and the rhs column.  No phase 1 runs, so
+    phase1_pivots is 0 and phase2_pivots counts every pivot.  Degenerate
+    pivots are those whose leaving row had rhs 0; bland_fallbacks counts
+    the turns in which Bland's rule priced them.  phase1_bits and
+    phase2_bits are the largest bit length in the integer block and det,
+    at the start and after the last solve.  The perf_counter readings
+    mark the start of the construction, its end (built, and phase1_done
+    with it) and the end of the last solve; they are left out of
+    equality, so two solves of one program compare equal.
     """
 
     rows: int
@@ -223,7 +217,7 @@ class LpStats:
     degenerate_pivots: int
     bland_fallbacks: int
     phase1_bits: int
-    phase2_bits: Optional[int]
+    phase2_bits: int
     started: float = field(compare=False)
     built: float = field(compare=False)
     phase1_done: float = field(compare=False)
@@ -234,9 +228,8 @@ class LpStats:
 class LpSolution:
     """Terminal state of a solve.
 
-    duals holds row duals when optimal and the infeasibility multipliers
-    when infeasible.  ray is the improving direction when unbounded (x is
-    then a feasible starting point).  stats is set by solve(); a
+    duals holds row duals when optimal.  ray is the improving direction
+    when unbounded (x is then a feasible starting point).  stats is set by solve(); a
     solution written down without it, such as the closed form for
     hyperplanes in projection, has stats None.
     """
@@ -249,326 +242,7 @@ class LpSolution:
     stats: Optional[LpStats] = None
 
 
-@dataclass
-class _RowRecord:
-    origin: Optional[int]  # problem row index, or None for a bound row
-    phi: int  # +-1 factor mapping the tableau row back to the problem row
-    slack_col: Optional[int]
-    slack_sign: int
-    art_col: Optional[int]
-
-
-def _standard_row(sense: str, b: Fraction) -> tuple[int, int, bool]:
-    """A row of (shifted) rhs b in standard form: phi (-1 when b < 0 or b =
-    0 on a >= row, else 1), the slack's coefficient times phi (0 on ==),
-    and whether it needs an artificial (on == or when that is -1)."""
-    phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
-    slack = 0 if sense == EQUAL else phi if sense == LESS else -phi
-    return phi, slack, slack <= 0
-
-
-class _Pivoting:
-    """The pricing loop of the cold tableau and the master.  Each supplies
-    _entering(bland), _leaving(col), _degenerate(row) and _pivot(row, col)."""
-
-    def __init__(self) -> None:
-        self.started = time.perf_counter()
-        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
-        self.phase2_bits: Optional[int] = None
-
-    def _run_phase(self) -> Optional[int]:
-        """Pivot until no column prices negative, with the Bland turns of
-        the module docstring.  Returns the entering column when the
-        objective is unbounded below, else None."""
-        guard = 20000 + 200 * (self.nrows + self.ncols)
-        bland, span, run = False, _DEGENERATE_STREAK, 0  # run counts degenerate pivots
-        for _ in range(guard):
-            col = self._entering(bland)
-            if col is None:
-                return None
-            row = self._leaving(col)
-            if row is None:
-                return col
-            if not self._degenerate(row):
-                bland, span, run = False, _DEGENERATE_STREAK, 0
-            else:
-                self.degenerate_pivots += 1
-                run += 1
-                if run > span:
-                    if bland:
-                        span *= 2
-                    else:
-                        self.bland_fallbacks += 1
-                    bland, run = not bland, 0
-            self._pivot(row, col)
-        raise InternalConsistencyError("simplex did not terminate inside its guard")
-
-    def _most_negative(self, prices, bland: bool) -> Optional[int]:
-        """Of (column, num, den) with den > 0, the column of the most
-        negative num / den, ties to the first (Dantzig's rule); with
-        bland, the first negative one (Bland's rule)."""
-        best, best_n, best_d = None, 0, 1
-        for j, n, d in prices:
-            if n < 0:
-                if bland:
-                    return j
-                if n * best_d < best_n * d:
-                    best, best_n, best_d = j, n, d
-        return best
-
-    def _least_ratio(self, ratios) -> Optional[int]:
-        """Of (row, num, den) with den > 0, the row of the least num /
-        den, ties to the smallest basic column (the ratio test)."""
-        best = best_n = best_d = None
-        for i, n, d in ratios:
-            if best is not None:
-                diff = n * best_d - best_n * d
-                if diff > 0 or (diff == 0 and self.basis[i] > self.basis[best]):
-                    continue
-            best, best_n, best_d = i, n, d
-        return best
-
-    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
-        stats = LpStats(
-            *self.shape, self.phase1_pivots, self.pivots - self.phase1_pivots,
-            self.degenerate_pivots, self.bland_fallbacks, self.phase1_bits,
-            self.phase2_bits, self.started, self.built, self.phase1_done,
-            time.perf_counter(),
-        )
-        return LpSolution(status, x, value, duals, ray, stats)
-
-
-class _Simplex(_Pivoting):
-    """The tableau of one problem, solved from scratch."""
-
-    def __init__(self, problem: LpProblem):
-        super().__init__()
-        self.problem = problem
-        self._build()
-        self.shape = (self.nrows, self.ncols)
-        self.built = time.perf_counter()
-
-    # -- tableau -------------------------------------------------------
-
-    def _build(self) -> None:
-        """Write the standard-form tableau, each row once.
-
-        Each x_j is its shift plus signed nonnegative columns x': a finite
-        lower bound shifts, an upper bound alone reflects, and a free
-        variable splits into a difference of two columns.  Each problem
-        row, then the row x_j <= hi of each boxed variable, is written
-        once in x' by _standard_row.  Columns: structural, slacks,
-        artificials, rhs.  Rows: constraints, the phase-2 costs, and with
-        artificials the phase-1 costs; every entry not written is 0."""
-        problem = self.problem
-        # per variable: ((x' column, sign), ...) and the shift (or None)
-        self.columns: list[tuple[tuple, Optional[Fraction]]] = []
-        costs: list[Fraction] = []
-        for cj, lo, hi in zip(problem.objective, problem.lower, problem.upper):
-            col = len(costs)
-            if lo is not None:
-                pairs, shift = ((col, 1),), lo
-            elif hi is not None:
-                pairs, shift = ((col, -1),), hi
-            else:
-                pairs, shift = ((col, 1), (col + 1, -1)), None
-            self.columns.append((pairs, shift))
-            costs.extend(cj if sign > 0 else -cj for _, sign in pairs)
-        self.nstruct = len(costs)
-
-        # the problem rows, then the row x_j <= hi of each boxed variable
-        rows = [*zip(problem.rows, problem.senses, problem.rhs)]
-        rows += [
-            (((j, _ONE),), LESS, hi)
-            for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper))
-            if lo is not None and hi is not None
-        ]
-        shifts = [shift for _, shift in self.columns]
-        slack = self.nstruct
-        art = slack + sum(sense != EQUAL for _, sense, _ in rows)
-        self.enter_limit = art  # artificial columns never enter
-        records: list[_RowRecord] = []
-        rhs: list[Fraction] = []  # phi times the shifted rhs
-        for i, (row, sense, b) in enumerate(rows):
-            b -= sum((a * shifts[j] for j, a in row if shifts[j]), _ZERO)
-            phi, slack_sign, needs_art = _standard_row(sense, b)
-            rec = _RowRecord(i if i < problem.nrows else None, phi, None, 1, None)
-            if slack_sign:
-                rec.slack_col, rec.slack_sign = slack, slack_sign
-                slack += 1
-            if needs_art:
-                rec.art_col = art
-                art += 1
-            records.append(rec)
-            rhs.append(phi * b)
-        self.records = records
-        self.art_cols = [rec.art_col for rec in records if rec.art_col is not None]
-        self.nrows = nrows = len(records)
-        self.ncols = ncols = art + 1
-        self.basis = [
-            rec.art_col if rec.art_col is not None else rec.slack_col
-            for rec in records
-        ]
-        phase1 = bool(self.art_cols)
-        nums = [0] * ((nrows + 1 + phase1) * ncols)
-        dens = [1] * len(nums)
-
-        def put(row: int, entries) -> None:
-            base = row * ncols
-            for col, value in entries:
-                nums[base + col] = value.numerator
-                dens[base + col] = value.denominator
-
-        # phase-1 costs: 1 on each artificial less its row, which prices
-        # the starting basic artificials out
-        phase1_costs: dict[int, Fraction] = {}
-        for i, ((row, _, _), rec, b) in enumerate(zip(rows, records, rhs)):
-            entries = [
-                (col, a if sign == rec.phi else -a)
-                for j, a in row
-                for col, sign in self.columns[j][0]
-            ]
-            entries.append((ncols - 1, b))
-            if rec.slack_col is not None:
-                entries.append((rec.slack_col, Fraction(rec.slack_sign)))
-            if rec.art_col is not None:
-                for col, a in entries:
-                    phase1_costs[col] = phase1_costs.get(col, _ZERO) - a
-                entries.append((rec.art_col, _ONE))
-            put(i, entries)
-        put(nrows, enumerate(costs))
-        if phase1:
-            put(nrows + 1, phase1_costs.items())
-        self.nums = nums
-        self.dens = dens
-
-    def _frac(self, row: int, col: int) -> Fraction:
-        idx = row * self.ncols + col
-        return Fraction(self.nums[idx], self.dens[idx])
-
-    # -- pivoting ------------------------------------------------------
-
-    def _entering(self, bland: bool) -> Optional[int]:
-        """Price by the cost row in use."""
-        base = self.cost_idx * self.ncols
-        costs = enumerate(self.nums[base : base + self.enter_limit])
-        prices = ((j, n, self.dens[base + j]) for j, n in costs if n < 0)
-        return self._most_negative(prices, bland)
-
-    def _leaving(self, col: int) -> Optional[int]:
-        """The ratio test over the rows with a positive entry."""
-        ncols = self.ncols
-        an, ad = self.nums[col::ncols], self.dens[col::ncols]
-        bn, bd = self.nums[ncols - 1 :: ncols], self.dens[ncols - 1 :: ncols]
-        return self._least_ratio(
-            (i, bn[i] * ad[i], bd[i] * an[i]) for i in range(self.nrows) if an[i] > 0
-        )
-
-    def _degenerate(self, row: int) -> bool:
-        return not self.nums[row * self.ncols + self.ncols - 1]
-
-    def _pivot(self, row: int, col: int) -> None:
-        _kernels.pivot(self.nums, self.dens, self.ncols, row, col)
-        self.basis[row] = col
-        self.pivots += 1
-
-    def _purge_artificials(self) -> None:
-        """Pivot basic artificials out (their value is 0) or mark their
-        rows redundant, then drop those rows and the phase-1 cost row."""
-        art_set = set(self.art_cols)
-        drop: set[int] = set()
-        for i in range(self.nrows):
-            if self.basis[i] not in art_set:
-                continue
-            base = i * self.ncols
-            row = self.nums[base : base + self.enter_limit]
-            pivot_col = next((j for j, a in enumerate(row) if a), None)
-            if pivot_col is None:
-                drop.add(i)
-            else:
-                self._pivot(i, pivot_col)
-        keep = [i for i in range(self.nrows) if i not in drop]
-        ncols = self.ncols  # constraint rows plus the phase-2 cost row
-        spans = [slice(i * ncols, (i + 1) * ncols) for i in keep + [self.nrows]]
-        self.nums = [v for span in spans for v in self.nums[span]]
-        self.dens = [v for span in spans for v in self.dens[span]]
-        self.records = [self.records[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.nrows = len(keep)
-
-    # -- extraction ----------------------------------------------------
-
-    def _basic(self, col: int) -> list[Fraction]:
-        """Tableau column col on the basic structural columns, else 0."""
-        values = [_ZERO] * self.nstruct
-        for i, j in enumerate(self.basis):
-            if j < self.nstruct:
-                values[j] = self._frac(i, col)
-        return values
-
-    def _to_original(self, values: list[Fraction], affine: bool) -> tuple:
-        x = []
-        for pairs, shift in self.columns:
-            xj = shift if affine and shift is not None else _ZERO
-            for col, sign in pairs:
-                xj = xj + values[col] if sign > 0 else xj - values[col]
-            x.append(xj)
-        return tuple(x)
-
-    def _row_duals(self, cost_idx: int, phase1: bool) -> tuple:
-        y = [_ZERO] * self.problem.nrows
-        for rec in self.records:  # every row starts with a unit column
-            if rec.art_col is not None:  # of phase-1 cost 1
-                local = (1 if phase1 else 0) - self._frac(cost_idx, rec.art_col)
-            else:
-                local = -self._frac(cost_idx, rec.slack_col) * rec.slack_sign
-            if rec.origin is not None:
-                y[rec.origin] = rec.phi * local
-        return tuple(y)
-
-    # -- driver --------------------------------------------------------
-
-    def _bits(self) -> int:
-        """The largest bit length of a numerator or denominator; the
-        bit length grows with the absolute value, so three extremes
-        decide it."""
-        nums = self.nums
-        return max(max(nums), -min(nums), max(self.dens)).bit_length()
-
-    def _end_phase1(self) -> None:
-        self.phase1_pivots = self.pivots
-        self.phase1_bits = self._bits()
-        self.phase1_done = time.perf_counter()
-
-    def run(self) -> LpSolution:
-        if self.art_cols:
-            self.cost_idx = self.nrows + 1
-            if self._run_phase() is not None:
-                raise InternalConsistencyError(
-                    "phase-1 objective is bounded below by zero"
-                )
-            if self._frac(self.nrows + 1, self.ncols - 1) < 0:  # phase-1 value > 0
-                self._end_phase1()
-                farkas = self._row_duals(self.nrows + 1, phase1=True)
-                return self._solution(LpStatus.INFEASIBLE, None, None, farkas)
-            self._purge_artificials()
-        self._end_phase1()
-        self.cost_idx = self.nrows
-        unbounded_col = self._run_phase()
-        self.phase2_bits = self._bits()
-        x = self._to_original(self._basic(self.ncols - 1), affine=True)
-        if unbounded_col is not None:
-            direction = [-v for v in self._basic(unbounded_col)]
-            if unbounded_col < self.nstruct:
-                direction[unbounded_col] = _ONE
-            ray = self._to_original(direction, affine=False)
-            return self._solution(LpStatus.UNBOUNDED, x, None, None, ray)
-        value = sum((c * v for c, v in zip(self.problem.objective, x)), _ZERO)
-        duals = self._row_duals(self.nrows, phase1=False)
-        return self._solution(LpStatus.OPTIMAL, x, value, duals)
-
-
-class Master(_Pivoting):
+class Master:
     """A problem solved, then extended by columns and solved again from
     the basis the last solve ended at, without phase 1 (see the module
     docstring).  Every variable must be nonnegative and unbounded above,
@@ -582,7 +256,8 @@ class Master(_Pivoting):
     integers, cost, scale)."""
 
     def __init__(self, problem: LpProblem):
-        super().__init__()
+        self.started = time.perf_counter()
+        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
         if any(lo != 0 or hi is not None for lo, hi in zip(problem.lower, problem.upper)):
             raise LpModelError(
                 "a master's variables must be nonnegative and unbounded above"
@@ -597,7 +272,10 @@ class Master(_Pivoting):
         self.phi, self.basis = [], []  # per row: phi, the basic column
         self.ncols = sum(sense != EQUAL for sense in problem.senses) + 1
         for i, (sense, b) in enumerate(zip(problem.senses, problem.rhs)):
-            phi, slack, needs_art = _standard_row(sense, b)
+            # phi, and the slack's coefficient times phi (0 on ==)
+            phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
+            slack = 0 if sense == EQUAL else phi if sense == LESS else -phi
+            needs_art = slack <= 0
             if needs_art and b:
                 raise LpModelError("a master's rows with artificials must have rhs 0")
             self.phi.append(phi)
@@ -611,10 +289,10 @@ class Master(_Pivoting):
         for i, row in enumerate(problem.rows):
             for j, a in row:
                 columns[j].append((i, a))
-        self.nstruct = self.phase1_pivots = 0
+        self.nstruct = 0
         self._insert(problem.objective, columns)
         self.phase1_bits = self._bits()
-        self.built = self.phase1_done = time.perf_counter()
+        self.built = time.perf_counter()
 
     def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
         """Add one nonnegative variable per column, with the given costs;
@@ -643,7 +321,6 @@ class Master(_Pivoting):
         self.basis = [j + width if j >= first else j for j in self.basis]
         self.nstruct += width
         self.ncols += width
-        self.shape = (self.nrows, self.ncols)
 
     def _price(self, j: int) -> int:
         """d = c det + r . a for column j."""
@@ -652,19 +329,27 @@ class Master(_Pivoting):
         return c * self.det + sum(map(mul, map(cost.__getitem__, rows), ints))
 
     def _entering(self, bland: bool) -> Optional[int]:
-        """Price each nonbasic column by d / s times the sign of det."""
+        """The nonbasic column of the most negative d / s times the sign of
+        det, ties to the first (Dantzig's rule); with bland, the first
+        negative one (Bland's rule)."""
         sign = -1 if self.det < 0 else 1
         basic = set(self.basis)
-        prices = (
-            (j, sign * self._price(j), self.columns[j][3])
-            for j in range(len(self.columns))
-            if j not in basic
-        )
-        return self._most_negative(prices, bland)
+        best, best_d, best_s = None, 0, 1
+        for j, (_, _, _, s) in enumerate(self.columns):
+            if j in basic:
+                continue
+            d = sign * self._price(j)
+            if d < 0:
+                if bland:
+                    return j
+                if d * best_s < best_d * s:
+                    best, best_d, best_s = j, d, s
+        return best
 
     def _leaving(self, col: int) -> Optional[int]:
-        """The ratio test on the entering column R a, kept for the pivot; a
-        basic artificial with a nonzero entry leaves first, and stays 0."""
+        """The ratio test on the entering column R a, kept for the pivot,
+        ties to the smallest basic column; a basic artificial with a
+        nonzero entry leaves first, and stays 0."""
         rows, ints, _, _ = self.columns[col]
         nrows = self.nrows
         self.entering = alpha = [
@@ -675,21 +360,23 @@ class Master(_Pivoting):
             if a and self.basis[i] >= len(self.columns):
                 return i
         sign = -1 if self.det < 0 else 1
-        return self._least_ratio(
-            (i, sign * self.block[i][nrows], sign * a)
-            for i, a in enumerate(alpha)
-            if sign * a > 0
-        )
-
-    def _degenerate(self, row: int) -> bool:
-        return not self.block[row][self.nrows]
+        best = best_n = best_d = None
+        for i, a in enumerate(alpha):
+            if sign * a <= 0:
+                continue
+            n, d = sign * self.block[i][nrows], sign * a
+            if best is not None:
+                diff = n * best_d - best_n * d
+                if diff > 0 or (diff == 0 and self.basis[i] > self.basis[best]):
+                    continue
+            best, best_n, best_d = i, n, d
+        return best
 
     def _pivot(self, row: int, col: int) -> None:
         """Exchange the block with the entering column and its price beside it."""
         for entries, a in zip(self.block, self.entering + [self._price(col)]):
             entries.append(a)
-        nrows = self.nrows
-        self.det = _kernels.pivot(self.block, self.det, nrows + 2, row, nrows + 1)
+        self.det = _kernels.pivot(self.block, self.det, row, self.nrows + 1)
         for entries in self.block:
             entries.pop()
         self.basis[row] = col
@@ -699,8 +386,43 @@ class Master(_Pivoting):
         """The largest bit length in the block and det."""
         return max(map(int.bit_length, [self.det, *chain(*self.block)]))
 
+    def _run_phase(self) -> Optional[int]:
+        """Pivot until no column prices negative, with the Bland turns of
+        the module docstring.  Returns the entering column when the
+        objective is unbounded below, else None."""
+        guard = 20000 + 200 * (self.nrows + self.ncols)
+        bland, span, run = False, _DEGENERATE_STREAK, 0  # run counts degenerate pivots
+        for _ in range(guard):
+            col = self._entering(bland)
+            if col is None:
+                return None
+            row = self._leaving(col)
+            if row is None:
+                return col
+            if self.block[row][self.nrows]:
+                bland, span, run = False, _DEGENERATE_STREAK, 0
+            else:
+                self.degenerate_pivots += 1
+                run += 1
+                if run > span:
+                    if bland:
+                        span *= 2
+                    else:
+                        self.bland_fallbacks += 1
+                    bland, run = not bland, 0
+            self._pivot(row, col)
+        raise InternalConsistencyError("simplex did not terminate inside its guard")
+
+    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
+        stats = LpStats(
+            self.nrows, self.ncols, 0, self.pivots, self.degenerate_pivots,
+            self.bland_fallbacks, self.phase1_bits, self.phase2_bits,
+            self.started, self.built, self.built, time.perf_counter(),
+        )
+        return LpSolution(status, x, value, duals, ray, stats)
+
     def _solve(self) -> LpSolution:
-        """Run phase 2 from the current basis to a terminal status."""
+        """Run the pricing loop from the current basis to a terminal status."""
         unbounded_col = self._run_phase()
         self.phase2_bits = self._bits()
         n, det = self.nstruct, self.det
@@ -726,13 +448,10 @@ class Master(_Pivoting):
         return self._solution(LpStatus.OPTIMAL, (*x,), value, duals)
 
 
-def solve(problem: LpProblem | Master) -> LpSolution:
-    """Solve to a terminal status with an exact certificate: an LpProblem
-    from scratch, or a Master's problem from the basis its last solve
-    ended at (phase 2 alone)."""
-    if isinstance(problem, Master):
-        return problem._solve()
-    return _Simplex(problem).run()
+def solve(master: Master) -> LpSolution:
+    """Solve a Master's problem to a terminal status with an exact
+    certificate, from the basis its last solve ended at."""
+    return master._solve()
 
 
 # -- certificate checks ------------------------------------------------
@@ -830,15 +549,6 @@ def verify_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         return False
     primal = sum((c * xj for c, xj in zip(problem.objective, x) if c), _ZERO)
     return primal == value and _dual_bound(problem, y, problem.objective) == value
-
-
-def verify_infeasibility(problem: LpProblem, solution: LpSolution) -> bool:
-    """The multipliers aggregate the rows into a constraint the variable
-    box cannot satisfy: the Farkas bound over the box is positive."""
-    if solution.status is not LpStatus.INFEASIBLE or solution.duals is None:
-        return False
-    bound = _dual_bound(problem, solution.duals, (_ZERO,) * problem.nvars)
-    return bound is not None and bound > 0
 
 
 def verify_unboundedness(problem: LpProblem, solution: LpSolution) -> bool:

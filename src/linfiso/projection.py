@@ -53,7 +53,7 @@ certificate carries the master's LpStats.
 
 For a hyperplane (m = 1, F a single column f) the optimal y and an
 optimal dual of the same program are written down directly (Blatter and
-Cheney 1974) and the simplex does not run.  Let g_i = |f_i| / |f|_1 and
+Cheney 1974) and the cut loop does not run.  Let g_i = |f_i| / |f|_1 and
 s_i the sign of f_i (+1 when f_i = 0).
 
 * Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1.
@@ -71,11 +71,12 @@ is nu + trace Z.  Z_ij is split over the rows P_ij <= T_ij and
 row-sum block gets -max_j |Z_ij|.
 
 Both routes return the right inverse Y, the optimum they claim and the
-duals.  projection_constant forms P = I - Y F^T once, checks that its
-norm is the claim and at least 1, and writes the point (Y, T = |P|
+duals.  One writer, _certificate, forms P = I - Y F^T once, checks that
+its norm is the claim and at least 1, and writes the point (Y, T = |P|
 entrywise, t) of the program.  The certificate is an ordinary
-LpSolution, so lp.verify_certificate checks it exactly like a simplex
-answer."""
+LpSolution, so lp.verify_certificate checks either route's answer the
+same way.  crosscheck runs the cut loop on hyperplanes too and writes
+its answer with the same writer, to check the closed form against it."""
 
 from __future__ import annotations
 
@@ -438,10 +439,12 @@ def projection_constant(
     otherwise by the cut loop started at the coordinate projection of
     best_set.
 
-    best_set defaults to the best set of bounds.best_upper_bound(spec);
-    a caller that already holds that report passes its best_set so the
-    scan runs once.  Any admissible set gives a valid start; a singular
-    block raises InadmissibleSetError.  A hyperplane ignores it."""
+    best_set defaults to the best set of bounds.best_upper_bound(spec),
+    whose scan keeps the default set budget; a caller that already holds
+    that report, or one scanned under a larger budget, passes its
+    best_set so the scan runs once.  Any admissible set gives a valid
+    start; a singular block raises InadmissibleSetError.  A hyperplane
+    ignores it."""
     program = minimal_projection_program(spec)
     if spec.codim == 1:
         right_inverse, claimed, duals = _hyperplane_solution(spec.annihilator)
@@ -451,14 +454,31 @@ def projection_constant(
             best_set = best_upper_bound(spec).best_set
         right_inverse, claimed, duals, stats, rounds, cuts = _cut_loop(spec, best_set)
         method = "cuts"
+    projection, certificate = _certificate(spec, right_inverse, claimed, duals, stats)
+    return ProjectionResult(
+        claimed, projection, right_inverse, certificate, program, method, rounds, cuts
+    )
+
+
+def _certificate(
+    spec: SubspaceSpec,
+    right_inverse: Matrix,
+    claimed: Fraction,
+    duals: tuple,
+    stats: Optional[LpStats],
+) -> tuple[Matrix, LpSolution]:
+    """The projection P = I - Y F^T of the right inverse Y and the
+    certificate for minimal_projection_program(spec) that the point
+    (Y, T = |P| entrywise, t = claimed) and duals make, carrying stats.
+    Raises InternalConsistencyError unless the norm of P is claimed and
+    at least 1."""
     n, m = spec.ambient, spec.codim
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
-    constant = op_norm_inf(projection)
-    if constant != claimed:
+    if op_norm_inf(projection) != claimed:
         raise InternalConsistencyError(
             "LP optimum differs from the norm of the projection it returned"
         )
-    if constant < 1:
+    if claimed < 1:
         raise InternalConsistencyError("projection constant below 1")
     lay = _Layout(n, m)
     x = [_ZERO] * lay.nvars
@@ -467,11 +487,9 @@ def projection_constant(
             x[lay.y(i, k)] = v
         for j, v in enumerate(projection.row(i)):
             x[lay.t(i, j)] = abs(v)
-    x[lay.scalar] = constant
-    certificate = LpSolution(LpStatus.OPTIMAL, tuple(x), constant, duals, None, stats)
-    return ProjectionResult(
-        constant, projection, right_inverse, certificate, program, method, rounds, cuts
-    )
+    x[lay.scalar] = claimed
+    certificate = LpSolution(LpStatus.OPTIMAL, tuple(x), claimed, duals, None, stats)
+    return projection, certificate
 
 
 def projection_norm(spec: SubspaceSpec, candidate: Matrix) -> Fraction:

@@ -234,11 +234,12 @@ def reduced_row_echelon(rows: list[list[Fraction]]):
 
 # -- LP certificate checks ----------------------------------------------
 #
-# The three checks of an LP answer, one Fraction at a time: an optimal
-# point with row duals, Farkas multipliers of an infeasible program, and
-# a feasible point with an improving ray.  They read the fields of a
-# problem (objective, sparse rows of (column, coefficient) pairs,
-# senses, rhs, lower, upper) and call nothing in the package.
+# The two checks of an LP answer, one Fraction at a time: an optimal
+# point with row duals, and a feasible point with an improving ray.
+# They read the fields of a problem (objective, sparse rows of (column,
+# coefficient) pairs, senses, rhs, lower, upper) and call nothing in the
+# package.
+
 
 
 def meets_rows_and_bounds(problem, v, homogeneous=False) -> bool:
@@ -293,9 +294,9 @@ def multiplier_bound(problem, y, cost):
     return bound
 
 
-def certificate_verdicts(problem, solution) -> tuple[bool, bool, bool]:
-    """Whether solution proves optimality, infeasibility and
-    unboundedness of problem, in that order; status names the claim."""
+def certificate_verdicts(problem, solution) -> tuple[bool, bool]:
+    """Whether solution proves optimality and unboundedness of problem,
+    in that order; status names the claim."""
     status = solution.status.value
     x, y, ray = solution.x, solution.duals, solution.ray
     value = solution.objective_value
@@ -308,10 +309,6 @@ def certificate_verdicts(problem, solution) -> tuple[bool, bool, bool]:
         and sum((c * v for c, v in zip(problem.objective, x)), ZERO) == value
         and multiplier_bound(problem, y, problem.objective) == value
     )
-    bound = None
-    if status == "infeasible" and y is not None:
-        bound = multiplier_bound(problem, y, [ZERO] * len(problem.objective))
-    infeasible = bound is not None and bound > 0
     unbounded = (
         status == "unbounded"
         and x is not None
@@ -320,4 +317,4 @@ def certificate_verdicts(problem, solution) -> tuple[bool, bool, bool]:
         and meets_rows_and_bounds(problem, ray, homogeneous=True)
         and sum((c * d for c, d in zip(problem.objective, ray)), ZERO) < 0
     )
-    return optimal, infeasible, unbounded
+    return optimal, unbounded

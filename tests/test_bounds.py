@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 
-from linfiso import bounds
+import pytest
+
+from linfiso import bounds, decide
 from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
@@ -9,8 +11,10 @@ from linfiso.canonical import (
     subspace_from_annihilator,
 )
 from linfiso.decide import decide_isometric
-from linfiso.errors import InvalidBasisError
+from linfiso.errors import InvalidBasisError, LinfisoError, SetBudgetError
+from linfiso.instances import random_instance
 from linfiso.linalg import IndexSet
+from linfiso.projection import projection_constant
 from test_canonical import (
     degenerate_spec,
     random_spec,
@@ -257,3 +261,31 @@ class TestPrunedBounds:
                 assert best_upper_bound(spec, materialize=True) == expected
                 report = best_upper_bound(spec)
                 assert report == BoundReport(expected.best_upper, expected.best_set, None)
+
+
+class TestSetBudget:
+    def test_library_refuses_before_the_scan(self, monkeypatch):
+        # the budget is inclusive: the 30 sets at (30, 1) pass a budget
+        # of 30 and fail one of 29
+        line = random_instance(random.Random(1), 30, 1).to_spec()
+        assert best_upper_bound(line, max_sets=30) == best_upper_bound(line)
+        with pytest.raises(SetBudgetError, match="C\\(30, 1\\) = 30 index sets"):
+            decide_isometric(line, mode="general", max_sets=29)
+        # C(30, 15) sets: decide, bounds and the start scan of
+        # projection_constant raise SetBudgetError without walking a set
+
+        def no_scan(spec):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(decide, "_prefix_walk", no_scan)
+        monkeypatch.setattr(bounds, "_prefix_walk", no_scan)
+        spec = random_instance(random.Random(1), 30, 15).to_spec()
+        for run in (
+            lambda: decide_isometric(spec),
+            lambda: best_upper_bound(spec),
+            lambda: best_upper_bound(spec, materialize=True),
+            lambda: projection_constant(spec),
+        ):
+            with pytest.raises(SetBudgetError, match="exceed the set budget of 100000"):
+                run()
+        assert issubclass(SetBudgetError, LinfisoError)

@@ -138,6 +138,54 @@ class TestHostileInput:
         assert len(err) < 200
 
 
+class TestSetBudget:
+    """decide, bounds and projconst refuse an instance with more index
+    sets than --max-sets before their scan starts: exit 2, one stderr
+    line naming the budget and the flag, and no stdout."""
+
+    @pytest.mark.parametrize("command", ["decide", "bounds", "projconst"])
+    def test_oversized_instance_refused(self, tmp_path, capsys, monkeypatch, command):
+        from linfiso import bounds, decide
+
+        def no_scan(spec):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(decide, "_prefix_walk", no_scan)
+        monkeypatch.setattr(bounds, "_prefix_walk", no_scan)
+        assert main(["gen", "--seed", "1", "--n", "15", "--m", "15"]) == 0
+        path = tmp_path / "wide.txt"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: C(30, 15) = 155117520 index sets exceed the set budget of "
+            "100000; raise it with --max-sets\n"
+        )
+
+    @pytest.mark.parametrize("command", ["decide", "bounds", "projconst"])
+    def test_raised_budget_gives_the_default_answer(self, tmp_path, capsys, command):
+        # C(6, 3) = 20 sets: refused under a budget of 19, and a budget
+        # of 20 prints what the default prints
+        path = tmp_path / "small.txt"
+        path.write_text("6 3 annihilator\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 -1 2\n"
+                        "2 1 -1\n", encoding="utf-8")
+        assert main([command, str(path), "--json"]) in (0, 1)
+        default = capsys.readouterr().out
+        assert main([command, str(path), "--json", "--max-sets", "19"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "set budget of 19; raise it with --max-sets" in captured.err
+        assert main([command, str(path), "--json", "--max-sets", "20"]) in (0, 1)
+        assert capsys.readouterr().out == default
+
+    def test_budget_must_be_positive(self, accepting, capsys):
+        assert main(["decide", accepting, "--max-sets", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-sets must be at least 1\n"
+
+
 class TestWideResults:
     """Results past the interpreter's 4300-digit limit for int-to-str
     conversion print in full."""
@@ -305,6 +353,7 @@ class TestCrosscheck:
         runs = payload["checks_run"]
         assert runs["lp_certificate_valid"] == 5
         assert runs["auto_matches_general"] == runs["hyperplane_matches_general"] > 0
+        assert runs["hyperplane_matches_cut_loop"] == runs["hyperplane_matches_general"]
 
     def test_argument_validation(self, capsys):
         assert main(["crosscheck", "--count", "0"]) == 2

@@ -12,6 +12,7 @@ class TestCheckInstance:
         names = {n for n, _, _ in results}
         assert "auto_matches_general" in names
         assert "hyperplane_matches_general" in names
+        assert "hyperplane_matches_cut_loop" in names
         assert "verdict_iff_constant_one" in names
         assert "lp_certificate_valid" in names
         assert "norm_gap_holds" in names
@@ -23,12 +24,52 @@ class TestCheckInstance:
         assert "minor_test_matches_general" in names
         assert "minor_vectors_match_ratio" in names
         assert "hyperplane_matches_general" not in names
+        assert "hyperplane_matches_cut_loop" not in names
 
     def test_best_set_projection_norm_checked(self):
         for text in ("3 1 annihilator\n1\n1\n1\n",
                      "4 2 annihilator\n1 0\n0 1\n1 1\n2 -1\n"):
             results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(text))}
             assert results["best_set_projection_norm"][0]
+
+    def test_wrong_closed_form_fails_the_cut_loop_check(self, monkeypatch):
+        # the closed form replaced by the coordinate projection of {1},
+        # whose norm 2 it claims: a projection, but not a minimal one,
+        # since the anchor's constant is 4/3
+        from linfiso import projection
+        from linfiso.linalg import IndexSet, op_norm_inf
+
+        real = projection._hyperplane_solution
+        inst = parse_instance("3 1 annihilator\n1\n1\n1\n")
+        spec = inst.to_spec()
+
+        def suboptimal(annihilator):
+            y, p = projection.coordinate_projection(spec, IndexSet((1,), 3))
+            return y, op_norm_inf(p), real(annihilator)[2]
+
+        monkeypatch.setattr(projection, "_hyperplane_solution", suboptimal)
+        results = {n: (ok, d) for n, ok, d in check_instance(inst)}
+        assert results["hyperplane_matches_cut_loop"] == (
+            False, "cut loop=4/3 closed form=2 certified=True"
+        )
+
+    def test_uncertified_cut_loop_fails_the_check(self, monkeypatch):
+        # the cut loop's optimum kept, its duals zeroed: the value agrees
+        # with the closed form, but the certificate proves no bound
+        from linfiso import crosscheck
+
+        real = crosscheck._cut_loop
+
+        def zero_duals(spec, index_set):
+            y, t, duals, *rest = real(spec, index_set)
+            return (y, t, (0,) * len(duals), *rest)
+
+        monkeypatch.setattr(crosscheck, "_cut_loop", zero_duals)
+        results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(
+            "3 1 annihilator\n1\n1\n1\n"))}
+        assert results["hyperplane_matches_cut_loop"] == (
+            False, "cut loop=4/3 closed form=4/3 certified=False"
+        )
 
     def test_best_upper_bound_scans_once(self, monkeypatch):
         # the report's best set is handed to projection_constant
@@ -60,6 +101,7 @@ class TestRunCrosscheck:
         assert (
             summary.checks_run["auto_matches_general"]
             == summary.checks_run["hyperplane_matches_general"]
+            == summary.checks_run["hyperplane_matches_cut_loop"]
             > 0
         )
         per_route = summary.checks_run.get(

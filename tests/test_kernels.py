@@ -98,57 +98,65 @@ def gauss_jordan_pivot(grid, prow, pcol):
     ]
 
 
+def int_grid(rng, nrows, ncols, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def over(rows, det):
+    return [[F(x, det) for x in row] for row in rows]
+
+
 class TestPivot:
+    """pivot on integer rows over one denominator, the form of lp.Master's
+    block: rows / det after each pivot is the Fraction tableau."""
+
     def test_pivot_column_becomes_unit(self):
         rng = random.Random(7)
-        nums, dens = flat_pairs(rng, 12)
-        while nums[0] == 0:
-            nums, dens = flat_pairs(rng, 12)
-        _kernels.pivot(nums, dens, 4, 0, 0)
-        assert (nums[0], dens[0]) == (1, 1)
-        for i in (1, 2):
-            assert nums[i * 4] == 0 and dens[i * 4] == 1
-
-    def test_entries_stay_normalized(self):
-        rng = random.Random(55)
-        for _ in range(25):
-            nums, dens = flat_pairs(rng, 12)
-            if nums[5] == 0:
-                continue
-            _kernels.pivot(nums, dens, 4, 1, 1)
-            for n, d in zip(nums, dens):
-                assert d > 0
-                assert gcd(n, d) == 1
+        rows = int_grid(rng, 3, 4)
+        while rows[0][0] == 0:
+            rows = int_grid(rng, 3, 4)
+        head = rows[0][0]
+        det = _kernels.pivot(rows, 1, 0, 0)
+        # the pivot entry is the new denominator, so over it the pivot
+        # column is the unit column of the pivot row
+        assert det == head
+        assert [row[0] for row in rows] == [det, 0, 0]
 
     def test_matches_fraction_arithmetic(self):
         rng = random.Random(99)
+        done = 0
         for _ in range(20):
-            nums, dens = flat_pairs(rng, 12)
-            if nums[0] == 0:
-                continue
-            grid = [[F(nums[i * 4 + j], dens[i * 4 + j]) for j in range(4)] for i in range(3)]
-            _kernels.pivot(nums, dens, 4, 0, 0)
-            piv = grid[0][0]
-            ref_row0 = [v / piv for v in grid[0]]
-            for j in range(4):
-                assert F(nums[j], dens[j]) == ref_row0[j]
-            for i in (1, 2):
-                factor = grid[i][0]
-                for j in range(4):
-                    expect = grid[i][j] - factor * ref_row0[j]
-                    assert F(nums[i * 4 + j], dens[i * 4 + j]) == expect
+            rows = int_grid(rng, 3, 4)
+            det = 1
+            for prow, pcol in ((0, 0), (1, 1)):
+                if rows[prow][pcol] == 0:
+                    continue
+                grid = over(rows, det)
+                det = _kernels.pivot(rows, det, prow, pcol)
+                piv = grid[prow][pcol]
+                ref_row = [v / piv for v in grid[prow]]
+                for i in range(3):
+                    factor = grid[i][pcol]
+                    for j in range(4):
+                        expect = grid[i][j] - factor * ref_row[j]
+                        if i == prow:
+                            expect = ref_row[j]
+                        assert F(rows[i][j], det) == expect
+                done += 1
+        assert done >= 30
 
     def test_pivot_chain_matches_gauss_jordan(self):
         rng = random.Random(4242)
-        nums, dens = flat_pairs(rng, 4 * 6)
-        grid = to_grid(nums, dens, 6)
+        rows = int_grid(rng, 4, 6)
+        grid = over(rows, 1)
+        det = 1
         pivots_done = 0
         for prow, pcol in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 4), (1, 5)]:
             if grid[prow][pcol] == 0:
                 continue
-            _kernels.pivot(nums, dens, 6, prow, pcol)
+            det = _kernels.pivot(rows, det, prow, pcol)
             grid = gauss_jordan_pivot(grid, prow, pcol)
-            assert to_grid(nums, dens, 6) == grid
+            assert over(rows, det) == grid
             pivots_done += 1
         assert pivots_done >= 4
 
@@ -194,7 +202,7 @@ class TestExchange:
                 prow, pcol = rng.randrange(3), rng.randrange(5)
                 if rows[prow][pcol] == 0:
                     continue
-                det = _kernels.pivot(rows, det, 5, prow, pcol)
+                det = _kernels.pivot(rows, det, prow, pcol)
                 twin_det = _kernels.exchange(twin, twin_det, prow, pcol)
                 assert (rows, det) == (twin, twin_det)
 

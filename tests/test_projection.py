@@ -14,8 +14,10 @@ from linfiso.decide import decide_isometric
 from linfiso.errors import ContractError, InadmissibleSetError
 from linfiso.instances import random_instance
 from linfiso.linalg import IndexSet, Matrix, op_norm_inf
-from linfiso.lp import solve, verify_certificate
+from linfiso.lp import verify_certificate
 from linfiso.projection import (
+    _certificate,
+    _cut_loop,
     _Layout,
     coordinate_projection,
     good_index_set,
@@ -203,8 +205,13 @@ class TestHyperplaneClosedForm:
             assert result.certificate.stats is None
             assert result.program == minimal_projection_program(spec)
             assert verify_certificate(result.program, result.certificate)
-            lp = solve(result.program)
-            assert lp.objective_value == result.constant
+            # the cut loop from every admissible set reaches the closed
+            # form's optimum, and its certificate verifies on the program
+            for index_set, _ in admissible_sets(spec):
+                y, t, duals, stats, _, _ = _cut_loop(spec, index_set)
+                assert t == result.constant
+                _, certificate = _certificate(spec, y, t, duals, stats)
+                assert verify_certificate(result.program, certificate)
             if len(f) <= 3:
                 assert result.constant == hyperplane_projection_constant(f)
             kinds.add(result.constant == 1)
@@ -370,9 +377,16 @@ class TestCrashStart:
     needs no phase 1, and reaches the optimum of the unchanged program."""
 
     def test_lambda_matches_a_cold_start(self, solved):
+        # a start the crash did not pick: the cut loop run from every
+        # admissible set reaches the crash start's lambda, and each run's
+        # certificate proves it on the unchanged program
         for spec, result in solved:
-            cold = solve(minimal_projection_program(spec))
-            assert result.constant == cold.objective_value
+            program = minimal_projection_program(spec)
+            for index_set, _ in admissible_sets(spec):
+                y, t, duals, stats, _, _ = _cut_loop(spec, index_set)
+                assert t == result.constant
+                _, certificate = _certificate(spec, y, t, duals, stats)
+                assert verify_certificate(program, certificate)
         assert solved[-1][1].constant == 1
         assert any(result.constant > 1 for _, result in solved)
 
