@@ -18,7 +18,7 @@ verify_certificate.  The answer fields come from the first repeat, and
 every repeat must give the same ones, or the script exits 1: the route
 (method), the digest of lambda, whether the certificate verifies, the cut
 rounds and cuts, the master's pivots, degenerate pivots and Bland turns,
-and tableau_bits, LpStats.phase2_bits of the last solve: the largest bit
+and tableau_bits, LpStats.end_bits of the last solve: the largest bit
 length of det and of an entry of the master's integer block [det B^-1,
 rhs; cost row].  Those integers run longer than the reduced fractions of
 the rational tableau that the master kept before, so tableau_bits does not
@@ -103,10 +103,10 @@ def measure(n: int, m: int, seed: int) -> dict:
             "certificate_verifies": ok,
             "rounds": getattr(result, "rounds", None),
             "cuts": getattr(result, "cuts", None),
-            "pivots": stats.phase1_pivots + stats.phase2_pivots if lp else None,
+            "pivots": getattr(stats, "pivots", None),
             "degenerate_pivots": stats.degenerate_pivots if lp else None,
             "bland_fallbacks": stats.bland_fallbacks if lp else None,
-            "tableau_bits": getattr(stats, "phase2_bits", None),
+            "tableau_bits": getattr(stats, "end_bits", None),
         },
         "seconds": {
             "projconst_s": ended - began,

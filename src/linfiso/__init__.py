@@ -56,10 +56,8 @@ from .lp import (
     LpProblem,
     LpSolution,
     LpStats,
-    LpStatus,
     solve,
     verify_certificate,
-    verify_unboundedness,
 )
 from .projection import (
     GapReport,

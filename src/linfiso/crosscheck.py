@@ -82,14 +82,7 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         record(name, key == want, detail)
 
     if spec.codim == 1:
-        # auto takes the general scan for m >= 2, so only here is it
-        # another route
-        auto = decide_isometric(spec, mode="auto")
-        matches_general(
-            "auto_matches_general",
-            auto,
-            f"general={general.verdict} auto={auto.verdict}",
-        )
+        # decide_isometric(spec) takes this route at m = 1
         direct = decide_hyperplane(mat.column(0))
         matches_general(
             "hyperplane_matches_general", direct, f"direct={direct.verdict}"

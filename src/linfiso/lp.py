@@ -2,23 +2,24 @@
 whose columns can arrive over rounds.
 
 A problem is minimize objective . x subject to rows of sense <=, == or
->= and optional per-variable bounds.  It stores each row as its nonzeros
-only, (column, coefficient) pairs in increasing column order, and
-build() takes rows in that form; the certificate checks read only those
-pairs.
+>= and a lower bound per variable, None for a free one; an upper bound
+is written as a <= row.  It stores each row as its nonzeros only,
+(column, coefficient) pairs in increasing column order, and build()
+takes rows in that form; the certificate checks read only those pairs.
 
-Master solves a problem whose variables are nonnegative and unbounded
-above, then takes more columns, as in column generation, and solves
-again from the basis the last solve ended at.  Each row is written once,
-times the sign phi that makes its right-hand side nonnegative (-1 when
-b < 0 or b = 0 on a >= row, else 1); equalities, and inequalities whose
-slack that sign turns negative, get artificial variables.  The start
-basis holds each row's slack or artificial.  It is feasible because
-Master refuses a problem with an artificial on a row of rhs other than
-0, so phase 1 never runs.  A basic artificial stays at 0 until a column
-with a nonzero entry in its row enters; it then leaves first, whatever
-the sign, and never enters again, so the point stays feasible and the
-argument below holds.  Its row is kept: a later column may load it.
+Master solves a problem whose variables are nonnegative and whose
+objective is bounded below, then takes more columns, as in column
+generation, and solves again from the basis the last solve ended at.
+Each row is written once, times the sign phi that makes its right-hand
+side nonnegative (-1 when b < 0 or b = 0 on a >= row, else 1);
+equalities, and inequalities whose slack that sign turns negative, get
+artificial variables.  The start basis holds each row's slack or
+artificial.  It is feasible because Master refuses a problem with an
+artificial on a row of rhs other than 0, so phase 1 never runs.  A basic
+artificial stays at 0 until a column with a nonzero entry in its row
+enters; it then leaves first, whatever the sign, and never enters again,
+so the point stays feasible and the argument below holds.  Its row is
+kept: a later column may load it.
 
 A Master runs the revised simplex in integers (Dantzig and Orchard-Hays
 1954; Bareiss 1968).  It keeps no LpProblem: the first problem's rows
@@ -56,30 +57,27 @@ Each non-degenerate pivot strictly lowers the objective, so no basis
 repeats across stretches.  Every choice is a fixed function of the
 block, so the answer is reproducible.
 
-Every terminal status carries an exact certificate, checked from scratch
-by two shared passes over the problem: _within (a point meets every row
-and bound, or a direction meets their homogeneous versions) and
-_dual_bound (the lower bound that row multipliers prove on a cost over
-the variable box, skipping zero multipliers and coefficients).  Both run
+A solve ends at an optimum: when an entering column has no leaving row
+the problem is unbounded, which a Master's must not be, and the solve
+raises LpModelError naming the column.  The optimum is primal values
+plus row duals, an exact certificate: verify_certificate checks that x
+is feasible and that its value equals the stated optimum and the dual
+bound (strong duality).  It runs two shared passes over the problem:
+_within (a point meets every row and lower bound) and _dual_bound (the
+lower bound that row multipliers prove on a cost over the variable
+lower bounds, skipping zero multipliers and coefficients).  Both run
 on integers, with the point or the multipliers put over their least
 common denominator once per call.  _within puts each row's coefficients
 over their own lcm and compares the row with its right-hand side by
 integer cross-multiplication; _dual_bound gathers y.b and each column's
 A^T y over a running lcm of the denominators it meets.  No lcm is taken
 over the whole program, whose rows may have many coprime denominators.
-The checks take any problem, whatever its bounds, and any claimed
+The checks take any problem, whatever its lower bounds, and any claimed
 answer, whoever wrote it.
-
-* optimal: primal values plus row duals; verify_certificate checks that
-  x is feasible and that its value equals the stated optimum and the
-  dual bound (strong duality).
-* unbounded: a feasible point and an improving ray that meets the
-  homogeneous rows and bounds (verify_unboundedness).
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from itertools import chain
 from math import lcm
@@ -98,26 +96,21 @@ GREATER = ">="
 _SENSES = (LESS, EQUAL, GREATER)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # degenerate pivots in a row after which Bland's rule takes its first turn
 _DEGENERATE_STREAK = 50
 
 
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective . x subject to rows (sense) rhs, lower <= x <= upper.
+    """minimize objective . x subject to rows (sense) rhs, lower <= x.
 
     Each row is a tuple of (column, coefficient) pairs in increasing
-    column order, nonzero coefficients only.  A bound entry of None means
-    unbounded on that side.  Construct through build(), which takes rows
-    in that form, refuses a column out of range, repeated or out of
-    order, drops zero coefficients, and validates shapes and senses.
+    column order, nonzero coefficients only.  A lower bound of None
+    leaves its variable free; lower defaults to 0 for every variable.
+    Construct through build(), which takes rows in that form, refuses a
+    column out of range, repeated or out of order, drops zero
+    coefficients, and validates shapes and senses.
     """
 
     objective: tuple[Fraction, ...]
@@ -125,7 +118,6 @@ class LpProblem:
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     lower: tuple[Optional[Fraction], ...]
-    upper: tuple[Optional[Fraction], ...]
 
     @classmethod
     def build(
@@ -135,7 +127,6 @@ class LpProblem:
         senses: Sequence[str],
         rhs: Sequence,
         lower: Optional[Sequence] = None,
-        upper: Optional[Sequence] = None,
     ) -> "LpProblem":
         c = tuple(as_rational(x) for x in objective)
         n = len(c)
@@ -149,12 +140,13 @@ class LpProblem:
         b = tuple(as_rational(x) for x in rhs)
         if not (len(mat) == len(sn) == len(b)):
             raise LpModelError("rows, senses, and rhs lengths differ")
-        low = _bound_tuple(lower, n, _ZERO)
-        up = _bound_tuple(upper, n, None)
-        for lo, hi in zip(low, up):
-            if lo is not None and hi is not None and lo > hi:
-                raise LpModelError("lower bound exceeds upper bound")
-        return cls(c, mat, sn, b, low, up)
+        if lower is None:
+            low = (_ZERO,) * n
+        else:
+            low = tuple(None if v is None else as_rational(v) for v in lower)
+        if len(low) != n:
+            raise LpModelError("bounds length does not match variable count")
+        return cls(c, mat, sn, b, low)
 
     @property
     def nvars(self) -> int:
@@ -184,84 +176,67 @@ def _sparse_row(
     return tuple(row)
 
 
-def _bound_tuple(values, n: int, default) -> tuple:
-    if values is None:
-        return (default,) * n
-    out = tuple(None if v is None else as_rational(v) for v in values)
-    if len(out) != n:
-        raise LpModelError("bounds length does not match variable count")
-    return out
-
-
 @dataclass(frozen=True)
 class LpStats:
     """Counters of a Master's solves so far.
 
     rows and cols are those of the tableau the master stands for after
     the last append: its constraint rows, and its structural, slack and
-    artificial columns and the rhs column.  No phase 1 runs, so
-    phase1_pivots is 0 and phase2_pivots counts every pivot.  Degenerate
-    pivots are those whose leaving row had rhs 0; bland_fallbacks counts
-    the turns in which Bland's rule priced them.  phase1_bits and
-    phase2_bits are the largest bit length in the integer block and det,
-    at the start and after the last solve.  The perf_counter readings
-    mark the start of the construction, its end (built, and phase1_done
-    with it) and the end of the last solve; they are left out of
-    equality, so two solves of one program compare equal.
+    artificial columns and the rhs column.  pivots counts every pivot of
+    every solve; degenerate pivots are those whose leaving row had rhs 0,
+    and bland_fallbacks counts the turns in which Bland's rule priced
+    them.  start_bits and end_bits are the largest bit length in the
+    integer block and det, at the start and after the last solve.  The
+    perf_counter readings mark the start of the construction, its end
+    (built) and the end of the last solve; they are left out of equality,
+    so two solves of one program compare equal.
     """
 
     rows: int
     cols: int
-    phase1_pivots: int
-    phase2_pivots: int
+    pivots: int
     degenerate_pivots: int
     bland_fallbacks: int
-    phase1_bits: int
-    phase2_bits: int
+    start_bits: int
+    end_bits: int
     started: float = field(compare=False)
     built: float = field(compare=False)
-    phase1_done: float = field(compare=False)
     finished: float = field(compare=False)
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Terminal state of a solve.
-
-    duals holds row duals when optimal.  ray is the improving direction
-    when unbounded (x is then a feasible starting point).  stats is set by solve(); a
-    solution written down without it, such as the closed form for
-    hyperplanes in projection, has stats None.
+    """An optimum: the point x, its objective value and the row duals
+    that certify it.  stats is set by solve(); a solution written down
+    without it, such as the closed form for hyperplanes in projection,
+    has stats None.
     """
 
-    status: LpStatus
-    x: Optional[tuple[Fraction, ...]]
-    objective_value: Optional[Fraction]
-    duals: Optional[tuple[Fraction, ...]]
-    ray: Optional[tuple[Fraction, ...]] = None
+    x: tuple[Fraction, ...]
+    objective_value: Fraction
+    duals: tuple[Fraction, ...]
     stats: Optional[LpStats] = None
 
 
 class Master:
     """A problem solved, then extended by columns and solved again from
     the basis the last solve ended at, without phase 1 (see the module
-    docstring).  Every variable must be nonnegative and unbounded above,
-    and every row that needs an artificial must have rhs 0, or the
-    constructor raises LpModelError.  The problem's rows are turned into
-    columns once and no LpProblem is kept: the solutions of solve(master)
-    verify on the problem with the appended columns as its last
-    variables.  Columns are numbered structural (in order of arrival),
-    slacks, then artificials, which never enter.  columns holds the
-    structural ones times each row's phi, then the slacks, as (rows,
-    integers, cost, scale)."""
+    docstring).  Every variable must be nonnegative, and every row that
+    needs an artificial must have rhs 0, or the constructor raises
+    LpModelError; the objective must be bounded below, or solve(master)
+    raises it.  The problem's rows are turned into columns once and no
+    LpProblem is kept: the solutions of solve(master) verify on the
+    problem with the appended columns as its last variables.  Columns
+    are numbered structural (in order of arrival), slacks, then
+    artificials, which never enter.  columns holds the structural ones
+    times each row's phi, then the slacks, as (rows, integers, cost,
+    scale)."""
 
     def __init__(self, problem: LpProblem):
         self.started = time.perf_counter()
         self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
-        if any(lo != 0 or hi is not None for lo, hi in zip(problem.lower, problem.upper)):
-            raise LpModelError(
-                "a master's variables must be nonnegative and unbounded above"
-            )
+        if any(lo != 0 for lo in problem.lower):
+            raise LpModelError("a master's variables must be nonnegative")
         self.nrows = nrows = problem.nrows
         self.rhs_scale = lcm(*(b.denominator for b in problem.rhs))
         self.block = [
@@ -291,7 +266,7 @@ class Master:
                 columns[j].append((i, a))
         self.nstruct = 0
         self._insert(problem.objective, columns)
-        self.phase1_bits = self._bits()
+        self.start_bits = self._bits()
         self.built = time.perf_counter()
 
     def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
@@ -386,19 +361,21 @@ class Master:
         """The largest bit length in the block and det."""
         return max(map(int.bit_length, [self.det, *chain(*self.block)]))
 
-    def _run_phase(self) -> Optional[int]:
+    def _run_phase(self) -> None:
         """Pivot until no column prices negative, with the Bland turns of
-        the module docstring.  Returns the entering column when the
-        objective is unbounded below, else None."""
+        the module docstring.  Raises LpModelError when an entering
+        column has no leaving row: the objective is unbounded below."""
         guard = 20000 + 200 * (self.nrows + self.ncols)
         bland, span, run = False, _DEGENERATE_STREAK, 0  # run counts degenerate pivots
         for _ in range(guard):
             col = self._entering(bland)
             if col is None:
-                return None
+                return
             row = self._leaving(col)
             if row is None:
-                return col
+                raise LpModelError(
+                    f"column {col} enters with no leaving row: the master is unbounded"
+                )
             if self.block[row][self.nrows]:
                 bland, span, run = False, _DEGENERATE_STREAK, 0
             else:
@@ -413,31 +390,15 @@ class Master:
             self._pivot(row, col)
         raise InternalConsistencyError("simplex did not terminate inside its guard")
 
-    def _solution(self, status, x, value, duals, ray=None) -> LpSolution:
-        stats = LpStats(
-            self.nrows, self.ncols, 0, self.pivots, self.degenerate_pivots,
-            self.bland_fallbacks, self.phase1_bits, self.phase2_bits,
-            self.started, self.built, self.built, time.perf_counter(),
-        )
-        return LpSolution(status, x, value, duals, ray, stats)
-
     def _solve(self) -> LpSolution:
-        """Run the pricing loop from the current basis to a terminal status."""
-        unbounded_col = self._run_phase()
-        self.phase2_bits = self._bits()
+        """Run the pricing loop from the current basis to the optimum."""
+        self._run_phase()
+        end_bits = self._bits()
         n, det = self.nstruct, self.det
         basic = [(i, j, self.columns[j][3]) for i, j in enumerate(self.basis) if j < n]
         x = [_ZERO] * n
         for i, j, s in basic:
             x[j] = Fraction(s * self.block[i][self.nrows], det * self.rhs_scale)
-        if unbounded_col is not None:
-            ray = [_ZERO] * n
-            if unbounded_col < n:
-                ray[unbounded_col] = _ONE
-            den = det * self.columns[unbounded_col][3]
-            for i, j, s in basic:
-                ray[j] = Fraction(-s * self.entering[i], den)
-            return self._solution(LpStatus.UNBOUNDED, (*x,), None, None, (*ray,))
         value = Fraction(
             sum(self.columns[j][2] * self.block[i][self.nrows] for i, j, _ in basic),
             det * self.rhs_scale,
@@ -445,11 +406,16 @@ class Master:
         # phi times minus the reduced cost of each row's unit column
         cost = self.block[self.nrows]
         duals = tuple(Fraction(-phi * r, det) for phi, r in zip(self.phi, cost))
-        return self._solution(LpStatus.OPTIMAL, (*x,), value, duals)
+        stats = LpStats(
+            self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
+            self.bland_fallbacks, self.start_bits, end_bits,
+            self.started, self.built, time.perf_counter(),
+        )
+        return LpSolution((*x,), value, duals, stats)
 
 
 def solve(master: Master) -> LpSolution:
-    """Solve a Master's problem to a terminal status with an exact
+    """Solve a Master's problem to its optimum with an exact
     certificate, from the basis its last solve ended at."""
     return master._solve()
 
@@ -457,11 +423,8 @@ def solve(master: Master) -> LpSolution:
 # -- certificate checks ------------------------------------------------
 
 
-def _within(
-    problem: LpProblem, v: Sequence[Fraction], homogeneous: bool = False
-) -> bool:
-    """v meets every bound and row.  homogeneous=True counts right-hand
-    sides and finite bounds as 0: v is then a recession direction.
+def _within(problem: LpProblem, v: Sequence[Fraction]) -> bool:
+    """v meets every lower bound and row.
 
     v is scaled to integers once, v = V / d, and each row's coefficients
     over their own lcm s, so row . v - b has the sign of
@@ -469,20 +432,13 @@ def _within(
     if len(v) != problem.nvars:
         return False
     ints, d = common_denominator(v)
-    for vj, lo, hi in zip(ints, problem.lower, problem.upper):
-        if homogeneous:
-            if (lo is not None and vj < 0) or (hi is not None and vj > 0):
-                return False
-            continue
+    for vj, lo in zip(ints, problem.lower):
         if lo is not None and vj * lo.denominator < lo.numerator * d:
-            return False
-        if hi is not None and vj * hi.denominator > hi.numerator * d:
             return False
     for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
         s = lcm(*(a.denominator for _, a in row))
         gap = sum(a.numerator * (s // a.denominator) * ints[j] for j, a in row)
-        if not homogeneous:
-            gap = gap * b.denominator - b.numerator * s * d
+        gap = gap * b.denominator - b.numerator * s * d
         if (gap > 0 and sense != GREATER) or (gap < 0 and sense != LESS):
             return False
     return True
@@ -499,10 +455,11 @@ def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
 def _dual_bound(
     problem: LpProblem, y: Sequence[Fraction], cost: Sequence[Fraction]
 ) -> Optional[Fraction]:
-    """y.b plus the minimum of (cost - A^T y).x over the variable box,
+    """y.b plus the minimum of (cost - A^T y).x over the lower bounds,
     a lower bound on cost.x over the feasible set.  None when y has the
     wrong length or a multiplier the wrong sign, or when that minimum
-    is unbounded.
+    is unbounded: a reduced cost is negative, or nonzero on a free
+    variable.
 
     y is scaled to integers once, y = Y / d.  Y . b and each (A^T Y)_j
     are gathered as an integer over a running lcm of the denominators
@@ -524,42 +481,24 @@ def _dual_bound(
         for j, a in row:
             nums[j], dens[j] = _add(nums[j], dens[j], yi * a.numerator, a.denominator)
     bound = Fraction(bound_num, bound_den * d)
-    for c, num, den, lo, hi in zip(cost, nums, dens, problem.lower, problem.upper):
+    for c, num, den, lo in zip(cost, nums, dens, problem.lower):
         # the reduced cost c - num / (den d), over c.den den d
         r = c.numerator * den * d - num * c.denominator
         if not r:
             continue
-        side = lo if r > 0 else hi
-        if side is None:
+        if r < 0 or lo is None:
             return None
-        if side:
-            bound += Fraction(r, c.denominator * den * d) * side
+        if lo:
+            bound += Fraction(r, c.denominator * den * d) * lo
     return bound
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     """Exact optimality check: primal feasibility, dual feasibility with
     bound pricing, and equality of the primal and dual objectives."""
-    if solution.status is not LpStatus.OPTIMAL:
-        return False
     x, y, value = solution.x, solution.duals, solution.objective_value
-    if x is None or y is None or value is None:
-        return False
     if not _within(problem, x):
         return False
     primal = sum((c * xj for c, xj in zip(problem.objective, x) if c), _ZERO)
     return primal == value and _dual_bound(problem, y, problem.objective) == value
 
-
-def verify_unboundedness(problem: LpProblem, solution: LpSolution) -> bool:
-    """x is feasible and the ray keeps every constraint and bound while
-    strictly decreasing the objective."""
-    if solution.status is not LpStatus.UNBOUNDED:
-        return False
-    x, d = solution.x, solution.ray
-    if x is None or d is None:
-        return False
-    if not (_within(problem, x) and _within(problem, d, homogeneous=True)):
-        return False
-    slope = sum((c * dj for c, dj in zip(problem.objective, d)), _ZERO)
-    return slope < 0

@@ -32,8 +32,8 @@ t is the norm of P and the optimum, since the master relaxes the
 program.  lp.Master solves the master's dual, one column per cut:
 minimize sum_c mu_c (1 - sigma . P_S,i) subject to sum_c mu_c a_c = 0 on
 the (N - m) m rows of W, a_c[a, k] = K_ia (F^T sigma)_k, and
-sum_c mu_c <= 1, mu >= 0, whose slack is the multiplier of t >= 1.  Its
-rows start with artificials at 0 and that slack at 1, so no phase 1
+sum_c mu_c <= 1, mu >= 0, whose slack is the multiplier of t >= 1.
+Those two bound it, so every solve ends at an optimum.  Its rows start with artificials at 0 and that slack at 1, so no phase 1
 runs.  Each round's cuts are stored as new integer columns, and the next
 solve resumes from the basis the last one ended at.  W is minus the
 duals of the W rows and t is 1 minus the dual of the last row.
@@ -102,7 +102,7 @@ from .linalg import (
     op_norm_inf,
     row_norms,
 )
-from .lp import LpProblem, LpSolution, LpStats, LpStatus, Master, solve
+from .lp import LpProblem, LpSolution, LpStats, Master, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -313,10 +313,6 @@ def _cut_loop(
     while True:
         rounds += 1
         solution = solve(master)
-        if solution.status is not LpStatus.OPTIMAL or solution.duals is None:
-            raise InternalConsistencyError(
-                f"the cut master must have an optimum, got {solution.status}"
-            )
         # W is minus the duals of the W rows, t is 1 minus the dual of
         # the last row, and P = P_S - K W F^T
         w = Matrix(
@@ -488,7 +484,7 @@ def _certificate(
         for j, v in enumerate(projection.row(i)):
             x[lay.t(i, j)] = abs(v)
     x[lay.scalar] = claimed
-    certificate = LpSolution(LpStatus.OPTIMAL, tuple(x), claimed, duals, None, stats)
+    certificate = LpSolution(tuple(x), claimed, duals, stats)
     return projection, certificate
 
 

@@ -232,44 +232,38 @@ def reduced_row_echelon(rows: list[list[Fraction]]):
     return work, pivots
 
 
-# -- LP certificate checks ----------------------------------------------
+# -- LP certificate check ------------------------------------------------
 #
-# The two checks of an LP answer, one Fraction at a time: an optimal
-# point with row duals, and a feasible point with an improving ray.
-# They read the fields of a problem (objective, sparse rows of (column,
-# coefficient) pairs, senses, rhs, lower, upper) and call nothing in the
-# package.
+# The check of an LP answer, an optimal point with row duals, one
+# Fraction at a time.  It reads the fields of a problem (objective,
+# sparse rows of (column, coefficient) pairs, senses, rhs, lower) and
+# calls nothing in the package.
 
 
-
-def meets_rows_and_bounds(problem, v, homogeneous=False) -> bool:
-    """v satisfies every bound and row; homogeneous=True reads every
-    right-hand side and finite bound as 0."""
+def meets_rows_and_bounds(problem, v) -> bool:
+    """v satisfies every lower bound and row."""
     if len(v) != len(problem.objective):
         return False
-    for vj, lo, hi in zip(v, problem.lower, problem.upper):
-        if lo is not None and vj < (ZERO if homogeneous else lo):
-            return False
-        if hi is not None and vj > (ZERO if homogeneous else hi):
+    for vj, lo in zip(v, problem.lower):
+        if lo is not None and vj < lo:
             return False
     for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
         lhs = ZERO
         for j, a in row:
             lhs += a * v[j]
-        target = ZERO if homogeneous else b
-        if sense == "<=" and lhs > target:
+        if sense == "<=" and lhs > b:
             return False
-        if sense == ">=" and lhs < target:
+        if sense == ">=" and lhs < b:
             return False
-        if sense == "==" and lhs != target:
+        if sense == "==" and lhs != b:
             return False
     return True
 
 
 def multiplier_bound(problem, y, cost):
-    """y . rhs plus the least value of (cost - A^T y) . x over the box;
-    None for a wrong length, a multiplier of the wrong sign or an
-    unbounded least value."""
+    """y . rhs plus the least value of (cost - A^T y) . x over the lower
+    bounds; None for a wrong length, a multiplier of the wrong sign or
+    an unbounded least value."""
     if len(y) != len(problem.rows):
         return None
     reduced = list(cost)
@@ -282,39 +276,19 @@ def multiplier_bound(problem, y, cost):
         bound += yi * b
         for j, a in row:
             reduced[j] -= a * yi
-    for r, lo, hi in zip(reduced, problem.lower, problem.upper):
-        if r > 0:
-            if lo is None:
+    for r, lo in zip(reduced, problem.lower):
+        if r:
+            if r < 0 or lo is None:
                 return None
             bound += r * lo
-        elif r < 0:
-            if hi is None:
-                return None
-            bound += r * hi
     return bound
 
 
-def certificate_verdicts(problem, solution) -> tuple[bool, bool]:
-    """Whether solution proves optimality and unboundedness of problem,
-    in that order; status names the claim."""
-    status = solution.status.value
-    x, y, ray = solution.x, solution.duals, solution.ray
-    value = solution.objective_value
-    optimal = (
-        status == "optimal"
-        and x is not None
-        and y is not None
-        and value is not None
-        and meets_rows_and_bounds(problem, x)
+def certificate_verdict(problem, solution) -> bool:
+    """Whether solution proves that its point is optimal for problem."""
+    x, y, value = solution.x, solution.duals, solution.objective_value
+    return (
+        meets_rows_and_bounds(problem, x)
         and sum((c * v for c, v in zip(problem.objective, x)), ZERO) == value
         and multiplier_bound(problem, y, problem.objective) == value
     )
-    unbounded = (
-        status == "unbounded"
-        and x is not None
-        and ray is not None
-        and meets_rows_and_bounds(problem, x)
-        and meets_rows_and_bounds(problem, ray, homogeneous=True)
-        and sum((c * d for c, d in zip(problem.objective, ray)), ZERO) < 0
-    )
-    return optimal, unbounded

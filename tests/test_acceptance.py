@@ -34,7 +34,6 @@ from linfiso.linalg import (
 from linfiso.lp import (
     LpProblem,
     LpSolution,
-    LpStatus,
     Master,
     solve,
     verify_certificate,
@@ -388,10 +387,7 @@ def test_lp_against_enumeration():
         if oracle is None:
             value_mismatches += 1
             continue
-        if (
-            solution.status is not LpStatus.OPTIMAL
-            or solution.objective_value != oracle[0]
-        ):
+        if solution.objective_value != oracle[0]:
             value_mismatches += 1
             continue
         if not verify_certificate(problem, solution):
@@ -403,7 +399,6 @@ def test_lp_against_enumeration():
         )
         if target is None:
             perturbed = LpSolution(
-                status=solution.status,
                 x=solution.x,
                 objective_value=solution.objective_value + F(1, 1000),
                 duals=solution.duals,
@@ -412,7 +407,6 @@ def test_lp_against_enumeration():
             moved = list(solution.x)
             moved[target] += F(1, 1000)
             perturbed = LpSolution(
-                status=solution.status,
                 x=tuple(moved),
                 objective_value=solution.objective_value,
                 duals=solution.duals,

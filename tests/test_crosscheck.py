@@ -10,7 +10,6 @@ class TestCheckInstance:
         failures = [(n, d) for n, ok, d in results if not ok]
         assert failures == []
         names = {n for n, _, _ in results}
-        assert "auto_matches_general" in names
         assert "hyperplane_matches_general" in names
         assert "hyperplane_matches_cut_loop" in names
         assert "verdict_iff_constant_one" in names
@@ -95,12 +94,11 @@ class TestRunCrosscheck:
         assert summary.instances == 25
         assert summary.agreements == 25
         assert summary.disagreements == []
-        # every instance runs the shared checks; auto is another route
-        # only for a hyperplane
+        # every instance runs the shared checks; each hyperplane checks
+        # its closed forms against the scan and the cut loop
         assert summary.checks_run["lp_certificate_valid"] == 25
         assert (
-            summary.checks_run["auto_matches_general"]
-            == summary.checks_run["hyperplane_matches_general"]
+            summary.checks_run["hyperplane_matches_general"]
             == summary.checks_run["hyperplane_matches_cut_loop"]
             > 0
         )

@@ -146,7 +146,6 @@ class TestSparseProgram:
             assert program.senses == tuple(senses)
             assert program.rhs == tuple(rhs)
             assert program.lower == tuple(lower)
-            assert program.upper == (None,) * len(objective)
             zeros += sum(1 for row in f for a in row if not a)
         assert zeros > 20
 
@@ -408,7 +407,6 @@ class TestCrashStart:
             started = projection_constant(spec, report.best_set)
             assert (started.rounds, started.cuts) == (result.rounds, result.cuts)
             assert started.certificate == result.certificate
-            assert started.certificate.stats.phase1_pivots == 0
 
     def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
         # a passed set replaces the best_upper_bound scan; each admissible
@@ -435,12 +433,11 @@ class TestCutLoop:
 
     def test_rounds_and_cuts(self, solved):
         # the first master holds +-sign(row i of P_S) for every row i;
-        # each later round adds at least one cut, and phase 1 never runs
+        # each later round adds at least one cut
         for spec, result in solved:
             stats = result.certificate.stats
             assert result.rounds >= 1
             assert result.cuts >= 2 * spec.ambient + result.rounds - 1
-            assert stats.phase1_pivots == 0
             n, m = spec.ambient, spec.codim
             assert stats.rows == (n - m) * m + 1
 
@@ -472,7 +469,7 @@ class TestCutLoop:
             result = projection_constant(instance.to_spec())
             stats = result.certificate.stats
             assert (
-                result.constant, result.rounds, result.cuts, stats.phase2_pivots,
+                result.constant, result.rounds, result.cuts, stats.pivots,
                 stats.degenerate_pivots, stats.bland_fallbacks,
             ) == pinned, (seed, n, m, rational)
             assert verify_certificate(result.program, result.certificate)
