@@ -7,8 +7,9 @@ Run from the root of a source checkout:
 
 Each rung is a shape (N, m) and a seed, and its instance is
 random_instance(random.Random(seed), N, m); (12, 4) runs at two seeds, so
-one lucky draw does not carry a figure.  projection_constant runs REPEATS
-times on each.  Each time is the median over the repeats, in seconds: the
+one lucky draw does not carry a figure, and (16, 4) stands past the
+wall, where most of the master's pivots are degenerate.
+projection_constant runs REPEATS times on each.  Each time is the median over the repeats, in seconds: the
 whole projection_constant call; setup_s, from the call to the start of the
 LP (the program build, the best-set scan and P_S); master_s, from the
 start of the LP to its last solve (every round of the cut loop, its
@@ -75,7 +76,7 @@ from linfiso import (  # noqa: E402
 # (N, m, seed)
 RUNGS = (
     (16, 1, 1), (24, 1, 1), (8, 4, 1), (10, 4, 1), (12, 3, 1), (12, 4, 1),
-    (12, 4, 2), (14, 3, 1),
+    (12, 4, 2), (14, 3, 1), (16, 4, 1),
 )
 # (N, m, seed) of the scan rungs
 SCAN_RUNGS = ((12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1))

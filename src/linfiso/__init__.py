@@ -50,7 +50,6 @@ from .linalg import (
     rank,
     rref,
     vec_norm1,
-    vec_norm_inf,
 )
 from .lp import (
     LpProblem,

@@ -91,10 +91,6 @@ class SubspaceSpec:
     def codim(self) -> int:
         return self.annihilator.cols
 
-    @property
-    def dim(self) -> int:
-        return self.ambient - self.codim
-
     def spanning_columns(self) -> list[tuple[Fraction, ...]]:
         """A basis of the subspace itself, as kernel vectors of the
         transposed annihilator."""

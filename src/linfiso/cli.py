@@ -76,7 +76,7 @@ def _load_spec(args) -> SubspaceSpec:
 
 
 def _cmd_decide(args) -> tuple[int, str]:
-    report = decide_isometric(_load_spec(args), mode=args.mode, max_sets=args.max_sets)
+    report = decide_isometric(_load_spec(args), max_sets=args.max_sets)
     code = 0 if report.verdict else 1
     verdict = "isometric" if report.verdict else "not isometric"
     if args.json:
@@ -245,12 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decide", help="is the subspace isometric to the smaller space?"
     )
     decide.add_argument("path", help="instance file")
-    decide.add_argument(
-        "--mode",
-        choices=["auto", "general"],
-        default="auto",
-        help="auto uses the closed form for codimension 1",
-    )
     decide.add_argument("--json", action="store_true")
     _add_max_sets(decide)
     decide.set_defaults(func=_cmd_decide)

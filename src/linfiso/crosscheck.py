@@ -25,7 +25,12 @@ from .canonical import (
     exchange_families,
     family_from_minors,
 )
-from .decide import decide_by_minors, decide_hyperplane, decide_isometric
+from .decide import (
+    _decide_general,
+    decide_by_minors,
+    decide_hyperplane,
+    decide_isometric,
+)
 from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check, op_norm_inf
 from .lp import verify_certificate
@@ -71,7 +76,8 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     spec = instance.to_spec()
     mat = spec.annihilator
 
-    general = decide_isometric(spec, mode="general")
+    # the general scan, which decide_isometric takes from m = 2 on
+    general = _decide_general(spec) if spec.codim == 1 else decide_isometric(spec)
 
     def matches_general(name: str, report, detail: str) -> None:
         """Record whether report agrees with the general scan on the

@@ -15,8 +15,8 @@ builds the witness's norms and its CanonicalFamily, by determinant
 ratios, only for the witness it returns.  Codimension 1 and 2 admit
 closed forms that provably visit the same sets in the same order, so
 verdict, witness, and the number of sets examined all coincide with the
-general scan.  The auto mode uses the codimension-1 form, which skips
-the walk (at m = 1 the scan's only prefix is empty and rho is the
+general scan.  decide_isometric takes the codimension-1 form, which
+skips the walk (at m = 1 the scan's only prefix is empty and rho is the
 functional itself, so the two are the same test); the codimension-2
 pair test (decide_by_minors) runs slower than the scan and stays as the
 reference that crosscheck and the tests compare it against.
@@ -70,18 +70,11 @@ class DecisionReport:
     method: DecisionMethod
 
 
-def decide_isometric(
-    spec: SubspaceSpec, mode: str = "auto", max_sets: int = MAX_SETS
-) -> DecisionReport:
-    """Run the isometry test; mode "auto" picks the fastest equivalent
-    route (the closed form for codimension 1, the general scan
-    otherwise), mode "general" forces the scan over every admissible set
-    (by basis exchange) even for codimension 1.  The scan raises
-    SetBudgetError before it starts when the spec has more than max_sets
-    index sets."""
-    if mode not in ("auto", "general"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto" and spec.codim == 1:
+def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionReport:
+    """Run the isometry test: the closed form for codimension 1, the
+    general scan otherwise.  The scan raises SetBudgetError before it
+    starts when the spec has more than max_sets index sets."""
+    if spec.codim == 1:
         return decide_hyperplane(spec.annihilator.column(0))
     _check_set_budget(spec, max_sets)
     return _decide_general(spec)

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .errors import BoundsError, DimensionError, SingularMatrixError
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,13 +131,6 @@ class IndexSet:
         """All size-element subsets of {1..ambient} in lexicographic order."""
         for combo in itertools.combinations(range(1, ambient + 1), size):
             yield cls(combo, ambient)
-
-    def position(self, member: int) -> int:
-        """0-based position of a member within the set."""
-        try:
-            return self.members.index(member)
-        except ValueError:
-            raise BoundsError(f"{member} is not in {self}") from None
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -267,18 +258,6 @@ class Matrix:
         if len(index_set) == 0:
             raise DimensionError("cannot take zero rows")
         return Matrix._of([self._rows[k - 1] for k in index_set], self._den)
-
-    def replace_row(self, i: int, row: Sequence) -> "Matrix":
-        new_row = tuple(as_rational(x) for x in row)
-        if len(new_row) != self.cols:
-            raise DimensionError("replacement row has the wrong length")
-        if not 0 <= i < self.rows:
-            raise BoundsError(f"row {i} outside 0..{self.rows - 1}")
-        den = lcm(self._den, *(x.denominator for x in new_row))
-        scale = den // self._den
-        rows = [[x * scale for x in r] for r in self._rows]
-        rows[i] = [x.numerator * (den // x.denominator) for x in new_row]
-        return Matrix._of(rows, den)
 
     def transpose(self) -> "Matrix":
         return Matrix._of(list(zip(*self._rows)), self._den)
@@ -411,13 +390,6 @@ def nullspace_columns(matrix: Matrix) -> list[tuple[Fraction, ...]]:
 
 def vec_norm1(vector: Iterable) -> Fraction:
     return sum((abs(as_rational(x)) for x in vector), _ZERO)
-
-
-def vec_norm_inf(vector: Iterable) -> Fraction:
-    entries = [abs(as_rational(x)) for x in vector]
-    if not entries:
-        raise DimensionError("norm of an empty vector")
-    return max(entries)
 
 
 def op_norm_inf(matrix: Matrix) -> Fraction:

@@ -43,19 +43,14 @@ column.  The ratio test breaks ties to the smallest basic column.  A
 pivot is degenerate when its leaving row has rhs 0, so the objective
 does not move.  Dantzig's rule can cycle through degenerate pivots, so
 after more than _DEGENERATE_STREAK of them in a row the entering column
-follows Bland's smallest-index rule, for at most as many pivots again;
-if the stretch goes on, the two rules alternate with the allowance
-doubled each round.  A non-degenerate pivot returns to Dantzig's rule
-and the first allowance.  The Bland turn is bounded because Bland's rule,
-though it cannot cycle, can creep through thousands of degenerate
-pivots at a vertex that Dantzig's rule leaves in a few hundred.
+follows Bland's smallest-index rule until the next non-degenerate pivot,
+which returns to Dantzig's rule.
 
 The method terminates on every input.  Bland's rule never repeats a
-basis, so a Bland turn longer than the number of bases ends its
-degenerate stretch, and the doubling allowance reaches that length.
-Each non-degenerate pivot strictly lowers the objective, so no basis
-repeats across stretches.  Every choice is a fixed function of the
-block, so the answer is reproducible.
+basis (Bland 1977), and an artificial leaves at most once, so each Bland
+turn ends its degenerate stretch.  Each non-degenerate pivot strictly
+lowers the objective, so no basis repeats across stretches.  Every
+choice is a fixed function of the block, so the answer is reproducible.
 
 A solve ends at an optimum: when an entering column has no leaving row
 the problem is unbounded, which a Master's must not be, and the solve
@@ -97,7 +92,8 @@ _SENSES = (LESS, EQUAL, GREATER)
 
 _ZERO = Fraction(0)
 
-# degenerate pivots in a row after which Bland's rule takes its first turn
+# degenerate pivots in a row after which Bland's rule prices until the
+# next non-degenerate pivot
 _DEGENERATE_STREAK = 50
 
 
@@ -366,9 +362,9 @@ class Master:
         the module docstring.  Raises LpModelError when an entering
         column has no leaving row: the objective is unbounded below."""
         guard = 20000 + 200 * (self.nrows + self.ncols)
-        bland, span, run = False, _DEGENERATE_STREAK, 0  # run counts degenerate pivots
+        run = 0  # degenerate pivots in a row
         for _ in range(guard):
-            col = self._entering(bland)
+            col = self._entering(run > _DEGENERATE_STREAK)
             if col is None:
                 return
             row = self._leaving(col)
@@ -377,16 +373,12 @@ class Master:
                     f"column {col} enters with no leaving row: the master is unbounded"
                 )
             if self.block[row][self.nrows]:
-                bland, span, run = False, _DEGENERATE_STREAK, 0
+                run = 0
             else:
                 self.degenerate_pivots += 1
                 run += 1
-                if run > span:
-                    if bland:
-                        span *= 2
-                    else:
-                        self.bland_fallbacks += 1
-                    bland, run = not bland, 0
+                if run == _DEGENERATE_STREAK + 1:
+                    self.bland_fallbacks += 1
             self._pivot(row, col)
         raise InternalConsistencyError("simplex did not terminate inside its guard")
 

@@ -7,9 +7,9 @@ absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible, and written once, in _Layout:
-minimal_projection_program, the duals of the cut loop and of the
-hyperplane closed form, and the certificate's point all index through
-it.
+minimal_projection_program, the duals of the cut loop, of the
+hyperplane closed form and of a constant of 1, and the certificate's
+point all index through it.
 
 Each index set S whose block F_S is invertible gives the right inverse
 Y_S, equal to F_S^{-T} on the rows of S and zero elsewhere, and the
@@ -46,19 +46,16 @@ otherwise, and on the row-sum row of i; the F^T Y = I rows get nu with
 F nu = -G, G_i = sum mu F^T sigma over the cuts on row i, solved on the
 rows of S.  The master's dual constraints give K^T G = 0, so this nu
 solves every row and prices each Y_ik to 0.  When t = 1 that dual can
-fall short of 1, so the rank-one dual is used instead: Z = e_k v^T / v_k
-for the column v of K at the first coordinate off S and k the first
-index of its largest entry, nu = 0, split over the rows as below.  The
-certificate carries the master's LpStats.
+fall short of 1, so the loop returns none and _certificate writes the
+rank-one dual below.  The certificate carries the master's LpStats.
 
-For a hyperplane (m = 1, F a single column f) the optimal y and an
-optimal dual of the same program are written down directly (Blatter and
-Cheney 1974) and the cut loop does not run.  Let g_i = |f_i| / |f|_1 and
+For a hyperplane (m = 1, F a single column f) the optimal y and, for a
+constant above 1, an optimal dual of the same program are written down
+directly (Blatter and Cheney 1974) and the cut loop does not run.  Let g_i = |f_i| / |f|_1 and
 s_i the sign of f_i (+1 when f_i = 0).
 
-* Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1.
-  The dual certificate is Z = e_k (e_k - (f_k / f_p) e_p)^T with nu = 0,
-  k the first index other than p.
+* Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1,
+  proved by the rank-one dual below.
 * Otherwise, with c = 1 / sum_i g_i / (1 - 2 g_i), the constant is
   1 + c, attained by y_i = s_i c / ((1 - 2 g_i) |f|_1).  The dual is
   nu = c and Z with a_i = c g_i / (1 - 2 g_i) on the diagonal and
@@ -70,10 +67,14 @@ is nu + trace Z.  Z_ij is split over the rows P_ij <= T_ij and
 -P_ij <= T_ij as -max(Z_ij, 0) and -max(-Z_ij, 0), and row i of the
 row-sum block gets -max_j |Z_ij|.
 
-Both routes return the right inverse Y, the optimum they claim and the
-duals.  One writer, _certificate, forms P = I - Y F^T once, checks that
-its norm is the claim and at least 1, and writes the point (Y, T = |P|
-entrywise, t) of the program.  The certificate is an ordinary
+Both routes return the right inverse Y, the optimum they claim and,
+for a claim above 1, the duals.  One writer, _certificate, forms
+P = I - Y F^T once, checks that its norm is the claim and at least 1,
+and writes the point (Y, T = |P| entrywise, t) of the program.  For a
+claim of 1 it writes the rank-one dual too: nu = 0 and Z = e_k v^T / v_k
+for v the first nonzero column of P, which lies in V, and k the first
+index of its largest entry, so Z F = 0, trace Z = 1 and every entry of
+Z is at most 1 in absolute value.  The certificate is an ordinary
 LpSolution, so lp.verify_certificate checks either route's answer the
 same way.  crosscheck runs the cut loop on hyperplanes too and writes
 its answer with the same writer, to check the closed form against it."""
@@ -258,11 +259,12 @@ def _signed_sum(scaled: tuple[list[int], int], sign) -> Fraction:
 
 def _cut_loop(
     spec: SubspaceSpec, index_set: IndexSet
-) -> tuple[Matrix, Fraction, tuple, LpStats, int, int]:
-    """The optimal right inverse Y, the optimum t and an optimal dual of
-    minimal_projection_program(spec) by delayed sign-vector cuts from the
-    coordinate projection of index_set, with the master's LpStats and the
-    number of master solves and of cuts (see the module docstring)."""
+) -> tuple[Matrix, Fraction, Optional[tuple], LpStats, int, int]:
+    """The optimal right inverse Y, the optimum t and, when t > 1, an
+    optimal dual of minimal_projection_program(spec) by delayed
+    sign-vector cuts from the coordinate projection of index_set, with
+    the master's LpStats and the number of master solves and of cuts
+    (see the module docstring)."""
     n, m = spec.ambient, spec.codim
     ft = spec.annihilator.transpose()
     f_cols = [common_denominator(ft.row(k)) for k in range(m)]
@@ -334,16 +336,15 @@ def _cut_loop(
         seen.update(new)
         master.append(*add(new))
 
-    lay = _Layout(n, m)
-    if t == 1:
-        duals = _rank_one_duals(lay, [row[off[0]] for row in p_rows])
-    else:
+    duals = None
+    if t > 1:
         members = [member - 1 for member in index_set]
-        duals = _cut_duals(lay, f_cols, y_s, members, zip(cuts, solution.x))
-    return y_s + k_mat @ w, t, tuple(duals), solution.stats, rounds, len(cuts)
+        weighted = zip(cuts, solution.x)
+        duals = tuple(_cut_duals(_Layout(n, m), f_cols, y_s, members, weighted))
+    return y_s + k_mat @ w, t, duals, solution.stats, rounds, len(cuts)
 
 
-def _rank_one_duals(lay: _Layout, v: list[Fraction]) -> list[Fraction]:
+def _rank_one_duals(lay: _Layout, v: tuple[Fraction, ...]) -> list[Fraction]:
     """The duals of Z = e_k v^T / v_k and nu = 0 for v in V and k the
     first index of its largest entry: they prove the bound 1."""
     duals = [_ZERO] * lay.nrows
@@ -385,46 +386,38 @@ def _cut_duals(
     return duals
 
 
-def _hyperplane_solution(annihilator: Matrix) -> tuple[Matrix, Fraction, tuple]:
-    """The optimal right inverse y, the constant and an optimal dual of
-    minimal_projection_program for the single annihilator column, in
-    closed form (see the module docstring)."""
+def _hyperplane_solution(
+    annihilator: Matrix,
+) -> tuple[Matrix, Fraction, Optional[tuple]]:
+    """The optimal right inverse y, the constant and, when it is above 1,
+    an optimal dual of minimal_projection_program for the single
+    annihilator column, in closed form (see the module docstring)."""
     f = annihilator.column(0)
     n = len(f)
     sizes = [abs(v) for v in f]
     norm = sum(sizes, _ZERO)
     signs = [-1 if v < 0 else 1 for v in f]
     p = next((i for i, a in enumerate(sizes) if 2 * a >= norm), None)
-    lay = _Layout(n, 1)
     y = [_ZERO] * n
-    duals = [_ZERO] * lay.nrows
     if p is not None:
-        constant = _ONE
         y[p] = 1 / f[p]
-        # Z = e_k (e_k - (f_k / f_p) e_p)^T; its largest entry is the 1
-        # on the diagonal, since |f_k| <= |f_p|
-        k = 1 if p == 0 else 0
-        z = f[k] / f[p]
-        duals[lay.upper_row(k, k)] = -_ONE
-        if z:
-            duals[lay.lower_row(k, p) if z > 0 else lay.upper_row(k, p)] = -abs(z)
-        duals[lay.sum_row(k)] = -_ONE
-    else:
-        weights = [a / (norm - 2 * a) for a in sizes]  # g / (1 - 2g)
-        nu = 1 / sum(weights, _ZERO)
-        constant = 1 + nu
-        duals[lay.identity_row(0, 0)] = nu
-        for i, (w, s, a) in enumerate(zip(weights, signs, sizes)):
-            y[i] = s * nu / (norm - 2 * a)
-            if not w:
-                continue
-            # row i of Z: a_i = nu w_i on the diagonal, -a_i s_i s_j off it
-            e = -nu * w
-            for j, t in enumerate(signs):
-                row = lay.upper_row(i, j) if j == i or t != s else lay.lower_row(i, j)
-                duals[row] = e
-            duals[lay.sum_row(i)] = e
-    return Matrix.column_vector(y), constant, tuple(duals)
+        return Matrix.column_vector(y), _ONE, None
+    lay = _Layout(n, 1)
+    duals = [_ZERO] * lay.nrows
+    weights = [a / (norm - 2 * a) for a in sizes]  # g / (1 - 2g)
+    nu = 1 / sum(weights, _ZERO)
+    duals[lay.identity_row(0, 0)] = nu
+    for i, (w, s, a) in enumerate(zip(weights, signs, sizes)):
+        y[i] = s * nu / (norm - 2 * a)
+        if not w:
+            continue
+        # row i of Z: a_i = nu w_i on the diagonal, -a_i s_i s_j off it
+        e = -nu * w
+        for j, t in enumerate(signs):
+            row = lay.upper_row(i, j) if j == i or t != s else lay.lower_row(i, j)
+            duals[row] = e
+        duals[lay.sum_row(i)] = e
+    return Matrix.column_vector(y), 1 + nu, tuple(duals)
 
 
 def projection_constant(
@@ -460,14 +453,15 @@ def _certificate(
     spec: SubspaceSpec,
     right_inverse: Matrix,
     claimed: Fraction,
-    duals: tuple,
+    duals: Optional[tuple],
     stats: Optional[LpStats],
 ) -> tuple[Matrix, LpSolution]:
     """The projection P = I - Y F^T of the right inverse Y and the
     certificate for minimal_projection_program(spec) that the point
-    (Y, T = |P| entrywise, t = claimed) and duals make, carrying stats.
-    Raises InternalConsistencyError unless the norm of P is claimed and
-    at least 1."""
+    (Y, T = |P| entrywise, t = claimed) and duals make, carrying stats;
+    a claim of 1 gets the rank-one dual of the module docstring in
+    place of duals.  Raises InternalConsistencyError unless the norm of
+    P is claimed and at least 1."""
     n, m = spec.ambient, spec.codim
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
     if op_norm_inf(projection) != claimed:
@@ -484,6 +478,9 @@ def _certificate(
         for j, v in enumerate(projection.row(i)):
             x[lay.t(i, j)] = abs(v)
     x[lay.scalar] = claimed
+    if claimed == 1:
+        v = next(c for c in map(projection.column, range(n)) if any(c))
+        duals = tuple(_rank_one_duals(lay, v))
     certificate = LpSolution(tuple(x), claimed, duals, stats)
     return projection, certificate
 

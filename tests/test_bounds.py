@@ -266,11 +266,16 @@ class TestPrunedBounds:
 class TestSetBudget:
     def test_library_refuses_before_the_scan(self, monkeypatch):
         # the budget is inclusive: the 30 sets at (30, 1) pass a budget
-        # of 30 and fail one of 29
+        # of 30 and fail one of 29; decide takes the closed form at m = 1,
+        # so its scan is held to the budget at (8, 2), C(8, 2) = 28
         line = random_instance(random.Random(1), 30, 1).to_spec()
         assert best_upper_bound(line, max_sets=30) == best_upper_bound(line)
         with pytest.raises(SetBudgetError, match="C\\(30, 1\\) = 30 index sets"):
-            decide_isometric(line, mode="general", max_sets=29)
+            best_upper_bound(line, max_sets=29)
+        plane = random_instance(random.Random(1), 8, 2).to_spec()
+        assert decide_isometric(plane, max_sets=28) == decide_isometric(plane)
+        with pytest.raises(SetBudgetError, match="C\\(8, 2\\) = 28 index sets"):
+            decide_isometric(plane, max_sets=27)
         # C(30, 15) sets: decide, bounds and the start scan of
         # projection_constant raise SetBudgetError without walking a set
 

@@ -76,7 +76,6 @@ class TestSubspaceSpec:
     def test_dimensions(self):
         assert EXAMPLE.ambient == 3
         assert EXAMPLE.codim == 2
-        assert EXAMPLE.dim == 1
 
     def test_vector_annihilator_becomes_column(self):
         spec = subspace_from_annihilator([1, 1, 2])
@@ -185,7 +184,7 @@ class TestCanonicalFamily:
                 block = spec.annihilator.take_rows(index_set).to_lists()
                 base = laplace_det(block)
                 for k in index_set.members:
-                    pos = index_set.position(k)
+                    pos = index_set.members.index(k)
                     for i in range(1, spec.ambient + 1):
                         patched = [row[:] for row in block]
                         patched[pos] = list(spec.annihilator.row(i - 1))
@@ -419,7 +418,7 @@ class TestExchangeScan:
         report = bounds.best_upper_bound(spec, materialize=True)
         assert len(report.per_set) > 40
         assert calls == []
-        verdict = decide.decide_isometric(spec, mode="general")
+        verdict = decide._decide_general(spec)
         assert verdict.sets_examined > 1
         assert calls == ([verdict.witness.index_set] if verdict.verdict else [])
 

@@ -56,10 +56,6 @@ class TestDecide:
         assert "verdict: not isometric" in out
         assert "witness" not in out
 
-    def test_general_mode(self, accepting, capsys):
-        assert main(["decide", accepting, "--mode", "general"]) == 0
-        assert "method: general" in capsys.readouterr().out
-
     def test_json_payload(self, accepting, capsys):
         assert main(["decide", accepting, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -418,7 +414,7 @@ class TestParserReuse:
         runs = [
             ["decide", accepting],
             ["projconst", rejecting, "--json"],
-            ["decide", accepting, "--mode", "closed"],  # argparse refuses it
+            ["decide", accepting, "--max-sets", "many"],  # argparse refuses it
             ["bounds", rejecting, "--per-set"],
             ["gen", "--seed", "3", "--n", "4", "--m", "2"],
             ["crosscheck", "--seed", "2", "--count", "3"],

@@ -12,6 +12,7 @@ from linfiso.decide import (
     DecisionMethod,
     DecisionReport,
     Witness,
+    _decide_general,
     decide_by_minors,
     decide_hyperplane,
     decide_isometric,
@@ -90,7 +91,7 @@ class TestHyperplane:
             ambient = rng.randint(2, 6)
             spec = random_annihilator(rng, ambient, 1)
             fast = decide_isometric(spec)
-            slow = decide_isometric(spec, mode="general")
+            slow = _decide_general(spec)
             assert fast.method is DecisionMethod.HYPERPLANE
             assert slow.method is DecisionMethod.GENERAL
             assert fast.verdict == slow.verdict
@@ -124,7 +125,7 @@ class TestPairMinors:
             ambient = rng.randint(3, 6)
             spec = random_annihilator(rng, ambient, 2)
             fast = decide_by_minors(spec)
-            slow = decide_isometric(spec, mode="general")
+            slow = _decide_general(spec)
             assert fast.verdict == slow.verdict
             assert fast.sets_examined == slow.sets_examined
             if fast.verdict:
@@ -140,7 +141,7 @@ class TestGeneralScan:
             ambient = rng.randint(3, 6)
             codim = rng.randint(1, min(3, ambient - 1))
             spec = random_annihilator(rng, ambient, codim)
-            report = decide_isometric(spec, mode="general")
+            report = _decide_general(spec)
             if report.verdict:
                 fam = canonical_family(spec, report.witness.index_set)
                 assert fam == report.witness.family
@@ -159,7 +160,7 @@ class TestGeneralScan:
             ambient = rng.randint(3, 5)
             codim = rng.randint(1, min(2, ambient - 1))
             spec = random_annihilator(rng, ambient, codim)
-            report = decide_isometric(spec, mode="general")
+            report = _decide_general(spec)
             if not report.verdict:
                 continue
             for index_set, _ in admissible_sets(spec):
@@ -171,14 +172,9 @@ class TestGeneralScan:
     def test_full_kernel_of_coordinate_functionals(self):
         # the subspace spanned by e_4 inside Q^4: trivially a sup-norm cube
         spec = subspace_from_annihilator([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.verdict is True
         assert report.witness.index_set.members == (1, 2, 3)
-
-    def test_mode_validation(self):
-        spec = subspace_from_annihilator([1, 1, 2])
-        with pytest.raises(ValueError):
-            decide_isometric(spec, mode="fastest")
 
 
 def decision_from_ratios(spec):
@@ -200,15 +196,13 @@ class TestIntegerInequalities:
 
     def test_norm_exactly_two_accepts(self):
         # m = 1: {3} has the vector (1/2, 1/2, 1), 1-norm 2
-        report = decide_isometric(subspace_from_annihilator([1, 1, 2]), mode="general")
+        report = _decide_general(subspace_from_annihilator([1, 1, 2]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((3,), 3)
         assert report.witness.norms == {3: F(2)}
         assert report.sets_examined == 3
         # m = 2: both vectors of {1,2} are columns of F, 1-norm 2 each
-        report = decide_isometric(
-            subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]), mode="general"
-        )
+        report = _decide_general(subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 2), 3)
         assert report.witness.norms == {1: F(2), 2: F(2)}
@@ -218,7 +212,7 @@ class TestIntegerInequalities:
         # {3} has the vector (100/199, 100/199, 1), 1-norm 2 + 1/199
         spec = subspace_from_annihilator([100, 100, 199])
         assert canonical_family(spec, IndexSet((3,), 3)).norms() == {3: F(399, 199)}
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report == DecisionReport(False, None, 3, DecisionMethod.GENERAL)
         # m = 2: the vector of member 1 at {1,2} is (1, 0, 201/200), 1-norm
         # 2 + 1/200, so {1,2} and {1,3} fail and {2,3} is the witness
@@ -227,7 +221,7 @@ class TestIntegerInequalities:
             1: F(401, 200),
             2: F(2),
         }
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.witness.index_set == IndexSet((2, 3), 3)
         assert report.witness.norms == {2: F(401, 201), 3: F(401, 201)}
         assert report.sets_examined == 3
@@ -236,7 +230,7 @@ class TestIntegerInequalities:
     def test_negative_common_witness(self):
         spec = subspace_from_annihilator(NEGATIVE_COMMON)
         assert set_denominators(spec) == [1, -27, 4]
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 3), 3)
         assert report.witness.norms == {1: F(31, 27), 3: F(28, 27)}
@@ -253,7 +247,7 @@ class TestIntegerInequalities:
                 random_spec(rng, ambient, codim),
                 degenerate_spec(rng, ambient, codim),
             ):
-                report = decide_isometric(spec, mode="general")
+                report = _decide_general(spec)
                 assert report == decision_from_ratios(spec)
                 accepted += report.verdict
                 negative += any(d < 0 for d in set_denominators(spec))
@@ -271,7 +265,7 @@ class TestPrefixCandidates:
         walked = residual_rows(spec)
         assert walked[(1,)] == [0, 0, -4, 4]
         assert canonical_family(spec, IndexSet((2, 4), 4)).norms() == {2: F(2), 4: F(2)}
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.witness.index_set == IndexSet((2, 3), 4)
         assert report.witness.norms == {2: F(2), 3: F(2)}
         assert report.sets_examined == 3  # {1,3}, {1,4}, {2,3}; {1,2} is singular
@@ -285,7 +279,7 @@ class TestPrefixCandidates:
         assert all(
             v <= 2 for v in canonical_family(spec, IndexSet((1, 3, 5), 5)).norms().values()
         )
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.witness.index_set == IndexSet((1, 3, 4), 5)
         assert report.witness.norms == {1: F(1), 3: F(2), 4: F(2)}
         assert report.sets_examined == 3
@@ -296,7 +290,7 @@ class TestPrefixCandidates:
         spec = subspace_from_annihilator([[1, 0], [0, 1], [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]])
         walked = residual_rows(spec)
         assert walked[(0,)] == [0, 6, 2, 4]
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report.witness.index_set == IndexSet((1, 2), 4)
         assert report.witness.norms == {1: F(2), 2: F(2)}
         assert report.sets_examined == 1
@@ -308,7 +302,7 @@ class TestPrefixCandidates:
         walked = residual_rows(spec)
         assert walked[(0,)] == [0, 600, 200, 402]
         assert canonical_family(spec, IndexSet((1, 2), 4)).norms() == {1: F(2), 2: F(601, 300)}
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report == DecisionReport(False, None, 6, DecisionMethod.GENERAL)
         assert report == decision_from_ratios(spec)
 
@@ -317,7 +311,7 @@ class TestPrefixCandidates:
         spec = subspace_from_annihilator(
             [[1, 2, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [2, 1, -1]]
         )
-        report = decide_isometric(spec, mode="general")
+        report = _decide_general(spec)
         assert report == DecisionReport(False, None, 7, DecisionMethod.GENERAL)
         assert report == decision_from_ratios(spec)
 
@@ -329,7 +323,7 @@ class TestPrefixCandidates:
             codim = rng.randint(1, min(5, ambient - 1))
             for make in (rational_spec, degenerate_spec):
                 spec = make(rng, ambient, codim)
-                report = decide_isometric(spec, mode="general")
+                report = _decide_general(spec)
                 assert report == decision_from_ratios(spec)
                 accepted += report.verdict
         assert 10 < accepted < 50  # both verdicts were exercised

@@ -80,7 +80,7 @@ def mutations(draw, lines):
 )
 @given(
     text=instance_texts(),
-    argv=st.sampled_from([["decide"], ["decide", "--mode", "general", "--json"],
+    argv=st.sampled_from([["decide"], ["decide", "--json"],
                           ["bounds"], ["bounds", "--per-set", "--json"]]),
 )
 def test_cli_never_raises(text, argv):

@@ -7,7 +7,9 @@ import pytest
 from linfiso import _kernels
 from linfiso.canonical import subspace_from_annihilator
 from linfiso.errors import LpModelError
+from linfiso.instances import random_instance
 from linfiso.lp import (
+    _DEGENERATE_STREAK,
     LpProblem,
     LpSolution,
     Master,
@@ -244,6 +246,39 @@ class TestMaster:
         )
         assert verify_certificate(whole, sol)
         assert sol.stats.bland_fallbacks >= 1
+
+    def test_bland_turn_lasts_to_the_end_of_its_stretch(self, monkeypatch):
+        # Bland's rule prices exactly the pivots that follow more than
+        # _DEGENERATE_STREAK degenerate ones in a row of one solve; a
+        # stretch of the seed-2 (8, 4) cut loop runs past twice that
+        pivots = []  # [Bland's rule, degenerate] per pivot; None ends a solve
+        entering, leaving = Master._entering, Master._leaving
+
+        def priced(self, bland):
+            col = entering(self, bland)
+            pivots.append(None if col is None else [bland])
+            return col
+
+        def left(self, col):
+            row = leaving(self, col)
+            pivots[-1].append(not self.block[row][self.nrows])
+            return row
+
+        monkeypatch.setattr(Master, "_entering", priced)
+        monkeypatch.setattr(Master, "_leaving", left)
+        result = projection_constant(random_instance(random.Random(2), 8, 4).to_spec())
+        run = longest = 0
+        for pivot in pivots:
+            if pivot is None:
+                run = 0
+                continue
+            bland, degenerate = pivot
+            assert bland == (run > _DEGENERATE_STREAK)
+            run = run + 1 if degenerate else 0
+            longest = max(longest, run)
+        assert longest > 2 * _DEGENERATE_STREAK + 1
+        assert result.certificate.stats.bland_fallbacks == 1
+        assert verify_certificate(result.program, result.certificate)
 
     @staticmethod
     def exchange_pivots(monkeypatch):

@@ -1,10 +1,12 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from linfiso.bounds import best_upper_bound, distance_bound_for_set
+from linfiso import projection
 from linfiso.canonical import (
     admissible_sets,
     canonical_family,
@@ -215,6 +217,16 @@ class TestHyperplaneClosedForm:
                 assert result.constant == hyperplane_projection_constant(f)
             kinds.add(result.constant == 1)
         assert kinds == {True, False}
+
+    def test_rank_one_dual_at_tied_halves(self):
+        # |f_p| = |f_q| = |f|_1 / 2: the first nonzero column of P has two
+        # entries of the largest size, and the rank-one dual takes the first
+        for f in ([1, -1], [2, 2, 0], [0, 3, -3], [F(1, 2), 0, F(-1, 2)]):
+            result = projection_constant(subspace_from_annihilator(f))
+            assert result.constant == 1
+            assert verify_certificate(result.program, result.certificate)
+            lay = _Layout(len(f), 1)
+            assert result.certificate.duals[lay.identity_row(0, 0)] == 0
 
     def test_codimension_two_uses_the_lp(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1], [1, -1]])
@@ -461,6 +473,10 @@ class TestCutLoop:
         ),
         (20, 5, 3, False): (F(32, 27), 7, 32, 24, 21, 0),
         (28, 4, 2, False): (F(9396, 7211), 6, 18, 17, 13, 0),
+        # a Bland turn that runs to the end of its degenerate stretch
+        (2, 8, 4, False): (
+            F(439003249689383, 299756505533938), 13, 88, 278, 187, 1
+        ),
     }
 
     def test_pinned_master_pivots(self):
@@ -484,6 +500,30 @@ class TestCutLoop:
             assert not any(duals[: lay.upper_row(0, 0)])
             sums = duals[lay.sum_row(0) :]
             assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
+
+    def test_rank_one_dual_written_only_by_the_certificate(self, monkeypatch):
+        # lambda = 1 on either route: the route returns no duals and
+        # _certificate writes the rank-one dual, once per result; a
+        # constant above 1 writes none
+        callers = []
+        real = projection._rank_one_duals
+
+        def counted(lay, v):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(lay, v)
+
+        monkeypatch.setattr(projection, "_rank_one_duals", counted)
+        seen = set()
+        for spec in (subspace_from_annihilator([1, 1, 2]), ANCHOR, *cut_specs()):
+            before = len(callers)
+            result = projection_constant(spec)
+            assert verify_certificate(result.program, result.certificate)
+            assert len(callers) - before == (result.constant == 1)
+            seen.add((result.method, result.constant == 1))
+        assert set(callers) == {"_certificate"}
+        assert seen == {
+            ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
+        }
 
 
 class TestCertificatePoint:
