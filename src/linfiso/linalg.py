@@ -153,7 +153,9 @@ class Matrix:
     form is unique, so == and hash compare it directly.  Arithmetic runs
     on the integers and reduces each result once; the entries come out
     as Fractions, built once and kept, at [], row, column, to_lists and
-    repr.  The constructor keeps the Fractions it was given."""
+    repr, and integers() hands out the integer rows and the denominator
+    as held, for callers that work in integers.  The constructor keeps
+    the Fractions it was given."""
 
     __slots__ = ("_rows", "_den", "_entries")
 
@@ -250,6 +252,11 @@ class Matrix:
         if not 0 <= j < self.cols:
             raise BoundsError(f"column {j} outside 0..{self.cols - 1}")
         return tuple(row[j] for row in self._fractions())
+
+    def integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The integer rows and the positive denominator the matrix is
+        held as, in lowest terms: entry (i, j) is rows[i][j] / den."""
+        return self._rows, self._den
 
     def take_rows(self, index_set: IndexSet) -> "Matrix":
         """Rows named by the 1-based members of index_set, in their order."""

@@ -22,20 +22,30 @@ so the point stays feasible and the argument below holds.  Its row is
 kept: a later column may load it.
 
 A Master runs the revised simplex in integers (Dantzig and Orchard-Hays
-1954; Bareiss 1968).  It keeps no LpProblem: the first problem's rows
-are turned into columns once, and each column and its cost, the first
-ones and every appended one, are scaled to integers by the lcm s of
-their denominators, and the rhs by its own.  Only the block
-[R, R b; r, -z] is kept, over the determinant det of the basis:
-R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of cost
-c by d = c det + r . a, s det times its reduced cost, computes R a, and
-pivots the block with _kernels.pivot, the fraction-free exchange on
-integer rows: its division by det is exact, and det, the pivot entry,
-can be negative, so comparisons take its sign.  A scale divides a price
-and a row's ratios alike, so the pivots are those of the rational
-tableau.  The optimum is read from the integer costs and the block: the
-sum of c_j s_j (R b)_i over the structural columns j basic in row i,
-over det times the rhs scale.
+1954; Bareiss 1968).  It keeps no LpProblem.  Its columns arrive through
+Master.insert as integers: (rows, ints, cost, s) stands for a column
+with ints[r] / s in row rows[r] and cost cost / s, rows in increasing
+order, no entry 0, and s the lcm of the denominators of the cost and the
+entries in lowest terms, so gcd(s, cost, *ints) = 1.  The rational
+front ends, the constructor from an LpProblem and append, scale each
+column and its cost so and hand them to insert; Master.of_rows starts a
+master from its rows alone, for a caller that writes the integer columns
+itself, as projection's cut loop does.  The rhs is scaled by its own
+lcm.  Only the block [R, R b; r, -z] is kept, over the determinant det
+of the basis: R = det B^-1, r = -det c_B B^-1.  A pivot prices each
+column a of cost c by d = c det + r . a, s det times its reduced cost,
+computes R a, and pivots the block with _kernels.pivot, the
+fraction-free exchange on integer rows: its division by det is exact,
+and det, the pivot entry, can be negative, so comparisons take its
+sign.  A scale divides a price and a row's ratios alike, so the pivots
+are those of the rational tableau, and a scale in lowest terms keeps
+the block's integers those of the rational front ends.  The optimum is
+read from the integer costs and the block: the sum of c_j s_j (R b)_i
+over the structural columns j basic in row i, over det times the rhs
+scale.  The row duals are the cost row r times -phi, over det;
+Master.integer_duals gives them as integers over |det|, which solve
+turns into Fractions and a caller that works in integers reads as they
+are.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
@@ -75,7 +85,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -161,10 +171,8 @@ def _sparse_row(
     row = []
     prev = -1
     for j, a in pairs:
-        if not (isinstance(j, int) and 0 <= j < n):
-            raise LpModelError(f"{index} {j!r} outside 0..{n - 1}")
-        if j <= prev:
-            raise LpModelError(f"{index} {j} repeated or out of order")
+        if not (isinstance(j, int) and prev < j < n):
+            _refuse_index(j, n, index)
         prev = j
         a = as_rational(a)
         if a:
@@ -172,12 +180,29 @@ def _sparse_row(
     return tuple(row)
 
 
+def _refuse_index(j, n: int, index: str) -> None:
+    """Raise for an index j that is not an int above the one before it
+    and below n: outside 0..n - 1, or else repeated or out of order."""
+    if not (isinstance(j, int) and 0 <= j < n):
+        raise LpModelError(f"{index} {j!r} outside 0..{n - 1}")
+    raise LpModelError(f"{index} {j} repeated or out of order")
+
+
+def _integer_column(cost: Fraction, pairs) -> tuple:
+    """A column of (row, nonzero Fraction) pairs and its cost in the form
+    Master.insert takes: (rows, ints, cost, scale) over the lcm scale of
+    their denominators."""
+    s = lcm(cost.denominator, *(a.denominator for _, a in pairs))
+    ints = tuple(a.numerator * (s // a.denominator) for _, a in pairs)
+    return tuple(i for i, _ in pairs), ints, cost.numerator * s // cost.denominator, s
+
+
 @dataclass(frozen=True)
 class LpStats:
     """Counters of a Master's solves so far.
 
     rows and cols are those of the tableau the master stands for after
-    the last append: its constraint rows, and its structural, slack and
+    the last insert: its constraint rows, and its structural, slack and
     artificial columns and the rhs column.  pivots counts every pivot of
     every solve; degenerate pivots are those whose leaving row had rhs 0,
     and bland_fallbacks counts the turns in which Bland's rule priced
@@ -218,31 +243,59 @@ class Master:
     """A problem solved, then extended by columns and solved again from
     the basis the last solve ended at, without phase 1 (see the module
     docstring).  Every variable must be nonnegative, and every row that
-    needs an artificial must have rhs 0, or the constructor raises
-    LpModelError; the objective must be bounded below, or solve(master)
-    raises it.  The problem's rows are turned into columns once and no
-    LpProblem is kept: the solutions of solve(master) verify on the
-    problem with the appended columns as its last variables.  Columns
-    are numbered structural (in order of arrival), slacks, then
-    artificials, which never enter.  columns holds the structural ones
-    times each row's phi, then the slacks, as (rows, integers, cost,
-    scale)."""
+    needs an artificial must have rhs 0, or the constructor (or of_rows)
+    raises LpModelError; the objective must be bounded below, or
+    solve(master) raises it.  The problem's rows are turned into columns
+    once and no LpProblem is kept: the solutions of solve(master) verify
+    on the problem with the inserted columns as its last variables.
+    Every column, from the constructor, append or insert, goes through
+    insert in the integer form (rows, ints, cost, scale) of the module
+    docstring, with the same checks.  Columns are numbered structural
+    (in order of arrival), slacks, then artificials, which never enter.
+    columns holds the structural ones times each row's phi, then the
+    slacks, in that form.  integer_duals reads the row duals of the
+    current basis as integers over |det|."""
 
     def __init__(self, problem: LpProblem):
-        self.started = time.perf_counter()
-        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
         if any(lo != 0 for lo in problem.lower):
             raise LpModelError("a master's variables must be nonnegative")
-        self.nrows = nrows = problem.nrows
-        self.rhs_scale = lcm(*(b.denominator for b in problem.rhs))
+        self._start(problem.senses, problem.rhs)
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in problem.objective]
+        for i, row in enumerate(problem.rows):
+            for j, a in row:
+                columns[j].append((i, a))
+        self.append(problem.objective, columns)
+        self.built = time.perf_counter()
+
+    @classmethod
+    def of_rows(cls, senses: Sequence[str], rhs: Sequence) -> "Master":
+        """A master with the rows senses and rhs and no columns yet;
+        insert gives it columns.  The row checks are the constructor's."""
+        master = cls.__new__(cls)
+        master._start(senses, rhs)
+        master.built = time.perf_counter()
+        return master
+
+    def _start(self, senses: Sequence[str], rhs: Sequence) -> None:
+        """The rows: phi, the slacks, and the start basis of slacks and
+        artificials, with no structural column yet."""
+        self.started = time.perf_counter()
+        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
+        rhs = [as_rational(b) for b in rhs]
+        if len(senses) != len(rhs):
+            raise LpModelError("senses and rhs lengths differ")
+        self.nrows = nrows = len(rhs)
+        self.rhs_scale = lcm(*(b.denominator for b in rhs))
         self.block = [
             [int(k == i) for k in range(nrows)] + [0] for i in range(nrows + 1)
         ]
         self.det = 1
         self.columns: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
         self.phi, self.basis = [], []  # per row: phi, the basic column
-        self.ncols = sum(sense != EQUAL for sense in problem.senses) + 1
-        for i, (sense, b) in enumerate(zip(problem.senses, problem.rhs)):
+        self.ncols = sum(sense != EQUAL for sense in senses) + 1
+        for i, (sense, b) in enumerate(zip(senses, rhs)):
+            if sense not in _SENSES:
+                raise LpModelError(f"unknown sense {sense!r}")
             # phi, and the slack's coefficient times phi (0 on ==)
             phi = -1 if b < 0 or (b == 0 and sense == GREATER) else 1
             slack = 0 if sense == EQUAL else phi if sense == LESS else -phi
@@ -256,42 +309,59 @@ class Master:
             self.basis.append(self.ncols - 1 if needs_art else len(self.columns) - 1)
             self.ncols += needs_art
             self.block[i][nrows] = phi * b.numerator * self.rhs_scale // b.denominator
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in problem.objective]
-        for i, row in enumerate(problem.rows):
-            for j, a in row:
-                columns[j].append((i, a))
         self.nstruct = 0
-        self._insert(problem.objective, columns)
         self.start_bits = self._bits()
-        self.built = time.perf_counter()
 
     def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
         """Add one nonnegative variable per column, with the given costs;
         columns are (row, coefficient) pairs in increasing row order,
-        checked like a row of LpProblem.build().  A refused append leaves
-        the master as it was."""
+        checked like a row of LpProblem.build().  Each column and its cost
+        go to insert as integers over the lcm of their denominators.  A
+        refused append leaves the master as it was."""
         costs = [as_rational(c) for c in objective]
         if len(costs) != len(columns):
             raise LpModelError("objective and columns lengths differ")
-        self._insert(costs, [_sparse_row(col, self.nrows, "row") for col in columns])
+        self.insert(
+            [
+                _integer_column(c, _sparse_row(col, self.nrows, "row"))
+                for c, col in zip(costs, columns)
+            ]
+        )
 
-    def _insert(self, costs, columns) -> None:
-        """Scale each column, (row, nonzero coefficient) pairs, and its
-        cost to integers, times each row's phi, and number the columns
-        after the structural ones held, before the slacks."""
-        first, width = self.nstruct, len(columns)
+    def insert(self, columns: Sequence[tuple]) -> None:
+        """Add one nonnegative variable per column, given as integers
+        (rows, ints, cost, scale): the column has ints[r] / scale in row
+        rows[r] and cost cost / scale, the rows are in increasing order,
+        no entry is 0, and scale > 0 is the lcm of the denominators of
+        the cost and the entries in lowest terms, so gcd(scale, cost,
+        *ints) = 1.  The columns are stored times each row's phi and
+        numbered after the structural ones held, before the slacks.  A
+        refused insert leaves the master as it was."""
         new = []
-        for column, c in zip(columns, costs):
-            s = lcm(c.denominator, *(a.denominator for _, a in column))
-            ints = tuple(
-                self.phi[i] * a.numerator * (s // a.denominator) for i, a in column
-            )
-            rows = tuple(i for i, _ in column)
-            new.append((rows, ints, c.numerator * s // c.denominator, s))
+        for rows, ints, cost, scale in columns:
+            prev = -1
+            for i in rows:
+                if not (isinstance(i, int) and prev < i < self.nrows):
+                    _refuse_index(i, self.nrows, "row")
+                prev = i
+            if len(ints) != len(rows) or not all(ints):
+                raise LpModelError("a column needs one nonzero integer per row")
+            if scale <= 0 or gcd(scale, cost, *ints) != 1:
+                raise LpModelError("a column's scale must be its lcm in lowest terms")
+            ints = tuple(self.phi[i] * a for i, a in zip(rows, ints))
+            new.append((tuple(rows), ints, cost, scale))
+        first, width = self.nstruct, len(new)
         self.columns[first:first] = new
         self.basis = [j + width if j >= first else j for j in self.basis]
         self.nstruct += width
         self.ncols += width
+
+    def integer_duals(self) -> tuple[list[int], int]:
+        """The row duals of the current basis as integers over |det|:
+        phi times minus the reduced cost of each row's unit column."""
+        sign = -1 if self.det < 0 else 1
+        cost = self.block[self.nrows]
+        return [-sign * phi * r for phi, r in zip(self.phi, cost)], abs(self.det)
 
     def _price(self, j: int) -> int:
         """d = c det + r . a for column j."""
@@ -395,9 +465,8 @@ class Master:
             sum(self.columns[j][2] * self.block[i][self.nrows] for i, j, _ in basic),
             det * self.rhs_scale,
         )
-        # phi times minus the reduced cost of each row's unit column
-        cost = self.block[self.nrows]
-        duals = tuple(Fraction(-phi * r, det) for phi, r in zip(self.phi, cost))
+        nums, den = self.integer_duals()
+        duals = tuple(Fraction(y, den) for y in nums)
         stats = LpStats(
             self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
             self.bland_fallbacks, self.start_bits, end_bits,

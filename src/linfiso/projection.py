@@ -33,10 +33,27 @@ program.  lp.Master solves the master's dual, one column per cut:
 minimize sum_c mu_c (1 - sigma . P_S,i) subject to sum_c mu_c a_c = 0 on
 the (N - m) m rows of W, a_c[a, k] = K_ia (F^T sigma)_k, and
 sum_c mu_c <= 1, mu >= 0, whose slack is the multiplier of t >= 1.
-Those two bound it, so every solve ends at an optimum.  Its rows start with artificials at 0 and that slack at 1, so no phase 1
-runs.  Each round's cuts are stored as new integer columns, and the next
-solve resumes from the basis the last one ended at.  W is minus the
-duals of the W rows and t is 1 minus the dual of the last row.
+Those two bound it, so every solve ends at an optimum.
+
+The master's rows start with artificials at 0 and that slack at 1, so
+no phase 1 runs.  Each round's cuts are inserted as new integer columns,
+and the next solve resumes from the basis the last one ended at.  W is
+minus the duals of the W rows and t is 1 minus the dual of the last
+row.
+
+The loop runs on integers from P_S to its return value.  It reads F,
+P_S and Y_S as integer rows over one denominator each (Matrix.integers).
+A cut's cost and column are written over the product of the
+denominators of P_S and F, then divided by the gcd of them all, so the
+scale is the lcm of their reduced denominators: the form Master.insert
+takes, and the integers the rational front end would store.  After each
+solve Master.integer_duals gives the duals over d = |det|, so W and t
+are integers over d and P has integer rows over d times both
+denominators.  A row is cut when the sum of the absolute values of its
+integers exceeds t times both denominators, and its sign vector is that
+of its integers.  The multipliers of the last solve are put over their
+least common denominator for the duals below.  Fractions are built only
+for the returned Y, t and duals.
 
 The certificate is mapped back to minimal_projection_program.  The
 point is Y, T = |P| entrywise and t.  When t > 1 the t >= 1 row is
@@ -51,8 +68,8 @@ rank-one dual below.  The certificate carries the master's LpStats.
 
 For a hyperplane (m = 1, F a single column f) the optimal y and, for a
 constant above 1, an optimal dual of the same program are written down
-directly (Blatter and Cheney 1974) and the cut loop does not run.  Let g_i = |f_i| / |f|_1 and
-s_i the sign of f_i (+1 when f_i = 0).
+directly (Blatter and Cheney 1974) and the cut loop does not run.  Let
+g_i = |f_i| / |f|_1 and s_i the sign of f_i (+1 when f_i = 0).
 
 * Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1,
   proved by the rank-one dual below.
@@ -83,8 +100,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bounds import best_upper_bound
 from .canonical import SubspaceSpec, admissible_sets, canonical_family
@@ -101,7 +119,6 @@ from .linalg import (
     det,
     inverse,
     op_norm_inf,
-    row_norms,
 )
 from .lp import LpProblem, LpSolution, LpStats, Master, solve
 
@@ -251,12 +268,6 @@ def _signs(row) -> tuple[int, ...]:
     return tuple(-1 if v < 0 else 1 for v in row)
 
 
-def _signed_sum(scaled: tuple[list[int], int], sign) -> Fraction:
-    """sigma . v for v given as integer numerators over one denominator."""
-    nums, den = scaled
-    return Fraction(sum(map(mul, sign, nums)), den)
-
-
 def _cut_loop(
     spec: SubspaceSpec, index_set: IndexSet
 ) -> tuple[Matrix, Fraction, Optional[tuple], LpStats, int, int]:
@@ -266,67 +277,68 @@ def _cut_loop(
     the master's LpStats and the number of master solves and of cuts
     (see the module docstring)."""
     n, m = spec.ambient, spec.codim
-    ft = spec.annihilator.transpose()
-    f_cols = [common_denominator(ft.row(k)) for k in range(m)]
+    f_rows, f_den = spec.annihilator.integers()
+    ft_rows = list(zip(*f_rows))
     y_s, p_s = coordinate_projection(spec, index_set)
-    p_rows = [p_s.row(i) for i in range(n)]
-    p_scaled = [common_denominator(row) for row in p_rows]
+    p_rows, p_den = p_s.integers()
     # K, the columns of P_S off index_set, spans V and is the identity
-    # off index_set; k_rows[i] holds the nonzero (a, K_ia)
+    # off index_set; k_rows[i] holds the nonzero (a, K_ia), over p_den
     off = [b for b in range(n) if b + 1 not in index_set]
-    k_mat = Matrix([[row[b] for b in off] for row in p_rows])
-    k_rows = [[(a, ka) for a, ka in enumerate(k_mat.row(i)) if ka] for i in range(n)]
+    k_rows = [[(a, row[b]) for a, b in enumerate(off) if row[b]] for row in p_rows]
     convexity = len(off) * m  # the master row sum(mu) <= 1, after the W rows
+    scale = p_den * f_den  # of every cut's cost and column before reduction
     cuts: list[tuple[int, tuple[int, ...]]] = []  # (row i, sigma) per column
 
-    def add(new) -> tuple[list[Fraction], list[list]]:
-        """The costs 1 - sigma . P_S,i and the columns (K_ia (F^T sigma)_k
-        on W row (a, k), then 1 on the last row) of the cuts new."""
-        costs, columns = [], []
+    def columns(new) -> list[tuple]:
+        """The cuts new as Master.insert takes them: the cost
+        1 - sigma . P_S,i and the column, K_ia (F^T sigma)_k on W row
+        (a, k) and 1 on the last row, over scale and then in lowest
+        terms."""
+        out = []
         for i, sign in new:
-            ft_sign = [_signed_sum(col, sign) for col in f_cols]
-            costs.append(_ONE - _signed_sum(p_scaled[i], sign))
-            column = [
-                (a * m + k, ka * g)
-                for a, ka in k_rows[i]
-                for k, g in enumerate(ft_sign)
-                if g
-            ]
-            column.append((convexity, _ONE))
-            columns.append(column)
-        cuts.extend(new)
-        return costs, columns
+            ft_sign = [sum(map(mul, sign, col)) for col in ft_rows]
+            cost = (p_den - sum(map(mul, sign, p_rows[i]))) * f_den
+            rows, ints = [], []
+            for a, ka in k_rows[i]:
+                for k, g in enumerate(ft_sign):
+                    if g:
+                        rows.append(a * m + k)
+                        ints.append(ka * g)
+            rows.append(convexity)
+            ints.append(scale)
+            common = gcd(cost, *ints)
+            out.append(
+                (rows, [v // common for v in ints], cost // common, scale // common)
+            )
+        return out
 
-    costs, columns = add(
-        [
-            (i, sign)
-            for i, row in enumerate(p_rows)
-            for sign in (_signs(row), tuple(-s for s in _signs(row)))
-        ]
-    )
-    rows: list[list] = [[] for _ in range(convexity + 1)]
-    for j, column in enumerate(columns):
-        for r, a in column:
-            rows[r].append((j, a))
-    senses = ["=="] * convexity + ["<="]
-    master = Master(LpProblem.build(costs, rows, senses, [0] * convexity + [1]))
-    seen = set(cuts)
+    master = Master.of_rows(["=="] * convexity + ["<="], [0] * convexity + [1])
+    new = [
+        (i, sign)
+        for i, row in enumerate(p_rows)
+        for sign in (_signs(row), tuple(-s for s in _signs(row)))
+    ]
+    seen = set(new)
     rounds = 0
     while True:
+        master.insert(columns(new))
+        cuts.extend(new)
         rounds += 1
         solution = solve(master)
-        # W is minus the duals of the W rows, t is 1 minus the dual of
-        # the last row, and P = P_S - K W F^T
-        w = Matrix(
-            [[-solution.duals[a * m + c] for c in range(m)] for a in range(len(off))]
-        )
-        t = _ONE - solution.duals[convexity]
-        p = p_s - k_mat @ (w @ ft)
-        new = [
-            (i, _signs(p.row(i)))
-            for i, norm in enumerate(row_norms(p))
-            if norm > t
-        ]
+        # over d = |det|: W is minus the duals of the W rows and t is 1
+        # minus the dual of the last row; P = P_S - K W F^T over p_den d f_den
+        duals, d = master.integer_duals()
+        w = [[-y for y in duals[a * m : a * m + m]] for a in range(len(off))]
+        t = d - duals[convexity]
+        wf = [[sum(map(mul, w_a, f)) for f in f_rows] for w_a in w]
+        lift = d * f_den
+        new = []
+        for i, (row, k_row) in enumerate(zip(p_rows, k_rows)):
+            p = [x * lift for x in row]
+            for a, ka in k_row:
+                p = [x - ka * v for x, v in zip(p, wf[a])]
+            if sum(map(abs, p)) > t * scale:
+                new.append((i, _signs(p)))
         if not new:
             break
         if seen.intersection(new):
@@ -334,14 +346,22 @@ def _cut_loop(
             # reading of W and t gone wrong, and the loop would not end
             raise InternalConsistencyError("a cut of the master is violated")
         seen.update(new)
-        master.append(*add(new))
 
-    duals = None
-    if t > 1:
-        members = [member - 1 for member in index_set]
-        weighted = zip(cuts, solution.x)
-        duals = tuple(_cut_duals(_Layout(n, m), f_cols, y_s, members, weighted))
-    return y_s + k_mat @ w, t, duals, solution.stats, rounds, len(cuts)
+    # Y = Y_S + K W over y_den p_den d
+    y_rows, y_den = y_s.integers()
+    y_num = []
+    for y_row, k_row in zip(y_rows, k_rows):
+        kw = [sum(ka * w[a][k] for a, ka in k_row) for k in range(m)]
+        y_num.append([y * p_den * d + y_den * v for y, v in zip(y_row, kw)])
+    den = y_den * p_den * d
+    right_inverse = Matrix([[Fraction(y, den) for y in row] for row in y_num])
+    cut_duals = None
+    if t > d:
+        lay, members = _Layout(n, m), [member - 1 for member in index_set]
+        cut_duals = tuple(
+            _cut_duals(lay, ft_rows, f_den, y_rows, y_den, members, cuts, solution.x)
+        )
+    return right_inverse, Fraction(t, d), cut_duals, solution.stats, rounds, len(cuts)
 
 
 def _rank_one_duals(lay: _Layout, v: tuple[Fraction, ...]) -> list[Fraction]:
@@ -358,31 +378,41 @@ def _rank_one_duals(lay: _Layout, v: tuple[Fraction, ...]) -> list[Fraction]:
 
 
 def _cut_duals(
-    lay: _Layout, f_cols: list, y_s: Matrix, members: list[int], weighted_cuts
+    lay: _Layout,
+    ft_rows: list,
+    f_den: int,
+    y_rows: tuple,
+    y_den: int,
+    members: list[int],
+    cuts: list[tuple[int, tuple[int, ...]]],
+    multipliers: Sequence[Fraction],
 ) -> list[Fraction]:
     """The duals of the program from the multipliers mu of the cuts (i,
-    sigma), given as ((i, sigma), mu) pairs that sum to 1: -mu on the
-    P <= T or -P <= T row of each entry by its sign and on the row-sum
-    row, and nu with F nu = -G, solved on the rows members of S, where
-    F_S^-1 is Y_S on S transposed.  f_cols holds the columns of F as
-    integer numerators over one denominator each."""
-    m = len(f_cols)
-    duals = [_ZERO] * lay.nrows
-    g = {i: [_ZERO] * m for i in members}
-    for (i, sign), mu in weighted_cuts:
+    sigma), which sum to 1: -mu on the P <= T or -P <= T row of each
+    entry by its sign and on the row-sum row, and nu with F nu = -G,
+    solved on the rows members of S, where F_S^-1 is Y_S on S
+    transposed.  F^T is ft_rows / f_den and Y_S is y_rows / y_den.  The
+    sums run on the multipliers' numerators over their least common
+    denominator; only the returned duals are Fractions."""
+    mus, den = common_denominator(multipliers)
+    m = len(ft_rows)
+    nums = [0] * lay.nrows
+    g = {i: [0] * m for i in members}  # G over den f_den
+    for (i, sign), mu in zip(cuts, mus):
         if not mu:
             continue
         for j, s in enumerate(sign):
-            duals[lay.upper_row(i, j) if s > 0 else lay.lower_row(i, j)] -= mu
-        duals[lay.sum_row(i)] -= mu
+            nums[lay.upper_row(i, j) if s > 0 else lay.lower_row(i, j)] -= mu
+        nums[lay.sum_row(i)] -= mu
         if i in g:
-            for k, col in enumerate(f_cols):
-                g[i][k] += mu * _signed_sum(col, sign)
+            for k, col in enumerate(ft_rows):
+                g[i][k] += mu * sum(map(mul, sign, col))
+    duals = [Fraction(v, den) if v else _ZERO for v in nums]
+    nu_den = y_den * den * f_den
     for j in range(m):
         for k in range(m):
-            duals[lay.identity_row(j, k)] = -sum(
-                (y_s[i, j] * g[i][k] for i in members), _ZERO
-            )
+            nu = -sum(y_rows[i][j] * g[i][k] for i in members)
+            duals[lay.identity_row(j, k)] = Fraction(nu, nu_den)
     return duals
 
 

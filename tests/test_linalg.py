@@ -416,6 +416,19 @@ class TestIntegerPaths:
         self.same(m.take_rows(IndexSet((2, 4), 5)), [a[1], a[3]])
         self.same(Matrix.identity(3) @ Matrix.zeros(3, 2), [[F(0)] * 2] * 3)
 
+    def test_integers(self):
+        # the rows and denominator the matrix holds: lowest terms, so
+        # they equal common_denominator over all the entries
+        rng = random.Random(1969)
+        for rows, cols in self.SHAPES:
+            grid = coprime_grid(rng, rows, cols, zero_rows=0.2)
+            ints, den = Matrix(grid).integers()
+            flat, common = common_denominator([x for row in grid for x in row])
+            assert den == common
+            assert [x for row in ints for x in row] == flat
+            assert [[F(x, den) for x in row] for row in ints] == grid
+        assert Matrix([[F(2, 4), 1]]).integers() == (((1, 2),), 2)
+
     def test_common_denominator(self):
         ints, den = common_denominator([F(1, 6), F(-3, 4), F(2)])
         assert (ints, den) == ([2, -9, 24], 12)

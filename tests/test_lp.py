@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -416,6 +417,97 @@ class TestMaster:
         for lower in ([1], [None]):
             with pytest.raises(LpModelError, match="nonnegative"):
                 Master(build([1], [[1]], ["<="], [1], lower=lower))
+
+
+class TestIntegerColumns:
+    """Master.insert takes columns as integers over the lcm of their
+    denominators, the form append and the rational constructor hand it,
+    with the same checks; of_rows starts a master from its rows alone."""
+
+    SENSES, RHS = ["==", ">=", "<="], [0, 0, F(1, 3)]
+
+    @staticmethod
+    def integer(cost, column):
+        """A cost and dense Fraction column as (rows, ints, cost, scale)."""
+        s = lcm(cost.denominator, *(a.denominator for a in column))
+        rows = [i for i, a in enumerate(column) if a]
+        return rows, [int(column[i] * s) for i in rows], int(cost * s), s
+
+    def rounds(self, rng):
+        for _ in range(3):
+            width = rng.randint(1, 3)
+            costs = [
+                F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(width)
+            ]
+            cols = [
+                [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(2)]
+                + [F(rng.randint(1, 3), rng.choice((1, 4, 5)))]
+                for _ in range(width)
+            ]
+            yield costs, cols
+
+    def test_insert_matches_append(self):
+        # the same rounds through append on a rational master and through
+        # insert on one from of_rows: the same stored columns, answers,
+        # duals and stats after every round
+        rng = random.Random(1977)
+        for _ in range(20):
+            rational = integral = None
+            for costs, cols in self.rounds(rng):
+                if rational is None:
+                    rows = [[col[i] for col in cols] for i in range(3)]
+                    rational = Master(build(costs, rows, self.SENSES, self.RHS))
+                    integral = Master.of_rows(self.SENSES, self.RHS)
+                else:
+                    rational.append(costs, by_columns(cols))
+                integral.insert([self.integer(c, col) for c, col in zip(costs, cols)])
+                assert integral.columns == rational.columns
+                expected, sol = solve(rational), solve(integral)
+                assert (sol.x, sol.objective_value, sol.duals) == (
+                    expected.x, expected.objective_value, expected.duals
+                )
+                assert sol.stats == expected.stats
+
+    def test_integer_duals(self):
+        # the solution's duals are the accessor's integers over |det|
+        rng = random.Random(1978)
+        for _ in range(20):
+            master = Master.of_rows(self.SENSES, self.RHS)
+            for costs, cols in self.rounds(rng):
+                master.insert([self.integer(c, col) for c, col in zip(costs, cols)])
+                sol = solve(master)
+                nums, den = master.integer_duals()
+                assert den == abs(master.det) > 0
+                assert tuple(F(y, den) for y in nums) == sol.duals
+
+    def test_malformed_columns_refused(self):
+        # a row past the end, rows out of order or repeated, a zero entry,
+        # an entry short, a scale that is not the lcm, a scale below 1,
+        # and a good column before a bad one; none changes the next solve
+        good = ([0, 2], [1, 2], -1, 1)
+        master = Master.of_rows(["==", "==", "<="], [0, 0, 1])
+        master.insert([good])
+        for bad in (([3], [1], 0, 1), ([2, 0], [1, 1], 0, 1),
+                    ([0, 0], [1, 1], 0, 1), ([0, 2], [0, 1], 0, 1),
+                    ([0, 2], [1], 0, 1), ([0, 2], [2, 4], -2, 2),
+                    ([0, 2], [1, 1], 0, 0), ([0, 2], [1, 1], 0, -1)):
+            for columns in ([bad], [([1, 2], [1, 1], -1, 1), bad]):
+                with pytest.raises(LpModelError):
+                    master.insert(columns)
+        sol = solve(master)
+        expected = Master.of_rows(["==", "==", "<="], [0, 0, 1])
+        expected.insert([good])
+        assert sol == solve(expected)
+
+    def test_rows_checked(self):
+        # the constructor's row checks: known senses, one rhs per row,
+        # and rhs 0 on every row that needs an artificial
+        for senses, rhs in ((["<"], [0]), (["==", "<="], [0]),
+                            (["=="], [1]), ([">="], [F(1, 2)]), (["<="], [-1])):
+            with pytest.raises(LpModelError):
+                Master.of_rows(senses, rhs)
+        master = Master.of_rows(["==", ">=", "<="], [0, 0, F(1, 3)])
+        assert (master.nrows, master.nstruct, master.rhs_scale) == (3, 0, 3)
 
 
 class TestCrashStart:

@@ -2,6 +2,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -15,8 +16,8 @@ from linfiso.canonical import (
 from linfiso.decide import decide_isometric
 from linfiso.errors import ContractError, InadmissibleSetError
 from linfiso.instances import random_instance
-from linfiso.linalg import IndexSet, Matrix, op_norm_inf
-from linfiso.lp import verify_certificate
+from linfiso.linalg import IndexSet, Matrix, op_norm_inf, row_norms
+from linfiso.lp import Master, verify_certificate
 from linfiso.projection import (
     _certificate,
     _cut_loop,
@@ -454,28 +455,29 @@ class TestCutLoop:
             assert stats.rows == (n - m) * m + 1
 
     # (seed, N, m, rational): lambda, rounds, cuts, master pivots,
-    # degenerate pivots and Bland turns, as a rational tableau pivoting by
-    # the same rules gives them
+    # degenerate pivots, Bland turns and the end_bits of the integer
+    # block, as a rational tableau pivoting by the same rules gives them
     PINNED = {
-        (1, 8, 4, False): (F(71292739, 46730461), 12, 81, 198, 139, 1),
+        (1, 8, 4, False): (F(71292739, 46730461), 12, 81, 198, 139, 1, 100),
         (3, 10, 3, False): (
-            F(7465659138011674267, 4296545603081496817), 13, 105, 209, 127, 1
+            F(7465659138011674267, 4296545603081496817), 13, 105, 209, 127, 1, 115
         ),
         (9, 7, 4, True): (
-            F(15044187730467996446680, 11951900177493942340463), 10, 59, 94, 64, 0
+            F(15044187730467996446680, 11951900177493942340463),
+            10, 59, 94, 64, 0, 177,
         ),
         (6, 8, 2, True): (
             F(1798989858396784667955056, 1389842703523678596817991),
-            9, 61, 82, 41, 0,
+            9, 61, 82, 41, 0, 146,
         ),
         (5, 7, 3, True): (
-            F(16266257241405291, 11260385972733563), 8, 50, 56, 22, 0
+            F(16266257241405291, 11260385972733563), 8, 50, 56, 22, 0, 126
         ),
-        (20, 5, 3, False): (F(32, 27), 7, 32, 24, 21, 0),
-        (28, 4, 2, False): (F(9396, 7211), 6, 18, 17, 13, 0),
+        (20, 5, 3, False): (F(32, 27), 7, 32, 24, 21, 0, 25),
+        (28, 4, 2, False): (F(9396, 7211), 6, 18, 17, 13, 0, 23),
         # a Bland turn that runs to the end of its degenerate stretch
         (2, 8, 4, False): (
-            F(439003249689383, 299756505533938), 13, 88, 278, 187, 1
+            F(439003249689383, 299756505533938), 13, 88, 278, 187, 1, 96
         ),
     }
 
@@ -486,9 +488,101 @@ class TestCutLoop:
             stats = result.certificate.stats
             assert (
                 result.constant, result.rounds, result.cuts, stats.pivots,
-                stats.degenerate_pivots, stats.bland_fallbacks,
+                stats.degenerate_pivots, stats.bland_fallbacks, stats.end_bits,
             ) == pinned, (seed, n, m, rational)
             assert verify_certificate(result.program, result.certificate)
+
+    @staticmethod
+    def rational_columns(ft, p_s, k_rows, convexity, new):
+        """The costs and columns of the cuts new in Fractions, the
+        reference for the loop's integer columns: cost 1 - sigma . P_S,i,
+        K_ia (F^T sigma)_k on W row (a, k) and 1 on the last row."""
+        m = ft.rows
+        costs, columns = [], []
+        for i, sign in new:
+            ft_sign = [sum(map(mul, sign, ft.row(k)), F(0)) for k in range(m)]
+            costs.append(1 - sum(map(mul, sign, p_s.row(i)), F(0)))
+            column = [
+                (a * m + k, ka * g)
+                for a, ka in k_rows[i]
+                for k, g in enumerate(ft_sign)
+                if g
+            ]
+            column.append((convexity, F(1)))
+            columns.append(column)
+        return costs, columns
+
+    def test_integer_columns_match_the_rational_front_end(self, monkeypatch):
+        # every round's columns, as the loop hands them to the master,
+        # are what Master.append stores for the same cuts as Fractions,
+        # and the cuts are those a rational separation finds: the signs of
+        # the rows of P = P_S - K W F^T with |P_i|_1 > t, W and t read
+        # from the Fraction duals of each solve
+        handed, solutions = [], []
+        insert, real_solve = Master.insert, projection.solve
+
+        def signs(row):
+            return tuple(-1 if v < 0 else 1 for v in row)
+
+        def recorded_insert(self, columns):
+            handed.append([(tuple(r), tuple(a), c, s) for r, a, c, s in columns])
+            insert(self, columns)
+
+        def recorded_solve(master):
+            solutions.append(real_solve(master))
+            return solutions[-1]
+
+        monkeypatch.setattr(Master, "insert", recorded_insert)
+        monkeypatch.setattr(projection, "solve", recorded_solve)
+        rational = [
+            random_instance(random.Random(seed), n, m, rational=True).to_spec()
+            for seed, n, m in ((9, 7, 4), (6, 8, 2))
+        ]
+        specs = [*cut_specs(), *rational]
+        rounds = 0
+        for spec in specs:
+            handed.clear()
+            solutions.clear()
+            index_set = best_upper_bound(spec).best_set
+            _cut_loop(spec, index_set)
+            n, m = spec.ambient, spec.codim
+            ft = spec.annihilator.transpose()
+            _, p_s = coordinate_projection(spec, index_set)
+            off = [b for b in range(n) if b + 1 not in index_set]
+            k_mat = Matrix([[p_s[i, b] for b in off] for i in range(n)])
+            k_rows = [
+                [(a, ka) for a, ka in enumerate(k_mat.row(i)) if ka] for i in range(n)
+            ]
+            convexity = len(off) * m
+            reference = Master.of_rows(
+                ["=="] * convexity + ["<="], [0] * convexity + [1]
+            )
+            new = [
+                (i, sign)
+                for i in range(n)
+                for sign in (signs(p_s.row(i)), tuple(-s for s in signs(p_s.row(i))))
+            ]
+            assert len(handed) == len(solutions) > 0
+            for columns, solution in zip(handed, solutions):
+                first = reference.nstruct
+                reference.append(
+                    *self.rational_columns(ft, p_s, k_rows, convexity, new)
+                )
+                assert columns == reference.columns[first : reference.nstruct]
+                duals = solution.duals
+                w = Matrix(
+                    [[-duals[a * m + c] for c in range(m)] for a in range(len(off))]
+                )
+                t = 1 - duals[convexity]
+                p = p_s - k_mat @ (w @ ft)
+                new = [
+                    (i, signs(p.row(i)))
+                    for i, norm in enumerate(row_norms(p))
+                    if norm > t
+                ]
+                rounds += 1
+            assert not new
+        assert rounds > 3 * len(specs)
 
     def test_isometric_certificate_is_rank_one(self, solved):
         # lambda = 1: nu = 0 and a single row-sum row carries the dual
