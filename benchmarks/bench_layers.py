@@ -32,6 +32,14 @@ src/linfiso/*.py that tells apart checkouts without git metadata, so two
 files written by two checkouts of the program on one machine compare layer
 by layer.  A checkout that predates a field reports it as null.
 
+Two such files compare exactly in their answer fields, but they are not a
+timing comparison.  Each file times its checkout in one block of about a
+minute, and a machine's speed drifts between blocks: on a 2-vCPU Intel
+Xeon, the scan rungs of two files written back to back read up to 1.9x
+apart on identical code.  A timing claim needs an interleaved A/B
+instead: the two checkouts timed in alternation, rung by rung, with the
+minimum of several process_time runs a side.
+
 The scan rungs, under "scans", are the three scan_wide shapes of the
 benchmark, (12, 5), (13, 3) and (14, 3), and (16, 4) and (18, 3), on
 random_instance(random.Random(seed), N, m).  They run no LP.  decide_s is

@@ -132,18 +132,19 @@ def _is_iterable_row(obj) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CanonicalFamily:
     """The canonical vectors attached to one admissible index set.
 
     vectors maps each member k of the index set to a length-N vector
-    whose restriction to the set is the k-th identity row.  block_det is
-    the determinant of the selected square row block of the annihilator.
+    whose restriction to the set is the k-th identity row.  Its entries
+    are ratios of determinants of row blocks of the annihilator F, so
+    they depend only on the subspace and the set: a change of basis
+    F -> F C multiplies both determinants of each ratio by det C.
     """
 
     index_set: IndexSet
     vectors: Mapping[int, tuple[Fraction, ...]]
-    block_det: Fraction
 
     def matrix(self) -> Matrix:
         """N x m matrix whose columns are the vectors, in member order."""
@@ -153,14 +154,6 @@ class CanonicalFamily:
 
     def norms(self) -> dict[int, Fraction]:
         return {k: vec_norm1(v) for k, v in self.vectors.items()}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CanonicalFamily)
-            and self.index_set == other.index_set
-            and dict(self.vectors) == dict(other.vectors)
-            and self.block_det == other.block_det
-        )
 
 
 def admissible_sets(spec: SubspaceSpec) -> Iterator[tuple[IndexSet, Fraction]]:
@@ -182,12 +175,11 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
     On the set itself that ratio collapses to the identity pattern.  The
     determinants are taken on the annihilator's rows with each column
     scaled to integers (_integer_columns); the scales cancel in every
-    ratio and are divided out of block_det.
+    ratio.
     """
     if len(index_set) != spec.codim or index_set.ambient != spec.ambient:
         raise DimensionError("index set size must equal the codimension")
-    columns, scale = _integer_columns(spec)
-    rows = list(zip(*columns))
+    rows = list(zip(*_integer_columns(spec)))
     block = [rows[k - 1] for k in index_set]
     d, _ = _kernels.det_bareiss(block)
     if d == 0:
@@ -203,45 +195,38 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
                 swapped = block[:pos] + [rows[i - 1]] + block[pos + 1 :]
                 entries.append(Fraction(_kernels.det_bareiss(swapped)[0], d))
         vectors[k] = tuple(entries)
-    return CanonicalFamily(index_set, vectors, Fraction(d, scale))
+    return CanonicalFamily(index_set, vectors)
 
 
 def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The admissible sets of admissible_sets, in the same order, one
     CanonicalFamily per set; the Fraction view of _prefix_walk, equal,
     entry for entry, to canonical_family at each set.  Every admissible
-    completion of every prefix is completed (_complete); the block
-    determinant is the completed common denominator, signed by the
-    parity of the rows' order, over the product of the column scales."""
+    completion of every prefix is completed (_complete)."""
     n = spec.ambient
-    _, scale = _integer_columns(spec)
     for prefix, order, rows, common, free in _prefix_walk(spec):
         rho = rows[free]
-        perm = order + (free,)
         for x in range(prefix[-1] + 1 if prefix else 0, n):
             if not rho[x]:
                 continue
             done, den = _complete(rows, common, free, x)
             vectors = {
                 q + 1: tuple(Fraction(v, den) for v in done[r])
-                for q, r in zip(prefix + (x,), perm)
+                for q, r in zip(prefix + (x,), order + (free,))
             }
-            block_det = Fraction(-den if _odd(perm) else den, scale)
             index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
-            yield CanonicalFamily(index_set, vectors, block_det)
+            yield CanonicalFamily(index_set, vectors)
 
 
-def _integer_columns(spec: SubspaceSpec) -> tuple[list[list[int]], int]:
-    """The annihilator's columns, column j scaled to integers by the lcm
-    c_j of its denominators, and the product of the c_j."""
+def _integer_columns(spec: SubspaceSpec) -> list[list[int]]:
+    """The annihilator's columns, each scaled to integers by the lcm of
+    its own denominators."""
     columns = []
-    scale = 1
     for j in range(spec.codim):
         column = spec.annihilator.column(j)
         c = lcm(*(x.denominator for x in column))
-        scale *= c
         columns.append([x.numerator * (c // x.denominator) for x in column])
-    return columns, scale
+    return columns
 
 
 def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
@@ -298,7 +283,7 @@ def _prefix_walk(spec: SubspaceSpec):
     prefix[j].  The tableau is live and changes at the next step;
     consumers read it in place and complete sets on copies."""
     n, m = spec.ambient, spec.codim
-    rows, _ = _integer_columns(spec)
+    rows = _integer_columns(spec)
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
@@ -326,14 +311,6 @@ def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
     their common denominator rho[x]; row free is rho itself."""
     done = list(rows)
     return done, _kernels.exchange(done, common, free, x)
-
-
-def _odd(perm: tuple[int, ...]) -> bool:
-    """Whether the permutation has an odd number of inversions."""
-    inversions = sum(
-        1 for i, a in enumerate(perm) for b in perm[i + 1 :] if a > b
-    )
-    return inversions % 2 == 1
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:
@@ -373,4 +350,4 @@ def family_from_minors(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFami
         raise InadmissibleSetError(f"row block {index_set} is singular")
     vec_k = tuple(x / minor_l[k - 1] for x in minor_l)
     vec_l = tuple(x / pivot_kl for x in minor_k)
-    return CanonicalFamily(index_set, {k: vec_k, l: vec_l}, pivot_kl)
+    return CanonicalFamily(index_set, {k: vec_k, l: vec_l})

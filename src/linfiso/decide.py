@@ -131,7 +131,7 @@ def decide_hyperplane(functional: Iterable) -> DecisionReport:
         if norm1 <= _TWO * abs(value):
             index_set = IndexSet((k,), ambient)
             scaled = tuple(x / value for x in vec)
-            family = CanonicalFamily(index_set, {k: scaled}, value)
+            family = CanonicalFamily(index_set, {k: scaled})
             norms = {k: norm1 / abs(value)}
             witness = Witness(index_set, family, norms)
             return DecisionReport(True, witness, examined, DecisionMethod.HYPERPLANE)

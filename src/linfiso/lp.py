@@ -5,16 +5,17 @@ A problem is minimize objective . x subject to rows of sense <=, == or
 >= and a lower bound per variable, None for a free one; an upper bound
 is written as a <= row.  It stores each row as its nonzeros only,
 (column, coefficient) pairs in increasing column order, and build()
-takes rows in that form; the certificate checks read only those pairs.
+takes rows in that form; the certificate checks read only those pairs,
+and a Master keeps no problem.
 
-Master solves a problem whose variables are nonnegative and whose
-objective is bounded below, then takes more columns, as in column
-generation, and solves again from the basis the last solve ended at.
-Each row is written once, times the sign phi that makes its right-hand
-side nonnegative (-1 when b < 0 or b = 0 on a >= row, else 1);
-equalities, and inequalities whose slack that sign turns negative, get
-artificial variables.  The start basis holds each row's slack or
-artificial.  It is feasible because Master refuses a problem with an
+Master(senses, rhs) holds the rows of a problem whose variables are
+nonnegative and whose objective is bounded below.  Its columns arrive
+over rounds, as in column generation, and each solve starts from the
+basis the last one ended at.  Each row is written once, times the sign
+phi that makes its right-hand side nonnegative (-1 when b < 0 or b = 0
+on a >= row, else 1); equalities, and inequalities whose slack that sign
+turns negative, get artificial variables.  The start basis holds each
+row's slack or artificial.  It is feasible because Master refuses an
 artificial on a row of rhs other than 0, so phase 1 never runs.  A basic
 artificial stays at 0 until a column with a nonzero entry in its row
 enters; it then leaves first, whatever the sign, and never enters again,
@@ -22,24 +23,20 @@ so the point stays feasible and the argument below holds.  Its row is
 kept: a later column may load it.
 
 A Master runs the revised simplex in integers (Dantzig and Orchard-Hays
-1954; Bareiss 1968).  It keeps no LpProblem.  Its columns arrive through
-Master.insert as integers: (rows, ints, cost, s) stands for a column
-with ints[r] / s in row rows[r] and cost cost / s, rows in increasing
-order, no entry 0, and s the lcm of the denominators of the cost and the
-entries in lowest terms, so gcd(s, cost, *ints) = 1.  The rational
-front ends, the constructor from an LpProblem and append, scale each
-column and its cost so and hand them to insert; Master.of_rows starts a
-master from its rows alone, for a caller that writes the integer columns
-itself, as projection's cut loop does.  The rhs is scaled by its own
-lcm.  Only the block [R, R b; r, -z] is kept, over the determinant det
-of the basis: R = det B^-1, r = -det c_B B^-1.  A pivot prices each
-column a of cost c by d = c det + r . a, s det times its reduced cost,
-computes R a, and pivots the block with _kernels.pivot, the
-fraction-free exchange on integer rows: its division by det is exact,
-and det, the pivot entry, can be negative, so comparisons take its
-sign.  A scale divides a price and a row's ratios alike, so the pivots
-are those of the rational tableau, and a scale in lowest terms keeps
-the block's integers those of the rational front ends.  The optimum is
+1954; Bareiss 1968).  Its columns arrive through Master.insert as
+integers: (rows, ints, cost, s) stands for a column with ints[r] / s in
+row rows[r] and cost cost / s, rows in increasing order, no entry 0, and
+s the lcm of the denominators of the cost and the entries in lowest
+terms, so gcd(s, cost, *ints) = 1.  The rhs is scaled by its own lcm.
+Only the block [R, R b; r, -z] is kept, over the determinant det of the
+basis: R = det B^-1, r = -det c_B B^-1.  A pivot prices each column a of
+cost c by d = c det + r . a, s det times its reduced cost, computes R a,
+and pivots the block with _kernels.pivot, the fraction-free exchange on
+integer rows: its division by det is exact, and det, the pivot entry,
+can be negative, so comparisons take its sign.  A scale divides a price
+and a row's ratios alike, so the pivots are those of the rational
+tableau, and a scale in lowest terms makes a column's integers, and so
+the block's, a function of its rational entries alone.  The optimum is
 read from the integer costs and the block: the sum of c_j s_j (R b)_i
 over the structural columns j basic in row i, over det times the rhs
 scale.  The row duals are the cost row r times -phi, over det;
@@ -163,16 +160,14 @@ class LpProblem:
         return len(self.rows)
 
 
-def _sparse_row(
-    pairs, n: int, index: str = "column"
-) -> tuple[tuple[int, Fraction], ...]:
-    """The pairs of one row (or, with index="row", of one column) with
-    indices checked against n and zero coefficients dropped."""
+def _sparse_row(pairs, n: int) -> tuple[tuple[int, Fraction], ...]:
+    """The pairs of one row with columns checked against n and zero
+    coefficients dropped."""
     row = []
     prev = -1
     for j, a in pairs:
         if not (isinstance(j, int) and prev < j < n):
-            _refuse_index(j, n, index)
+            _refuse_index(j, n, "column")
         prev = j
         a = as_rational(a)
         if a:
@@ -188,15 +183,6 @@ def _refuse_index(j, n: int, index: str) -> None:
     raise LpModelError(f"{index} {j} repeated or out of order")
 
 
-def _integer_column(cost: Fraction, pairs) -> tuple:
-    """A column of (row, nonzero Fraction) pairs and its cost in the form
-    Master.insert takes: (rows, ints, cost, scale) over the lcm scale of
-    their denominators."""
-    s = lcm(cost.denominator, *(a.denominator for _, a in pairs))
-    ints = tuple(a.numerator * (s // a.denominator) for _, a in pairs)
-    return tuple(i for i, _ in pairs), ints, cost.numerator * s // cost.denominator, s
-
-
 @dataclass(frozen=True)
 class LpStats:
     """Counters of a Master's solves so far.
@@ -208,9 +194,9 @@ class LpStats:
     and bland_fallbacks counts the turns in which Bland's rule priced
     them.  start_bits and end_bits are the largest bit length in the
     integer block and det, at the start and after the last solve.  The
-    perf_counter readings mark the start of the construction, its end
-    (built) and the end of the last solve; they are left out of equality,
-    so two solves of one program compare equal.
+    perf_counter readings mark the construction and the end of the last
+    solve; they are left out of equality, so two solves of one program
+    compare equal.
     """
 
     rows: int
@@ -221,7 +207,6 @@ class LpStats:
     start_bits: int
     end_bits: int
     started: float = field(compare=False)
-    built: float = field(compare=False)
     finished: float = field(compare=False)
 
 
@@ -240,45 +225,24 @@ class LpSolution:
 
 
 class Master:
-    """A problem solved, then extended by columns and solved again from
-    the basis the last solve ended at, without phase 1 (see the module
-    docstring).  Every variable must be nonnegative, and every row that
-    needs an artificial must have rhs 0, or the constructor (or of_rows)
-    raises LpModelError; the objective must be bounded below, or
-    solve(master) raises it.  The problem's rows are turned into columns
-    once and no LpProblem is kept: the solutions of solve(master) verify
-    on the problem with the inserted columns as its last variables.
-    Every column, from the constructor, append or insert, goes through
-    insert in the integer form (rows, ints, cost, scale) of the module
-    docstring, with the same checks.  Columns are numbered structural
-    (in order of arrival), slacks, then artificials, which never enter.
-    columns holds the structural ones times each row's phi, then the
-    slacks, in that form.  integer_duals reads the row duals of the
-    current basis as integers over |det|."""
+    """The rows of a problem, given columns over rounds and solved each
+    time from the basis the last solve ended at, without phase 1 (see
+    the module docstring).  Every row that needs an artificial must have
+    rhs 0, or the constructor raises LpModelError; the objective must be
+    bounded below, or solve(master) raises it.  Each column, one
+    nonnegative variable, arrives through insert in the integer form
+    (rows, ints, cost, scale) of the module docstring.  No LpProblem is
+    kept: the solutions of solve(master) verify on the problem whose
+    variables are the inserted columns in order of arrival.  Columns are
+    numbered structural (in order of arrival), slacks, then artificials,
+    which never enter.  columns holds the structural ones times each
+    row's phi, then the slacks, in that form.  integer_duals reads the
+    row duals of the current basis as integers over |det|."""
 
-    def __init__(self, problem: LpProblem):
-        if any(lo != 0 for lo in problem.lower):
-            raise LpModelError("a master's variables must be nonnegative")
-        self._start(problem.senses, problem.rhs)
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in problem.objective]
-        for i, row in enumerate(problem.rows):
-            for j, a in row:
-                columns[j].append((i, a))
-        self.append(problem.objective, columns)
-        self.built = time.perf_counter()
-
-    @classmethod
-    def of_rows(cls, senses: Sequence[str], rhs: Sequence) -> "Master":
-        """A master with the rows senses and rhs and no columns yet;
-        insert gives it columns.  The row checks are the constructor's."""
-        master = cls.__new__(cls)
-        master._start(senses, rhs)
-        master.built = time.perf_counter()
-        return master
-
-    def _start(self, senses: Sequence[str], rhs: Sequence) -> None:
-        """The rows: phi, the slacks, and the start basis of slacks and
-        artificials, with no structural column yet."""
+    def __init__(self, senses: Sequence[str], rhs: Sequence):
+        """A master with the rows senses and rhs, their slacks and the
+        start basis of slacks and artificials, and no structural column
+        yet; insert gives it columns."""
         self.started = time.perf_counter()
         self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
         rhs = [as_rational(b) for b in rhs]
@@ -311,22 +275,6 @@ class Master:
             self.block[i][nrows] = phi * b.numerator * self.rhs_scale // b.denominator
         self.nstruct = 0
         self.start_bits = self._bits()
-
-    def append(self, objective: Sequence, columns: Sequence[Sequence]) -> None:
-        """Add one nonnegative variable per column, with the given costs;
-        columns are (row, coefficient) pairs in increasing row order,
-        checked like a row of LpProblem.build().  Each column and its cost
-        go to insert as integers over the lcm of their denominators.  A
-        refused append leaves the master as it was."""
-        costs = [as_rational(c) for c in objective]
-        if len(costs) != len(columns):
-            raise LpModelError("objective and columns lengths differ")
-        self.insert(
-            [
-                _integer_column(c, _sparse_row(col, self.nrows, "row"))
-                for c, col in zip(costs, columns)
-            ]
-        )
 
     def insert(self, columns: Sequence[tuple]) -> None:
         """Add one nonnegative variable per column, given as integers
@@ -470,7 +418,7 @@ class Master:
         stats = LpStats(
             self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
             self.bland_fallbacks, self.start_bits, end_bits,
-            self.started, self.built, time.perf_counter(),
+            self.started, time.perf_counter(),
         )
         return LpSolution((*x,), value, duals, stats)
 

@@ -41,14 +41,13 @@ and the next solve resumes from the basis the last one ended at.  W is
 minus the duals of the W rows and t is 1 minus the dual of the last
 row.
 
-The loop runs on integers from P_S to its return value.  It reads F,
-P_S and Y_S as integer rows over one denominator each (Matrix.integers).
-A cut's cost and column are written over the product of the
-denominators of P_S and F, then divided by the gcd of them all, so the
-scale is the lcm of their reduced denominators: the form Master.insert
-takes, and the integers the rational front end would store.  After each
-solve Master.integer_duals gives the duals over d = |det|, so W and t
-are integers over d and P has integer rows over d times both
+The loop runs on integers from P_S to its return value.  It reads F, P_S
+and Y_S as integer rows over one denominator each (Matrix.integers).  A
+cut's cost and column are written over the product of the denominators
+of P_S and F, then divided by the gcd of them all, so the scale is the
+lcm of their reduced denominators: the form Master.insert takes.  After
+each solve Master.integer_duals gives the duals over d = |det|, so W and
+t are integers over d and P has integer rows over d times both
 denominators.  A row is cut when the sum of the absolute values of its
 integers exceeds t times both denominators, and its sign vector is that
 of its integers.  The multipliers of the last solve are put over their
@@ -312,7 +311,7 @@ def _cut_loop(
             )
         return out
 
-    master = Master.of_rows(["=="] * convexity + ["<="], [0] * convexity + [1])
+    master = Master(["=="] * convexity + ["<="], [0] * convexity + [1])
     new = [
         (i, sign)
         for i, row in enumerate(p_rows)

@@ -1,13 +1,17 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the adapter that feeds
+an LpProblem to lp.Master.
 
-Deliberately written against plain lists of Fractions with their own
-tiny Gaussian solver, so they share no code path with the package
-internals they are checking."""
+The oracles are deliberately written against plain lists of Fractions
+with their own tiny Gaussian solver, so they share no code path with the
+package internals they are checking."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+
+from linfiso.lp import Master
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -292,3 +296,39 @@ def certificate_verdict(problem, solution) -> bool:
         and sum((c * v for c, v in zip(problem.objective, x)), ZERO) == value
         and multiplier_bound(problem, y, problem.objective) == value
     )
+
+
+# -- Master adapter -----------------------------------------------------
+#
+# A Master takes its rows at construction and its columns only as
+# integers through insert.  The tests write their programs as an
+# LpProblem, which verify_certificate reads, and hand them over here.
+
+
+def integer_columns(costs, columns) -> list[tuple]:
+    """Costs and columns of (row, coefficient) pairs, rows increasing, in
+    the form Master.insert takes: each as (rows, ints, cost, scale) over
+    the lcm scale of the denominators of its cost and nonzero entries."""
+    assert len(costs) == len(columns)
+    out = []
+    for cost, pairs in zip(costs, columns):
+        cost = Fraction(cost)
+        pairs = [(i, Fraction(a)) for i, a in pairs if a]
+        s = lcm(cost.denominator, *(a.denominator for _, a in pairs))
+        rows = [i for i, _ in pairs]
+        ints = [a.numerator * (s // a.denominator) for _, a in pairs]
+        out.append((rows, ints, cost.numerator * (s // cost.denominator), s))
+    return out
+
+
+def master_of(problem) -> Master:
+    """A Master with the rows of problem, whose variables must all be
+    nonnegative, and its columns inserted in variable order."""
+    assert all(lo == 0 for lo in problem.lower)
+    columns = [[] for _ in problem.objective]
+    for i, row in enumerate(problem.rows):
+        for j, a in row:
+            columns[j].append((i, a))
+    master = Master(problem.senses, problem.rhs)
+    master.insert(integer_columns(problem.objective, columns))
+    return master

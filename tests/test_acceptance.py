@@ -33,12 +33,11 @@ from linfiso.linalg import (
 from linfiso.lp import (
     LpProblem,
     LpSolution,
-    Master,
     solve,
     verify_certificate,
 )
 from linfiso.projection import projection_constant, verify_norm_gap
-from oracles import enumerate_lp, hyperplane_projection_constant
+from oracles import enumerate_lp, hyperplane_projection_constant, master_of
 
 SWEEP_SEED = 108
 SWEEP_COUNT = 500
@@ -372,7 +371,7 @@ def test_lp_against_enumeration():
             senses + ["<="] * nvars,
             rhs + upper,
         )
-        solution = solve(Master(problem))
+        solution = solve(master_of(problem))
         oracle = enumerate_lp(
             list(problem.objective),
             rows,

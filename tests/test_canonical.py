@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -138,7 +138,6 @@ class TestCanonicalFamily:
         fam = canonical_family(EXAMPLE, IndexSet((1, 2), 3))
         assert fam.vectors[1] == (F(1), F(0), F(1))
         assert fam.vectors[2] == (F(0), F(1), F(1))
-        assert fam.block_det == 1
         assert fam.norms() == {1: F(2), 2: F(2)}
 
     def test_identity_pattern_on_set(self):
@@ -176,9 +175,18 @@ class TestCanonicalFamily:
                     assert rank(widened) == spec.codim
 
     def test_matches_determinant_ratio_oracle(self):
+        # three integer annihilators, and a rational one whose columns
+        # have the unequal denominators 2, 12 and 7, so each is scaled
+        # to integers by its own lcm before the determinants
         rng = random.Random(2027)
-        for codim in (1, 2, 3):
-            spec = random_spec(rng, codim + 2, codim)
+        specs = [random_spec(rng, codim + 2, codim) for codim in (1, 2, 3)]
+        rational = subspace_from_annihilator(
+            [[F(1, 2), 0, F(1, 7)], [0, F(2, 3), 1], [1, 1, 0],
+             [2, F(-1, 4), F(3, 7)], [1, 0, 5]]
+        )
+        columns = map(rational.annihilator.column, range(3))
+        assert [lcm(*(x.denominator for x in c)) for c in columns] == [2, 12, 7]
+        for spec in specs + [rational]:
             for index_set, _ in admissible_sets(spec):
                 fam = canonical_family(spec, index_set)
                 block = spec.annihilator.take_rows(index_set).to_lists()
@@ -224,7 +232,6 @@ class TestCanonicalFamily:
         )
         fam = canonical_family(spec, IndexSet((1, 2, 4), 5))
         assert calls == [3] * (3 * 2 + 1)
-        assert fam.block_det == F(-7, 8)
         assert fam.vectors[1] == (F(1), F(0), F(-10, 3), F(0), F(46, 7))
 
     def test_inadmissible_set_raises(self):
@@ -277,7 +284,6 @@ class TestExchangeScan:
         families = list(exchange_families(EXAMPLE))
         assert [f.index_set.members for f in families] == [(1, 2), (1, 3), (2, 3)]
         assert families[2].vectors == {2: (F(-1), F(1), F(0)), 3: (F(1), F(0), F(1))}
-        assert families[2].block_det == -1
 
     def test_seeded_random(self):
         rng = random.Random(3101)

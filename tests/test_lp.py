@@ -18,7 +18,7 @@ from linfiso.lp import (
     verify_certificate,
 )
 from linfiso.projection import projection_constant
-from oracles import certificate_verdict, enumerate_lp
+from oracles import certificate_verdict, enumerate_lp, integer_columns, master_of
 
 
 def build(objective, rows, *args, **kwargs):
@@ -103,7 +103,7 @@ class TestSolveBasics:
     def test_two_variable_dual_pair(self):
         # min -x - y  s.t.  x + y <= 2,  x <= 1, both vars >= 0
         prob = build([-1, -1], [[1, 1], [1, 0]], ["<=", "<="], [2, 1])
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         assert sol.x == (F(1), F(1))
         assert sol.objective_value == F(-2)
         # the dual optimum is unique here
@@ -122,7 +122,7 @@ class TestSolveBasics:
             ["<=", "<=", "<="],
             [0, 0, 1],
         )
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         assert sol.objective_value == F(-1, 20)
         assert verify_certificate(prob, sol)
         # Dantzig's rule alone cycles here; Bland's rule breaks the stretch
@@ -135,7 +135,7 @@ class TestSolveBasics:
         # replaces one row's artificial, and the other row, emptied by
         # that pivot, keeps its artificial at 0
         prob = build([-1, 0], [[1, -1], [2, -2], [1, 1]], ["==", "==", "<="], [0, 0, 2])
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         assert sol.x == (F(1), F(1))
         assert sol.objective_value == F(-1)
         assert verify_certificate(prob, sol)
@@ -144,7 +144,7 @@ class TestSolveBasics:
         # start_bits reads the start block, whose widest entry is the
         # rhs 999; x and the duals are read off the final block and det
         prob = build([-1, -1], [[1000, 3], [1, 7]], ["<=", "<="], [999, 5])
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         assert sol.stats.start_bits == 10
         assert sol.stats.end_bits >= max(
             max(v.numerator.bit_length(), v.denominator.bit_length())
@@ -154,14 +154,15 @@ class TestSolveBasics:
     def test_upper_bounds_respected(self):
         # x <= 2 and y <= 3 written as <= rows bind before x + y <= 10
         prob = build([-1, -1], [[1, 1], [1, 0], [0, 1]], ["<="] * 3, [10, 2, 3])
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         assert sol.x == (F(2), F(3))
         assert sol.duals == (F(0), F(-1), F(-1))
         assert verify_certificate(prob, sol)
 
 
 def by_columns(columns):
-    """Dense columns as the sparse (row, coefficient) pairs of append."""
+    """Dense columns as the sparse (row, coefficient) pairs of
+    integer_columns."""
     return [[(i, a) for i, a in enumerate(col) if a] for col in columns]
 
 
@@ -197,11 +198,11 @@ class TestMaster:
             rounds = self.rounds(rng)
             costs, cols = rounds[0]
             rows = [[col[i] for col in cols] for i in range(3)]
-            master = Master(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
+            master = master_of(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
             all_costs, all_cols = [], []
             for r, (costs, cols) in enumerate(rounds):
                 if r:
-                    master.append(costs, by_columns(cols))
+                    master.insert(integer_columns(costs, by_columns(cols)))
                 all_costs += costs
                 all_cols += cols
                 sol = solve(master)
@@ -217,11 +218,13 @@ class TestMaster:
     def test_row_loaded_only_by_a_later_column(self):
         # min -x2 s.t. x2 - x3 == 0, x0 - x1 == 0, x0 + x1 + x2 + x3 <= 1:
         # row 0 is empty until x2 and x3 arrive, and holds x2 to 1/2
-        master = Master(build([0, 0], [[0, 0], [1, -1], [1, 1]],
-                              ["==", "==", "<="], [0, 0, 1]))
+        master = master_of(build([0, 0], [[0, 0], [1, -1], [1, 1]],
+                                 ["==", "==", "<="], [0, 0, 1]))
         sol = solve(master)
         assert (sol.objective_value, sol.stats.pivots) == (0, 0)
-        master.append([-1, 0], [[(0, 1), (2, 1)], [(0, -1), (2, 1)]])
+        master.insert(
+            integer_columns([-1, 0], [[(0, 1), (2, 1)], [(0, -1), (2, 1)]])
+        )
         sol = solve(master)
         assert sol.x == (0, 0, F(1, 2), F(1, 2))
         assert sol.objective_value == F(-1, 2)
@@ -232,11 +235,11 @@ class TestMaster:
     def test_bland_turns_end_a_cycling_master(self):
         # the cycling instance of TestSolveBasics, its columns in two rounds
         rows = [[F(1, 4), -60], [F(1, 2), -90], [0, 0]]
-        master = Master(build([F(-3, 4), 150], rows, ["<="] * 3, [0, 0, 1]))
+        master = master_of(build([F(-3, 4), 150], rows, ["<="] * 3, [0, 0, 1]))
         solve(master)
-        master.append(
+        master.insert(integer_columns(
             [F(-1, 50), 6], by_columns([[F(-1, 25), F(-1, 50), 1], [9, 3, 0]])
-        )
+        ))
         sol = solve(master)
         assert sol.objective_value == F(-1, 20)
         whole = build(
@@ -303,7 +306,7 @@ class TestMaster:
         pivots = self.exchange_pivots(monkeypatch)
         rows = [[1, -2, 0], [-3, 1, 2], [1, 1, 1]]
         problem = build([-1, -2, -1], rows, ["==", "==", "<="], [0, 0, 1])
-        master = Master(problem)
+        master = master_of(problem)
         sol = solve(master)
         assert pivots == [-2, 5, 11]
         assert sol.x == (F(4, 11), F(2, 11), F(5, 11))
@@ -311,7 +314,9 @@ class TestMaster:
         assert sol.duals == (F(5, 11), F(1, 11), F(-13, 11))
         assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (3, 2)
         assert verify_certificate(problem, sol)
-        master.append([-3, 1], [[(0, -2), (1, 1), (2, 1)], [(0, 1), (1, -3), (2, 2)]])
+        master.insert(integer_columns(
+            [-3, 1], [[(0, -2), (1, 1), (2, 1)], [(0, 1), (1, -3), (2, 2)]]
+        ))
         sol = solve(master)
         assert sol.x == (F(4, 11), 0, F(5, 11), F(2, 11), 0)
         assert sol.objective_value == F(-15, 11)
@@ -331,11 +336,11 @@ class TestMaster:
             rounds = self.rounds(rng)
             costs, cols = rounds[0]
             rows = [[col[i] for col in cols] for i in range(3)]
-            master = Master(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
+            master = master_of(build(costs, rows, ["==", "==", "<="], [0, 0, 1]))
             all_costs, all_cols = [], []
             for r, (costs, cols) in enumerate(rounds):
                 if r:
-                    master.append(costs, by_columns(cols))
+                    master.insert(integer_columns(costs, by_columns(cols)))
                 all_costs += costs
                 all_cols += cols
                 pivots.clear()
@@ -357,7 +362,7 @@ class TestMaster:
                 [1, 1, F(2, 3)]]
         costs = [F(-1, 5), F(-1, 7), F(1, 11)]
         senses, rhs = ["==", ">=", "<="], [0, 0, F(1, 3)]
-        master = Master(build(costs, rows, senses, rhs))
+        master = master_of(build(costs, rows, senses, rhs))
         sol = solve(master)
         assert sol.x == (F(93, 715), F(87, 715), F(35, 286))
         assert sol.objective_value == F(-17767, 550550)
@@ -366,7 +371,7 @@ class TestMaster:
         assert verify_certificate(build(costs, rows, senses, rhs), sol)
         new_costs = [F(-3, 13), F(-1, 6)]
         new_cols = [[F(-2, 7), F(-1, 5), F(1, 2)], [F(3, 4), F(-5, 9), 1]]
-        master.append(new_costs, by_columns(new_cols))
+        master.insert(integer_columns(new_costs, by_columns(new_cols)))
         sol = solve(master)
         assert sol.x == (F(275, 1417), 0, F(35, 1417), 0, F(174, 1417))
         assert sol.objective_value == F(-889, 15587)
@@ -380,10 +385,10 @@ class TestMaster:
         # and no positive entry: the master is unbounded, and the solve
         # that finds it names x2
         rows = [[F(1, 2), 1], [1, -1]]
-        master = Master(build([F(-1, 3), 0], rows, ["<=", ">="], [2, 0]))
+        master = master_of(build([F(-1, 3), 0], rows, ["<=", ">="], [2, 0]))
         sol = solve(master)
         assert (sol.x, sol.objective_value) == ((4, 0), F(-4, 3))
-        master.append([F(-2, 7)], [[(0, F(-1, 5)), (1, F(3, 4))]])
+        master.insert(integer_columns([F(-2, 7)], [[(0, F(-1, 5)), (1, F(3, 4))]]))
         with pytest.raises(LpModelError, match="column 2 .* unbounded"):
             solve(master)
 
@@ -397,32 +402,26 @@ class TestMaster:
             costs, cols = map(list, zip(*self.rounds(rng)))
             costs, cols = sum(costs, []), sum(cols, [])
             empty = LpProblem((), ((),) * 3, senses, rhs, ())
-            master = Master(empty)
+            master = master_of(empty)
             sol = solve(master)
             assert (sol.x, sol.objective_value) == ((), 0)
             assert verify_certificate(empty, sol)
-            master.append(costs, by_columns(cols))
+            master.insert(integer_columns(costs, by_columns(cols)))
             sol = solve(master)
             rows = [[col[i] for col in cols] for i in range(3)]
             problem = build(costs, rows, senses, rhs)
-            expected = solve(Master(problem))
+            expected = solve(master_of(problem))
             assert (sol.x, sol.objective_value, sol.duals) == (
                 expected.x, expected.objective_value, expected.duals
             )
             assert sol.stats == expected.stats
             assert verify_certificate(problem, sol)
 
-    def test_bounded_or_free_variables_refused(self):
-        # a lower bound other than 0, or none; an upper bound is a row
-        for lower in ([1], [None]):
-            with pytest.raises(LpModelError, match="nonnegative"):
-                Master(build([1], [[1]], ["<="], [1], lower=lower))
-
 
 class TestIntegerColumns:
     """Master.insert takes columns as integers over the lcm of their
-    denominators, the form append and the rational constructor hand it,
-    with the same checks; of_rows starts a master from its rows alone."""
+    denominators, the form the tests' master_of adapter hands it, and
+    checks them; the constructor checks the rows."""
 
     SENSES, RHS = ["==", ">=", "<="], [0, 0, F(1, 3)]
 
@@ -446,9 +445,10 @@ class TestIntegerColumns:
             ]
             yield costs, cols
 
-    def test_insert_matches_append(self):
-        # the same rounds through append on a rational master and through
-        # insert on one from of_rows: the same stored columns, answers,
+    def test_adapter_matches_integer_columns(self):
+        # the same rounds through master_of and integer_columns, the
+        # adapter every LP test builds its masters with, and through
+        # columns written by integer: the same stored columns, answers,
         # duals and stats after every round
         rng = random.Random(1977)
         for _ in range(20):
@@ -456,10 +456,10 @@ class TestIntegerColumns:
             for costs, cols in self.rounds(rng):
                 if rational is None:
                     rows = [[col[i] for col in cols] for i in range(3)]
-                    rational = Master(build(costs, rows, self.SENSES, self.RHS))
-                    integral = Master.of_rows(self.SENSES, self.RHS)
+                    rational = master_of(build(costs, rows, self.SENSES, self.RHS))
+                    integral = Master(self.SENSES, self.RHS)
                 else:
-                    rational.append(costs, by_columns(cols))
+                    rational.insert(integer_columns(costs, by_columns(cols)))
                 integral.insert([self.integer(c, col) for c, col in zip(costs, cols)])
                 assert integral.columns == rational.columns
                 expected, sol = solve(rational), solve(integral)
@@ -472,7 +472,7 @@ class TestIntegerColumns:
         # the solution's duals are the accessor's integers over |det|
         rng = random.Random(1978)
         for _ in range(20):
-            master = Master.of_rows(self.SENSES, self.RHS)
+            master = Master(self.SENSES, self.RHS)
             for costs, cols in self.rounds(rng):
                 master.insert([self.integer(c, col) for c, col in zip(costs, cols)])
                 sol = solve(master)
@@ -485,7 +485,7 @@ class TestIntegerColumns:
         # an entry short, a scale that is not the lcm, a scale below 1,
         # and a good column before a bad one; none changes the next solve
         good = ([0, 2], [1, 2], -1, 1)
-        master = Master.of_rows(["==", "==", "<="], [0, 0, 1])
+        master = Master(["==", "==", "<="], [0, 0, 1])
         master.insert([good])
         for bad in (([3], [1], 0, 1), ([2, 0], [1, 1], 0, 1),
                     ([0, 0], [1, 1], 0, 1), ([0, 2], [0, 1], 0, 1),
@@ -495,7 +495,7 @@ class TestIntegerColumns:
                 with pytest.raises(LpModelError):
                     master.insert(columns)
         sol = solve(master)
-        expected = Master.of_rows(["==", "==", "<="], [0, 0, 1])
+        expected = Master(["==", "==", "<="], [0, 0, 1])
         expected.insert([good])
         assert sol == solve(expected)
 
@@ -505,8 +505,8 @@ class TestIntegerColumns:
         for senses, rhs in ((["<"], [0]), (["==", "<="], [0]),
                             (["=="], [1]), ([">="], [F(1, 2)]), (["<="], [-1])):
             with pytest.raises(LpModelError):
-                Master.of_rows(senses, rhs)
-        master = Master.of_rows(["==", ">=", "<="], [0, 0, F(1, 3)])
+                Master(senses, rhs)
+        master = Master(["==", ">=", "<="], [0, 0, F(1, 3)])
         assert (master.nrows, master.nstruct, master.rhs_scale) == (3, 0, 3)
 
 
@@ -519,7 +519,7 @@ class TestCrashStart:
     PROB = build([-1, -2], [[1, -1], [1, 1]], ["==", "<="], [0, 2])
 
     def test_crash_replaces_phase_one(self):
-        sol = solve(Master(self.PROB))
+        sol = solve(master_of(self.PROB))
         assert sol.x == (F(1), F(1))
         assert verify_certificate(self.PROB, sol)
         oracle = enumerate_lp([F(-1), F(-2)], [[F(1), F(-1)], [F(1), F(1)]],
@@ -529,12 +529,12 @@ class TestCrashStart:
     def test_start_above_the_optimum(self):
         # the start vertex x = 0 costs 0: x0 replaces the artificial at
         # ratio 0, then phase 2 moves to (1, 1) at cost -3
-        sol = solve(Master(self.PROB))
+        sol = solve(master_of(self.PROB))
         assert sol.objective_value == -3
         assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (2, 1)
         # with costs >= 0 the start is optimal and nothing pivots
         rows = [[1, -1], [1, 1]]
-        cheap = solve(Master(build([1, 2], rows, ["==", "<="], [0, 2])))
+        cheap = solve(master_of(build([1, 2], rows, ["==", "<="], [0, 2])))
         assert (cheap.x, cheap.objective_value) == ((0, 0), 0)
         assert cheap.stats.pivots == 0
 
@@ -543,24 +543,8 @@ class TestCrashStart:
         # with rhs -1 needs one too
         for sense, rhs in (("==", 1), (">=", 1), ("<=", -1)):
             with pytest.raises(LpModelError, match="rhs 0"):
-                Master(build([1], [[1]], [sense], [rhs]))
-        Master(build([1], [[1]], [">="], [0]))
-
-    def test_malformed_entries_refused(self):
-        # a row past the end, one cost too many, a repeated row, and a
-        # good column before a bad one; none of them changes the next solve
-        master = Master(self.PROB)
-        for costs, cols in (([1], [[(2, 1)]]), ([1, 2], [[(0, 1)]]),
-                            ([1], [[(0, 1), (0, 2)]]),
-                            ([-5, 1], [[(0, 1), (1, 1)], [(1, 1), (0, 1)]])):
-            with pytest.raises(LpModelError):
-                master.append(costs, cols)
-        sol, expected = solve(master), solve(Master(self.PROB))
-        assert (sol.x, sol.objective_value, sol.duals) == (
-            expected.x, expected.objective_value, expected.duals
-        )
-        assert sol.stats == expected.stats
-        assert verify_certificate(self.PROB, sol)
+                master_of(build([1], [[1]], [sense], [rhs]))
+        master_of(build([1], [[1]], [">="], [0]))
 
 
 class TestInfeasible:
@@ -580,7 +564,7 @@ class TestInfeasible:
             claim = LpSolution(x, value, (F(0),) * len(rows))
             assert not verify_certificate(prob, claim)
         with pytest.raises(LpModelError, match="rhs 0"):
-            Master(prob)
+            master_of(prob)
 
     def test_contradictory_bound_row(self):
         self.check([1], [[1]], ["<="], [-1], points=[[0], [-1]])
@@ -603,13 +587,13 @@ class TestUnbounded:
     def test_simple_ray(self):
         # x0 meets no row, so its ray starts at the first basis
         with pytest.raises(LpModelError, match="column 0 .* unbounded"):
-            solve(Master(build([-1], [[0]], ["<="], [0])))
+            solve(master_of(build([-1], [[0]], ["<="], [0])))
 
     def test_ray_inside_constraints(self):
         # minimize -x - y with x - y <= 1: x enters and stops at 1, then
         # y enters along the diagonal, which meets no bound
         with pytest.raises(LpModelError, match="column 1 .* unbounded"):
-            solve(Master(build([-1, -1], [[1, -1]], ["<="], [1])))
+            solve(master_of(build([-1, -1], [[1, -1]], ["<="], [1])))
 
 
 def at_zero(sense, b):
@@ -627,7 +611,7 @@ class TestAgainstEnumeration:
         n = len(c)
         box = [[F(int(k == j)) for k in range(n)] for j in range(n)]
         prob = build(c, rows + box, senses + ["<="] * n, rhs + upper)
-        sol = solve(Master(prob))
+        sol = solve(master_of(prob))
         oracle = enumerate_lp(c, rows, senses, rhs, upper=upper)
         assert sol.objective_value == oracle[0]
         assert verify_certificate(prob, sol)
@@ -724,14 +708,14 @@ class TestDeterminism:
         # (N - m) m = 8 rows of W and the row sum(mu) <= 1; a column per
         # cut, that row's slack, an artificial per W row, and the rhs
         assert (stats.rows, stats.cols) == (9, first.cuts + 1 + 8 + 1)
-        assert stats.started <= stats.built <= stats.finished
+        assert stats.started <= stats.finished
 
 
 class TestCertificateRejection:
     PAIR = build([-1, -1], [[1, 1], [1, 0]], ["<=", "<="], [2, 1])
 
     def test_perturbed_primal_rejected(self):
-        sol = solve(Master(self.PAIR))
+        sol = solve(master_of(self.PAIR))
         bad = LpSolution(
             x=(sol.x[0] + F(1, 1000), sol.x[1]),
             objective_value=sol.objective_value,
@@ -740,7 +724,7 @@ class TestCertificateRejection:
         assert not verify_certificate(self.PAIR, bad)
 
     def test_perturbed_dual_rejected(self):
-        sol = solve(Master(self.PAIR))
+        sol = solve(master_of(self.PAIR))
         bad = LpSolution(
             x=sol.x,
             objective_value=sol.objective_value,
@@ -751,7 +735,7 @@ class TestCertificateRejection:
     def test_wrong_sign_multiplier_rejected(self):
         # a <= row's multiplier must be <= 0, so the flipped duals
         # (1, 0) prove no bound
-        sol = solve(Master(self.PAIR))
+        sol = solve(master_of(self.PAIR))
         assert sol.duals == (F(-1), F(0))
         bad = replace(sol, duals=tuple(-y for y in sol.duals))
         assert not verify_certificate(self.PAIR, bad)
@@ -766,7 +750,7 @@ class TestCertificateRejection:
         assert not verify_certificate(prob, bad)
 
     def test_wrong_lengths_rejected(self):
-        sol = solve(Master(self.PAIR))
+        sol = solve(master_of(self.PAIR))
         assert sol.duals[-1] == 0
         for x, duals in (
             (sol.x + (F(0),), sol.duals),
@@ -906,9 +890,9 @@ class TestCertificateOracle:
                     all_costs, rows, ["==", "==", "<="], [0, 0, 1]
                 )
                 if master is None:
-                    master = Master(problem)
+                    master = master_of(problem)
                 else:
-                    master.append(costs, cols)
+                    master.insert(integer_columns(costs, cols))
                 solution = solve(master)
                 dense = [[col[r][1] for col in all_cols] for r in range(3)]
                 oracle = enumerate_lp(all_costs, dense, ["==", "==", "<="], [0, 0, 1])

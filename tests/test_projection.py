@@ -29,7 +29,11 @@ from linfiso.projection import (
     projection_norm,
     verify_norm_gap,
 )
-from oracles import dense_projection_program, hyperplane_projection_constant
+from oracles import (
+    dense_projection_program,
+    hyperplane_projection_constant,
+    integer_columns,
+)
 
 ANCHOR = subspace_from_annihilator([1, 1, 1])
 
@@ -514,10 +518,10 @@ class TestCutLoop:
 
     def test_integer_columns_match_the_rational_front_end(self, monkeypatch):
         # every round's columns, as the loop hands them to the master,
-        # are what Master.append stores for the same cuts as Fractions,
-        # and the cuts are those a rational separation finds: the signs of
-        # the rows of P = P_S - K W F^T with |P_i|_1 > t, W and t read
-        # from the Fraction duals of each solve
+        # are what the integer_columns adapter writes for the same cuts as
+        # Fractions, and the cuts are those a rational separation finds:
+        # the signs of the rows of P = P_S - K W F^T with |P_i|_1 > t, W
+        # and t read from the Fraction duals of each solve
         handed, solutions = [], []
         insert, real_solve = Master.insert, projection.solve
 
@@ -554,9 +558,7 @@ class TestCutLoop:
                 [(a, ka) for a, ka in enumerate(k_mat.row(i)) if ka] for i in range(n)
             ]
             convexity = len(off) * m
-            reference = Master.of_rows(
-                ["=="] * convexity + ["<="], [0] * convexity + [1]
-            )
+            reference = Master(["=="] * convexity + ["<="], [0] * convexity + [1])
             new = [
                 (i, sign)
                 for i in range(n)
@@ -565,8 +567,10 @@ class TestCutLoop:
             assert len(handed) == len(solutions) > 0
             for columns, solution in zip(handed, solutions):
                 first = reference.nstruct
-                reference.append(
-                    *self.rational_columns(ft, p_s, k_rows, convexity, new)
+                reference.insert(
+                    integer_columns(
+                        *self.rational_columns(ft, p_s, k_rows, convexity, new)
+                    )
                 )
                 assert columns == reference.columns[first : reference.nstruct]
                 duals = solution.duals
