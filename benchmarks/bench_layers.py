@@ -14,8 +14,9 @@ whole projection_constant call; setup_s, from the call to the start of the
 LP (the program build, the best-set scan and P_S); master_s, from the
 start of the LP to its last solve (every round of the cut loop, its
 separation included); mapping_s, from there to the end of the call (the
-certificate on the full program and the reading of Y and P); and
-verify_certificate.  The answer fields come from the first repeat, and
+reading of Y and of the dual operator Z from the last master, and the
+certificate that writes P, the point and the duals of the full program
+from Y and Z); and verify_certificate.  The answer fields come from the first repeat, and
 every repeat must give the same ones, or the script exits 1: the route
 (method), the digest of lambda, whether the certificate verifies, the cut
 rounds and cuts, the master's pivots, degenerate pivots and Bland turns,

@@ -7,9 +7,8 @@ absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible, and written once, in _Layout:
-minimal_projection_program, the duals of the cut loop, of the
-hyperplane closed form and of a constant of 1, and the certificate's
-point all index through it.
+minimal_projection_program and _certificate, the one writer of the
+certificate's point and duals, index through it.
 
 Each index set S whose block F_S is invertible gives the right inverse
 Y_S, equal to F_S^{-T} on the rows of S and zero elsewhere, and the
@@ -51,54 +50,54 @@ t are integers over d and P has integer rows over d times both
 denominators.  A row is cut when the sum of the absolute values of its
 integers exceeds t times both denominators, and its sign vector is that
 of its integers.  The multipliers of the last solve are put over their
-least common denominator for the duals below.  Fractions are built only
-for the returned Y, t and duals.
+least common denominator for Z below.  Fractions are built only for the
+returned Y and t.
 
-The certificate is mapped back to minimal_projection_program.  The
-point is Y, T = |P| entrywise and t.  When t > 1 the t >= 1 row is
-slack, so sum mu = 1, and the dual puts -mu of cut (i, sigma) on the
-P_ij <= T_ij row of each j with sigma_j = +1, on the -P_ij <= T_ij row
-otherwise, and on the row-sum row of i; the F^T Y = I rows get nu with
-F nu = -G, G_i = sum mu F^T sigma over the cuts on row i, solved on the
-rows of S.  The master's dual constraints give K^T G = 0, so this nu
-solves every row and prices each Y_ik to 0.  When t = 1 that dual can
-fall short of 1, so the loop returns none and _certificate writes the
-rank-one dual below.  The certificate carries the master's LpStats.
+For a hyperplane (m = 1, F a single column f) the optimal y is written
+down directly (Blatter and Cheney 1974) and the cut loop does not run.
+Let g_i = |f_i| / |f|_1 and s_i the sign of f_i (+1 when f_i = 0).
 
-For a hyperplane (m = 1, F a single column f) the optimal y and, for a
-constant above 1, an optimal dual of the same program are written down
-directly (Blatter and Cheney 1974) and the cut loop does not run.  Let
-g_i = |f_i| / |f|_1 and s_i the sign of f_i (+1 when f_i = 0).
-
-* Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1,
-  proved by the rank-one dual below.
+* Some g_p >= 1/2 (take the first): y = e_p / f_p and the constant is 1.
 * Otherwise, with c = 1 / sum_i g_i / (1 - 2 g_i), the constant is
-  1 + c, attained by y_i = s_i c / ((1 - 2 g_i) |f|_1).  The dual is
-  nu = c and Z with a_i = c g_i / (1 - 2 g_i) on the diagonal and
-  -a_i s_i s_j off it.
+  1 + c, attained by y_i = s_i c / ((1 - 2 g_i) |f|_1).
 
-Here nu is the multiplier of the row f^T y = 1 and Z an N x N matrix
-with Z f = -nu f, trace 1 and sum_i max_j |Z_ij| = 1, so its dual bound
-is nu + trace Z.  Z_ij is split over the rows P_ij <= T_ij and
--P_ij <= T_ij as -max(Z_ij, 0) and -max(-Z_ij, 0), and row i of the
-row-sum block gets -max_j |Z_ij|.
+Every optimum is proved by trace duality, the l-infinity case of the
+characterization of minimal projections by Chalmers and Metcalf (Trans.
+AMS 1992).  Let Z be an N x N matrix with sum_i max_j |Z_ij| <= 1 and
+Z F = F M for some m x m matrix M.  Every projection P = I - Y F^T has
+|P| >= sum_ij Z_ij P_ij = tr Z - tr M, so the constant is at least
+tr Z - tr M.  Each route returns its Z for a claim above 1, as integer
+rows over one positive denominator:
 
-Both routes return the right inverse Y, the optimum they claim and,
-for a claim above 1, the duals.  One writer, _certificate, forms
-P = I - Y F^T once, checks that its norm is the claim and at least 1,
-and writes the point (Y, T = |P| entrywise, t) of the program.  For a
-claim of 1 it writes the rank-one dual too: nu = 0 and Z = e_k v^T / v_k
-for v the first nonzero column of P, which lies in V, and k the first
-index of its largest entry, so Z F = 0, trace Z = 1 and every entry of
-Z is at most 1 in absolute value.  The certificate is an ordinary
-LpSolution, so lp.verify_certificate checks either route's answer the
-same way.  crosscheck runs the cut loop on hyperplanes too and writes
-its answer with the same writer, to check the closed form against it."""
+* The cut loop: Z = sum_c mu_c e_i sigma^T over the cuts (i, sigma), mu
+  the multipliers of the last master.  When t > 1 the t >= 1 row is
+  slack, so sum mu = 1; a cut with mu_c > 0 is tight, so sigma agrees
+  with the signs of P_i and max_j |Z_ij| is the sum of row i's mu.  The
+  master's dual constraints read K^T Z F = 0, so Z F lies in the span
+  of F.
+* The hyperplane: Z_ii = a_i and Z_ij = -a_i s_i s_j for
+  a_i = c g_i / (1 - 2 g_i), so Z f = -c f, trace Z = 1 and M = -c.
+* A claim of 1 (either route): _certificate takes Z = e_k v^T / v_k for
+  v the first nonzero column of P, which lies in V, and k the first
+  index of its largest entry, so Z F = 0 and trace Z = 1.
+
+_certificate forms P = I - Y F^T once, checks that its norm is the
+claim and at least 1, and writes the point (Y, T = |P| entrywise, t)
+and the duals of the program from Z: -|Z_ij| on the P_ij <= T_ij row
+when Z_ij > 0 and on the -P_ij <= T_ij row when Z_ij < 0, -max_j |Z_ij|
+on row i of the row-sum block, and nu = -Y^T Z F on the F^T Y = I
+rows, which is -M since Y^T F = I, so no system is solved.  It builds
+one Fraction per distinct |Z_ij|.  The certificate is an ordinary
+LpSolution carrying the master's LpStats (None for the closed form), so
+lp.verify_certificate checks either route's answer the same way.
+crosscheck runs the cut loop on hyperplanes too and writes its answer
+with the same writer, to check the closed form against it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
@@ -124,6 +123,9 @@ from .lp import LpProblem, LpSolution, LpStats, Master, solve
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# an N x N matrix as integer rows over one positive denominator
+_Z = tuple[Sequence[Sequence[int]], int]
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -133,9 +135,9 @@ class ProjectionResult:
     >= 1), projection is P = I - Y F^T for the optimal right inverse Y,
     and certificate is an optimal LpSolution of program whose duals
     prove optimality.  method names the route: "hyperplane" when m = 1
-    and the primal and dual were built in closed form (certificate.stats
-    is then None), "cuts" when the cut loop solved program
-    (certificate.stats is then the master's).  rounds counts the master
+    and Y and the dual operator Z were built in closed form
+    (certificate.stats is then None), "cuts" when the cut loop solved
+    program (certificate.stats is then the master's).  rounds counts the master
     solves and cuts the sign-vector cuts of the cut loop (0 for a
     hyperplane)."""
 
@@ -269,12 +271,11 @@ def _signs(row) -> tuple[int, ...]:
 
 def _cut_loop(
     spec: SubspaceSpec, index_set: IndexSet
-) -> tuple[Matrix, Fraction, Optional[tuple], LpStats, int, int]:
-    """The optimal right inverse Y, the optimum t and, when t > 1, an
-    optimal dual of minimal_projection_program(spec) by delayed
-    sign-vector cuts from the coordinate projection of index_set, with
-    the master's LpStats and the number of master solves and of cuts
-    (see the module docstring)."""
+) -> tuple[Matrix, Fraction, Optional[_Z], LpStats, int, int]:
+    """The optimal right inverse Y, the optimum t and, when t > 1, its
+    trace-duality operator Z by delayed sign-vector cuts from the
+    coordinate projection of index_set, with the master's LpStats and
+    the number of master solves and of cuts (see the module docstring)."""
     n, m = spec.ambient, spec.codim
     f_rows, f_den = spec.annihilator.integers()
     ft_rows = list(zip(*f_rows))
@@ -354,99 +355,46 @@ def _cut_loop(
         y_num.append([y * p_den * d + y_den * v for y, v in zip(y_row, kw)])
     den = y_den * p_den * d
     right_inverse = Matrix([[Fraction(y, den) for y in row] for row in y_num])
-    cut_duals = None
+    z = None
     if t > d:
-        lay, members = _Layout(n, m), [member - 1 for member in index_set]
-        cut_duals = tuple(
-            _cut_duals(lay, ft_rows, f_den, y_rows, y_den, members, cuts, solution.x)
-        )
-    return right_inverse, Fraction(t, d), cut_duals, solution.stats, rounds, len(cuts)
-
-
-def _rank_one_duals(lay: _Layout, v: tuple[Fraction, ...]) -> list[Fraction]:
-    """The duals of Z = e_k v^T / v_k and nu = 0 for v in V and k the
-    first index of its largest entry: they prove the bound 1."""
-    duals = [_ZERO] * lay.nrows
-    k = max(range(len(v)), key=lambda j: (abs(v[j]), -j))
-    for j, e in enumerate(v):
-        if e:
-            z = e / v[k]
-            duals[lay.upper_row(k, j) if z > 0 else lay.lower_row(k, j)] = -abs(z)
-    duals[lay.sum_row(k)] = -_ONE
-    return duals
-
-
-def _cut_duals(
-    lay: _Layout,
-    ft_rows: list,
-    f_den: int,
-    y_rows: tuple,
-    y_den: int,
-    members: list[int],
-    cuts: list[tuple[int, tuple[int, ...]]],
-    multipliers: Sequence[Fraction],
-) -> list[Fraction]:
-    """The duals of the program from the multipliers mu of the cuts (i,
-    sigma), which sum to 1: -mu on the P <= T or -P <= T row of each
-    entry by its sign and on the row-sum row, and nu with F nu = -G,
-    solved on the rows members of S, where F_S^-1 is Y_S on S
-    transposed.  F^T is ft_rows / f_den and Y_S is y_rows / y_den.  The
-    sums run on the multipliers' numerators over their least common
-    denominator; only the returned duals are Fractions."""
-    mus, den = common_denominator(multipliers)
-    m = len(ft_rows)
-    nums = [0] * lay.nrows
-    g = {i: [0] * m for i in members}  # G over den f_den
-    for (i, sign), mu in zip(cuts, mus):
-        if not mu:
-            continue
-        for j, s in enumerate(sign):
-            nums[lay.upper_row(i, j) if s > 0 else lay.lower_row(i, j)] -= mu
-        nums[lay.sum_row(i)] -= mu
-        if i in g:
-            for k, col in enumerate(ft_rows):
-                g[i][k] += mu * sum(map(mul, sign, col))
-    duals = [Fraction(v, den) if v else _ZERO for v in nums]
-    nu_den = y_den * den * f_den
-    for j in range(m):
-        for k in range(m):
-            nu = -sum(y_rows[i][j] * g[i][k] for i in members)
-            duals[lay.identity_row(j, k)] = Fraction(nu, nu_den)
-    return duals
+        # Z = sum_c mu_c e_i sigma^T over the cuts (i, sigma)
+        mus, mu_den = common_denominator(solution.x)
+        z_rows = [[0] * n for _ in range(n)]
+        for (i, sign), mu in zip(cuts, mus):
+            if mu:
+                z_rows[i] = [v + mu * s for v, s in zip(z_rows[i], sign)]
+        z = (z_rows, mu_den)
+    return right_inverse, Fraction(t, d), z, solution.stats, rounds, len(cuts)
 
 
 def _hyperplane_solution(
     annihilator: Matrix,
-) -> tuple[Matrix, Fraction, Optional[tuple]]:
+) -> tuple[Matrix, Fraction, Optional[_Z]]:
     """The optimal right inverse y, the constant and, when it is above 1,
-    an optimal dual of minimal_projection_program for the single
-    annihilator column, in closed form (see the module docstring)."""
+    its trace-duality operator Z for the single annihilator column, in
+    closed form (see the module docstring)."""
     f = annihilator.column(0)
     n = len(f)
     sizes = [abs(v) for v in f]
     norm = sum(sizes, _ZERO)
     signs = [-1 if v < 0 else 1 for v in f]
     p = next((i for i, a in enumerate(sizes) if 2 * a >= norm), None)
-    y = [_ZERO] * n
     if p is not None:
+        y = [_ZERO] * n
         y[p] = 1 / f[p]
         return Matrix.column_vector(y), _ONE, None
-    lay = _Layout(n, 1)
-    duals = [_ZERO] * lay.nrows
     weights = [a / (norm - 2 * a) for a in sizes]  # g / (1 - 2g)
-    nu = 1 / sum(weights, _ZERO)
-    duals[lay.identity_row(0, 0)] = nu
-    for i, (w, s, a) in enumerate(zip(weights, signs, sizes)):
-        y[i] = s * nu / (norm - 2 * a)
-        if not w:
-            continue
-        # row i of Z: a_i = nu w_i on the diagonal, -a_i s_i s_j off it
-        e = -nu * w
-        for j, t in enumerate(signs):
-            row = lay.upper_row(i, j) if j == i or t != s else lay.lower_row(i, j)
-            duals[row] = e
-        duals[lay.sum_row(i)] = e
-    return Matrix.column_vector(y), 1 + nu, tuple(duals)
+    c = 1 / sum(weights, _ZERO)
+    y = [s * c / (norm - 2 * a) for s, a in zip(signs, sizes)]
+    # a_i = c w_i on the diagonal of Z and -a_i s_i s_j off it, over the
+    # denominator of c times the weights' least common denominator
+    ints, w_den = common_denominator(weights)
+    a = [c.numerator * v for v in ints]
+    z_rows = [
+        [a_i if j == i else -a_i * s * t for j, t in enumerate(signs)]
+        for i, (a_i, s) in enumerate(zip(a, signs))
+    ]
+    return Matrix.column_vector(y), 1 + c, (z_rows, c.denominator * w_den)
 
 
 def projection_constant(
@@ -465,14 +413,14 @@ def projection_constant(
     ignores it."""
     program = minimal_projection_program(spec)
     if spec.codim == 1:
-        right_inverse, claimed, duals = _hyperplane_solution(spec.annihilator)
+        right_inverse, claimed, z = _hyperplane_solution(spec.annihilator)
         stats, method, rounds, cuts = None, "hyperplane", 0, 0
     else:
         if best_set is None:
             best_set = best_upper_bound(spec).best_set
-        right_inverse, claimed, duals, stats, rounds, cuts = _cut_loop(spec, best_set)
+        right_inverse, claimed, z, stats, rounds, cuts = _cut_loop(spec, best_set)
         method = "cuts"
-    projection, certificate = _certificate(spec, right_inverse, claimed, duals, stats)
+    projection, certificate = _certificate(spec, right_inverse, claimed, z, stats)
     return ProjectionResult(
         claimed, projection, right_inverse, certificate, program, method, rounds, cuts
     )
@@ -482,15 +430,16 @@ def _certificate(
     spec: SubspaceSpec,
     right_inverse: Matrix,
     claimed: Fraction,
-    duals: Optional[tuple],
+    z: Optional[_Z],
     stats: Optional[LpStats],
 ) -> tuple[Matrix, LpSolution]:
     """The projection P = I - Y F^T of the right inverse Y and the
     certificate for minimal_projection_program(spec) that the point
-    (Y, T = |P| entrywise, t = claimed) and duals make, carrying stats;
-    a claim of 1 gets the rank-one dual of the module docstring in
-    place of duals.  Raises InternalConsistencyError unless the norm of
-    P is claimed and at least 1."""
+    (Y, T = |P| entrywise, t = claimed) and the duals of the
+    trace-duality operator z make, carrying stats; a claim of 1 gets
+    the rank-one Z of the module docstring in place of z.  Raises
+    InternalConsistencyError unless the norm of P is claimed and at
+    least 1."""
     n, m = spec.ambient, spec.codim
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
     if op_norm_inf(projection) != claimed:
@@ -508,9 +457,35 @@ def _certificate(
             x[lay.t(i, j)] = abs(v)
     x[lay.scalar] = claimed
     if claimed == 1:
-        v = next(c for c in map(projection.column, range(n)) if any(c))
-        duals = tuple(_rank_one_duals(lay, v))
-    certificate = LpSolution(tuple(x), claimed, duals, stats)
+        # Z = e_k v^T / v_k, v the first nonzero column of P
+        p_rows, _ = projection.integers()
+        v = next(col for col in zip(*p_rows) if any(col))
+        k = max(range(n), key=lambda j: (abs(v[j]), -j))
+        z_rows = [(0,) * n] * n
+        z_rows[k] = v if v[k] > 0 else tuple(-e for e in v)
+        z = (z_rows, abs(v[k]))
+    z_rows, z_den = z
+    duals = [_ZERO] * lay.nrows
+    # -|Z_ij| over z_den, one Fraction per distinct size
+    price = {a: Fraction(-a, z_den) for a in set(map(abs, chain.from_iterable(z_rows)))}
+    for i, row in enumerate(z_rows):
+        # the P_ij <= T_ij rows of row i are consecutive, and so are the
+        # -P_ij <= T_ij rows
+        up, low = lay.upper_row(i, 0), lay.lower_row(i, 0)
+        duals[up : up + n] = [price[e] if e > 0 else _ZERO for e in row]
+        duals[low : low + n] = [price[-e] if e < 0 else _ZERO for e in row]
+        duals[lay.sum_row(i)] = price[max(map(abs, row))]
+    # nu = -Y^T Z F over y_den z_den f_den
+    f_rows, f_den = spec.annihilator.integers()
+    y_rows, y_den = right_inverse.integers()
+    f_cols = list(zip(*f_rows))
+    zf = [[sum(map(mul, row, col)) for col in f_cols] for row in z_rows]
+    nu_den = y_den * z_den * f_den
+    for j in range(m):
+        for k in range(m):
+            nu = -sum(y[j] * g[k] for y, g in zip(y_rows, zf))
+            duals[lay.identity_row(j, k)] = Fraction(nu, nu_den)
+    certificate = LpSolution(tuple(x), claimed, tuple(duals), stats)
     return projection, certificate
 
 

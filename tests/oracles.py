@@ -332,3 +332,69 @@ def master_of(problem) -> Master:
     master = Master(problem.senses, problem.rhs)
     master.insert(integer_columns(problem.objective, columns))
     return master
+
+
+# -- Trace duality -------------------------------------------------------
+#
+# The duals of the projection program read as one N x N matrix Z.  If
+# sum_i max_j |Z_ij| <= 1 and Z F = F M for some m x m matrix M, every
+# projection P = I - Y F^T has |P| >= sum_ij Z_ij P_ij = tr Z - tr M
+# (Chalmers and Metcalf, Trans. AMS 1992).  The rows are those of
+# dense_projection_program: F^T Y = I (m*m), P <= T and -P <= T (N*N
+# each, row-major), then the row sums (N).
+
+
+def dual_operator(n, m, duals) -> list[list[Fraction]]:
+    """Z read back from the duals of the projection program of an N x m
+    annihilator: Z_ij = dual(-P_ij <= T_ij) - dual(P_ij <= T_ij)."""
+    upper = m * m
+    lower = upper + n * n
+    return [
+        [duals[lower + i * n + j] - duals[upper + i * n + j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def trace_duality_verdict(f, solution) -> bool:
+    """Whether solution proves its value optimal for the projection
+    program of the annihilator f (N lists of m Fractions) by trace
+    duality alone: the Y block of its point is a right inverse of F^T
+    whose projection has norm value, and the Z of its duals has row
+    maxima summing to at most 1, Z F = F M for the M solved on an
+    admissible block of F, and tr Z - tr M = value.  The identity-row
+    and row-sum duals are not read."""
+    n, m = len(f), len(f[0])
+    value = solution.objective_value
+    y = [solution.x[i * m : i * m + m] for i in range(n)]
+    for j in range(m):
+        for k in range(m):
+            if sum(f[i][j] * y[i][k] for i in range(n)) != (ONE if j == k else ZERO):
+                return False
+    norm = max(
+        sum(
+            abs((ONE if i == j else ZERO) - sum(a * b for a, b in zip(y[i], f[j])))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    if norm != value:
+        return False
+    z = dual_operator(n, m, solution.duals)
+    if sum(max(abs(v) for v in row) for row in z) > 1:
+        return False
+    zf = [
+        [sum(z[i][a] * f[a][k] for a in range(n)) for k in range(m)] for i in range(n)
+    ]
+    block = independent_rows(f)
+    # column k of M solves F_S M_k = (Z F)_S,k
+    m_cols = [
+        solve_square([f[i] for i in block], [zf[i][k] for i in block])
+        for k in range(m)
+    ]
+    for i in range(n):
+        for k in range(m):
+            if sum(f[i][r] * m_cols[k][r] for r in range(m)) != zf[i][k]:
+                return False
+    trace_z = sum((z[i][i] for i in range(n)), ZERO)
+    trace_m = sum((m_cols[r][r] for r in range(m)), ZERO)
+    return trace_z - trace_m == value

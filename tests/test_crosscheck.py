@@ -53,17 +53,18 @@ class TestCheckInstance:
         )
 
     def test_uncertified_cut_loop_fails_the_check(self, monkeypatch):
-        # the cut loop's optimum kept, its duals zeroed: the value agrees
-        # with the closed form, but the certificate proves no bound
+        # the cut loop's optimum kept, its dual operator Z zeroed: the
+        # value agrees with the closed form, but the certificate proves
+        # no bound
         from linfiso import crosscheck
 
         real = crosscheck._cut_loop
 
-        def zero_duals(spec, index_set):
-            y, t, duals, *rest = real(spec, index_set)
-            return (y, t, (0,) * len(duals), *rest)
+        def zero_z(spec, index_set):
+            y, t, (rows, den), *rest = real(spec, index_set)
+            return (y, t, ([[0] * len(row) for row in rows], den), *rest)
 
-        monkeypatch.setattr(crosscheck, "_cut_loop", zero_duals)
+        monkeypatch.setattr(crosscheck, "_cut_loop", zero_z)
         results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(
             "3 1 annihilator\n1\n1\n1\n"))}
         assert results["hyperplane_matches_cut_loop"] == (

@@ -1,5 +1,4 @@
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
@@ -31,8 +30,10 @@ from linfiso.projection import (
 )
 from oracles import (
     dense_projection_program,
+    dual_operator,
     hyperplane_projection_constant,
     integer_columns,
+    trace_duality_verdict,
 )
 
 ANCHOR = subspace_from_annihilator([1, 1, 1])
@@ -600,28 +601,100 @@ class TestCutLoop:
             assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
 
     def test_rank_one_dual_written_only_by_the_certificate(self, monkeypatch):
-        # lambda = 1 on either route: the route returns no duals and
-        # _certificate writes the rank-one dual, once per result; a
-        # constant above 1 writes none
-        callers = []
-        real = projection._rank_one_duals
+        # lambda = 1 on either route: the route returns no Z and
+        # _certificate writes the rank-one Z = e_k v^T / v_k, once per
+        # result; a constant above 1 carries the route's own Z
+        routes, written = [], []
 
-        def counted(lay, v):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(lay, v)
+        def recorded(real, log, index):
+            def call(*args):
+                out = real(*args)
+                log.append(out[index])
+                return out
+            return call
 
-        monkeypatch.setattr(projection, "_rank_one_duals", counted)
+        for name in ("_cut_loop", "_hyperplane_solution"):
+            monkeypatch.setattr(
+                projection, name, recorded(getattr(projection, name), routes, 2)
+            )
+        monkeypatch.setattr(
+            projection, "_certificate", recorded(projection._certificate, written, 1)
+        )
         seen = set()
         for spec in (subspace_from_annihilator([1, 1, 2]), ANCHOR, *cut_specs()):
-            before = len(callers)
+            routes.clear()
+            written.clear()
             result = projection_constant(spec)
             assert verify_certificate(result.program, result.certificate)
-            assert len(callers) - before == (result.constant == 1)
-            seen.add((result.method, result.constant == 1))
-        assert set(callers) == {"_certificate"}
+            assert written == [result.certificate]
+            [z] = routes
+            isometric = result.constant == 1
+            assert (z is None) == isometric
+            if isometric:
+                n, m = spec.ambient, spec.codim
+                duals = written[0].duals
+                rows = [row for row in dual_operator(n, m, duals) if any(row)]
+                assert len(rows) == 1 and max(map(abs, rows[0])) == 1
+                assert not any(duals[: m * m])  # nu = 0
+            seen.add((result.method, isometric))
         assert seen == {
             ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
         }
+
+
+class TestTraceDuality:
+    """Every certificate's duals are one operator Z, and the check of Z
+    by trace duality, which solves Z F = F M on its own, agrees with
+    verify_certificate."""
+
+    @staticmethod
+    def specs():
+        rng = random.Random(2024)
+        out = [subspace_from_annihilator([1, 1, 2]), ANCHOR, PLANTED]
+        for n, m in ((6, 1), (7, 1), (5, 2), (6, 3), (7, 2)):
+            for rational in (False, True):
+                out.append(random_instance(rng, n, m, rational=rational).to_spec())
+        return out
+
+    def test_agrees_with_verify_certificate(self):
+        kinds = set()
+        for spec in self.specs():
+            result = projection_constant(spec)
+            f = [list(spec.annihilator.row(i)) for i in range(spec.ambient)]
+            cert = result.certificate
+            assert trace_duality_verdict(f, cert)
+            assert verify_certificate(result.program, cert)
+            # Z_00 + 1/7: the dual of P_00 <= T_00 moves down by 1/7
+            m = spec.codim
+            duals = list(cert.duals)
+            duals[m * m] -= F(1, 7)
+            bad = replace(cert, duals=tuple(duals))
+            assert not trace_duality_verdict(f, bad)
+            assert not verify_certificate(result.program, bad)
+            kinds.add((result.method, result.constant == 1))
+        assert kinds == {
+            ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
+        }
+
+    def test_no_entry_priced_on_both_sides(self):
+        # Z_ij goes on one row of its entry, P_ij <= T_ij or -P_ij <= T_ij,
+        # by its sign
+        specs = [
+            random_instance(random.Random(seed), n, m).to_spec()
+            for seed in (1, 2, 3)
+            for n, m in ((8, 3), (6, 2), (7, 1))
+        ]
+        for spec in specs:
+            n, m = spec.ambient, spec.codim
+            lay = _Layout(n, m)
+            duals = projection_constant(spec).certificate.duals
+            both = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if duals[lay.upper_row(i, j)] and duals[lay.lower_row(i, j)]
+            ]
+            assert both == []
 
 
 class TestCertificatePoint:
