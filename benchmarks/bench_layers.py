@@ -7,9 +7,10 @@ Run from the root of a source checkout:
 
 Each rung is a shape (N, m) and a seed, and its instance is
 random_instance(random.Random(seed), N, m); (12, 4) runs at two seeds, so
-one lucky draw does not carry a figure, and (16, 4) stands past the
-wall, where most of the master's pivots are degenerate.
-projection_constant runs REPEATS times on each.  Each time is the median over the repeats, in seconds: the
+one lucky draw does not carry a figure, and (16, 4), (16, 5) and (20, 4)
+stand past the wall, where the master's pivots dominate and long
+stretches of them are degenerate.  projection_constant runs REPEATS
+times on each.  Each time is the median over the repeats, in seconds: the
 whole projection_constant call; setup_s, from the call to the start of the
 LP (the program build, the best-set scan and P_S); master_s, from the
 start of the LP to its last solve (every round of the cut loop, its
@@ -19,8 +20,8 @@ certificate that writes P, the point and the duals of the full program
 from Y and Z); and verify_certificate.  The answer fields come from the first repeat, and
 every repeat must give the same ones, or the script exits 1: the route
 (method), the digest of lambda, whether the certificate verifies, the cut
-rounds and cuts, the master's pivots, degenerate pivots and Bland turns,
-and tableau_bits, LpStats.end_bits of the last solve: the largest bit
+rounds and cuts, the master's pivots and degenerate pivots, and
+tableau_bits, LpStats.end_bits of the last solve: the largest bit
 length of det and of an entry of the master's integer block [det B^-1,
 rhs; cost row].  Those integers run longer than the reduced fractions of
 the rational tableau that the master kept before, so tableau_bits does not
@@ -85,7 +86,7 @@ from linfiso import (  # noqa: E402
 # (N, m, seed)
 RUNGS = (
     (16, 1, 1), (24, 1, 1), (8, 4, 1), (10, 4, 1), (12, 3, 1), (12, 4, 1),
-    (12, 4, 2), (14, 3, 1), (16, 4, 1),
+    (12, 4, 2), (14, 3, 1), (16, 4, 1), (16, 5, 1), (20, 4, 1),
 )
 # (N, m, seed) of the scan rungs
 SCAN_RUNGS = ((12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1))
@@ -115,7 +116,6 @@ def measure(n: int, m: int, seed: int) -> dict:
             "cuts": getattr(result, "cuts", None),
             "pivots": getattr(stats, "pivots", None),
             "degenerate_pivots": stats.degenerate_pivots if lp else None,
-            "bland_fallbacks": stats.bland_fallbacks if lp else None,
             "tableau_bits": getattr(stats, "end_bits", None),
         },
         "seconds": {

@@ -46,18 +46,38 @@ are.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
-column.  The ratio test breaks ties to the smallest basic column.  A
-pivot is degenerate when its leaving row has rhs 0, so the objective
-does not move.  Dantzig's rule can cycle through degenerate pivots, so
-after more than _DEGENERATE_STREAK of them in a row the entering column
-follows Bland's smallest-index rule until the next non-degenerate pivot,
-which returns to Dantzig's rule.
+column.  A pivot is degenerate when its leaving row has rhs 0, so the
+objective does not move, and Dantzig's rule alone can then cycle.  The
+leaving row follows the lexicographic ratio test (Dantzig, Orden and
+Wolfe 1955), which ends cycling under any entering rule.  Its anchor B0
+is the basis at the start of each solve and again after each artificial
+leaves, held as its basic columns in row order.  An artificial in B0 is
+still basic, since an artificial's exit retakes B0.  Among the rows i
+whose entry alpha_i of R a has the sign of det, the test keeps those of
+least (R b)_i / alpha_i, then of least (R a_k)_i / alpha_i for the
+columns a_k of B0 in turn, until one row is left: the lexicographically
+least row of [R b | R B0] / alpha_i.  The comparisons are integer
+cross-multiplications, and each kept row's entry is computed once per
+column.  A column of B0 still basic in row p is det e_p under R, so it
+drops row p from the kept rows and costs no product.  Two rows left
+after every column would make R singular, so the test raises
+InternalConsistencyError.
 
-The method terminates on every input.  Bland's rule never repeats a
-basis (Bland 1977), and an artificial leaves at most once, so each Bland
-turn ends its degenerate stretch.  Each non-degenerate pivot strictly
-lowers the objective, so no basis repeats across stretches.  Every
-choice is a fixed function of the block, so the answer is reproducible.
+The method terminates on every input.  At an anchor, the rows of
+[B^-1 b | B^-1 B0] = [R b | R B0] / det are [x_B | I], each of them
+lexicographically positive, as x_B >= 0.  A pivot on the
+lexicographically least row keeps every row positive and strictly lowers
+the cost row [c_B B^-1 b | c_B B^-1 B0], a function of the basis, so no
+basis repeats before the next anchor.  A basic artificial's row of R is
+a multiple of e_r, r its row, because every pivot before its exit had
+alpha_r = 0: it would have left otherwise.  So its rhs stays 0, and its
+exit is degenerate; exiting it on a negative entry is what breaks
+lexicographic positivity, and the new anchor taken right after the exit
+restores it.  An artificial leaves at most once, so a solve has at most
+one anchor more than the master has artificials, and each anchor's
+stretch of pivots is finite.  The pivot count is still guarded: passing
+the guard raises InternalConsistencyError.  Every choice is a fixed
+function of the block, so the answer is reproducible.
 
 A solve ends at an optimum: when an entering column has no leaving row
 the problem is unbounded, which a Master's must not be, and the solve
@@ -98,11 +118,6 @@ GREATER = ">="
 _SENSES = (LESS, EQUAL, GREATER)
 
 _ZERO = Fraction(0)
-
-# degenerate pivots in a row after which Bland's rule prices until the
-# next non-degenerate pivot
-_DEGENERATE_STREAK = 50
-
 
 @dataclass(frozen=True)
 class LpProblem:
@@ -175,6 +190,20 @@ def _sparse_row(pairs, n: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple(row)
 
 
+def _least(block, tied, alpha, rows, ints) -> list[int]:
+    """The rows i of tied of least (R a)_i / alpha_i, for R a Master's
+    block, a the column with ints in rows and alpha_i all of one sign."""
+    least, n0, d0 = [], 0, 1
+    for i in tied:
+        n, d = sum(map(mul, map(block[i].__getitem__, rows), ints)), alpha[i]
+        diff = n * d0 - n0 * d
+        if not least or diff < 0:
+            least, n0, d0 = [i], n, d
+        elif not diff:
+            least.append(i)
+    return least
+
+
 def _refuse_index(j, n: int, index: str) -> None:
     """Raise for an index j that is not an int above the one before it
     and below n: outside 0..n - 1, or else repeated or out of order."""
@@ -190,9 +219,8 @@ class LpStats:
     rows and cols are those of the tableau the master stands for after
     the last insert: its constraint rows, and its structural, slack and
     artificial columns and the rhs column.  pivots counts every pivot of
-    every solve; degenerate pivots are those whose leaving row had rhs 0,
-    and bland_fallbacks counts the turns in which Bland's rule priced
-    them.  start_bits and end_bits are the largest bit length in the
+    every solve; degenerate pivots are those whose leaving row had rhs 0.
+    start_bits and end_bits are the largest bit length in the
     integer block and det, at the start and after the last solve.  The
     perf_counter readings mark the construction and the end of the last
     solve; they are left out of equality, so two solves of one program
@@ -203,7 +231,6 @@ class LpStats:
     cols: int
     pivots: int
     degenerate_pivots: int
-    bland_fallbacks: int
     start_bits: int
     end_bits: int
     started: float = field(compare=False)
@@ -244,7 +271,7 @@ class Master:
         start basis of slacks and artificials, and no structural column
         yet; insert gives it columns."""
         self.started = time.perf_counter()
-        self.pivots = self.degenerate_pivots = self.bland_fallbacks = 0
+        self.pivots = self.degenerate_pivots = 0
         rhs = [as_rational(b) for b in rhs]
         if len(senses) != len(rhs):
             raise LpModelError("senses and rhs lengths differ")
@@ -317,10 +344,9 @@ class Master:
         cost = self.block[self.nrows]
         return c * self.det + sum(map(mul, map(cost.__getitem__, rows), ints))
 
-    def _entering(self, bland: bool) -> Optional[int]:
+    def _entering(self) -> Optional[int]:
         """The nonbasic column of the most negative d / s times the sign of
-        det, ties to the first (Dantzig's rule); with bland, the first
-        negative one (Bland's rule)."""
+        det, ties to the first (Dantzig's rule)."""
         sign = -1 if self.det < 0 else 1
         basic = set(self.basis)
         best, best_d, best_s = None, 0, 1
@@ -328,17 +354,18 @@ class Master:
             if j in basic:
                 continue
             d = sign * self._price(j)
-            if d < 0:
-                if bland:
-                    return j
-                if d * best_s < best_d * s:
-                    best, best_d, best_s = j, d, s
+            if d < 0 and d * best_s < best_d * s:
+                best, best_d, best_s = j, d, s
         return best
 
     def _leaving(self, col: int) -> Optional[int]:
-        """The ratio test on the entering column R a, kept for the pivot,
-        ties to the smallest basic column; a basic artificial with a
-        nonzero entry leaves first, and stays 0."""
+        """The lexicographic ratio test on the entering column R a, kept
+        for the pivot: among the rows whose entry alpha_i has the sign of
+        det, those of least (R b)_i / alpha_i, then of least R_i a_k /
+        alpha_i for each column a_k of the anchor in turn, until one row
+        is left.  A basic artificial with a nonzero entry leaves first,
+        and stays 0.  Raises InternalConsistencyError when two rows tie
+        on every anchor column, which a nonsingular basis forbids."""
         rows, ints, _, _ = self.columns[col]
         nrows = self.nrows
         self.entering = alpha = [
@@ -349,26 +376,37 @@ class Master:
             if a and self.basis[i] >= len(self.columns):
                 return i
         sign = -1 if self.det < 0 else 1
-        best = best_n = best_d = None
-        for i, a in enumerate(alpha):
-            if sign * a <= 0:
-                continue
-            n, d = sign * self.block[i][nrows], sign * a
-            if best is not None:
-                diff = n * best_d - best_n * d
-                if diff > 0 or (diff == 0 and self.basis[i] > self.basis[best]):
-                    continue
-            best, best_n, best_d = i, n, d
-        return best
+        tied = [i for i, a in enumerate(alpha) if sign * a > 0]
+        if not tied:
+            return None
+        # R b is entry nrows of a block row
+        tied = _least(self.block, tied, alpha, (nrows,), (1,))
+        if len(tied) == 1:
+            return tied[0]
+        row_of = {j: i for i, j in enumerate(self.basis)}
+        for j in self.anchor:
+            if j in row_of:
+                # still basic in row p, so R a_j = det e_p: row p's entry
+                # over alpha_p is positive and every other row's is 0
+                tied = [i for i in tied if i != row_of[j]]
+            else:
+                tied = _least(self.block, tied, alpha, *self.columns[j][:2])
+            if len(tied) == 1:
+                return tied[0]
+        raise InternalConsistencyError("two rows tie on every anchor column")
 
     def _pivot(self, row: int, col: int) -> None:
-        """Exchange the block with the entering column and its price beside it."""
+        """Exchange the block with the entering column and its price
+        beside it; when an artificial leaves, the new basis is the anchor."""
         for entries, a in zip(self.block, self.entering + [self._price(col)]):
             entries.append(a)
         self.det = _kernels.pivot(self.block, self.det, row, self.nrows + 1)
         for entries in self.block:
             entries.pop()
+        artificial = self.basis[row] >= len(self.columns)
         self.basis[row] = col
+        if artificial:
+            self.anchor = self.basis[:]
         self.pivots += 1
 
     def _bits(self) -> int:
@@ -376,13 +414,14 @@ class Master:
         return max(map(int.bit_length, [self.det, *chain(*self.block)]))
 
     def _run_phase(self) -> None:
-        """Pivot until no column prices negative, with the Bland turns of
-        the module docstring.  Raises LpModelError when an entering
-        column has no leaving row: the objective is unbounded below."""
+        """Pivot from the anchor, the basis at the start, until no column
+        prices negative (the module docstring gives the rules).  Raises
+        LpModelError when an entering column has no leaving row: the
+        objective is unbounded below."""
         guard = 20000 + 200 * (self.nrows + self.ncols)
-        run = 0  # degenerate pivots in a row
+        self.anchor = self.basis[:]
         for _ in range(guard):
-            col = self._entering(run > _DEGENERATE_STREAK)
+            col = self._entering()
             if col is None:
                 return
             row = self._leaving(col)
@@ -390,13 +429,8 @@ class Master:
                 raise LpModelError(
                     f"column {col} enters with no leaving row: the master is unbounded"
                 )
-            if self.block[row][self.nrows]:
-                run = 0
-            else:
+            if not self.block[row][self.nrows]:
                 self.degenerate_pivots += 1
-                run += 1
-                if run == _DEGENERATE_STREAK + 1:
-                    self.bland_fallbacks += 1
             self._pivot(row, col)
         raise InternalConsistencyError("simplex did not terminate inside its guard")
 
@@ -417,7 +451,7 @@ class Master:
         duals = tuple(Fraction(y, den) for y in nums)
         stats = LpStats(
             self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
-            self.bland_fallbacks, self.start_bits, end_bits,
+            self.start_bits, end_bits,
             self.started, time.perf_counter(),
         )
         return LpSolution((*x,), value, duals, stats)

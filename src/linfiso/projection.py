@@ -87,9 +87,10 @@ and the duals of the program from Z: -|Z_ij| on the P_ij <= T_ij row
 when Z_ij > 0 and on the -P_ij <= T_ij row when Z_ij < 0, -max_j |Z_ij|
 on row i of the row-sum block, and nu = -Y^T Z F on the F^T Y = I
 rows, which is -M since Y^T F = I, so no system is solved.  It builds
-one Fraction per distinct |Z_ij|.  The certificate is an ordinary
-LpSolution carrying the master's LpStats (None for the closed form), so
-lp.verify_certificate checks either route's answer the same way.
+one Fraction per distinct |P_ij| and per distinct |Z_ij|.  The
+certificate is an ordinary LpSolution carrying the master's LpStats
+(None for the closed form), so lp.verify_certificate checks either
+route's answer the same way.
 crosscheck runs the cut loop on hyperplanes too and writes its answer
 with the same writer, to check the closed form against it."""
 
@@ -450,15 +451,17 @@ def _certificate(
         raise InternalConsistencyError("projection constant below 1")
     lay = _Layout(n, m)
     x = [_ZERO] * lay.nvars
-    for i in range(n):
+    p_rows, p_den = projection.integers()
+    # |P_ij|, one Fraction per distinct size
+    size = {a: Fraction(a, p_den) for a in set(map(abs, chain.from_iterable(p_rows)))}
+    for i, row in enumerate(p_rows):
         for k, v in enumerate(right_inverse.row(i)):
             x[lay.y(i, k)] = v
-        for j, v in enumerate(projection.row(i)):
-            x[lay.t(i, j)] = abs(v)
+        t = lay.t(i, 0)
+        x[t : t + n] = [size[abs(e)] for e in row]
     x[lay.scalar] = claimed
     if claimed == 1:
         # Z = e_k v^T / v_k, v the first nonzero column of P
-        p_rows, _ = projection.integers()
         v = next(col for col in zip(*p_rows) if any(col))
         k = max(range(n), key=lambda j: (abs(v[j]), -j))
         z_rows = [(0,) * n] * n

@@ -7,10 +7,9 @@ import pytest
 
 from linfiso import _kernels
 from linfiso.canonical import subspace_from_annihilator
-from linfiso.errors import LpModelError
+from linfiso.errors import InternalConsistencyError, LpModelError
 from linfiso.instances import random_instance
 from linfiso.lp import (
-    _DEGENERATE_STREAK,
     LpProblem,
     LpSolution,
     Master,
@@ -65,6 +64,38 @@ class TestModelValidation:
         assert prob.rows == (((1, F(3)),), ())
 
 
+def beale():
+    """Beale's instance, on which Dantzig's rule cycles."""
+    return build(
+        [F(-3, 4), 150, F(-1, 50), 6],
+        [
+            [F(1, 4), -60, F(-1, 25), 9],
+            [F(1, 2), -90, F(-1, 50), 3],
+            [0, 0, 1, 0],
+        ],
+        ["<=", "<=", "<="],
+        [0, 0, 1],
+    )
+
+
+def lex_positive(master):
+    """Whether every row of [R b | R B0] times the sign of det is
+    lexicographically positive, B0 the master's anchor, a basic
+    artificial standing for the unit column of its row."""
+    nrows = master.nrows
+    sign = -1 if master.det < 0 else 1
+    anchor = [
+        master.columns[j][:2] if j < len(master.columns) else ((k,), (1,))
+        for k, j in enumerate(master.anchor)
+    ]
+    for row in master.block[:nrows]:
+        entries = [row[nrows]]
+        entries += [sum(row[r] * a for r, a in zip(rows, ints)) for rows, ints in anchor]
+        if sign * next((e for e in entries if e), 0) <= 0:
+            return False
+    return True
+
+
 def written(objective, rows, senses, rhs, x, duals, **bounds):
     """The program build(objective, rows, senses, rhs, **bounds) and the
     optimal answer (x, duals) written down for it, whose value is the
@@ -111,24 +142,38 @@ class TestSolveBasics:
         assert verify_certificate(prob, sol)
 
     def test_degenerate_pivoting_terminates(self):
-        # classic cycling instance for naive pivoting rules
-        prob = build(
-            [F(-3, 4), 150, F(-1, 50), 6],
-            [
-                [F(1, 4), -60, F(-1, 25), 9],
-                [F(1, 2), -90, F(-1, 50), 3],
-                [0, 0, 1, 0],
-            ],
-            ["<=", "<=", "<="],
-            [0, 0, 1],
-        )
+        prob = beale()
         sol = solve(master_of(prob))
         assert sol.objective_value == F(-1, 20)
         assert verify_certificate(prob, sol)
-        # Dantzig's rule alone cycles here; Bland's rule breaks the stretch
-        # once more than 50 pivots in a row are degenerate
-        assert sol.stats.degenerate_pivots > 50
-        assert sol.stats.bland_fallbacks >= 1
+
+    def test_smallest_basic_column_tie_break_cycles(self, monkeypatch):
+        # without the lexicographic test, Dantzig's rule with ratio ties
+        # broken to the smallest basic column cycles on Beale's instance
+        # until the pivot guard stops it; its master has no artificials
+        def leaving(self, col):
+            rows, ints, _, _ = self.columns[col]
+            nrows = self.nrows
+            self.entering = alpha = [
+                sum(a * row[r] for r, a in zip(rows, ints))
+                for row in self.block[:nrows]
+            ]
+            sign = -1 if self.det < 0 else 1
+            best = best_n = best_d = None
+            for i, a in enumerate(alpha):
+                if sign * a <= 0:
+                    continue
+                n, d = sign * self.block[i][nrows], sign * a
+                if best is not None:
+                    diff = n * best_d - best_n * d
+                    if diff > 0 or (diff == 0 and self.basis[i] > self.basis[best]):
+                        continue
+                best, best_n, best_d = i, n, d
+            return best
+
+        monkeypatch.setattr(Master, "_leaving", leaving)
+        with pytest.raises(InternalConsistencyError, match="guard"):
+            solve(master_of(beale()))
 
     def test_redundant_equalities_survive(self):
         # min -x0 s.t. x0 - x1 == 0, 2 x0 - 2 x1 == 0, x0 + x1 <= 2: x0
@@ -232,8 +277,8 @@ class TestMaster:
                       ["==", "==", "<="], [0, 0, 1])
         assert verify_certificate(whole, sol)
 
-    def test_bland_turns_end_a_cycling_master(self):
-        # the cycling instance of TestSolveBasics, its columns in two rounds
+    def test_lex_rule_ends_a_cycling_master(self):
+        # Beale's instance, its columns in two rounds
         rows = [[F(1, 4), -60], [F(1, 2), -90], [0, 0]]
         master = master_of(build([F(-3, 4), 150], rows, ["<="] * 3, [0, 0, 1]))
         solve(master)
@@ -242,47 +287,33 @@ class TestMaster:
         ))
         sol = solve(master)
         assert sol.objective_value == F(-1, 20)
-        whole = build(
-            [F(-3, 4), 150, F(-1, 50), 6],
-            [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]],
-            ["<="] * 3,
-            [0, 0, 1],
-        )
-        assert verify_certificate(whole, sol)
-        assert sol.stats.bland_fallbacks >= 1
+        assert verify_certificate(beale(), sol)
 
-    def test_bland_turn_lasts_to_the_end_of_its_stretch(self, monkeypatch):
-        # Bland's rule prices exactly the pivots that follow more than
-        # _DEGENERATE_STREAK degenerate ones in a row of one solve; a
-        # stretch of the seed-2 (8, 4) cut loop runs past twice that
-        pivots = []  # [Bland's rule, degenerate] per pivot; None ends a solve
-        entering, leaving = Master._entering, Master._leaving
+    def test_rows_stay_lex_positive_against_the_anchor(self, monkeypatch):
+        # after every pivot of Beale's master and of the seed-2 (8, 4) cut
+        # loop, whose W rows hold artificials, every row of [R b | R B0]
+        # is lexicographically positive; an artificial's exit, which can
+        # break that, makes the new basis the anchor
+        pivot = Master._pivot
+        checked, reanchored = [], []
 
-        def priced(self, bland):
-            col = entering(self, bland)
-            pivots.append(None if col is None else [bland])
-            return col
+        def checked_pivot(self, row, col):
+            artificial = self.basis[row] >= len(self.columns)
+            pivot(self, row, col)
+            if artificial:
+                assert self.anchor == self.basis
+                reanchored.append(self.anchor)
+            checked.append(lex_positive(self))
 
-        def left(self, col):
-            row = leaving(self, col)
-            pivots[-1].append(not self.block[row][self.nrows])
-            return row
-
-        monkeypatch.setattr(Master, "_entering", priced)
-        monkeypatch.setattr(Master, "_leaving", left)
+        monkeypatch.setattr(Master, "_pivot", checked_pivot)
+        prob = beale()
+        sol = solve(master_of(prob))
+        assert verify_certificate(prob, sol)
+        assert sol.stats.pivots == len(checked) and not reanchored
         result = projection_constant(random_instance(random.Random(2), 8, 4).to_spec())
-        run = longest = 0
-        for pivot in pivots:
-            if pivot is None:
-                run = 0
-                continue
-            bland, degenerate = pivot
-            assert bland == (run > _DEGENERATE_STREAK)
-            run = run + 1 if degenerate else 0
-            longest = max(longest, run)
-        assert longest > 2 * _DEGENERATE_STREAK + 1
-        assert result.certificate.stats.bland_fallbacks == 1
         assert verify_certificate(result.program, result.certificate)
+        assert result.certificate.stats.pivots + sol.stats.pivots == len(checked)
+        assert all(checked) and reanchored
 
     @staticmethod
     def exchange_pivots(monkeypatch):
