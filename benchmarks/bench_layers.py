@@ -6,33 +6,37 @@ Run from the root of a source checkout:
     python3 benchmarks/bench_layers.py [--out benchmarks/BENCH_layers.json]
 
 Each rung is a shape (N, m) and a seed, and its instance is
-random_instance(random.Random(seed), N, m); (12, 4) runs at two seeds, so
-one lucky draw does not carry a figure, and (16, 4), (16, 5) and (20, 4)
-stand past the wall, where the master's pivots dominate and long
+random_instance(random.Random(seed), N, m); (12, 4) runs at two seeds,
+so one lucky draw does not carry a figure, and (16, 4), (16, 5) and
+(20, 4) stand past the wall, where the master's pivots dominate and long
 stretches of them are degenerate.  projection_constant runs REPEATS
-times on each.  Each time is the median over the repeats, in seconds: the
-whole projection_constant call; setup_s, from the call to the start of the
-LP (the program build, the best-set scan and P_S); master_s, from the
-start of the LP to its last solve (every round of the cut loop, its
-separation included); mapping_s, from there to the end of the call (the
-reading of Y and of the dual operator Z from the last master, and the
-certificate that writes P, the point and the duals of the full program
-from Y and Z); and verify_certificate.  The answer fields come from the first repeat, and
-every repeat must give the same ones, or the script exits 1: the route
-(method), the digest of lambda, whether the certificate verifies, the cut
-rounds and cuts, the master's pivots and degenerate pivots, and
-tableau_bits, LpStats.end_bits of the last solve: the largest bit
-length of det and of an entry of the master's integer block [det B^-1,
-rhs; cost row].  Those integers run longer than the reduced fractions of
-the rational tableau that the master kept before, so tableau_bits does not
-compare with files written by such a checkout.  A hyperplane (m = 1) runs
-no LP: its closed form has no solver stats, so the LP fields and setup_s,
-master_s and mapping_s are null, and projconst_s is the closed form, the
-product P = I - Y F^T and the program build.  The file also records the
-Python version, the CPU count, the commit, and source_sha256, a digest of
-src/linfiso/*.py that tells apart checkouts without git metadata, so two
-files written by two checkouts of the program on one machine compare layer
-by layer.  A checkout that predates a field reports it as null.
+times on each.  Each time is the median over the repeats, in seconds:
+the whole projection_constant call; setup_s, from the call to the start
+of the LP (the best-set scan and P_S); master_s, from the start of the
+LP to its last solve (every round of the cut loop, its separation
+included); mapping_s, from there to the end of the call (the reading of
+Y and of the dual operator Z from the last master, and the certificate
+that writes P, the point and the duals of the full program from Y and
+Z); and verify_s, the build of minimal_projection_program(spec) and
+verify_certificate on it.  projection_constant builds no program: a
+checkout whose call still built one counts that build in projconst_s
+(and in setup_s), and builds it again for verify_s.  The answer fields
+come from the first repeat, and every repeat must give the same ones, or
+the script exits 1: the route (method), the digest of lambda, whether
+the certificate verifies, the cut rounds and cuts, the master's pivots
+and degenerate pivots, and tableau_bits, LpStats.end_bits of the last
+solve: the largest bit length of det and of an entry of the master's
+integer block [det B^-1, rhs; cost row].  Those integers run longer than
+the reduced fractions of the rational tableau that the master kept
+before, so tableau_bits does not compare with files written by such a
+checkout.  A hyperplane (m = 1) runs no LP: its closed form has no
+solver stats, so the LP fields and setup_s, master_s and mapping_s are
+null, and projconst_s is the closed form and the product P = I - Y F^T.
+The file also records the Python version, the CPU count, the commit, and
+source_sha256, a digest of src/linfiso/*.py that tells apart checkouts
+without git metadata, so two files written by two checkouts of the
+program on one machine compare layer by layer.  A checkout that predates
+a field reports it as null.
 
 Two such files compare exactly in their answer fields, but they are not a
 timing comparison.  Each file times its checkout in one block of about a
@@ -43,17 +47,19 @@ instead: the two checkouts timed in alternation, rung by rung, with the
 minimum of several process_time runs a side.
 
 The scan rungs, under "scans", are the three scan_wide shapes of the
-benchmark, (12, 5), (13, 3) and (14, 3), and (16, 4) and (18, 3), on
-random_instance(random.Random(seed), N, m).  They run no LP.  decide_s is
-decide_isometric(spec) (the general scan, as m >= 2), bounds_s is
-best_upper_bound(spec, materialize=True) and bounds_best_s is
-best_upper_bound(spec), the start scan of projection_constant, each the
-median over the repeats.  The answer fields are the verdict's digest
-(verdict, witness set and witness norms), sets_examined, admissible_sets
-(the size of per_set), bound_digest, the digest of best_upper and
-best_set, and best_bound_digest, the same digest from
-best_upper_bound(spec), which must equal bound_digest; every repeat must
-give the same ones, or the script exits 1.
+benchmark, (12, 5), (13, 3) and (14, 3), then (16, 4), (18, 3) and the
+hyperplane (400, 1), on random_instance(random.Random(seed), N, m).
+They run no LP.  decide_s is decide_isometric(spec), the prefix walk,
+which decide runs at every m (a checkout that took the closed form at
+m = 1 times that instead), bounds_s is best_upper_bound(spec,
+materialize=True) and bounds_best_s is best_upper_bound(spec), the start
+scan of projection_constant, each the median over the repeats.  The
+answer fields are the verdict's digest (verdict, witness set and witness
+norms), sets_examined, admissible_sets (the size of per_set),
+bound_digest, the digest of best_upper and best_set, and
+best_bound_digest, the same digest from best_upper_bound(spec), which
+must equal bound_digest; every repeat must give the same ones, or the
+script exits 1.
 
 The program is imported from ./src of the checkout the script runs from.
 """
@@ -78,6 +84,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from linfiso import (  # noqa: E402
     best_upper_bound,
     decide_isometric,
+    minimal_projection_program,
     projection_constant,
     random_instance,
     verify_certificate,
@@ -89,7 +96,9 @@ RUNGS = (
     (12, 4, 2), (14, 3, 1), (16, 4, 1), (16, 5, 1), (20, 4, 1),
 )
 # (N, m, seed) of the scan rungs
-SCAN_RUNGS = ((12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1))
+SCAN_RUNGS = (
+    (12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1), (400, 1, 1),
+)
 REPEATS = 3
 
 
@@ -103,7 +112,7 @@ def measure(n: int, m: int, seed: int) -> dict:
     began = time.perf_counter()
     result = projection_constant(spec)
     ended = time.perf_counter()
-    ok = verify_certificate(result.program, result.certificate)
+    ok = verify_certificate(minimal_projection_program(spec), result.certificate)
     verified = time.perf_counter()
     stats = result.certificate.stats
     lp = stats is not None

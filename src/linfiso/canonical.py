@@ -25,9 +25,11 @@ is rho / rho[x], and that member's determinantal inequality reads
 per prefix pass it.  A set is completed, by one exchange on a copy of
 the rows (_complete), only when a consumer needs its other members.  The
 isometry test and the bounds read those integer rows in place, so the
-paper's inequalities are integer comparisons; exchange_families is the
-Fraction view of the same walk, and the ratio route stays as the
-definition and the independent check of it.
+paper's inequalities are integer comparisons.  A completed set's rows
+become Fractions in one place, _family: exchange_families, the Fraction
+view of the same walk, builds every set's family there, and decide only
+its witness's.  The ratio route stays as the definition and the
+independent check of both.
 
 The scans of decide and bounds refuse a shape with more than a set
 budget of C(N, m) index sets before they start (_check_set_budget):
@@ -202,7 +204,8 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The admissible sets of admissible_sets, in the same order, one
     CanonicalFamily per set; the Fraction view of _prefix_walk, equal,
     entry for entry, to canonical_family at each set.  Every admissible
-    completion of every prefix is completed (_complete)."""
+    completion of every prefix is completed (_complete) and read by
+    _family, as decide_isometric reads its witness."""
     n = spec.ambient
     for prefix, order, rows, common, free in _prefix_walk(spec):
         rho = rows[free]
@@ -210,12 +213,19 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
             if not rho[x]:
                 continue
             done, den = _complete(rows, common, free, x)
-            vectors = {
-                q + 1: tuple(Fraction(v, den) for v in done[r])
-                for q, r in zip(prefix + (x,), order + (free,))
-            }
-            index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
-            yield CanonicalFamily(index_set, vectors)
+            yield _family(n, prefix + (x,), order + (free,), done, den)
+
+
+def _family(n: int, members, order, rows: list, den: int) -> CanonicalFamily:
+    """The CanonicalFamily of a completed set: members are its 0-based
+    coordinates in ascending order, and tableau row order[j] over the
+    signed common denominator den, as _complete returns them, is the
+    canonical vector of members[j]."""
+    vectors = {
+        q + 1: tuple(Fraction(v, den) for v in rows[r])
+        for q, r in zip(members, order)
+    }
+    return CanonicalFamily(IndexSet(tuple(q + 1 for q in members), n), vectors)
 
 
 def _integer_columns(spec: SubspaceSpec) -> list[list[int]]:

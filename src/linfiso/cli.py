@@ -6,7 +6,8 @@ strings, never as floating point.  decide exits 0 when the subspace is
 isometric to the smaller sup-norm space, 1 when it is not, 2 on errors;
 crosscheck exits 1 when any instance disagrees.  decide, bounds and
 projconst refuse, with exit 2, an instance with more index sets than
---max-sets before their scan starts.
+--max-sets before their scan starts; crosscheck refuses a --max-n and
+--max-m whose widest shape exceeds the default budget before it draws.
 
 Each subcommand returns its exit code and its whole output as one
 string; main writes it only after every value has been formatted, so a
@@ -19,6 +20,7 @@ import functools
 import json
 import random
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from .bounds import best_upper_bound
@@ -35,7 +37,7 @@ from .instances import (
 )
 from .linalg import Matrix, format_rational
 from .lp import verify_certificate
-from .projection import projection_constant
+from .projection import minimal_projection_program, projection_constant
 
 
 def _matrix_rows(matrix: Matrix) -> list[list[str]]:
@@ -136,8 +138,12 @@ def _cmd_projconst(args) -> tuple[int, str]:
     best_set = None
     if spec.codim > 1:
         best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
+    # built before the solve: its objects survive the solve's young
+    # collections and so bring the next full one sooner, which keeps the
+    # peak RSS of a process that runs many jobs lower
+    program = minimal_projection_program(spec)
     proj = projection_constant(spec, best_set)
-    certified = verify_certificate(proj.program, proj.certificate)
+    certified = verify_certificate(program, proj.certificate)
     code = 0 if certified else 2
     certificate = "valid" if certified else "INVALID"
     if args.json:
@@ -168,6 +174,15 @@ def _cmd_crosscheck(args) -> tuple[int, str]:
         raise LinfisoError("--count must be at least 1")
     if not 1 <= args.max_m < args.max_n:
         raise LinfisoError("need 1 <= --max-m < --max-n")
+    # the widest shape it can draw must fit the scans' set budget; the
+    # first test spares comb a huge --max-n, as C(N, k) >= N for k >= 1
+    widest = min(args.max_m, args.max_n // 2)
+    if args.max_n > MAX_SETS or comb(args.max_n, widest) > MAX_SETS:
+        raise LinfisoError(
+            f"--max-n {args.max_n} with --max-m {args.max_m} can draw "
+            f"C({args.max_n}, {widest}) index sets, over the set budget of "
+            f"{MAX_SETS}; lower --max-n or --max-m"
+        )
     if args.entry_range < 1:
         raise LinfisoError("--entry-range must be at least 1")
     summary = run_crosscheck(

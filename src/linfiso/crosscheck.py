@@ -25,12 +25,7 @@ from .canonical import (
     exchange_families,
     family_from_minors,
 )
-from .decide import (
-    _decide_general,
-    decide_by_minors,
-    decide_hyperplane,
-    decide_isometric,
-)
+from .decide import decide_by_minors, decide_hyperplane, decide_isometric
 from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check, op_norm_inf
 from .lp import verify_certificate
@@ -38,6 +33,7 @@ from .projection import (
     _certificate,
     _cut_loop,
     coordinate_projection,
+    minimal_projection_program,
     projection_constant,
     verify_norm_gap,
 )
@@ -76,8 +72,7 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     spec = instance.to_spec()
     mat = spec.annihilator
 
-    # the general scan, which decide_isometric takes from m = 2 on
-    general = _decide_general(spec) if spec.codim == 1 else decide_isometric(spec)
+    general = decide_isometric(spec)
 
     def matches_general(name: str, report, detail: str) -> None:
         """Record whether report agrees with the general scan on the
@@ -88,7 +83,6 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
         record(name, key == want, detail)
 
     if spec.codim == 1:
-        # decide_isometric(spec) takes this route at m = 1
         direct = decide_hyperplane(mat.column(0))
         matches_general(
             "hyperplane_matches_general", direct, f"direct={direct.verdict}"
@@ -134,16 +128,14 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
 
     report = best_upper_bound(spec)
     proj = projection_constant(spec, report.best_set)
-    record(
-        "lp_certificate_valid",
-        verify_certificate(proj.program, proj.certificate),
-    )
+    program = minimal_projection_program(spec)
+    record("lp_certificate_valid", verify_certificate(program, proj.certificate))
     if spec.codim == 1:
         # the closed form skipped the cut loop; the cut loop must reach
         # the same optimum and prove it on the same program
         y, t, duals, stats, _, _ = _cut_loop(spec, report.best_set)
         _, certificate = _certificate(spec, y, t, duals, stats)
-        certified = verify_certificate(proj.program, certificate)
+        certified = verify_certificate(program, certificate)
         record(
             "hyperplane_matches_cut_loop",
             t == proj.constant and certified,

@@ -2,24 +2,27 @@
 
 Verdict true means some admissible index set S has every canonical
 vector with 1-norm at most 2; the scan runs in lexicographic set order
-and stops at the first witness.  The general scan reads the prefix walk
-(canonical._prefix_walk): for a set Q + x, the canonical vector of its
-last member x is rho / rho[x], rho the residual row of the prefix Q, so
-x's inequality is ||rho||_1 <= 2 |rho[x]|, one integer comparison per
-set with ||rho||_1 summed once per prefix.  At most two x per prefix
-pass it; only those sets are completed by one exchange, and the
-completed rows r, canonical vectors over rho[x], are tested as
-sum |row r| <= 2 |rho[x]|, with no Fraction per set.  Every admissible
-set up to the witness counts as examined, completed or not.  The scan
-builds the witness's norms and its CanonicalFamily, by determinant
-ratios, only for the witness it returns.  Codimension 1 and 2 admit
-closed forms that provably visit the same sets in the same order, so
-verdict, witness, and the number of sets examined all coincide with the
-general scan.  decide_isometric takes the codimension-1 form, which
-skips the walk (at m = 1 the scan's only prefix is empty and rho is the
-functional itself, so the two are the same test); the codimension-2
-pair test (decide_by_minors) runs slower than the scan and stays as the
-reference that crosscheck and the tests compare it against.
+and stops at the first witness.  decide_isometric runs one scan at every
+codimension, on the prefix walk (canonical._prefix_walk): for a set
+Q + x, the canonical vector of its last member x is rho / rho[x], rho
+the residual row of the prefix Q, so x's inequality is
+||rho||_1 <= 2 |rho[x]|, one integer comparison per set with ||rho||_1
+summed once per prefix.  At most two x per prefix pass it; only those
+sets are completed by one exchange, and the completed rows r, canonical
+vectors over rho[x], are tested as sum |row r| <= 2 |rho[x]|, with no
+Fraction per set.  Every admissible set up to the witness counts as
+examined, completed or not.  The witness's CanonicalFamily is read off
+its own completed rows over the signed rho[x] (canonical._family), and
+its norms are those integer sums over |rho[x]|.  At m = 1 the only
+prefix is empty and rho is the functional itself, scaled to integers.
+
+Codimension 1 and 2 admit closed forms that provably visit the same
+sets in the same order, so verdict, witness, and the number of sets
+examined all coincide with the scan: decide_hyperplane compares the
+functional's 1-norm with twice each entry, and decide_by_minors tests
+pairs on the 2 x 2 minors.  Neither runs faster than the scan; they
+stay as the references that crosscheck and the tests compare it
+against.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .canonical import (
     SubspaceSpec,
     _check_set_budget,
     _complete,
+    _family,
     _prefix_walk,
-    canonical_family,
     family_from_minors,
     minor_vectors,
 )
@@ -71,22 +74,15 @@ class DecisionReport:
 
 
 def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionReport:
-    """Run the isometry test: the closed form for codimension 1, the
-    general scan otherwise.  The scan raises SetBudgetError before it
-    starts when the spec has more than max_sets index sets."""
-    if spec.codim == 1:
-        return decide_hyperplane(spec.annihilator.column(0))
-    _check_set_budget(spec, max_sets)
-    return _decide_general(spec)
-
-
-def _decide_general(spec: SubspaceSpec) -> DecisionReport:
     """The paper's inequalities on the prefix walk's integer rows.
 
-    Every set Q + x with rho[x] != 0 counts as examined.  Its last
-    member passes exactly when ||rho||_1 <= 2 |rho[x]|; only then is the
-    set completed, and it is a witness when every completed row r, a
-    canonical vector over rho[x], has sum |row r| <= 2 |rho[x]|."""
+    Raises SetBudgetError before the walk starts when the spec has more
+    than max_sets index sets.  Every set Q + x with rho[x] != 0 counts
+    as examined.  Its last member passes exactly when
+    ||rho||_1 <= 2 |rho[x]|; only then is the set completed, and it is a
+    witness when every completed row r, a canonical vector over rho[x],
+    has sum |row r| <= 2 |rho[x]|."""
+    _check_set_budget(spec, max_sets)
     n = spec.ambient
     examined = 0
     for prefix, order, rows, common, free in _prefix_walk(spec):
@@ -96,19 +92,17 @@ def _decide_general(spec: SubspaceSpec) -> DecisionReport:
             if not rho[x]:
                 continue
             examined += 1
-            den = abs(rho[x])
-            if 2 * den < norm:
+            if 2 * abs(rho[x]) < norm:
                 continue
-            done, _ = _complete(rows, common, free, x)
-            sums = [sum(map(abs, done[r])) for r in order]
-            if all(total <= 2 * den for total in sums):
-                index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
+            done, den = _complete(rows, common, free, x)
+            sums = [sum(map(abs, done[r])) for r in order] + [norm]
+            if all(total <= 2 * abs(den) for total in sums):
+                family = _family(n, prefix + (x,), order + (free,), done, den)
                 norms = {
-                    k: Fraction(total, den)
-                    for k, total in zip(index_set, sums + [norm])
+                    k: Fraction(total, abs(den))
+                    for k, total in zip(family.index_set, sums)
                 }
-                family = canonical_family(spec, index_set)
-                witness = Witness(index_set, family, norms)
+                witness = Witness(family.index_set, family, norms)
                 return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
     return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
 

@@ -132,21 +132,22 @@ _Z = tuple[Sequence[Sequence[int]], int]
 class ProjectionResult:
     """A minimal-norm projection onto the subspace.
 
-    constant is the projection constant (the optimum of program, always
-    >= 1), projection is P = I - Y F^T for the optimal right inverse Y,
-    and certificate is an optimal LpSolution of program whose duals
-    prove optimality.  method names the route: "hyperplane" when m = 1
-    and Y and the dual operator Z were built in closed form
+    constant is the projection constant (the optimum of
+    minimal_projection_program(spec), always >= 1), projection is
+    P = I - Y F^T for the optimal right inverse Y, and certificate is an
+    optimal LpSolution of that program whose duals prove optimality.
+    The program itself is not kept: only a verifier reads it, and builds
+    it where it verifies.  method names the route: "hyperplane" when
+    m = 1 and Y and the dual operator Z were built in closed form
     (certificate.stats is then None), "cuts" when the cut loop solved
-    program (certificate.stats is then the master's).  rounds counts the master
-    solves and cuts the sign-vector cuts of the cut loop (0 for a
-    hyperplane)."""
+    the program (certificate.stats is then the master's).  rounds counts
+    the master solves and cuts the sign-vector cuts of the cut loop (0
+    for a hyperplane)."""
 
     constant: Fraction
     projection: Matrix
     right_inverse: Matrix
     certificate: LpSolution
-    program: LpProblem
     method: str
     rounds: int
     cuts: int
@@ -412,7 +413,6 @@ def projection_constant(
     best_set so the scan runs once.  Any admissible set gives a valid
     start; a singular block raises InadmissibleSetError.  A hyperplane
     ignores it."""
-    program = minimal_projection_program(spec)
     if spec.codim == 1:
         right_inverse, claimed, z = _hyperplane_solution(spec.annihilator)
         stats, method, rounds, cuts = None, "hyperplane", 0, 0
@@ -423,7 +423,7 @@ def projection_constant(
         method = "cuts"
     projection, certificate = _certificate(spec, right_inverse, claimed, z, stats)
     return ProjectionResult(
-        claimed, projection, right_inverse, certificate, program, method, rounds, cuts
+        claimed, projection, right_inverse, certificate, method, rounds, cuts
     )
 
 

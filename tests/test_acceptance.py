@@ -20,7 +20,7 @@ from linfiso.canonical import (
     subspace_from_annihilator,
 )
 from linfiso.crosscheck import run_crosscheck
-from linfiso.decide import _decide_general, decide_by_minors, decide_isometric
+from linfiso.decide import decide_by_minors, decide_isometric
 from linfiso.errors import InvalidBasisError
 from linfiso.instances import random_instance
 from linfiso.linalg import (
@@ -36,7 +36,11 @@ from linfiso.lp import (
     solve,
     verify_certificate,
 )
-from linfiso.projection import projection_constant, verify_norm_gap
+from linfiso.projection import (
+    minimal_projection_program,
+    projection_constant,
+    verify_norm_gap,
+)
 from oracles import enumerate_lp, hyperplane_projection_constant, master_of
 
 SWEEP_SEED = 108
@@ -94,7 +98,7 @@ def test_uniform_functional_anchor():
     spec = subspace_from_annihilator([1, 1, 1])
     verdict = decide_isometric(spec).verdict
     result = projection_constant(spec)
-    certified = verify_certificate(result.program, result.certificate)
+    certified = verify_certificate(minimal_projection_program(spec), result.certificate)
     oracle_value = hyperplane_projection_constant([F(1), F(1), F(1)])
     bounds = best_upper_bound(spec)
     gap = verify_norm_gap(spec, result)
@@ -163,7 +167,7 @@ def test_pair_minor_route():
     for _ in range(200):
         ambient = rng.randint(3, 6)
         spec = random_spec(rng, ambient, 2)
-        if decide_by_minors(spec).verdict != _decide_general(spec).verdict:
+        if decide_by_minors(spec).verdict != decide_isometric(spec).verdict:
             verdict_mismatches += 1
         for index_set, _ in admissible_sets(spec):
             sets_compared += 1

@@ -46,7 +46,7 @@ class TestDecide:
         assert main(["decide", accepting]) == 0
         out = capsys.readouterr().out
         assert "verdict: isometric" in out
-        assert "method: hyperplane" in out
+        assert "method: general" in out
         assert "witness: {3}" in out
         assert "vector 3: [1/2 1/2 1]  1-norm 2" in out
 
@@ -175,6 +175,17 @@ class TestSetBudget:
         assert main([command, str(path), "--json", "--max-sets", "20"]) in (0, 1)
         assert capsys.readouterr().out == default
 
+    def test_hyperplane_counts_its_coordinates(self, accepting, capsys):
+        # a hyperplane in Q^3 has C(3, 1) = 3 index sets
+        assert main(["decide", accepting, "--max-sets", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: C(3, 1) = 3 index sets exceed the set budget of 2; "
+            "raise it with --max-sets\n"
+        )
+        assert main(["decide", accepting, "--max-sets", "3"]) == 0
+
     def test_budget_must_be_positive(self, accepting, capsys):
         assert main(["decide", accepting, "--max-sets", "0"]) == 2
         captured = capsys.readouterr()
@@ -211,7 +222,7 @@ class TestWideResults:
         assert captured.err == ""
         assert captured.out.splitlines() == [
             "verdict: isometric",
-            "method: hyperplane",
+            "method: general",
             "sets examined: 1",
             "witness: {1}",
             f"vector 1: [1 1/{self.A} 1/{self.B}]  1-norm {self.NORM}",
@@ -349,6 +360,37 @@ class TestCrosscheck:
         runs = payload["checks_run"]
         assert runs["lp_certificate_valid"] == 5
         assert runs["hyperplane_matches_cut_loop"] == runs["hyperplane_matches_general"] > 0
+
+    def test_oversized_shapes_refused_before_drawing(self, capsys, monkeypatch):
+        # the widest shape is C(max n, min(max m, max n // 2)); crosscheck
+        # has no --max-sets, so the refusal names the flags it does have
+        from linfiso import cli
+        from linfiso.crosscheck import CrossCheckSummary
+
+        runs = []
+
+        def recorded(**kwargs):
+            runs.append(kwargs)
+            return CrossCheckSummary(seed=kwargs["seed"])
+
+        monkeypatch.setattr(cli, "run_crosscheck", recorded)
+        for n, m, k, code in ((30, 15, 15, 2), (20, 9, 9, 2), (40, 39, 20, 2),
+                              (19, 9, 9, 0), (19, 18, 9, 0)):
+            argv = ["crosscheck", "--max-n", str(n), "--max-m", str(m), "--count", "1"]
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: --max-n {n} with --max-m {m} can draw C({n}, {k}) "
+                    "index sets, over the set budget of 100000; lower --max-n "
+                    "or --max-m\n"
+                )
+            else:
+                assert captured.err == ""
+        assert [(run["max_ambient"], run["max_codim"]) for run in runs] == [
+            (19, 9), (19, 18)
+        ]
 
     def test_argument_validation(self, capsys):
         assert main(["crosscheck", "--count", "0"]) == 2

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from linfiso import decide
 from linfiso.canonical import (
     admissible_sets,
     canonical_family,
@@ -12,13 +13,12 @@ from linfiso.decide import (
     DecisionMethod,
     DecisionReport,
     Witness,
-    _decide_general,
     decide_by_minors,
     decide_hyperplane,
     decide_isometric,
 )
-from linfiso.errors import InvalidBasisError, WrongCodimensionError
-from linfiso.linalg import IndexSet
+from linfiso.errors import InvalidBasisError, SetBudgetError, WrongCodimensionError
+from linfiso.linalg import IndexSet, Matrix, det
 from test_canonical import (
     degenerate_spec,
     random_spec,
@@ -30,6 +30,48 @@ from test_canonical import (
 # A rational annihilator whose prefix walk completes a set over a negative
 # denominator rho[x]: {1,2} (over 1) fails the test, {1,3} (over -27) passes.
 NEGATIVE_COMMON = [[F(1, 2), F(2)], [F(0), F(1, 3)], [F(2), F(-1)]]
+
+
+def hyperplane_functional(rng, ambient, rational, planted):
+    """A nonzero functional with about a third of its entries zero.
+    planted puts at a random coordinate an entry of either sign at least
+    as large as the 1-norm of the others, which makes it isometric."""
+    while True:
+        f = [
+            F(rng.randint(-5, 5), rng.randint(1, 4) if rational else 1)
+            if rng.random() < 2 / 3 else F(0)
+            for _ in range(ambient)
+        ]
+        if planted:
+            k = rng.randrange(ambient)
+            rest = sum(abs(v) for i, v in enumerate(f) if i != k)
+            extra = F(rng.randint(0, 2), rng.randint(1, 3) if rational else 1)
+            f[k] = rng.choice((-1, 1)) * (rest + extra)
+        if any(f):
+            return f
+
+
+def planted_spec(rng, ambient, codim):
+    """F = [I; G] A with its rows shuffled: A a random invertible integer
+    block and every column of G of 1-norm at most 1, so the set of the
+    identity rows is a witness and the subspace is isometric."""
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(codim)] for _ in range(codim)]
+        if det(Matrix(a)) != 0:
+            break
+    g = [[F(0)] * codim for _ in range(ambient - codim)]
+    for j in range(codim):
+        column = [rng.randint(-3, 3) for _ in range(ambient - codim)]
+        scale = sum(map(abs, column)) + rng.randint(0, 2) or 1
+        for i, v in enumerate(column):
+            g[i][j] = F(v, scale)
+    left = [[F(int(i == j)) for j in range(codim)] for i in range(codim)] + g
+    rows = [
+        [sum((row[k] * a[k][j] for k in range(codim)), F(0)) for j in range(codim)]
+        for row in left
+    ]
+    rng.shuffle(rows)
+    return subspace_from_annihilator(rows)
 
 
 def random_annihilator(rng, ambient, codim, bound=5):
@@ -86,20 +128,40 @@ class TestHyperplane:
             decide_hyperplane([0, 0, 0])
 
     def test_agrees_with_general_scan(self):
+        # decide_isometric walks at m = 1 too, and the closed form gives
+        # the same verdict, sets examined and witness: set, family, norms
         rng = random.Random(333)
-        for _ in range(60):
-            ambient = rng.randint(2, 6)
-            spec = random_annihilator(rng, ambient, 1)
-            fast = decide_isometric(spec)
-            slow = _decide_general(spec)
-            assert fast.method is DecisionMethod.HYPERPLANE
-            assert slow.method is DecisionMethod.GENERAL
-            assert fast.verdict == slow.verdict
-            assert fast.sets_examined == slow.sets_examined
-            if fast.verdict:
-                assert fast.witness.index_set == slow.witness.index_set
-                assert fast.witness.family == slow.witness.family
-                assert fast.witness.norms == slow.witness.norms
+        verdicts, zeros, negative = set(), 0, 0
+        for ambient in range(2, 41):
+            for rational in (False, True):
+                for planted in (False, True):
+                    f = hyperplane_functional(rng, ambient, rational, planted)
+                    walked = decide_isometric(subspace_from_annihilator(f))
+                    closed = decide_hyperplane(f)
+                    assert walked.method is DecisionMethod.GENERAL
+                    assert closed.method is DecisionMethod.HYPERPLANE
+                    assert walked.verdict == closed.verdict
+                    assert walked.sets_examined == closed.sets_examined
+                    assert walked.witness == closed.witness
+                    verdicts.add(walked.verdict)
+                    zeros += 0 in f
+                    if walked.verdict:
+                        negative += f[walked.witness.index_set.members[0] - 1] < 0
+        assert verdicts == {True, False} and zeros > 100 and negative > 20
+
+    def test_set_budget_counts_the_coordinates(self, monkeypatch):
+        # C(N, 1) = N sets: refused under a budget of N - 1 before the
+        # walk starts, as at every other codimension
+        def no_walk(spec):
+            raise AssertionError("the walk started")
+
+        for ambient in (3, 4, 9):
+            spec = subspace_from_annihilator([1] * ambient)
+            with monkeypatch.context() as patched:
+                patched.setattr(decide, "_prefix_walk", no_walk)
+                with pytest.raises(SetBudgetError):
+                    decide_isometric(spec, max_sets=ambient - 1)
+            assert decide_isometric(spec, max_sets=ambient).sets_examined == ambient
 
 
 class TestPairMinors:
@@ -125,7 +187,7 @@ class TestPairMinors:
             ambient = rng.randint(3, 6)
             spec = random_annihilator(rng, ambient, 2)
             fast = decide_by_minors(spec)
-            slow = _decide_general(spec)
+            slow = decide_isometric(spec)
             assert fast.verdict == slow.verdict
             assert fast.sets_examined == slow.sets_examined
             if fast.verdict:
@@ -141,7 +203,7 @@ class TestGeneralScan:
             ambient = rng.randint(3, 6)
             codim = rng.randint(1, min(3, ambient - 1))
             spec = random_annihilator(rng, ambient, codim)
-            report = _decide_general(spec)
+            report = decide_isometric(spec)
             if report.verdict:
                 fam = canonical_family(spec, report.witness.index_set)
                 assert fam == report.witness.family
@@ -160,7 +222,7 @@ class TestGeneralScan:
             ambient = rng.randint(3, 5)
             codim = rng.randint(1, min(2, ambient - 1))
             spec = random_annihilator(rng, ambient, codim)
-            report = _decide_general(spec)
+            report = decide_isometric(spec)
             if not report.verdict:
                 continue
             for index_set, _ in admissible_sets(spec):
@@ -169,10 +231,28 @@ class TestGeneralScan:
                 fam = canonical_family(spec, index_set)
                 assert any(v > 2 for v in fam.norms().values())
 
+    def test_planted_witness_matches_ratio_family(self):
+        # the witness's family, read off the walk's completed rows, is the
+        # determinant-ratio family, also when the walk completes it over
+        # a negative denominator
+        rng = random.Random(2402)
+        negative = 0
+        for _ in range(90):
+            codim = rng.randint(2, 4)
+            spec = planted_spec(rng, rng.randint(codim + 1, 9), codim)
+            report = decide_isometric(spec)
+            assert report.verdict is True
+            witness = report.witness
+            assert witness.family == canonical_family(spec, witness.index_set)
+            assert witness.norms == witness.family.norms()
+            assert all(v <= 2 for v in witness.norms.values())
+            negative += set_denominators(spec)[report.sets_examined - 1] < 0
+        assert negative > 20
+
     def test_full_kernel_of_coordinate_functionals(self):
         # the subspace spanned by e_4 inside Q^4: trivially a sup-norm cube
         spec = subspace_from_annihilator([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.verdict is True
         assert report.witness.index_set.members == (1, 2, 3)
 
@@ -196,13 +276,13 @@ class TestIntegerInequalities:
 
     def test_norm_exactly_two_accepts(self):
         # m = 1: {3} has the vector (1/2, 1/2, 1), 1-norm 2
-        report = _decide_general(subspace_from_annihilator([1, 1, 2]))
+        report = decide_isometric(subspace_from_annihilator([1, 1, 2]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((3,), 3)
         assert report.witness.norms == {3: F(2)}
         assert report.sets_examined == 3
         # m = 2: both vectors of {1,2} are columns of F, 1-norm 2 each
-        report = _decide_general(subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]))
+        report = decide_isometric(subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 2), 3)
         assert report.witness.norms == {1: F(2), 2: F(2)}
@@ -212,7 +292,7 @@ class TestIntegerInequalities:
         # {3} has the vector (100/199, 100/199, 1), 1-norm 2 + 1/199
         spec = subspace_from_annihilator([100, 100, 199])
         assert canonical_family(spec, IndexSet((3,), 3)).norms() == {3: F(399, 199)}
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report == DecisionReport(False, None, 3, DecisionMethod.GENERAL)
         # m = 2: the vector of member 1 at {1,2} is (1, 0, 201/200), 1-norm
         # 2 + 1/200, so {1,2} and {1,3} fail and {2,3} is the witness
@@ -221,7 +301,7 @@ class TestIntegerInequalities:
             1: F(401, 200),
             2: F(2),
         }
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((2, 3), 3)
         assert report.witness.norms == {2: F(401, 201), 3: F(401, 201)}
         assert report.sets_examined == 3
@@ -230,7 +310,7 @@ class TestIntegerInequalities:
     def test_negative_common_witness(self):
         spec = subspace_from_annihilator(NEGATIVE_COMMON)
         assert set_denominators(spec) == [1, -27, 4]
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 3), 3)
         assert report.witness.norms == {1: F(31, 27), 3: F(28, 27)}
@@ -247,7 +327,7 @@ class TestIntegerInequalities:
                 random_spec(rng, ambient, codim),
                 degenerate_spec(rng, ambient, codim),
             ):
-                report = _decide_general(spec)
+                report = decide_isometric(spec)
                 assert report == decision_from_ratios(spec)
                 accepted += report.verdict
                 negative += any(d < 0 for d in set_denominators(spec))
@@ -265,7 +345,7 @@ class TestPrefixCandidates:
         walked = residual_rows(spec)
         assert walked[(1,)] == [0, 0, -4, 4]
         assert canonical_family(spec, IndexSet((2, 4), 4)).norms() == {2: F(2), 4: F(2)}
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((2, 3), 4)
         assert report.witness.norms == {2: F(2), 3: F(2)}
         assert report.sets_examined == 3  # {1,3}, {1,4}, {2,3}; {1,2} is singular
@@ -279,7 +359,7 @@ class TestPrefixCandidates:
         assert all(
             v <= 2 for v in canonical_family(spec, IndexSet((1, 3, 5), 5)).norms().values()
         )
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((1, 3, 4), 5)
         assert report.witness.norms == {1: F(1), 3: F(2), 4: F(2)}
         assert report.sets_examined == 3
@@ -290,7 +370,7 @@ class TestPrefixCandidates:
         spec = subspace_from_annihilator([[1, 0], [0, 1], [F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]])
         walked = residual_rows(spec)
         assert walked[(0,)] == [0, 6, 2, 4]
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((1, 2), 4)
         assert report.witness.norms == {1: F(2), 2: F(2)}
         assert report.sets_examined == 1
@@ -302,7 +382,7 @@ class TestPrefixCandidates:
         walked = residual_rows(spec)
         assert walked[(0,)] == [0, 600, 200, 402]
         assert canonical_family(spec, IndexSet((1, 2), 4)).norms() == {1: F(2), 2: F(601, 300)}
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report == DecisionReport(False, None, 6, DecisionMethod.GENERAL)
         assert report == decision_from_ratios(spec)
 
@@ -311,7 +391,7 @@ class TestPrefixCandidates:
         spec = subspace_from_annihilator(
             [[1, 2, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [2, 1, -1]]
         )
-        report = _decide_general(spec)
+        report = decide_isometric(spec)
         assert report == DecisionReport(False, None, 7, DecisionMethod.GENERAL)
         assert report == decision_from_ratios(spec)
 
@@ -323,7 +403,7 @@ class TestPrefixCandidates:
             codim = rng.randint(1, min(5, ambient - 1))
             for make in (rational_spec, degenerate_spec):
                 spec = make(rng, ambient, codim)
-                report = _decide_general(spec)
+                report = decide_isometric(spec)
                 assert report == decision_from_ratios(spec)
                 accepted += report.verdict
         assert 10 < accepted < 50  # both verdicts were exercised

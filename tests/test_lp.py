@@ -16,7 +16,7 @@ from linfiso.lp import (
     solve,
     verify_certificate,
 )
-from linfiso.projection import projection_constant
+from linfiso.projection import minimal_projection_program, projection_constant
 from oracles import certificate_verdict, enumerate_lp, integer_columns, master_of
 
 
@@ -310,8 +310,9 @@ class TestMaster:
         sol = solve(master_of(prob))
         assert verify_certificate(prob, sol)
         assert sol.stats.pivots == len(checked) and not reanchored
-        result = projection_constant(random_instance(random.Random(2), 8, 4).to_spec())
-        assert verify_certificate(result.program, result.certificate)
+        spec = random_instance(random.Random(2), 8, 4).to_spec()
+        result = projection_constant(spec)
+        assert verify_certificate(minimal_projection_program(spec), result.certificate)
         assert result.certificate.stats.pivots + sol.stats.pivots == len(checked)
         assert all(checked) and reanchored
 
@@ -728,7 +729,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(_kernels, "pivot", counted)
         first, second = projection_constant(spec), projection_constant(spec)
-        assert verify_certificate(first.program, first.certificate)
+        assert verify_certificate(minimal_projection_program(spec), first.certificate)
         assert first.certificate == second.certificate
         assert first.certificate.stats == second.certificate.stats
         assert calls[: len(calls) // 2] == calls[len(calls) // 2 :]

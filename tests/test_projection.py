@@ -65,7 +65,7 @@ class TestProjectionConstant:
 
     def test_certificate_attached_and_valid(self):
         result = projection_constant(ANCHOR)
-        assert verify_certificate(result.program, result.certificate)
+        assert verify_certificate(minimal_projection_program(ANCHOR), result.certificate)
 
     def test_isometric_instances_reach_one(self):
         assert projection_constant(subspace_from_annihilator([1, 1])).constant == 1
@@ -208,17 +208,17 @@ class TestHyperplaneClosedForm:
         for f in hyperplane_functionals():
             spec = subspace_from_annihilator(f)
             result = projection_constant(spec)
+            program = minimal_projection_program(spec)
             assert result.method == "hyperplane"
             assert result.certificate.stats is None
-            assert result.program == minimal_projection_program(spec)
-            assert verify_certificate(result.program, result.certificate)
+            assert verify_certificate(program, result.certificate)
             # the cut loop from every admissible set reaches the closed
             # form's optimum, and its certificate verifies on the program
             for index_set, _ in admissible_sets(spec):
                 y, t, duals, stats, _, _ = _cut_loop(spec, index_set)
                 assert t == result.constant
                 _, certificate = _certificate(spec, y, t, duals, stats)
-                assert verify_certificate(result.program, certificate)
+                assert verify_certificate(program, certificate)
             if len(f) <= 3:
                 assert result.constant == hyperplane_projection_constant(f)
             kinds.add(result.constant == 1)
@@ -228,9 +228,10 @@ class TestHyperplaneClosedForm:
         # |f_p| = |f_q| = |f|_1 / 2: the first nonzero column of P has two
         # entries of the largest size, and the rank-one dual takes the first
         for f in ([1, -1], [2, 2, 0], [0, 3, -3], [F(1, 2), 0, F(-1, 2)]):
-            result = projection_constant(subspace_from_annihilator(f))
+            spec = subspace_from_annihilator(f)
+            result = projection_constant(spec)
             assert result.constant == 1
-            assert verify_certificate(result.program, result.certificate)
+            assert verify_certificate(minimal_projection_program(spec), result.certificate)
             lay = _Layout(len(f), 1)
             assert result.certificate.duals[lay.identity_row(0, 0)] == 0
 
@@ -243,8 +244,9 @@ class TestHyperplaneClosedForm:
     def test_perturbed_certificates_rejected(self):
         eps = F(1, 1000)
         for f in hyperplane_functionals()[:16]:
-            result = projection_constant(subspace_from_annihilator(f))
-            cert, program = result.certificate, result.program
+            spec = subspace_from_annihilator(f)
+            result = projection_constant(spec)
+            cert, program = result.certificate, minimal_projection_program(spec)
             # nu prices every free y_i with f_i != 0
             duals = (cert.duals[0] + eps,) + cert.duals[1:]
             # y_k with f_k != 0 moves f^T y off 1
@@ -489,13 +491,14 @@ class TestCutLoop:
     def test_pinned_master_pivots(self):
         for (seed, n, m, rational), pinned in self.PINNED.items():
             instance = random_instance(random.Random(seed), n, m, rational=rational)
-            result = projection_constant(instance.to_spec())
+            spec = instance.to_spec()
+            result = projection_constant(spec)
             stats = result.certificate.stats
             assert (
                 result.constant, result.rounds, result.cuts, stats.pivots,
                 stats.degenerate_pivots, stats.end_bits,
             ) == pinned, (seed, n, m, rational)
-            assert verify_certificate(result.program, result.certificate)
+            assert verify_certificate(minimal_projection_program(spec), result.certificate)
 
     @staticmethod
     def rational_columns(ft, p_s, k_rows, convexity, new):
@@ -625,7 +628,7 @@ class TestCutLoop:
             routes.clear()
             written.clear()
             result = projection_constant(spec)
-            assert verify_certificate(result.program, result.certificate)
+            assert verify_certificate(minimal_projection_program(spec), result.certificate)
             assert written == [result.certificate]
             [z] = routes
             isometric = result.constant == 1
@@ -663,14 +666,15 @@ class TestTraceDuality:
             f = [list(spec.annihilator.row(i)) for i in range(spec.ambient)]
             cert = result.certificate
             assert trace_duality_verdict(f, cert)
-            assert verify_certificate(result.program, cert)
+            program = minimal_projection_program(spec)
+            assert verify_certificate(program, cert)
             # Z_00 + 1/7: the dual of P_00 <= T_00 moves down by 1/7
             m = spec.codim
             duals = list(cert.duals)
             duals[m * m] -= F(1, 7)
             bad = replace(cert, duals=tuple(duals))
             assert not trace_duality_verdict(f, bad)
-            assert not verify_certificate(result.program, bad)
+            assert not verify_certificate(program, bad)
             kinds.add((result.method, result.constant == 1))
         assert kinds == {
             ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
