@@ -153,7 +153,7 @@ def measure_scan(n: int, m: int, seed: int) -> dict:
             "verdict_digest": digest((
                 decision.verdict,
                 witness and witness.index_set.members,
-                witness and sorted(witness.norms.items()),
+                witness and sorted(witness.norms().items()),
             )),
             "sets_examined": decision.sets_examined,
             "admissible_sets": len(bound.per_set),

@@ -23,9 +23,7 @@ from .canonical import (
 )
 from .crosscheck import CrossCheckSummary, check_instance, run_crosscheck
 from .decide import (
-    DecisionMethod,
     DecisionReport,
-    Witness,
     decide_by_minors,
     decide_hyperplane,
     decide_isometric,

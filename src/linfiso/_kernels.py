@@ -3,38 +3,24 @@ simplex pivot of lp's revised master, and the fraction-free exchange of
 the basis-exchange scan of canonical families and of linalg's
 elimination.
 
-All three take integer rows over one common denominator, the form
-linalg.Matrix holds.  Every simplex pivot goes through pivot.  Callers
-reach these functions through the module (_kernels.pivot(...)), not by
-importing the names, so a tracer can wrap them in one place.
+All three work on integer rows: det_bareiss takes them alone and
+returns an integer, and the exchanges take them over one common
+denominator, the form linalg.Matrix holds.  Every simplex pivot goes
+through pivot.  Callers reach these functions through the module
+(_kernels.pivot(...)), not by importing the names, so a tracer can wrap
+them in one place.
 """
 
-from math import gcd
 
+def det_bareiss(rows: list) -> int:
+    """Determinant of the square matrix of integer rows.
 
-def normalize(num: int, den: int) -> tuple[int, int]:
-    """Reduce num/den to lowest terms with a positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if num == 0:
-        return 0, 1
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
-    """Determinant of the square matrix rows / den, for integer rows over
-    one positive denominator, as num, den in lowest terms.
-
-    The Bareiss fraction-free elimination runs on a copy of the integer
-    rows, every interior division is exact, and the result is divided
-    by den to the size once.
+    The Bareiss fraction-free elimination runs on a copy of the rows and
+    every interior division is exact.
     """
     size = len(rows)
     if size == 0:
-        return 1, 1
+        return 1
     work = [list(row) for row in rows]
     sign = 1
     prev = 1
@@ -46,7 +32,7 @@ def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
                     sign = -sign
                     break
             else:
-                return 0, 1
+                return 0
         pivot_entry = work[k][k]
         for i in range(k + 1, size):
             row_i = work[i]
@@ -56,7 +42,7 @@ def det_bareiss(rows: list, den: int = 1) -> tuple[int, int]:
                 row_i[j] = (row_i[j] * pivot_entry - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot_entry
-    return normalize(sign * work[size - 1][size - 1], den**size)
+    return sign * work[size - 1][size - 1]
 
 
 def pivot(rows: list, det: int, prow: int, pcol: int) -> int:

@@ -183,7 +183,7 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
         raise DimensionError("index set size must equal the codimension")
     rows = list(zip(*_integer_columns(spec)))
     block = [rows[k - 1] for k in index_set]
-    d, _ = _kernels.det_bareiss(block)
+    d = _kernels.det_bareiss(block)
     if d == 0:
         raise InadmissibleSetError(f"row block {index_set} is singular")
     inside = set(index_set)
@@ -195,7 +195,7 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
                 entries.append(_ONE if i == k else _ZERO)
             else:
                 swapped = block[:pos] + [rows[i - 1]] + block[pos + 1 :]
-                entries.append(Fraction(_kernels.det_bareiss(swapped)[0], d))
+                entries.append(Fraction(_kernels.det_bareiss(swapped), d))
         vectors[k] = tuple(entries)
     return CanonicalFamily(index_set, vectors)
 

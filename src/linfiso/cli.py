@@ -24,9 +24,9 @@ from math import comb
 from typing import Optional, Sequence
 
 from .bounds import best_upper_bound
-from .canonical import MAX_SETS, SubspaceSpec
+from .canonical import MAX_SETS, CanonicalFamily, SubspaceSpec
 from .crosscheck import run_crosscheck
-from .decide import DecisionReport, decide_isometric
+from .decide import decide_isometric
 from .errors import LinfisoError, SetBudgetError
 from .instances import (
     KIND_ANNIHILATOR,
@@ -47,18 +47,15 @@ def _matrix_rows(matrix: Matrix) -> list[list[str]]:
     ]
 
 
-def _witness_payload(report: DecisionReport):
-    if report.witness is None:
-        return None
-    witness = report.witness
+def _witness_payload(witness: CanonicalFamily):
     return {
         "set": list(witness.index_set.members),
         "vectors": {
             str(k): [format_rational(x) for x in vec]
-            for k, vec in witness.family.vectors.items()
+            for k, vec in witness.vectors.items()
         },
         "norms": {
-            str(k): format_rational(v) for k, v in witness.norms.items()
+            str(k): format_rational(v) for k, v in witness.norms().items()
         },
     }
 
@@ -81,26 +78,21 @@ def _cmd_decide(args) -> tuple[int, str]:
     report = decide_isometric(_load_spec(args), max_sets=args.max_sets)
     code = 0 if report.verdict else 1
     verdict = "isometric" if report.verdict else "not isometric"
+    witness = report.witness
     if args.json:
         payload = {
             "verdict": verdict,
-            "method": report.method.value,
             "sets_examined": report.sets_examined,
-            "witness": _witness_payload(report),
+            "witness": None if witness is None else _witness_payload(witness),
         }
         return code, _json(payload)
-    lines = [
-        f"verdict: {verdict}",
-        f"method: {report.method.value}",
-        f"sets examined: {report.sets_examined}",
-    ]
-    if report.witness is not None:
-        witness = report.witness
+    lines = [f"verdict: {verdict}", f"sets examined: {report.sets_examined}"]
+    if witness is not None:
         lines.append(f"witness: {witness.index_set}")
+        norms = witness.norms()
         for k in witness.index_set:
-            vec = " ".join(format_rational(x) for x in witness.family.vectors[k])
-            norm = format_rational(witness.norms[k])
-            lines.append(f"vector {k}: [{vec}]  1-norm {norm}")
+            vec = " ".join(format_rational(x) for x in witness.vectors[k])
+            lines.append(f"vector {k}: [{vec}]  1-norm {format_rational(norms[k])}")
     return code, _text(lines)
 
 

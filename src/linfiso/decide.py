@@ -11,23 +11,21 @@ summed once per prefix.  At most two x per prefix pass it; only those
 sets are completed by one exchange, and the completed rows r, canonical
 vectors over rho[x], are tested as sum |row r| <= 2 |rho[x]|, with no
 Fraction per set.  Every admissible set up to the witness counts as
-examined, completed or not.  The witness's CanonicalFamily is read off
-its own completed rows over the signed rho[x] (canonical._family), and
-its norms are those integer sums over |rho[x]|.  At m = 1 the only
+examined, completed or not.  The witness is the set's CanonicalFamily,
+read off its own completed rows over the signed rho[x]
+(canonical._family); its 1-norms are family.norms().  At m = 1 the only
 prefix is empty and rho is the functional itself, scaled to integers.
 
 Codimension 1 and 2 admit closed forms that provably visit the same
-sets in the same order, so verdict, witness, and the number of sets
-examined all coincide with the scan: decide_hyperplane compares the
-functional's 1-norm with twice each entry, and decide_by_minors tests
-pairs on the 2 x 2 minors.  Neither runs faster than the scan; they
-stay as the references that crosscheck and the tests compare it
-against.
+sets in the same order, so all three return equal DecisionReports:
+decide_hyperplane compares the functional's 1-norm with twice each
+entry, and decide_by_minors tests pairs on the 2 x 2 minors.  Neither
+runs faster than the scan; they stay as the references that crosscheck
+and the tests compare it against, report for report.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -49,28 +47,16 @@ from .linalg import IndexSet, as_rational, vec_norm1
 _TWO = Fraction(2)
 
 
-class DecisionMethod(enum.Enum):
-    GENERAL = "general"
-    HYPERPLANE = "hyperplane"
-    PAIR_MINORS = "pair_minors"
-
-
-@dataclass(frozen=True)
-class Witness:
-    """An index set certifying the verdict, with its canonical vectors
-    and their 1-norms (each at most 2)."""
-
-    index_set: IndexSet
-    family: CanonicalFamily
-    norms: dict[int, Fraction]
-
-
 @dataclass(frozen=True)
 class DecisionReport:
+    """A decider's answer.  witness is the canonical family of the first
+    index set whose vectors all have 1-norm at most 2 (None when no set
+    qualifies); sets_examined counts the admissible sets tested, the
+    witness's included."""
+
     verdict: bool
-    witness: Optional[Witness]
+    witness: Optional[CanonicalFamily]
     sets_examined: int
-    method: DecisionMethod
 
 
 def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionReport:
@@ -80,8 +66,9 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
     than max_sets index sets.  Every set Q + x with rho[x] != 0 counts
     as examined.  Its last member passes exactly when
     ||rho||_1 <= 2 |rho[x]|; only then is the set completed, and it is a
-    witness when every completed row r, a canonical vector over rho[x],
-    has sum |row r| <= 2 |rho[x]|."""
+    witness when every completed row r of the prefix's members, a
+    canonical vector over rho[x], has sum |row r| <= 2 |rho[x]| (row
+    free is rho itself, which x's test has passed)."""
     _check_set_budget(spec, max_sets)
     n = spec.ambient
     examined = 0
@@ -95,16 +82,10 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
             if 2 * abs(rho[x]) < norm:
                 continue
             done, den = _complete(rows, common, free, x)
-            sums = [sum(map(abs, done[r])) for r in order] + [norm]
-            if all(total <= 2 * abs(den) for total in sums):
+            if all(sum(map(abs, done[r])) <= 2 * abs(den) for r in order):
                 family = _family(n, prefix + (x,), order + (free,), done, den)
-                norms = {
-                    k: Fraction(total, abs(den))
-                    for k, total in zip(family.index_set, sums)
-                }
-                witness = Witness(family.index_set, family, norms)
-                return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
-    return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
+                return DecisionReport(True, family, examined)
+    return DecisionReport(False, None, examined)
 
 
 def decide_hyperplane(functional: Iterable) -> DecisionReport:
@@ -123,13 +104,10 @@ def decide_hyperplane(functional: Iterable) -> DecisionReport:
             continue
         examined += 1
         if norm1 <= _TWO * abs(value):
-            index_set = IndexSet((k,), ambient)
             scaled = tuple(x / value for x in vec)
-            family = CanonicalFamily(index_set, {k: scaled})
-            norms = {k: norm1 / abs(value)}
-            witness = Witness(index_set, family, norms)
-            return DecisionReport(True, witness, examined, DecisionMethod.HYPERPLANE)
-    return DecisionReport(False, None, examined, DecisionMethod.HYPERPLANE)
+            family = CanonicalFamily(IndexSet((k,), ambient), {k: scaled})
+            return DecisionReport(True, family, examined)
+    return DecisionReport(False, None, examined)
 
 
 def decide_by_minors(spec: SubspaceSpec) -> DecisionReport:
@@ -149,14 +127,6 @@ def decide_by_minors(spec: SubspaceSpec) -> DecisionReport:
                 continue
             examined += 1
             if max(norms1[k - 1], norms1[l - 1]) <= _TWO * abs(pivot):
-                index_set = IndexSet((k, l), ambient)
-                family = family_from_minors(spec, index_set)
-                norms = {
-                    k: norms1[l - 1] / abs(pivot),
-                    l: norms1[k - 1] / abs(pivot),
-                }
-                witness = Witness(index_set, family, norms)
-                return DecisionReport(
-                    True, witness, examined, DecisionMethod.PAIR_MINORS
-                )
-    return DecisionReport(False, None, examined, DecisionMethod.PAIR_MINORS)
+                family = family_from_minors(spec, IndexSet((k, l), ambient))
+                return DecisionReport(True, family, examined)
+    return DecisionReport(False, None, examined)

@@ -330,8 +330,7 @@ def det(matrix: Matrix) -> Fraction:
     """Determinant by fraction-free elimination.  Square input only."""
     if matrix.rows != matrix.cols:
         raise DimensionError("determinant of a non-square matrix")
-    num, den = _kernels.det_bareiss(matrix._rows, matrix._den)
-    return Fraction(num, den)
+    return Fraction(_kernels.det_bareiss(matrix._rows), matrix._den**matrix.rows)
 
 
 def inverse(matrix: Matrix) -> Matrix:

@@ -266,8 +266,8 @@ class TestPrunedBounds:
 class TestSetBudget:
     def test_library_refuses_before_the_scan(self, monkeypatch):
         # the budget is inclusive: the 30 sets at (30, 1) pass a budget
-        # of 30 and fail one of 29; decide takes the closed form at m = 1,
-        # so its scan is held to the budget at (8, 2), C(8, 2) = 28
+        # of 30 and fail one of 29; decide's scan is held to the budget
+        # at (8, 2), C(8, 2) = 28
         line = random_instance(random.Random(1), 30, 1).to_spec()
         assert best_upper_bound(line, max_sets=30) == best_upper_bound(line)
         with pytest.raises(SetBudgetError, match="C\\(30, 1\\) = 30 index sets"):

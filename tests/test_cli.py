@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,7 @@ class TestDecide:
         assert main(["decide", accepting]) == 0
         out = capsys.readouterr().out
         assert "verdict: isometric" in out
-        assert "method: general" in out
+        assert "method:" not in out
         assert "witness: {3}" in out
         assert "vector 3: [1/2 1/2 1]  1-norm 2" in out
 
@@ -63,6 +64,43 @@ class TestDecide:
         assert payload["witness"]["set"] == [3]
         assert payload["witness"]["norms"] == {"3": "2"}
         assert payload["witness"]["vectors"]["3"] == ["1/2", "1/2", "1"]
+
+    def test_json_keys(self, accepting, rejecting, capsys):
+        assert main(["decide", accepting, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"verdict", "sets_examined", "witness"}
+        assert set(payload["witness"]) == {"set", "vectors", "norms"}
+        assert main(["decide", rejecting, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"verdict", "sets_examined", "witness"}
+        assert payload["witness"] is None
+
+    def test_printed_norms_are_the_vectors_norms(self, tmp_path, capsys):
+        # text and JSON: each member's printed 1-norm is the sum of the
+        # absolute values of its printed vector, at m = 1, 2 and 3
+        line = re.compile(r"^vector (\d+): \[(.*)\]  1-norm (\S+)$")
+        path = tmp_path / "planted.txt"
+        seen = set()
+        for text in (
+            ACCEPTING,
+            "3 2 annihilator\n1/2 2\n0 1/3\n2 -1\n",
+            "4 2 annihilator\n1 0\n-2 0\n1 2\n0 -2\n",
+            "5 3 annihilator\n1 0 1\n0 -1 -1\n0 2 2\n-2 2 2\n-2 1 1\n",
+        ):
+            path.write_text(text, encoding="utf-8")
+            assert main(["decide", str(path)]) == 0
+            out = capsys.readouterr().out
+            printed = [line.match(row) for row in out.splitlines()[3:]]
+            for match in printed:
+                total = sum(abs(F(x)) for x in match[2].split())
+                assert F(match[3]) == total
+            assert main(["decide", str(path), "--json"]) == 0
+            witness = json.loads(capsys.readouterr().out)["witness"]
+            assert [int(m[1]) for m in printed] == witness["set"]
+            for k, vec in witness["vectors"].items():
+                assert F(witness["norms"][k]) == sum(abs(F(x)) for x in vec)
+            seen.add(len(witness["set"]))
+        assert seen == {1, 2, 3}
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["decide", str(tmp_path / "absent.txt")]) == 2
@@ -222,7 +260,6 @@ class TestWideResults:
         assert captured.err == ""
         assert captured.out.splitlines() == [
             "verdict: isometric",
-            "method: general",
             "sets examined: 1",
             "witness: {1}",
             f"vector 1: [1 1/{self.A} 1/{self.B}]  1-norm {self.NORM}",

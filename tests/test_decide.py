@@ -10,9 +10,7 @@ from linfiso.canonical import (
     subspace_from_annihilator,
 )
 from linfiso.decide import (
-    DecisionMethod,
     DecisionReport,
-    Witness,
     decide_by_minors,
     decide_hyperplane,
     decide_isometric,
@@ -90,10 +88,9 @@ class TestHyperplane:
     def test_accepting_instance(self):
         report = decide_hyperplane([1, 1, 2])
         assert report.verdict is True
-        assert report.method is DecisionMethod.HYPERPLANE
         assert report.witness.index_set.members == (3,)
-        assert report.witness.family.vectors[3] == (F(1, 2), F(1, 2), F(1))
-        assert report.witness.norms == {3: F(2)}
+        assert report.witness.vectors[3] == (F(1, 2), F(1, 2), F(1))
+        assert report.witness.norms() == {3: F(2)}
         assert report.sets_examined == 3
 
     def test_rejecting_instance(self):
@@ -129,7 +126,7 @@ class TestHyperplane:
 
     def test_agrees_with_general_scan(self):
         # decide_isometric walks at m = 1 too, and the closed form gives
-        # the same verdict, sets examined and witness: set, family, norms
+        # the same report: verdict, sets examined and witness family
         rng = random.Random(333)
         verdicts, zeros, negative = set(), 0, 0
         for ambient in range(2, 41):
@@ -138,11 +135,7 @@ class TestHyperplane:
                     f = hyperplane_functional(rng, ambient, rational, planted)
                     walked = decide_isometric(subspace_from_annihilator(f))
                     closed = decide_hyperplane(f)
-                    assert walked.method is DecisionMethod.GENERAL
-                    assert closed.method is DecisionMethod.HYPERPLANE
-                    assert walked.verdict == closed.verdict
-                    assert walked.sets_examined == closed.sets_examined
-                    assert walked.witness == closed.witness
+                    assert walked == closed
                     verdicts.add(walked.verdict)
                     zeros += 0 in f
                     if walked.verdict:
@@ -165,17 +158,12 @@ class TestHyperplane:
 
 
 class TestPairMinors:
-    def test_method_tag(self):
-        spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
-        report = decide_isometric(spec)
-        assert report.method is DecisionMethod.GENERAL
-
     def test_example_witness(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
         report = decide_by_minors(spec)
         assert report.verdict is True
         assert report.witness.index_set.members == (1, 2)
-        assert report.witness.norms == {1: F(2), 2: F(2)}
+        assert report.witness.norms() == {1: F(2), 2: F(2)}
 
     def test_requires_codim_two(self):
         with pytest.raises(WrongCodimensionError):
@@ -186,14 +174,7 @@ class TestPairMinors:
         for _ in range(60):
             ambient = rng.randint(3, 6)
             spec = random_annihilator(rng, ambient, 2)
-            fast = decide_by_minors(spec)
-            slow = decide_isometric(spec)
-            assert fast.verdict == slow.verdict
-            assert fast.sets_examined == slow.sets_examined
-            if fast.verdict:
-                assert fast.witness.index_set == slow.witness.index_set
-                assert fast.witness.family == slow.witness.family
-                assert fast.witness.norms == slow.witness.norms
+            assert decide_by_minors(spec) == decide_isometric(spec)
 
 
 class TestGeneralScan:
@@ -206,8 +187,8 @@ class TestGeneralScan:
             report = decide_isometric(spec)
             if report.verdict:
                 fam = canonical_family(spec, report.witness.index_set)
-                assert fam == report.witness.family
-                assert all(v <= 2 for v in report.witness.norms.values())
+                assert fam == report.witness
+                assert all(v <= 2 for v in report.witness.norms().values())
             else:
                 # exhausted every admissible set without finding a witness
                 total = sum(1 for _ in admissible_sets(spec))
@@ -243,9 +224,8 @@ class TestGeneralScan:
             report = decide_isometric(spec)
             assert report.verdict is True
             witness = report.witness
-            assert witness.family == canonical_family(spec, witness.index_set)
-            assert witness.norms == witness.family.norms()
-            assert all(v <= 2 for v in witness.norms.values())
+            assert witness == canonical_family(spec, witness.index_set)
+            assert all(v <= 2 for v in witness.norms().values())
             negative += set_denominators(spec)[report.sets_examined - 1] < 0
         assert negative > 20
 
@@ -264,11 +244,9 @@ def decision_from_ratios(spec):
     for index_set, _ in admissible_sets(spec):
         examined += 1
         family = canonical_family(spec, index_set)
-        norms = family.norms()
-        if all(v <= 2 for v in norms.values()):
-            witness = Witness(index_set, family, norms)
-            return DecisionReport(True, witness, examined, DecisionMethod.GENERAL)
-    return DecisionReport(False, None, examined, DecisionMethod.GENERAL)
+        if all(v <= 2 for v in family.norms().values()):
+            return DecisionReport(True, family, examined)
+    return DecisionReport(False, None, examined)
 
 
 class TestIntegerInequalities:
@@ -279,13 +257,13 @@ class TestIntegerInequalities:
         report = decide_isometric(subspace_from_annihilator([1, 1, 2]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((3,), 3)
-        assert report.witness.norms == {3: F(2)}
+        assert report.witness.norms() == {3: F(2)}
         assert report.sets_examined == 3
         # m = 2: both vectors of {1,2} are columns of F, 1-norm 2 each
         report = decide_isometric(subspace_from_annihilator([[1, 0], [0, 1], [1, 1]]))
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 2), 3)
-        assert report.witness.norms == {1: F(2), 2: F(2)}
+        assert report.witness.norms() == {1: F(2), 2: F(2)}
         assert report.sets_examined == 1
 
     def test_norm_just_above_two_rejects(self):
@@ -293,7 +271,7 @@ class TestIntegerInequalities:
         spec = subspace_from_annihilator([100, 100, 199])
         assert canonical_family(spec, IndexSet((3,), 3)).norms() == {3: F(399, 199)}
         report = decide_isometric(spec)
-        assert report == DecisionReport(False, None, 3, DecisionMethod.GENERAL)
+        assert report == DecisionReport(False, None, 3)
         # m = 2: the vector of member 1 at {1,2} is (1, 0, 201/200), 1-norm
         # 2 + 1/200, so {1,2} and {1,3} fail and {2,3} is the witness
         spec = subspace_from_annihilator([[1, 0], [0, 1], [F(201, 200), 1]])
@@ -303,7 +281,7 @@ class TestIntegerInequalities:
         }
         report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((2, 3), 3)
-        assert report.witness.norms == {2: F(401, 201), 3: F(401, 201)}
+        assert report.witness.norms() == {2: F(401, 201), 3: F(401, 201)}
         assert report.sets_examined == 3
         assert report == decision_from_ratios(spec)
 
@@ -313,7 +291,7 @@ class TestIntegerInequalities:
         report = decide_isometric(spec)
         assert report.verdict is True
         assert report.witness.index_set == IndexSet((1, 3), 3)
-        assert report.witness.norms == {1: F(31, 27), 3: F(28, 27)}
+        assert report.witness.norms() == {1: F(31, 27), 3: F(28, 27)}
         assert report.sets_examined == 2
         assert report == decision_from_ratios(spec)
 
@@ -347,7 +325,7 @@ class TestPrefixCandidates:
         assert canonical_family(spec, IndexSet((2, 4), 4)).norms() == {2: F(2), 4: F(2)}
         report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((2, 3), 4)
-        assert report.witness.norms == {2: F(2), 3: F(2)}
+        assert report.witness.norms() == {2: F(2), 3: F(2)}
         assert report.sets_examined == 3  # {1,3}, {1,4}, {2,3}; {1,2} is singular
         assert report == decision_from_ratios(spec)
         # m = 3: prefix {1,3} has the residual row (0, 0, 0, 4, 4)
@@ -361,7 +339,7 @@ class TestPrefixCandidates:
         )
         report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((1, 3, 4), 5)
-        assert report.witness.norms == {1: F(1), 3: F(2), 4: F(2)}
+        assert report.witness.norms() == {1: F(1), 3: F(2), 4: F(2)}
         assert report.sets_examined == 3
         assert report == decision_from_ratios(spec)
 
@@ -372,7 +350,7 @@ class TestPrefixCandidates:
         assert walked[(0,)] == [0, 6, 2, 4]
         report = decide_isometric(spec)
         assert report.witness.index_set == IndexSet((1, 2), 4)
-        assert report.witness.norms == {1: F(2), 2: F(2)}
+        assert report.witness.norms() == {1: F(2), 2: F(2)}
         assert report.sets_examined == 1
         assert report == decision_from_ratios(spec)
         # 1/300 more: rho = (0, 600, 200, 402), ||rho||_1 = 1202 > 2 * 600
@@ -383,7 +361,7 @@ class TestPrefixCandidates:
         assert walked[(0,)] == [0, 600, 200, 402]
         assert canonical_family(spec, IndexSet((1, 2), 4)).norms() == {1: F(2), 2: F(601, 300)}
         report = decide_isometric(spec)
-        assert report == DecisionReport(False, None, 6, DecisionMethod.GENERAL)
+        assert report == DecisionReport(False, None, 6)
         assert report == decision_from_ratios(spec)
 
     def test_dependent_prefixes_are_skipped(self):
@@ -392,7 +370,7 @@ class TestPrefixCandidates:
             [[1, 2, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [2, 1, -1]]
         )
         report = decide_isometric(spec)
-        assert report == DecisionReport(False, None, 7, DecisionMethod.GENERAL)
+        assert report == DecisionReport(False, None, 7)
         assert report == decision_from_ratios(spec)
 
     def test_seeded_sweep_to_nine(self):

@@ -3,7 +3,7 @@ cofactor-expansion oracle."""
 
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -27,21 +27,6 @@ def to_grid(nums, dens, ncols):
     ]
 
 
-class TestNormalize:
-    def test_sign_and_reduction(self):
-        assert _kernels.normalize(2, -4) == (-1, 2)
-        assert _kernels.normalize(-6, -3) == (2, 1)
-        assert _kernels.normalize(0, 7) == (0, 1)
-
-    def test_matches_fraction(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            n = rng.randint(-50, 50)
-            d = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
-            q = F(n, d)
-            assert _kernels.normalize(n, d) == (q.numerator, q.denominator)
-
-
 def int_rows(grid):
     """A grid of Fractions as integer rows over one positive denominator."""
     den = lcm(*(x.denominator for row in grid for x in row))
@@ -50,42 +35,34 @@ def int_rows(grid):
 
 class TestDetBareiss:
     def test_identity(self):
-        assert _kernels.det_bareiss([[1, 0], [0, 1]], 1) == (1, 1)
+        assert _kernels.det_bareiss([[1, 0], [0, 1]]) == 1
 
     def test_fractional_entries(self):
-        # det [[1/2, 1/3], [1/4, 1/5]] = 1/10 - 1/12 = 1/60
+        # [[1/2, 1/3], [1/4, 1/5]] is [[30, 20], [15, 12]] over 60, with
+        # the integer determinant 60 = 60**2 * (1/10 - 1/12)
         rows, den = int_rows([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])
-        assert _kernels.det_bareiss(rows, den) == (1, 60)
+        assert (rows, den) == ([[30, 20], [15, 12]], 60)
+        assert _kernels.det_bareiss(rows) == 60
 
     def test_row_swap_sign(self):
-        assert _kernels.det_bareiss([[0, 1], [1, 0]], 1) == (-1, 1)
+        assert _kernels.det_bareiss([[0, 1], [1, 0]]) == -1
 
     def test_singular(self):
-        assert _kernels.det_bareiss([[1, 2], [2, 4]], 1) == (0, 1)
-
-    def test_result_is_normalized(self):
-        rng = random.Random(88)
-        for _ in range(60):
-            size = rng.randint(1, 4)
-            nums, dens = flat_pairs(rng, size * size)
-            rows, den = int_rows(to_grid(nums, dens, size))
-            n, d = _kernels.det_bareiss(rows, den)
-            assert d > 0
-            assert gcd(n, d) == 1
+        assert _kernels.det_bareiss([[1, 2], [2, 4]]) == 0
 
     def test_matches_laplace(self):
         rng = random.Random(1234)
         for _ in range(40):
             size = rng.randint(1, 5)
             nums, dens = flat_pairs(rng, size * size)
-            grid = to_grid(nums, dens, size)
-            expected = laplace_det(grid)
-            got = _kernels.det_bareiss(*int_rows(grid))
-            assert got == (expected.numerator, expected.denominator)
+            rows, _ = int_rows(to_grid(nums, dens, size))
+            got = _kernels.det_bareiss(rows)
+            assert type(got) is int
+            assert got == laplace_det(rows)
 
     def test_inputs_not_mutated(self):
         rows = [[1, 2], [3, 4]]
-        _kernels.det_bareiss(rows, 1)
+        _kernels.det_bareiss(rows)
         assert rows == [[1, 2], [3, 4]]
 
 
