@@ -15,21 +15,25 @@ the whole projection_constant call; setup_s, from the call to the start
 of the LP (the best-set scan and P_S); master_s, from the start of the
 LP to its last solve (every round of the cut loop, its separation
 included); mapping_s, from there to the end of the call (the reading of
-Y and of the dual operator Z from the last master, and the certificate
-that writes P, the point and the duals of the full program from Y and
-Z); and verify_s, the build of minimal_projection_program(spec) and
-verify_certificate on it.  projection_constant builds no program: a
+Y and of the dual operator Z from the last master, and the product P
+and its norm); and verify_s, the LP check: lp_certificate, which writes
+the point and the duals of the full program from the result, the build
+of minimal_projection_program(spec) and verify_certificate on them.
+projection_constant builds no program and writes no LP certificate: a
 checkout whose call still built one counts that build in projconst_s
-(and in setup_s), and builds it again for verify_s.  The answer fields
-come from the first repeat, and every repeat must give the same ones, or
-the script exits 1: the route (method), the digest of lambda, whether
-the certificate verifies, the cut rounds and cuts, the master's pivots
-and degenerate pivots, and tableau_bits, LpStats.end_bits of the last
-solve: the largest bit length of det and of an entry of the master's
-integer block [det B^-1, rhs; cost row].  Those integers run longer than
-the reduced fractions of the rational tableau that the master kept
-before, so tableau_bits does not compare with files written by such a
-checkout.  A hyperplane (m = 1) runs no LP: its closed form has no
+(and in setup_s), and builds it again for verify_s, and a checkout whose
+result carried its certificate counts the writing in mapping_s and
+projconst_s.  The LP counters are read from result.stats, or from
+result.certificate.stats in a checkout that has no such field.  The
+answer fields come from the first repeat, and every repeat must give the
+same ones, or the script exits 1: the route (method), the digest of
+lambda, whether the certificate verifies, the cut rounds and cuts, the
+master's pivots and degenerate pivots, and tableau_bits, LpStats.end_bits
+of the last solve: the largest bit length of det and of an entry of the
+master's integer block [det B^-1, rhs; cost row].  Those integers run
+longer than the reduced fractions of the rational tableau that the
+master kept before, so tableau_bits does not compare with files written
+by such a checkout.  A hyperplane (m = 1) runs no LP: its closed form has no
 solver stats, so the LP fields and setup_s, master_s and mapping_s are
 null, and projconst_s is the closed form and the product P = I - Y F^T.
 The file also records the Python version, the CPU count, the commit, and
@@ -48,7 +52,9 @@ minimum of several process_time runs a side.
 
 The scan rungs, under "scans", are the three scan_wide shapes of the
 benchmark, (12, 5), (13, 3) and (14, 3), then (16, 4), (18, 3) and the
-hyperplane (400, 1), on random_instance(random.Random(seed), N, m).
+hyperplane (400, 1), on random_instance(random.Random(seed), N, m), and
+then the planted isometric (14, 3) of planted_instance, whose verdict
+is "isometric", so its verdict digest covers the witness set and norms.
 They run no LP.  decide_s is decide_isometric(spec), the prefix walk,
 which decide runs at every m (a checkout that took the closed form at
 m = 1 times that instead), bounds_s is best_upper_bound(spec,
@@ -76,17 +82,20 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import linfiso  # noqa: E402
 from linfiso import (  # noqa: E402
     best_upper_bound,
     decide_isometric,
     minimal_projection_program,
     projection_constant,
     random_instance,
+    subspace_from_annihilator,
     verify_certificate,
 )
 
@@ -95,9 +104,10 @@ RUNGS = (
     (16, 1, 1), (24, 1, 1), (8, 4, 1), (10, 4, 1), (12, 3, 1), (12, 4, 1),
     (12, 4, 2), (14, 3, 1), (16, 4, 1), (16, 5, 1), (20, 4, 1),
 )
-# (N, m, seed) of the scan rungs
+# (N, m, seed, planted) of the scan rungs
 SCAN_RUNGS = (
-    (12, 5, 1), (13, 3, 1), (14, 3, 1), (16, 4, 1), (18, 3, 1), (400, 1, 1),
+    (12, 5, 1, False), (13, 3, 1, False), (14, 3, 1, False), (16, 4, 1, False),
+    (18, 3, 1, False), (400, 1, 1, False), (14, 3, 1, True),
 )
 REPEATS = 3
 
@@ -106,15 +116,45 @@ def digest(value) -> str:
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
 
+def planted_instance(n: int, m: int, seed: int):
+    """An isometric instance: F has the rows of the m x m identity at m
+    coordinates that random.Random(seed) draws, and elsewhere rows over
+    one denominator per column that give every column 1-norm at most 1
+    off those coordinates.  The identity rows are then a witness whose
+    canonical vectors are the columns of F, of 1-norm at most 2."""
+    rng = random.Random(seed)
+    witness = sorted(rng.sample(range(n), m))
+    weights = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n - m)]
+    scales = [
+        sum(abs(w[k]) for w in weights) + rng.randint(0, 2) or 1 for k in range(m)
+    ]
+    rest = iter(weights)
+    rows = [
+        [int(witness.index(i) == k) for k in range(m)] if i in witness
+        else [Fraction(w, s) for w, s in zip(next(rest), scales)]
+        for i in range(n)
+    ]
+    return subspace_from_annihilator(rows)
+
+
+def certificate_of(spec, result):
+    """The LP certificate of a result: lp_certificate's, or the one a
+    checkout's result carried."""
+    if hasattr(linfiso, "lp_certificate"):
+        return linfiso.lp_certificate(spec, result)
+    return result.certificate
+
+
 def measure(n: int, m: int, seed: int) -> dict:
     """One repeat: the answer's fingerprint and the time of each layer."""
     spec = random_instance(random.Random(seed), n, m).to_spec()
     began = time.perf_counter()
     result = projection_constant(spec)
     ended = time.perf_counter()
-    ok = verify_certificate(minimal_projection_program(spec), result.certificate)
+    certificate = certificate_of(spec, result)
+    ok = verify_certificate(minimal_projection_program(spec), certificate)
     verified = time.perf_counter()
-    stats = result.certificate.stats
+    stats = getattr(result, "stats", None) or getattr(certificate, "stats", None)
     lp = stats is not None
     return {
         "answer": {
@@ -137,9 +177,12 @@ def measure(n: int, m: int, seed: int) -> dict:
     }
 
 
-def measure_scan(n: int, m: int, seed: int) -> dict:
+def measure_scan(n: int, m: int, seed: int, planted: bool) -> dict:
     """One repeat of a scan rung: decide and bounds, timed apart."""
-    spec = random_instance(random.Random(seed), n, m).to_spec()
+    if planted:
+        spec = planted_instance(n, m, seed)
+    else:
+        spec = random_instance(random.Random(seed), n, m).to_spec()
     began = time.perf_counter()
     decision = decide_isometric(spec)
     decided = time.perf_counter()
@@ -216,8 +259,8 @@ def main() -> int:
             f"{answer['pivots']}  projconst {seconds['projconst_s']} s"
         )
     scans = []
-    for n, m, seed in SCAN_RUNGS:
-        runs = [measure_scan(n, m, seed) for _ in range(REPEATS)]
+    for n, m, seed, planted in SCAN_RUNGS:
+        runs = [measure_scan(n, m, seed, planted) for _ in range(REPEATS)]
         answer = runs[0]["answer"]
         if any(run["answer"] != answer for run in runs):
             print(f"scan ({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
@@ -226,7 +269,9 @@ def main() -> int:
             print(f"scan ({n}, {m}) seed {seed}: best bounds disagree", file=sys.stderr)
             return 1
         seconds = median_seconds(runs)
-        scans.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
+        scans.append(
+            {"n": n, "m": m, "seed": seed, "planted": planted, **answer, **seconds}
+        )
         print(
             f"scan ({n}, {m}) seed {seed}: examined {answer['sets_examined']} of "
             f"{answer['admissible_sets']}  decide {seconds['decide_s']} s  "

@@ -60,6 +60,7 @@ from .projection import (
     GapReport,
     ProjectionResult,
     good_index_set,
+    lp_certificate,
     minimal_projection_program,
     projection_constant,
     projection_norm,

@@ -37,7 +37,7 @@ from .instances import (
 )
 from .linalg import Matrix, format_rational
 from .lp import verify_certificate
-from .projection import minimal_projection_program, projection_constant
+from .projection import lp_certificate, minimal_projection_program, projection_constant
 
 
 def _matrix_rows(matrix: Matrix) -> list[list[str]]:
@@ -125,24 +125,24 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 def _cmd_projconst(args) -> tuple[int, str]:
     spec = _load_spec(args)
-    # the cut loop starts at the best set of the scan; a hyperplane has
-    # a closed form and needs no scan
-    best_set = None
-    if spec.codim > 1:
-        best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
-    # built before the solve: its objects survive the solve's young
-    # collections and so bring the next full one sooner, which keeps the
-    # peak RSS of a process that runs many jobs lower
+    # the scan refuses an instance over --max-sets at every m; the cut
+    # loop starts at its best set, and a hyperplane's closed form ignores it
+    best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
+    # the program is built before the solve and the certificate is held
+    # to the end: their objects survive young collections and so bring
+    # the next full one sooner, which keeps the peak RSS of a process
+    # that runs many jobs lower
     program = minimal_projection_program(spec)
     proj = projection_constant(spec, best_set)
-    certified = verify_certificate(program, proj.certificate)
+    certificate = lp_certificate(spec, proj)
+    certified = verify_certificate(program, certificate)
     code = 0 if certified else 2
-    certificate = "valid" if certified else "INVALID"
+    status = "valid" if certified else "INVALID"
     if args.json:
         payload = {
             "lambda": format_rational(proj.constant),
             "method": proj.method,
-            "certificate": certificate,
+            "certificate": status,
         }
         if args.emit_projection:
             payload["right_inverse"] = _matrix_rows(proj.right_inverse)
@@ -151,7 +151,7 @@ def _cmd_projconst(args) -> tuple[int, str]:
     lines = [
         f"projection constant: {format_rational(proj.constant)}",
         f"method: {proj.method}",
-        f"certificate: {certificate}",
+        f"certificate: {status}",
     ]
     if args.emit_projection:
         lines.append("right inverse:")

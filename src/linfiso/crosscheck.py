@@ -3,14 +3,15 @@
 Every instance runs through independent routes that must agree in exact
 arithmetic: the basis-exchange scan against the determinant-ratio
 families set by set, the closed forms for codimension 1 and 2, the
-projection constant with its duality certificate (for a hyperplane, the
-closed form against the simplex optimum), the per-set distance bounds
-(the best one against the norm of its coordinate projection, where the
-cut loop starts for m >= 2), and the structural identities tying the
-pieces together.  For m >= 2 no second solve of the full program runs:
-verify_certificate on the unchanged program already proves the cut
-loop's optimum exactly.  Any mismatch is recorded with the serialized
-instance so it can be replayed."""
+projection constant with the LP certificate lp_certificate writes from
+its Z (for a hyperplane, the closed form against the cut loop's
+optimum), the per-set distance bounds (the best one against the norm of
+its coordinate projection, where the cut loop starts for m >= 2), and
+the structural identities tying the pieces together.  For m >= 2 no
+second solve of the full program runs: verify_certificate on the
+unchanged program already proves the cut loop's optimum exactly.  Any
+mismatch is recorded with the serialized instance so it can be
+replayed."""
 
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check, op_norm_inf
 from .lp import verify_certificate
 from .projection import (
-    _certificate,
     _cut_loop,
     coordinate_projection,
+    lp_certificate,
     minimal_projection_program,
     projection_constant,
     verify_norm_gap,
@@ -122,17 +123,18 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     report = best_upper_bound(spec)
     proj = projection_constant(spec, report.best_set)
     program = minimal_projection_program(spec)
-    record("lp_certificate_valid", verify_certificate(program, proj.certificate))
+    certificate = lp_certificate(spec, proj)
+    record("lp_certificate_valid", verify_certificate(program, certificate))
     if spec.codim == 1:
         # the closed form skipped the cut loop; the cut loop must reach
         # the same optimum and prove it on the same program
-        y, t, duals, stats, _, _ = _cut_loop(spec, report.best_set)
-        _, certificate = _certificate(spec, y, t, duals, stats)
-        certified = verify_certificate(program, certificate)
+        cut = _cut_loop(spec, report.best_set)
+        certified = verify_certificate(program, lp_certificate(spec, cut))
         record(
             "hyperplane_matches_cut_loop",
-            t == proj.constant and certified,
-            f"cut loop={t} closed form={proj.constant} certified={certified}",
+            cut.constant == proj.constant and certified,
+            f"cut loop={cut.constant} closed form={proj.constant} "
+            f"certified={certified}",
         )
     record("constant_at_least_one", proj.constant >= 1, str(proj.constant))
     record(

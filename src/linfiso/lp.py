@@ -214,17 +214,17 @@ def _refuse_index(j, n: int, index: str) -> None:
 
 @dataclass(frozen=True)
 class LpStats:
-    """Counters of a Master's solves so far.
+    """Counters of a Master's solves so far, as Master.stats reads them.
 
     rows and cols are those of the tableau the master stands for after
     the last insert: its constraint rows, and its structural, slack and
     artificial columns and the rhs column.  pivots counts every pivot of
     every solve; degenerate pivots are those whose leaving row had rhs 0.
-    start_bits and end_bits are the largest bit length in the
-    integer block and det, at the start and after the last solve.  The
-    perf_counter readings mark the construction and the end of the last
-    solve; they are left out of equality, so two solves of one program
-    compare equal.
+    start_bits and end_bits are the largest bit length in the integer
+    block and det, at construction and after the last solve (an insert
+    leaves the block as it is).  The perf_counter readings mark the
+    construction and the end of the last solve; they are left out of
+    equality, so two masters that solve one program compare equal.
     """
 
     rows: int
@@ -240,15 +240,14 @@ class LpStats:
 @dataclass(frozen=True)
 class LpSolution:
     """An optimum: the point x, its objective value and the row duals
-    that certify it.  stats is set by solve(); a solution written down
-    without it, such as the closed form for hyperplanes in projection,
-    has stats None.
+    that certify it, whether solve() found it or a caller wrote it down
+    (projection.lp_certificate).  The counters of the solve that found
+    it are the Master's: Master.stats.
     """
 
     x: tuple[Fraction, ...]
     objective_value: Fraction
     duals: tuple[Fraction, ...]
-    stats: Optional[LpStats] = None
 
 
 class Master:
@@ -264,13 +263,14 @@ class Master:
     numbered structural (in order of arrival), slacks, then artificials,
     which never enter.  columns holds the structural ones times each
     row's phi, then the slacks, in that form.  integer_duals reads the
-    row duals of the current basis as integers over |det|."""
+    row duals of the current basis as integers over |det|, and stats the
+    counters of the solves so far."""
 
     def __init__(self, senses: Sequence[str], rhs: Sequence):
         """A master with the rows senses and rhs, their slacks and the
         start basis of slacks and artificials, and no structural column
         yet; insert gives it columns."""
-        self.started = time.perf_counter()
+        self.started = self.finished = time.perf_counter()
         self.pivots = self.degenerate_pivots = 0
         rhs = [as_rational(b) for b in rhs]
         if len(senses) != len(rhs):
@@ -337,6 +337,13 @@ class Master:
         sign = -1 if self.det < 0 else 1
         cost = self.block[self.nrows]
         return [-sign * phi * r for phi, r in zip(self.phi, cost)], abs(self.det)
+
+    def stats(self) -> LpStats:
+        """The counters of the solves so far (LpStats)."""
+        return LpStats(
+            self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
+            self.start_bits, self._bits(), self.started, self.finished,
+        )
 
     def _price(self, j: int) -> int:
         """d = c det + r . a for column j."""
@@ -437,7 +444,6 @@ class Master:
     def _solve(self) -> LpSolution:
         """Run the pricing loop from the current basis to the optimum."""
         self._run_phase()
-        end_bits = self._bits()
         n, det = self.nstruct, self.det
         basic = [(i, j, self.columns[j][3]) for i, j in enumerate(self.basis) if j < n]
         x = [_ZERO] * n
@@ -449,12 +455,8 @@ class Master:
         )
         nums, den = self.integer_duals()
         duals = tuple(Fraction(y, den) for y in nums)
-        stats = LpStats(
-            self.nrows, self.ncols, self.pivots, self.degenerate_pivots,
-            self.start_bits, end_bits,
-            self.started, time.perf_counter(),
-        )
-        return LpSolution((*x,), value, duals, stats)
+        self.finished = time.perf_counter()
+        return LpSolution((*x,), value, duals)
 
 
 def solve(master: Master) -> LpSolution:

@@ -7,7 +7,7 @@ absolute row sum of P over such Y is a linear program once row sums are
 majorized entrywise by a slack matrix T; its exact optimum is the
 projection constant.  The LP layout (variable order, constraint order)
 is fixed so results are reproducible, and written once, in _Layout:
-minimal_projection_program and _certificate, the one writer of the
+minimal_projection_program and lp_certificate, the one writer of the
 certificate's point and duals, index through it.
 
 Each index set S whose block F_S is invertible gives the right inverse
@@ -77,22 +77,21 @@ rows over one positive denominator:
   of F.
 * The hyperplane: Z_ii = a_i and Z_ij = -a_i s_i s_j for
   a_i = c g_i / (1 - 2 g_i), so Z f = -c f, trace Z = 1 and M = -c.
-* A claim of 1 (either route): _certificate takes Z = e_k v^T / v_k for
-  v the first nonzero column of P, which lies in V, and k the first
-  index of its largest entry, so Z F = 0 and trace Z = 1.
+* A claim of 1 (either route): _result takes Z = e_k v^T / v_k for v
+  the first nonzero column of P, which lies in V, and k the first index
+  of its largest entry, so Z F = 0 and trace Z = 1.
 
-_certificate forms P = I - Y F^T once, checks that its norm is the
-claim and at least 1, and writes the point (Y, T = |P| entrywise, t)
-and the duals of the program from Z: -|Z_ij| on the P_ij <= T_ij row
-when Z_ij > 0 and on the -P_ij <= T_ij row when Z_ij < 0, -max_j |Z_ij|
-on row i of the row-sum block, and nu = -Y^T Z F on the F^T Y = I
-rows, which is -M since Y^T F = I, so no system is solved.  It builds
-one Fraction per distinct |P_ij| and per distinct |Z_ij|.  The
-certificate is an ordinary LpSolution carrying the master's LpStats
-(None for the closed form), so lp.verify_certificate checks either
-route's answer the same way.
-crosscheck runs the cut loop on hyperplanes too and writes its answer
-with the same writer, to check the closed form against it."""
+Both routes end in _result, which forms P = I - Y F^T once, checks that
+its norm is the claim and at least 1, and returns the ProjectionResult
+with its Z.  lp_certificate(spec, result), called only where an LP check
+runs, writes the point (Y, T = |P| entrywise, t) of the program and its
+duals from Z: -|Z_ij| on the P_ij <= T_ij row when Z_ij > 0 and on the
+-P_ij <= T_ij row when Z_ij < 0, -max_j |Z_ij| on row i of the row-sum
+block, and nu = -Y^T Z F on the F^T Y = I rows, which is -M since
+Y^T F = I, so no system is solved.  It builds one Fraction per distinct
+|P_ij| and per distinct |Z_ij|, and lp.verify_certificate checks either
+route's answer the same way.  crosscheck also runs the cut loop on
+hyperplanes and checks its certificate, against the closed form."""
 
 from __future__ import annotations
 
@@ -130,27 +129,28 @@ _Z = tuple[Sequence[Sequence[int]], int]
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A minimal-norm projection onto the subspace.
+    """A minimal-norm projection onto the subspace, with its proof.
 
     constant is the projection constant (the optimum of
     minimal_projection_program(spec), always >= 1), projection is
-    P = I - Y F^T for the optimal right inverse Y, and certificate is an
-    optimal LpSolution of that program whose duals prove optimality.
-    The program itself is not kept: only a verifier reads it, and builds
-    it where it verifies.  method names the route: "hyperplane" when
-    m = 1 and Y and the dual operator Z were built in closed form
-    (certificate.stats is then None), "cuts" when the cut loop solved
-    the program (certificate.stats is then the master's).  rounds counts
-    the master solves and cuts the sign-vector cuts of the cut loop (0
-    for a hyperplane)."""
+    P = I - Y F^T for the optimal right inverse Y, and dual is the
+    trace-duality operator Z that proves the constant a lower bound, as
+    integer rows over one positive denominator (see the module
+    docstring).  lp_certificate(spec, result) writes them as an optimal
+    LpSolution of the program.  method names the route: "hyperplane"
+    when m = 1 and Y and Z were built in closed form, "cuts" when the
+    cut loop solved the program.  rounds counts the master solves and
+    cuts the sign-vector cuts of the cut loop, and stats is the master's
+    LpStats (0, 0 and None for a hyperplane)."""
 
     constant: Fraction
     projection: Matrix
     right_inverse: Matrix
-    certificate: LpSolution
+    dual: _Z
     method: str
     rounds: int
     cuts: int
+    stats: Optional[LpStats]
 
 
 @dataclass(frozen=True)
@@ -271,13 +271,10 @@ def _signs(row) -> tuple[int, ...]:
     return tuple(-1 if v < 0 else 1 for v in row)
 
 
-def _cut_loop(
-    spec: SubspaceSpec, index_set: IndexSet
-) -> tuple[Matrix, Fraction, Optional[_Z], LpStats, int, int]:
-    """The optimal right inverse Y, the optimum t and, when t > 1, its
-    trace-duality operator Z by delayed sign-vector cuts from the
-    coordinate projection of index_set, with the master's LpStats and
-    the number of master solves and of cuts (see the module docstring)."""
+def _cut_loop(spec: SubspaceSpec, index_set: IndexSet) -> ProjectionResult:
+    """The result of delayed sign-vector cuts from the coordinate
+    projection of index_set, with its Z when t > 1 (see the module
+    docstring)."""
     n, m = spec.ambient, spec.codim
     f_rows, f_den = spec.annihilator.integers()
     ft_rows = list(zip(*f_rows))
@@ -366,7 +363,8 @@ def _cut_loop(
             if mu:
                 z_rows[i] = [v + mu * s for v, s in zip(z_rows[i], sign)]
         z = (z_rows, mu_den)
-    return right_inverse, Fraction(t, d), z, solution.stats, rounds, len(cuts)
+    constant, stats = Fraction(t, d), master.stats()
+    return _result(spec, right_inverse, constant, z, "cuts", rounds, len(cuts), stats)
 
 
 def _hyperplane_solution(
@@ -402,10 +400,10 @@ def _hyperplane_solution(
 def projection_constant(
     spec: SubspaceSpec, best_set: Optional[IndexSet] = None
 ) -> ProjectionResult:
-    """The projection constant with an exact optimality certificate for
-    minimal_projection_program(spec): in closed form for a hyperplane,
-    otherwise by the cut loop started at the coordinate projection of
-    best_set.
+    """The projection constant with its trace-duality operator Z, which
+    proves it optimal for minimal_projection_program(spec): in closed
+    form for a hyperplane, otherwise by the cut loop started at the
+    coordinate projection of best_set.
 
     best_set defaults to the best set of bounds.best_upper_bound(spec),
     whose scan keeps the default set budget; a caller that already holds
@@ -414,34 +412,22 @@ def projection_constant(
     start; a singular block raises InadmissibleSetError.  A hyperplane
     ignores it."""
     if spec.codim == 1:
-        right_inverse, claimed, z = _hyperplane_solution(spec.annihilator)
-        stats, method, rounds, cuts = None, "hyperplane", 0, 0
-    else:
-        if best_set is None:
-            best_set = best_upper_bound(spec).best_set
-        right_inverse, claimed, z, stats, rounds, cuts = _cut_loop(spec, best_set)
-        method = "cuts"
-    projection, certificate = _certificate(spec, right_inverse, claimed, z, stats)
-    return ProjectionResult(
-        claimed, projection, right_inverse, certificate, method, rounds, cuts
-    )
+        y, claimed, z = _hyperplane_solution(spec.annihilator)
+        return _result(spec, y, claimed, z, "hyperplane", 0, 0, None)
+    if best_set is None:
+        best_set = best_upper_bound(spec).best_set
+    return _cut_loop(spec, best_set)
 
 
-def _certificate(
-    spec: SubspaceSpec,
-    right_inverse: Matrix,
-    claimed: Fraction,
-    z: Optional[_Z],
-    stats: Optional[LpStats],
-) -> tuple[Matrix, LpSolution]:
-    """The projection P = I - Y F^T of the right inverse Y and the
-    certificate for minimal_projection_program(spec) that the point
-    (Y, T = |P| entrywise, t = claimed) and the duals of the
-    trace-duality operator z make, carrying stats; a claim of 1 gets
-    the rank-one Z of the module docstring in place of z.  Raises
-    InternalConsistencyError unless the norm of P is claimed and at
-    least 1."""
-    n, m = spec.ambient, spec.codim
+def _result(
+    spec: SubspaceSpec, right_inverse: Matrix, claimed: Fraction, z: Optional[_Z],
+    method: str, rounds: int, cuts: int, stats: Optional[LpStats],
+) -> ProjectionResult:
+    """The result of a route: the projection P = I - Y F^T of the right
+    inverse Y, and the route's Z, or for a claim of 1 the rank-one Z of
+    the module docstring.  Raises InternalConsistencyError unless the
+    norm of P is claimed and at least 1."""
+    n = spec.ambient
     projection = Matrix.identity(n) - right_inverse @ spec.annihilator.transpose()
     if op_norm_inf(projection) != claimed:
         raise InternalConsistencyError(
@@ -449,47 +435,54 @@ def _certificate(
         )
     if claimed < 1:
         raise InternalConsistencyError("projection constant below 1")
-    lay = _Layout(n, m)
-    x = [_ZERO] * lay.nvars
-    p_rows, p_den = projection.integers()
-    # |P_ij|, one Fraction per distinct size
-    size = {a: Fraction(a, p_den) for a in set(map(abs, chain.from_iterable(p_rows)))}
-    for i, row in enumerate(p_rows):
-        for k, v in enumerate(right_inverse.row(i)):
-            x[lay.y(i, k)] = v
-        t = lay.t(i, 0)
-        x[t : t + n] = [size[abs(e)] for e in row]
-    x[lay.scalar] = claimed
     if claimed == 1:
         # Z = e_k v^T / v_k, v the first nonzero column of P
-        v = next(col for col in zip(*p_rows) if any(col))
+        v = next(col for col in zip(*projection.integers()[0]) if any(col))
         k = max(range(n), key=lambda j: (abs(v[j]), -j))
         z_rows = [(0,) * n] * n
         z_rows[k] = v if v[k] > 0 else tuple(-e for e in v)
         z = (z_rows, abs(v[k]))
-    z_rows, z_den = z
-    duals = [_ZERO] * lay.nrows
+    return ProjectionResult(
+        claimed, projection, right_inverse, z, method, rounds, cuts, stats
+    )
+
+
+def lp_certificate(spec: SubspaceSpec, result: ProjectionResult) -> LpSolution:
+    """The certificate for minimal_projection_program(spec) that the
+    point (Y, T = |P| entrywise, t = constant) of result and the duals
+    of its trace-duality operator make (see the module docstring)."""
+    n, m = spec.ambient, spec.codim
+    lay = _Layout(n, m)
+    y = result.right_inverse
+    # every block of variables and of rows below is consecutive, row-major
+    p_rows, p_den = result.projection.integers()
+    p_flat = list(chain.from_iterable(p_rows))
+    # |P_ij|, one Fraction per distinct size
+    size = {a: Fraction(a, p_den) for a in set(map(abs, p_flat))}
+    x = [_ZERO] * lay.nvars
+    x[lay.y(0, 0) : lay.t(0, 0)] = [v for i in range(n) for v in y.row(i)]
+    x[lay.t(0, 0) : lay.scalar] = [size[abs(e)] for e in p_flat]
+    x[lay.scalar] = result.constant
+    z_rows, z_den = result.dual
+    z_flat = list(chain.from_iterable(z_rows))
     # -|Z_ij| over z_den, one Fraction per distinct size
-    price = {a: Fraction(-a, z_den) for a in set(map(abs, chain.from_iterable(z_rows)))}
-    for i, row in enumerate(z_rows):
-        # the P_ij <= T_ij rows of row i are consecutive, and so are the
-        # -P_ij <= T_ij rows
-        up, low = lay.upper_row(i, 0), lay.lower_row(i, 0)
-        duals[up : up + n] = [price[e] if e > 0 else _ZERO for e in row]
-        duals[low : low + n] = [price[-e] if e < 0 else _ZERO for e in row]
-        duals[lay.sum_row(i)] = price[max(map(abs, row))]
+    price = {a: Fraction(-a, z_den) for a in set(map(abs, z_flat))}
+    duals = [_ZERO] * lay.nrows
+    up, low, sums = lay.upper_row(0, 0), lay.lower_row(0, 0), lay.sum_row(0)
+    duals[up:low] = [price[e] if e > 0 else _ZERO for e in z_flat]
+    duals[low:sums] = [price[-e] if e < 0 else _ZERO for e in z_flat]
+    duals[sums:] = [price[max(map(abs, row))] for row in z_rows]
     # nu = -Y^T Z F over y_den z_den f_den
     f_rows, f_den = spec.annihilator.integers()
-    y_rows, y_den = right_inverse.integers()
+    y_rows, y_den = y.integers()
     f_cols = list(zip(*f_rows))
     zf = [[sum(map(mul, row, col)) for col in f_cols] for row in z_rows]
     nu_den = y_den * z_den * f_den
     for j in range(m):
         for k in range(m):
-            nu = -sum(y[j] * g[k] for y, g in zip(y_rows, zf))
+            nu = -sum(row[j] * g[k] for row, g in zip(y_rows, zf))
             duals[lay.identity_row(j, k)] = Fraction(nu, nu_den)
-    certificate = LpSolution(tuple(x), claimed, tuple(duals), stats)
-    return projection, certificate
+    return LpSolution(tuple(x), result.constant, tuple(duals))
 
 
 def projection_norm(spec: SubspaceSpec, candidate: Matrix) -> Fraction:

@@ -358,14 +358,30 @@ def dual_operator(n, m, duals) -> list[list[Fraction]]:
 def trace_duality_verdict(f, solution) -> bool:
     """Whether solution proves its value optimal for the projection
     program of the annihilator f (N lists of m Fractions) by trace
-    duality alone: the Y block of its point is a right inverse of F^T
-    whose projection has norm value, and the Z of its duals has row
-    maxima summing to at most 1, Z F = F M for the M solved on an
-    admissible block of F, and tr Z - tr M = value.  The identity-row
-    and row-sum duals are not read."""
+    duality alone: trace_duality_holds on the Y block of its point, its
+    value and the Z of its duals.  The identity-row and row-sum duals
+    are not read."""
     n, m = len(f), len(f[0])
-    value = solution.objective_value
     y = [solution.x[i * m : i * m + m] for i in range(n)]
+    z = dual_operator(n, m, solution.duals)
+    return trace_duality_holds(f, y, solution.objective_value, z)
+
+
+def operator_fractions(dual) -> list[list[Fraction]]:
+    """A trace-duality operator given as integer rows over one
+    denominator (ProjectionResult.dual), as N lists of N Fractions."""
+    rows, den = dual
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
+def trace_duality_holds(f, y, value, z) -> bool:
+    """Whether the right inverse y (N lists of m Fractions) and the
+    operator z (N lists of N Fractions) prove value to be the projection
+    constant of the annihilator f (N lists of m Fractions): y is a right
+    inverse of F^T whose projection has norm value, and z has row maxima
+    summing to at most 1, Z F = F M for the M solved on an admissible
+    block of F, and tr Z - tr M = value."""
+    n, m = len(f), len(f[0])
     for j in range(m):
         for k in range(m):
             if sum(f[i][j] * y[i][k] for i in range(n)) != (ONE if j == k else ZERO):
@@ -379,7 +395,6 @@ def trace_duality_verdict(f, solution) -> bool:
     )
     if norm != value:
         return False
-    z = dual_operator(n, m, solution.duals)
     if sum(max(abs(v) for v in row) for row in z) > 1:
         return False
     zf = [

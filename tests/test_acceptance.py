@@ -37,6 +37,7 @@ from linfiso.lp import (
     verify_certificate,
 )
 from linfiso.projection import (
+    lp_certificate,
     minimal_projection_program,
     projection_constant,
     verify_norm_gap,
@@ -98,7 +99,9 @@ def test_uniform_functional_anchor():
     spec = subspace_from_annihilator([1, 1, 1])
     verdict = decide_isometric(spec).verdict
     result = projection_constant(spec)
-    certified = verify_certificate(minimal_projection_program(spec), result.certificate)
+    certified = verify_certificate(
+        minimal_projection_program(spec), lp_certificate(spec, result)
+    )
     oracle_value = hyperplane_projection_constant([F(1), F(1), F(1)])
     bounds = best_upper_bound(spec)
     gap = verify_norm_gap(spec, result)

@@ -224,6 +224,32 @@ class TestSetBudget:
         )
         assert main(["decide", accepting, "--max-sets", "3"]) == 0
 
+    @pytest.mark.parametrize("command", ["bounds", "projconst"])
+    def test_hyperplane_refused_before_its_certificate(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # projconst scans at every m, so a hyperplane in Q^12 is refused
+        # under a budget of 11 sets before its program is built
+        from linfiso import cli
+
+        def no_program(spec):
+            raise AssertionError("the program was built")
+
+        path = tmp_path / "wide.txt"
+        path.write_text("12 1 annihilator\n" + "1\n" * 12, encoding="utf-8")
+        monkeypatch.setattr(cli, "minimal_projection_program", no_program)
+        assert main([command, str(path), "--max-sets", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: C(12, 1) = 12 index sets exceed the set budget of 11; "
+            "raise it with --max-sets\n"
+        )
+        monkeypatch.undo()
+        assert main([command, str(path), "--max-sets", "12"]) == 0
+        # the all-ones functional on Q^12 has constant 2 - 2/12
+        assert "11/6" in capsys.readouterr().out
+
     def test_budget_must_be_positive(self, accepting, capsys):
         assert main(["decide", accepting, "--max-sets", "0"]) == 2
         captured = capsys.readouterr()

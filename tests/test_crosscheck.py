@@ -56,13 +56,16 @@ class TestCheckInstance:
         # the cut loop's optimum kept, its dual operator Z zeroed: the
         # value agrees with the closed form, but the certificate proves
         # no bound
+        from dataclasses import replace
+
         from linfiso import crosscheck
 
         real = crosscheck._cut_loop
 
         def zero_z(spec, index_set):
-            y, t, (rows, den), *rest = real(spec, index_set)
-            return (y, t, ([[0] * len(row) for row in rows], den), *rest)
+            result = real(spec, index_set)
+            rows, den = result.dual
+            return replace(result, dual=([[0] * len(row) for row in rows], den))
 
         monkeypatch.setattr(crosscheck, "_cut_loop", zero_z)
         results = {n: (ok, d) for n, ok, d in check_instance(parse_instance(

@@ -16,7 +16,11 @@ from linfiso.lp import (
     solve,
     verify_certificate,
 )
-from linfiso.projection import minimal_projection_program, projection_constant
+from linfiso.projection import (
+    lp_certificate,
+    minimal_projection_program,
+    projection_constant,
+)
 from oracles import certificate_verdict, enumerate_lp, integer_columns, master_of
 
 
@@ -189,9 +193,10 @@ class TestSolveBasics:
         # start_bits reads the start block, whose widest entry is the
         # rhs 999; x and the duals are read off the final block and det
         prob = build([-1, -1], [[1000, 3], [1, 7]], ["<=", "<="], [999, 5])
-        sol = solve(master_of(prob))
-        assert sol.stats.start_bits == 10
-        assert sol.stats.end_bits >= max(
+        master = master_of(prob)
+        sol = solve(master)
+        assert master.stats().start_bits == 10
+        assert master.stats().end_bits >= max(
             max(v.numerator.bit_length(), v.denominator.bit_length())
             for v in sol.x + sol.duals
         )
@@ -256,8 +261,9 @@ class TestMaster:
                 assert sol.objective_value == oracle[0]
                 problem = build(all_costs, rows, ["==", "==", "<="], [0, 0, 1])
                 assert verify_certificate(problem, sol)
-                assert (sol.stats.rows, sol.stats.cols) == (3, len(all_cols) + 4)
-            degenerate += sol.stats.degenerate_pivots
+                stats = master.stats()
+                assert (stats.rows, stats.cols) == (3, len(all_cols) + 4)
+            degenerate += stats.degenerate_pivots
         assert degenerate > 0
 
     def test_row_loaded_only_by_a_later_column(self):
@@ -266,7 +272,7 @@ class TestMaster:
         master = master_of(build([0, 0], [[0, 0], [1, -1], [1, 1]],
                                  ["==", "==", "<="], [0, 0, 1]))
         sol = solve(master)
-        assert (sol.objective_value, sol.stats.pivots) == (0, 0)
+        assert (sol.objective_value, master.stats().pivots) == (0, 0)
         master.insert(
             integer_columns([-1, 0], [[(0, 1), (2, 1)], [(0, -1), (2, 1)]])
         )
@@ -307,13 +313,16 @@ class TestMaster:
 
         monkeypatch.setattr(Master, "_pivot", checked_pivot)
         prob = beale()
-        sol = solve(master_of(prob))
+        master = master_of(prob)
+        sol = solve(master)
         assert verify_certificate(prob, sol)
-        assert sol.stats.pivots == len(checked) and not reanchored
+        pivots = master.stats().pivots
+        assert pivots == len(checked) and not reanchored
         spec = random_instance(random.Random(2), 8, 4).to_spec()
         result = projection_constant(spec)
-        assert verify_certificate(minimal_projection_program(spec), result.certificate)
-        assert result.certificate.stats.pivots + sol.stats.pivots == len(checked)
+        certificate = lp_certificate(spec, result)
+        assert verify_certificate(minimal_projection_program(spec), certificate)
+        assert result.stats.pivots + pivots == len(checked)
         assert all(checked) and reanchored
 
     @staticmethod
@@ -344,7 +353,8 @@ class TestMaster:
         assert sol.x == (F(4, 11), F(2, 11), F(5, 11))
         assert sol.objective_value == F(-13, 11)
         assert sol.duals == (F(5, 11), F(1, 11), F(-13, 11))
-        assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (3, 2)
+        stats = master.stats()
+        assert (stats.pivots, stats.degenerate_pivots) == (3, 2)
         assert verify_certificate(problem, sol)
         master.insert(integer_columns(
             [-3, 1], [[(0, -2), (1, 1), (2, 1)], [(0, 1), (1, -3), (2, 2)]]
@@ -353,7 +363,8 @@ class TestMaster:
         assert sol.x == (F(4, 11), 0, F(5, 11), F(2, 11), 0)
         assert sol.objective_value == F(-15, 11)
         assert sol.duals == (F(10, 11), F(2, 11), F(-15, 11))
-        assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (4, 2)
+        stats = master.stats()
+        assert (stats.pivots, stats.degenerate_pivots) == (4, 2)
         rows = [[1, -2, 0, -2, 1], [-3, 1, 2, 1, -3], [1, 1, 1, 1, 2]]
         whole = build([-1, -2, -1, -3, 1], rows, ["==", "==", "<="], [0, 0, 1])
         assert verify_certificate(whole, sol)
@@ -399,7 +410,8 @@ class TestMaster:
         assert sol.x == (F(93, 715), F(87, 715), F(35, 286))
         assert sol.objective_value == F(-17767, 550550)
         assert sol.duals == (F(5307, 11011), F(16257, 39325), F(-53301, 550550))
-        assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (3, 2)
+        stats = master.stats()
+        assert (stats.pivots, stats.degenerate_pivots) == (3, 2)
         assert verify_certificate(build(costs, rows, senses, rhs), sol)
         new_costs = [F(-3, 13), F(-1, 6)]
         new_cols = [[F(-2, 7), F(-1, 5), F(1, 2)], [F(3, 4), F(-5, 9), 1]]
@@ -408,7 +420,8 @@ class TestMaster:
         assert sol.x == (F(275, 1417), 0, F(35, 1417), 0, F(174, 1417))
         assert sol.objective_value == F(-889, 15587)
         assert sol.duals == (F(8178, 15587), F(54579, 77935), F(-2667, 15587))
-        assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (4, 2)
+        stats = master.stats()
+        assert (stats.pivots, stats.degenerate_pivots) == (4, 2)
         rows = [row + [col[i] for col in new_cols] for i, row in enumerate(rows)]
         assert verify_certificate(build(costs + new_costs, rows, senses, rhs), sol)
 
@@ -442,11 +455,12 @@ class TestMaster:
             sol = solve(master)
             rows = [[col[i] for col in cols] for i in range(3)]
             problem = build(costs, rows, senses, rhs)
-            expected = solve(master_of(problem))
+            whole = master_of(problem)
+            expected = solve(whole)
             assert (sol.x, sol.objective_value, sol.duals) == (
                 expected.x, expected.objective_value, expected.duals
             )
-            assert sol.stats == expected.stats
+            assert master.stats() == whole.stats()
             assert verify_certificate(problem, sol)
 
 
@@ -498,7 +512,7 @@ class TestIntegerColumns:
                 assert (sol.x, sol.objective_value, sol.duals) == (
                     expected.x, expected.objective_value, expected.duals
                 )
-                assert sol.stats == expected.stats
+                assert integral.stats() == rational.stats()
 
     def test_integer_duals(self):
         # the solution's duals are the accessor's integers over |det|
@@ -530,6 +544,7 @@ class TestIntegerColumns:
         expected = Master(["==", "==", "<="], [0, 0, 1])
         expected.insert([good])
         assert sol == solve(expected)
+        assert master.stats() == expected.stats()
 
     def test_rows_checked(self):
         # the constructor's row checks: known senses, one rhs per row,
@@ -561,14 +576,17 @@ class TestCrashStart:
     def test_start_above_the_optimum(self):
         # the start vertex x = 0 costs 0: x0 replaces the artificial at
         # ratio 0, then phase 2 moves to (1, 1) at cost -3
-        sol = solve(master_of(self.PROB))
+        master = master_of(self.PROB)
+        sol = solve(master)
         assert sol.objective_value == -3
-        assert (sol.stats.pivots, sol.stats.degenerate_pivots) == (2, 1)
+        stats = master.stats()
+        assert (stats.pivots, stats.degenerate_pivots) == (2, 1)
         # with costs >= 0 the start is optimal and nothing pivots
         rows = [[1, -1], [1, 1]]
-        cheap = solve(master_of(build([1, 2], rows, ["==", "<="], [0, 2])))
+        master = master_of(build([1, 2], rows, ["==", "<="], [0, 2]))
+        cheap = solve(master)
         assert (cheap.x, cheap.objective_value) == ((0, 0), 0)
-        assert cheap.stats.pivots == 0
+        assert master.stats().pivots == 0
 
     def test_infeasible_basis_raises(self):
         # an artificial on a row with rhs 1 would start at 1; a <= row
@@ -643,11 +661,12 @@ class TestAgainstEnumeration:
         n = len(c)
         box = [[F(int(k == j)) for k in range(n)] for j in range(n)]
         prob = build(c, rows + box, senses + ["<="] * n, rhs + upper)
-        sol = solve(master_of(prob))
+        master = master_of(prob)
+        sol = solve(master)
         oracle = enumerate_lp(c, rows, senses, rhs, upper=upper)
         assert sol.objective_value == oracle[0]
         assert verify_certificate(prob, sol)
-        return sol
+        return sol, master.stats()
 
     def run_case(self, rng, nvars, nrows):
         c = [F(rng.randint(-5, 5)) for _ in range(nvars)]
@@ -693,8 +712,8 @@ class TestAgainstEnumeration:
                 for s in senses
             ]
             upper = [F(rng.randint(1, 4)) for _ in range(nvars)]
-            sol = self.check(c, rows, senses, rhs, upper)
-            degenerate += sol.stats.degenerate_pivots > 0
+            _, stats = self.check(c, rows, senses, rhs, upper)
+            degenerate += stats.degenerate_pivots > 0
         assert degenerate >= 60
 
     def test_dependent_equalities(self):
@@ -703,20 +722,20 @@ class TestAgainstEnumeration:
         rows = [[F(0), F(0)], [F(2), F(1)], [F(0), F(0)], [F(3), F(-1)],
                 [F(-3), F(-3)]]
         senses = ["==", ">=", ">=", "<=", "<="]
-        sol = self.check([F(-4), F(-3)], rows, senses, [F(0)] * 5, [F(4), F(2)])
+        sol, _ = self.check([F(-4), F(-3)], rows, senses, [F(0)] * 5, [F(4), F(2)])
         assert sol.objective_value == F(-26, 3)
         assert sol.x == (F(2, 3), F(2))
         # more equalities than variables: the second and third repeat the
         # first, so one artificial leaves and two stay basic at 0
         rows = [[F(1), F(-1)], [F(2), F(-2)], [F(-1), F(1)]]
-        sol = self.check([F(-1), F(-1)], rows, ["=="] * 3, [F(0)] * 3, [F(4), F(2)])
+        sol, _ = self.check([F(-1), F(-1)], rows, ["=="] * 3, [F(0)] * 3, [F(4), F(2)])
         assert sol.x == (F(2), F(2))
 
 
 class TestDeterminism:
     def test_same_program_same_answer_and_stats(self, monkeypatch):
         # the cut loop of one program, run twice, takes the same master
-        # pivots to the same certificate and stats
+        # pivots to the same result, certificate and stats
         spec = subspace_from_annihilator(
             [[1, 2], [-3, 1], [2, -2], [1, 4], [-1, -1], [5, 3]]
         )
@@ -729,12 +748,14 @@ class TestDeterminism:
 
         monkeypatch.setattr(_kernels, "pivot", counted)
         first, second = projection_constant(spec), projection_constant(spec)
-        assert verify_certificate(minimal_projection_program(spec), first.certificate)
-        assert first.certificate == second.certificate
-        assert first.certificate.stats == second.certificate.stats
+        certificate = lp_certificate(spec, first)
+        assert verify_certificate(minimal_projection_program(spec), certificate)
+        assert first == second
+        assert certificate == lp_certificate(spec, second)
+        assert first.stats == second.stats
         assert calls[: len(calls) // 2] == calls[len(calls) // 2 :]
 
-        stats = first.certificate.stats
+        stats = first.stats
         assert stats.pivots == len(calls) // 2 > 0
         assert stats.degenerate_pivots <= len(calls) // 2
         # (N - m) m = 8 rows of W and the row sum(mu) <= 1; a column per

@@ -18,11 +18,11 @@ from linfiso.instances import random_instance
 from linfiso.linalg import IndexSet, Matrix, op_norm_inf, row_norms
 from linfiso.lp import Master, verify_certificate
 from linfiso.projection import (
-    _certificate,
     _cut_loop,
     _Layout,
     coordinate_projection,
     good_index_set,
+    lp_certificate,
     minimal_projection_program,
     projection_constant,
     projection_norm,
@@ -33,10 +33,26 @@ from oracles import (
     dual_operator,
     hyperplane_projection_constant,
     integer_columns,
+    operator_fractions,
+    trace_duality_holds,
     trace_duality_verdict,
 )
 
 ANCHOR = subspace_from_annihilator([1, 1, 1])
+
+
+def proved_by_its_dual(spec, result) -> bool:
+    """Whether result.dual proves result.constant by trace duality, and
+    is the operator that lp_certificate spreads over the program's
+    duals."""
+    n, m = spec.ambient, spec.codim
+    f = spec.annihilator.to_lists()
+    z = operator_fractions(result.dual)
+    duals = lp_certificate(spec, result).duals
+    return (
+        trace_duality_holds(f, result.right_inverse.to_lists(), result.constant, z)
+        and dual_operator(n, m, duals) == z
+    )
 
 
 def random_spec(rng, ambient, codim, bound=5):
@@ -65,7 +81,8 @@ class TestProjectionConstant:
 
     def test_certificate_attached_and_valid(self):
         result = projection_constant(ANCHOR)
-        assert verify_certificate(minimal_projection_program(ANCHOR), result.certificate)
+        certificate = lp_certificate(ANCHOR, result)
+        assert verify_certificate(minimal_projection_program(ANCHOR), certificate)
 
     def test_isometric_instances_reach_one(self):
         assert projection_constant(subspace_from_annihilator([1, 1])).constant == 1
@@ -210,15 +227,15 @@ class TestHyperplaneClosedForm:
             result = projection_constant(spec)
             program = minimal_projection_program(spec)
             assert result.method == "hyperplane"
-            assert result.certificate.stats is None
-            assert verify_certificate(program, result.certificate)
+            assert result.stats is None
+            assert verify_certificate(program, lp_certificate(spec, result))
+            assert proved_by_its_dual(spec, result)
             # the cut loop from every admissible set reaches the closed
             # form's optimum, and its certificate verifies on the program
             for index_set, _ in admissible_sets(spec):
-                y, t, duals, stats, _, _ = _cut_loop(spec, index_set)
-                assert t == result.constant
-                _, certificate = _certificate(spec, y, t, duals, stats)
-                assert verify_certificate(program, certificate)
+                cut = _cut_loop(spec, index_set)
+                assert cut.constant == result.constant
+                assert verify_certificate(program, lp_certificate(spec, cut))
             if len(f) <= 3:
                 assert result.constant == hyperplane_projection_constant(f)
             kinds.add(result.constant == 1)
@@ -231,22 +248,24 @@ class TestHyperplaneClosedForm:
             spec = subspace_from_annihilator(f)
             result = projection_constant(spec)
             assert result.constant == 1
-            assert verify_certificate(minimal_projection_program(spec), result.certificate)
+            certificate = lp_certificate(spec, result)
+            assert verify_certificate(minimal_projection_program(spec), certificate)
             lay = _Layout(len(f), 1)
-            assert result.certificate.duals[lay.identity_row(0, 0)] == 0
+            assert certificate.duals[lay.identity_row(0, 0)] == 0
 
     def test_codimension_two_uses_the_lp(self):
         spec = subspace_from_annihilator([[1, 0], [0, 1], [1, 1], [1, -1]])
         result = projection_constant(spec)
         assert result.method == "cuts"
-        assert result.certificate.stats is not None
+        assert result.stats is not None
 
     def test_perturbed_certificates_rejected(self):
         eps = F(1, 1000)
         for f in hyperplane_functionals()[:16]:
             spec = subspace_from_annihilator(f)
             result = projection_constant(spec)
-            cert, program = result.certificate, minimal_projection_program(spec)
+            cert = lp_certificate(spec, result)
+            program = minimal_projection_program(spec)
             # nu prices every free y_i with f_i != 0
             duals = (cert.duals[0] + eps,) + cert.duals[1:]
             # y_k with f_k != 0 moves f^T y off 1
@@ -402,10 +421,9 @@ class TestCrashStart:
         for spec, result in solved:
             program = minimal_projection_program(spec)
             for index_set, _ in admissible_sets(spec):
-                y, t, duals, stats, _, _ = _cut_loop(spec, index_set)
-                assert t == result.constant
-                _, certificate = _certificate(spec, y, t, duals, stats)
-                assert verify_certificate(program, certificate)
+                cut = _cut_loop(spec, index_set)
+                assert cut.constant == result.constant
+                assert verify_certificate(program, lp_certificate(spec, cut))
         assert solved[-1][1].constant == 1
         assert any(result.constant > 1 for _, result in solved)
 
@@ -413,7 +431,7 @@ class TestCrashStart:
         for spec, result in solved:
             assert result.method == "cuts"
             assert verify_certificate(
-                minimal_projection_program(spec), result.certificate
+                minimal_projection_program(spec), lp_certificate(spec, result)
             )
 
     def test_start_is_the_best_per_set_bound(self, solved):
@@ -426,7 +444,7 @@ class TestCrashStart:
             assert op_norm_inf(p) == report.best_upper >= result.constant
             started = projection_constant(spec, report.best_set)
             assert (started.rounds, started.cuts) == (result.rounds, result.cuts)
-            assert started.certificate == result.certificate
+            assert started == result
 
     def test_any_admissible_start_set_gives_the_same_optimum(self, solved):
         # a passed set replaces the best_upper_bound scan; each admissible
@@ -437,7 +455,7 @@ class TestCrashStart:
                 started = projection_constant(spec, index_set)
                 assert started.constant == result.constant
                 assert verify_certificate(
-                    minimal_projection_program(spec), started.certificate
+                    minimal_projection_program(spec), lp_certificate(spec, started)
                 )
 
     def test_singular_start_set_refused(self):
@@ -455,7 +473,7 @@ class TestCutLoop:
         # the first master holds +-sign(row i of P_S) for every row i;
         # each later round adds at least one cut
         for spec, result in solved:
-            stats = result.certificate.stats
+            stats = result.stats
             assert result.rounds >= 1
             assert result.cuts >= 2 * spec.ambient + result.rounds - 1
             n, m = spec.ambient, spec.codim
@@ -493,12 +511,14 @@ class TestCutLoop:
             instance = random_instance(random.Random(seed), n, m, rational=rational)
             spec = instance.to_spec()
             result = projection_constant(spec)
-            stats = result.certificate.stats
+            stats = result.stats
             assert (
                 result.constant, result.rounds, result.cuts, stats.pivots,
                 stats.degenerate_pivots, stats.end_bits,
             ) == pinned, (seed, n, m, rational)
-            assert verify_certificate(minimal_projection_program(spec), result.certificate)
+            certificate = lp_certificate(spec, result)
+            assert verify_certificate(minimal_projection_program(spec), certificate)
+            assert proved_by_its_dual(spec, result)
 
     @staticmethod
     def rational_columns(ft, p_s, k_rows, convexity, new):
@@ -598,47 +618,41 @@ class TestCutLoop:
         assert isometric
         for spec, result in isometric:
             lay = _Layout(spec.ambient, spec.codim)
-            duals = result.certificate.duals
+            duals = lp_certificate(spec, result).duals
             assert not any(duals[: lay.upper_row(0, 0)])
             sums = duals[lay.sum_row(0) :]
             assert sorted(sums)[:2] == [-1, 0] and sum(sums) == -1
 
-    def test_rank_one_dual_written_only_by_the_certificate(self, monkeypatch):
-        # lambda = 1 on either route: the route returns no Z and
-        # _certificate writes the rank-one Z = e_k v^T / v_k, once per
-        # result; a constant above 1 carries the route's own Z
-        routes, written = [], []
+    def test_rank_one_dual_written_only_by_the_result(self, monkeypatch):
+        # lambda = 1 on either route: the route hands _result no Z, and
+        # _result writes the rank-one Z = e_k v^T / v_k, once per result;
+        # a constant above 1 carries the route's own Z
+        calls = []
+        real = projection._result
 
-        def recorded(real, log, index):
-            def call(*args):
-                out = real(*args)
-                log.append(out[index])
-                return out
-            return call
+        def recorded(spec, y, claimed, z, *rest):
+            calls.append((z, real(spec, y, claimed, z, *rest)))
+            return calls[-1][1]
 
-        for name in ("_cut_loop", "_hyperplane_solution"):
-            monkeypatch.setattr(
-                projection, name, recorded(getattr(projection, name), routes, 2)
-            )
-        monkeypatch.setattr(
-            projection, "_certificate", recorded(projection._certificate, written, 1)
-        )
+        monkeypatch.setattr(projection, "_result", recorded)
         seen = set()
         for spec in (subspace_from_annihilator([1, 1, 2]), ANCHOR, *cut_specs()):
-            routes.clear()
-            written.clear()
+            calls.clear()
             result = projection_constant(spec)
-            assert verify_certificate(minimal_projection_program(spec), result.certificate)
-            assert written == [result.certificate]
-            [z] = routes
+            [(z, written)] = calls
+            assert written is result
+            certificate = lp_certificate(spec, result)
+            assert verify_certificate(minimal_projection_program(spec), certificate)
+            assert proved_by_its_dual(spec, result)
             isometric = result.constant == 1
             assert (z is None) == isometric
             if isometric:
-                n, m = spec.ambient, spec.codim
-                duals = written[0].duals
-                rows = [row for row in dual_operator(n, m, duals) if any(row)]
-                assert len(rows) == 1 and max(map(abs, rows[0])) == 1
-                assert not any(duals[: m * m])  # nu = 0
+                rows, den = result.dual
+                rows = [row for row in rows if any(row)]
+                assert len(rows) == 1 and max(map(abs, rows[0])) == den
+                assert not any(certificate.duals[: spec.codim**2])  # nu = 0
+            else:
+                assert result.dual is z
             seen.add((result.method, isometric))
         assert seen == {
             ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
@@ -664,7 +678,7 @@ class TestTraceDuality:
         for spec in self.specs():
             result = projection_constant(spec)
             f = [list(spec.annihilator.row(i)) for i in range(spec.ambient)]
-            cert = result.certificate
+            cert = lp_certificate(spec, result)
             assert trace_duality_verdict(f, cert)
             program = minimal_projection_program(spec)
             assert verify_certificate(program, cert)
@@ -675,6 +689,31 @@ class TestTraceDuality:
             bad = replace(cert, duals=tuple(duals))
             assert not trace_duality_verdict(f, bad)
             assert not verify_certificate(program, bad)
+            kinds.add((result.method, result.constant == 1))
+        assert kinds == {
+            ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
+        }
+
+    def test_result_dual_checked_without_the_program(self):
+        # trace_duality_holds reads result.dual as it is: it accepts every
+        # answer, and rejects Z_00 raised by one unit of Z's denominator
+        # and a Y moved off F^T Y = I
+        kinds = set()
+        for spec in self.specs():
+            result = projection_constant(spec)
+            assert proved_by_its_dual(spec, result)
+            f = spec.annihilator.to_lists()
+            y = result.right_inverse.to_lists()
+            z = operator_fractions(result.dual)
+            assert trace_duality_holds(f, y, result.constant, z)
+            raised = [list(row) for row in z]
+            raised[0][0] += F(1, result.dual[1])
+            assert not trace_duality_holds(f, y, result.constant, raised)
+            # y_k with f_k0 != 0 moves (F^T Y)_00 off 1
+            k = next(i for i, row in enumerate(f) if row[0])
+            moved = [list(row) for row in y]
+            moved[k][0] += F(1, 7)
+            assert not trace_duality_holds(f, moved, result.constant, z)
             kinds.add((result.method, result.constant == 1))
         assert kinds == {
             ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
@@ -691,7 +730,7 @@ class TestTraceDuality:
         for spec in specs:
             n, m = spec.ambient, spec.codim
             lay = _Layout(n, m)
-            duals = projection_constant(spec).certificate.duals
+            duals = lp_certificate(spec, projection_constant(spec)).duals
             both = [
                 (i, j)
                 for i in range(n)
@@ -710,14 +749,15 @@ class TestCertificatePoint:
     def assert_point(spec, result):
         n, m = spec.ambient, spec.codim
         lay = _Layout(n, m)
-        x = result.certificate.x
+        certificate = lp_certificate(spec, result)
+        x = certificate.x
         assert len(x) == lay.nvars
         for i in range(n):
             y_row = [x[lay.y(i, k)] for k in range(m)]
             assert y_row == list(result.right_inverse.row(i))
             t_row = [x[lay.t(i, j)] for j in range(n)]
             assert t_row == [abs(v) for v in result.projection.row(i)]
-        assert x[lay.scalar] == result.constant == result.certificate.objective_value
+        assert x[lay.scalar] == result.constant == certificate.objective_value
 
     def test_hyperplane_closed_forms(self):
         branches = set()
