@@ -18,7 +18,11 @@ included); mapping_s, from there to the end of the call (the reading of
 Y and of the dual operator Z from the last master, and the product P
 and its norm); and verify_s, the LP check: lp_certificate, which writes
 the point and the duals of the full program from the result, the build
-of minimal_projection_program(spec) and verify_certificate on them.
+of minimal_projection_program(spec) and verify_certificate on them;
+and check_s, verify_trace_duality(spec, result), the integer check of
+the same answer by its own Z, with no program.  The two checks must
+agree on every repeat, or the script exits 1; check_s is null in a
+checkout without the integer check.
 projection_constant builds no program and writes no LP certificate: a
 checkout whose call still built one counts that build in projconst_s
 (and in setup_s), and builds it again for verify_s, and a checkout whose
@@ -154,6 +158,9 @@ def measure(n: int, m: int, seed: int) -> dict:
     certificate = certificate_of(spec, result)
     ok = verify_certificate(minimal_projection_program(spec), certificate)
     verified = time.perf_counter()
+    checker = getattr(linfiso, "verify_trace_duality", None)
+    proved = checker(spec, result) if checker else ok
+    checked = time.perf_counter()
     stats = getattr(result, "stats", None) or getattr(certificate, "stats", None)
     lp = stats is not None
     return {
@@ -173,7 +180,9 @@ def measure(n: int, m: int, seed: int) -> dict:
             "master_s": stats.finished - stats.started if lp else None,
             "mapping_s": ended - stats.finished if lp else None,
             "verify_s": verified - ended,
+            "check_s": checked - verified if checker else None,
         },
+        "proved": proved,
     }
 
 
@@ -250,6 +259,9 @@ def main() -> int:
         answer = runs[0]["answer"]
         if any(run["answer"] != answer for run in runs):
             print(f"({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
+            return 1
+        if any(run["proved"] != answer["certificate_verifies"] for run in runs):
+            print(f"({n}, {m}) seed {seed}: the two checks disagree", file=sys.stderr)
             return 1
         seconds = median_seconds(runs)
         rows.append({"n": n, "m": m, "seed": seed, **answer, **seconds})

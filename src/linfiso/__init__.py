@@ -65,6 +65,7 @@ from .projection import (
     projection_constant,
     projection_norm,
     verify_norm_gap,
+    verify_trace_duality,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .bounds import best_upper_bound
-from .canonical import MAX_SETS, CanonicalFamily, SubspaceSpec
+from .canonical import MAX_SETS, CanonicalFamily, SubspaceSpec, _check_set_budget
 from .crosscheck import run_crosscheck
 from .decide import decide_isometric
 from .errors import LinfisoError, SetBudgetError
@@ -125,9 +125,14 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 def _cmd_projconst(args) -> tuple[int, str]:
     spec = _load_spec(args)
-    # the scan refuses an instance over --max-sets at every m; the cut
-    # loop starts at its best set, and a hyperplane's closed form ignores it
-    best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
+    # an instance over --max-sets is refused before any work; the cut
+    # loop starts at the scan's best set, and a hyperplane's closed form
+    # needs none, so at m = 1 the budget alone is checked
+    if spec.codim == 1:
+        _check_set_budget(spec, args.max_sets)
+        best_set = None
+    else:
+        best_set = best_upper_bound(spec, max_sets=args.max_sets).best_set
     # the program is built before the solve and the certificate is held
     # to the end: their objects survive young collections and so bring
     # the next full one sooner, which keeps the peak RSS of a process

@@ -3,21 +3,23 @@
 Every instance runs through independent routes that must agree in exact
 arithmetic: the basis-exchange scan against the determinant-ratio
 families set by set, the closed forms for codimension 1 and 2, the
-projection constant with the LP certificate lp_certificate writes from
-its Z (for a hyperplane, the closed form against the cut loop's
-optimum), the per-set distance bounds (the best one against the norm of
-its coordinate projection, where the cut loop starts for m >= 2), and
-the structural identities tying the pieces together.  For m >= 2 no
-second solve of the full program runs: verify_certificate on the
-unchanged program already proves the cut loop's optimum exactly.  Any
-mismatch is recorded with the serialized instance so it can be
-replayed."""
+projection constant proved by its own trace-duality operator Z (for a
+hyperplane, the closed form against the cut loop's optimum, each proved
+by its own Z), the per-set distance bounds (the best one against the
+norm of its coordinate projection, where the cut loop starts for
+m >= 2), and the structural identities tying the pieces together.
+projection.verify_trace_duality proves a constant exactly, in O(N^2 m)
+integer products, so no program is built and no LP certificate is
+written here; the tests run the same results through the full program's
+LP check as well.  Any mismatch is recorded with the serialized instance
+so it can be replayed."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .bounds import best_upper_bound
 from .canonical import (
@@ -29,14 +31,12 @@ from .canonical import (
 from .decide import decide_by_minors, decide_hyperplane, decide_isometric
 from .instances import Instance, format_instance, random_instance
 from .linalg import Matrix, cauchy_binet_check, op_norm_inf
-from .lp import verify_certificate
 from .projection import (
     _cut_loop,
     coordinate_projection,
-    lp_certificate,
-    minimal_projection_program,
     projection_constant,
     verify_norm_gap,
+    verify_trace_duality,
 )
 
 _ONE = Fraction(1)
@@ -122,14 +122,12 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
 
     report = best_upper_bound(spec)
     proj = projection_constant(spec, report.best_set)
-    program = minimal_projection_program(spec)
-    certificate = lp_certificate(spec, proj)
-    record("lp_certificate_valid", verify_certificate(program, certificate))
+    record("trace_duality_valid", verify_trace_duality(spec, proj))
     if spec.codim == 1:
         # the closed form skipped the cut loop; the cut loop must reach
-        # the same optimum and prove it on the same program
+        # the same optimum and prove it by its own Z
         cut = _cut_loop(spec, report.best_set)
-        certified = verify_certificate(program, lp_certificate(spec, cut))
+        certified = verify_trace_duality(spec, cut)
         record(
             "hyperplane_matches_cut_loop",
             cut.constant == proj.constant and certified,
@@ -187,6 +185,18 @@ def check_instance(instance: Instance) -> list[tuple[str, bool, str]]:
     return results
 
 
+def draw_instances(
+    seed: int, count: int, max_ambient: int, max_codim: int, entry_bound: int = 5
+) -> Iterator[Instance]:
+    """The instances run_crosscheck checks, in its order: N uniform in
+    2..max_ambient, then m uniform in 1..min(max_codim, N - 1)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ambient = rng.randint(2, max_ambient)
+        codim = rng.randint(1, min(max_codim, ambient - 1))
+        yield random_instance(rng, ambient, codim, entry_bound)
+
+
 def run_crosscheck(
     seed: int,
     count: int,
@@ -201,12 +211,9 @@ def run_crosscheck(
         raise ValueError("count must be at least 1")
     if not 1 <= max_codim < max_ambient:
         raise ValueError("need 1 <= max codimension < max ambient dimension")
-    rng = random.Random(seed)
     summary = CrossCheckSummary(seed=seed)
-    for index in range(count):
-        ambient = rng.randint(2, max_ambient)
-        codim = rng.randint(1, min(max_codim, ambient - 1))
-        instance = random_instance(rng, ambient, codim, entry_bound)
+    draws = draw_instances(seed, count, max_ambient, max_codim, entry_bound)
+    for index, instance in enumerate(draws):
         summary.instances += 1
         all_ok = True
         for name, passed, detail in check_instance(instance):

@@ -83,15 +83,21 @@ rows over one positive denominator:
 
 Both routes end in _result, which forms P = I - Y F^T once, checks that
 its norm is the claim and at least 1, and returns the ProjectionResult
-with its Z.  lp_certificate(spec, result), called only where an LP check
-runs, writes the point (Y, T = |P| entrywise, t) of the program and its
-duals from Z: -|Z_ij| on the P_ij <= T_ij row when Z_ij > 0 and on the
--P_ij <= T_ij row when Z_ij < 0, -max_j |Z_ij| on row i of the row-sum
-block, and nu = -Y^T Z F on the F^T Y = I rows, which is -M since
-Y^T F = I, so no system is solved.  It builds one Fraction per distinct
-|P_ij| and per distinct |Z_ij|, and lp.verify_certificate checks either
-route's answer the same way.  crosscheck also runs the cut loop on
-hyperplanes and checks its certificate, against the closed form."""
+with its Z.  verify_trace_duality(spec, result) checks that proof as it
+stands, in integers and with no program: F^T Y = I, P = I - Y F^T with
+norm the constant, the row maxima of Z, and Z F = F M with
+tr Z - tr M the constant for M = Y^T Z F, which is the only candidate
+since Y^T F = I.  crosscheck proves both routes' answers with it.
+
+The LP check of the same answer goes through the full program.
+lp_certificate(spec, result), called only where it runs (the projconst
+command, the layer benchmark and the tests), writes the point
+(Y, T = |P| entrywise, t) of the program and its duals from Z: -|Z_ij|
+on the P_ij <= T_ij row when Z_ij > 0 and on the -P_ij <= T_ij row when
+Z_ij < 0, -max_j |Z_ij| on row i of the row-sum block, and nu = -Y^T Z F
+on the F^T Y = I rows, which is -M, so no system is solved.  It builds
+one Fraction per distinct |P_ij| and per distinct |Z_ij|, and
+lp.verify_certificate checks either route's answer the same way."""
 
 from __future__ import annotations
 
@@ -136,12 +142,13 @@ class ProjectionResult:
     P = I - Y F^T for the optimal right inverse Y, and dual is the
     trace-duality operator Z that proves the constant a lower bound, as
     integer rows over one positive denominator (see the module
-    docstring).  lp_certificate(spec, result) writes them as an optimal
-    LpSolution of the program.  method names the route: "hyperplane"
-    when m = 1 and Y and Z were built in closed form, "cuts" when the
-    cut loop solved the program.  rounds counts the master solves and
-    cuts the sign-vector cuts of the cut loop, and stats is the master's
-    LpStats (0, 0 and None for a hyperplane)."""
+    docstring); verify_trace_duality(spec, result) checks that proof,
+    and lp_certificate(spec, result) writes it as an optimal LpSolution
+    of the program.  method names the route: "hyperplane" when m = 1
+    and Y and Z were built in closed form, "cuts" when the cut loop
+    solved the program.  rounds counts the master solves and cuts the
+    sign-vector cuts of the cut loop, and stats is the master's LpStats
+    (0, 0 and None for a hyperplane)."""
 
     constant: Fraction
     projection: Matrix
@@ -483,6 +490,61 @@ def lp_certificate(spec: SubspaceSpec, result: ProjectionResult) -> LpSolution:
             nu = -sum(row[j] * g[k] for row, g in zip(y_rows, zf))
             duals[lay.identity_row(j, k)] = Fraction(nu, nu_den)
     return LpSolution(tuple(x), result.constant, tuple(duals))
+
+
+def verify_trace_duality(spec: SubspaceSpec, result: ProjectionResult) -> bool:
+    """Whether result proves its constant to be the projection constant
+    by trace duality (see the module docstring): F^T Y = I, projection
+    is I - Y F^T and its norm is the constant, Z has a positive
+    denominator and row maxima summing to at most 1, and Z F = F M with
+    tr Z - tr M the constant for M = Y^T Z F, the only M possible since
+    Y^T F = I.  Every test compares integer rows by cross-multiplication,
+    in O(N^2 m) products; nothing is solved and no Fraction is built."""
+    n, m = spec.ambient, spec.codim
+    y, p = result.right_inverse, result.projection
+    z_rows, z_den = result.dual
+    if (y.rows, y.cols, p.rows, p.cols, len(z_rows)) != (n, m, n, n, n) or any(
+        len(row) != n for row in z_rows
+    ):
+        return False
+    f_rows, f_den = spec.annihilator.integers()
+    y_rows, y_den = y.integers()
+    p_rows, p_den = p.integers()
+    value_num, value_den = result.constant.numerator, result.constant.denominator
+    f_cols, y_cols = list(zip(*f_rows)), list(zip(*y_rows))
+    # F^T Y over f_den y_den
+    one = f_den * y_den
+    if any(
+        sum(map(mul, f_col, y_col)) != (one if j == k else 0)
+        for j, f_col in enumerate(f_cols)
+        for k, y_col in enumerate(y_cols)
+    ):
+        return False
+    # P = I - Y F^T, Y F^T over f_den y_den
+    for i, (p_row, y_row) in enumerate(zip(p_rows, y_rows)):
+        for j, (p_ij, f_row) in enumerate(zip(p_row, f_rows)):
+            yf = sum(map(mul, y_row, f_row))
+            if p_ij * one != p_den * ((one if i == j else 0) - yf):
+                return False
+    if max(sum(map(abs, row)) for row in p_rows) * value_den != value_num * p_den:
+        return False
+    if z_den <= 0 or sum(max(map(abs, row)) for row in z_rows) > z_den:
+        return False
+    # Z F over z_den f_den, M = Y^T Z F over y_den z_den f_den, and F M
+    # over f_den y_den z_den f_den
+    zf = [[sum(map(mul, row, f_col)) for f_col in f_cols] for row in z_rows]
+    zf_cols = list(zip(*zf))
+    m_rows = [[sum(map(mul, y_col, col)) for col in zf_cols] for y_col in y_cols]
+    m_cols = list(zip(*m_rows))
+    if any(
+        sum(map(mul, f_row, m_col)) != zf_ik * one
+        for f_row, zf_row in zip(f_rows, zf)
+        for m_col, zf_ik in zip(m_cols, zf_row)
+    ):
+        return False
+    trace_z = sum(row[i] for i, row in enumerate(z_rows))
+    trace_m = sum(row[k] for k, row in enumerate(m_rows))
+    return (trace_z * one - trace_m) * value_den == value_num * one * z_den
 
 
 def projection_norm(spec: SubspaceSpec, candidate: Matrix) -> Fraction:

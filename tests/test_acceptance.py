@@ -19,7 +19,7 @@ from linfiso.canonical import (
     family_from_minors,
     subspace_from_annihilator,
 )
-from linfiso.crosscheck import run_crosscheck
+from linfiso.crosscheck import draw_instances, run_crosscheck
 from linfiso.decide import decide_by_minors, decide_isometric
 from linfiso.errors import InvalidBasisError
 from linfiso.instances import random_instance
@@ -37,15 +37,18 @@ from linfiso.lp import (
     verify_certificate,
 )
 from linfiso.projection import (
+    _cut_loop,
     lp_certificate,
     minimal_projection_program,
     projection_constant,
     verify_norm_gap,
+    verify_trace_duality,
 )
 from oracles import enumerate_lp, hyperplane_projection_constant, master_of
 
 SWEEP_SEED = 108
 SWEEP_COUNT = 500
+SWEEP_SHAPES = {"max_ambient": 6, "max_codim": 3, "entry_bound": 5}
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -59,13 +62,7 @@ def failures_in(summary, names):
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_crosscheck(
-        seed=SWEEP_SEED,
-        count=SWEEP_COUNT,
-        max_ambient=6,
-        max_codim=3,
-        entry_bound=5,
-    )
+    return run_crosscheck(seed=SWEEP_SEED, count=SWEEP_COUNT, **SWEEP_SHAPES)
 
 
 def random_spec(rng, ambient, codim, bound=5):
@@ -82,8 +79,9 @@ def random_spec(rng, ambient, codim, bound=5):
 
 def test_verdict_equals_unit_constant(sweep):
     """Isometry verdict agrees with the projection constant being 1 on
-    every sweep instance, certified by the exact LP."""
-    names = {"verdict_iff_constant_one", "lp_certificate_valid"}
+    every sweep instance, proved by trace duality (and by the exact LP
+    in test_sweep_constants_pass_the_lp_check)."""
+    names = {"verdict_iff_constant_one", "trace_duality_valid"}
     bad = failures_in(sweep, names)
     counts = {n: sweep.checks_run.get(n, 0) for n in sorted(names)}
     report(
@@ -91,6 +89,34 @@ def test_verdict_equals_unit_constant(sweep):
         sweep.instances == SWEEP_COUNT and not bad,
         f"{sweep.instances} instances, checks {counts}, "
         f"{len(bad)} disagreements",
+    )
+
+
+def test_sweep_constants_pass_the_lp_check(sweep):
+    """The sweep's instances, drawn again as run_crosscheck draws them:
+    each constant, and for a hyperplane also the cut loop's, passes the
+    exact LP check of minimal_projection_program as well as trace
+    duality."""
+    draws = list(draw_instances(SWEEP_SEED, SWEEP_COUNT, **SWEEP_SHAPES))
+    failed, hyperplanes = [], 0
+    for index, instance in enumerate(draws):
+        spec = instance.to_spec()
+        program = minimal_projection_program(spec)
+        results = [projection_constant(spec)]
+        if spec.codim == 1:
+            hyperplanes += 1
+            results.append(_cut_loop(spec, best_upper_bound(spec).best_set))
+        for result in results:
+            lp = verify_certificate(program, lp_certificate(spec, result))
+            if not (lp and verify_trace_duality(spec, result)):
+                failed.append((index, result.method))
+    report(
+        "sweep-constants-pass-the-lp-check",
+        len(draws) == sweep.instances
+        and hyperplanes == sweep.checks_run["hyperplane_matches_cut_loop"]
+        and not failed,
+        f"{len(draws)} instances, {hyperplanes} hyperplanes, "
+        f"{len(failed)} failures {failed[:5]}",
     )
 
 

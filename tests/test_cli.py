@@ -250,6 +250,24 @@ class TestSetBudget:
         # the all-ones functional on Q^12 has constant 2 - 2/12
         assert "11/6" in capsys.readouterr().out
 
+    def test_hyperplane_budget_checked_without_the_scan(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the closed form needs no start set: projconst counts a
+        # hyperplane's N sets and runs no best_upper_bound scan
+        from linfiso import cli
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        path = tmp_path / "wide.txt"
+        path.write_text("12 1 annihilator\n" + "1\n" * 12, encoding="utf-8")
+        monkeypatch.setattr(cli, "best_upper_bound", no_scan)
+        assert main(["projconst", str(path), "--max-sets", "11"]) == 2
+        assert capsys.readouterr().err.startswith("error: C(12, 1) = 12 index sets")
+        assert main(["projconst", str(path), "--max-sets", "12"]) == 0
+        assert "11/6" in capsys.readouterr().out
+
     def test_budget_must_be_positive(self, accepting, capsys):
         assert main(["decide", accepting, "--max-sets", "0"]) == 2
         captured = capsys.readouterr()
@@ -421,7 +439,7 @@ class TestCrosscheck:
         assert payload["agreements"] == 5
         assert payload["disagreements"] == []
         runs = payload["checks_run"]
-        assert runs["lp_certificate_valid"] == 5
+        assert runs["trace_duality_valid"] == 5
         assert runs["hyperplane_matches_cut_loop"] == runs["hyperplane_matches_general"] > 0
 
     def test_oversized_shapes_refused_before_drawing(self, capsys, monkeypatch):

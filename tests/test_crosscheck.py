@@ -13,7 +13,7 @@ class TestCheckInstance:
         assert "hyperplane_matches_general" in names
         assert "hyperplane_matches_cut_loop" in names
         assert "verdict_iff_constant_one" in names
-        assert "lp_certificate_valid" in names
+        assert "trace_duality_valid" in names
         assert "norm_gap_holds" in names
         assert "block_det_products_sum_to_one" in names
 
@@ -74,6 +74,47 @@ class TestCheckInstance:
             False, "cut loop=4/3 closed form=4/3 certified=False"
         )
 
+    def test_unproved_constant_fails_the_check(self, monkeypatch):
+        # the closed form's optimum kept, its Z_00 raised by one unit of
+        # its denominator: the constant is right, its proof is not
+        from dataclasses import replace
+
+        from linfiso import crosscheck
+
+        real = crosscheck.projection_constant
+
+        def raised_z(spec, best_set):
+            result = real(spec, best_set)
+            rows, den = result.dual
+            rows = [list(row) for row in rows]
+            rows[0][0] += 1
+            return replace(result, dual=(rows, den))
+
+        monkeypatch.setattr(crosscheck, "projection_constant", raised_z)
+        results = {n: ok for n, ok, _ in check_instance(parse_instance(
+            "3 1 annihilator\n1\n1\n1\n"))}
+        assert results["trace_duality_valid"] is False
+        assert results["hyperplane_matches_cut_loop"] is True
+
+    def test_no_program_is_built(self, monkeypatch):
+        # trace duality proves both routes' constants; the full program
+        # and its LP certificate are never made, by crosscheck or below it
+        from linfiso import crosscheck, lp, projection
+
+        def refused(*args):
+            raise AssertionError("the LP check ran")
+
+        for module, name in (
+            (projection, "minimal_projection_program"),
+            (projection, "lp_certificate"),
+            (lp, "verify_certificate"),
+        ):
+            monkeypatch.setattr(module, name, refused)
+            monkeypatch.setattr(crosscheck, name, refused, raising=False)
+        for text in ("3 1 annihilator\n1\n1\n1\n",
+                     "4 2 annihilator\n1 0\n0 1\n1 1\n2 -1\n"):
+            assert all(ok for _, ok, _ in check_instance(parse_instance(text)))
+
     def test_best_upper_bound_scans_once(self, monkeypatch):
         # the report's best set is handed to projection_constant
         from linfiso import bounds, crosscheck, projection
@@ -100,7 +141,7 @@ class TestRunCrosscheck:
         assert summary.disagreements == []
         # every instance runs the shared checks; each hyperplane checks
         # its closed forms against the scan and the cut loop
-        assert summary.checks_run["lp_certificate_valid"] == 25
+        assert summary.checks_run["trace_duality_valid"] == 25
         assert (
             summary.checks_run["hyperplane_matches_general"]
             == summary.checks_run["hyperplane_matches_cut_loop"]

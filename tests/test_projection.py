@@ -27,6 +27,7 @@ from linfiso.projection import (
     projection_constant,
     projection_norm,
     verify_norm_gap,
+    verify_trace_duality,
 )
 from oracles import (
     dense_projection_program,
@@ -42,15 +43,16 @@ ANCHOR = subspace_from_annihilator([1, 1, 1])
 
 
 def proved_by_its_dual(spec, result) -> bool:
-    """Whether result.dual proves result.constant by trace duality, and
-    is the operator that lp_certificate spreads over the program's
-    duals."""
+    """Whether result.dual proves result.constant by trace duality, to
+    the oracle and to verify_trace_duality, and is the operator that
+    lp_certificate spreads over the program's duals."""
     n, m = spec.ambient, spec.codim
     f = spec.annihilator.to_lists()
     z = operator_fractions(result.dual)
     duals = lp_certificate(spec, result).duals
     return (
         trace_duality_holds(f, result.right_inverse.to_lists(), result.constant, z)
+        and verify_trace_duality(spec, result)
         and dual_operator(n, m, duals) == z
     )
 
@@ -738,6 +740,174 @@ class TestTraceDuality:
                 if duals[lay.upper_row(i, j)] and duals[lay.lower_row(i, j)]
             ]
             assert both == []
+
+
+def seeded_specs():
+    """The seeded shapes the checker is held to, integer and rational,
+    seeds 1-7 (1-3 from N = 12)."""
+    shapes = (
+        (5, 2), (5, 3), (6, 1), (6, 2), (7, 1), (7, 3), (8, 3), (10, 4),
+        (11, 1), (12, 3), (12, 4), (24, 1),
+    )
+    return [
+        random_instance(random.Random(seed), n, m, rational=rational).to_spec()
+        for n, m in shapes
+        for rational in (False, True)
+        for seed in range(1, 8 if n < 12 else 4)
+    ]
+
+
+def trace_duality_parts(spec, result) -> dict:
+    """The tests of verify_trace_duality, each on its own, in Fractions,
+    for a Z over a nonzero denominator."""
+    n, f = spec.ambient, spec.annihilator
+    y, p = result.right_inverse, result.projection
+    z = Matrix(operator_fractions(result.dual))
+    m = y.transpose() @ z @ f
+    trace = sum(z[i, i] for i in range(n)) - sum(m[k, k] for k in range(m.rows))
+    return {
+        "F^T Y = I": f.transpose() @ y == Matrix.identity(spec.codim),
+        "P = I - Y F^T": p == Matrix.identity(n) - y @ f.transpose(),
+        "norm": op_norm_inf(p) == result.constant,
+        "row maxima": sum(max(map(abs, z.row(i))) for i in range(n)) <= 1,
+        "Z F = F M": z @ f == f @ m,
+        "trace": trace == result.constant,
+    }
+
+
+def with_z(result, rows, den):
+    return replace(result, dual=(rows, den))
+
+
+def with_entry(matrix, i, j, delta):
+    rows = matrix.to_lists()
+    rows[i][j] += delta
+    return Matrix(rows)
+
+
+class TestVerifyTraceDuality:
+    """verify_trace_duality proves a result's constant from its Y, P and
+    Z alone, in integers: it accepts every answer the LP check accepts
+    and rejects each broken part of one."""
+
+    def test_agrees_with_the_lp_check_and_the_oracle(self):
+        kinds = set()
+        for spec in seeded_specs():
+            result = projection_constant(spec)
+            lp = verify_certificate(
+                minimal_projection_program(spec), lp_certificate(spec, result)
+            )
+            oracle = trace_duality_holds(
+                spec.annihilator.to_lists(), result.right_inverse.to_lists(),
+                result.constant, operator_fractions(result.dual),
+            )
+            assert verify_trace_duality(spec, result) is lp is oracle is True
+            rows, den = result.dual
+            raised = [list(row) for row in rows]
+            raised[0][0] += 1
+            assert not verify_trace_duality(spec, with_z(result, raised, den))
+            kinds.add((result.method, result.constant == 1))
+        assert kinds == {
+            ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
+        }
+
+    @staticmethod
+    def broken(spec, result):
+        """What was broken, mapped to the result with it broken."""
+        n = spec.ambient
+        f = spec.annihilator
+        rows, den = result.dual
+        rows = [list(row) for row in rows]
+        raised = [list(row) for row in rows]
+        raised[0][0] += 1
+        # y_k with f_k0 != 0 moves (F^T Y)_00 off 1, and P follows Y
+        k = next(i for i in range(n) if f[i, 0])
+        moved = with_entry(result.right_inverse, k, 0, F(1, 7))
+        off = replace(
+            result,
+            right_inverse=moved,
+            projection=Matrix.identity(n) - moved @ f.transpose(),
+        )
+        unit = F(1, result.constant.denominator)
+        # a nonzero row of Z doubled: its row maximum sum goes over 1
+        i = next(i for i, row in enumerate(rows) if any(row))
+        scaled = [[2 * v for v in row] if r == i else row for r, row in enumerate(rows)]
+        # Z + c F F^T, c = 4 f_den^2
+        f_rows, _ = f.integers()
+        grown = [
+            [z + 4 * den * sum(map(mul, a, b)) for z, b in zip(row, f_rows)]
+            for row, a in zip(rows, f_rows)
+        ]
+        out = {
+            "Z_00 + 1/z_den": with_z(result, raised, den),
+            "Y off F^T Y = I": off,
+            "lambda + 1/den": replace(result, constant=result.constant + unit),
+            "lambda - 1/den": replace(result, constant=result.constant - unit),
+            "P_00 changed": replace(
+                result, projection=with_entry(result.projection, 0, 0, F(1, 7))
+            ),
+            "a row of Z doubled": with_z(result, scaled, den),
+            "Z + c F F^T": with_z(result, grown, den),
+            "z_den = 0, Z = 0": with_z(result, [[0] * n for _ in range(n)], 0),
+            "z_den < 0": with_z(result, [[-v for v in row] for row in rows], -den),
+            "Z one row short": with_z(result, rows[:-1], den),
+        }
+        # the coordinate projection of a set whose norm is above the
+        # constant, with the constant and Z kept
+        for index_set, _ in admissible_sets(spec):
+            y_s, p_s = coordinate_projection(spec, index_set)
+            if op_norm_inf(p_s) > result.constant:
+                out["a projection of larger norm"] = replace(
+                    result, right_inverse=y_s, projection=p_s
+                )
+                break
+        # one cut as Z: e_i sigma^T for a row i of P at the constant and
+        # sigma its signs, where Z F is outside the span of F
+        p_rows, p_den = result.projection.integers()
+        i = next(
+            i for i, row in enumerate(p_rows)
+            if sum(map(abs, row)) == result.constant * p_den
+        )
+        one_cut = [[0] * n for _ in range(n)]
+        one_cut[i] = [-1 if v < 0 else 1 for v in p_rows[i]]
+        one_cut = with_z(result, one_cut, 1)
+        if not trace_duality_parts(spec, one_cut)["Z F = F M"]:
+            out["one cut as Z"] = one_cut
+        return out
+
+    def test_rejects_each_broken_part(self):
+        kinds, names = set(), set()
+        for spec in TestTraceDuality.specs():
+            result = projection_constant(spec)
+            assert verify_trace_duality(spec, result)
+            for name, bad in self.broken(spec, result).items():
+                assert not verify_trace_duality(spec, bad), name
+                names.add(name)
+            kinds.add((result.method, result.constant == 1))
+        assert kinds == {
+            ("hyperplane", True), ("hyperplane", False), ("cuts", True), ("cuts", False)
+        }
+        assert {"a projection of larger norm", "one cut as Z"} <= names
+
+    def test_some_cases_break_one_test_alone(self):
+        # Z + c F F^T breaks only the row maxima, a projection of larger
+        # norm only the norm, and one cut as Z only Z F = F M, so each of
+        # those three tests is needed
+        alone = {
+            "Z + c F F^T": "row maxima",
+            "a projection of larger norm": "norm",
+            "one cut as Z": "Z F = F M",
+        }
+        seen = set()
+        for spec in TestTraceDuality.specs():
+            result = projection_constant(spec)
+            assert all(trace_duality_parts(spec, result).values())
+            for name, bad in self.broken(spec, result).items():
+                if name in alone:
+                    parts = trace_duality_parts(spec, bad)
+                    assert [k for k, ok in parts.items() if not ok] == [alone[name]]
+                    seen.add(name)
+        assert seen == set(alone)
 
 
 class TestCertificatePoint:

@@ -96,5 +96,5 @@ def test_library_example(capsys):
     commented = [
         line.split("#", 1)[1].strip() for line in block.splitlines() if "#" in line
     ]
-    assert len(commented) == 5
+    assert len(commented) == 6
     assert printed == commented
