@@ -5,13 +5,14 @@ Each admissible index set yields the bound max(1, largest canonical
 family of coordinate sections can offer.  The report never claims the
 minimum equals the actual distance.  best_upper_bound reads each set
 Q + x off the prefix walk (canonical._prefix_walk): the residual row rho
-of Q gives x's canonical 1-norm ||rho||_1 / |rho[x]| without completing
-the set, so max(1, ||rho||_1 / |rho[x]| - 1) is a floor under the set's
-bound, and a set whose floor cannot strictly beat the best bound so far
-is not completed.  Bounds are compared by integer cross-multiplication,
-building Fractions and IndexSets only for what it reports;
-distance_bound_for_set computes one set's bound from its
-determinant-ratio family.
+of Q gives x's canonical 1-norm ||rho||_1 / |rho[x]|, so
+max(1, ||rho||_1 / |rho[x]| - 1) is a floor under the set's bound, and
+the other members' 1-norms are read off the prefix's rows, scaled by
+|common|, only for a set whose floor can strictly beat the best bound so
+far (canonical._completed_norms; no set is completed).  Bounds are
+compared by integer cross-multiplication, building Fractions and
+IndexSets only for what it reports; distance_bound_for_set computes one
+set's bound from its determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .canonical import (
     MAX_SETS,
     SubspaceSpec,
     _check_set_budget,
-    _complete,
+    _completed_norms,
     _prefix_walk,
     canonical_family,
 )
@@ -55,18 +56,19 @@ def best_upper_bound(
     """Minimize the per-set bound over every admissible index set.
 
     Each set Q + x is read off the prefix walk's integer rows: with
-    d = |rho[x]| and top the largest of ||rho||_1 and the sums of
-    |row r| over the completed rows, the largest canonical 1-norm is
-    top / d, so the bound is (top - d) / d when top exceeds 2d and 1
+    d = |rho[x]| and top the largest of ||rho||_1 and the 1-norms of the
+    completed rows of Q's members (canonical._completed_norms, over
+    |common|, one exact division per set), the largest canonical 1-norm
+    is top / d, so the bound is (top - d) / d when top exceeds 2d and 1
     otherwise.  Since top >= ||rho||_1, the set's bound is at least
     max(1, ||rho||_1 / d - 1); a set whose floor cannot strictly beat the
-    best bound so far is not completed, so ties keep the first set.
-    Bounds are compared by integer cross-multiplication, and only the
-    reported sets and bounds become IndexSets and Fractions.
+    best bound so far has no other norm read, so ties keep the first
+    set.  Bounds are compared by integer cross-multiplication, and only
+    the reported sets and bounds become IndexSets and Fractions.
 
-    materialize=True completes every set and additionally returns the
-    full set-to-bound map.  Raises SetBudgetError before the scan when
-    the spec has more than max_sets index sets.
+    materialize=True reads every set's norms and additionally returns
+    the full set-to-bound map.  Raises SetBudgetError before the scan
+    when the spec has more than max_sets index sets.
     """
     _check_set_budget(spec, max_sets)
     n = spec.ambient
@@ -76,6 +78,8 @@ def best_upper_bound(
     for prefix, order, rows, common, free in _prefix_walk(spec):
         rho = rows[free]
         norm = sum(map(abs, rho))
+        scale = abs(common)
+        head = tuple(q + 1 for q in prefix)
         for x in range(prefix[-1] + 1 if prefix else 0, n):
             if not rho[x]:
                 continue
@@ -86,12 +90,11 @@ def best_upper_bound(
                 and _excess(norm, d) * best[1] >= best[0] * d
             ):
                 continue
-            done, _ = _complete(rows, common, free, x)
-            top = max([norm, *(sum(map(abs, done[r])) for r in order)])
+            scaled = _completed_norms(rows, order, free, x)
+            top = max(norm, max(scaled, default=0) // scale)
             num = _excess(top, d)
             if per_set is not None:
-                index_set = IndexSet(tuple(q + 1 for q in prefix) + (x + 1,), n)
-                per_set[index_set] = Fraction(num, d)
+                per_set[IndexSet(head + (x + 1,), n)] = Fraction(num, d)
             if best is None or num * best[1] < best[0] * d:
                 best = num, d
                 best_combo = prefix + (x,)

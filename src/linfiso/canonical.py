@@ -22,14 +22,17 @@ up to a factor fixed for the prefix, det F_{Q + x}.  So Q + x is
 admissible exactly when rho[x] != 0, its last member's canonical vector
 is rho / rho[x], and that member's determinantal inequality reads
 ||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
-per prefix pass it.  A set is completed, by one exchange on a copy of
-the rows (_complete), only when a consumer needs its other members.  The
-isometry test and the bounds read those integer rows in place, so the
-paper's inequalities are integer comparisons.  A completed set's rows
-become Fractions in one place, _family: exchange_families, the Fraction
-view of the same walk, builds every set's family there, and decide only
-its witness's.  The ratio route stays as the definition and the
-independent check of both.
+per prefix pass it.  The other members' canonical 1-norms are read off
+the prefix's live rows (_completed_norms): completing the set would be
+one more exchange, row -> (row rho[x] - row[x] rho) / common, so the sum
+of |row rho[x] - row[x] rho| is |common| times a completed row's 1-norm,
+with no copy and no division.  The isometry test and the bounds compare
+those integers, so the paper's inequalities are integer comparisons.  A
+set is completed (_complete), on a copy of the rows, only where its
+CanonicalFamily is built, and its rows become Fractions in one place,
+_family: exchange_families, the Fraction view of the same walk, builds
+every set's family there, and decide only its witness's.  The ratio
+route stays as the definition and the independent check of both.
 
 The scans of decide and bounds refuse a shape with more than a set
 budget of C(N, m) index sets before they start (_check_set_budget):
@@ -60,8 +63,8 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 # the default set budget.  The widest shape under it is (19, 9), 92,378
-# sets, whose full scan took 2 s in decide and 6.5 s materializing every
-# bound on a 2-vCPU Intel Xeon; the largest shape the tests and
+# sets, whose full scan took 2 s in decide and 5 to 6 s materializing
+# every bound on a 2-vCPU Intel Xeon; the largest shape the tests and
 # benchmarks scan is (18, 6), 18,564 sets
 MAX_SETS = 100_000
 
@@ -279,9 +282,9 @@ def _prefix_walk(spec: SubspaceSpec):
     outside Q.  That row rho is the residual row of Q: it vanishes on Q
     and, by Cramer's rule, rho[y] is det F_{Q+y} (y in the free row's
     place) times a factor that does not depend on y.  So Q + (x,) is
-    admissible exactly when rho[x] != 0, and completing it is one more
-    exchange on (free, x) (_complete), after which row free still holds
-    rho and rho / rho[x] is the canonical vector of x.  Its 1-norm
+    admissible exactly when rho[x] != 0, and completing it would be one
+    more exchange on (free, x) (_complete), after which row free still
+    holds rho and rho / rho[x] is the canonical vector of x.  Its 1-norm
     ||rho||_1 / |rho[x]| is x's determinantal inequality, with
     ||rho||_1 fixed for the prefix: at most two x can have
     ||rho||_1 <= 2 |rho[x]|, as three such entries would sum to more
@@ -291,7 +294,9 @@ def _prefix_walk(spec: SubspaceSpec):
     Yields (prefix, order, rows, common, free): prefix is Q as a tuple
     of 0-based coordinates, and order[j] is the tableau row of
     prefix[j].  The tableau is live and changes at the next step;
-    consumers read it in place and complete sets on copies."""
+    consumers read it in place, the other members' 1-norms of a set
+    through _completed_norms, and complete a set (_complete), on a copy,
+    only to build its family."""
     n, m = spec.ambient, spec.codim
     rows = _integer_columns(spec)
     common = 1
@@ -321,6 +326,24 @@ def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
     their common denominator rho[x]; row free is rho itself."""
     done = list(rows)
     return done, _kernels.exchange(done, common, free, x)
+
+
+def _completed_norms(rows: list, order, free: int, x: int) -> list[int]:
+    """The 1-norms of the rows that _complete would give the prefix's
+    members, rows order[j] in turn, each times |common|, read off the
+    prefix's live rows with no copy and no division.  Completed row r is
+    (row_r * rho[x] - row_r[x] * rho) / common entry by entry, and common
+    divides every entry's numerator (Bareiss), so
+    sum_j |row_r[j] rho[x] - row_r[x] rho[j]| is |common| times the sum
+    of |completed row r|."""
+    rho = rows[free]
+    p = rho[x]
+    norms = []
+    for r in order:
+        row = rows[r]
+        h = row[x]
+        norms.append(sum([abs(a * p - h * b) for a, b in zip(row, rho)]))
+    return norms
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:

@@ -7,14 +7,17 @@ codimension, on the prefix walk (canonical._prefix_walk): for a set
 Q + x, the canonical vector of its last member x is rho / rho[x], rho
 the residual row of the prefix Q, so x's inequality is
 ||rho||_1 <= 2 |rho[x]|, one integer comparison per set with ||rho||_1
-summed once per prefix.  At most two x per prefix pass it; only those
-sets are completed by one exchange, and the completed rows r, canonical
-vectors over rho[x], are tested as sum |row r| <= 2 |rho[x]|, with no
-Fraction per set.  Every admissible set up to the witness counts as
-examined, completed or not.  The witness is the set's CanonicalFamily,
-read off its own completed rows over the signed rho[x]
-(canonical._family); its 1-norms are family.norms().  At m = 1 the only
-prefix is empty and rho is the functional itself, scaled to integers.
+summed once per prefix.  At most two x per prefix pass it; only for
+those sets are the other members' inequalities read, straight off the
+prefix's rows (canonical._completed_norms): the completed row r, a
+canonical vector over rho[x], has 1-norm at most 2 exactly when
+sum_j |row_r[j] rho[x] - row_r[x] rho[j]| <= 2 |rho[x] common|, with no
+copy, no division and no Fraction per set.  Every admissible set up to
+the witness counts as examined.  Only the witness is completed by one
+exchange (canonical._complete), and its CanonicalFamily is read off
+those rows over the signed rho[x] (canonical._family); its 1-norms are
+family.norms().  At m = 1 the only prefix is empty and rho is the
+functional itself, scaled to integers.
 
 Codimension 1 and 2 admit closed forms that provably visit the same
 sets in the same order, so all three return equal DecisionReports:
@@ -36,6 +39,7 @@ from .canonical import (
     SubspaceSpec,
     _check_set_budget,
     _complete,
+    _completed_norms,
     _family,
     _prefix_walk,
     family_from_minors,
@@ -65,10 +69,13 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
     Raises SetBudgetError before the walk starts when the spec has more
     than max_sets index sets.  Every set Q + x with rho[x] != 0 counts
     as examined.  Its last member passes exactly when
-    ||rho||_1 <= 2 |rho[x]|; only then is the set completed, and it is a
-    witness when every completed row r of the prefix's members, a
-    canonical vector over rho[x], has sum |row r| <= 2 |rho[x]| (row
-    free is rho itself, which x's test has passed)."""
+    ||rho||_1 <= 2 |rho[x]|; only then are the prefix's members read,
+    and the set is a witness when each of their completed rows, a
+    canonical vector over rho[x], has 1-norm at most 2, that is, when
+    canonical._completed_norms, which scales each by |common|, reads at
+    most 2 |rho[x] common| for every row (row free is rho itself, which
+    x's test has passed).  The witness alone is completed, to build its
+    family."""
     _check_set_budget(spec, max_sets)
     n = spec.ambient
     examined = 0
@@ -81,8 +88,9 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
             examined += 1
             if 2 * abs(rho[x]) < norm:
                 continue
-            done, den = _complete(rows, common, free, x)
-            if all(sum(map(abs, done[r])) <= 2 * abs(den) for r in order):
+            limit = 2 * abs(rho[x] * common)
+            if all(s <= limit for s in _completed_norms(rows, order, free, x)):
+                done, den = _complete(rows, common, free, x)
                 family = _family(n, prefix + (x,), order + (free,), done, den)
                 return DecisionReport(True, family, examined)
     return DecisionReport(False, None, examined)

@@ -22,7 +22,7 @@ from test_canonical import (
     residual_rows,
     set_denominators,
 )
-from test_decide import NEGATIVE_COMMON
+from test_decide import NEGATIVE_COMMON, planted_spec
 
 
 def random_annihilator(rng, ambient, codim, bound=5):
@@ -187,26 +187,40 @@ class TestIntegerBounds:
                 negative += any(d < 0 for d in set_denominators(spec))
         assert negative > 20  # the negative-denominator branch was exercised
 
+    def test_scan_wide_shapes_match_ratio_families(self):
+        # the (12, 5) and (14, 3) shapes of the scan benchmark, one random
+        # and one planted isometric instance each
+        rng = random.Random(1303)
+        for ambient, codim in ((12, 5), (14, 3)):
+            for spec in (
+                random_spec(rng, ambient, codim),
+                planted_spec(rng, ambient, codim),
+            ):
+                expected = bounds_from_ratios(spec)
+                assert best_upper_bound(spec, materialize=True) == expected
+                report = best_upper_bound(spec)
+                assert report == BoundReport(expected.best_upper, expected.best_set, None)
+                assert (report.best_upper == 1) == decide_isometric(spec).verdict
 
 
 def completed_sets(monkeypatch):
-    """Patch bounds to record, 1-based, each set that best_upper_bound
-    completes; returns the record."""
+    """Patch bounds to record, 1-based, each set whose completed rows'
+    norms best_upper_bound reads; returns the record."""
     done = []
     prefix = []
-    walk, complete = bounds._prefix_walk, bounds._complete
+    walk, norms = bounds._prefix_walk, bounds._completed_norms
 
     def walked(spec):
         for item in walk(spec):
             prefix[:] = item[0]
             yield item
 
-    def completing(rows, common, free, x):
+    def completing(rows, order, free, x):
         done.append(tuple(q + 1 for q in prefix) + (x + 1,))
-        return complete(rows, common, free, x)
+        return norms(rows, order, free, x)
 
     monkeypatch.setattr(bounds, "_prefix_walk", walked)
-    monkeypatch.setattr(bounds, "_complete", completing)
+    monkeypatch.setattr(bounds, "_completed_norms", completing)
     return done
 
 

@@ -433,6 +433,44 @@ class TestExchangeScan:
         assert calls == []
 
 
+class TestCompletedNorms:
+    """_completed_norms against _complete: the norms of the completed
+    rows, times |common|, read off the live rows without changing them."""
+
+    def assert_matches_complete(self, spec):
+        """Returns the number of sets read over a negative common."""
+        negative = 0
+        for prefix, order, rows, common, free in _prefix_walk(spec):
+            rho = rows[free]
+            for x in range(prefix[-1] + 1 if prefix else 0, spec.ambient):
+                if not rho[x]:
+                    continue
+                before = [list(row) for row in rows]
+                scaled = canonical._completed_norms(rows, order, free, x)
+                assert rows == before
+                done, _ = canonical._complete(rows, common, free, x)
+                assert scaled == [abs(common) * sum(map(abs, done[r])) for r in order]
+                negative += common < 0
+        return negative
+
+    def test_seeded_sweep_to_five(self):
+        rng = random.Random(3107)
+        negative = 0
+        for _ in range(40):
+            ambient = rng.randint(2, 9)
+            codim = rng.randint(1, min(5, ambient - 1))
+            for make in (random_spec, rational_spec, degenerate_spec):
+                negative += self.assert_matches_complete(make(rng, ambient, codim))
+        for codim in range(1, 6):
+            negative += self.assert_matches_complete(random_spec(rng, 9, codim))
+        assert negative > 100  # sets read over a negative common
+
+    def test_codimension_one_reads_no_rows(self):
+        spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
+        (_, order, rows, _, free), = _prefix_walk(spec)
+        assert canonical._completed_norms(rows, order, free, 0) == []
+
+
 class TestMinorVectors:
     def test_example_values(self):
         deltas = minor_vectors(EXAMPLE)

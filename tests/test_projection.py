@@ -558,7 +558,9 @@ class TestCutLoop:
             handed.append([(tuple(r), tuple(a), c, s) for r, a, c, s in columns])
             insert(self, columns)
 
-        def recorded_solve(master):
+        def recorded_solve(master, point=True):
+            # the loop reads the master's integers; record the Fraction
+            # duals of the same solve for the rational separation
             solutions.append(real_solve(master))
             return solutions[-1]
 
