@@ -50,22 +50,9 @@ Two such files compare exactly in their answer fields, but they are not a
 timing comparison.  Each file times its checkout in one block of about a
 minute, and a machine's speed drifts between blocks: on a 2-vCPU Intel
 Xeon, the scan rungs of two files written back to back read up to 1.9x
-apart on identical code.  A timing claim needs the interleaved A/B:
-
-    python3 benchmarks/bench_layers.py --against DIR [--out FILE]
-
-DIR is the root of a second source checkout.  Rung by rung, each of
-ROUNDS rounds times both sides, the first side switching from round to
-round, and each side runs in its own subprocess, which imports the
-program from its side's src and runs the rung REPEATS times with this
-script's code.  A side's figure for a layer is the minimum of its
-process_time readings over every round: projconst_s, verify_s and check_s on the LP rungs
-(setup_s, master_s and mapping_s are perf_counter splits and stay
-null), and all three scan times.  Each line prints DIR's figure, then
-this checkout's, and whether the two sides' answer fields are equal; a
-side whose repeats disagree, or whose two checks disagree, ends the
-script with exit 1, as in the ladder.  --out writes the figures of both
-sides as JSON; without it nothing is written.
+apart on identical code.  A timing claim needs an interleaved A/B
+instead: the two checkouts timed in alternation, rung by rung, with the
+minimum of several process_time runs a side.
 
 The scan rungs, under "scans", are the three scan_wide shapes of the
 benchmark, (12, 5), (13, 3) and (14, 3), then (16, 4), (18, 3) and the
@@ -84,8 +71,7 @@ best_bound_digest, the same digest from best_upper_bound(spec), which
 must equal bound_digest; every repeat must give the same ones, or the
 script exits 1.
 
-The program is imported from ./src of the checkout the script runs from
-(and, for --against, from DIR/src in DIR's subprocesses).
+The program is imported from ./src of the checkout the script runs from.
 """
 
 from __future__ import annotations
@@ -104,7 +90,18 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-linfiso = None  # the program under test; load() imports it
+sys.path.insert(0, str(ROOT / "src"))
+
+import linfiso  # noqa: E402
+from linfiso import (  # noqa: E402
+    best_upper_bound,
+    decide_isometric,
+    minimal_projection_program,
+    projection_constant,
+    random_instance,
+    subspace_from_annihilator,
+    verify_certificate,
+)
 
 # (N, m, seed)
 RUNGS = (
@@ -117,16 +114,6 @@ SCAN_RUNGS = (
     (18, 3, 1, False), (400, 1, 1, False), (14, 3, 1, True),
 )
 REPEATS = 3
-ROUNDS = 3  # rounds of the interleaved A/B
-
-
-def load(src: Path) -> None:
-    """Import the program from the directory src."""
-    global linfiso
-    sys.path.insert(0, str(src))
-    import linfiso as module
-
-    linfiso = module
 
 
 def digest(value) -> str:
@@ -151,7 +138,7 @@ def planted_instance(n: int, m: int, seed: int):
         else [Fraction(w, s) for w, s in zip(next(rest), scales)]
         for i in range(n)
     ]
-    return linfiso.subspace_from_annihilator(rows)
+    return subspace_from_annihilator(rows)
 
 
 def certificate_of(spec, result):
@@ -162,23 +149,20 @@ def certificate_of(spec, result):
     return result.certificate
 
 
-def measure(n: int, m: int, seed: int, clock=time.perf_counter) -> dict:
-    """One repeat: the answer's fingerprint and the time of each layer,
-    read on clock; the LP splits, which LpStats reads on perf_counter,
-    are null on any other clock."""
-    spec = linfiso.random_instance(random.Random(seed), n, m).to_spec()
-    began = clock()
-    result = linfiso.projection_constant(spec)
-    ended = clock()
+def measure(n: int, m: int, seed: int) -> dict:
+    """One repeat: the answer's fingerprint and the time of each layer."""
+    spec = random_instance(random.Random(seed), n, m).to_spec()
+    began = time.perf_counter()
+    result = projection_constant(spec)
+    ended = time.perf_counter()
     certificate = certificate_of(spec, result)
-    ok = linfiso.verify_certificate(linfiso.minimal_projection_program(spec), certificate)
-    verified = clock()
+    ok = verify_certificate(minimal_projection_program(spec), certificate)
+    verified = time.perf_counter()
     checker = getattr(linfiso, "verify_trace_duality", None)
     proved = checker(spec, result) if checker else ok
-    checked = clock()
+    checked = time.perf_counter()
     stats = getattr(result, "stats", None) or getattr(certificate, "stats", None)
     lp = stats is not None
-    split = lp and clock is time.perf_counter
     return {
         "answer": {
             "method": getattr(result, "method", None),
@@ -192,9 +176,9 @@ def measure(n: int, m: int, seed: int, clock=time.perf_counter) -> dict:
         },
         "seconds": {
             "projconst_s": ended - began,
-            "setup_s": stats.started - began if split else None,
-            "master_s": stats.finished - stats.started if split else None,
-            "mapping_s": ended - stats.finished if split else None,
+            "setup_s": stats.started - began if lp else None,
+            "master_s": stats.finished - stats.started if lp else None,
+            "mapping_s": ended - stats.finished if lp else None,
             "verify_s": verified - ended,
             "check_s": checked - verified if checker else None,
         },
@@ -202,21 +186,19 @@ def measure(n: int, m: int, seed: int, clock=time.perf_counter) -> dict:
     }
 
 
-def measure_scan(
-    n: int, m: int, seed: int, planted: bool, clock=time.perf_counter
-) -> dict:
+def measure_scan(n: int, m: int, seed: int, planted: bool) -> dict:
     """One repeat of a scan rung: decide and bounds, timed apart."""
     if planted:
         spec = planted_instance(n, m, seed)
     else:
-        spec = linfiso.random_instance(random.Random(seed), n, m).to_spec()
-    began = clock()
-    decision = linfiso.decide_isometric(spec)
-    decided = clock()
-    bound = linfiso.best_upper_bound(spec, materialize=True)
-    bounded = clock()
-    best = linfiso.best_upper_bound(spec)
-    ended = clock()
+        spec = random_instance(random.Random(seed), n, m).to_spec()
+    began = time.perf_counter()
+    decision = decide_isometric(spec)
+    decided = time.perf_counter()
+    bound = best_upper_bound(spec, materialize=True)
+    bounded = time.perf_counter()
+    best = best_upper_bound(spec)
+    ended = time.perf_counter()
     witness = decision.witness
     return {
         "answer": {
@@ -238,144 +220,50 @@ def measure_scan(
     }
 
 
-def disagreement(runs: list):
-    """Why the repeats of one rung cannot be reported, or None: their
-    answers differ, an LP rung's two checks disagree, or a scan rung's
-    two best bounds differ."""
-    answer = runs[0]["answer"]
-    if any(run["answer"] != answer for run in runs):
-        return "repeats disagree"
-    if any(run.get("proved", True) != answer.get("certificate_verifies", True)
-           for run in runs):
-        return "the two checks disagree"
-    if answer.get("best_bound_digest") != answer.get("bound_digest"):
-        return "best bounds disagree"
-    return None
-
-
-def summary_seconds(runs: list, pick=statistics.median, digits: int = 4) -> dict:
-    """Each layer's time over the runs, by pick: the median in the
-    ladder, the minimum in the A/B."""
+def median_seconds(runs: list) -> dict:
     return {
         key: None if runs[0]["seconds"][key] is None
-        else round(pick(run["seconds"][key] for run in runs), digits)
+        else round(statistics.median(run["seconds"][key] for run in runs), 4)
         for key in runs[0]["seconds"]
     }
 
 
-def source_sha256(root: Path = ROOT) -> str:
-    """A digest of the names and bytes of src/linfiso/*.py under root."""
+def source_sha256() -> str:
+    """A digest of the names and bytes of src/linfiso/*.py."""
     h = hashlib.sha256()
-    for path in sorted((root / "src" / "linfiso").glob("*.py")):
+    for path in sorted((ROOT / "src" / "linfiso").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
 
 
-def commit(root: Path = ROOT) -> str:
+def commit() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=root, capture_output=True, text=True, check=True,
+            cwd=ROOT, capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip()
 
 
-def run_rung(rung: str) -> None:
-    """The worker of the A/B: REPEATS process_time runs of one rung,
-    "n,m,seed" for an LP rung or "n,m,seed,planted" for a scan rung,
-    printed as one JSON line.  main has imported the side's program."""
-    fields = [int(v) for v in rung.split(",")]
-    if len(fields) == 3:
-        runs = [measure(*fields, clock=time.process_time) for _ in range(REPEATS)]
-    else:
-        n, m, seed, planted = fields
-        runs = [
-            measure_scan(n, m, seed, bool(planted), clock=time.process_time)
-            for _ in range(REPEATS)
-        ]
-    print(json.dumps(runs))
-
-
-def interleave(other: Path, out) -> int:
-    """The A/B of this checkout against the checkout other (see the
-    module docstring)."""
-    sides = {"against": other, "this": ROOT}
-    rungs = [("shapes", (n, m, seed)) for n, m, seed in RUNGS] + [
-        ("scans", (n, m, seed, planted)) for n, m, seed, planted in SCAN_RUNGS
-    ]
-    report = {
-        side: {"commit": commit(root), "source_sha256": source_sha256(root)}
-        for side, root in sides.items()
-    }
-    report.update(
-        python=platform.python_version(), cpu_count=os.cpu_count(),
-        machine=platform.machine(), rounds=ROUNDS, repeats=REPEATS,
-        shapes=[], scans=[],
-    )
-    for kind, rung in rungs:
-        runs = {side: [] for side in sides}
-        for r in range(ROUNDS):
-            for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-                done = subprocess.run(
-                    [sys.executable, __file__, "--worker", str(sides[side] / "src"),
-                     ",".join(str(int(v)) for v in rung)],
-                    capture_output=True, text=True,
-                )
-                if done.returncode:
-                    print(f"{side}: {done.stderr}", file=sys.stderr)
-                    return 1
-                runs[side].extend(json.loads(done.stdout))
-        label = f"{'' if kind == 'shapes' else 'scan '}{rung[:2]} seed {rung[2]}"
-        if rung[3:] == (True,):
-            label += " planted"
-        for side, got in runs.items():
-            why = disagreement(got)
-            if why:
-                print(f"{label}: {side}: {why}", file=sys.stderr)
-                return 1
-        answers = {side: got[0]["answer"] for side, got in runs.items()}
-        seconds = {side: summary_seconds(got, min, 6) for side, got in runs.items()}
-        same = answers["against"] == answers["this"]
-        report[kind].append(
-            dict(zip(("n", "m", "seed", "planted"), rung), same_answers=same,
-                 **{side: {**answers[side], **seconds[side]} for side in sides})
-        )
-        timed = "  ".join(
-            f"{key} {seconds['against'][key]} -> {seconds['this'][key]}"
-            for key in seconds["this"] if seconds["this"][key] is not None
-        )
-        print(f"{label}: {timed} s  answers {'equal' if same else 'DIFFER'}")
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--against", type=Path, metavar="DIR")
-    # the A/B's subprocess: the src directory of its side, and the rung
-    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--out", type=Path, default=ROOT / "benchmarks" / "BENCH_layers.json"
+    )
     args = parser.parse_args()
-    if args.worker:
-        load(Path(args.worker[0]))
-        run_rung(args.worker[1])
-        return 0
-    if args.against:
-        return interleave(args.against.resolve(), args.out)
-    load(ROOT / "src")
-    out = args.out or ROOT / "benchmarks" / "BENCH_layers.json"
     rows = []
     for n, m, seed in RUNGS:
         runs = [measure(n, m, seed) for _ in range(REPEATS)]
         answer = runs[0]["answer"]
-        why = disagreement(runs)
-        if why:
-            print(f"({n}, {m}) seed {seed}: {why}", file=sys.stderr)
+        if any(run["answer"] != answer for run in runs):
+            print(f"({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
             return 1
-        seconds = summary_seconds(runs)
+        if any(run["proved"] != answer["certificate_verifies"] for run in runs):
+            print(f"({n}, {m}) seed {seed}: the two checks disagree", file=sys.stderr)
+            return 1
+        seconds = median_seconds(runs)
         rows.append({"n": n, "m": m, "seed": seed, **answer, **seconds})
         print(
             f"({n}, {m}) seed {seed}: lambda {answer['lambda_digest']}  rounds "
@@ -386,11 +274,13 @@ def main() -> int:
     for n, m, seed, planted in SCAN_RUNGS:
         runs = [measure_scan(n, m, seed, planted) for _ in range(REPEATS)]
         answer = runs[0]["answer"]
-        why = disagreement(runs)
-        if why:
-            print(f"scan ({n}, {m}) seed {seed}: {why}", file=sys.stderr)
+        if any(run["answer"] != answer for run in runs):
+            print(f"scan ({n}, {m}) seed {seed}: repeats disagree", file=sys.stderr)
             return 1
-        seconds = summary_seconds(runs)
+        if answer["best_bound_digest"] != answer["bound_digest"]:
+            print(f"scan ({n}, {m}) seed {seed}: best bounds disagree", file=sys.stderr)
+            return 1
+        seconds = median_seconds(runs)
         scans.append(
             {"n": n, "m": m, "seed": seed, "planted": planted, **answer, **seconds}
         )
@@ -409,7 +299,7 @@ def main() -> int:
         "shapes": rows,
         "scans": scans,
     }
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -9,7 +9,7 @@ of Q gives x's canonical 1-norm ||rho||_1 / |rho[x]|, so
 max(1, ||rho||_1 / |rho[x]| - 1) is a floor under the set's bound, and
 the other members' 1-norms are read off the prefix's rows, scaled by
 |common|, only for a set whose floor can strictly beat the best bound so
-far (canonical._completed_norms; no set is completed).  Bounds are
+far (_kernels.exchange_norms; no set is completed).  Bounds are
 compared by integer cross-multiplication, building Fractions and
 IndexSets only for what it reports; distance_bound_for_set computes one
 set's bound from its determinant-ratio family.
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import _kernels
 from .canonical import (
     MAX_SETS,
     SubspaceSpec,
     _check_set_budget,
-    _completed_norms,
     _prefix_walk,
     canonical_family,
 )
@@ -57,7 +57,7 @@ def best_upper_bound(
 
     Each set Q + x is read off the prefix walk's integer rows: with
     d = |rho[x]| and top the largest of ||rho||_1 and the 1-norms of the
-    completed rows of Q's members (canonical._completed_norms, over
+    completed rows of Q's members (_kernels.exchange_norms, over
     |common|, one exact division per set), the largest canonical 1-norm
     is top / d, so the bound is (top - d) / d when top exceeds 2d and 1
     otherwise.  Since top >= ||rho||_1, the set's bound is at least
@@ -90,7 +90,7 @@ def best_upper_bound(
                 and _excess(norm, d) * best[1] >= best[0] * d
             ):
                 continue
-            scaled = _completed_norms(rows, order, free, x)
+            scaled = _kernels.exchange_norms(rows, order, free, x)
             top = max(norm, max(scaled, default=0) // scale)
             num = _excess(top, d)
             if per_set is not None:

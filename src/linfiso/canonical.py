@@ -22,17 +22,16 @@ up to a factor fixed for the prefix, det F_{Q + x}.  So Q + x is
 admissible exactly when rho[x] != 0, its last member's canonical vector
 is rho / rho[x], and that member's determinantal inequality reads
 ||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
-per prefix pass it.  The other members' canonical 1-norms are read off
-the prefix's live rows (_completed_norms): completing the set would be
-one more exchange, row -> (row rho[x] - row[x] rho) / common, so the sum
-of |row rho[x] - row[x] rho| is |common| times a completed row's 1-norm,
-with no copy and no division.  The isometry test and the bounds compare
-those integers, so the paper's inequalities are integer comparisons.  A
-set is completed (_complete), on a copy of the rows, only where its
-CanonicalFamily is built, and its rows become Fractions in one place,
-_family: exchange_families, the Fraction view of the same walk, builds
-every set's family there, and decide only its witness's.  The ratio
-route stays as the definition and the independent check of both.
+per prefix pass it.  Completing the set would be one more exchange on
+(free row, x); the other members' canonical 1-norms are read off the
+prefix's live rows without it (_kernels.exchange_norms, each times
+|common|).  The isometry test and the bounds compare those integers, so
+the paper's inequalities are integer comparisons.  A set is completed
+(_complete), on a copy of the rows, only where its CanonicalFamily is
+built, and its rows become Fractions in one place, _family:
+exchange_families, the Fraction view of the same walk, builds every
+set's family there, and decide only its witness's.  The ratio route
+stays as the definition and the independent check of both.
 
 The scans of decide and bounds refuse a shape with more than a set
 budget of C(N, m) index sets before they start (_check_set_budget):
@@ -295,8 +294,8 @@ def _prefix_walk(spec: SubspaceSpec):
     of 0-based coordinates, and order[j] is the tableau row of
     prefix[j].  The tableau is live and changes at the next step;
     consumers read it in place, the other members' 1-norms of a set
-    through _completed_norms, and complete a set (_complete), on a copy,
-    only to build its family."""
+    through _kernels.exchange_norms, and complete a set (_complete), on
+    a copy, only to build its family."""
     n, m = spec.ambient, spec.codim
     rows = _integer_columns(spec)
     common = 1
@@ -326,24 +325,6 @@ def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
     their common denominator rho[x]; row free is rho itself."""
     done = list(rows)
     return done, _kernels.exchange(done, common, free, x)
-
-
-def _completed_norms(rows: list, order, free: int, x: int) -> list[int]:
-    """The 1-norms of the rows that _complete would give the prefix's
-    members, rows order[j] in turn, each times |common|, read off the
-    prefix's live rows with no copy and no division.  Completed row r is
-    (row_r * rho[x] - row_r[x] * rho) / common entry by entry, and common
-    divides every entry's numerator (Bareiss), so
-    sum_j |row_r[j] rho[x] - row_r[x] rho[j]| is |common| times the sum
-    of |completed row r|."""
-    rho = rows[free]
-    p = rho[x]
-    norms = []
-    for r in order:
-        row = rows[r]
-        h = row[x]
-        norms.append(sum([abs(a * p - h * b) for a, b in zip(row, rho)]))
-    return norms
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:

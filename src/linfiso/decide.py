@@ -9,10 +9,10 @@ the residual row of the prefix Q, so x's inequality is
 ||rho||_1 <= 2 |rho[x]|, one integer comparison per set with ||rho||_1
 summed once per prefix.  At most two x per prefix pass it; only for
 those sets are the other members' inequalities read, straight off the
-prefix's rows (canonical._completed_norms): the completed row r, a
-canonical vector over rho[x], has 1-norm at most 2 exactly when
-sum_j |row_r[j] rho[x] - row_r[x] rho[j]| <= 2 |rho[x] common|, with no
-copy, no division and no Fraction per set.  Every admissible set up to
+prefix's rows: the completed row r, a canonical vector over rho[x],
+has 1-norm at most 2 exactly when _kernels.exchange_norms, which gives
+that 1-norm times |rho[x] common|, reads at most 2 |rho[x] common|, with
+no copy, no division and no Fraction per set.  Every admissible set up to
 the witness counts as examined.  Only the witness is completed by one
 exchange (canonical._complete), and its CanonicalFamily is read off
 those rows over the signed rho[x] (canonical._family); its 1-norms are
@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from . import _kernels
 from .canonical import (
     MAX_SETS,
     CanonicalFamily,
     SubspaceSpec,
     _check_set_budget,
     _complete,
-    _completed_norms,
     _family,
     _prefix_walk,
     family_from_minors,
@@ -72,7 +72,7 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
     ||rho||_1 <= 2 |rho[x]|; only then are the prefix's members read,
     and the set is a witness when each of their completed rows, a
     canonical vector over rho[x], has 1-norm at most 2, that is, when
-    canonical._completed_norms, which scales each by |common|, reads at
+    _kernels.exchange_norms, which scales each by |common|, reads at
     most 2 |rho[x] common| for every row (row free is rho itself, which
     x's test has passed).  The witness alone is completed, to build its
     family."""
@@ -89,7 +89,7 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
             if 2 * abs(rho[x]) < norm:
                 continue
             limit = 2 * abs(rho[x] * common)
-            if all(s <= limit for s in _completed_norms(rows, order, free, x)):
+            if all(s <= limit for s in _kernels.exchange_norms(rows, order, free, x)):
                 done, den = _complete(rows, common, free, x)
                 family = _family(n, prefix + (x,), order + (free,), done, den)
                 return DecisionReport(True, family, examined)

@@ -29,10 +29,9 @@ from .errors import BoundsError, DimensionError, SingularMatrixError
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# An optional sign, digits, then optionally /digits or .digits, the
-# group that a plain integer lacks.  Fraction alone would also take
-# exponents ("1e300000") and underscores.
-_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+# An optional sign, digits, then optionally /digits or .digits.  Fraction
+# alone would also take exponents ("1e300000") and underscores.
+_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def as_rational(value) -> Fraction:
@@ -52,12 +51,9 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        token = _TOKEN.fullmatch(value)
-        if token is None:
+        if _TOKEN.fullmatch(value) is None:
             raise ValueError(f"not rational: {token_excerpt(value)}")
         try:
-            if token.lastindex is None:
-                return Fraction(int(value))
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {token_excerpt(value)}") from None

@@ -40,11 +40,9 @@ the block's, a function of its rational entries alone.  The optimum is
 read from the integer costs and the block: the sum of c_j s_j (R b)_i
 over the structural columns j basic in row i, over det times the rhs
 scale.  The row duals are the cost row r times -phi, over det;
-Master.integer_duals gives them as integers over |det|, and
-Master.integer_point the structural values over their least common
-denominator.  solve turns both into Fractions; a caller that works in
-integers reads them as they are, and solve(master, point=False) then
-runs the same pivots and builds only the value.
+Master.integer_duals gives them as integers over |det|, which solve
+turns into Fractions and a caller that works in integers reads as they
+are.
 
 The entering column follows Dantzig's rule: the most negative reduced
 cost, compared by integer cross-multiplication, ties to the smallest
@@ -244,8 +242,7 @@ class LpSolution:
     """An optimum: the point x, its objective value and the row duals
     that certify it, whether solve() found it or a caller wrote it down
     (projection.lp_certificate).  The counters of the solve that found
-    it are the Master's: Master.stats.  After solve(master, point=False)
-    x and duals are empty.
+    it are the Master's: Master.stats.
     """
 
     x: tuple[Fraction, ...]
@@ -444,53 +441,28 @@ class Master:
             self._pivot(row, col)
         raise InternalConsistencyError("simplex did not terminate inside its guard")
 
-    def integer_point(self) -> tuple[list[int], int]:
-        """The structural values x of the current basis as integers over
-        their least common denominator: x_j = s_j (R b)_i / (det times
-        the rhs scale) for column j basic in row i, put in lowest terms
-        over one positive denominator."""
-        n, nrows = self.nstruct, self.nrows
-        den = self.det * self.rhs_scale
-        sign = -1 if den < 0 else 1
-        nums = [0] * n
-        for i, j in enumerate(self.basis):
-            if j < n:
-                nums[j] = sign * self.columns[j][3] * self.block[i][nrows]
-        g = gcd(den, *nums)
-        return [v // g for v in nums], abs(den) // g
-
-    def _solve(self, point: bool) -> LpSolution:
-        """Run the pricing loop from the current basis to the optimum,
-        and read its value, and its x and duals when point is set."""
+    def _solve(self) -> LpSolution:
+        """Run the pricing loop from the current basis to the optimum."""
         self._run_phase()
-        nrows = self.nrows
+        n, det = self.nstruct, self.det
+        basic = [(i, j, self.columns[j][3]) for i, j in enumerate(self.basis) if j < n]
+        x = [_ZERO] * n
+        for i, j, s in basic:
+            x[j] = Fraction(s * self.block[i][self.nrows], det * self.rhs_scale)
         value = Fraction(
-            sum(
-                self.columns[j][2] * self.block[i][nrows]
-                for i, j in enumerate(self.basis)
-                if j < self.nstruct
-            ),
-            self.det * self.rhs_scale,
+            sum(self.columns[j][2] * self.block[i][self.nrows] for i, j, _ in basic),
+            det * self.rhs_scale,
         )
-        x = duals = ()
-        if point:
-            nums, den = self.integer_point()
-            x = tuple(Fraction(v, den) if v else _ZERO for v in nums)
-            nums, den = self.integer_duals()
-            duals = tuple(Fraction(y, den) for y in nums)
+        nums, den = self.integer_duals()
+        duals = tuple(Fraction(y, den) for y in nums)
         self.finished = time.perf_counter()
-        return LpSolution(x, value, duals)
+        return LpSolution((*x,), value, duals)
 
 
-def solve(master: Master, point: bool = True) -> LpSolution:
+def solve(master: Master) -> LpSolution:
     """Solve a Master's problem to its optimum with an exact
-    certificate, from the basis its last solve ended at.
-
-    point=False runs the same pivots and returns the optimum's value
-    alone, with x and duals empty, for a caller that reads the master's
-    integers itself (Master.integer_point and Master.integer_duals), as
-    projection's cut loop does on every round."""
-    return master._solve(point)
+    certificate, from the basis its last solve ended at."""
+    return master._solve()
 
 
 # -- certificate checks ------------------------------------------------

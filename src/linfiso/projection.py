@@ -49,10 +49,9 @@ each solve Master.integer_duals gives the duals over d = |det|, so W and
 t are integers over d and P has integer rows over d times both
 denominators.  A row is cut when the sum of the absolute values of its
 integers exceeds t times both denominators, and its sign vector is that
-of its integers.  Each round's solve builds no Fraction of the point or
-the duals (lp.solve with point=False); the multipliers of the last solve
-are read over their least common denominator (Master.integer_point) for
-Z below.  Fractions are built only for the returned Y and t.
+of its integers.  The multipliers of the last solve are put over their
+least common denominator for Z below.  Fractions are built only for the
+returned Y and t.
 
 For a hyperplane (m = 1, F a single column f) the optimal y is written
 down directly (Blatter and Cheney 1974) and the cut loop does not run.
@@ -331,7 +330,7 @@ def _cut_loop(spec: SubspaceSpec, index_set: IndexSet) -> ProjectionResult:
         master.insert(columns(new))
         cuts.extend(new)
         rounds += 1
-        solve(master, point=False)
+        solution = solve(master)
         # over d = |det|: W is minus the duals of the W rows and t is 1
         # minus the dual of the last row; P = P_S - K W F^T over p_den d f_den
         duals, d = master.integer_duals()
@@ -365,7 +364,7 @@ def _cut_loop(spec: SubspaceSpec, index_set: IndexSet) -> ProjectionResult:
     z = None
     if t > d:
         # Z = sum_c mu_c e_i sigma^T over the cuts (i, sigma)
-        mus, mu_den = master.integer_point()
+        mus, mu_den = common_denominator(solution.x)
         z_rows = [[0] * n for _ in range(n)]
         for (i, sign), mu in zip(cuts, mus):
             if mu:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from linfiso import bounds, decide
+from linfiso import _kernels, bounds, decide
 from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
@@ -208,19 +208,19 @@ def completed_sets(monkeypatch):
     norms best_upper_bound reads; returns the record."""
     done = []
     prefix = []
-    walk, norms = bounds._prefix_walk, bounds._completed_norms
+    walk, norms = bounds._prefix_walk, _kernels.exchange_norms
 
     def walked(spec):
         for item in walk(spec):
             prefix[:] = item[0]
             yield item
 
-    def completing(rows, order, free, x):
-        done.append(tuple(q + 1 for q in prefix) + (x + 1,))
-        return norms(rows, order, free, x)
+    def completing(rows, read, prow, pcol):
+        done.append(tuple(q + 1 for q in prefix) + (pcol + 1,))
+        return norms(rows, read, prow, pcol)
 
     monkeypatch.setattr(bounds, "_prefix_walk", walked)
-    monkeypatch.setattr(bounds, "_completed_norms", completing)
+    monkeypatch.setattr(_kernels, "exchange_norms", completing)
     return done
 
 

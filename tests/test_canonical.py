@@ -433,9 +433,10 @@ class TestExchangeScan:
         assert calls == []
 
 
-class TestCompletedNorms:
-    """_completed_norms against _complete: the norms of the completed
-    rows, times |common|, read off the live rows without changing them."""
+class TestExchangeNorms:
+    """_kernels.exchange_norms on the walk's rows against _complete: the
+    norms of the completed rows, times |common|, read off the live rows
+    without changing them."""
 
     def assert_matches_complete(self, spec):
         """Returns the number of sets read over a negative common."""
@@ -446,7 +447,7 @@ class TestCompletedNorms:
                 if not rho[x]:
                     continue
                 before = [list(row) for row in rows]
-                scaled = canonical._completed_norms(rows, order, free, x)
+                scaled = _kernels.exchange_norms(rows, order, free, x)
                 assert rows == before
                 done, _ = canonical._complete(rows, common, free, x)
                 assert scaled == [abs(common) * sum(map(abs, done[r])) for r in order]
@@ -468,7 +469,7 @@ class TestCompletedNorms:
     def test_codimension_one_reads_no_rows(self):
         spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
         (_, order, rows, _, free), = _prefix_walk(spec)
-        assert canonical._completed_norms(rows, order, free, 0) == []
+        assert _kernels.exchange_norms(rows, order, free, 0) == []
 
 
 class TestMinorVectors:

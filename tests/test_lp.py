@@ -9,7 +9,6 @@ from linfiso import _kernels
 from linfiso.canonical import subspace_from_annihilator
 from linfiso.errors import InternalConsistencyError, LpModelError
 from linfiso.instances import random_instance
-from linfiso.linalg import common_denominator
 from linfiso.lp import (
     LpProblem,
     LpSolution,
@@ -526,26 +525,6 @@ class TestIntegerColumns:
                 nums, den = master.integer_duals()
                 assert den == abs(master.det) > 0
                 assert tuple(F(y, den) for y in nums) == sol.duals
-
-    def test_integer_point(self):
-        # the solution's x is the accessor's integers over one positive
-        # denominator in lowest terms, and a solve without its point
-        # takes the same pivots to the same value
-        rng = random.Random(1979)
-        negative = 0
-        for _ in range(20):
-            master, bare = Master(self.SENSES, self.RHS), Master(self.SENSES, self.RHS)
-            for costs, cols in self.rounds(rng):
-                columns = [self.integer(c, col) for c, col in zip(costs, cols)]
-                master.insert(columns)
-                bare.insert(columns)
-                sol = solve(master)
-                nums, den = master.integer_point()
-                assert (nums, den) == common_denominator(sol.x)
-                assert solve(bare, point=False) == LpSolution((), sol.objective_value, ())
-                assert bare.stats() == master.stats()
-                negative += master.det < 0
-        assert negative > 0
 
     def test_malformed_columns_refused(self):
         # a row past the end, rows out of order or repeated, a zero entry,

@@ -558,9 +558,7 @@ class TestCutLoop:
             handed.append([(tuple(r), tuple(a), c, s) for r, a, c, s in columns])
             insert(self, columns)
 
-        def recorded_solve(master, point=True):
-            # the loop reads the master's integers; record the Fraction
-            # duals of the same solve for the rational separation
+        def recorded_solve(master):
             solutions.append(real_solve(master))
             return solutions[-1]
 
