@@ -8,12 +8,14 @@ their 1-norms drive both the isometry test and the distance bounds.
 
 Two routes compute the families.  canonical_family is the paper's own
 formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 1
-determinants, each by Bareiss elimination on the annihilator's integer
-rows.  _prefix_walk walks the (m - 1)-prefixes Q of the admissible sets
-in lexicographic order and moves from one prefix to the next by basis
-exchange: the tableau is the m x N matrix C^T, whose row r is the
-canonical vector of basis member r, and a Gauss-Jordan pivot on it is a
-column exchange, so one pivot replaces a whole family of determinants.
+determinants, each by Bareiss elimination on the annihilator's columns
+scaled to integers, which each spec computes once
+(SubspaceSpec._integer_columns).  _prefix_walk walks the
+(m - 1)-prefixes Q of the admissible sets in lexicographic order and
+moves from one prefix to the next by basis exchange: the tableau is the
+m x N matrix C^T, whose row r is the canonical vector of basis member
+r, and a Gauss-Jordan pivot on it is a column exchange, so one pivot
+replaces a whole family of determinants.
 The pivots are fraction-free (_kernels.exchange): the rows are integers
 over one common denominator, the determinant of the current basis, so no
 entry needs a gcd.  With Q in the basis, one row is left over: the
@@ -33,6 +35,12 @@ exchange_families, the Fraction view of the same walk, builds every
 set's family there, and decide only its witness's.  The ratio route
 stays as the definition and the independent check of both.
 
+At codimension 2 a third route reads the 2 x 2 minors (minor_vectors,
+family_from_minors) off the annihilator's integer rows over their one
+denominator (Matrix.integers), not the column-scaled rows, so it shares
+no input form with the other two.  admissible_sets also reads those
+rows.
+
 The scans of decide and bounds refuse a shape with more than a set
 budget of C(N, m) index sets before they start (_check_set_budget):
 their cost grows with that count, and where decide's scan would stop at
@@ -45,7 +53,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb, gcd
 from typing import Iterator, Mapping
 
 from . import _kernels
@@ -56,7 +65,7 @@ from .errors import (
     SetBudgetError,
     WrongCodimensionError,
 )
-from .linalg import IndexSet, Matrix, det, nullspace_columns, rank, vec_norm1
+from .linalg import IndexSet, Matrix, nullspace_columns, rank, vec_norm1
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -99,6 +108,21 @@ class SubspaceSpec:
         """A basis of the subspace itself, as kernel vectors of the
         transposed annihilator."""
         return nullspace_columns(self.annihilator.transpose())
+
+    @cached_property
+    def _integer_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The annihilator's columns, each scaled to integers by the lcm
+        of its own denominators: the rows of the ratio route and the
+        starting tableau of the prefix walk.  Computed once per spec and
+        immutable, so the walk exchanges a copy.  Column j of the integer
+        rows over den (Matrix.integers) has that lcm den / g, g the gcd of
+        den and the column, so the scaled column is the column over g."""
+        rows, den = self.annihilator.integers()
+        columns = []
+        for column in zip(*rows):
+            g = gcd(den, *column)
+            columns.append(tuple(x // g for x in column))
+        return tuple(columns)
 
 
 def subspace_from_annihilator(entries) -> SubspaceSpec:
@@ -162,13 +186,19 @@ class CanonicalFamily:
 
 def admissible_sets(spec: SubspaceSpec) -> Iterator[tuple[IndexSet, Fraction]]:
     """Index sets with an invertible row block, lexicographically, with
-    the block determinant attached."""
-    mat = spec.annihilator
-    for index_set in IndexSet.all_of_size(spec.ambient, spec.codim):
-        block = mat.take_rows(index_set)
-        d = det(block)
-        if d != 0:
-            yield index_set, d
+    the block determinant attached.
+
+    Each block's determinant is a Bareiss elimination on the
+    annihilator's integer rows (Matrix.integers), which stand over den,
+    so the determinant stands over den**m; a Fraction and an IndexSet
+    are built only for the sets yielded."""
+    rows, den = spec.annihilator.integers()
+    n, m = spec.ambient, spec.codim
+    scale = den**m
+    for combo in itertools.combinations(range(n), m):
+        d = _kernels.det_bareiss([rows[k] for k in combo])
+        if d:
+            yield IndexSet(tuple(k + 1 for k in combo), n), Fraction(d, scale)
 
 
 def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily:
@@ -178,12 +208,12 @@ def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily
     block with row k swapped for row i, divided by the block determinant.
     On the set itself that ratio collapses to the identity pattern.  The
     determinants are taken on the annihilator's rows with each column
-    scaled to integers (_integer_columns); the scales cancel in every
-    ratio.
+    scaled to integers (SubspaceSpec._integer_columns, computed once per
+    spec); the scales cancel in every ratio.
     """
     if len(index_set) != spec.codim or index_set.ambient != spec.ambient:
         raise DimensionError("index set size must equal the codimension")
-    rows = list(zip(*_integer_columns(spec)))
+    rows = list(zip(*spec._integer_columns))
     block = [rows[k - 1] for k in index_set]
     d = _kernels.det_bareiss(block)
     if d == 0:
@@ -230,17 +260,6 @@ def _family(n: int, members, order, rows: list, den: int) -> CanonicalFamily:
     return CanonicalFamily(IndexSet(tuple(q + 1 for q in members), n), vectors)
 
 
-def _integer_columns(spec: SubspaceSpec) -> list[list[int]]:
-    """The annihilator's columns, each scaled to integers by the lcm of
-    its own denominators."""
-    columns = []
-    for j in range(spec.codim):
-        column = spec.annihilator.column(j)
-        c = lcm(*(x.denominator for x in column))
-        columns.append([x.numerator * (c // x.denominator) for x in column])
-    return columns
-
-
 def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
     """Raise SetBudgetError when the spec has more than max_sets index
     sets."""
@@ -260,7 +279,8 @@ def _prefix_walk(spec: SubspaceSpec):
     with x > max Q, prefix by prefix, are the m-subsets in the order of
     admissible_sets.  The tableau is m integer rows of length N over the
     common denominator `common`: column j of the annihilator, scaled to
-    integers (_integer_columns), starts as row j with `common` = 1,
+    integers (a copy of SubspaceSpec._integer_columns, since the
+    exchanges work in place), starts as row j with `common` = 1,
     which is the tableau of [I | F^T] on the basis of its m unit
     columns, and `common` stays the determinant of the basis columns
     after each exchange.  Once every basis member is a coordinate, row r
@@ -297,7 +317,7 @@ def _prefix_walk(spec: SubspaceSpec):
     through _kernels.exchange_norms, and complete a set (_complete), on
     a copy, only to build its family."""
     n, m = spec.ambient, spec.codim
-    rows = _integer_columns(spec)
+    rows = [list(column) for column in spec._integer_columns]
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
@@ -333,35 +353,49 @@ def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:
 
     With columns f and g, vector k is f_k * g - g_k * f; entry l equals
     the minor on rows {k, l}, so entry k vanishes and the l-th entry of
-    vector k is the negative of the k-th entry of vector l.
+    vector k is the negative of the k-th entry of vector l.  The minors
+    are taken on the annihilator's integer rows over den
+    (Matrix.integers, by _minor_row) and become Fractions over den**2
+    only here.  The minor route reads those rows, not the column-scaled
+    ones of the ratio route and the walk, so it stays independent of
+    both.
     """
     if spec.codim != 2:
         raise WrongCodimensionError("minor vectors need codimension 2")
-    f = spec.annihilator.column(0)
-    g = spec.annihilator.column(1)
-    return [_minor_vector(f, g, k) for k in range(spec.ambient)]
+    rows, den = spec.annihilator.integers()
+    scale = den * den
+    return [
+        tuple(Fraction(v, scale) for v in _minor_row(rows, k))
+        for k in range(spec.ambient)
+    ]
 
 
-def _minor_vector(f, g, k: int) -> tuple[Fraction, ...]:
-    """f_k * g - g_k * f, vector k of minor_vectors (0-based k)."""
-    return tuple(f[k] * y - g[k] * x for x, y in zip(f, g))
+def _minor_row(rows, k: int) -> list[int]:
+    """f_k * g - g_k * f on integer rows (f_i, g_i), vector k of
+    minor_vectors (0-based k) times den**2: entry l is the minor on rows
+    {k, l}."""
+    fk, gk = rows[k]
+    return [fk * g - gk * f for f, g in rows]
 
 
 def family_from_minors(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily:
     """Canonical vectors for codimension 2, rebuilt from the two minor
     vectors of the set's members instead of determinant ratios; used to
-    cross-validate the two routes."""
+    cross-validate the two routes.  The minor vectors are integer rows
+    (_minor_row), and each canonical vector is one of them over one of
+    its entries, the common scale cancelling, so the returned vectors
+    are the only Fractions built."""
     if spec.codim != 2:
         raise WrongCodimensionError("minor route needs codimension 2")
     if len(index_set) != 2 or index_set.ambient != spec.ambient:
         raise DimensionError("index set must have exactly two members")
     k, l = index_set.members
-    f = spec.annihilator.column(0)
-    g = spec.annihilator.column(1)
-    minor_k, minor_l = _minor_vector(f, g, k - 1), _minor_vector(f, g, l - 1)
+    rows, _ = spec.annihilator.integers()
+    minor_k, minor_l = _minor_row(rows, k - 1), _minor_row(rows, l - 1)
     pivot_kl = minor_k[l - 1]
     if pivot_kl == 0:
         raise InadmissibleSetError(f"row block {index_set} is singular")
-    vec_k = tuple(x / minor_l[k - 1] for x in minor_l)
-    vec_l = tuple(x / pivot_kl for x in minor_k)
+    pivot_lk = minor_l[k - 1]
+    vec_k = tuple(Fraction(x, pivot_lk) for x in minor_l)
+    vec_l = tuple(Fraction(x, pivot_kl) for x in minor_k)
     return CanonicalFamily(index_set, {k: vec_k, l: vec_l})

@@ -12,7 +12,24 @@ projection.verify_trace_duality proves a constant exactly, in O(N^2 m)
 integer products, so no program is built and no LP certificate is
 written here; the tests run the same results through the full program's
 LP check as well.  Any mismatch is recorded with the serialized instance
-so it can be replayed."""
+so it can be replayed.
+
+The routes compute on integer rows and build Fractions only for the
+values they return.  Two integer forms of the annihilator F are read:
+
+* its columns, each scaled to integers by its own lcm and computed once
+  per spec (SubspaceSpec._integer_columns): the prefix walk of
+  decide_isometric, exchange_families and best_upper_bound, which
+  exchanges a copy, and the determinant ratios of canonical_family;
+* its rows over one denominator, as the Matrix holds them
+  (Matrix.integers): admissible_sets, the codimension-2 minors of
+  decide_by_minors and family_from_minors, cauchy_binet_check, and the
+  projection routes (the cut loop, coordinate_projection,
+  good_index_set, verify_norm_gap and verify_trace_duality), which read
+  Y and P the same way.
+
+decide_hyperplane, the closed form at m = 1, reads the functional as
+Fractions."""
 
 from __future__ import annotations
 

@@ -41,9 +41,9 @@ from .canonical import (
     _check_set_budget,
     _complete,
     _family,
+    _minor_row,
     _prefix_walk,
     family_from_minors,
-    minor_vectors,
 )
 from .errors import InvalidBasisError, WrongCodimensionError
 from .linalg import IndexSet, as_rational, vec_norm1
@@ -121,12 +121,15 @@ def decide_hyperplane(functional: Iterable) -> DecisionReport:
 def decide_by_minors(spec: SubspaceSpec) -> DecisionReport:
     """Codimension-2 test over pairs: a pair {k, l} with a nonzero minor
     is a witness exactly when both minor vectors have 1-norm at most
-    twice that minor's absolute value."""
+    twice that minor's absolute value.  The minor vectors are the
+    integer rows of canonical._minor_row, all over one scale, so the
+    test compares integers and only the witness's family is built."""
     if spec.codim != 2:
         raise WrongCodimensionError("pair-minor test needs codimension 2")
-    minors = minor_vectors(spec)
-    norms1 = [vec_norm1(v) for v in minors]
+    rows, _ = spec.annihilator.integers()
     ambient = spec.ambient
+    minors = [_minor_row(rows, k) for k in range(ambient)]
+    norms1 = [sum(map(abs, v)) for v in minors]
     examined = 0
     for k in range(1, ambient + 1):
         for l in range(k + 1, ambient + 1):
@@ -134,7 +137,7 @@ def decide_by_minors(spec: SubspaceSpec) -> DecisionReport:
             if pivot == 0:
                 continue
             examined += 1
-            if max(norms1[k - 1], norms1[l - 1]) <= _TWO * abs(pivot):
+            if max(norms1[k - 1], norms1[l - 1]) <= 2 * abs(pivot):
                 family = family_from_minors(spec, IndexSet((k, l), ambient))
                 return DecisionReport(True, family, examined)
     return DecisionReport(False, None, examined)

@@ -31,7 +31,9 @@ _ONE = Fraction(1)
 
 # An optional sign, digits, then optionally /digits or .digits.  Fraction
 # alone would also take exponents ("1e300000") and underscores.
-_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+# The group is None for a plain integer, which int() reads faster than
+# Fraction's own parser.
+_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def as_rational(value) -> Fraction:
@@ -51,9 +53,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if _TOKEN.fullmatch(value) is None:
+        match = _TOKEN.fullmatch(value)
+        if match is None:
             raise ValueError(f"not rational: {token_excerpt(value)}")
         try:
+            if match.group(1) is None:
+                return Fraction(int(value))
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {token_excerpt(value)}") from None
@@ -152,8 +157,8 @@ class Matrix:
     terms: no prime divides the denominator and every numerator.  That
     form is unique, so == and hash compare it directly.  Arithmetic runs
     on the integers and reduces each result once; the entries come out
-    as Fractions, built once and kept, at [], row, column, to_lists and
-    repr, and integers() hands out the integer rows and the denominator
+    as Fractions, built once and kept, at [], row, column and repr, and
+    integers() hands out the integer rows and the denominator
     as held, for callers that work in integers.  The constructor keeps
     the Fractions it was given."""
 
@@ -268,9 +273,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix._of(list(zip(*self._rows)), self._den)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._fractions()]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -395,7 +397,10 @@ def nullspace_columns(matrix: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def vec_norm1(vector: Iterable) -> Fraction:
-    return sum((abs(as_rational(x)) for x in vector), _ZERO)
+    """The 1-norm, as one Fraction: the numerators' absolute values
+    summed over their least common denominator."""
+    nums, den = common_denominator(as_rational(x) for x in vector)
+    return Fraction(sum(map(abs, nums)), den)
 
 
 def op_norm_inf(matrix: Matrix) -> Fraction:
@@ -420,7 +425,11 @@ def cauchy_binet_check(a: Matrix, b: Matrix) -> tuple[Fraction, Fraction]:
     """Both sides of det(a^T b) = sum over size-m row subsets of products.
 
     a and b must share the shape N x m with m <= N.  Returns the pair
-    (det of the product, the subset sum); callers compare them.
+    (det of the product, the subset sum); callers compare them.  The
+    subset sum runs on the integer rows of a and b (Matrix.integers),
+    each block determinant a Bareiss elimination and b's taken only
+    where a's is nonzero, and becomes one Fraction over
+    (den_a den_b)**m at the end.
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionError("shape mismatch")
@@ -428,7 +437,9 @@ def cauchy_binet_check(a: Matrix, b: Matrix) -> tuple[Fraction, Fraction]:
     if m > n:
         raise DimensionError("more columns than rows")
     lhs = det(a.transpose() @ b)
-    rhs = _ZERO
-    for index_set in IndexSet.all_of_size(n, m):
-        rhs += det(a.take_rows(index_set)) * det(b.take_rows(index_set))
-    return lhs, rhs
+    total = 0
+    for combo in itertools.combinations(range(n), m):
+        d = _kernels.det_bareiss([a._rows[i] for i in combo])
+        if d:
+            total += d * _kernels.det_bareiss([b._rows[i] for i in combo])
+    return lhs, Fraction(total, (a._den * b._den) ** m)

@@ -108,6 +108,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
+from . import _kernels
 from .bounds import best_upper_bound
 from .canonical import SubspaceSpec, admissible_sets, canonical_family
 from .errors import (
@@ -120,7 +121,6 @@ from .linalg import (
     IndexSet,
     Matrix,
     common_denominator,
-    det,
     inverse,
     op_norm_inf,
 )
@@ -259,17 +259,21 @@ def coordinate_projection(
     elsewhere) and the projection P_S = I - Y_S F^T of one index set.
 
     The norm of P_S is bounds.distance_bound_for_set(spec, index_set).
-    Raises InadmissibleSetError when the block F_S is singular."""
+    Y_S is the inverse's integer rows over its denominator
+    (Matrix.integers), put in place without a Fraction, and P_S is
+    integer Matrix arithmetic.  Raises InadmissibleSetError when the
+    block F_S is singular."""
     mat = spec.annihilator
     n = spec.ambient
     try:
         block_inverse = inverse(mat.take_rows(index_set).transpose())
     except SingularMatrixError:
         raise InadmissibleSetError(f"block at {index_set} is singular") from None
-    y_rows = [(_ZERO,) * spec.codim] * n
-    for r, member in enumerate(index_set):
-        y_rows[member - 1] = block_inverse.row(r)
-    y_s = Matrix(y_rows)
+    inverse_rows, den = block_inverse.integers()
+    y_rows = [(0,) * spec.codim] * n
+    for row, member in zip(inverse_rows, index_set):
+        y_rows[member - 1] = row
+    y_s = Matrix._of(y_rows, den)
     return y_s, Matrix.identity(n) - y_s @ mat.transpose()
 
 
@@ -360,7 +364,7 @@ def _cut_loop(spec: SubspaceSpec, index_set: IndexSet) -> ProjectionResult:
         kw = [sum(ka * w[a][k] for a, ka in k_row) for k in range(m)]
         y_num.append([y * p_den * d + y_den * v for y, v in zip(y_row, kw)])
     den = y_den * p_den * d
-    right_inverse = Matrix([[Fraction(y, den) for y in row] for row in y_num])
+    right_inverse = Matrix._of(y_num, den)
     z = None
     if t > d:
         # Z = sum_c mu_c e_i sigma^T over the cuts (i, sigma)
@@ -572,15 +576,19 @@ def good_index_set(spec: SubspaceSpec, right_inverse: Matrix) -> IndexSet:
     annihilator and the right inverse are invertible.
 
     Such a set exists because the products of the two block determinants
-    sum to det(F^T Y) = 1 over all sets."""
+    sum to det(F^T Y) = 1 over all sets.  The sets come from
+    admissible_sets, and Y's blocks are tested by Bareiss elimination on
+    its integer rows (Matrix.integers), so no Fraction is built for
+    them."""
     mat = spec.annihilator
     n, m = spec.ambient, spec.codim
     if right_inverse.rows != n or right_inverse.cols != m:
         raise ContractError("right inverse has the wrong shape")
     if mat.transpose() @ right_inverse != Matrix.identity(m):
         raise ContractError("matrix is not a right inverse of the annihilator")
+    y_rows, _ = right_inverse.integers()
     for index_set, _ in admissible_sets(spec):
-        if det(right_inverse.take_rows(index_set)) != 0:
+        if _kernels.det_bareiss([y_rows[k - 1] for k in index_set]):
             return index_set
     raise InternalConsistencyError(
         "no index set with both blocks invertible; the determinant "
@@ -614,26 +622,27 @@ def verify_norm_gap(
 ) -> GapReport:
     """Build the gap report for one index set (default: good_index_set).
 
-    Raises InadmissibleSetError when the section is singular and
-    InternalConsistencyError if the section identity fails, which exact
-    arithmetic forbids."""
+    The section Y_S F_S^T and the S-block of P are read off the integer
+    rows of Y, F and P (Matrix.integers), and the section's determinant
+    is a Bareiss elimination on its integer rows; Fractions are built
+    only for the report's values.  Raises InadmissibleSetError when the section
+    is singular and InternalConsistencyError if the section identity
+    fails, which exact arithmetic forbids."""
     y = result.right_inverse
     if index_set is None:
         index_set = good_index_set(spec, y)
     block = spec.annihilator.take_rows(index_set)
     section = y.take_rows(index_set) @ block.transpose()
     m = spec.codim
-    p_block = Matrix(
-        [
-            [result.projection[k - 1, l - 1] for l in index_set]
-            for k in index_set
-        ]
+    p_rows, p_den = result.projection.integers()
+    p_block = Matrix._of(
+        [[p_rows[k - 1][l - 1] for l in index_set] for k in index_set], p_den
     )
     if Matrix.identity(m) - p_block != section:
         raise InternalConsistencyError(
             "section identity failed: Y_S F_S^T != I - P_S"
         )
-    if det(section) == 0:
+    if not _kernels.det_bareiss(section.integers()[0]):
         raise InadmissibleSetError(f"section at {index_set} is singular")
     amplification = op_norm_inf(inverse(section))
     family = canonical_family(spec, index_set)

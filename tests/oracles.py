@@ -17,6 +17,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def to_lists(matrix) -> list[list[Fraction]]:
+    """The entries of a linfiso Matrix as lists of Fractions, row by row."""
+    return [list(matrix.row(i)) for i in range(matrix.rows)]
+
+
 def laplace_det(rows: list[list[Fraction]]) -> Fraction:
     """Cofactor expansion along the first row.  Fine up to size 5."""
     n = len(rows)
@@ -413,3 +418,157 @@ def trace_duality_holds(f, y, value, z) -> bool:
     trace_z = sum((z[i][i] for i in range(n)), ZERO)
     trace_m = sum((m_cols[r][r] for r in range(m)), ZERO)
     return trace_z - trace_m == value
+
+
+# -- Fraction routes -----------------------------------------------------
+#
+# The routes crosscheck runs on integer rows, written again on plain
+# lists of Fractions: the annihilator f and a right inverse y as N lists
+# of m entries, index sets as tuples of 1-based members, determinants by
+# laplace_det and inverses by solve_square.
+
+
+def block_rows(rows, members):
+    """The rows of rows at the 1-based members, in their order."""
+    return [list(rows[k - 1]) for k in members]
+
+
+def admissible_sets_oracle(f) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Every m-subset in lexicographic order whose block of f has a
+    nonzero determinant, with that determinant."""
+    n, m = len(f), len(f[0])
+    found = []
+    for members in itertools.combinations(range(1, n + 1), m):
+        d = laplace_det(block_rows(f, members))
+        if d != 0:
+            found.append((members, d))
+    return found
+
+
+def cauchy_binet_oracle(a, b) -> tuple[Fraction, Fraction]:
+    """det(a^T b) and the sum over m-subsets of the products of the two
+    block determinants, for a and b as N lists of m Fractions."""
+    n, m = len(a), len(a[0])
+    product = [
+        [sum((a[i][j] * b[i][k] for i in range(n)), ZERO) for k in range(m)]
+        for j in range(m)
+    ]
+    total = ZERO
+    for members in itertools.combinations(range(1, n + 1), m):
+        total += laplace_det(block_rows(a, members)) * laplace_det(
+            block_rows(b, members)
+        )
+    return laplace_det(product), total
+
+
+def minor_vectors_oracle(f) -> list[tuple[Fraction, ...]]:
+    """For two columns (N lists of 2): vector k has entry l equal to the
+    2x2 minor of f on rows k and l, in that order."""
+    n = len(f)
+    return [
+        tuple(f[k][0] * f[l][1] - f[k][1] * f[l][0] for l in range(n))
+        for k in range(n)
+    ]
+
+
+def canonical_vectors_oracle(f, members):
+    """The canonical vectors of the index set by Cramer's rule: entry i
+    of member k's vector is the determinant of the block with row k
+    swapped for row i, over the block's own.  None when the block is
+    singular."""
+    block = block_rows(f, members)
+    base = laplace_det(block)
+    if base == 0:
+        return None
+    vectors = {}
+    for pos, k in enumerate(members):
+        entries = []
+        for row in f:
+            swapped = [list(r) for r in block]
+            swapped[pos] = list(row)
+            entries.append(laplace_det(swapped) / base)
+        vectors[k] = tuple(entries)
+    return vectors
+
+
+def decide_pairs_oracle(f):
+    """The paper's test at codimension 2, pair by pair in lexicographic
+    order: (verdict, first witness or None, admissible pairs examined up
+    to and including it), a witness being a pair whose canonical
+    vectors all have 1-norm at most 2."""
+    examined = 0
+    for members in itertools.combinations(range(1, len(f) + 1), 2):
+        vectors = canonical_vectors_oracle(f, members)
+        if vectors is None:
+            continue
+        examined += 1
+        if all(sum(abs(v) for v in vec) <= 2 for vec in vectors.values()):
+            return True, members, examined
+    return False, None, examined
+
+
+def coordinate_projection_oracle(f, members):
+    """(Y_S, P_S) for the index set: Y_S carries the inverse of the
+    block's transpose on the rows of the set and zeros elsewhere, and
+    P_S = I - Y_S F^T.  None when the block is singular."""
+    n, m = len(f), len(f[0])
+    block_t = [list(col) for col in zip(*block_rows(f, members))]
+    columns = []
+    for k in range(m):
+        unit = [ONE if j == k else ZERO for j in range(m)]
+        x = solve_square(block_t, unit)
+        if x is None:
+            return None
+        columns.append(x)
+    y = [[ZERO] * m for _ in range(n)]
+    for r, k in enumerate(members):
+        y[k - 1] = [columns[c][r] for c in range(m)]
+    p = [
+        [
+            (ONE if i == j else ZERO)
+            - sum((y[i][k] * f[j][k] for k in range(m)), ZERO)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return y, p
+
+
+def good_index_set_oracle(f, y) -> tuple[int, ...]:
+    """The first m-subset in lexicographic order at which the blocks of
+    both f and y have nonzero determinants."""
+    n, m = len(f), len(f[0])
+    return next(
+        members
+        for members in itertools.combinations(range(1, n + 1), m)
+        if laplace_det(block_rows(f, members)) != 0
+        and laplace_det(block_rows(y, members)) != 0
+    )
+
+
+def norm_gap_oracle(f, y, constant, members):
+    """(excess, bound, amplification, section) of the norm gap at the
+    index set, for the right inverse y of a projection with norm
+    constant: section = Y_S F_S^T, amplification the largest absolute
+    row sum of its inverse, excess the largest canonical 1-norm minus 1
+    and bound 1 + (constant - 1) amplification.  None when the section
+    is singular."""
+    m = len(f[0])
+    y_s, f_s = block_rows(y, members), block_rows(f, members)
+    section = [
+        [sum((a * b for a, b in zip(y_row, f_row)), ZERO) for f_row in f_s]
+        for y_row in y_s
+    ]
+    columns = []
+    for k in range(m):
+        x = solve_square(section, [ONE if j == k else ZERO for j in range(m)])
+        if x is None:
+            return None
+        columns.append(x)
+    amplification = max(
+        sum(abs(columns[k][i]) for k in range(m)) for i in range(m)
+    )
+    vectors = canonical_vectors_oracle(f, members)
+    excess = max(sum(abs(v) for v in vec) for vec in vectors.values()) - 1
+    bound = ONE + (constant - 1) * amplification
+    return excess, bound, amplification, section

@@ -24,7 +24,7 @@ from linfiso.errors import (
     WrongCodimensionError,
 )
 from linfiso.linalg import IndexSet, Matrix, det, rank, vec_norm1
-from oracles import laplace_det
+from oracles import laplace_det, to_lists
 
 EXAMPLE = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
 
@@ -189,7 +189,7 @@ class TestCanonicalFamily:
         for spec in specs + [rational]:
             for index_set, _ in admissible_sets(spec):
                 fam = canonical_family(spec, index_set)
-                block = spec.annihilator.take_rows(index_set).to_lists()
+                block = to_lists(spec.annihilator.take_rows(index_set))
                 base = laplace_det(block)
                 for k in index_set.members:
                     pos = index_set.members.index(k)
@@ -206,7 +206,7 @@ class TestCanonicalFamily:
                 change = Matrix(
                     [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
                 )
-                if laplace_det(change.to_lists()) != 0:
+                if laplace_det(to_lists(change)) != 0:
                     break
             other = SubspaceSpec(spec.annihilator @ change)
             sets_a = [(s.members) for s, _ in admissible_sets(spec)]
@@ -470,6 +470,45 @@ class TestExchangeNorms:
         spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
         (_, order, rows, _, free), = _prefix_walk(spec)
         assert _kernels.exchange_norms(rows, order, free, 0) == []
+
+
+class TestIntegerColumnsCache:
+    """The column-scaled integer annihilator is computed once per spec;
+    the walk exchanges a copy, so no route sees another's pivots."""
+
+    def test_routes_repeat_in_mixed_order(self):
+        rng = random.Random(3311)
+        for make in (random_spec, rational_spec, degenerate_spec):
+            spec = make(rng, 7, 3)
+            cached = spec._integer_columns
+            first_set = next(s for s, _ in admissible_sets(spec))
+            routes = {
+                "decide": lambda: decide.decide_isometric(spec),
+                "bounds": lambda: bounds.best_upper_bound(spec, materialize=True),
+                "exchange": lambda: list(exchange_families(spec)),
+                "ratio": lambda: canonical_family(spec, first_set),
+            }
+            seen = {}
+            for name in ["ratio", "decide", "exchange", "bounds", "decide",
+                         "ratio", "bounds", "exchange"]:
+                got = routes[name]()
+                assert seen.setdefault(name, got) == got
+                assert spec._integer_columns is cached
+                assert cached == tuple(map(tuple, zip(*_scaled_rows(spec))))
+            assert seen["exchange"][0] == seen["ratio"]
+
+
+def _scaled_rows(spec):
+    """The annihilator's rows with each column scaled to integers by the
+    lcm of its denominators, from its Fraction entries."""
+    scales = [
+        lcm(*(x.denominator for x in spec.annihilator.column(j)))
+        for j in range(spec.codim)
+    ]
+    return [
+        [int(x * c) for x, c in zip(spec.annihilator.row(i), scales)]
+        for i in range(spec.ambient)
+    ]
 
 
 class TestMinorVectors:

@@ -27,7 +27,7 @@ from linfiso.linalg import (
     rref,
     vec_norm1,
 )
-from oracles import laplace_det, reduced_row_echelon, solve_square
+from oracles import laplace_det, reduced_row_echelon, solve_square, to_lists
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 
@@ -101,6 +101,34 @@ class TestScalars:
     def test_signed_tokens(self):
         assert as_rational("+3/6") == F(1, 2)
         assert as_rational("-0.5") == F(-1, 2)
+
+    def test_integer_tokens(self):
+        # a plain integer takes int() rather than Fraction's own parser
+        for token, value in [("+7", 7), ("-0", 0), ("007", 7), ("-007", -7)]:
+            got = as_rational(token)
+            assert got == F(token) == value
+            assert type(got) is F and got.denominator == 1
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1" * 4301, "a 4301-digit number is wider than the interpreter's "
+             "limit of 4300 digits: '111111111111111111111111'... (4301 characters)"),
+            ("+" + "0" * 4301, "a 4301-digit number is wider than the interpreter's "
+             "limit of 4300 digits: '+00000000000000000000000'... (4302 characters)"),
+            ("x", "not rational: 'x'"),
+            ("1/0", "zero denominator: '1/0'"),
+            ("--7", "not rational: '--7'"),
+            ("7 ", "not rational: '7 '"),
+            ("1_000", "not rational: '1_000'"),
+        ],
+        ids=["wide", "wide-zeros", "word", "zero-denominator", "two-signs",
+             "space", "underscore"],
+    )
+    def test_error_messages_are_exact(self, token, message):
+        with pytest.raises(ValueError) as exc:
+            as_rational(token)
+        assert str(exc.value) == message
 
     def test_format_round_trip(self):
         for q in (F(0), F(5), F(-5), F(2, 3), F(-7, 11)):
@@ -201,7 +229,7 @@ class TestDet:
         for size in (1, 2, 3, 4, 5):
             for _ in range(25):
                 m = rand_matrix(rng, size, size)
-                assert det(m) == laplace_det(m.to_lists())
+                assert det(m) == laplace_det(to_lists(m))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -353,7 +381,7 @@ class TestIntegerPaths:
         assert got == expected
         assert hash(got) == hash(expected)
         assert repr(got) == repr(expected)
-        assert got.to_lists() == grid
+        assert to_lists(got) == grid
         # lowest terms: a positive denominator sharing no prime with
         # every numerator, so the form, == and hash are unique
         assert got._den > 0

@@ -35,6 +35,7 @@ from oracles import (
     hyperplane_projection_constant,
     integer_columns,
     operator_fractions,
+    to_lists,
     trace_duality_holds,
     trace_duality_verdict,
 )
@@ -47,11 +48,11 @@ def proved_by_its_dual(spec, result) -> bool:
     the oracle and to verify_trace_duality, and is the operator that
     lp_certificate spreads over the program's duals."""
     n, m = spec.ambient, spec.codim
-    f = spec.annihilator.to_lists()
+    f = to_lists(spec.annihilator)
     z = operator_fractions(result.dual)
     duals = lp_certificate(spec, result).duals
     return (
-        trace_duality_holds(f, result.right_inverse.to_lists(), result.constant, z)
+        trace_duality_holds(f, to_lists(result.right_inverse), result.constant, z)
         and verify_trace_duality(spec, result)
         and dual_operator(n, m, duals) == z
     )
@@ -163,7 +164,7 @@ class TestSparseProgram:
     def test_matches_the_dense_reference(self):
         zeros = 0
         for spec in self.specs():
-            f = spec.annihilator.to_lists()
+            f = to_lists(spec.annihilator)
             objective, rows, senses, rhs, lower = dense_projection_program(f)
             program = minimal_projection_program(spec)
             assert program.rows == tuple(
@@ -704,8 +705,8 @@ class TestTraceDuality:
         for spec in self.specs():
             result = projection_constant(spec)
             assert proved_by_its_dual(spec, result)
-            f = spec.annihilator.to_lists()
-            y = result.right_inverse.to_lists()
+            f = to_lists(spec.annihilator)
+            y = to_lists(result.right_inverse)
             z = operator_fractions(result.dual)
             assert trace_duality_holds(f, y, result.constant, z)
             raised = [list(row) for row in z]
@@ -780,7 +781,7 @@ def with_z(result, rows, den):
 
 
 def with_entry(matrix, i, j, delta):
-    rows = matrix.to_lists()
+    rows = to_lists(matrix)
     rows[i][j] += delta
     return Matrix(rows)
 
@@ -798,7 +799,7 @@ class TestVerifyTraceDuality:
                 minimal_projection_program(spec), lp_certificate(spec, result)
             )
             oracle = trace_duality_holds(
-                spec.annihilator.to_lists(), result.right_inverse.to_lists(),
+                to_lists(spec.annihilator), to_lists(result.right_inverse),
                 result.constant, operator_fractions(result.dual),
             )
             assert verify_trace_duality(spec, result) is lp is oracle is True
