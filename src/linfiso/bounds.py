@@ -3,20 +3,33 @@
 Each admissible index set yields the bound max(1, largest canonical
 1-norm minus 1); minimizing over sets gives the best upper bound this
 family of coordinate sections can offer.  The report never claims the
-minimum equals the actual distance.  best_upper_bound reads each set
-Q + x off the prefix walk (canonical._prefix_walk): the residual row rho
-of Q gives x's canonical 1-norm ||rho||_1 / |rho[x]|, so
-max(1, ||rho||_1 / |rho[x]| - 1) is a floor under the set's bound, and
-the other members' 1-norms are read off the prefix's rows, scaled by
-|common|, only for a set whose floor can strictly beat the best bound so
-far (_kernels.exchange_norms; no set is completed).  Bounds are
-compared by integer cross-multiplication, building Fractions and
-IndexSets only for what it reports; distance_bound_for_set computes one
-set's bound from its determinant-ratio family.
+minimum equals the actual distance.  Both scans read canonical 1-norms
+off the residual rows of the prefix walk (canonical._prefix_walk): the
+residual row rho of an (m - 1)-set P vanishes on P, and rho / rho[y] is
+the canonical vector of y in the set P + y for every y outside P with
+rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.
+
+best_upper_bound runs one of two scans.  The pruned search, the default,
+walks the prefixes Q of range(N - 1) and reads each set Q + x, x > max Q,
+in lexicographic order: x's own 1-norm gives a floor under the set's
+bound, and the other members' 1-norms are read off the prefix's rows
+(_kernels.exchange_norms) only for a set whose floor can strictly beat
+the best bound so far.  The materialized scan (_per_set_scan) needs every
+set's bound, so it prunes nothing: it walks every (m - 1)-subset P of
+range(N) and reads each member y of each set P + y off P's own residual
+row, one walk and m integer comparisons per set, with no other norm to
+read.  Each scan is the faster for its task.  The per-set scan walks
+C(N, m - 1) prefixes against the pruned search's C(N - 1, m - 1), and
+the pruned search reads the other norms of few sets, so for it the
+longer walk would cost more than it saves.  Bounds are compared by
+integer cross-multiplication, building Fractions and IndexSets only for
+what the report holds; distance_bound_for_set computes one set's bound
+from its determinant-ratio family.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -55,55 +68,105 @@ def best_upper_bound(
 ) -> BoundReport:
     """Minimize the per-set bound over every admissible index set.
 
-    Each set Q + x is read off the prefix walk's integer rows: with
-    d = |rho[x]| and top the largest of ||rho||_1 and the 1-norms of the
-    completed rows of Q's members (_kernels.exchange_norms, over
-    |common|, one exact division per set), the largest canonical 1-norm
-    is top / d, so the bound is (top - d) / d when top exceeds 2d and 1
-    otherwise.  Since top >= ||rho||_1, the set's bound is at least
+    The pruned search reads each set Q + x off the prefix walk's integer
+    rows: with d = |rho[x]| and top the largest of ||rho||_1 and the
+    1-norms of the completed rows of Q's members (_kernels.exchange_norms,
+    over |common|, one exact division per set), the largest canonical
+    1-norm is top / d, so the bound is (top - d) / d when top exceeds 2d
+    and 1 otherwise.  Since top >= ||rho||_1, the set's bound is at least
     max(1, ||rho||_1 / d - 1); a set whose floor cannot strictly beat the
     best bound so far has no other norm read, so ties keep the first
     set.  Bounds are compared by integer cross-multiplication, and only
     the reported sets and bounds become IndexSets and Fractions.
 
-    materialize=True reads every set's norms and additionally returns
-    the full set-to-bound map.  Raises SetBudgetError before the scan
-    when the spec has more than max_sets index sets.
+    materialize=True returns the full set-to-bound map as well, from
+    _per_set_scan, which reads every member of every set off its own
+    residual row and so needs no exchange_norms at all: once every set's
+    bound is wanted the floor prunes nothing, and a walk over all of
+    range(N) is cheaper than m - 1 row products per set.  Raises
+    SetBudgetError before the scan when the spec has more than max_sets
+    index sets.
     """
     _check_set_budget(spec, max_sets)
+    if materialize:
+        return _per_set_scan(spec)
     n = spec.ambient
-    per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
     best: Optional[tuple[int, int]] = None
     best_combo: tuple[int, ...] = ()
     for prefix, order, rows, common, free in _prefix_walk(spec):
         rho = rows[free]
         norm = sum(map(abs, rho))
         scale = abs(common)
-        head = tuple(q + 1 for q in prefix)
         for x in range(prefix[-1] + 1 if prefix else 0, n):
             if not rho[x]:
                 continue
             d = abs(rho[x])
-            if (
-                per_set is None
-                and best is not None
-                and _excess(norm, d) * best[1] >= best[0] * d
-            ):
+            if best is not None and _excess(norm, d) * best[1] >= best[0] * d:
                 continue
             scaled = _kernels.exchange_norms(rows, order, free, x)
             top = max(norm, max(scaled, default=0) // scale)
             num = _excess(top, d)
-            if per_set is not None:
-                per_set[IndexSet(head + (x + 1,), n)] = Fraction(num, d)
             if best is None or num * best[1] < best[0] * d:
                 best = num, d
                 best_combo = prefix + (x,)
     if best is None:
-        raise InternalConsistencyError(
-            "a full-rank annihilator must admit at least one invertible block"
-        )
+        raise _no_admissible_set()
     best_set = IndexSet(tuple(q + 1 for q in best_combo), n)
+    return BoundReport(Fraction(*best), best_set, None)
+
+
+def _per_set_scan(spec: SubspaceSpec) -> BoundReport:
+    """best_upper_bound(spec, materialize=True): every admissible set's
+    bound, from one walk over the (m - 1)-subsets P of range(N).
+
+    Each member y of a set S has the canonical vector rho_P / rho_P[y],
+    P = S - y, so its 1-norm is ||rho_P||_1 / |rho_P[y]|: a set's m
+    members are read off m different prefixes.  Every (m - 1)-subset of
+    an admissible set has independent rows, so the walk yields all of
+    them, and P + y is admissible exactly when rho_P[y] != 0.  For each
+    set, keyed by its bitmask, the largest ratio so far is kept as the
+    pair (||rho||_1, |rho[y]|), compared by cross-multiplication.  The
+    sets are then emitted in lexicographic order, each entry popped as
+    it goes; best_set is the first minimizer.
+    """
+    n, m = spec.ambient, spec.codim
+    bits = [1 << q for q in range(n)]
+    tops: dict[int, tuple[int, int]] = {}
+    for prefix, _, rows, _, free in _prefix_walk(spec, n):
+        rho = rows[free]
+        norm = sum(map(abs, rho))
+        mask = sum(map(bits.__getitem__, prefix))
+        for bit, v in zip(bits, rho):
+            if v:
+                d = abs(v)
+                key = mask | bit
+                kept = tops.get(key)
+                if kept is None or norm * kept[1] > kept[0] * d:
+                    tops[key] = norm, d
+    per_set: dict[IndexSet, Fraction] = {}
+    best: Optional[tuple[int, int]] = None
+    best_set: Optional[IndexSet] = None
+    masks = map(sum, itertools.combinations(bits, m))
+    for members, key in zip(itertools.combinations(range(1, n + 1), m), masks):
+        kept = tops.pop(key, None)
+        if kept is None:
+            continue
+        top, d = kept
+        num = _excess(top, d)
+        index_set = IndexSet(members, n)
+        per_set[index_set] = Fraction(num, d)
+        if best is None or num * best[1] < best[0] * d:
+            best = num, d
+            best_set = index_set
+    if best is None:
+        raise _no_admissible_set()
     return BoundReport(Fraction(*best), best_set, per_set)
+
+
+def _no_admissible_set() -> InternalConsistencyError:
+    return InternalConsistencyError(
+        "a full-rank annihilator must admit at least one invertible block"
+    )
 
 
 def _excess(top: int, d: int) -> int:

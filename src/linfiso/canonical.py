@@ -21,18 +21,23 @@ over one common denominator, the determinant of the current basis, so no
 entry needs a gcd.  With Q in the basis, one row is left over: the
 residual row rho of Q, which vanishes on Q and whose entry rho[x] is,
 up to a factor fixed for the prefix, det F_{Q + x}.  So Q + x is
-admissible exactly when rho[x] != 0, its last member's canonical vector
-is rho / rho[x], and that member's determinantal inequality reads
+admissible exactly when rho[x] != 0, and then rho / rho[x] is the
+canonical vector of x in Q + x for every such x outside Q, not only for
+x > max Q: it is the one vector of F's column span that vanishes on Q
+and is 1 at x.  x's determinantal inequality reads
 ||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
 per prefix pass it.  Completing the set would be one more exchange on
-(free row, x); the other members' canonical 1-norms are read off the
-prefix's live rows without it (_kernels.exchange_norms, each times
-|common|).  The isometry test and the bounds compare those integers, so
-the paper's inequalities are integer comparisons.  A set is completed
-(_complete), on a copy of the rows, only where its CanonicalFamily is
-built, and its rows become Fractions in one place, _family:
-exchange_families, the Fraction view of the same walk, builds every
-set's family there, and decide only its witness's.  The ratio route
+(free row, x); decide and the pruned search of the bounds read the
+other members' canonical 1-norms off the prefix's live rows without it
+(_kernels.exchange_norms, each times |common|).  The materialized
+bounds scan reads no other row: its walk takes the prefixes of range(N),
+not of range(N - 1), and it reads each member y of a set S off the
+residual row of S - y.  The isometry test and the bounds compare those
+integers, so the paper's inequalities are integer comparisons.  A set
+is completed (_complete), on a copy of the rows, only where its
+CanonicalFamily is built, and its rows become Fractions in one place,
+_family: exchange_families, the Fraction view of the same walk, builds
+every set's family there, and decide only its witness's.  The ratio route
 stays as the definition and the independent check of both.
 
 At codimension 2 a third route reads the 2 x 2 minors (minor_vectors,
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 from . import _kernels
 from .errors import (
@@ -271,13 +276,18 @@ def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
         )
 
 
-def _prefix_walk(spec: SubspaceSpec):
+def _prefix_walk(spec: SubspaceSpec, span: Optional[int] = None):
     """Walk the prefixes of the admissible sets in lexicographic order
     by basis exchange.
 
-    A prefix is an (m - 1)-subset Q of range(N - 1); the sets Q + (x,)
-    with x > max Q, prefix by prefix, are the m-subsets in the order of
-    admissible_sets.  The tableau is m integer rows of length N over the
+    A prefix is an (m - 1)-subset Q of range(span), span N - 1 by
+    default; the sets Q + (x,) with x > max Q, prefix by prefix, are
+    then the m-subsets in the order of admissible_sets.  With span N
+    the walk also yields the prefixes that hold coordinate N - 1, so it
+    reaches every (m - 1)-subset of every admissible set
+    (bounds._per_set_scan).
+
+    The tableau is m integer rows of length N over the
     common denominator `common`: column j of the annihilator, scaled to
     integers (a copy of SubspaceSpec._integer_columns, since the
     exchanges work in place), starts as row j with `common` = 1,
@@ -303,7 +313,10 @@ def _prefix_walk(spec: SubspaceSpec):
     place) times a factor that does not depend on y.  So Q + (x,) is
     admissible exactly when rho[x] != 0, and completing it would be one
     more exchange on (free, x) (_complete), after which row free still
-    holds rho and rho / rho[x] is the canonical vector of x.  Its 1-norm
+    holds rho and rho / rho[x] is the canonical vector of x.  That holds
+    for every x outside Q with rho[x] != 0, not only for x > max Q: the
+    canonical vector of x in Q + (x,) is the one vector of F's column
+    span that vanishes on Q and is 1 at x.  Its 1-norm
     ||rho||_1 / |rho[x]| is x's determinantal inequality, with
     ||rho||_1 fixed for the prefix: at most two x can have
     ||rho||_1 <= 2 |rho[x]|, as three such entries would sum to more
@@ -314,14 +327,17 @@ def _prefix_walk(spec: SubspaceSpec):
     of 0-based coordinates, and order[j] is the tableau row of
     prefix[j].  The tableau is live and changes at the next step;
     consumers read it in place, the other members' 1-norms of a set
-    through _kernels.exchange_norms, and complete a set (_complete), on
-    a copy, only to build its family."""
+    through _kernels.exchange_norms or, with span N, each off its own
+    residual row, and complete a set (_complete), on a copy, only to
+    build its family."""
     n, m = spec.ambient, spec.codim
+    if span is None:
+        span = n - 1
     rows = [list(column) for column in spec._integer_columns]
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
-    for prefix in itertools.combinations(range(n - 1), m - 1):
+    for prefix in itertools.combinations(range(span), m - 1):
         leaving = [r for r, q in enumerate(basis) if q not in prefix]
         for q in prefix:
             if q in row_of:

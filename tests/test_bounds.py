@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -210,8 +211,8 @@ def completed_sets(monkeypatch):
     prefix = []
     walk, norms = bounds._prefix_walk, _kernels.exchange_norms
 
-    def walked(spec):
-        for item in walk(spec):
+    def walked(spec, *span):
+        for item in walk(spec, *span):
             prefix[:] = item[0]
             yield item
 
@@ -246,10 +247,13 @@ class TestPrunedBounds:
         assert list(expected.per_set.values()) == [
             F(17, 3), F(3, 2), F(3, 2), F(19), F(11), F(11), F(7), F(3), F(3)
         ]
-        # materialized, every set is completed
+        # materialized, no set's other norms are read through
+        # exchange_norms: each member comes off its own residual row
         done.clear()
-        assert best_upper_bound(spec, materialize=True) == expected
-        assert done == list(s.members for s in expected.per_set)
+        report = best_upper_bound(spec, materialize=True)
+        assert done == []
+        assert report == expected
+        assert list(report.per_set.items()) == list(expected.per_set.items())
 
     def test_later_set_at_the_floor_is_skipped(self, monkeypatch):
         done = completed_sets(monkeypatch)
@@ -275,6 +279,58 @@ class TestPrunedBounds:
                 assert best_upper_bound(spec, materialize=True) == expected
                 report = best_upper_bound(spec)
                 assert report == BoundReport(expected.best_upper, expected.best_set, None)
+
+
+class TestPerSetScan:
+    """best_upper_bound(spec, materialize=True) reads member y of each set
+    S off the residual row of S - y, over every (m - 1)-subset of
+    range(N): against the ratio families at every codimension."""
+
+    def test_seeded_sweep_every_codimension(self, monkeypatch):
+        walk = bounds._prefix_walk
+        commons = []
+
+        def recorded(spec, *span):
+            for item in walk(spec, *span):
+                commons.append(item[3])
+                yield item
+
+        monkeypatch.setattr(bounds, "_prefix_walk", recorded)
+        rng = random.Random(3001)
+        decided_late = negative = skipped = 0
+        for _ in range(20):
+            ambient = rng.randint(2, 9)
+            for codim in range(1, ambient):
+                for make in (random_spec, rational_spec, degenerate_spec, planted_spec):
+                    spec = make(rng, ambient, codim)
+                    commons.clear()
+                    report = best_upper_bound(spec, materialize=True)
+                    expected = bounds_from_ratios(spec)
+                    assert report == expected
+                    assert list(report.per_set.items()) == list(expected.per_set.items())
+                    negative += any(c < 0 for c in commons)
+                    skipped += len(commons) < comb(ambient, codim - 1)
+                    # a set holding coordinate N whose bound is not that
+                    # of N's own vector: only a prefix holding N gives it
+                    for index_set, value in report.per_set.items():
+                        if codim > 1 and ambient in index_set:
+                            own = canonical_family(spec, index_set).norms()[ambient]
+                            decided_late += max(F(1), own - 1) != value
+        assert decided_late > 1000
+        assert negative > 100  # specs with a prefix over a negative common
+        assert skipped > 30  # specs with a singular prefix skipped
+
+    def test_prefix_holding_coordinate_n_decides(self):
+        # {2,3}: 3's own vector (-1/2, 0, 1) has 1-norm 3/2, bound 1, but
+        # 2's vector (3/2, 1, 0), read off the prefix {3}, has 5/2
+        spec = subspace_from_annihilator([[1, 0], [1, 1], [1, 3]])
+        report = best_upper_bound(spec, materialize=True)
+        assert list(report.per_set.items()) == [
+            (IndexSet((1, 2), 3), F(3)),
+            (IndexSet((1, 3), 3), F(1)),
+            (IndexSet((2, 3), 3), F(3, 2)),
+        ]
+        assert report == bounds_from_ratios(spec)
 
 
 class TestSetBudget:
