@@ -10,21 +10,17 @@ the canonical vector of y in the set P + y for every y outside P with
 rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.
 
 best_upper_bound runs one of two scans.  The pruned search, the default,
-walks the prefixes Q of range(N - 1) and reads each set Q + x, x > max Q,
-in lexicographic order: x's own 1-norm gives a floor under the set's
-bound, and the other members' 1-norms are read off the prefix's rows
-(_kernels.exchange_norms) only for a set whose floor can strictly beat
-the best bound so far.  The materialized scan (_per_set_scan) needs every
-set's bound, so it prunes nothing: it walks every (m - 1)-subset P of
-range(N) and reads each member y of each set P + y off P's own residual
-row, one walk and m integer comparisons per set, with no other norm to
-read.  Each scan is the faster for its task.  The per-set scan walks
-C(N, m - 1) prefixes against the pruned search's C(N - 1, m - 1), and
-the pruned search reads the other norms of few sets, so for it the
-longer walk would cost more than it saves.  Bounds are compared by
-integer cross-multiplication, building Fractions and IndexSets only for
-what the report holds; distance_bound_for_set computes one set's bound
-from its determinant-ratio family.
+walks the prefixes of range(N - 1) and reads a set's other members
+(_kernels.exchange_norms) only when its last member's 1-norm leaves it
+a chance to beat the best bound so far.  The materialized scan
+(_per_set_scan) needs every set's bound, so it prunes nothing: it walks
+the prefixes of range(N) and reads each member of each set off its own
+residual row.  Each is the faster for its task: the pruned search reads
+the other norms of few sets, so the C(N, m - 1) prefixes of the longer
+walk, against C(N - 1, m - 1), would cost it more than they save.
+Bounds are compared by integer cross-multiplication, building Fractions
+and IndexSets only for what the report holds; distance_bound_for_set
+computes one set's bound from its determinant-ratio family.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 # the default set budget.  The widest shape under it is (19, 9), 92,378
-# sets, whose full scan took 2 s in decide and 5 to 6 s materializing
+# sets, whose full scan took 2 s in decide and 4 to 5 s materializing
 # every bound on a 2-vCPU Intel Xeon; the largest shape the tests and
 # benchmarks scan is (18, 6), 18,564 sets
 MAX_SETS = 100_000
