@@ -107,49 +107,63 @@ def best_upper_bound(
                 best_combo = prefix + (x,)
     if best is None:
         raise _no_admissible_set()
-    best_set = IndexSet(tuple(q + 1 for q in best_combo), n)
+    best_set = IndexSet._of(tuple(q + 1 for q in best_combo), n)
     return BoundReport(Fraction(*best), best_set, None)
 
 
 def _per_set_scan(spec: SubspaceSpec) -> BoundReport:
     """best_upper_bound(spec, materialize=True): every admissible set's
-    bound, from one walk over the (m - 1)-subsets P of range(N).
+    bound, from the walk's prefixes of range(N - 1) and one pass over
+    the prefixes that hold coordinate N - 1.
 
     Each member y of a set S has the canonical vector rho_P / rho_P[y],
-    P = S - y, so its 1-norm is ||rho_P||_1 / |rho_P[y]|: a set's m
-    members are read off m different prefixes.  Every (m - 1)-subset of
-    an admissible set has independent rows, so the walk yields all of
-    them, and P + y is admissible exactly when rho_P[y] != 0.  For each
-    set, keyed by its bitmask, the largest ratio so far is kept as the
-    pair (||rho||_1, |rho[y]|), compared by cross-multiplication.  The
-    sets are then emitted in lexicographic order, each entry popped as
-    it goes; best_set is the first minimizer.
+    P = S - y, so its 1-norm is ||rho_P||_1 / |rho_P[y]|.  The
+    denominator is the same from every prefix: |rho_P[y]| is
+    |det F_{P+y}| times the product of the column scales, which
+    completing P + y leaves as `common`.  So each set keeps two
+    integers, keyed by its bitmask: dets[S] = |rho_P[y]| and tops[S],
+    the largest ||rho_P||_1 so far, and its largest canonical 1-norm is
+    tops[S] / dets[S].  Every admissible set gets its d from the walk,
+    through its subset without N - 1.  The walk skips the prefixes P
+    that hold N - 1, and their norms are read off the table instead:
+    ||rho_P||_1 is the sum of the d's of the sets P + y, 0 for a
+    singular one.  The sets are then emitted in lexicographic order,
+    each entry popped as it goes; best_set is the first minimizer.
     """
     n, m = spec.ambient, spec.codim
     bits = [1 << q for q in range(n)]
-    tops: dict[int, tuple[int, int]] = {}
-    for prefix, _, rows, _, free in _prefix_walk(spec, n):
+    dets: dict[int, int] = {}
+    tops: dict[int, int] = {}
+    for prefix, _, rows, _, free in _prefix_walk(spec):
         rho = rows[free]
         norm = sum(map(abs, rho))
         mask = sum(map(bits.__getitem__, prefix))
         for bit, v in zip(bits, rho):
             if v:
-                d = abs(v)
                 key = mask | bit
-                kept = tops.get(key)
-                if kept is None or norm * kept[1] > kept[0] * d:
-                    tops[key] = norm, d
+                if tops.get(key, 0) < norm:
+                    tops[key] = norm
+                    dets[key] = abs(v)
+    rest = bits[:-1]
+    # at m = 1 the walk's one prefix, the empty one, is the only prefix
+    for others in itertools.combinations(rest, m - 2) if m > 1 else ():
+        mask = sum(others) | bits[-1]
+        keys = [mask | bit for bit in rest if not mask & bit]
+        ds = [dets.get(key, 0) for key in keys]
+        norm = sum(ds)
+        for key, d in zip(keys, ds):
+            if d and tops[key] < norm:
+                tops[key] = norm
     per_set: dict[IndexSet, Fraction] = {}
     best: Optional[tuple[int, int]] = None
     best_set: Optional[IndexSet] = None
     masks = map(sum, itertools.combinations(bits, m))
     for members, key in zip(itertools.combinations(range(1, n + 1), m), masks):
-        kept = tops.pop(key, None)
-        if kept is None:
+        d = dets.pop(key, 0)
+        if not d:
             continue
-        top, d = kept
-        num = _excess(top, d)
-        index_set = IndexSet(members, n)
+        num = _excess(tops.pop(key), d)
+        index_set = IndexSet._of(members, n)
         per_set[index_set] = Fraction(num, d)
         if best is None or num * best[1] < best[0] * d:
             best = num, d

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from . import _kernels
 from .errors import (
@@ -203,7 +203,7 @@ def admissible_sets(spec: SubspaceSpec) -> Iterator[tuple[IndexSet, Fraction]]:
     for combo in itertools.combinations(range(n), m):
         d = _kernels.det_bareiss([rows[k] for k in combo])
         if d:
-            yield IndexSet(tuple(k + 1 for k in combo), n), Fraction(d, scale)
+            yield IndexSet._of(tuple(k + 1 for k in combo), n), Fraction(d, scale)
 
 
 def canonical_family(spec: SubspaceSpec, index_set: IndexSet) -> CanonicalFamily:
@@ -262,7 +262,7 @@ def _family(n: int, members, order, rows: list, den: int) -> CanonicalFamily:
         q + 1: tuple(Fraction(v, den) for v in rows[r])
         for q, r in zip(members, order)
     }
-    return CanonicalFamily(IndexSet(tuple(q + 1 for q in members), n), vectors)
+    return CanonicalFamily(IndexSet._of(tuple(q + 1 for q in members), n), vectors)
 
 
 def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
@@ -276,16 +276,13 @@ def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
         )
 
 
-def _prefix_walk(spec: SubspaceSpec, span: Optional[int] = None):
+def _prefix_walk(spec: SubspaceSpec):
     """Walk the prefixes of the admissible sets in lexicographic order
     by basis exchange.
 
-    A prefix is an (m - 1)-subset Q of range(span), span N - 1 by
-    default; the sets Q + (x,) with x > max Q, prefix by prefix, are
-    then the m-subsets in the order of admissible_sets.  With span N
-    the walk also yields the prefixes that hold coordinate N - 1, so it
-    reaches every (m - 1)-subset of every admissible set
-    (bounds._per_set_scan).
+    A prefix is an (m - 1)-subset Q of range(N - 1); the sets Q + (x,)
+    with x > max Q, prefix by prefix, are then the m-subsets in the
+    order of admissible_sets.
 
     The tableau is m integer rows of length N over the
     common denominator `common`: column j of the annihilator, scaled to
@@ -327,17 +324,15 @@ def _prefix_walk(spec: SubspaceSpec, span: Optional[int] = None):
     of 0-based coordinates, and order[j] is the tableau row of
     prefix[j].  The tableau is live and changes at the next step;
     consumers read it in place, the other members' 1-norms of a set
-    through _kernels.exchange_norms or, with span N, each off its own
-    residual row, and complete a set (_complete), on a copy, only to
-    build its family."""
+    through _kernels.exchange_norms or off their own residual rows
+    (bounds._per_set_scan), and complete a set (_complete), on a copy,
+    only to build its family."""
     n, m = spec.ambient, spec.codim
-    if span is None:
-        span = n - 1
     rows = [list(column) for column in spec._integer_columns]
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
-    for prefix in itertools.combinations(range(span), m - 1):
+    for prefix in itertools.combinations(range(n - 1), m - 1):
         leaving = [r for r, q in enumerate(basis) if q not in prefix]
         for q in prefix:
             if q in row_of:

@@ -132,10 +132,24 @@ class IndexSet:
             raise BoundsError(f"member {prev} exceeds ambient {self.ambient}")
 
     @classmethod
+    def _of(cls, members: tuple[int, ...], ambient: int) -> "IndexSet":
+        """The set of members, a strictly increasing tuple of ints in
+        1..ambient, ambient >= 1, without __post_init__'s checks: for
+        callers that drew the members themselves, from
+        itertools.combinations or a walk prefix."""
+        index_set = object.__new__(cls)
+        fields = index_set.__dict__
+        fields["members"] = members
+        fields["ambient"] = ambient
+        return index_set
+
+    @classmethod
     def all_of_size(cls, ambient: int, size: int) -> Iterator["IndexSet"]:
         """All size-element subsets of {1..ambient} in lexicographic order."""
+        if ambient < 1:
+            raise DimensionError("ambient dimension must be at least 1")
         for combo in itertools.combinations(range(1, ambient + 1), size):
-            yield cls(combo, ambient)
+            yield cls._of(combo, ambient)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)

@@ -211,8 +211,8 @@ def completed_sets(monkeypatch):
     prefix = []
     walk, norms = bounds._prefix_walk, _kernels.exchange_norms
 
-    def walked(spec, *span):
-        for item in walk(spec, *span):
+    def walked(spec):
+        for item in walk(spec):
             prefix[:] = item[0]
             yield item
 
@@ -283,15 +283,16 @@ class TestPrunedBounds:
 
 class TestPerSetScan:
     """best_upper_bound(spec, materialize=True) reads member y of each set
-    S off the residual row of S - y, over every (m - 1)-subset of
-    range(N): against the ratio families at every codimension."""
+    S off the residual row of S - y: the walk's prefixes of range(N - 1)
+    and, for the prefixes that hold coordinate N, the determinants the
+    walk left: against the ratio families at every codimension."""
 
     def test_seeded_sweep_every_codimension(self, monkeypatch):
         walk = bounds._prefix_walk
         commons = []
 
-        def recorded(spec, *span):
-            for item in walk(spec, *span):
+        def recorded(spec):
+            for item in walk(spec):
                 commons.append(item[3])
                 yield item
 
@@ -309,7 +310,7 @@ class TestPerSetScan:
                     assert report == expected
                     assert list(report.per_set.items()) == list(expected.per_set.items())
                     negative += any(c < 0 for c in commons)
-                    skipped += len(commons) < comb(ambient, codim - 1)
+                    skipped += len(commons) < comb(ambient - 1, codim - 1)
                     # a set holding coordinate N whose bound is not that
                     # of N's own vector: only a prefix holding N gives it
                     for index_set, value in report.per_set.items():
@@ -331,6 +332,45 @@ class TestPerSetScan:
             (IndexSet((2, 3), 3), F(3, 2)),
         ]
         assert report == bounds_from_ratios(spec)
+
+
+    def test_singular_sets_holding_coordinate_n(self):
+        # a zero last row makes every set holding N singular, and so
+        # every prefix holding N; a last row repeating row j makes
+        # P + j singular for a prefix P that holds N and not j, which
+        # the pass over the prefixes holding N must skip
+        rng = random.Random(3002)
+        mixed = 0
+        for _ in range(25):
+            ambient = rng.randint(3, 8)
+            for codim in range(1, ambient):
+                for last in (None, rng.randrange(ambient - 1)):
+                    spec = last_row_spec(rng, ambient, codim, last)
+                    report = best_upper_bound(spec, materialize=True)
+                    expected = bounds_from_ratios(spec)
+                    assert report == expected
+                    assert list(report.per_set.items()) == list(expected.per_set.items())
+                    holding = [s for s in report.per_set if ambient in s]
+                    if last is None:
+                        assert holding == []
+                    elif codim > 1:
+                        mixed += 0 < len(holding) < comb(ambient - 1, codim - 1)
+        assert mixed > 50  # specs with admissible and singular sets holding N
+
+
+def last_row_spec(rng, ambient, codim, last):
+    """A random rational annihilator whose last row is zero (last=None)
+    or repeats row `last`."""
+    while True:
+        rows = [
+            [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(codim)]
+            for _ in range(ambient - 1)
+        ]
+        rows.append([F(0)] * codim if last is None else list(rows[last]))
+        try:
+            return subspace_from_annihilator(rows)
+        except InvalidBasisError:
+            continue
 
 
 class TestSetBudget:

@@ -402,6 +402,22 @@ class TestExchangeScan:
             for make in (random_spec, rational_spec, degenerate_spec):
                 self.assert_residual_rows(make(rng, ambient, codim))
 
+    def test_residual_entries_share_one_scale(self):
+        # |rho_P[y]| is |det| of P + y's block of the integer-scaled
+        # columns, whatever the prefix P: the d that the per-set scan
+        # keeps per set is the same from each of its prefixes
+        rng = random.Random(3108)
+        for _ in range(30):
+            ambient = rng.randint(2, 8)
+            codim = rng.randint(1, ambient - 1)
+            for make in (random_spec, rational_spec, degenerate_spec):
+                spec = make(rng, ambient, codim)
+                rows = list(zip(*spec._integer_columns))
+                for prefix, rho in residual_rows(spec).items():
+                    base = [rows[q] for q in prefix]
+                    for y, v in enumerate(rho):
+                        assert abs(v) == abs(_kernels.det_bareiss(base + [rows[y]]))
+
     def test_seeded_sweep_to_nine(self):
         rng = random.Random(3106)
         for _ in range(12):
@@ -431,6 +447,27 @@ class TestExchangeScan:
         assert calls == []
         assert decide.decide_isometric(EXAMPLE).witness is not None
         assert calls == []
+
+
+class TestUncheckedIndexSets:
+    def test_route_sets_pass_the_checks(self):
+        # the sets built by IndexSet._of, from itertools.combinations or
+        # a walk prefix, equal the validated ones
+        rng = random.Random(3109)
+        for _ in range(20):
+            ambient = rng.randint(2, 8)
+            codim = rng.randint(1, ambient - 1)
+            for make in (random_spec, degenerate_spec):
+                spec = make(rng, ambient, codim)
+                sets = [s for s, _ in admissible_sets(spec)]
+                sets += [family.index_set for family in exchange_families(spec)]
+                sets += list(bounds.best_upper_bound(spec, materialize=True).per_set)
+                sets.append(bounds.best_upper_bound(spec).best_set)
+                assert len(sets) > 3
+                for s in sets:
+                    assert s == IndexSet(s.members, s.ambient)
+                    assert type(s.members) is tuple
+                    assert all(type(k) is int for k in s.members)
 
 
 class TestExchangeNorms:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from linfiso.crosscheck import check_instance, run_crosscheck
 from linfiso.instances import parse_instance
 
@@ -95,6 +97,36 @@ class TestCheckInstance:
             "3 1 annihilator\n1\n1\n1\n"))}
         assert results["trace_duality_valid"] is False
         assert results["hyperplane_matches_cut_loop"] is True
+
+    def test_changed_family_entry_fails_the_reconstruction(self, monkeypatch):
+        # one entry off the set of the first ratio family raised by 1/7:
+        # the identity pattern on the set still holds, F = C F_S does not
+        from dataclasses import replace
+
+        from linfiso import crosscheck
+
+        real = crosscheck.canonical_family
+        changed = []
+
+        def one_entry_off(spec, index_set):
+            family = real(spec, index_set)
+            if changed:
+                return family
+            k = index_set.members[0]
+            i = next(i for i in range(spec.ambient) if i + 1 not in index_set)
+            vector = list(family.vectors[k])
+            vector[i] += Fraction(1, 7)
+            changed.append((index_set, k, i))
+            return replace(family, vectors={**family.vectors, k: tuple(vector)})
+
+        text = "4 2 annihilator\n1 1/2\n0 1\n1 1\n2/3 -1\n"
+        clean = {n: ok for n, ok, _ in check_instance(parse_instance(text))}
+        assert clean["family_times_block_reconstructs"] is True
+        monkeypatch.setattr(crosscheck, "canonical_family", one_entry_off)
+        results = {n: ok for n, ok, _ in check_instance(parse_instance(text))}
+        assert len(changed) == 1
+        assert results["identity_pattern_on_set"] is True
+        assert results["family_times_block_reconstructs"] is False
 
     def test_no_program_is_built(self, monkeypatch):
         # trace duality proves both routes' constants; the full program
