@@ -9,18 +9,21 @@ residual row rho of an (m - 1)-set P vanishes on P, and rho / rho[y] is
 the canonical vector of y in the set P + y for every y outside P with
 rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.
 
-best_upper_bound runs one of two scans.  The pruned search, the default,
-walks the prefixes of range(N - 1) and reads a set's other members
-(_kernels.exchange_norms) only when its last member's 1-norm leaves it
-a chance to beat the best bound so far.  The materialized scan
-(_per_set_scan) needs every set's bound, so it prunes nothing: it walks
-the prefixes of range(N) and reads each member of each set off its own
-residual row.  Each is the faster for its task: the pruned search reads
-the other norms of few sets, so the C(N, m - 1) prefixes of the longer
-walk, against C(N - 1, m - 1), would cost it more than they save.
-Bounds are compared by integer cross-multiplication, building Fractions
-and IndexSets only for what the report holds; distance_bound_for_set
-computes one set's bound from its determinant-ratio family.
+best_upper_bound runs one of two scans, both on the walk's prefixes of
+range(N - 1).  The pruned search, the default, reads a set's other
+members (_kernels.exchange_norms) only when its last member's 1-norm
+leaves it a chance to beat the best bound so far.  The materialized
+scan (_per_set_scan) needs every set's bound, so it prunes nothing: it
+reads each member y of a set S off the residual row of S - y.  The
+walk does not reach the prefixes that hold coordinate N - 1, but their
+norms need no walk: |rho_P[y]| is c |det F_{P+y}| from every prefix P,
+c the product of the column scales, so the norm of any prefix P is the
+sum of those scaled determinants over the sets P + y, and the walk has
+met every admissible set.  Bounds are compared by integer
+cross-multiplication, building Fractions and IndexSets only for what the
+report holds;
+distance_bound_for_set computes one set's bound from its
+determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ def best_upper_bound(
     materialize=True returns the full set-to-bound map as well, from
     _per_set_scan, which reads every member of every set off its own
     residual row and so needs no exchange_norms at all: once every set's
-    bound is wanted the floor prunes nothing, and a walk over all of
-    range(N) is cheaper than m - 1 row products per set.  Raises
-    SetBudgetError before the scan when the spec has more than max_sets
-    index sets.
+    bound is wanted the floor prunes nothing, and one sum of table
+    entries per prefix holding N - 1 is cheaper than m - 1 row products
+    per set.  Raises SetBudgetError before the scan when the spec has
+    more than max_sets index sets.
     """
     _check_set_budget(spec, max_sets)
     if materialize:

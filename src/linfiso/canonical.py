@@ -19,8 +19,9 @@ replaces a whole family of determinants.
 The pivots are fraction-free (_kernels.exchange): the rows are integers
 over one common denominator, the determinant of the current basis, so no
 entry needs a gcd.  With Q in the basis, one row is left over: the
-residual row rho of Q, which vanishes on Q and whose entry rho[x] is,
-up to a factor fixed for the prefix, det F_{Q + x}.  So Q + x is
+residual row rho of Q, which vanishes on Q and whose entry |rho[x]| is
+|det F_{Q + x}| times the product of the column scales, the same from
+every prefix of Q + x.  So Q + x is
 admissible exactly when rho[x] != 0, and then rho / rho[x] is the
 canonical vector of x in Q + x for every such x outside Q, not only for
 x > max Q: it is the one vector of F's column span that vanishes on Q
@@ -30,9 +31,10 @@ per prefix pass it.  Completing the set would be one more exchange on
 (free row, x); decide and the pruned search of the bounds read the
 other members' canonical 1-norms off the prefix's live rows without it
 (_kernels.exchange_norms, each times |common|).  The materialized
-bounds scan reads no other row: its walk takes the prefixes of range(N),
-not of range(N - 1), and it reads each member y of a set S off the
-residual row of S - y.  The isometry test and the bounds compare those
+bounds scan reads no other row: it reads each member y of a set S off
+the residual row of S - y, and for the prefixes that hold coordinate
+N - 1, which the walk skips, it sums the |rho[x]| the walk recorded.
+The isometry test and the bounds compare those
 integers, so the paper's inequalities are integer comparisons.  A set
 is completed (_complete), on a copy of the rows, only where its
 CanonicalFamily is built, and its rows become Fractions in one place,
@@ -76,9 +78,10 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 # the default set budget.  The widest shape under it is (19, 9), 92,378
-# sets, whose full scan took 2 s in decide and 4 to 5 s materializing
-# every bound on a 2-vCPU Intel Xeon; the largest shape the tests and
-# benchmarks scan is (18, 6), 18,564 sets
+# sets, whose full scan took about 2 s in decide and 2.3 s materializing
+# every bound on a 2-vCPU Intel Xeon; the widest scan in the tests and
+# benchmarks is the start scan of bench_layers' (20, 4) LP rung, 4,845
+# sets
 MAX_SETS = 100_000
 
 
