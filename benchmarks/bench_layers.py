@@ -63,7 +63,9 @@ They run no LP.  decide_s is decide_isometric(spec), the prefix walk,
 which decide runs at every m (a checkout that took the closed form at
 m = 1 times that instead), bounds_s is best_upper_bound(spec,
 materialize=True) and bounds_best_s is best_upper_bound(spec), the start
-scan of projection_constant, each the median over the repeats.  The
+scan of projection_constant: the same scan, which only skips building
+the per_set map (a checkout with a separate pruned search for it times
+that instead), each the median over the repeats.  The
 answer fields are the verdict's digest (verdict, witness set and witness
 norms), sets_examined, admissible_sets (the size of per_set),
 bound_digest, the digest of best_upper and best_set, and

@@ -2,7 +2,7 @@
 simplex pivot of lp's revised master, and the fraction-free exchange of
 the basis-exchange scan of canonical families and of linalg's
 elimination, with exchange_norms, which reads the 1-norms an exchange
-would leave without making it.
+would leave without making it, for decide's scan.
 
 All of them work on integer rows: det_bareiss takes them alone and
 returns an integer, and the exchanges take them over one common

@@ -3,27 +3,20 @@
 Each admissible index set yields the bound max(1, largest canonical
 1-norm minus 1); minimizing over sets gives the best upper bound this
 family of coordinate sections can offer.  The report never claims the
-minimum equals the actual distance.  Both scans read canonical 1-norms
-off the residual rows of the prefix walk (canonical._prefix_walk): the
-residual row rho of an (m - 1)-set P vanishes on P, and rho / rho[y] is
-the canonical vector of y in the set P + y for every y outside P with
+minimum equals the actual distance.  best_upper_bound reads canonical
+1-norms off the residual rows of the prefix walk (canonical._prefix_walk):
+the residual row rho of an (m - 1)-set P vanishes on P, and rho / rho[y]
+is the canonical vector of y in the set P + y for every y outside P with
 rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.
 
-best_upper_bound runs one of two scans, both on the walk's prefixes of
-range(N - 1).  The pruned search, the default, reads a set's other
-members (_kernels.exchange_norms) only when its last member's 1-norm
-leaves it a chance to beat the best bound so far.  The materialized
-scan (_per_set_scan) needs every set's bound, so it prunes nothing: it
-reads each member y of a set S off the residual row of S - y.  The
-walk does not reach the prefixes that hold coordinate N - 1, but their
-norms need no walk: |rho_P[y]| is c |det F_{P+y}| from every prefix P,
-c the product of the column scales, so the norm of any prefix P is the
-sum of those scaled determinants over the sets P + y, and the walk has
-met every admissible set.  Bounds are compared by integer
+best_upper_bound reads each member y of a set S off the residual row of
+S - y, from the walk's prefixes and, for the prefixes that hold
+coordinate N - 1, which the walk does not reach, from a table of the
+determinants the walk met.  Bounds are compared by integer
 cross-multiplication, building Fractions and IndexSets only for what the
-report holds;
-distance_bound_for_set computes one set's bound from its
-determinant-ratio family.
+report holds; materialize decides only whether that is every set's bound
+or the best one alone.  distance_bound_for_set computes one set's bound
+from its determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import _kernels
 from .canonical import (
     MAX_SETS,
     SubspaceSpec,
@@ -65,59 +57,9 @@ def distance_bound_for_set(spec: SubspaceSpec, index_set: IndexSet) -> Fraction:
 def best_upper_bound(
     spec: SubspaceSpec, materialize: bool = False, max_sets: int = MAX_SETS
 ) -> BoundReport:
-    """Minimize the per-set bound over every admissible index set.
-
-    The pruned search reads each set Q + x off the prefix walk's integer
-    rows: with d = |rho[x]| and top the largest of ||rho||_1 and the
-    1-norms of the completed rows of Q's members (_kernels.exchange_norms,
-    over |common|, one exact division per set), the largest canonical
-    1-norm is top / d, so the bound is (top - d) / d when top exceeds 2d
-    and 1 otherwise.  Since top >= ||rho||_1, the set's bound is at least
-    max(1, ||rho||_1 / d - 1); a set whose floor cannot strictly beat the
-    best bound so far has no other norm read, so ties keep the first
-    set.  Bounds are compared by integer cross-multiplication, and only
-    the reported sets and bounds become IndexSets and Fractions.
-
-    materialize=True returns the full set-to-bound map as well, from
-    _per_set_scan, which reads every member of every set off its own
-    residual row and so needs no exchange_norms at all: once every set's
-    bound is wanted the floor prunes nothing, and one sum of table
-    entries per prefix holding N - 1 is cheaper than m - 1 row products
-    per set.  Raises SetBudgetError before the scan when the spec has
-    more than max_sets index sets.
-    """
-    _check_set_budget(spec, max_sets)
-    if materialize:
-        return _per_set_scan(spec)
-    n = spec.ambient
-    best: Optional[tuple[int, int]] = None
-    best_combo: tuple[int, ...] = ()
-    for prefix, order, rows, common, free in _prefix_walk(spec):
-        rho = rows[free]
-        norm = sum(map(abs, rho))
-        scale = abs(common)
-        for x in range(prefix[-1] + 1 if prefix else 0, n):
-            if not rho[x]:
-                continue
-            d = abs(rho[x])
-            if best is not None and _excess(norm, d) * best[1] >= best[0] * d:
-                continue
-            scaled = _kernels.exchange_norms(rows, order, free, x)
-            top = max(norm, max(scaled, default=0) // scale)
-            num = _excess(top, d)
-            if best is None or num * best[1] < best[0] * d:
-                best = num, d
-                best_combo = prefix + (x,)
-    if best is None:
-        raise _no_admissible_set()
-    best_set = IndexSet._of(tuple(q + 1 for q in best_combo), n)
-    return BoundReport(Fraction(*best), best_set, None)
-
-
-def _per_set_scan(spec: SubspaceSpec) -> BoundReport:
-    """best_upper_bound(spec, materialize=True): every admissible set's
-    bound, from the walk's prefixes of range(N - 1) and one pass over
-    the prefixes that hold coordinate N - 1.
+    """Minimize the per-set bound over every admissible index set, from
+    the walk's prefixes of range(N - 1) and one pass over the prefixes
+    that hold coordinate N - 1.
 
     Each member y of a set S has the canonical vector rho_P / rho_P[y],
     P = S - y, so its 1-norm is ||rho_P||_1 / |rho_P[y]|.  The
@@ -132,7 +74,14 @@ def _per_set_scan(spec: SubspaceSpec) -> BoundReport:
     ||rho_P||_1 is the sum of the d's of the sets P + y, 0 for a
     singular one.  The sets are then emitted in lexicographic order,
     each entry popped as it goes; best_set is the first minimizer.
+    Bounds are compared by integer cross-multiplication.
+
+    materialize decides only whether the emission also builds the full
+    set-to-bound map, per_set; otherwise only the reported set and bound
+    become an IndexSet and a Fraction.  Raises SetBudgetError before the
+    scan when the spec has more than max_sets index sets.
     """
+    _check_set_budget(spec, max_sets)
     n, m = spec.ambient, spec.codim
     bits = [1 << q for q in range(n)]
     dets: dict[int, int] = {}
@@ -157,23 +106,23 @@ def _per_set_scan(spec: SubspaceSpec) -> BoundReport:
         for key, d in zip(keys, ds):
             if d and tops[key] < norm:
                 tops[key] = norm
-    per_set: dict[IndexSet, Fraction] = {}
+    per_set: Optional[dict[IndexSet, Fraction]] = {} if materialize else None
     best: Optional[tuple[int, int]] = None
-    best_set: Optional[IndexSet] = None
+    best_members: tuple[int, ...] = ()
     masks = map(sum, itertools.combinations(bits, m))
     for members, key in zip(itertools.combinations(range(1, n + 1), m), masks):
         d = dets.pop(key, 0)
         if not d:
             continue
         num = _excess(tops.pop(key), d)
-        index_set = IndexSet._of(members, n)
-        per_set[index_set] = Fraction(num, d)
+        if per_set is not None:
+            per_set[IndexSet._of(members, n)] = Fraction(num, d)
         if best is None or num * best[1] < best[0] * d:
             best = num, d
-            best_set = index_set
+            best_members = members
     if best is None:
         raise _no_admissible_set()
-    return BoundReport(Fraction(*best), best_set, per_set)
+    return BoundReport(Fraction(*best), IndexSet._of(best_members, n), per_set)
 
 
 def _no_admissible_set() -> InternalConsistencyError:

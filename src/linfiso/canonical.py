@@ -28,12 +28,12 @@ x > max Q: it is the one vector of F's column span that vanishes on Q
 and is 1 at x.  x's determinantal inequality reads
 ||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
 per prefix pass it.  Completing the set would be one more exchange on
-(free row, x); decide and the pruned search of the bounds read the
-other members' canonical 1-norms off the prefix's live rows without it
-(_kernels.exchange_norms, each times |common|).  The materialized
-bounds scan reads no other row: it reads each member y of a set S off
-the residual row of S - y, and for the prefixes that hold coordinate
-N - 1, which the walk skips, it sums the |rho[x]| the walk recorded.
+(free row, x); decide reads the other members' canonical 1-norms off
+the prefix's live rows without it (_kernels.exchange_norms, each times
+|common|).  The bounds scan reads no other row: it reads each member y
+of a set S off the residual row of S - y, and for the prefixes that
+hold coordinate N - 1, which the walk skips, it sums the |rho[x]| the
+walk recorded.
 The isometry test and the bounds compare those
 integers, so the paper's inequalities are integer comparisons.  A set
 is completed (_complete), on a copy of the rows, only where its
@@ -182,12 +182,6 @@ class CanonicalFamily:
     index_set: IndexSet
     vectors: Mapping[int, tuple[Fraction, ...]]
 
-    def matrix(self) -> Matrix:
-        """N x m matrix whose columns are the vectors, in member order."""
-        return Matrix.from_columns(
-            self.vectors[k] for k in self.index_set
-        )
-
     def norms(self) -> dict[int, Fraction]:
         return {k: vec_norm1(v) for k, v in self.vectors.items()}
 
@@ -327,9 +321,9 @@ def _prefix_walk(spec: SubspaceSpec):
     of 0-based coordinates, and order[j] is the tableau row of
     prefix[j].  The tableau is live and changes at the next step;
     consumers read it in place, the other members' 1-norms of a set
-    through _kernels.exchange_norms or off their own residual rows
-    (bounds._per_set_scan), and complete a set (_complete), on a copy,
-    only to build its family."""
+    through _kernels.exchange_norms (decide) or off their own residual
+    rows (bounds.best_upper_bound), and complete a set (_complete), on a
+    copy, only to build its family."""
     n, m = spec.ambient, spec.codim
     rows = [list(column) for column in spec._integer_columns]
     common = 1

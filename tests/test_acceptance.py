@@ -214,15 +214,13 @@ def test_pair_minor_route():
 
 
 def test_structural_identities(sweep):
-    """Reconstruction, the identity pattern, the block-determinant sum,
-    and projection structure hold on every sweep instance; the
-    determinant sum also holds for hand-built feasible right inverses."""
+    """Reconstruction, which proves the identity pattern too, and the
+    block-determinant sum hold on every sweep instance (trace_duality_valid
+    proves the projection's structure); the determinant sum also holds
+    for hand-built feasible right inverses."""
     names = {
         "family_times_block_reconstructs",
-        "identity_pattern_on_set",
         "block_det_products_sum_to_one",
-        "projection_idempotent",
-        "projection_into_subspace",
     }
     bad = failures_in(sweep, names)
 

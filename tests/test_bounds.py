@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from linfiso import _kernels, bounds, decide
+from linfiso import bounds, decide
 from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
@@ -204,68 +204,37 @@ class TestIntegerBounds:
                 assert (report.best_upper == 1) == decide_isometric(spec).verdict
 
 
-def completed_sets(monkeypatch):
-    """Patch bounds to record, 1-based, each set whose completed rows'
-    norms best_upper_bound reads; returns the record."""
-    done = []
-    prefix = []
-    walk, norms = bounds._prefix_walk, _kernels.exchange_norms
-
-    def walked(spec):
-        for item in walk(spec):
-            prefix[:] = item[0]
-            yield item
-
-    def completing(rows, read, prow, pcol):
-        done.append(tuple(q + 1 for q in prefix) + (pcol + 1,))
-        return norms(rows, read, prow, pcol)
-
-    monkeypatch.setattr(bounds, "_prefix_walk", walked)
-    monkeypatch.setattr(_kernels, "exchange_norms", completing)
-    return done
-
-
 class TestPrunedBounds:
-    """Without materialize, a set whose floor max(1, ||rho||_1 / |rho[x]| - 1)
-    cannot strictly beat the best bound so far is not completed."""
+    """Default-mode answers where a later set ties the best bound or
+    reaches the floor at one: the first minimizer is reported."""
 
-    def test_later_tie_above_the_floor_is_skipped(self, monkeypatch):
-        done = completed_sets(monkeypatch)
+    def test_later_tie_above_the_floor_is_skipped(self):
         # m = 1, ||rho||_1 = 10: {3} ties {1} at 10/3 - 1
         spec = subspace_from_annihilator([3, 2, 3, 2])
         report = best_upper_bound(spec)
         assert (report.best_upper, report.best_set) == (F(7, 3), IndexSet((1,), 4))
-        assert done == [(1,)]
         # m = 2: row 4 repeats row 3, so {1,4} ties {1,3} at 3/2
-        done.clear()
         spec = subspace_from_annihilator([[1, -3], [1, 0], [-3, 1], [-3, 1], [0, 1]])
         report = best_upper_bound(spec)
         assert (report.best_upper, report.best_set) == (F(3, 2), IndexSet((1, 3), 5))
-        assert done == [(1, 2), (1, 3)]
         expected = bounds_from_ratios(spec)
         assert (report.best_upper, report.best_set) == (expected.best_upper, expected.best_set)
         assert list(expected.per_set.values()) == [
             F(17, 3), F(3, 2), F(3, 2), F(19), F(11), F(11), F(7), F(3), F(3)
         ]
-        # materialized, no set's other norms are read through
-        # exchange_norms: each member comes off its own residual row
-        done.clear()
         report = best_upper_bound(spec, materialize=True)
-        assert done == []
         assert report == expected
         assert list(report.per_set.items()) == list(expected.per_set.items())
 
-    def test_later_set_at_the_floor_is_skipped(self, monkeypatch):
-        done = completed_sets(monkeypatch)
+    def test_later_set_at_the_floor_is_skipped(self):
         # {1,3} reaches the floor 1.  Prefix {2} has rho = (0, 0, 2, 1), so
-        # the floor of {2,3} is max(1, 3/2 - 1) = 1, which cannot beat 1;
-        # its bound is 2.
+        # {2,3}'s own 1-norm for 3 is 3/2, at the floor too, but 2's vector
+        # gives it the bound 2
         spec = subspace_from_annihilator([[-2, 0], [1, 0], [0, 2], [0, 1]])
         walked = residual_rows(spec)
         assert walked[(1,)] == [0, 0, 2, 1]
         report = best_upper_bound(spec)
         assert (report.best_upper, report.best_set) == (F(1), IndexSet((1, 3), 4))
-        assert done == [(1, 3)]
         assert list(bounds_from_ratios(spec).per_set.values()) == [F(1), F(2), F(2), F(2)]
 
     def test_seeded_sweep_to_nine(self):
@@ -282,10 +251,10 @@ class TestPrunedBounds:
 
 
 class TestPerSetScan:
-    """best_upper_bound(spec, materialize=True) reads member y of each set
-    S off the residual row of S - y: the walk's prefixes of range(N - 1)
-    and, for the prefixes that hold coordinate N, the determinants the
-    walk left: against the ratio families at every codimension."""
+    """best_upper_bound reads member y of each set S off the residual row
+    of S - y: the walk's prefixes of range(N - 1) and, for the prefixes
+    that hold coordinate N, the determinants the walk left: against the
+    ratio families at every codimension, in both modes."""
 
     def test_seeded_sweep_every_codimension(self, monkeypatch):
         walk = bounds._prefix_walk
@@ -304,10 +273,12 @@ class TestPerSetScan:
             for codim in range(1, ambient):
                 for make in (random_spec, rational_spec, degenerate_spec, planted_spec):
                     spec = make(rng, ambient, codim)
+                    default = best_upper_bound(spec)
                     commons.clear()
                     report = best_upper_bound(spec, materialize=True)
                     expected = bounds_from_ratios(spec)
                     assert report == expected
+                    assert default == BoundReport(report.best_upper, report.best_set, None)
                     assert list(report.per_set.items()) == list(expected.per_set.items())
                     negative += any(c < 0 for c in commons)
                     skipped += len(commons) < comb(ambient - 1, codim - 1)

@@ -161,7 +161,8 @@ class TestCanonicalFamily:
             for index_set, _ in admissible_sets(spec):
                 fam = canonical_family(spec, index_set)
                 block = spec.annihilator.take_rows(index_set)
-                assert fam.matrix() @ block == spec.annihilator
+                columns = Matrix.from_columns(fam.vectors[k] for k in index_set)
+                assert columns @ block == spec.annihilator
 
     def test_vectors_lie_in_annihilator_span(self):
         rng = random.Random(2026)

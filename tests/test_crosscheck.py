@@ -100,7 +100,7 @@ class TestCheckInstance:
 
     def test_changed_family_entry_fails_the_reconstruction(self, monkeypatch):
         # one entry off the set of the first ratio family raised by 1/7:
-        # the identity pattern on the set still holds, F = C F_S does not
+        # F = C F_S no longer holds
         from dataclasses import replace
 
         from linfiso import crosscheck
@@ -125,7 +125,6 @@ class TestCheckInstance:
         monkeypatch.setattr(crosscheck, "canonical_family", one_entry_off)
         results = {n: ok for n, ok, _ in check_instance(parse_instance(text))}
         assert len(changed) == 1
-        assert results["identity_pattern_on_set"] is True
         assert results["family_times_block_reconstructs"] is False
 
     def test_no_program_is_built(self, monkeypatch):
