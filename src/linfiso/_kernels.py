@@ -2,7 +2,9 @@
 simplex pivot of lp's revised master, and the fraction-free exchange of
 the basis-exchange scan of canonical families and of linalg's
 elimination, with exchange_norms, which reads the 1-norms an exchange
-would leave without making it, for decide's scan.
+would leave without making it, for decide's scan.  The scan's walk
+(canonical._prefix_walk) exchanges to reach each prefix's parent; a
+prefix's residual row is one row of the next exchange, computed alone.
 
 All of them work on integer rows: det_bareiss takes them alone and
 returns an integer, and the exchanges take them over one common

@@ -7,7 +7,9 @@ minimum equals the actual distance.  best_upper_bound reads canonical
 1-norms off the residual rows of the prefix walk (canonical._prefix_walk):
 the residual row rho of an (m - 1)-set P vanishes on P, and rho / rho[y]
 is the canonical vector of y in the set P + y for every y outside P with
-rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.
+rho[y] != 0, so that vector's 1-norm is ||rho||_1 / |rho[y]|.  The walk
+yields rho as one row per prefix, and the scan reads nothing else: no
+prefix's tableau is built.
 
 best_upper_bound reads each member y of a set S off the residual row of
 S - y, from the walk's prefixes and, for the prefixes that hold
@@ -15,8 +17,10 @@ coordinate N - 1, which the walk does not reach, from a table of the
 determinants the walk met.  Bounds are compared by integer
 cross-multiplication, building Fractions and IndexSets only for what the
 report holds; materialize decides only whether that is every set's bound
-or the best one alone.  distance_bound_for_set computes one set's bound
-from its determinant-ratio family.
+or the best one alone.  At m = 1 the one prefix is empty, and its rho,
+F's scaled column, gives every singleton's bound: the best set is the
+first x with the largest |rho[x]|, with no table.  distance_bound_for_set
+computes one set's bound from its determinant-ratio family.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ def best_upper_bound(
     ||rho_P||_1 is the sum of the d's of the sets P + y, 0 for a
     singular one.  The sets are then emitted in lexicographic order,
     each entry popped as it goes; best_set is the first minimizer.
-    Bounds are compared by integer cross-multiplication.
+    Bounds are compared by integer cross-multiplication.  At m = 1
+    there is neither table nor pass (_singletons).
 
     materialize decides only whether the emission also builds the full
     set-to-bound map, per_set; otherwise only the reported set and bound
@@ -83,11 +88,12 @@ def best_upper_bound(
     """
     _check_set_budget(spec, max_sets)
     n, m = spec.ambient, spec.codim
+    if m == 1:
+        return _singletons(spec, materialize)
     bits = [1 << q for q in range(n)]
     dets: dict[int, int] = {}
     tops: dict[int, int] = {}
-    for prefix, _, rows, _, free in _prefix_walk(spec):
-        rho = rows[free]
+    for prefix, rho, _ in _prefix_walk(spec):
         norm = sum(map(abs, rho))
         mask = sum(map(bits.__getitem__, prefix))
         for bit, v in zip(bits, rho):
@@ -97,8 +103,7 @@ def best_upper_bound(
                     tops[key] = norm
                     dets[key] = abs(v)
     rest = bits[:-1]
-    # at m = 1 the walk's one prefix, the empty one, is the only prefix
-    for others in itertools.combinations(rest, m - 2) if m > 1 else ():
+    for others in itertools.combinations(rest, m - 2):
         mask = sum(others) | bits[-1]
         keys = [mask | bit for bit in rest if not mask & bit]
         ds = [dets.get(key, 0) for key in keys]
@@ -123,6 +128,28 @@ def best_upper_bound(
     if best is None:
         raise _no_admissible_set()
     return BoundReport(Fraction(*best), IndexSet._of(best_members, n), per_set)
+
+
+def _singletons(spec: SubspaceSpec, materialize: bool) -> BoundReport:
+    """best_upper_bound at m = 1.  The walk's one prefix is empty and
+    its rho is F's scaled column, so the singleton {x} has the bound
+    max(1, ||rho||_1 / |rho[x]| - 1), which falls as |rho[x]| grows
+    until the floor, reached at 2 |rho[x]| >= ||rho||_1; two entries
+    that both reach it are equal, as they sum to at most ||rho||_1.  So
+    the first x with the largest |rho[x]| is the first minimizer."""
+    n = spec.ambient
+    ((_, rho, _),) = _prefix_walk(spec)
+    ds = list(map(abs, rho))
+    norm, best = sum(ds), max(ds)
+    per_set = None
+    if materialize:
+        per_set = {
+            IndexSet._of((x + 1,), n): Fraction(_excess(norm, d), d)
+            for x, d in enumerate(ds)
+            if d
+        }
+    best_set = IndexSet._of((ds.index(best) + 1,), n)
+    return BoundReport(Fraction(_excess(norm, best), best), best_set, per_set)
 
 
 def _no_admissible_set() -> InternalConsistencyError:

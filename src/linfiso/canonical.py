@@ -11,36 +11,39 @@ formulation, determinant ratios by Cramer's rule at one set: m(N - m) + 1
 determinants, each by Bareiss elimination on the annihilator's columns
 scaled to integers, which each spec computes once
 (SubspaceSpec._integer_columns).  _prefix_walk walks the
-(m - 1)-prefixes Q of the admissible sets in lexicographic order and
-moves from one prefix to the next by basis exchange: the tableau is the
-m x N matrix C^T, whose row r is the canonical vector of basis member
-r, and a Gauss-Jordan pivot on it is a column exchange, so one pivot
-replaces a whole family of determinants.
+(m - 1)-prefixes Q of the admissible sets in lexicographic order by
+basis exchange: the tableau is the m x N matrix C^T, whose row r is the
+canonical vector of basis member r, and a Gauss-Jordan pivot on it is a
+column exchange, so one pivot replaces a whole family of determinants.
 The pivots are fraction-free (_kernels.exchange): the rows are integers
 over one common denominator, the determinant of the current basis, so no
-entry needs a gcd.  With Q in the basis, one row is left over: the
-residual row rho of Q, which vanishes on Q and whose entry |rho[x]| is
-|det F_{Q + x}| times the product of the column scales, the same from
-every prefix of Q + x.  So Q + x is
-admissible exactly when rho[x] != 0, and then rho / rho[x] is the
-canonical vector of x in Q + x for every such x outside Q, not only for
-x > max Q: it is the one vector of F's column span that vanishes on Q
-and is 1 at x.  x's determinantal inequality reads
-||rho||_1 <= 2 |rho[x]|, with ||rho||_1 fixed per prefix: at most two x
-per prefix pass it.  Completing the set would be one more exchange on
-(free row, x); decide reads the other members' canonical 1-norms off
-the prefix's live rows without it (_kernels.exchange_norms, each times
-|common|).  The bounds scan reads no other row: it reads each member y
-of a set S off the residual row of S - y, and for the prefixes that
-hold coordinate N - 1, which the walk skips, it sums the |rho[x]| the
-walk recorded.
+entry needs a gcd.  The live tableau stands one level short of Q, at
+its parent R = Q minus its last member d, with two rows left over; the
+residual row rho of Q is the one row that pivoting d in would leave
+outside Q, so it costs one row of that exchange, N products, and the
+exchange itself is made only where a consumer reads the other rows.
+rho vanishes on Q, and its entry |rho[x]| is |det F_{Q + x}| times the
+product of the column scales, the same from every prefix of Q + x; its
+sign depends on the pivots.  So Q + x is admissible exactly when
+rho[x] != 0, and then rho / rho[x] is the canonical vector of x in
+Q + x for every such x outside Q, not only for x > max Q: it is the one
+vector of F's column span that vanishes on Q and is 1 at x.  x's
+determinantal inequality reads ||rho||_1 <= 2 |rho[x]|, with ||rho||_1
+fixed per prefix: at most two x per prefix pass it.  For those, decide
+builds Q's own tableau (_tableau, one exchange on a copy) and reads the
+other members' canonical 1-norms off it without completing the set
+(_kernels.exchange_norms, each times |common|).  The bounds scan reads
+no other row: it reads each member y of a set S off the residual row of
+S - y, and for the prefixes that hold coordinate N - 1, which the walk
+skips, it sums the |rho[x]| the walk recorded.
 The isometry test and the bounds compare those
 integers, so the paper's inequalities are integer comparisons.  A set
-is completed (_complete), on a copy of the rows, only where its
+is completed (_complete), on a copy of Q's tableau, only where its
 CanonicalFamily is built, and its rows become Fractions in one place,
 _family: exchange_families, the Fraction view of the same walk, builds
-every set's family there, and decide only its witness's.  The ratio route
-stays as the definition and the independent check of both.
+every prefix's tableau and every set's family there, and decide only
+its witness's.  The ratio route stays as the definition and the
+independent check of both.
 
 At codimension 2 a third route reads the 2 x 2 minors (minor_vectors,
 family_from_minors) off the annihilator's integer rows over their one
@@ -78,7 +81,7 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 # the default set budget.  The widest shape under it is (19, 9), 92,378
-# sets, whose full scan took about 2 s in decide and 2.3 s materializing
+# sets, whose full scan took about 1 s in decide and 1.5 s materializing
 # every bound on a 2-vCPU Intel Xeon; the widest scan in the tests and
 # benchmarks is the start scan of bench_layers' (20, 4) LP rung, 4,845
 # sets
@@ -241,8 +244,8 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     completion of every prefix is completed (_complete) and read by
     _family, as decide_isometric reads its witness."""
     n = spec.ambient
-    for prefix, order, rows, common, free in _prefix_walk(spec):
-        rho = rows[free]
+    for prefix, rho, parent in _prefix_walk(spec):
+        rows, common, order, free = _tableau(prefix, rho, parent)
         for x in range(prefix[-1] + 1 if prefix else 0, n):
             if not rho[x]:
                 continue
@@ -275,63 +278,72 @@ def _check_set_budget(spec: SubspaceSpec, max_sets: int) -> None:
 
 def _prefix_walk(spec: SubspaceSpec):
     """Walk the prefixes of the admissible sets in lexicographic order
-    by basis exchange.
+    by basis exchange, with the live tableau at each prefix's parent.
 
     A prefix is an (m - 1)-subset Q of range(N - 1); the sets Q + (x,)
     with x > max Q, prefix by prefix, are then the m-subsets in the
-    order of admissible_sets.
+    order of admissible_sets.  Each Q is R + (d,) for its parent R, an
+    (m - 2)-subset of range(N - 2), and d > max R; so the Q in order
+    are the d of each R in turn, the R in order.
 
-    The tableau is m integer rows of length N over the
-    common denominator `common`: column j of the annihilator, scaled to
-    integers (a copy of SubspaceSpec._integer_columns, since the
-    exchanges work in place), starts as row j with `common` = 1,
-    which is the tableau of [I | F^T] on the basis of its m unit
-    columns, and `common` stays the determinant of the basis columns
-    after each exchange.  Once every basis member is a coordinate, row r
-    over `common` is the canonical vector of basis[r], and `common` is
-    the determinant of their block of F, rows in basis order, times the
-    product of the column scales; `common` can be negative.
+    The live tableau stands at the parents.  It is m integer rows of
+    length N over the common denominator `common`: column j of the
+    annihilator, scaled to integers (a copy of
+    SubspaceSpec._integer_columns, since the exchanges work in place),
+    starts as row j with `common` = 1, which is the tableau of [I | F^T]
+    on the basis of its m unit columns, and `common` stays the
+    determinant of the basis columns after each exchange.  Once every
+    basis member is a coordinate, row r over `common` is the canonical
+    vector of basis[r], and `common` is the determinant of their block
+    of F, rows in basis order, times the product of the column scales;
+    `common` can be negative.
 
-    To reach the next prefix, each entering member q pivots on the
+    To reach the next parent, each entering member q pivots on the
     first leaving row with a nonzero entry at column q.  The pivots are
-    a greedy elimination of the tableau's columns Q, which have rank
-    m - 1 exactly when the rows of F at Q are independent; so a leaving
+    a greedy elimination of the tableau's columns R, which have rank
+    m - 2 exactly when the rows of F at R are independent; so a leaving
     row with a nonzero entry exists at every step exactly when they are.
-    When none does, every set Q + (x,) has a singular block, so the
-    prefix is skipped and the basis stays where the pivots left it,
-    which is still a basis, so the walk never refactors.
+    When none does, every set holding R has a singular block, so every
+    Q = R + (d,) is skipped, and the basis stays where the pivots left
+    it, which is still a basis, so the walk never refactors.
 
-    Once Q is in the basis, exactly one row, `free`, belongs to a member
-    outside Q.  That row rho is the residual row of Q: it vanishes on Q
-    and, by Cramer's rule, rho[y] is det F_{Q+y} (y in the free row's
-    place) times a factor that does not depend on y.  So Q + (x,) is
-    admissible exactly when rho[x] != 0, and completing it would be one
-    more exchange on (free, x) (_complete), after which row free still
-    holds rho and rho / rho[x] is the canonical vector of x.  That holds
-    for every x outside Q with rho[x] != 0, not only for x > max Q: the
-    canonical vector of x in Q + (x,) is the one vector of F's column
-    span that vanishes on Q and is 1 at x.  Its 1-norm
-    ||rho||_1 / |rho[x]| is x's determinantal inequality, with
-    ||rho||_1 fixed for the prefix: at most two x can have
-    ||rho||_1 <= 2 |rho[x]|, as three such entries would sum to more
-    than ||rho||_1.  At m = 1 the only prefix is empty and rho is the
-    scaled column of F.
+    With R in the basis two rows, u and v in row order, belong to
+    members outside R.  Pivoting d in on u would be one exchange, and
+    it would leave one row outside Q: the residual row rho of Q,
+    (v u[d] - v[d] u) / common, the one row of that exchange the scans
+    read.  So each Q costs N products, not the m N of the exchange.
+    When u[d] = 0 the pivot is v, and rho is u v[d] / common; when both
+    are 0, the rows of F at Q are dependent and Q is skipped.  At m = 2
+    the only parent is empty and the walk makes no exchange at all.
 
-    Yields (prefix, order, rows, common, free): prefix is Q as a tuple
-    of 0-based coordinates, and order[j] is the tableau row of
-    prefix[j].  The tableau is live and changes at the next step;
-    consumers read it in place, the other members' 1-norms of a set
-    through _kernels.exchange_norms (decide) or off their own residual
-    rows (bounds.best_upper_bound), and complete a set (_complete), on a
-    copy, only to build its family."""
+    rho vanishes on Q and, by Cramer's rule, rho[y] is det F_{Q+y}
+    (y in the free row's place) times a factor that does not depend on
+    y; |rho[y]| is |det F_{Q+y}| times the product of the column
+    scales, the same from every prefix of Q + y, while its sign depends
+    on the pivots that reached Q.  So Q + (x,) is admissible exactly
+    when rho[x] != 0, and then rho / rho[x] is the canonical vector of
+    x in Q + (x,), for every x outside Q, not only for x > max Q (see
+    the module docstring).  At
+    m = 1 the only prefix is empty and rho is the scaled column of F.
+
+    Yields (prefix, rho, parent): prefix is Q as a tuple of 0-based
+    coordinates, rho its residual row, and parent the live tableau of
+    R, (rows, common, order, u, v), order[j] the tableau row of R[j]
+    (None at m = 1).  The tableau changes at the next parent; the
+    bounds scan reads rho alone, and decide and exchange_families build
+    the tableau of Q from it (_tableau), on a copy, only where they read
+    the other members' rows."""
     n, m = spec.ambient, spec.codim
     rows = [list(column) for column in spec._integer_columns]
+    if m == 1:
+        yield (), rows[0], None
+        return
     common = 1
     basis = [-1] * m  # -1: the row's basis member is still its unit column
     row_of: dict[int, int] = {}
-    for prefix in itertools.combinations(range(n - 1), m - 1):
-        leaving = [r for r, q in enumerate(basis) if q not in prefix]
-        for q in prefix:
+    for head in itertools.combinations(range(n - 2), m - 2):
+        leaving = [r for r, q in enumerate(basis) if q not in head]
+        for q in head:
             if q in row_of:
                 continue
             r = next((r for r in leaving if rows[r][q]), None)
@@ -343,14 +355,43 @@ def _prefix_walk(spec: SubspaceSpec):
             row_of[q] = r
             leaving.remove(r)
         else:
-            yield prefix, tuple(row_of[q] for q in prefix), rows, common, leaving[0]
+            u, v = leaving
+            parent = rows, common, tuple(row_of[q] for q in head), u, v
+            row_u, row_v = rows[u], rows[v]
+            for d in range(head[-1] + 1 if head else 0, n - 1):
+                p, h = row_u[d], row_v[d]
+                if p:
+                    rho = [(a * p - h * b) // common for a, b in zip(row_v, row_u)]
+                elif h:
+                    rho = [b * h // common for b in row_u]
+                else:
+                    continue
+                yield head + (d,), rho, parent
+
+
+def _tableau(prefix: tuple, rho: list, parent) -> tuple[list, int, tuple, int]:
+    """The tableau of a prefix Q that _prefix_walk yielded with rho and
+    parent: one exchange, on a copy of the parent's rows, that pivots
+    Q's last member d in on the first free row with a nonzero entry at
+    d.  Returns (rows, common, order, free): row order[j] belongs to
+    prefix[j], and row free, the row of the member outside Q, is rho;
+    _complete finishes a set Q + (x,) on them."""
+    if parent is None:  # m = 1: rho alone, over 1
+        return [rho], 1, (), 0
+    rows, common, order, u, v = parent
+    d = prefix[-1]
+    if not rows[u][d]:
+        u, v = v, u
+    done = list(rows)
+    return done, _kernels.exchange(done, common, u, d), order + (u,), v
 
 
 def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
-    """The tableau of the set prefix + (x,), for a prefix's live rows
-    with rows[free][x] != 0: one exchange on (free, x), applied to a copy,
-    row -> (row * rho[x] - row[x] * rho) / common.  Returns the rows and
-    their common denominator rho[x]; row free is rho itself."""
+    """The tableau of the set prefix + (x,), for a prefix's rows
+    (_tableau) with rows[free][x] != 0: one exchange on (free, x),
+    applied to a copy, row -> (row * rho[x] - row[x] * rho) / common.
+    Returns the rows and their common denominator rho[x]; row free is
+    rho itself."""
     done = list(rows)
     return done, _kernels.exchange(done, common, free, x)
 

@@ -572,3 +572,46 @@ def norm_gap_oracle(f, y, constant, members):
     excess = max(sum(abs(v) for v in vec) for vec in vectors.values()) - 1
     bound = ONE + (constant - 1) * amplification
     return excess, bound, amplification, section
+
+
+def full_exchange_walk(columns, codim):
+    """The prefix walk with every (m - 1)-prefix Q of range(N - 1)
+    pivoted fully into an m-row fraction-free tableau: the reference
+    for canonical._prefix_walk, whose live tableau stands at the
+    (m - 2)-prefixes and which computes only Q's residual row.  columns
+    are the annihilator's integer-scaled columns.  Each entering member
+    pivots on the first leaving row with a nonzero entry there; a prefix
+    with no such row is skipped.  Yields (Q, rho), rho the one row
+    outside Q, for every Q whose rows of F are independent."""
+    n = len(columns[0])
+    rows = [list(column) for column in columns]
+    common = 1
+    basis = [-1] * codim
+    row_of = {}
+    for prefix in itertools.combinations(range(n - 1), codim - 1):
+        leaving = [r for r, q in enumerate(basis) if q not in prefix]
+        for q in prefix:
+            if q in row_of:
+                continue
+            r = next((r for r in leaving if rows[r][q]), None)
+            if r is None:
+                break
+            common = _exchange(rows, common, r, q)
+            row_of.pop(basis[r], None)
+            basis[r] = q
+            row_of[q] = r
+            leaving.remove(r)
+        else:
+            yield prefix, list(rows[leaving[0]])
+
+
+def _exchange(rows, common, prow, pcol):
+    """A fraction-free Gauss-Jordan pivot on (prow, pcol), in place;
+    returns the new common denominator, the pivot entry."""
+    pivot_row = rows[prow]
+    p = pivot_row[pcol]
+    for i, row in enumerate(rows):
+        if i != prow:
+            h = row[pcol]
+            rows[i] = [(a * p - h * b) // common for a, b in zip(row, pivot_row)]
+    return p

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from linfiso import bounds, decide
+from linfiso import bounds, canonical, decide
 from linfiso.bounds import BoundReport, best_upper_bound, distance_bound_for_set
 from linfiso.canonical import (
     admissible_sets,
@@ -204,11 +204,11 @@ class TestIntegerBounds:
                 assert (report.best_upper == 1) == decide_isometric(spec).verdict
 
 
-class TestPrunedBounds:
+class TestFirstMinimizer:
     """Default-mode answers where a later set ties the best bound or
     reaches the floor at one: the first minimizer is reported."""
 
-    def test_later_tie_above_the_floor_is_skipped(self):
+    def test_first_minimizer_on_a_tie(self):
         # m = 1, ||rho||_1 = 10: {3} ties {1} at 10/3 - 1
         spec = subspace_from_annihilator([3, 2, 3, 2])
         report = best_upper_bound(spec)
@@ -226,7 +226,7 @@ class TestPrunedBounds:
         assert report == expected
         assert list(report.per_set.items()) == list(expected.per_set.items())
 
-    def test_later_set_at_the_floor_is_skipped(self):
+    def test_first_set_at_the_floor_of_one(self):
         # {1,3} reaches the floor 1.  Prefix {2} has rho = (0, 0, 2, 1), so
         # {2,3}'s own 1-norm for 3 is 3/2, at the floor too, but 2's vector
         # gives it the bound 2
@@ -261,8 +261,10 @@ class TestPerSetScan:
         commons = []
 
         def recorded(spec):
+            # the common denominator of each prefix's own tableau, which
+            # the scan never builds
             for item in walk(spec):
-                commons.append(item[3])
+                commons.append(canonical._tableau(*item)[1])
                 yield item
 
         monkeypatch.setattr(bounds, "_prefix_walk", recorded)

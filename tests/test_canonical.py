@@ -24,7 +24,7 @@ from linfiso.errors import (
     WrongCodimensionError,
 )
 from linfiso.linalg import IndexSet, Matrix, det, rank, vec_norm1
-from oracles import laplace_det, to_lists
+from oracles import full_exchange_walk, laplace_det, to_lists
 
 EXAMPLE = subspace_from_annihilator([[1, 0], [0, 1], [1, 1]])
 
@@ -58,7 +58,7 @@ def rational_spec(rng, ambient, codim, bound=6):
 def residual_rows(spec):
     """The residual row rho of each prefix the walk yields, keyed by the
     0-based prefix, in the walk's order."""
-    return {prefix: list(rows[free]) for prefix, _, rows, _, free in _prefix_walk(spec)}
+    return {prefix: list(rho) for prefix, rho, _ in _prefix_walk(spec)}
 
 
 def set_denominators(spec):
@@ -346,17 +346,25 @@ class TestExchangeScan:
 
     def assert_residual_rows(self, spec):
         """Each prefix Q the walk yields has independent rows of F, and
-        every independent Q is yielded; its free row vanishes on Q and,
-        past max Q, is a nonzero multiple of x -> det F_{Q + x}.
-        Returns the yielded prefixes, 1-based."""
+        every independent Q is yielded; its residual row vanishes on Q
+        and, past max Q, is a nonzero multiple of x -> det F_{Q + x}.
+        The tableau built for Q (_tableau) has the identity pattern
+        over its common denominator on Q, its free row is the residual
+        row, and the parent's rows are left as they were.  Returns the
+        yielded prefixes, 1-based."""
         n, m = spec.ambient, spec.codim
         mat = spec.annihilator
         yielded = []
-        for prefix, order, rows, _, free in _prefix_walk(spec):
+        for prefix, rho, parent in _prefix_walk(spec):
             members = tuple(q + 1 for q in prefix)
             yielded.append(members)
+            before = None if parent is None else [list(row) for row in parent[0]]
+            rows, common, order, free = canonical._tableau(prefix, rho, parent)
+            assert before is None or parent[0] == before
             assert sorted(order + (free,)) == list(range(m))
-            rho = rows[free]
+            assert rows[free] == rho
+            for r, q in zip(order, prefix):
+                assert [rows[r][k] for k in prefix] == [common * (k == q) for k in prefix]
             assert all(rho[q] == 0 for q in prefix)
             xs = range(prefix[-1] + 1 if prefix else 0, n)
             dets = [det(mat.take_rows(IndexSet(members + (x + 1,), n))) for x in xs]
@@ -392,8 +400,10 @@ class TestExchangeScan:
     def test_codimension_one_is_the_column(self):
         # the only prefix is empty and its residual row is F's column
         spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
-        walked = [(p, o, list(r), c, f) for p, o, r, c, f in _prefix_walk(spec)]
-        assert walked == [((), (), [[3, 0, -4, 6]], 1, 0)]
+        walked = [(prefix, list(rho), parent) for prefix, rho, parent in _prefix_walk(spec)]
+        assert walked == [((), [3, 0, -4, 6], None)]
+        tableau = canonical._tableau(*walked[0])
+        assert tableau == ([[3, 0, -4, 6]], 1, (), 0)
 
     def test_residual_rows_seeded(self):
         rng = random.Random(3105)
@@ -418,6 +428,39 @@ class TestExchangeScan:
                     base = [rows[q] for q in prefix]
                     for y, v in enumerate(rho):
                         assert abs(v) == abs(_kernels.det_bareiss(base + [rows[y]]))
+
+    def test_matches_the_full_exchange_walk(self):
+        # the walk yields the prefixes of the reference walk, which
+        # pivots each prefix fully in, in the same order, skips the same
+        # ones, and reads the same residual rows up to sign: the pivots
+        # that reach a prefix fix the sign of its rho, not |rho|
+        rng = random.Random(3110)
+        same = flipped = skipped = second = 0
+        for _ in range(60):
+            ambient = rng.randint(2, 9)
+            for codim in range(1, ambient):
+                for make in (random_spec, rational_spec, degenerate_spec):
+                    spec = make(rng, ambient, codim)
+                    reference = list(full_exchange_walk(spec._integer_columns, codim))
+                    walked = []
+                    for prefix, rho, parent in _prefix_walk(spec):
+                        walked.append((prefix, rho))
+                        # d pivots in on the second free row; the
+                        # parent's rows are live, so read them now
+                        if parent is not None:
+                            rows, _, _, u, _ = parent
+                            second += not rows[u][prefix[-1]]
+                    assert [p for p, _ in walked] == [p for p, _ in reference]
+                    prefixes = itertools.combinations(range(ambient - 1), codim - 1)
+                    skipped += sum(1 for _ in prefixes) - len(walked)
+                    for (_, rho), (_, expected) in zip(walked, reference):
+                        assert rho in (expected, [-v for v in expected])
+                        same += rho == expected
+                        flipped += rho != expected
+        assert same > 4000  # of 11,168 prefixes
+        assert flipped > 1000
+        assert skipped > 1000
+        assert second > 150  # of 310
 
     def test_seeded_sweep_to_nine(self):
         rng = random.Random(3106)
@@ -479,8 +522,8 @@ class TestExchangeNorms:
     def assert_matches_complete(self, spec):
         """Returns the number of sets read over a negative common."""
         negative = 0
-        for prefix, order, rows, common, free in _prefix_walk(spec):
-            rho = rows[free]
+        for prefix, rho, parent in _prefix_walk(spec):
+            rows, common, order, free = canonical._tableau(prefix, rho, parent)
             for x in range(prefix[-1] + 1 if prefix else 0, spec.ambient):
                 if not rho[x]:
                     continue
@@ -506,7 +549,8 @@ class TestExchangeNorms:
 
     def test_codimension_one_reads_no_rows(self):
         spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
-        (_, order, rows, _, free), = _prefix_walk(spec)
+        (walked,) = _prefix_walk(spec)
+        rows, _, order, free = canonical._tableau(*walked)
         assert _kernels.exchange_norms(rows, order, free, 0) == []
 
 
