@@ -1,10 +1,10 @@
 """Exact kernels for the three hot loops: the Bareiss determinant, the
 simplex pivot of lp's revised master, and the fraction-free exchange of
 the basis-exchange scan of canonical families and of linalg's
-elimination, with exchange_norms, which reads the 1-norms an exchange
-would leave without making it, for decide's scan.  The scan's walk
-(canonical._prefix_walk) exchanges to reach each prefix's parent; a
-prefix's residual row is one row of the next exchange, computed alone.
+elimination.  The scan's walk (canonical._prefix_walk) exchanges to
+reach each prefix's parent; a prefix's residual row is one row of the
+next exchange, computed alone, and a set is completed
+(canonical._complete) by two exchanges on a copy of the parent's rows.
 
 All of them work on integer rows: det_bareiss takes them alone and
 returns an integer, and the exchanges take them over one common
@@ -82,20 +82,3 @@ def exchange(rows: list, det: int, prow: int, pcol: int) -> int:
             rows[i] = [a * p // det for a in row]
     return p
 
-
-def exchange_norms(rows: list, read, prow: int, pcol: int) -> list[int]:
-    """The 1-norms of rows read[0], read[1], ... as exchange(rows, det,
-    prow, pcol) would leave them, each times |det|, with rows unchanged:
-    no copy and no division.  Exchanged row i is (a * p - h * b) / det
-    entry by entry, h = rows[i][pcol] (a * p / det when h is 0), and
-    det divides every numerator (exchange's invariant), so
-    sum |a * p - h * b| is |det| times its 1-norm.  The pivot row is not
-    to be read: exchange leaves it as it is."""
-    pivot_row = rows[prow]
-    p = pivot_row[pcol]
-    norms = []
-    for i in read:
-        row = rows[i]
-        h = row[pcol]
-        norms.append(sum([abs(a * p - h * b) for a, b in zip(row, pivot_row)]))
-    return norms

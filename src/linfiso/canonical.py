@@ -29,21 +29,19 @@ rho[x] != 0, and then rho / rho[x] is the canonical vector of x in
 Q + x for every such x outside Q, not only for x > max Q: it is the one
 vector of F's column span that vanishes on Q and is 1 at x.  x's
 determinantal inequality reads ||rho||_1 <= 2 |rho[x]|, with ||rho||_1
-fixed per prefix: at most two x per prefix pass it.  For those, decide
-builds Q's own tableau (_tableau, one exchange on a copy) and reads the
-other members' canonical 1-norms off it without completing the set
-(_kernels.exchange_norms, each times |common|).  The bounds scan reads
-no other row: it reads each member y of a set S off the residual row of
-S - y, and for the prefixes that hold coordinate N - 1, which the walk
-skips, it sums the |rho[x]| the walk recorded.
-The isometry test and the bounds compare those
-integers, so the paper's inequalities are integer comparisons.  A set
-is completed (_complete), on a copy of Q's tableau, only where its
-CanonicalFamily is built, and its rows become Fractions in one place,
-_family: exchange_families, the Fraction view of the same walk, builds
-every prefix's tableau and every set's family there, and decide only
-its witness's.  The ratio route stays as the definition and the
-independent check of both.
+fixed per prefix: at most two x per prefix pass it.  decide completes
+only those candidates (_complete, two exchanges on a copy of the
+parent's rows: d's, then x's) and tests every completed row against
+2 |rho[x]|.  The bounds scan reads no other row: it reads each member y
+of a set S off the residual row of S - y, and for the prefixes that
+hold coordinate N - 1, which the walk skips, it sums the |rho[x]| the
+walk recorded.  The isometry test and the bounds compare those
+integers, so the paper's inequalities are integer comparisons.  A
+completed set's rows become Fractions in one place, _family:
+exchange_families, the Fraction view of the same walk, completes every
+admissible set through the same _complete and builds its family there,
+and decide only its witness's.  The ratio route stays as the definition
+and the independent check of both.
 
 At codimension 2 a third route reads the 2 x 2 minors (minor_vectors,
 family_from_minors) off the annihilator's integer rows over their one
@@ -241,23 +239,20 @@ def exchange_families(spec: SubspaceSpec) -> Iterator[CanonicalFamily]:
     """The admissible sets of admissible_sets, in the same order, one
     CanonicalFamily per set; the Fraction view of _prefix_walk, equal,
     entry for entry, to canonical_family at each set.  Every admissible
-    completion of every prefix is completed (_complete) and read by
-    _family, as decide_isometric reads its witness."""
+    set is completed (_complete) and read by _family, as
+    decide_isometric completes and tests its candidates."""
     n = spec.ambient
     for prefix, rho, parent in _prefix_walk(spec):
-        rows, common, order, free = _tableau(prefix, rho, parent)
         for x in range(prefix[-1] + 1 if prefix else 0, n):
-            if not rho[x]:
-                continue
-            done, den = _complete(rows, common, free, x)
-            yield _family(n, prefix + (x,), order + (free,), done, den)
+            if rho[x]:
+                rows, den, order = _complete(prefix, rho, parent, x)
+                yield _family(n, prefix + (x,), order, rows, den)
 
 
 def _family(n: int, members, order, rows: list, den: int) -> CanonicalFamily:
-    """The CanonicalFamily of a completed set: members are its 0-based
-    coordinates in ascending order, and tableau row order[j] over the
-    signed common denominator den, as _complete returns them, is the
-    canonical vector of members[j]."""
+    """The CanonicalFamily of a set that _complete completed: members
+    are its 0-based coordinates in ascending order, and row order[j]
+    over the signed den is the canonical vector of members[j]."""
     vectors = {
         q + 1: tuple(Fraction(v, den) for v in rows[r])
         for q, r in zip(members, order)
@@ -330,9 +325,9 @@ def _prefix_walk(spec: SubspaceSpec):
     coordinates, rho its residual row, and parent the live tableau of
     R, (rows, common, order, u, v), order[j] the tableau row of R[j]
     (None at m = 1).  The tableau changes at the next parent; the
-    bounds scan reads rho alone, and decide and exchange_families build
-    the tableau of Q from it (_tableau), on a copy, only where they read
-    the other members' rows."""
+    bounds scan reads rho alone, and decide and exchange_families
+    complete a set Q + (x,) from it (_complete), on a copy, only where
+    they read the other members' rows."""
     n, m = spec.ambient, spec.codim
     rows = [list(column) for column in spec._integer_columns]
     if m == 1:
@@ -369,31 +364,24 @@ def _prefix_walk(spec: SubspaceSpec):
                 yield head + (d,), rho, parent
 
 
-def _tableau(prefix: tuple, rho: list, parent) -> tuple[list, int, tuple, int]:
-    """The tableau of a prefix Q that _prefix_walk yielded with rho and
-    parent: one exchange, on a copy of the parent's rows, that pivots
-    Q's last member d in on the first free row with a nonzero entry at
-    d.  Returns (rows, common, order, free): row order[j] belongs to
-    prefix[j], and row free, the row of the member outside Q, is rho;
-    _complete finishes a set Q + (x,) on them."""
-    if parent is None:  # m = 1: rho alone, over 1
-        return [rho], 1, (), 0
+def _complete(prefix: tuple, rho: list, parent, x: int) -> tuple[list, int, tuple]:
+    """The tableau of the set prefix + (x,), for a prefix Q that
+    _prefix_walk yielded with rho and parent, and rho[x] != 0: on a copy
+    of the parent's rows, Q's last member d is pivoted in on the first
+    free row with a nonzero entry at d, which leaves rho on the other
+    row, and x is pivoted in on that row.  Returns (rows, den, order):
+    row order[j] over the signed den = rho[x] is the canonical vector of
+    (prefix + (x,))[j], and row order[-1] is rho itself.  At m = 1
+    (parent None) the rows are [rho] alone."""
+    if parent is None:
+        return [rho], rho[x], (0,)
     rows, common, order, u, v = parent
     d = prefix[-1]
     if not rows[u][d]:
         u, v = v, u
     done = list(rows)
-    return done, _kernels.exchange(done, common, u, d), order + (u,), v
-
-
-def _complete(rows: list, common: int, free: int, x: int) -> tuple[list, int]:
-    """The tableau of the set prefix + (x,), for a prefix's rows
-    (_tableau) with rows[free][x] != 0: one exchange on (free, x),
-    applied to a copy, row -> (row * rho[x] - row[x] * rho) / common.
-    Returns the rows and their common denominator rho[x]; row free is
-    rho itself."""
-    done = list(rows)
-    return done, _kernels.exchange(done, common, free, x)
+    common = _kernels.exchange(done, common, u, d)
+    return done, _kernels.exchange(done, common, v, x), order + (u, v)
 
 
 def minor_vectors(spec: SubspaceSpec) -> list[tuple[Fraction, ...]]:

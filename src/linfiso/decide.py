@@ -8,19 +8,15 @@ Q + x, the canonical vector of its last member x is rho / rho[x], rho
 the residual row of the prefix Q, so x's inequality is
 ||rho||_1 <= 2 |rho[x]|, one integer comparison per set with ||rho||_1
 summed once per prefix; the walk yields rho alone, one row per prefix.
-At most two x per prefix pass it; only for those sets are the other
-members' inequalities read, off the prefix's own tableau, which
-canonical._tableau builds for them by one exchange on a copy of the
-walk's rows: the completed row r, a canonical vector over rho[x], has
-1-norm at most 2 exactly when _kernels.exchange_norms, which gives that
-1-norm times |rho[x] common|, reads at most 2 |rho[x] common|, with no
-further copy, no division and no Fraction per set.  Every admissible
-set up to the witness counts as examined.  Only the witness is
-completed by one more exchange (canonical._complete), and its
-CanonicalFamily is read off
-those rows over the signed rho[x] (canonical._family); its 1-norms are
-family.norms().  At m = 1 the only prefix is empty and rho is the
-functional itself, scaled to integers.
+At most two x per prefix pass it; only those candidates are completed
+(canonical._complete, two exchanges on a copy of the walk's rows), and
+a candidate is a witness when every completed row, a canonical vector
+over the signed rho[x], sums in absolute value to at most 2 |rho[x]|:
+no division and no Fraction per set.  Every admissible set up to the
+witness counts as examined.  The witness's CanonicalFamily is read off
+the same rows (canonical._family); its 1-norms are family.norms().
+At m = 1 the only prefix is empty and rho is the functional itself,
+scaled to integers.
 
 Codimension 1 and 2 admit closed forms that provably visit the same
 sets in the same order, so all three return equal DecisionReports:
@@ -36,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import _kernels
 from .canonical import (
     MAX_SETS,
     CanonicalFamily,
@@ -46,7 +41,6 @@ from .canonical import (
     _family,
     _minor_row,
     _prefix_walk,
-    _tableau,
     family_from_minors,
 )
 from .errors import InvalidBasisError, WrongCodimensionError
@@ -73,32 +67,24 @@ def decide_isometric(spec: SubspaceSpec, max_sets: int = MAX_SETS) -> DecisionRe
     Raises SetBudgetError before the walk starts when the spec has more
     than max_sets index sets.  Every set Q + x with rho[x] != 0 counts
     as examined.  Its last member passes exactly when
-    ||rho||_1 <= 2 |rho[x]|; only then is the prefix's tableau built
-    (canonical._tableau, once per prefix) and its members read, and the
-    set is a witness when each of their completed rows, a
-    canonical vector over rho[x], has 1-norm at most 2, that is, when
-    _kernels.exchange_norms, which scales each by |common|, reads at
-    most 2 |rho[x] common| for every row (row free is rho itself, which
-    x's test has passed).  The witness alone is completed, to build its
-    family."""
+    ||rho||_1 <= 2 |rho[x]|; only then is the set completed
+    (canonical._complete), and it is a witness when each completed row
+    has 1-norm at most 2 |rho[x]|, the family being read off those
+    rows."""
     _check_set_budget(spec, max_sets)
     n = spec.ambient
     examined = 0
     for prefix, rho, parent in _prefix_walk(spec):
         norm = sum(map(abs, rho))
-        tableau = None
         for x in range(prefix[-1] + 1 if prefix else 0, n):
             if not rho[x]:
                 continue
             examined += 1
             if 2 * abs(rho[x]) < norm:
                 continue
-            tableau = tableau or _tableau(prefix, rho, parent)
-            rows, common, order, free = tableau
-            limit = 2 * abs(rho[x] * common)
-            if all(s <= limit for s in _kernels.exchange_norms(rows, order, free, x)):
-                done, den = _complete(rows, common, free, x)
-                family = _family(n, prefix + (x,), order + (free,), done, den)
+            rows, den, order = _complete(prefix, rho, parent, x)
+            if all(sum(map(abs, row)) <= 2 * abs(den) for row in rows):
+                family = _family(n, prefix + (x,), order, rows, den)
                 return DecisionReport(True, family, examined)
     return DecisionReport(False, None, examined)
 

@@ -143,14 +143,6 @@ class IndexSet:
         fields["ambient"] = ambient
         return index_set
 
-    @classmethod
-    def all_of_size(cls, ambient: int, size: int) -> Iterator["IndexSet"]:
-        """All size-element subsets of {1..ambient} in lexicographic order."""
-        if ambient < 1:
-            raise DimensionError("ambient dimension must be at least 1")
-        for combo in itertools.combinations(range(1, ambient + 1), size):
-            yield cls._of(combo, ambient)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 

@@ -258,14 +258,17 @@ class TestPerSetScan:
 
     def test_seeded_sweep_every_codimension(self, monkeypatch):
         walk = bounds._prefix_walk
-        commons = []
+        dens = []
 
         def recorded(spec):
-            # the common denominator of each prefix's own tableau, which
-            # the scan never builds
-            for item in walk(spec):
-                commons.append(canonical._tableau(*item)[1])
-                yield item
+            # per prefix, the signed den of each set completed on it,
+            # which the scan never completes
+            for prefix, rho, parent in walk(spec):
+                xs = range(prefix[-1] + 1 if prefix else 0, spec.ambient)
+                dens.append(
+                    [canonical._complete(prefix, rho, parent, x)[1] for x in xs if rho[x]]
+                )
+                yield prefix, rho, parent
 
         monkeypatch.setattr(bounds, "_prefix_walk", recorded)
         rng = random.Random(3001)
@@ -276,14 +279,14 @@ class TestPerSetScan:
                 for make in (random_spec, rational_spec, degenerate_spec, planted_spec):
                     spec = make(rng, ambient, codim)
                     default = best_upper_bound(spec)
-                    commons.clear()
+                    dens.clear()
                     report = best_upper_bound(spec, materialize=True)
                     expected = bounds_from_ratios(spec)
                     assert report == expected
                     assert default == BoundReport(report.best_upper, report.best_set, None)
                     assert list(report.per_set.items()) == list(expected.per_set.items())
-                    negative += any(c < 0 for c in commons)
-                    skipped += len(commons) < comb(ambient - 1, codim - 1)
+                    negative += any(d < 0 for row in dens for d in row)
+                    skipped += len(dens) < comb(ambient - 1, codim - 1)
                     # a set holding coordinate N whose bound is not that
                     # of N's own vector: only a prefix holding N gives it
                     for index_set, value in report.per_set.items():
@@ -291,7 +294,7 @@ class TestPerSetScan:
                             own = canonical_family(spec, index_set).norms()[ambient]
                             decided_late += max(F(1), own - 1) != value
         assert decided_late > 1000
-        assert negative > 100  # specs with a prefix over a negative common
+        assert negative > 100  # specs with a set completed over a negative den
         assert skipped > 30  # specs with a singular prefix skipped
 
     def test_prefix_holding_coordinate_n_decides(self):

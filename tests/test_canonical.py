@@ -348,10 +348,10 @@ class TestExchangeScan:
         """Each prefix Q the walk yields has independent rows of F, and
         every independent Q is yielded; its residual row vanishes on Q
         and, past max Q, is a nonzero multiple of x -> det F_{Q + x}.
-        The tableau built for Q (_tableau) has the identity pattern
-        over its common denominator on Q, its free row is the residual
-        row, and the parent's rows are left as they were.  Returns the
-        yielded prefixes, 1-based."""
+        Each admissible Q + x, completed (_complete), has the identity
+        pattern over den = rho[x] on all of Q + x, x's row is the
+        residual row, and the parent's rows are left as they were.
+        Returns the yielded prefixes, 1-based."""
         n, m = spec.ambient, spec.codim
         mat = spec.annihilator
         yielded = []
@@ -359,14 +359,19 @@ class TestExchangeScan:
             members = tuple(q + 1 for q in prefix)
             yielded.append(members)
             before = None if parent is None else [list(row) for row in parent[0]]
-            rows, common, order, free = canonical._tableau(prefix, rho, parent)
-            assert before is None or parent[0] == before
-            assert sorted(order + (free,)) == list(range(m))
-            assert rows[free] == rho
-            for r, q in zip(order, prefix):
-                assert [rows[r][k] for k in prefix] == [common * (k == q) for k in prefix]
-            assert all(rho[q] == 0 for q in prefix)
             xs = range(prefix[-1] + 1 if prefix else 0, n)
+            for x in xs:
+                if not rho[x]:
+                    continue
+                rows, den, order = canonical._complete(prefix, rho, parent, x)
+                assert den == rho[x]
+                assert sorted(order) == list(range(m))
+                assert rows[order[-1]] == rho
+                full = prefix + (x,)
+                for r, q in zip(order, full):
+                    assert [rows[r][k] for k in full] == [den * (k == q) for k in full]
+            assert before is None or parent[0] == before
+            assert all(rho[q] == 0 for q in prefix)
             dets = [det(mat.take_rows(IndexSet(members + (x + 1,), n))) for x in xs]
             tail = [rho[x] for x in xs]
             assert [v == 0 for v in tail] == [d == 0 for d in dets]
@@ -402,8 +407,8 @@ class TestExchangeScan:
         spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
         walked = [(prefix, list(rho), parent) for prefix, rho, parent in _prefix_walk(spec)]
         assert walked == [((), [3, 0, -4, 6], None)]
-        tableau = canonical._tableau(*walked[0])
-        assert tableau == ([[3, 0, -4, 6]], 1, (), 0)
+        assert canonical._complete(*walked[0], 2) == ([[3, 0, -4, 6]], -4, (0,))
+        assert canonical._complete(*walked[0], 3) == ([[3, 0, -4, 6]], 6, (0,))
 
     def test_residual_rows_seeded(self):
         rng = random.Random(3105)
@@ -512,46 +517,6 @@ class TestUncheckedIndexSets:
                     assert s == IndexSet(s.members, s.ambient)
                     assert type(s.members) is tuple
                     assert all(type(k) is int for k in s.members)
-
-
-class TestExchangeNorms:
-    """_kernels.exchange_norms on the walk's rows against _complete: the
-    norms of the completed rows, times |common|, read off the live rows
-    without changing them."""
-
-    def assert_matches_complete(self, spec):
-        """Returns the number of sets read over a negative common."""
-        negative = 0
-        for prefix, rho, parent in _prefix_walk(spec):
-            rows, common, order, free = canonical._tableau(prefix, rho, parent)
-            for x in range(prefix[-1] + 1 if prefix else 0, spec.ambient):
-                if not rho[x]:
-                    continue
-                before = [list(row) for row in rows]
-                scaled = _kernels.exchange_norms(rows, order, free, x)
-                assert rows == before
-                done, _ = canonical._complete(rows, common, free, x)
-                assert scaled == [abs(common) * sum(map(abs, done[r])) for r in order]
-                negative += common < 0
-        return negative
-
-    def test_seeded_sweep_to_five(self):
-        rng = random.Random(3107)
-        negative = 0
-        for _ in range(40):
-            ambient = rng.randint(2, 9)
-            codim = rng.randint(1, min(5, ambient - 1))
-            for make in (random_spec, rational_spec, degenerate_spec):
-                negative += self.assert_matches_complete(make(rng, ambient, codim))
-        for codim in range(1, 6):
-            negative += self.assert_matches_complete(random_spec(rng, 9, codim))
-        assert negative > 100  # sets read over a negative common
-
-    def test_codimension_one_reads_no_rows(self):
-        spec = subspace_from_annihilator([F(1, 2), 0, F(-2, 3), 1])
-        (walked,) = _prefix_walk(spec)
-        rows, _, order, free = canonical._tableau(*walked)
-        assert _kernels.exchange_norms(rows, order, free, 0) == []
 
 
 class TestIntegerColumnsCache:

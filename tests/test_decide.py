@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -70,6 +71,22 @@ def planted_spec(rng, ambient, codim):
     ]
     rng.shuffle(rows)
     return subspace_from_annihilator(rows)
+
+
+def dominant_last_row_spec(rng, ambient, codim, rational):
+    """Small entries above a last row of entries 50 to 99 in absolute
+    value, signs at random: the last member of nearly every prefix's
+    last set passes its inequality, and another member fails its own."""
+    while True:
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1) for _ in range(codim)]
+            for _ in range(ambient - 1)
+        ]
+        rows.append([F(rng.choice((-1, 1)) * rng.randint(50, 99)) for _ in range(codim)])
+        try:
+            return subspace_from_annihilator(rows)
+        except InvalidBasisError:
+            continue
 
 
 def random_annihilator(rng, ambient, codim, bound=5):
@@ -372,6 +389,35 @@ class TestPrefixCandidates:
         report = decide_isometric(spec)
         assert report == DecisionReport(False, None, 7)
         assert report == decision_from_ratios(spec)
+
+    def test_rejected_candidates_at_scale(self, monkeypatch):
+        # a dominant last row: nearly every prefix completes a candidate
+        # that another member rejects, over dens of either sign
+        completed = []
+
+        def recorded(*args):
+            completion = complete(*args)
+            completed.append(completion)
+            return completion
+
+        complete = decide._complete
+        monkeypatch.setattr(decide, "_complete", recorded)
+        prefixes = rejected = negative = 0
+        for codim in range(2, 6):
+            for rational in (False, True):
+                rng = random.Random(3400 + codim)
+                ambient = codim + 6
+                spec = dominant_last_row_spec(rng, ambient, codim, rational)
+                completed.clear()
+                report = decide_isometric(spec)
+                assert report == decision_from_ratios(spec)
+                for rows, den, _ in completed:
+                    if any(sum(map(abs, row)) > 2 * abs(den) for row in rows):
+                        rejected += 1
+                        negative += den < 0
+                prefixes += comb(ambient - 1, codim - 1)
+        assert rejected > 0.9 * prefixes  # 626 of 658
+        assert negative > 100  # 310 rejected over a negative den
 
     def test_seeded_sweep_to_nine(self):
         rng = random.Random(1501)

@@ -174,15 +174,13 @@ class TestIndexSet:
             IndexSet((0,), 4)
         with pytest.raises(BoundsError):
             IndexSet((5,), 4)
-
-    def test_lexicographic_enumeration(self):
-        got = [s.members for s in IndexSet.all_of_size(4, 2)]
-        assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        with pytest.raises(DimensionError):
+            IndexSet((), 0)
 
     def test_unchecked_constructor_equals_the_validated_one(self):
         # IndexSet._of skips __post_init__ for members drawn from
         # itertools.combinations; the sets compare, hash and print as
-        # the validated ones, and all_of_size still rejects ambient 0
+        # the validated ones
         for ambient in range(1, 7):
             for size in range(ambient + 1):
                 for combo in itertools.combinations(range(1, ambient + 1), size):
@@ -191,11 +189,6 @@ class TestIndexSet:
                     assert (made.members, made.ambient, str(made)) == (
                         checked.members, checked.ambient, str(checked)
                     )
-            assert list(IndexSet.all_of_size(ambient, 2)) == [
-                IndexSet(c, ambient) for c in itertools.combinations(range(1, ambient + 1), 2)
-            ]
-        with pytest.raises(DimensionError):
-            list(IndexSet.all_of_size(0, 0))
 
 
 class TestMatrix:
